@@ -20,7 +20,11 @@ base64 PPM (``frame_b64``), per-query latency, stream/ack totals and a
 ``warm`` flag (False when this query cold-built its pool).  Admission is
 bounded: beyond ``admission_limit`` concurrently running queries the server
 answers ``{"ok": false, "rejected": true}`` immediately instead of queueing
-without bound.
+without bound.  Every request line gets a response line: an invalid request
+or a pipeline failure answers ``{"ok": false, "error": ...}``, so does an
+unexpected exception inside ``render`` (counted in ``queries_failed``,
+traceback on stderr), and so does a line over the 64 KiB stream limit —
+after which that one connection is closed, as it cannot resynchronise.
 
 Query → pipeline binding: the (scene, configuration, algorithm, image
 size, policy, copies) tuple keys the pool — those parameters are baked
@@ -55,6 +59,7 @@ import json
 import math
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -642,8 +647,7 @@ class QueryService:
         try:
             metrics = pool.submit(uow, tracer=tracer).result()
         except EngineError:
-            with self._count_lock:
-                self.queries_failed += 1
+            self.count_failure()
             raise
         result = metrics.result
         if cache is not None and frame_key is not None:
@@ -782,6 +786,11 @@ class QueryService:
             "pools": self.pools.stats(),
         }
 
+    def count_failure(self) -> None:
+        """Count a query whose render failed (shows as ``queries_failed``)."""
+        with self._count_lock:
+            self.queries_failed += 1
+
     def close(self) -> None:
         self.pools.close_all()
 
@@ -808,8 +817,31 @@ async def _serve(
 
     async def _handle_connection(reader, writer):
         nonlocal inflight
+
+        async def reply(response):
+            writer.write(json.dumps(response).encode() + b"\n")
+            await writer.drain()
+
+        async def discard_input():
+            while await reader.read(1 << 16):
+                pass
+
         while not stop.is_set():
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError as exc:
+                # A line over the stream limit (64 KiB): the reader has
+                # dropped part of it, so the connection cannot resync.
+                await reply({"ok": False, "error": f"bad request: {exc}"})
+                # Closing with input unread would reset the connection, and
+                # the reset can overtake the reply: half-close instead and
+                # discard what the client is still sending, for a bounded time.
+                writer.write_eof()
+                try:
+                    await asyncio.wait_for(discard_input(), timeout=1.0)
+                except asyncio.TimeoutError:
+                    pass
+                break
             if not line:
                 break
             try:
@@ -845,12 +877,20 @@ async def _serve(
                             )
                         except ReproError as exc:
                             response = {"ok": False, "error": str(exc)}
+                        except Exception as exc:
+                            # A bug, not a bad request: this client gets an
+                            # answer and the server keeps serving the others.
+                            traceback.print_exc()
+                            service.count_failure()
+                            response = {
+                                "ok": False,
+                                "error": f"internal error: {type(exc).__name__}: {exc}",
+                            }
                         finally:
                             inflight -= 1
                 else:
                     response = {"ok": False, "error": f"unknown cmd {cmd!r}"}
-            writer.write(json.dumps(response).encode() + b"\n")
-            await writer.drain()
+            await reply(response)
 
     server = await asyncio.start_server(handle, host, port)
     bound_port = server.sockets[0].getsockname()[1]

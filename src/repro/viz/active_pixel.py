@@ -15,10 +15,13 @@ pipeline freely — no end-of-work synchronisation.  Because the WPA restarts
 after each emission, a pixel can appear in several emitted buffers; the
 Merge filter's depth test resolves those duplicates.
 
-Our MSA generalises the per-scanline array to the whole screen (one index
-slot per pixel) with generation stamps, so clearing between emissions is
-O(1).  The data structure semantics — sparse winning-pixel storage with an
-index — are the paper's.
+Our MSA is a stable sort of one input buffer's fragments by screen position
+rather than a per-scanline array: it finds every pixel's fragments, in the
+order the triangles produced them, for the whole buffer at once, so the
+depth tests run one overdraw layer at a time instead of one triangle at a
+time (see :meth:`ActivePixelRaster.process`).  The data structure semantics
+— sparse winning-pixel storage with an index — are the paper's, and the WPA
+contents are bit for bit those of inserting triangle by triangle.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.viz.raster import ZBuffer, rasterize_triangles
+from repro.viz.raster import ZBuffer, _fragments, _run_starts
 
 __all__ = ["WPABuffer", "ActivePixelRaster", "ActivePixelMerger", "WPA_ENTRY_BYTES"]
 
@@ -75,16 +78,6 @@ class ActivePixelRaster:
         self.width = width
         self.height = height
         self.capacity = capacity_entries
-        npix = width * height
-        self._msa = np.zeros(npix, dtype=np.int64)  # WPA index per pixel
-        self._msa_gen = np.full(npix, -1, dtype=np.int64)
-        self._gen = 0
-        # Open WPA storage (grows geometrically).
-        self._cap = max(1024, capacity_entries)
-        self._pix = np.empty(self._cap, dtype=np.int64)
-        self._depth = np.empty(self._cap, dtype=np.float32)
-        self._color = np.empty((self._cap, 3), dtype=np.uint8)
-        self._count = 0
         self.fragments_tested = 0
 
     def process(self, triangles: np.ndarray, colors: np.ndarray) -> list[WPABuffer]:
@@ -93,80 +86,54 @@ class ActivePixelRaster:
         Emits every ``capacity_entries`` full buffer produced while
         processing, plus the final partial buffer — the WPA is always empty
         when this method returns.
+
+        The result is what inserting the triangles one by one would leave:
+        an entry per touched pixel in the order pixels were first touched;
+        each later fragment of a pixel, in triangle order, replaces depth
+        and colour when its float64 depth is below the *stored float32*
+        depth.  A stable sort by pixel plays the MSA's part: it ranks every
+        fragment within its pixel, and the rule is applied one rank (one
+        overdraw layer) at a time instead of one triangle at a time.
         """
         triangles = np.asarray(triangles)
-        if triangles.size and len(colors) != len(triangles):
+        if not triangles.size:
+            return []
+        if len(colors) != len(triangles):
             raise ConfigurationError("one colour per triangle required")
-        if triangles.size:
-            # Fragments come from the batched kernel (identical values and
-            # order to the per-triangle reference); WPA insertion stays per
-            # triangle because entry order and colour assignment depend on
-            # the triangle sequence.
-            pixels, depth, counts = rasterize_triangles(
-                triangles, self.width, self.height
+        pixels, depth, tri = _fragments(triangles, self.width, self.height)
+        self.fragments_tested += pixels.size
+        if not pixels.size:
+            return []
+        by_pixel = np.argsort(pixels, kind="stable")
+        pix, dep, tri = pixels[by_pixel], depth[by_pixel], tri[by_pixel]
+        # One run of ``pix`` per touched pixel, its fragments in triangle order.
+        starts = _run_starts(pix)
+        layers = np.diff(starts, append=len(pix))
+        win_depth = dep[starts].astype(np.float32)
+        win_tri = tri[starts]
+        runs = np.flatnonzero(layers > 1)
+        level = 1
+        while runs.size:
+            at = starts[runs] + level
+            wins = dep[at] < win_depth[runs]
+            won = runs[wins]
+            win_depth[won] = dep[at[wins]]
+            win_tri[won] = tri[at[wins]]
+            level += 1
+            runs = runs[layers[runs] > level]
+        # WPA entry order: pixels by the fragment that first touched them.
+        entry = np.argsort(by_pixel[starts])
+        wpa_pix = pix[starts][entry]
+        wpa_depth = win_depth[entry]
+        wpa_color = np.asarray(colors, dtype=np.uint8)[win_tri[entry]]
+        return [
+            WPABuffer(
+                wpa_pix[lo : lo + self.capacity],
+                wpa_depth[lo : lo + self.capacity],
+                wpa_color[lo : lo + self.capacity],
             )
-            self.fragments_tested += pixels.size
-            bounds = np.cumsum(counts)[:-1]
-            for pix, dep, rgb in zip(
-                np.split(pixels, bounds), np.split(depth, bounds), colors
-            ):
-                if pix.size:
-                    self._add(pix, dep, rgb)
-        return self._emit()
-
-    # -- internals -----------------------------------------------------------
-    def _add(self, pixels: np.ndarray, depth: np.ndarray, rgb: np.ndarray) -> None:
-        """Depth-test fragments of one triangle against the open WPA."""
-        valid = self._msa_gen[pixels] == self._gen
-        if valid.any():
-            vpix = pixels[valid]
-            vdep = depth[valid]
-            idx = self._msa[vpix]
-            wins = vdep < self._depth[idx]
-            if wins.any():
-                widx = idx[wins]
-                self._depth[widx] = vdep[wins]
-                self._color[widx] = rgb
-        new = ~valid
-        if new.any():
-            npx = pixels[new]
-            ndp = depth[new]
-            n = npx.size
-            self._ensure(self._count + n)
-            sl = slice(self._count, self._count + n)
-            self._pix[sl] = npx
-            self._depth[sl] = ndp.astype(np.float32)
-            self._color[sl] = rgb
-            self._msa[npx] = np.arange(self._count, self._count + n)
-            self._msa_gen[npx] = self._gen
-            self._count += n
-
-    def _ensure(self, needed: int) -> None:
-        if needed <= self._cap:
-            return
-        while self._cap < needed:
-            self._cap *= 2
-        self._pix = np.resize(self._pix, self._cap)
-        self._depth = np.resize(self._depth, self._cap)
-        color = np.empty((self._cap, 3), dtype=np.uint8)
-        color[: len(self._color)] = self._color
-        self._color = color
-
-    def _emit(self) -> list[WPABuffer]:
-        """Slice the open WPA into capacity-sized buffers and restart it."""
-        out: list[WPABuffer] = []
-        for start in range(0, self._count, self.capacity):
-            stop = min(start + self.capacity, self._count)
-            out.append(
-                WPABuffer(
-                    self._pix[start:stop].copy(),
-                    self._depth[start:stop].copy(),
-                    self._color[start:stop].copy(),
-                )
-            )
-        self._count = 0
-        self._gen += 1
-        return out
+            for lo in range(0, len(wpa_pix), self.capacity)
+        ]
 
 
 class ActivePixelMerger:

@@ -82,6 +82,19 @@ TRI_TABLE = _build_table()
 #: triangles emitted per configuration (diagnostics / cost estimation)
 _TRIS_PER_CONFIG = np.array([t.shape[0] for t in TRI_TABLE], dtype=np.int64)
 
+# TRI_TABLE flattened, configuration after configuration: per triangle the
+# (inside, outside) corner numbers of its three edges (T, 3), the same
+# corners as (x, y, z) offsets (T, 3, 3), and each configuration's first row.
+_EDGE_INSIDE, _EDGE_OUTSIDE = np.moveaxis(np.concatenate(TRI_TABLE).astype(np.int64), 2, 0)
+_INSIDE_XYZ, _OUTSIDE_XYZ = CORNER_OFFSETS[_EDGE_INSIDE], CORNER_OFFSETS[_EDGE_OUTSIDE]
+_CONFIG_START = np.cumsum(_TRIS_PER_CONFIG) - _TRIS_PER_CONFIG
+
+#: Triangles interpolated per pass of :func:`extract_triangles`.  A pass
+#: holds about a dozen (B, 3, 3) float64/int64 temporaries (~1 KB per
+#: triangle), so blocks keep them at ~2 MB whatever the chunk yields —
+#: serve front-end threads extract concurrently — at no cost in speed.
+_BLOCK_TRIANGLES = 2048
+
 
 def _cube_configs(scalars: np.ndarray, isovalue: float) -> np.ndarray:
     """Config bitmask per cube for a (nz, ny, nx) scalar grid."""
@@ -90,13 +103,12 @@ def _cube_configs(scalars: np.ndarray, isovalue: float) -> np.ndarray:
     nz, ny, nx = scalars.shape
     if nz < 2 or ny < 2 or nx < 2:
         raise DataError(f"grid too small for cubes: {scalars.shape}")
-    inside = scalars > isovalue
-    cfg = np.zeros((nz - 1, ny - 1, nx - 1), dtype=np.uint16)
-    for c in range(8):
-        dx, dy, dz = CORNER_OFFSETS[c]
-        view = inside[dz : dz + nz - 1, dy : dy + ny - 1, dx : dx + nx - 1]
-        cfg |= view.astype(np.uint16) << c
-    return cfg
+    # Corner c is bit c and sits at (c & 1, c >> 1 & 1, c >> 2 & 1): fold
+    # the +x neighbour in as bit 0 -> 1, then +y as bits 0-1 -> 2-3, then +z.
+    inside = (scalars > isovalue).astype(np.uint16)
+    along_x = inside[:, :, :-1] | (inside[:, :, 1:] << 1)
+    along_xy = along_x[:, :-1] | (along_x[:, 1:] << 2)
+    return along_xy[:-1] | (along_xy[1:] << 4)
 
 
 def triangle_count(scalars: np.ndarray, isovalue: float) -> int:
@@ -133,44 +145,40 @@ def extract_triangles(
     interpolation of the endpoint scalars equals ``isovalue``.
     """
     scalars = np.asarray(scalars, dtype=np.float32)
-    cfg = _cube_configs(scalars, isovalue)
-    active_mask = (cfg != 0) & (cfg != 255)
-    az, ay, ax = np.nonzero(active_mask)
-    if az.size == 0:
-        return np.empty((0, 3, 3), dtype=np.float32)
-    cfg_active = cfg[az, ay, ax]
+    cfg = _cube_configs(scalars, isovalue).reshape(-1)
+    active = np.flatnonzero((cfg != 0) & (cfg != 255))
+    # Configuration-ascending, cubes of one configuration in grid order,
+    # the triangles of a cube in table order: the order of the output.
+    by_config = np.argsort(cfg[active], kind="stable")
+    active = active[by_config]
+    cfg = cfg[active]
+    nz, ny, nx = scalars.shape
+    az, rest = np.divmod(active, (ny - 1) * (nx - 1))
+    ay, ax = np.divmod(rest, nx - 1)
+    corner0 = np.stack([ax, ay, az], axis=-1)  # (M, 3): cube origins as (x, y, z)
+    per_cube = _TRIS_PER_CONFIG[cfg]
+    first = np.cumsum(per_cube) - per_cube  # first output triangle per cube
+    total = int(per_cube.sum())
+    cube = np.repeat(np.arange(len(per_cube)), per_cube)  # (N,) cube per triangle
+    row = np.arange(total) + (_CONFIG_START[cfg] - first)[cube]  # (N,) edge-table row
 
+    # Scalars are gathered through flat grid-point indices.
+    flat = scalars.reshape(-1)
+    point_stride = np.array([1, nx, nx * ny])
+    corner0_flat = corner0 @ point_stride
+    corner_flat = CORNER_OFFSETS @ point_stride
     origin = np.asarray(origin, dtype=np.float64)
     spacing = np.asarray(spacing, dtype=np.float64)
-
-    pieces: list[np.ndarray] = []
-    for config in np.unique(cfg_active):
-        edges = TRI_TABLE[config]  # (T, 3, 2)
-        if edges.size == 0:
-            continue
-        sel = cfg_active == config
-        cz, cy, cx = az[sel], ay[sel], ax[sel]  # (M,)
-        a = edges[:, :, 0].astype(np.int64)  # inside corners  (T, 3)
-        b = edges[:, :, 1].astype(np.int64)  # outside corners (T, 3)
-        # Scalar values at both corners of each edge: (M, T, 3).
-        s_a = scalars[
-            cz[:, None, None] + CORNER_OFFSETS[a, 2],
-            cy[:, None, None] + CORNER_OFFSETS[a, 1],
-            cx[:, None, None] + CORNER_OFFSETS[a, 0],
-        ]
-        s_b = scalars[
-            cz[:, None, None] + CORNER_OFFSETS[b, 2],
-            cy[:, None, None] + CORNER_OFFSETS[b, 1],
-            cx[:, None, None] + CORNER_OFFSETS[b, 0],
-        ]
+    out = np.empty((total, 3, 3), dtype=np.float32)
+    for lo in range(0, total, _BLOCK_TRIANGLES):
+        cubes, rows = cube[lo : lo + _BLOCK_TRIANGLES], row[lo : lo + _BLOCK_TRIANGLES]
+        # Scalar values at both corners of each edge: (B, 3).
+        s_a = flat[corner0_flat[cubes, None] + corner_flat[_EDGE_INSIDE[rows]]]
+        s_b = flat[corner0_flat[cubes, None] + corner_flat[_EDGE_OUTSIDE[rows]]]
         t = (isovalue - s_a) / (s_b - s_a)  # in (0, 1]; s_a > iso >= s_b
-        # Corner positions in (x, y, z) grid units: (M, T, 3, 3).
-        base = np.stack([cx, cy, cz], axis=-1)[:, None, None, :].astype(np.float64)
-        pa = base + CORNER_OFFSETS[a][None, :, :, :]
-        pb = base + CORNER_OFFSETS[b][None, :, :, :]
-        verts = pa + t[..., None] * (pb - pa)
-        verts = origin + verts * spacing
-        pieces.append(verts.reshape(-1, 3, 3))
-    if not pieces:
-        return np.empty((0, 3, 3), dtype=np.float32)
-    return np.concatenate(pieces, axis=0).astype(np.float32)
+        # Corner positions in (x, y, z) grid units: (B, 3, 3).
+        base = corner0[cubes][:, None, :]
+        pa = (base + _INSIDE_XYZ[rows]).astype(np.float64)
+        pb = (base + _OUTSIDE_XYZ[rows]).astype(np.float64)
+        out[lo : lo + _BLOCK_TRIANGLES] = origin + (pa + t[..., None] * (pb - pa)) * spacing
+    return out

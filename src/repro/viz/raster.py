@@ -104,23 +104,36 @@ def rasterize_triangles(
     Degenerate, fully clipped, and behind-camera cases contribute zero
     fragments, matching the reference.
     """
+    pixels, depth, tri = _fragments(tris, width, height, max_cells)
+    return pixels, depth, np.bincount(tri, minlength=len(tris))
+
+
+def _fragments(
+    tris: np.ndarray, width: int, height: int, max_cells: int = 1 << 20
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fragments of :func:`rasterize_triangles` with their triangles.
+
+    Returns ``(pixels, depth, tri)`` in reference order, ``tri`` being the
+    index of the triangle each fragment came from (non-decreasing).  The
+    one fragment source of :class:`ZBuffer` and the active-pixel raster.
+    """
     tris = np.asarray(tris)
     if tris.ndim != 3 or tris.shape[1:] != (3, 3):
         raise ConfigurationError(
             f"expected (N, 3, 3) triangle array, got shape {tris.shape}"
         )
-    n = len(tris)
-    counts = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return _EMPTY_FRAGS[0], _EMPTY_FRAGS[1], counts
+    if len(tris) == 0:
+        return _NO_FRAGS
     xs, ys, zs = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
     # Clamp in float space before the integer cast so far-off-viewport
     # coordinates cannot overflow int64; the clip bounds leave every
     # empty-box comparison (x0 > x1 / y0 > y1) with its reference outcome.
-    x0 = np.clip(np.floor(xs.min(axis=1)), 0, width).astype(np.int64)
-    x1 = np.clip(np.ceil(xs.max(axis=1)), -1, width - 1).astype(np.int64)
-    y0 = np.clip(np.floor(ys.min(axis=1)), 0, height).astype(np.int64)
-    y1 = np.clip(np.ceil(ys.max(axis=1)), -1, height - 1).astype(np.int64)
+    # (min/max over the three vertices as two binary ops: a reduction along
+    # an axis of length 3 costs ~15x as much.)
+    x0 = np.clip(np.floor(_fold(np.minimum, xs)), 0, width).astype(np.int64)
+    x1 = np.clip(np.ceil(_fold(np.maximum, xs)), -1, width - 1).astype(np.int64)
+    y0 = np.clip(np.floor(_fold(np.minimum, ys)), 0, height).astype(np.int64)
+    y1 = np.clip(np.ceil(_fold(np.maximum, ys)), -1, height - 1).astype(np.int64)
     # Coefficients in the *input* dtype, like the reference's scalar maths;
     # they promote to float64 only when they meet the pixel-centre grids.
     a0 = ys[:, 1] - ys[:, 2]
@@ -128,55 +141,53 @@ def rasterize_triangles(
     a1 = ys[:, 2] - ys[:, 0]
     b1 = xs[:, 0] - xs[:, 2]
     denom = a0 * (xs[:, 0] - xs[:, 2]) + b0 * (ys[:, 0] - ys[:, 2])
-    alive = (x0 <= x1) & (y0 <= y1) & ~(np.abs(denom) < 1e-12)
-    if not alive.any():
-        return _EMPTY_FRAGS[0], _EMPTY_FRAGS[1], counts
-    a0_64, b0_64 = a0.astype(np.float64), b0.astype(np.float64)
-    a1_64, b1_64 = a1.astype(np.float64), b1.astype(np.float64)
-    den64 = denom.astype(np.float64)
-    x2_64, y2_64 = xs[:, 2].astype(np.float64), ys[:, 2].astype(np.float64)
-    z64 = zs.astype(np.float64)
-    x0f, y0f = x0.astype(np.float64), y0.astype(np.float64)
-
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i in np.nonzero(alive)[0]:
-        groups.setdefault((int(y1[i] - y0[i] + 1), int(x1[i] - x0[i] + 1)), []).append(
-            int(i)
-        )
+    live = np.flatnonzero((x0 <= x1) & (y0 <= y1) & ~(np.abs(denom) < 1e-12))
+    if not live.size:
+        return _NO_FRAGS
+    # Group live triangles by clipped-box shape with one stable sort of a
+    # packed (bh, bw) key: members of a group stay in triangle order, and
+    # the order of the groups is free (see the final sort).
+    key = (y1[live] - y0[live] + 1) * (width + 1) + (x1[live] - x0[live] + 1)
+    by_shape = np.argsort(key, kind="stable")
+    live, key = live[by_shape], key[by_shape]
+    starts = _run_starts(key)
+    # Per-triangle terms in group order, so a group is a slice of each.
+    x0, y0 = x0[live], y0[live]
+    terms = [x0, y0, xs[live, 2], ys[live, 2], a0[live], b0[live], a1[live], b1[live]]
+    terms += [denom[live], zs[live, 0], zs[live, 1], zs[live, 2]]
+    terms = [t.astype(np.float64) for t in terms]
 
     frag_tri: list[np.ndarray] = []
     frag_pix: list[np.ndarray] = []
     frag_dep: list[np.ndarray] = []
-    for (bh, bw), members in groups.items():
-        cells = bh * bw
-        step = max(1, max_cells // cells)
+    for start, stop in zip(starts, np.append(starts[1:], len(live))):
+        bh, bw = divmod(int(key[start]), width + 1)
+        step = max(1, max_cells // (bh * bw))
         offx = (np.arange(bw, dtype=np.float64) + 0.5)[None, None, :]
         offy = (np.arange(bh, dtype=np.float64) + 0.5)[None, :, None]
-        for lo in range(0, len(members), step):
-            m = np.array(members[lo : lo + step], dtype=np.int64)
+        for lo in range(start, stop, step):
+            x0f, y0f, x2, y2, ca0, cb0, ca1, cb1, den, z0, z1, z2 = (
+                t[lo : min(lo + step, stop), None, None] for t in terms
+            )
             # Pixel-centre grids: integer x0 plus exact half-integers —
             # bit-equal to the reference's arange(x0, x1 + 1) + 0.5.
-            dx = (x0f[m][:, None, None] + offx) - x2_64[m][:, None, None]
-            dy = (y0f[m][:, None, None] + offy) - y2_64[m][:, None, None]
-            dn = den64[m][:, None, None]
-            w0 = (a0_64[m][:, None, None] * dx + b0_64[m][:, None, None] * dy) / dn
-            w1 = (a1_64[m][:, None, None] * dx + b1_64[m][:, None, None] * dy) / dn
+            dx = (x0f + offx) - x2
+            dy = (y0f + offy) - y2
+            w0 = (ca0 * dx + cb0 * dy) / den
+            w1 = (ca1 * dx + cb1 * dy) / den
             w2 = 1.0 - w0 - w1
             inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-            depth = (
-                w0 * z64[m, 0][:, None, None]
-                + w1 * z64[m, 1][:, None, None]
-                + w2 * z64[m, 2][:, None, None]
-            )
+            depth = w0 * z0 + w1 * z1 + w2 * z2
             inside &= depth > 0
             g, iy, ix = np.nonzero(inside)
             if not g.size:
                 continue
-            frag_tri.append(m[g])
-            frag_pix.append((iy + y0[m][g]) * width + (ix + x0[m][g]))
+            g += lo
+            frag_tri.append(live[g])
+            frag_pix.append((iy + y0[g]) * width + (ix + x0[g]))
             frag_dep.append(depth[inside])
     if not frag_tri:
-        return _EMPTY_FRAGS[0], _EMPTY_FRAGS[1], counts
+        return _NO_FRAGS
     tri = np.concatenate(frag_tri)
     pixels = np.concatenate(frag_pix)
     depth = np.concatenate(frag_dep)
@@ -184,8 +195,20 @@ def rasterize_triangles(
     # triangle index restores reference order end to end (within a triangle
     # each bucket already emitted row-major).
     order = np.argsort(tri, kind="stable")
-    counts = np.bincount(tri, minlength=n).astype(np.int64)
-    return pixels[order], depth[order], counts
+    return pixels[order], depth[order], tri[order]
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal values (non-empty input)."""
+    return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+
+
+def _fold(op: np.ufunc, per_vertex: np.ndarray) -> np.ndarray:
+    """``op`` across the three vertex columns of an (N, 3) array."""
+    return op(op(per_vertex[:, 0], per_vertex[:, 1]), per_vertex[:, 2])
+
+
+_NO_FRAGS = (*_EMPTY_FRAGS, np.empty(0, dtype=np.int64))
 
 
 @dataclass
@@ -242,19 +265,14 @@ class ZBuffer:
             return
         if len(colors) != len(triangles):
             raise ConfigurationError("one colour per triangle required")
-        pixels, depth, counts = rasterize_triangles(
-            triangles, self.width, self.height
-        )
+        pixels, depth, tri_idx = _fragments(triangles, self.width, self.height)
         if pixels.size == 0:
             return
         self.fragments_tested += pixels.size
-        tri_idx = np.repeat(np.arange(len(counts)), counts)
-        order = np.lexsort((tri_idx, depth, pixels))
-        sorted_pix = pixels[order]
-        first = np.empty(len(sorted_pix), dtype=bool)
-        first[0] = True
-        np.not_equal(sorted_pix[1:], sorted_pix[:-1], out=first[1:])
-        cand = order[first]
+        # lexsort is stable and fragments arrive in triangle order, so the
+        # lowest triangle index leads each (pixel, depth) tie.
+        order = np.lexsort((depth, pixels))
+        cand = order[_run_starts(pixels[order])]
         cand_pix = pixels[cand]
         cand_depth = depth[cand]
         wins = cand_depth < self.depth[cand_pix]

@@ -150,6 +150,51 @@ def test_malformed_request_fields_get_error_responses(server):
     assert good["ok"] is True
 
 
+def test_internal_error_in_render_gets_a_response_and_is_counted():
+    """A non-ReproError from ``render`` used to escape ``run_in_executor``
+    and close the client's connection with no response line."""
+    service = QueryService(scenes=[SCENE], width=32, height=32)
+    render = service.render
+
+    def flaky(request):
+        if request.get("isovalue") == 0.123:
+            raise RuntimeError("kernel bug")
+        return render(request)
+
+    service.render = flaky
+    thread, port = _start_server(service)
+    try:
+        broken = _request(port, {"cmd": "query", "isovalue": 0.123})
+        assert broken["ok"] is False
+        assert "RuntimeError" in broken["error"] and "kernel bug" in broken["error"]
+        # The next client is served, and the failure shows in the stats.
+        assert _request(port, {"cmd": "query"})["ok"] is True
+        stats = _request(port, {"cmd": "stats"})["stats"]
+        assert stats["queries_failed"] == 1
+        assert stats["queries_served"] == 1
+    finally:
+        _request(port, {"cmd": "shutdown"})
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+
+def test_oversize_request_line_gets_an_error_response(server):
+    """A line over asyncio's 64 KiB stream limit raised ValueError from
+    ``readline`` outside the handler's ``try``: no response, dead handler."""
+    huge = json.dumps({"cmd": "query", "padding": "x" * (200 * 1024)}).encode()
+    with socket.create_connection(("127.0.0.1", server), timeout=30.0) as s:
+        s.sendall(huge + b"\n" + b'{"cmd": "ping"}\n')
+        with s.makefile("rb") as fh:
+            response = json.loads(fh.readline())
+            assert response["ok"] is False
+            assert "bad request" in response["error"]
+            # That connection is closed (it cannot resync mid-line), with an
+            # orderly EOF: the server reads off what was still in flight ...
+            assert fh.readline() == b""
+    # ... and only that one: the server answers the next client.
+    assert _request(server, {"cmd": "ping"})["pong"] is True
+
+
 def test_stats_counts_queries(server):
     stats = _request(server, {"cmd": "stats"})["stats"]
     assert stats["scenes"] == ["unit"]
