@@ -13,7 +13,7 @@ one bounded queue, so the copy set is the unit the protocol sees):
 - one edge per (producer copy set, consumer copy set) pair of every
   stream, carrying ``queued`` data items, the EOW ``marker`` (markers
   occupy queue slots, exactly like the in-band ``_EOW`` sentinel of the
-  process engine), ``pending`` produced-but-unsent items (a blocking
+  real engines' runtime), ``pending`` produced-but-unsent items (a blocking
   ``ctx.write``: a node with pending sends can do nothing else) and the
   ``unacked`` count of a demand-driven/rate sliding window (acked on
   consumer dequeue, as the engines do);

@@ -7,6 +7,7 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 from repro.core.instrument import RunMetrics
+from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -17,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.policies import WriterPolicy
     from repro.core.tracing import Tracer
 
-__all__ = ["Engine", "validate_run_setup", "emit_analysis_events"]
+__all__ = ["Engine", "validate_run_setup", "emit_analysis_events", "open_wall_trace"]
 
 
 class Engine(ABC):
@@ -34,6 +35,26 @@ class Engine(ABC):
     @abstractmethod
     def run(self) -> RunMetrics:
         """Execute one unit of work and return its measurements."""
+
+    def _set_policies(
+        self,
+        policy: str | PolicyFactory,
+        overrides: dict[str, str | PolicyFactory] | None,
+    ) -> None:
+        """Resolve the default writer policy and the per-stream overrides."""
+        self._default_factory = self._resolve(policy)
+        self._stream_factories = {
+            name: self._resolve(p) for name, p in (overrides or {}).items()
+        }
+
+    @staticmethod
+    def _resolve(policy: str | PolicyFactory) -> PolicyFactory:
+        if callable(policy):
+            return policy
+        return make_policy_factory(policy)
+
+    def _policy_for(self, stream: str) -> PolicyFactory:
+        return self._stream_factories.get(stream, self._default_factory)
 
 
 def validate_run_setup(
@@ -110,3 +131,19 @@ def emit_analysis_events(
         tracer.record(
             time, diag.subject, "analysis", f"{diag.rule}: {diag.message}"
         )
+
+
+def open_wall_trace(
+    tracer: "Tracer | None", report: "DiagnosticReport | None"
+) -> "int | None":
+    """Start a real engine's trace: wall clock, the verifier's warnings first.
+
+    Returns the record limit the copies' local tracers inherit (``None``
+    when the run is untraced).
+    """
+    if tracer is None:
+        return None
+    if not tracer.clock:
+        tracer.clock = "wall"
+    emit_analysis_events(tracer, report, 0.0)
+    return tracer.limit

@@ -11,20 +11,20 @@ protocol from "N cycles known up front" to "cycles arrive over time".
 Mechanics
 ---------
 The pool allocates ``max_inflight`` *slots*; each slot owns one
-:class:`~repro.engines.process._SharedCopySetQueue` per (filter, host),
+:class:`~repro.engines.runtime.CopySetQueue` per (filter, host),
 exactly as a batch ``run_cycles(uows)`` call owns one queue per (filter,
 host, cycle).  Cycle ``k`` runs in slot ``k % max_inflight``: up to
 ``max_inflight`` queries pipeline through the filters concurrently, and a
 slot is recycled (end-of-work counters rearmed) only after every copy has
-reported cycle ``k`` — so its queues are provably drained.  Workers
-execute the exact same per-cycle protocol as the batch engine
-(:func:`~repro.engines.process._execute_cycle` is shared), ship one report
-per cycle, and block in ``control.get()`` between queries.
+reported cycle ``k`` — so its queues are provably drained.  Workers run
+the same copy loop as the batch engines
+(:func:`~repro.engines.runtime.run_copy`), fed by an iterator that blocks
+in ``control.get()`` between queries, and ship one report per cycle.
 
 The parent-side supervisor blocks in ``multiprocessing.connection.wait``
 on the worker sentinels; an unexpected worker death marks the pool
 *broken*, fails every pending query, terminates the siblings and drains
-abandoned traffic through the engine's ack-and-release helper so no
+abandoned traffic through the runtime's ack-and-release helper so no
 shared-memory segment outlives the pool.  An ``idle_timeout`` reaps the
 pool (full ``close()``) after that long with no work in flight.
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import queue as queue_mod
 import threading
 import time
 from collections import OrderedDict
@@ -49,16 +48,15 @@ from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory
 from repro.core.tracing import Tracer
-from repro.engines.base import emit_analysis_events
-from repro.engines.process import (
-    _EOW,
-    _STOP,
-    ProcessEngine,
-    _ack_and_release,
-    _execute_cycle,
-    _fold_cycle,
-    _SharedCopySetQueue,
-    _start_ack_drain,
+from repro.engines.base import open_wall_trace
+from repro.engines.process import ProcessEngine
+from repro.engines.runtime import (
+    STOP,
+    CycleReport,
+    discard,
+    fold_cycle,
+    merge_trace,
+    run_copy,
 )
 from repro.errors import EngineError
 
@@ -72,7 +70,7 @@ class PendingQuery:
         self.cycle = cycle
         self.tracer = tracer
         self.t0 = t0  # pool-clock timestamp of the submit (trace origin)
-        self.reports: list = []  # (cid, _CycleReport, events, samples, dropped)
+        self.reports: list[CycleReport] = []
         self._done = threading.Event()
         self._lock = threading.Lock()
         self._metrics: "RunMetrics | None" = None
@@ -97,7 +95,7 @@ class PendingQuery:
 
     # First outcome wins: the collector resolves, a pool break fails — a
     # query racing both must not flip after callers have seen it done.
-    def _resolve(self, metrics: RunMetrics) -> None:
+    def _succeed(self, metrics: RunMetrics) -> None:
         with self._lock:
             if self._done.is_set():
                 return
@@ -192,73 +190,10 @@ class WarmPool(ProcessEngine):
     def _spawn(self) -> None:
         mp_ctx = multiprocessing.get_context(self.start_method)
         nslots = self.max_inflight
-        if self.codec.use_shared_memory:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-
-        # One copy-set queue per (filter, host, slot); slots play the role
-        # cycles play in the batch engine's layout.
-        copysets: dict[str, list[list[_SharedCopySetQueue]]] = {}
-        copyset_hosts: dict[str, list[str]] = {}
-        for name, spec in self.graph.filters.items():
-            expected = sum(
-                self.placement.total_copies(s.src) for s in spec.inputs
-            )
-            sets, hosts = [], []
-            for cs in self.placement.copysets(name):
-                sets.append(
-                    [
-                        _SharedCopySetQueue(
-                            mp_ctx, cs.copies, expected, self.queue_capacity
-                        )
-                        for _ in range(nslots)
-                    ]
-                )
-                hosts.append(cs.host)
-            copysets[name] = sets
-            copyset_hosts[name] = hosts
-
-        plan = []  # (cid, spec, host, copy_index, copies_on_host, total, set_idx)
-        cid = 0
-        for name, spec in self.graph.filters.items():
-            total = self.placement.total_copies(name)
-            for set_idx, cs in enumerate(self.placement.copysets(name)):
-                for copy_index in range(cs.copies):
-                    plan.append(
-                        (cid, spec, cs.host, copy_index, cs.copies, total, set_idx)
-                    )
-                    cid += 1
-
-        needs_ack = {
-            name: any(
-                self._policy_for(st.name)().needs_ack for st in spec.outputs
-            )
-            for name, spec in self.graph.filters.items()
-        }
-        ack_queues = [
-            mp_ctx.SimpleQueue() if needs_ack[item[1].name] else None
-            for item in plan
-        ]
-        controls = [mp_ctx.SimpleQueue() for _ in plan]
-        results = mp_ctx.SimpleQueue()
-        self._t_start = time.perf_counter()
-        shared = {
-            "copysets": copysets,
-            "copyset_hosts": copyset_hosts,
-            "ack_queues": ack_queues,
-            "controls": controls,
-            "results": results,
-            "t_start": self._t_start,
-            "nslots": nslots,
-        }
-
-        self._copysets = copysets
-        self._ack_queues = ack_queues
-        self._controls = controls
-        self._results = results
-        self._by_cid = {item[0]: item for item in plan}
-        self._ncopies = len(plan)
+        # Slots play the role cycles play in the batch engine's layout.
+        world = self._world = self._build_world(mp_ctx, nslots)
+        self._controls = [mp_ctx.SimpleQueue() for _ in world.plan]
+        self._results = mp_ctx.SimpleQueue()
 
         self._lock = threading.Lock()
         self._submit_lock = threading.Lock()
@@ -276,18 +211,21 @@ class WarmPool(ProcessEngine):
         self.created_at = time.monotonic()
         self._wake_recv, self._wake_send = mp_ctx.Pipe(duplex=False)
 
-        procs: dict[int, Any] = {}
-        for item in plan:
-            proc = mp_ctx.Process(
-                target=self._pool_worker,
-                args=(shared, item),
-                name=f"pool:{item[1].name}@{item[2]}#{item[3]}",
+        self._procs = {
+            copy.cid: mp_ctx.Process(
+                target=run_copy,
+                # Cycles arrive over the control queue until close() says STOP.
+                args=(
+                    world, copy, iter(self._controls[copy.cid].get, STOP),
+                    self._results.put,
+                ),
+                name=f"pool:{copy.label}",
                 daemon=True,
             )
-            procs[item[0]] = proc
-        for proc in procs.values():
+            for copy in world.plan
+        }
+        for proc in self._procs.values():
             proc.start()
-        self._procs = procs
 
         self._collector = threading.Thread(
             target=self._collect_loop, daemon=True, name="warmpool-collector"
@@ -370,16 +308,13 @@ class WarmPool(ProcessEngine):
             self._check_open()
             slot_free.clear()
             self._next_cycle += 1
-            if tracer is not None and not tracer.clock:
-                tracer.clock = "wall"
-            emit_analysis_events(tracer, self._analysis_report, 0.0)
-            pending = PendingQuery(k, tracer, t0=self._clock())
+            trace_limit = open_wall_trace(tracer, self._analysis_report)
+            pending = PendingQuery(k, tracer, t0=self._world.clock())
             with self._lock:
                 self._pending[k] = pending
                 self._last_activity = time.monotonic()
-            trace_limit = tracer.limit if tracer is not None else 0
             for control in self._controls:
-                control.put(("cycle", k, uow, tracer is not None, trace_limit))
+                control.put((k, k % self.max_inflight, uow, trace_limit))
             return pending
 
     def run(self) -> RunMetrics:
@@ -412,9 +347,6 @@ class WarmPool(ProcessEngine):
             )
         return metrics_list
 
-    def _clock(self) -> float:
-        return time.perf_counter() - self._t_start
-
     def _check_open(self) -> None:
         with self._lock:
             if self._broken:
@@ -425,64 +357,30 @@ class WarmPool(ProcessEngine):
     # -- parent-side threads -------------------------------------------------
     def _collect_loop(self) -> None:
         """Merge per-cycle worker reports; recycle slots as queries finish."""
-        while True:
-            msg = self._results.get()
-            if msg == _STOP:
-                return
-            if msg[0] != "cycle":
-                continue  # "bye" from an exiting worker
-            _kind, cid, k, cycle, events, samples, dropped = msg
+        while (report := self._results.get()) != STOP:
+            k = report.cycle
             with self._lock:
                 pending = self._pending.get(k)
                 if pending is None:
                     continue  # failed by a pool break while in flight
-                pending.reports.append((cid, cycle, events, samples, dropped))
-                complete = len(pending.reports) == self._ncopies
+                pending.reports.append(report)
+                complete = len(pending.reports) == len(self._procs)
             if complete:
                 self._finish_cycle(k, pending)
 
     def _finish_cycle(self, k: int, pending: PendingQuery) -> None:
-        metrics = RunMetrics()
-        metrics.ack_nbytes = self.ack_nbytes
-        errors: list[str] = []
-        offset = pending.t0
-        for cid, cycle, _e, _s, _d in sorted(pending.reports, key=lambda r: r[0]):
-            item = self._by_cid[cid]
-            error = _fold_cycle(
-                metrics, cycle, item[1].name, item[2], item[3],
-                self.ack_nbytes, time_offset=offset,
-            )
-            if error:
-                errors.append(error)
-        metrics.makespan = max(
-            (c.finished_at for c in metrics.copies), default=0.0
+        metrics, errors = fold_cycle(
+            pending.reports, self._world.plan, self.ack_nbytes,
+            time_offset=pending.t0,
         )
-        if pending.tracer is not None:
-            events = sorted(
-                (e for r in pending.reports for e in r[2]),
-                key=lambda e: e.time,
-            )
-            samples = sorted(
-                (s for r in pending.reports for s in r[3]),
-                key=lambda s: s.time,
-            )
-            for event in events:
-                pending.tracer.record(
-                    event.time - offset, event.copy, event.kind, event.detail
-                )
-            for sample in samples:
-                pending.tracer.sample_queue(
-                    sample.time - offset, sample.queue, sample.depth
-                )
-            pending.tracer.dropped += sum(r[4] for r in pending.reports)
+        merge_trace(pending.tracer, pending.reports, time_offset=pending.t0)
 
         # Recycle the slot: every copy has reported cycle k, so the slot's
         # queues are drained; rearm the end-of-work counters before the
         # next submit can route a cycle into them.
         slot = k % self.max_inflight
-        for sets in self._copysets.values():
-            for per_set in sets:
-                per_set[slot].reset()
+        for csq in self._world.queues(slot):
+            csq.reset()
         with self._lock:
             self._pending.pop(k, None)
             self._last_activity = time.monotonic()
@@ -497,7 +395,7 @@ class WarmPool(ProcessEngine):
                 )
             )
         else:
-            pending._resolve(metrics)
+            pending._succeed(metrics)
 
     def _supervise_loop(self) -> None:
         """Block on worker sentinels; break the pool on unexpected death.
@@ -542,9 +440,8 @@ class WarmPool(ProcessEngine):
             ]
             proc = self._procs[dead_cid]
             proc.join()
-            item = self._by_cid[dead_cid]
             self._break_pool(
-                f"pool worker {item[1].name}@{item[2]}#{item[3]} died "
+                f"pool worker {self._world.plan[dead_cid].label} died "
                 f"with exit code {proc.exitcode}"
             )
             return
@@ -562,7 +459,7 @@ class WarmPool(ProcessEngine):
                 proc.terminate()
         for proc in self._procs.values():
             proc.join()
-        self._results.put(_STOP)
+        self._results.put(STOP)
         self._collector.join()
         self._drain_all_slots()
         error = EngineError(f"warm pool is broken: {reason}", errors=[reason])
@@ -574,26 +471,16 @@ class WarmPool(ProcessEngine):
 
     def _drain_all_slots(self) -> None:
         """Discard abandoned traffic so no shared-memory segment leaks."""
-        for sets in self._copysets.values():
-            for per_set in sets:
-                for csq in per_set:
-                    while True:
-                        try:
-                            item = csq.queue.get_nowait()
-                        except queue_mod.Empty:
-                            break
-                        except BaseException:
-                            break  # torn pipe from a terminated worker
-                        if item == _STOP or item == _EOW:
-                            continue
-                        _ack_and_release(item, self._ack_queues)
+        for csq in self._world.queues():
+            for wire in csq.queued():
+                discard(wire, self._world.acks)
 
     def close(self) -> None:
         """Drain in-flight queries, then retire the workers.
 
         Close-while-busy is graceful: new submits are rejected first, every
         pending query runs to completion, and each worker delivers its
-        queued DD acks (FIFO ``_STOP`` through the ack queue) and joins its
+        queued DD acks (FIFO ``STOP`` through the ack queue) and joins its
         ack thread before exiting.  Idempotent; concurrent callers block
         until shutdown finishes.
         """
@@ -618,97 +505,17 @@ class WarmPool(ProcessEngine):
             self._supervisor.join()
         if not self._broken:
             for control in self._controls:
-                control.put(("close",))
+                control.put(STOP)
             for proc in self._procs.values():
                 proc.join(timeout=10.0)
             for proc in self._procs.values():
                 if proc.is_alive():  # pragma: no cover - stuck worker
                     proc.terminate()
                     proc.join()
-            self._results.put(_STOP)
+            self._results.put(STOP)
             self._collector.join()
             self._drain_all_slots()
         self._shutdown_done.set()
-
-    # -- the worker (child process) -----------------------------------------
-    def _pool_worker(self, shared, item) -> None:
-        """One copy's process: execute cycles as they arrive, until close."""
-        cid, spec, host, copy_index, copies_on_host, total, set_idx = item
-        copysets = shared["copysets"]
-        copyset_hosts = shared["copyset_hosts"]
-        ack_queues = shared["ack_queues"]
-        control = shared["controls"][cid]
-        results = shared["results"]
-        nslots = shared["nslots"]
-        t_start = shared["t_start"]
-        clock = lambda: time.perf_counter() - t_start  # noqa: E731
-        label = f"{spec.name}@{host}#{copy_index}"
-        codec = self.codec
-
-        writers_by_cycle: dict = {}
-        ack_queue = ack_queues[cid]
-        ack_thread = None
-        if ack_queue is not None:
-            ack_thread = _start_ack_drain(ack_queue, writers_by_cycle)
-
-        try:
-            instance = spec.factory()
-            build_error = None
-        except BaseException as exc:  # noqa: BLE001 - reported per cycle
-            instance = None
-            build_error = f"filter {spec.name!r} failed to build: {exc!r}"
-
-        while True:
-            msg = control.get()
-            if msg[0] == "close":
-                break
-            _kind, k, uow, trace, trace_limit = msg
-            slot = k % nslots
-            tracer = Tracer(limit=trace_limit, clock="wall") if trace else None
-            cycle = _execute_cycle(
-                spec=spec,
-                host=host,
-                copy_index=copy_index,
-                copies_on_host=copies_on_host,
-                total=total,
-                cid=cid,
-                k=k,
-                uow=uow,
-                instance=instance,
-                build_error=build_error,
-                my_queue=copysets[spec.name][set_idx][slot],
-                out_queues={
-                    st.name: [sets[slot] for sets in copysets[st.dst]]
-                    for st in spec.outputs
-                },
-                out_hosts={
-                    st.name: copyset_hosts[st.dst] for st in spec.outputs
-                },
-                policy_for=self._policy_for,
-                codec=codec,
-                ack_queues=ack_queues,
-                tracer=tracer,
-                clock=clock,
-                label=label,
-                writers_by_cycle=writers_by_cycle,
-            )
-            # Writers older than the slot ring can no longer receive acks
-            # that matter; prune so a long-lived worker stays bounded.
-            for old in [c for c in writers_by_cycle if c <= k - nslots]:
-                del writers_by_cycle[old]
-            results.put(
-                (
-                    "cycle", cid, k, cycle,
-                    tracer.events if tracer else [],
-                    tracer.queue_samples if tracer else [],
-                    tracer.dropped if tracer else 0,
-                )
-            )
-        if ack_thread is not None:
-            # FIFO sentinel: queued acks still get delivered first.
-            ack_queue.put(_STOP)
-            ack_thread.join()
-        results.put(("bye", cid))
 
 
 class _PoolBuild:

@@ -6,11 +6,13 @@ multicore hosts — the paper's transparent-copy speedups become measurable
 instead of GIL-serialised (contrast :class:`repro.engines.threaded.
 ThreadedEngine`, which keeps the same protocol but shares one interpreter).
 
-Structure mirrors the threaded engine exactly:
+The work-cycle protocol is the shared runtime's
+(:mod:`repro.engines.runtime`); this engine supplies the process transport
+and the supervision of forked workers:
 
 - **copy-set queues** are bounded ``multiprocessing.Queue`` objects shared
   by all copies of a filter on one "host"; end-of-work markers are counted
-  in a cross-process shared counter and fan out one ``STOP`` per copy;
+  in a cross-process shared counter;
 - **writer policies** (RR / WRR / DD / RATE) run unchanged inside each
   producer process; DD/RATE acknowledgments travel *back* over a per-copy
   control queue (``multiprocessing.SimpleQueue``) and are applied by an
@@ -23,7 +25,7 @@ Structure mirrors the threaded engine exactly:
   soups and z-buffer slabs never serialise through a pipe;
 - **observability** feeds the same :class:`~repro.core.tracing.Tracer` /
   :class:`~repro.core.instrument.RunMetrics` layer: every worker records
-  events and counters locally and ships them to the parent at end-of-work,
+  events and counters locally and ships them to the parent per cycle,
   where they merge into one run-relative wall-clock trace — ``repro trace``
   and ``RunMetrics.validate`` work unchanged.
 
@@ -31,494 +33,35 @@ The engine needs the ``fork`` start method (the default): filter factories
 are typically closures over datasets and cameras, which fork inherits for
 free.  On platforms without fork construct with ``start_method="spawn"``
 and a fully picklable graph, or fall back to the threaded engine.
-
-Payload lifetime contract: an input buffer's arrays are shared-memory views
-valid only during ``handle`` (the engine releases the lease when the
-callback returns, as DataCutter recycles stream buffers).  Filters that
-retain payload data must copy it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import queue as queue_mod
 import threading
-import time
-import traceback
-from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.buffer import BufferCodec, DataBuffer
-from repro.core.filter import Filter, FilterContext
+from repro.core.buffer import BufferCodec
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, Target, make_policy_factory
+from repro.core.policies import PolicyFactory
 from repro.core.tracing import Tracer
-from repro.engines.base import Engine, emit_analysis_events, validate_run_setup
+from repro.engines.base import Engine, open_wall_trace, validate_run_setup
+from repro.engines.runtime import (
+    STOP,
+    CopyPlan,
+    CycleReport,
+    ProcessTransport,
+    World,
+    discard,
+    fold_batch,
+    run_copy,
+)
 from repro.errors import EngineError
 
 __all__ = ["ProcessEngine"]
-
-#: Queue sentinels; compared by equality because identity does not survive
-#: pickling across a process boundary.
-_STOP = "__repro_eow_stop__"
-_EOW = "__repro_eow_marker__"
-
-
-class _SharedCopySetQueue:
-    """Bounded cross-process queue for all copies of a filter on one host.
-
-    End-of-work travels *through the data path*: ``mp.Queue.put`` hands the
-    item to a feeder thread asynchronously, so an out-of-band announcement
-    (a bare shared counter, as the threaded engine uses) could overtake the
-    announcing producer's still-in-flight data and lose buffers.  Instead
-    each finishing producer enqueues one ``_EOW`` marker behind its own
-    data (per-producer FIFO holds), consumers count markers in a shared
-    counter, and the consumer that pulls the final marker — at which point
-    every producer's data has necessarily been pulled — fans one ``_STOP``
-    out to each sibling copy and stops itself.
-    """
-
-    def __init__(self, mp_ctx, copies: int, expected_eow: int, capacity: int):
-        self.queue = mp_ctx.Queue(maxsize=capacity)
-        self.copies = copies
-        self.expected_eow = expected_eow
-        self._eow_seen = mp_ctx.Value("i", 0, lock=False)
-        self._lock = mp_ctx.Lock()
-
-    def put(self, item: Any) -> None:
-        """Enqueue one item (blocks when the queue is full)."""
-        self.queue.put(item)
-
-    def producer_finished(self) -> None:
-        """Announce this producer's end-of-work, behind all its data."""
-        self.queue.put(_EOW)
-
-    def on_eow(self) -> bool:
-        """Count one pulled marker; True when this was the final one.
-
-        Surplus markers (the parent re-announcing on behalf of a crashed
-        producer that had in fact announced) are ignored.
-        """
-        with self._lock:
-            if self._eow_seen.value >= self.expected_eow:
-                return False
-            self._eow_seen.value += 1
-            return self._eow_seen.value == self.expected_eow
-
-    def finish(self) -> None:
-        """Stop the sibling copies (the finisher breaks on its own)."""
-        for _ in range(self.copies - 1):
-            self.queue.put(_STOP)
-
-    def reset(self) -> None:
-        """Rearm the end-of-work counter for a new unit of work.
-
-        Only valid once the previous cycle has fully drained (every copy
-        pulled its ``STOP`` or the final marker) — the warm pool recycles
-        each slot's queues this way instead of allocating per cycle.
-        """
-        with self._lock:
-            self._eow_seen.value = 0
-
-    def qsize(self) -> int:
-        """Approximate depth, or -1 where the platform cannot tell."""
-        try:
-            return self.queue.qsize()
-        except NotImplementedError:  # pragma: no cover - macOS
-            return -1
-
-
-def _ack_and_release(item: "_WireEnvelope", ack_queues) -> None:
-    """Discard one in-flight envelope: acknowledge it, then free it.
-
-    The single helper behind every abandon path — the parent's dead-copy-set
-    drain and the worker's crash drain — so neither can skip the
-    ``ack_queues[...] is not None`` guard (filters whose outputs need no
-    acks have no control queue) or leak the envelope's shared-memory
-    segments.  The ack reopens DD/RATE windows so producers blocked on the
-    abandoned consumer wake up and finish.
-    """
-    if item.needs_ack and ack_queues[item.producer] is not None:
-        ack_queues[item.producer].put(
-            (item.cycle, item.stream, item.target_index, item.sent_at)
-        )
-    BufferCodec.release_encoded(item.encoded)
-
-
-def _drain_input_discarding(my_queue: "_SharedCopySetQueue", ack_queues) -> None:
-    """Crash-path consumer loop: keep the close protocol alive, discard data.
-
-    Every data item is acked-and-released through :func:`_ack_and_release`;
-    markers are still counted (and the final one fanned out) so sibling
-    copies and upstream producers never block on the failed copy.
-    """
-    while True:
-        item_in = my_queue.queue.get()
-        if item_in == _STOP:
-            return
-        if item_in == _EOW:
-            if my_queue.on_eow():
-                my_queue.finish()
-                return
-            continue
-        _ack_and_release(item_in, ack_queues)
-
-
-class _WireEnvelope:
-    """One stream buffer on the wire between two copies."""
-
-    __slots__ = (
-        "cycle", "stream", "producer", "target_index", "sent_at",
-        "needs_ack", "encoded",
-    )
-
-    def __init__(self, cycle, stream, producer, target_index, sent_at,
-                 needs_ack, encoded):
-        self.cycle = cycle
-        self.stream = stream
-        self.producer = producer  # global copy id of the sender
-        self.target_index = target_index
-        self.sent_at = sent_at
-        self.needs_ack = needs_ack
-        self.encoded = encoded  # repro.core.buffer.EncodedBuffer
-
-    def __getstate__(self):
-        return tuple(getattr(self, s) for s in self.__slots__)
-
-    def __setstate__(self, state):
-        for slot, value in zip(self.__slots__, state):
-            setattr(self, slot, value)
-
-
-class _Writer:
-    """Producer-side router for one (copy, cycle, stream) triple.
-
-    Identical decision logic to the threaded engine's writer; the only
-    difference is that acknowledgments arrive via :meth:`deliver_ack`
-    called from the owning process's ack-drain thread instead of directly
-    from the consumer.
-    """
-
-    def __init__(self, host, policy, copyset_queues, hosts, label, clock,
-                 tracer, codec, producer_cid, cycle, stream):
-        self.policy = policy
-        self.copyset_queues = copyset_queues
-        self.label = label
-        self.clock = clock
-        self.tracer = tracer
-        self.codec = codec
-        self.producer_cid = producer_cid
-        self.cycle = cycle
-        self.stream = stream
-        self.targets = [
-            Target(i, h, q.copies, local=(h == host))
-            for i, (h, q) in enumerate(zip(hosts, copyset_queues))
-        ]
-        policy.bind(self.targets)
-        self._cond = threading.Condition()
-
-    def send(self, buffer: DataBuffer) -> Target:
-        """Encode and route one buffer; blocks while DD windows are full."""
-        encoded = self.codec.encode(buffer)
-        try:
-            with self._cond:
-                target = self.policy.route(buffer.tags)
-                if target is None:
-                    if self.tracer:
-                        self.tracer.record(
-                            self.clock(), self.label, "blocked", "start"
-                        )
-                    while target is None:
-                        self._cond.wait()
-                        target = self.policy.route(buffer.tags)
-                    if self.tracer:
-                        self.tracer.record(
-                            self.clock(), self.label, "blocked", "end"
-                        )
-                self.policy.on_sent(target)
-            needs_ack = self.policy.needs_ack
-            envelope = _WireEnvelope(
-                self.cycle, self.stream, self.producer_cid,
-                target.index if needs_ack else -1,
-                self.clock(), needs_ack, encoded,
-            )
-            self.copyset_queues[target.index].put(envelope)
-        except BaseException:
-            # Abandoned mid-send — typically interrupted while blocked on a
-            # full DD window.  The segments already exist (encode runs
-            # first) and no consumer will ever see the envelope, so the
-            # sender must release them or they leak past process exit.
-            BufferCodec.release_encoded(encoded)
-            raise
-        return target
-
-    def deliver_ack(self, target_index: int, sent_at: float) -> None:
-        """Apply a consumer acknowledgment and wake blocked senders."""
-        with self._cond:
-            self.policy.on_ack(self.targets[target_index])
-            self._cond.notify_all()
-        if self.tracer:
-            now = self.clock()
-            self.tracer.record(now, self.label, "ack", f"{now - sent_at:.9f}")
-
-
-@dataclass
-class _CycleReport:
-    """One copy's measurements for one unit of work."""
-
-    buffers_in: int = 0
-    buffers_out: int = 0
-    busy_time: float = 0.0
-    finished_at: float = 0.0
-    #: (stream, src_host, dst_host) -> [buffers, bytes]
-    stream_records: dict = field(default_factory=dict)
-    ack_messages: int = 0
-    result: Any = None
-    has_result: bool = False
-    error: str | None = None
-
-
-@dataclass
-class _CopyReport:
-    """Everything one worker process ships back to the parent."""
-
-    cid: int
-    filter_name: str
-    host: str
-    copy_index: int
-    cycles: list = field(default_factory=list)
-    events: list = field(default_factory=list)  # TraceEvent
-    queue_samples: list = field(default_factory=list)  # QueueSample
-    dropped: int = 0
-
-
-def _fold_cycle(
-    metrics: RunMetrics,
-    cycle: _CycleReport,
-    filter_name: str,
-    host: str,
-    copy_index: int,
-    ack_nbytes: int,
-    time_offset: float = 0.0,
-) -> "str | None":
-    """Fold one copy's cycle report into a :class:`RunMetrics`.
-
-    Shared by the batch engine's merge and the warm pool's per-cycle merge;
-    ``time_offset`` rebases worker timestamps (engine-lifetime clock) onto a
-    per-query origin so a pooled query's makespan reads as its latency.
-    Returns the cycle's error string, if any.
-    """
-    stats = metrics.new_copy(filter_name, host, copy_index)
-    stats.buffers_in = cycle.buffers_in
-    stats.buffers_out = cycle.buffers_out
-    stats.busy_time = cycle.busy_time
-    stats.finished_at = cycle.finished_at - time_offset
-    for (stream, src, dst), (count, nbytes) in sorted(
-        cycle.stream_records.items()
-    ):
-        ss = metrics.streams[stream]
-        ss.buffers += count
-        ss.bytes += nbytes
-        ss.by_route[(src, dst)] = ss.by_route.get((src, dst), 0) + count
-        ss.by_dst_host[dst] = ss.by_dst_host.get(dst, 0) + count
-    metrics.ack_messages += cycle.ack_messages
-    metrics.ack_bytes += cycle.ack_messages * ack_nbytes
-    if cycle.has_result:
-        if metrics.result is None:
-            metrics.result = cycle.result
-        elif isinstance(metrics.result, list):
-            metrics.result.append(cycle.result)
-        else:
-            metrics.result = [metrics.result, cycle.result]
-    return cycle.error
-
-
-def _start_ack_drain(ack_queue, writers_by_cycle) -> threading.Thread:
-    """Start the producer-side ack-drain thread.
-
-    Applies consumer acknowledgments to the right cycle's writer; acks for
-    a cycle whose writers are gone (finished batch cycle, recycled pool
-    slot) are dropped harmlessly.  Stops on the FIFO ``_STOP`` sentinel so
-    acks already queued still get delivered (and traced) first.
-    """
-
-    def _ack_loop():
-        while True:
-            msg = ack_queue.get()
-            if msg == _STOP:
-                break
-            k, stream, target_index, sent_at = msg
-            writer = writers_by_cycle.get(k, {}).get(stream)
-            if writer is not None:
-                writer.deliver_ack(target_index, sent_at)
-
-    thread = threading.Thread(target=_ack_loop, daemon=True)
-    thread.start()
-    return thread
-
-
-def _execute_cycle(
-    *,
-    spec,
-    host: str,
-    copy_index: int,
-    copies_on_host: int,
-    total: int,
-    cid: int,
-    k: int,
-    uow,
-    instance: "Filter | None",
-    build_error: "str | None",
-    my_queue: _SharedCopySetQueue,
-    out_queues: "dict[str, list[_SharedCopySetQueue]]",
-    out_hosts: "dict[str, list[str]]",
-    policy_for,
-    codec: BufferCodec,
-    ack_queues,
-    tracer: "Tracer | None",
-    clock,
-    label: str,
-    writers_by_cycle: "dict[int, dict[str, _Writer]]",
-) -> _CycleReport:
-    """Run one unit of work through one copy, inside its worker process.
-
-    The whole cycle protocol lives here — writers, init/handle/flush/
-    finalize, end-of-work announcement, crash drain — so the batch engine
-    (cycles known up front) and the warm pool (cycles arriving over control
-    queues) execute identically.  ``k`` is the global cycle number; for the
-    pool, ``my_queue``/``out_queues`` are the slot ``k % nslots``.
-    """
-    cycle = _CycleReport()
-    announced = False
-    input_done = False
-    try:
-        if instance is None:
-            raise EngineError(
-                build_error or f"filter {spec.name!r} failed to build"
-            )
-        writers = {
-            st.name: _Writer(
-                host,
-                policy_for(st.name)(),
-                out_queues[st.name],
-                out_hosts[st.name],
-                label=label,
-                clock=clock,
-                tracer=tracer,
-                codec=codec,
-                producer_cid=cid,
-                cycle=k,
-                stream=st.name,
-            )
-            for st in spec.outputs
-        }
-        writers_by_cycle[k] = writers
-
-        def write_fn(stream, buffer, _w=writers, _c=cycle):
-            target = _w[stream].send(buffer)
-            _c.buffers_out += 1
-            key = (stream, host, target.host)
-            entry = _c.stream_records.setdefault(key, [0, 0])
-            entry[0] += 1
-            entry[1] += buffer.nbytes
-            if tracer:
-                tracer.record(
-                    clock(), label, "send", f"{stream}->{target.host}"
-                )
-
-        ctx = FilterContext(
-            filter_name=spec.name,
-            host=host,
-            copy_index=copy_index,
-            copies_on_host=copies_on_host,
-            total_copies=total,
-            output_streams=[st.name for st in spec.outputs],
-            write_fn=write_fn,
-            uow=uow,
-        )
-        instance.init(ctx)
-        busy = 0.0
-        if spec.inputs:
-            while True:
-                item_in = my_queue.queue.get()
-                if item_in == _STOP:
-                    input_done = True
-                    break
-                if item_in == _EOW:
-                    if my_queue.on_eow():
-                        my_queue.finish()
-                        input_done = True
-                        break
-                    continue
-                wire: _WireEnvelope = item_in
-                cycle.buffers_in += 1
-                if tracer:
-                    tracer.record(clock(), label, "recv", wire.stream)
-                    depth = my_queue.qsize()
-                    if depth >= 0:
-                        tracer.sample_queue(
-                            clock(), f"{spec.name}@{host}", depth
-                        )
-                if wire.needs_ack:
-                    cycle.ack_messages += 1
-                    ack_queues[wire.producer].put(
-                        (wire.cycle, wire.stream, wire.target_index,
-                         wire.sent_at)
-                    )
-                buffer, lease = codec.decode(wire.encoded)
-                t0 = time.perf_counter()
-                if tracer:
-                    tracer.record(clock(), label, "compute", "start")
-                try:
-                    instance.handle(ctx, buffer)
-                finally:
-                    # Always, even when handle() raises: the lease holds the
-                    # decoded shared-memory segment, and an abandoned one
-                    # survives process exit.
-                    lease.release()
-                busy += time.perf_counter() - t0
-                if tracer:
-                    tracer.record(clock(), label, "compute", "end")
-        t0 = time.perf_counter()
-        if tracer:
-            tracer.record(clock(), label, "flush", "start")
-        instance.flush(ctx)
-        busy += time.perf_counter() - t0
-        if tracer:
-            tracer.record(clock(), label, "flush", "end")
-        cycle.busy_time = busy
-        instance.finalize(ctx)
-        for st in spec.outputs:
-            for q in out_queues[st.name]:
-                q.producer_finished()
-        announced = True
-        if not spec.outputs:
-            value = getattr(instance, "result", lambda: None)()
-            if value is not None:
-                cycle.result = value
-                cycle.has_result = True
-        if tracer:
-            tracer.record(clock(), label, "done", f"cycle={k}")
-    except BaseException:  # noqa: BLE001 - surfaced via the report
-        cycle.error = f"{label} cycle {k}: {traceback.format_exc()}"
-        # Keep participating in the close protocol so upstream puts never
-        # block on a dead consumer.  Skipped if our part of the stream
-        # already closed (error after the loop).
-        if spec.inputs and not input_done:
-            _drain_input_discarding(my_queue, ack_queues)
-    finally:
-        if not announced:
-            for st in spec.outputs:
-                for q in out_queues[st.name]:
-                    try:
-                        q.producer_finished()
-                    except BaseException:
-                        pass
-        cycle.finished_at = clock()
-    return cycle
 
 
 class ProcessEngine(Engine):
@@ -549,10 +92,7 @@ class ProcessEngine(Engine):
         start_method: str | None = None,
         deep_analysis: bool = True,
     ):
-        self._default_factory = self._resolve(policy)
-        self._stream_factories = {
-            name: self._resolve(p) for name, p in (policy_overrides or {}).items()
-        }
+        self._set_policies(policy, policy_overrides)
         self.codec = codec or BufferCodec()
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "process",
@@ -574,15 +114,6 @@ class ProcessEngine(Engine):
         self.tracer = tracer
         self.start_method = start_method
 
-    @staticmethod
-    def _resolve(policy: str | PolicyFactory) -> PolicyFactory:
-        if callable(policy):
-            return policy
-        return make_policy_factory(policy)
-
-    def _policy_for(self, stream: str) -> PolicyFactory:
-        return self._stream_factories.get(stream, self._default_factory)
-
     def run(self) -> RunMetrics:
         """Execute one unit of work; blocks until all copies finish."""
         return self.run_cycles([None])[0]
@@ -599,9 +130,50 @@ class ProcessEngine(Engine):
         """
         if not uows:
             raise EngineError("run_cycles() needs at least one unit of work")
-        mp_ctx = multiprocessing.get_context(self.start_method)
         ncycles = len(uows)
+        mp_ctx = multiprocessing.get_context(self.start_method)
+        world = self._build_world(mp_ctx, ncycles)
+        results = mp_ctx.SimpleQueue()
+        trace_limit = open_wall_trace(self.tracer, self._analysis_report)
+        cycles = [(k, k, uow, trace_limit) for k, uow in enumerate(uows)]
 
+        procs = {
+            copy.cid: mp_ctx.Process(
+                target=run_copy,
+                args=(world, copy, cycles, results.put),
+                name=copy.label,
+                daemon=True,
+            )
+            for copy in world.plan
+        }
+        for proc in procs.values():
+            proc.start()
+
+        # Reports must drain concurrently: a worker's put can exceed the
+        # pipe buffer and would deadlock a join-first parent.
+        reports: list[CycleReport] = []
+
+        def _collect() -> None:
+            while (item := results.get()) != STOP:
+                reports.append(item)
+
+        collector = threading.Thread(target=_collect, daemon=True)
+        collector.start()
+
+        crashes = self._supervise(procs, world)
+        results.put(STOP)
+        collector.join()
+
+        return fold_batch(
+            reports, world.plan, ncycles, self.ack_nbytes, self.tracer,
+            errors=[
+                f"worker process {copy.label} died with exit code {exitcode}"
+                for copy, exitcode in crashes
+            ],
+        )
+
+    def _build_world(self, mp_ctx: Any, nslots: int) -> World:
+        """The process-transport world of this engine, ``nslots`` deep."""
         # Start the shared-memory resource tracker *before* forking so every
         # worker talks to the same tracker process: a segment registered at
         # creation in one worker is then balanced by the unlink in another,
@@ -611,105 +183,14 @@ class ProcessEngine(Engine):
             from multiprocessing import resource_tracker
 
             resource_tracker.ensure_running()
-
-        # Copy-set queues, one per (filter, host, cycle) — same layout as
-        # the threaded engine so the close protocol carries over verbatim.
-        copysets: dict[str, list[list[_SharedCopySetQueue]]] = {}
-        copyset_hosts: dict[str, list[str]] = {}
-        for name, spec in self.graph.filters.items():
-            expected = sum(
-                self.placement.total_copies(s.src) for s in spec.inputs
-            )
-            sets, hosts = [], []
-            for cs in self.placement.copysets(name):
-                sets.append(
-                    [
-                        _SharedCopySetQueue(
-                            mp_ctx, cs.copies, expected, self.queue_capacity
-                        )
-                        for _ in range(ncycles)
-                    ]
-                )
-                hosts.append(cs.host)
-            copysets[name] = sets
-            copyset_hosts[name] = hosts
-
-        # One worker per copy, globally numbered.
-        plan = []  # (cid, spec, host, copy_index, copies_on_host, total, set_idx)
-        cid = 0
-        for name, spec in self.graph.filters.items():
-            total = self.placement.total_copies(name)
-            for set_idx, cs in enumerate(self.placement.copysets(name)):
-                for copy_index in range(cs.copies):
-                    plan.append(
-                        (cid, spec, cs.host, copy_index, cs.copies, total, set_idx)
-                    )
-                    cid += 1
-
-        # Ack control queues: one per producer copy whose writers need them.
-        needs_ack = {
-            name: any(
-                self._policy_for(st.name)().needs_ack for st in spec.outputs
-            )
-            for name, spec in self.graph.filters.items()
-        }
-        ack_queues = [
-            mp_ctx.SimpleQueue() if needs_ack[item[1].name] else None
-            for item in plan
-        ]
-        results_queue = mp_ctx.SimpleQueue()
-
-        tracer = self.tracer
-        if tracer is not None and not tracer.clock:
-            tracer.clock = "wall"
-        emit_analysis_events(tracer, self._analysis_report, 0.0)
-        t_start = time.perf_counter()
-        shared = {
-            "uows": uows,
-            "copysets": copysets,
-            "copyset_hosts": copyset_hosts,
-            "ack_queues": ack_queues,
-            "results_queue": results_queue,
-            "t_start": t_start,
-            "trace": tracer is not None,
-            "trace_limit": tracer.limit if tracer is not None else 0,
-        }
-
-        procs: dict[int, Any] = {}
-        for item in plan:
-            proc = mp_ctx.Process(
-                target=self._copy_worker,
-                args=(shared, item),
-                name=f"{item[1].name}@{item[2]}#{item[3]}",
-                daemon=True,
-            )
-            procs[item[0]] = proc
-        for proc in procs.values():
-            proc.start()
-
-        # Reports must drain concurrently: a worker's final put can exceed
-        # the pipe buffer and would deadlock a join-first parent.
-        reports: list[_CopyReport] = []
-
-        def _collect():
-            while True:
-                item = results_queue.get()
-                if item == _STOP:
-                    break
-                reports.append(item)
-
-        collector = threading.Thread(target=_collect, daemon=True)
-        collector.start()
-
-        crashes = self._supervise(procs, plan, copysets, ack_queues, ncycles)
-        results_queue.put(_STOP)
-        collector.join()
-
-        return self._merge(
-            reports, plan, uows, crashes, tracer
+        return World(
+            self.graph, self.placement, self._policy_for,
+            ProcessTransport(mp_ctx, self.codec), nslots, self.queue_capacity,
         )
 
-    def _supervise(self, procs, plan, copysets, ack_queues, ncycles):
+    def _supervise(
+        self, procs: "dict[int, Any]", world: World
+    ) -> "list[tuple[CopyPlan, int]]":
         """Wait for all workers; recover from hard crashes.
 
         A worker that dies without running its cleanup (segfault, kill,
@@ -726,7 +207,6 @@ class ProcessEngine(Engine):
         from surviving producers, does the wait take a short timeout so the
         drain sweeps keep running.
         """
-        by_cid = {item[0]: item for item in plan}
         live = dict(procs)
         sentinels = {p.sentinel: c for c, p in procs.items()}
         crashes = []
@@ -741,169 +221,35 @@ class ProcessEngine(Engine):
                 proc = live.pop(c)
                 proc.join()
                 if proc.exitcode != 0:
-                    crashes.append((by_cid[c], proc.exitcode))
+                    crashes.append((world.plan[c], proc.exitcode))
                     dead_cids.add(c)
-                    _cid, spec, _h, _ci, _coh, _tot, _si = by_cid[c]
-                    for st in spec.outputs:
-                        for sets in copysets[st.dst]:
-                            for k in range(ncycles):
+                    for st in world.plan[c].spec.outputs:
+                        for per_set in world.copysets[st.dst]:
+                            for csq in per_set:
                                 # Announce on the dead copy's behalf (a
                                 # surplus marker is ignored consumer-side).
                                 # The put blocks while the queue is full, so
                                 # run it off-thread to keep supervising.
                                 threading.Thread(
-                                    target=sets[k].producer_finished,
+                                    target=csq.producer_finished,
                                     daemon=True,
                                 ).start()
             if dead_cids:
-                self._drain_dead_copysets(
-                    plan, live, dead_cids, copysets, ack_queues, ncycles
-                )
+                self._drain_dead_copysets(world, live, dead_cids)
         return crashes
 
-    def _drain_dead_copysets(self, plan, live, dead_cids, copysets,
-                             ack_queues, ncycles):
+    def _drain_dead_copysets(
+        self, world: World, live: "dict[int, Any]", dead_cids: "set[int]"
+    ) -> None:
         """Discard traffic aimed at copy sets with no surviving member."""
         members: dict[tuple[str, int], list[int]] = {}
-        for cid, spec, _h, _ci, _coh, _tot, set_idx in plan:
-            members.setdefault((spec.name, set_idx), []).append(cid)
+        for copy in world.plan:
+            members.setdefault((copy.spec.name, copy.set_idx), []).append(copy.cid)
         for (name, set_idx), cids in members.items():
             if not any(c in dead_cids for c in cids):
                 continue
             if any(c in live for c in cids):
                 continue  # a surviving sibling still drains the queue
-            for k in range(ncycles):
-                q = copysets[name][set_idx][k].queue
-                while True:
-                    try:
-                        item = q.get_nowait()
-                    except queue_mod.Empty:
-                        break
-                    if item == _STOP or item == _EOW:
-                        continue
-                    _ack_and_release(item, ack_queues)
-
-    def _merge(self, reports, plan, uows, crashes, tracer):
-        """Fold worker reports into per-cycle RunMetrics and the tracer."""
-        ncycles = len(uows)
-        metrics_list = [RunMetrics() for _ in uows]
-        for metrics in metrics_list:
-            metrics.ack_nbytes = self.ack_nbytes
-        errors: list[str] = []
-        for item, exitcode in crashes:
-            errors.append(
-                f"worker process {item[1].name}@{item[2]}#{item[3]} died "
-                f"with exit code {exitcode}"
-            )
-        for report in sorted(reports, key=lambda r: r.cid):
-            for k, cycle in enumerate(report.cycles[:ncycles]):
-                error = _fold_cycle(
-                    metrics_list[k], cycle, report.filter_name, report.host,
-                    report.copy_index, self.ack_nbytes,
-                )
-                if error:
-                    errors.append(error)
-        for k, metrics in enumerate(metrics_list):
-            metrics.makespan = max(
-                (c.finished_at for c in metrics.copies), default=0.0
-            )
-        if tracer is not None:
-            events = sorted(
-                (e for r in reports for e in r.events), key=lambda e: e.time
-            )
-            samples = sorted(
-                (s for r in reports for s in r.queue_samples),
-                key=lambda s: s.time,
-            )
-            for event in events:
-                tracer.record(event.time, event.copy, event.kind, event.detail)
-            for sample in samples:
-                tracer.sample_queue(sample.time, sample.queue, sample.depth)
-            tracer.dropped += sum(r.dropped for r in reports)
-        if errors:
-            # Healthy cycles merged fine; hand their metrics to the caller
-            # alongside every error instead of discarding the batch.
-            raise EngineError(
-                f"filter copy failed: {errors[0]}",
-                metrics=metrics_list, errors=errors,
-            )
-        return metrics_list
-
-    # -- the worker (child process) ------------------------------------------
-    def _copy_worker(self, shared, item):
-        """Entry point of one copy's process: run every cycle, then report."""
-        cid, spec, host, copy_index, copies_on_host, total, set_idx = item
-        uows = shared["uows"]
-        copysets = shared["copysets"]
-        copyset_hosts = shared["copyset_hosts"]
-        ack_queues = shared["ack_queues"]
-        t_start = shared["t_start"]
-        clock = lambda: time.perf_counter() - t_start  # noqa: E731
-        # Worker-local tracer: same schema, merged (time-sorted) by the
-        # parent.  perf_counter is CLOCK_MONOTONIC on Linux, shared by all
-        # forked workers, so timestamps are directly comparable.
-        tracer = (
-            Tracer(limit=shared["trace_limit"], clock="wall")
-            if shared["trace"]
-            else None
-        )
-        label = f"{spec.name}@{host}#{copy_index}"
-        report = _CopyReport(cid, spec.name, host, copy_index)
-        codec = self.codec
-
-        # Ack-drain thread: applies consumer acknowledgments to the right
-        # cycle's writer (late acks from a finished cycle stay harmless).
-        writers_by_cycle: dict[int, dict[str, _Writer]] = {}
-        ack_queue = ack_queues[cid]
-        ack_thread = None
-        if ack_queue is not None:
-            ack_thread = _start_ack_drain(ack_queue, writers_by_cycle)
-
-        try:
-            instance: Filter | None = spec.factory()
-            build_error = None
-        except BaseException as exc:  # noqa: BLE001 - reported per cycle
-            instance = None
-            build_error = f"filter {spec.name!r} failed to build: {exc!r}"
-
-        for k, uow in enumerate(uows):
-            report.cycles.append(
-                _execute_cycle(
-                    spec=spec,
-                    host=host,
-                    copy_index=copy_index,
-                    copies_on_host=copies_on_host,
-                    total=total,
-                    cid=cid,
-                    k=k,
-                    uow=uow,
-                    instance=instance,
-                    build_error=build_error,
-                    my_queue=copysets[spec.name][set_idx][k],
-                    out_queues={
-                        st.name: [sets[k] for sets in copysets[st.dst]]
-                        for st in spec.outputs
-                    },
-                    out_hosts={
-                        st.name: copyset_hosts[st.dst] for st in spec.outputs
-                    },
-                    policy_for=self._policy_for,
-                    codec=codec,
-                    ack_queues=ack_queues,
-                    tracer=tracer,
-                    clock=clock,
-                    label=label,
-                    writers_by_cycle=writers_by_cycle,
-                )
-            )
-
-        if ack_thread is not None:
-            # FIFO sentinel: acks already queued still get delivered (and
-            # traced) before the drain thread stops.
-            ack_queue.put(_STOP)
-            ack_thread.join()
-        if tracer is not None:
-            report.events = tracer.events
-            report.queue_samples = tracer.queue_samples
-            report.dropped = tracer.dropped
-        shared["results_queue"].put(report)
+            for csq in world.copysets[name][set_idx]:
+                for wire in csq.queued():
+                    discard(wire, world.acks)

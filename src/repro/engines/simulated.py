@@ -33,7 +33,7 @@ from repro.core.filter import FilterContext, SimFilter, SimSource
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, CopyStats, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, Target, make_policy_factory
+from repro.core.policies import PolicyFactory, Target
 from repro.core.tracing import Tracer
 from repro.engines.base import Engine, emit_analysis_events, validate_run_setup
 from repro.errors import EngineError, StreamClosedError
@@ -165,10 +165,7 @@ class SimulatedEngine(Engine):
         tracer: "Tracer | None" = None,
         deep_analysis: bool = True,
     ):
-        self._default_factory = self._resolve(policy)
-        self._stream_factories = {
-            name: self._resolve(p) for name, p in (policy_overrides or {}).items()
-        }
+        self._set_policies(policy, policy_overrides)
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "simulated",
             policy_for=self._policy_for, known_hosts=cluster.hosts,
@@ -181,15 +178,6 @@ class SimulatedEngine(Engine):
         self.queue_capacity = queue_capacity
         self.ack_nbytes = ack_nbytes
         self.tracer = tracer
-
-    @staticmethod
-    def _resolve(policy: str | PolicyFactory) -> PolicyFactory:
-        if callable(policy):
-            return policy
-        return make_policy_factory(policy)
-
-    def _policy_for(self, stream: str) -> PolicyFactory:
-        return self._stream_factories.get(stream, self._default_factory)
 
     # -- planning ----------------------------------------------------------
     def memory_audit(self) -> dict[str, int]:

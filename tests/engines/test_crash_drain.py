@@ -5,13 +5,16 @@ cleanup, a producer abandoned mid-send — must acknowledge discarded
 envelopes (so DD windows upstream keep moving) *and* release their
 shared-memory segments.  These tests inject each failure with payloads
 large enough to take the shared-memory path and assert ``/dev/shm`` is
-back to its pre-run state afterwards.
+back to its pre-run state afterwards.  The filter-raises cases run on both
+real engines (one runtime, two transports), each under a hard join timeout:
+a hang is a failure, not a stalled suite.
 """
 
 import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -20,7 +23,9 @@ import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
 from repro.core.buffer import BufferCodec
-from repro.engines.process import ProcessEngine, _Writer
+from repro.core.policies import make_policy_factory
+from repro.engines import ProcessEngine, ThreadedEngine
+from repro.engines.runtime import Writer
 from repro.errors import EngineError
 
 pytestmark = pytest.mark.skipif(
@@ -88,20 +93,132 @@ def _crash_graph(sink_factory, count=10):
     return g, p
 
 
-def test_consumer_exception_releases_segments(shm_ledger):
-    """A consumer that raises drains its input, acking and releasing."""
+def _run_expecting_failure(engine, match, timeout=60.0):
+    """``engine.run()`` must raise ``EngineError`` within ``timeout``.
+
+    The run happens on a helper thread so a wedged engine fails the test at
+    the join instead of hanging the suite.
+    """
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(engine.run())
+        except BaseException as exc:  # noqa: BLE001 - inspected below
+            outcome.append(exc)
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"engine.run() still running after {timeout}s"
+    (exc,) = outcome
+    assert isinstance(exc, EngineError), exc
+    assert match in str(exc), exc
+    return exc
+
+
+both_engines = pytest.mark.parametrize(
+    "engine_cls", [ThreadedEngine, ProcessEngine]
+)
+
+
+@both_engines
+def test_consumer_exception_releases_segments(engine_cls, shm_ledger):
+    """A consumer that raises drains its input, acking and releasing — and
+    the lease of the buffer it was handling is released too."""
 
     class ExplodingSink(Filter):
         def handle(self, ctx, buffer):
             raise RuntimeError("boom")
 
     g, p = _crash_graph(ExplodingSink)
-    engine = ProcessEngine(
+    engine = engine_cls(
         g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
         queue_capacity=2,
     )
-    with pytest.raises(EngineError, match="boom"):
-        engine.run()
+    _run_expecting_failure(engine, "boom")
+    assert not shm_ledger()
+
+
+@both_engines
+@pytest.mark.parametrize("hook", ["flush", "finalize", "result"])
+def test_failure_after_input_closed_does_not_hang(engine_cls, hook, shm_ledger):
+    """A non-source filter raising once its input is closed ends the run.
+
+    Its share of the stream is already closed — the STOP it would drain to
+    has been consumed — so the crash drain must not read the queue again.
+    The failed run still carries the partial metrics.
+    """
+
+    def explode(self, *_args):
+        raise RuntimeError(f"{hook} exploded")
+
+    sink_cls = type("LateFailingSink", (ArraySumSink,), {hook: explode})
+    g, p = _crash_graph(sink_cls)
+    engine = engine_cls(
+        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
+    )
+    exc = _run_expecting_failure(engine, f"{hook} exploded")
+    (metrics,) = exc.metrics
+    assert metrics.stream_totals("src->sink")[0] == 10
+    assert metrics.filter_buffers_in("sink") == 10
+    assert not shm_ledger()
+
+
+@both_engines
+def test_build_failure_releases_segments(engine_cls, shm_ledger):
+    """A copy whose factory raises still drains (and frees) its input."""
+
+    def broken_factory():
+        raise RuntimeError("no such dataset")
+
+    g, p = _crash_graph(broken_factory)
+    engine = engine_cls(
+        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
+        queue_capacity=2,
+    )
+    _run_expecting_failure(engine, "no such dataset")
+    assert not shm_ledger()
+
+
+@both_engines
+def test_producer_death_with_consumer_blocked_on_dd_window(engine_cls, shm_ledger):
+    """The source dies while the middle copy sits blocked on a full window.
+
+    ``mid`` forwards into a slow sink through DD window 1, so it is blocked
+    in ``send`` when ``src`` raises mid-stream; the source's end-of-work
+    still arrives, ``mid`` finishes what it had, and nothing leaks.
+    """
+
+    class DyingSource(ArraySource):
+        def flush(self, ctx):
+            super().flush(ctx)
+            raise RuntimeError("source died")
+
+    class Forward(Filter):
+        def handle(self, ctx, buffer):
+            ctx.write(DataBuffer(buffer.nbytes, payload=buffer.payload.copy()))
+
+    class SlowSink(ArraySumSink):
+        def handle(self, ctx, buffer):
+            time.sleep(0.01)
+            super().handle(ctx, buffer)
+
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: DyingSource(8), is_source=True)
+    g.add_filter("mid", factory=Forward)
+    g.add_filter("sink", factory=SlowSink)
+    g.connect("src", "mid")
+    g.connect("mid", "sink")
+    p = Placement()
+    p.place("src", ["h0"]).place("mid", ["h0"]).place("sink", ["h0"])
+    engine = engine_cls(
+        g, p, policy=make_policy_factory("DD", window=1),
+        codec=BufferCodec(shm_threshold=1024), queue_capacity=1,
+    )
+    exc = _run_expecting_failure(engine, "source died")
+    (metrics,) = exc.metrics
+    assert metrics.result == sum(float(i) * 4096 for i in range(8))
     assert not shm_ledger()
 
 
@@ -132,7 +249,7 @@ def test_consumer_hard_crash_releases_segments(shm_ledger):
 
 
 def test_abandoned_send_releases_encoded_payload(shm_ledger):
-    """_Writer.send releases the already-encoded segment when it raises."""
+    """Writer.send releases the already-encoded segment when it raises."""
 
     class ExplodingPolicy:
         needs_ack = False
@@ -146,7 +263,7 @@ def test_abandoned_send_releases_encoded_payload(shm_ledger):
         def route(self, tags):
             return self.select()
 
-    writer = _Writer(
+    writer = Writer(
         host="h0",
         policy=ExplodingPolicy(),
         copyset_queues=[SimpleNamespace(copies=1)],

@@ -228,3 +228,53 @@ def test_run_cycles_validate_and_finish_times():
     for metrics in engine.run_cycles([None, None, None]):
         metrics.validate(engine.graph)
         assert all(c.finished_at > 0.0 for c in metrics.copies)
+
+
+def test_close_protocol_and_direct_acks_under_thread_contention():
+    """Many more copies than cores, a tiny switch interval, several cycles.
+
+    The thread transport's end-of-work counter and the consumer-applied DD
+    acks are shared between copy threads: a lost marker count or a lost
+    wake-up shows as a hang (caught by the join timeout), a lost buffer as a
+    wrong sum or a failed conservation check.
+    """
+    import sys
+    import threading
+
+    count, cycles = 240, 4
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: NumberSource(count), is_source=True)
+    g.add_filter("mid", factory=Doubler)
+    g.add_filter("sink", factory=SumSink)
+    g.connect("src", "mid")
+    g.connect("mid", "sink")
+    p = Placement()
+    p.place("src", [("h0", 6)])  # NumberSource partitions by per-host index
+    p.place("mid", [("h0", 6), ("h1", 6)])
+    p.place("sink", ["h0"])
+    engine = ThreadedEngine(g, p, policy="DD", queue_capacity=2)
+
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(
+            target=lambda: runs.extend(engine.run_cycles([None] * cycles)),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "threaded engine wedged under contention"
+    assert len(runs) == cycles
+    for metrics in runs:
+        metrics.validate(g)
+        # SumSink keeps counting across cycles (it never resets), so only the
+        # per-cycle stream totals are cycle-local.
+        assert metrics.stream_totals("src->mid")[0] == count
+        assert metrics.stream_totals("mid->sink")[0] == count
+        assert metrics.ack_messages == 2 * count
+    assert runs[-1].result == {
+        "total": cycles * 2 * sum(range(count)), "buffers": cycles * count
+    }

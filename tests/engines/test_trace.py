@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DataBuffer, FilterGraph, Placement, SimFilter, SimSource, SourceItem
 from repro.engines.simulated import SimulatedEngine
-from repro.engines.trace import Tracer
+from repro.core.tracing import Tracer
 from repro.sim import Environment, homogeneous_cluster
 
 
