@@ -13,11 +13,13 @@ in three tiers:
     work, so the Read and Extract stages skip storage and marching
     cubes entirely.
 ``tiles``
-    Rendered frame tiles keyed by ``(triangle-set digest, view
-    transform, tile id)``, shaped like the PR 5 distributed-framebuffer
-    tiles (:class:`CachedTile` mirrors ``repro.viz.tiled.TileImage``).
-    A full tile-set hit reconstructs the frame without running the
-    pipeline at all.
+    Rendered frame tiles keyed by ``(triangle key, view, image size,
+    algorithm, configuration, merge fan-out, tile id)`` — the request,
+    not the triangle data, so a frame stays answerable after the arrays
+    that produced it have been evicted.  Shaped like the PR 5
+    distributed-framebuffer tiles (:class:`CachedTile` mirrors
+    ``repro.viz.tiled.TileImage``).  A full tile-set hit reconstructs
+    the frame without running the pipeline at all.
 ``negative``
     Metadata lookups that *failed* (unknown dataset, out-of-range
     timestep), so repeated bad queries are answered without touching
@@ -73,7 +75,7 @@ __all__ = [
     "verify_cache_attachment",
 ]
 
-#: The three cache tiers, in lookup order on the serve path.
+#: The three cache tiers (the serve path probes tiles before triangles).
 TIERS = ("triangles", "tiles", "negative")
 
 
@@ -170,22 +172,21 @@ def subgraph_signature(graph: "FilterGraph", members: Iterable[str]) -> str:
 class TriangleSet:
     """Tier-(a) value: per-chunk world-space triangle arrays.
 
-    ``digest`` content-addresses the triangle data itself and keys the
-    tile tier; ``triangles`` maps chunk id -> ``(N, 3, 3)`` float32
+    ``triangles`` maps chunk id -> ``(N, 3, 3)`` float32, in chunk order
     (empty chunks included, so a replay knows the coverage is total).
+    Nothing is keyed by the arrays' content: the tile tier trusts the
+    triangle *key*, exactly as this tier does.
     """
 
     triangles: "Mapping[int, np.ndarray]"
-    digest: str
     nbytes: int
 
 
 def make_triangle_set(triangles: "Mapping[int, np.ndarray]") -> TriangleSet:
-    """Freeze per-chunk triangles into a digested :class:`TriangleSet`."""
+    """Freeze per-chunk triangles into a sized :class:`TriangleSet`."""
     items = sorted(triangles.items())
-    digest = content_key("triangles", tuple(items))
     nbytes = sum(arr.nbytes for _, arr in items) + 16 * len(items)
-    return TriangleSet(dict(items), digest, nbytes)
+    return TriangleSet(dict(items), nbytes)
 
 
 @dataclass(frozen=True)
@@ -241,6 +242,7 @@ class ResultCache:
         self.bytes_saved = 0
         self._hits: dict[str, int] = dict.fromkeys(TIERS, 0)
         self._misses: dict[str, int] = dict.fromkeys(TIERS, 0)
+        self._evictions: dict[str, int] = dict.fromkeys(TIERS, 0)
 
     @staticmethod
     def _check_tier(tier: str) -> None:
@@ -279,18 +281,20 @@ class ResultCache:
         if nbytes < 0:
             raise ConfigurationError(f"nbytes must be >= 0, got {nbytes}")
         with self._lock:
+            if nbytes > self.capacity_bytes:
+                # checked first: a refused replacement keeps the old value
+                self.rejected += 1
+                return False
             old = self._entries.pop((tier, key), None)
             if old is not None:
                 self.size_bytes -= old[1]
-            if nbytes > self.capacity_bytes:
-                self.rejected += 1
-                return False
             while self.size_bytes + nbytes > self.capacity_bytes:
-                _evicted_key, (_value, evicted_nbytes) = self._entries.popitem(
-                    last=False
+                (evicted_tier, _key), (_value, evicted_nbytes) = (
+                    self._entries.popitem(last=False)
                 )
                 self.size_bytes -= evicted_nbytes
                 self.evictions += 1
+                self._evictions[evicted_tier] += 1
             self._entries[(tier, key)] = (value, nbytes)
             self.size_bytes += nbytes
             self.insertions += 1
@@ -310,6 +314,10 @@ class ResultCache:
         with self._lock:
             hits = sum(self._hits.values())
             misses = sum(self._misses.values())
+            resident = {tier: [0, 0] for tier in TIERS}
+            for (tier, _key), (_value, nbytes) in self._entries.items():
+                resident[tier][0] += 1
+                resident[tier][1] += nbytes
             return {
                 "name": self.name,
                 "capacity_bytes": self.capacity_bytes,
@@ -324,6 +332,9 @@ class ResultCache:
                     tier: {
                         "hits": self._hits[tier],
                         "misses": self._misses[tier],
+                        "entries": resident[tier][0],
+                        "size_bytes": resident[tier][1],
+                        "evictions": self._evictions[tier],
                     }
                     for tier in TIERS
                 },

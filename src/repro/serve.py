@@ -40,10 +40,13 @@ cache attaches per pool to the standalone extract stage and only when
 :func:`repro.analysis.effects.certify_memoisable` passes — with the
 shipped configurations that is exactly ``R-E-Ra-M``; the fused
 configurations are *refused* (E703/E706, surfaced in the response's
-``cache`` block) and run uncached.  On a triangle-tier hit the cached
+``cache`` block) and run uncached.  Both keys are functions of the
+request alone (:func:`cache_keys`) and the probe order is tiles →
+triangles → pipeline: on a full tile-set hit the frame is reconstructed
+from cached tiles without touching the triangle tier or the pipeline; on
+a triangle-tier hit (a new view at a cached isovalue) the cached
 per-chunk triangles ride ``uow["triangles"]`` and the Read/Extract
-stages skip storage and marching cubes; on a full tile-set hit the frame
-is reconstructed from cached tiles without running the pipeline at all.
+stages skip storage and marching cubes.
 Failed metadata lookups (unknown dataset, out-of-range timestep) are
 answered from the negative tier.  ``cache_scope`` selects one shared
 cache for every pool (``"shared"``, the default — popular content is
@@ -61,14 +64,14 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
 from repro.cache import (
+    CacheBinding,
     CachedTile,
     ResultCache,
-    TriangleSet,
     content_key,
     make_triangle_set,
 )
@@ -81,9 +84,15 @@ from repro.errors import (
     ReproError,
 )
 
-__all__ = ["QueryService", "SceneSpec", "ppm_bytes", "run_server"]
+__all__ = [
+    "Query", "QueryService", "SceneSpec", "cache_keys", "ppm_bytes",
+    "run_server",
+]
 
 CONFIGURATIONS = ("R-E-Ra-M", "RE-Ra-M", "R-ERa-M", "RERa-M")
+
+#: What a query's cache probes did so far: ``(tier, "hit" | "miss", bytes)``.
+_Events = list[tuple[str, str, int]]
 
 #: The extract-carrying stage per configuration — the subgraph a result
 #: cache tries to attach to.  Only the standalone ``E`` stage certifies
@@ -173,6 +182,47 @@ class SceneSpec:
         return (self.grid, self.grid, self.grid)
 
 
+@dataclass(frozen=True)
+class Query:
+    """One validated query: everything a request says about its frame."""
+
+    scene: SceneSpec
+    config: str
+    algorithm: str
+    width: int
+    height: int
+    isovalue: float
+    timestep: int
+    merge_copies: int
+    orbit: "tuple[float, float] | None"  # (azimuth, elevation) in degrees
+
+
+def cache_keys(signature: str, query: Query) -> "tuple[str, str]":
+    """``(triangle key, frame key)`` of a query under a certified subgraph.
+
+    Both are functions of the request alone.  The scene facts fully
+    determine the generated dataset and ``(nchunks, nfiles)`` the
+    declustered chunk partition, so with a certified-pure Extract over a
+    deterministic Read they determine the triangles; the frame key adds
+    what Raster and Merge see of the request.  A frame is therefore found
+    by its request whether or not its triangle arrays are still resident.
+    """
+    scene = query.scene
+    triangle_key = content_key(
+        "tri", signature,
+        ("scene", scene.name, scene.grid, scene.timesteps, scene.species,
+         scene.seed),
+        ("chunks", scene.nchunks, scene.nfiles),
+        query.timestep, query.isovalue,
+    )
+    frame_key = content_key(
+        "frame", triangle_key, query.orbit or "default-camera",
+        query.width, query.height, query.algorithm, query.config,
+        query.merge_copies,
+    )
+    return triangle_key, frame_key
+
+
 class QueryService:
     """Render isosurface queries on pooled pipelines.
 
@@ -248,14 +298,16 @@ class QueryService:
                 self._negative_cache = ResultCache(
                     256 * 1024, name="serve-negative"
                 )
-        #: pool key -> (cache, subgraph signature) once a certified
-        #: binding exists; lets full tile-set hits skip the pool entirely.
-        self._cache_info: "dict[Any, tuple[ResultCache, str]]" = {}
+        #: pool key -> certified binding (cache + subgraph signature) once
+        #: one exists; lets full tile-set hits skip the pool entirely.
+        self._bindings: "dict[Any, CacheBinding]" = {}
         #: configuration -> E703/E706 refusal text (uncached fallback)
         self._cache_refusals: "dict[str, str]" = {}
         self._assets: "dict[str, tuple[Any, Any, Any]]" = {}
         self._assets_lock = threading.Lock()
-        self.queries_served = 0
+        #: served queries by how far they had to go: the tile tier, the
+        #: triangle tier + Raster/Merge, or the whole pipeline
+        self._served = {"tile_hit": 0, "triangle_hit": 0, "cold": 0}
         self.queries_failed = 0
         self._count_lock = threading.Lock()
 
@@ -290,22 +342,20 @@ class QueryService:
             return self._shared_cache
         return ResultCache(int(self.cache_mb * 2**20), name="serve-pool")
 
-    def _build_pool(
-        self, scene: SceneSpec, config: str, algorithm: str,
-        width: int, height: int, merge_copies: int,
-    ) -> WarmPool:
+    def _build_pool(self, query: Query) -> WarmPool:
         from repro.viz import IsosurfaceApp
 
-        dataset, profile, storage = self._scene_assets(scene)
+        config = query.config
+        dataset, profile, storage = self._scene_assets(query.scene)
         app = IsosurfaceApp(
             profile,
             storage,
-            width=width,
-            height=height,
-            algorithm=algorithm,
+            width=query.width,
+            height=query.height,
+            algorithm=query.algorithm,
             dataset=dataset,
-            isovalue=scene.isovalue,
-            merge_copies=merge_copies,
+            isovalue=query.scene.isovalue,
+            merge_copies=query.merge_copies,
         )
         graph = app.graph(config)
         placement = app.placement(config, copies_per_host=self.copies)
@@ -342,45 +392,17 @@ class QueryService:
         )
 
     # -- cache plumbing ------------------------------------------------------
-    def _resolve_scene(
-        self, name: str, events: "list[tuple[str, str, int]]"
-    ) -> SceneSpec:
-        scene = self.scenes.get(name)
-        if scene is not None:
-            return scene
+    def _refuse(
+        self, events: _Events, message: str, *subject: Any
+    ) -> NoReturn:
+        """Raise a failed metadata lookup; repeats hit the negative tier."""
         negative = self._negative_cache
-        nkey = content_key("negative", "dataset", name)
         if negative is not None:
+            nkey = content_key("negative", *subject)
             cached = negative.get("negative", nkey)
             if cached is not None:
                 events.append(("negative", "hit", len(cached)))
                 raise ConfigurationError(cached)
-        message = f"unknown dataset {name!r}; have {sorted(self.scenes)}"
-        if negative is not None:
-            negative.put("negative", nkey, message, len(message))
-            events.append(("negative", "miss", 0))
-        raise ConfigurationError(message)
-
-    def _check_timestep(
-        self,
-        scene: SceneSpec,
-        timestep: int,
-        events: "list[tuple[str, str, int]]",
-    ) -> None:
-        if 0 <= timestep < scene.timesteps:
-            return
-        negative = self._negative_cache
-        nkey = content_key("negative", "timestep", scene.name, timestep)
-        if negative is not None:
-            cached = negative.get("negative", nkey)
-            if cached is not None:
-                events.append(("negative", "hit", len(cached)))
-                raise ConfigurationError(cached)
-        message = (
-            f"timestep {timestep} out of range for {scene.name!r} "
-            f"(has {scene.timesteps})"
-        )
-        if negative is not None:
             negative.put("negative", nkey, message, len(message))
             events.append(("negative", "miss", 0))
         raise ConfigurationError(message)
@@ -412,17 +434,11 @@ class QueryService:
                 )
         return out
 
-    def _try_cached_frame(
-        self,
-        cache: ResultCache,
-        frame_key: str,
-        width: int,
-        height: int,
-        merge_copies: int,
-        events: "list[tuple[str, str, int]]",
+    def _cached_frame(
+        self, cache: ResultCache, frame_key: str, query: Query, events: _Events
     ) -> "tuple[np.ndarray, CachedTile] | None":
         """Rebuild the frame from cached tiles, or None on any gap."""
-        tiles = _frame_tiles(width, height, merge_copies)
+        tiles = _frame_tiles(query.width, query.height, query.merge_copies)
         keys = [content_key(frame_key, tile.index) for tile in tiles]
         missing = [k for k in keys if not cache.peek("tiles", k)]
         if missing:
@@ -433,27 +449,23 @@ class QueryService:
         if any(record is None for record in records):  # raced an eviction
             events.append(("tiles", "miss", 0))
             return None
-        image = np.zeros((height, width, 3), np.uint8)
+        events.append(
+            ("tiles", "hit", sum(record.nbytes for record in records))
+        )
+        if len(records) == 1:  # the whole frame: nothing to assemble
+            return records[0].image, records[0]
+        image = np.zeros((query.height, query.width, 3), np.uint8)
         for record in records:
             h, w = record.image.shape[:2]
             image[record.y0 : record.y0 + h, record.x0 : record.x0 + w] = (
                 record.image
             )
-        events.append(
-            ("tiles", "hit", sum(record.nbytes for record in records))
-        )
         return image, records[0]
 
     def _store_tiles(
-        self,
-        cache: ResultCache,
-        frame_key: str,
-        result: Any,
-        width: int,
-        height: int,
-        merge_copies: int,
+        self, cache: ResultCache, frame_key: str, result: Any, query: Query
     ) -> None:
-        for tile in _frame_tiles(width, height, merge_copies):
+        for tile in _frame_tiles(query.width, query.height, query.merge_copies):
             sub = np.ascontiguousarray(
                 result.image[tile.y0 : tile.y1, tile.x0 : tile.x1]
             )
@@ -466,31 +478,23 @@ class QueryService:
                 record.nbytes,
             )
 
-    def _cache_mode(self, config: str) -> str:
-        if self.cache_mb <= 0:
-            return "off"
-        if config in self._cache_refusals:
-            return "refused"
-        return self.cache_scope
-
-    def _cache_block(
-        self, config: str, events: "list[tuple[str, str, int]]"
-    ) -> "dict[str, Any]":
-        block: dict[str, Any] = {"mode": self._cache_mode(config)}
+    def _cache_block(self, config: str, events: _Events) -> "dict[str, Any]":
+        block: dict[str, Any] = {
+            "mode": self.cache_scope if self.cache_mb > 0 else "off"
+        }
         for tier, outcome, _nbytes in events:
             block[tier] = outcome
         block["bytes_saved"] = sum(
             nbytes for _tier, outcome, nbytes in events if outcome == "hit"
         )
-        if block["mode"] == "refused":
+        if self.cache_mb > 0 and config in self._cache_refusals:
+            block["mode"] = "refused"
             block["error"] = self._cache_refusals[config]
         return block
 
     @staticmethod
     def _record_cache_events(
-        tracer: Any,
-        events: "list[tuple[str, str, int]]",
-        elapsed: float,
+        tracer: Any, events: _Events, elapsed: float
     ) -> None:
         if tracer is None:
             return
@@ -503,25 +507,21 @@ class QueryService:
             )
 
     # -- queries -------------------------------------------------------------
-    def render(self, request: "dict[str, Any]") -> "dict[str, Any]":
-        """Execute one query; returns the JSON-serialisable response dict.
-
-        Raises :class:`~repro.errors.ReproError` on invalid requests or
-        pipeline failures — the server wraps those into error responses.
-        """
-        from repro.core.tracing import Tracer
-        from repro.viz.camera import Camera
-
-        t0 = time.perf_counter()
-        events: list[tuple[str, str, int]] = []
-        scene_name = str(request.get("dataset", self.default_scene))
-        scene = self._resolve_scene(scene_name, events)
+    def _parse(self, request: "dict[str, Any]", events: _Events) -> Query:
+        """Validate one request into a :class:`Query` (service defaults applied)."""
+        name = str(request.get("dataset", self.default_scene))
+        scene = self.scenes.get(name)
+        if scene is None:
+            self._refuse(
+                events,
+                f"unknown dataset {name!r}; have {sorted(self.scenes)}",
+                "dataset", name,
+            )
         config = str(request.get("config", self.config))
         if config not in CONFIGURATIONS:
             raise ConfigurationError(
                 f"config must be one of {CONFIGURATIONS}, got {config!r}"
             )
-        algorithm = str(request.get("algorithm", self.algorithm))
         width = _coerce_int(
             request.get("width", self.width), "width", minimum=1, maximum=16384
         )
@@ -533,7 +533,13 @@ class QueryService:
             request.get("isovalue", scene.isovalue), "isovalue"
         )
         timestep = _coerce_int(request.get("timestep", 0), "timestep")
-        self._check_timestep(scene, timestep, events)
+        if not 0 <= timestep < scene.timesteps:
+            self._refuse(
+                events,
+                f"timestep {timestep} out of range for {scene.name!r} "
+                f"(has {scene.timesteps})",
+                "timestep", scene.name, timestep,
+            )
         merge_copies = _coerce_int(
             request.get("merge_copies", self.merge_copies), "merge_copies",
             minimum=1,
@@ -544,104 +550,83 @@ class QueryService:
                 f"view must be an object with azimuth/elevation, "
                 f"got {view!r}"
             )
-        uow: dict[str, Any] = {"isovalue": isovalue, "timestep": timestep}
-        azimuth = elevation = None
+        orbit = None
         if view:
-            azimuth = _coerce_float(view.get("azimuth", 30.0), "view.azimuth")
-            elevation = _coerce_float(
-                view.get("elevation", 25.0), "view.elevation"
+            orbit = (
+                _coerce_float(view.get("azimuth", 30.0), "view.azimuth"),
+                _coerce_float(view.get("elevation", 25.0), "view.elevation"),
             )
-            uow["camera"] = Camera.orbit(
-                scene.shape,
-                azimuth_deg=azimuth,
-                elevation_deg=elevation,
-                width=width,
-                height=height,
-            )
+        return Query(
+            scene, config, str(request.get("algorithm", self.algorithm)),
+            width, height, isovalue, timestep, merge_copies, orbit,
+        )
+
+    def render(self, request: "dict[str, Any]") -> "dict[str, Any]":
+        """Execute one query; returns the JSON-serialisable response dict.
+
+        Raises :class:`~repro.errors.ReproError` on invalid requests or
+        pipeline failures — the server wraps those into error responses.
+        With a certified cache the probe order is tiles → triangles →
+        pipeline, so a repeat query touches one tile entry and nothing else.
+        """
+        from repro.core.tracing import Tracer
+        from repro.viz.camera import Camera
+
+        t0 = time.perf_counter()
+        events: _Events = []
+        query = self._parse(request, events)
         tracer = Tracer() if request.get("trace") else None
 
         # merge_copies is pool-keyed like any other placement parameter:
         # a different fan-out is a different process topology, so it gets
         # its own warm pipeline rather than rebuilding an existing one.
-        key = (scene_name, config, algorithm, width, height,
-               self.policy, self.copies, merge_copies)
+        key = (query.scene.name, query.config, query.algorithm, query.width,
+               query.height, self.policy, self.copies, query.merge_copies)
 
-        # Content-addressed key material.  The scene facts fully determine
-        # the generated dataset; (nchunks, nfiles) fully determine the
-        # declustered chunk partition the profile derives from them.
-        dataset_digest = content_key(
-            "scene", scene.name, scene.grid, scene.timesteps,
-            scene.species, scene.seed,
-        )
-        chunk_digest = content_key("chunks", scene.nchunks, scene.nfiles)
-        view_tag = (
-            ("orbit", azimuth, elevation) if view else ("default-camera",)
-        )
+        # The binding outlives its pool, so a cached frame is answered
+        # without a pool even after the pool was evicted.
+        binding = self._bindings.get(key)
+        if binding is not None:
+            hit = self._tile_hit(binding, query, True, events, tracer, t0)
+            if hit is not None:
+                return hit
 
-        def frame_key_for(tri: TriangleSet, signature: str) -> str:
-            return content_key(
-                "frame", signature, tri.digest, view_tag,
-                width, height, algorithm, config, merge_copies,
+        # Built before the pool is fetched: a pool forked by a process that
+        # has already made a Camera serves about 5 % faster (EXPERIMENTS,
+        # ISSUE 15; the cause is open — ROADMAP 4f).
+        uow: dict[str, Any] = {"isovalue": query.isovalue, "timestep": query.timestep}
+        if query.orbit is not None:
+            uow["camera"] = Camera.orbit(
+                query.scene.shape,
+                azimuth_deg=query.orbit[0],
+                elevation_deg=query.orbit[1],
+                width=query.width,
+                height=query.height,
             )
+        pool, created = self.pools.get(key, lambda: self._build_pool(query))
+        if binding is None and pool.cache_binding is not None:
+            binding = self._bindings[key] = pool.cache_binding
+            hit = self._tile_hit(binding, query, not created, events, tracer, t0)
+            if hit is not None:
+                return hit
 
-        def triangle_key_for(signature: str) -> str:
-            return content_key(
-                "tri", signature, dataset_digest, chunk_digest,
-                timestep, isovalue,
-            )
-
-        # -- fast path: a fully cached frame skips the pool outright
-        cache: "ResultCache | None" = None
-        signature: "str | None" = None
-        tri: "TriangleSet | None" = None
-        info = self._cache_info.get(key)
-        if info is not None:
-            cache, signature = info
-            tri = cache.get("triangles", triangle_key_for(signature))
-            if tri is not None:
-                events.append(("triangles", "hit", tri.nbytes))
-                cached = self._try_cached_frame(
-                    cache, frame_key_for(tri, signature),
-                    width, height, merge_copies, events,
-                )
-                if cached is not None:
-                    image, meta = cached
-                    return self._cached_response(
-                        request, scene_name, config, algorithm, width,
-                        height, isovalue, timestep, merge_copies, view,
-                        azimuth, elevation, image, meta, events, tracer, t0,
-                    )
-            else:
-                events.append(("triangles", "miss", 0))
-
-        pool, created = self.pools.get(
-            key,
-            lambda: self._build_pool(
-                scene, config, algorithm, width, height, merge_copies
-            ),
-        )
-        if cache is None and pool.cache_binding is not None:
-            cache = pool.cache_binding.cache
-            signature = pool.cache_binding.signature
-            self._cache_info[key] = (cache, signature)
-            tri = cache.get("triangles", triangle_key_for(signature))
-            events.append(
-                ("triangles", "hit", tri.nbytes) if tri is not None
-                else ("triangles", "miss", 0)
-            )
-
-        frame_key: "str | None" = None
-        if cache is not None and signature is not None:
+        outcome = "cold"
+        if binding is not None:
+            triangle_key, frame_key = cache_keys(binding.signature, query)
+            tri = binding.cache.get("triangles", triangle_key)
             if tri is None:
                 # Triangle-tier miss: extract once, serve-side, and let
                 # every copy of this query (and every later one) inject.
+                events.append(("triangles", "miss", 0))
                 tri = make_triangle_set(
-                    self._extract_triangles(scene, timestep, isovalue)
+                    self._extract_triangles(
+                        query.scene, query.timestep, query.isovalue
+                    )
                 )
-                cache.put(
-                    "triangles", triangle_key_for(signature), tri, tri.nbytes
-                )
-            frame_key = frame_key_for(tri, signature)
+                binding.cache.put("triangles", triangle_key, tri, tri.nbytes)
+            else:
+                events.append(("triangles", "hit", tri.nbytes))
+                outcome = "triangle_hit"
             uow["triangles"] = dict(tri.triangles)
 
         try:
@@ -650,109 +635,93 @@ class QueryService:
             self.count_failure()
             raise
         result = metrics.result
-        if cache is not None and frame_key is not None:
-            self._store_tiles(
-                cache, frame_key, result, width, height, merge_copies
-            )
+        if binding is not None:
+            self._store_tiles(binding.cache, frame_key, result, query)
         metrics.cache_hits = sum(1 for _, o, _ in events if o == "hit")
         metrics.cache_misses = sum(1 for _, o, _ in events if o == "miss")
         metrics.cache_bytes_saved = sum(
             n for _, o, n in events if o == "hit"
         )
-        latency = time.perf_counter() - t0
-        self._record_cache_events(tracer, events, latency)
-        with self._count_lock:
-            self.queries_served += 1
-        response: dict[str, Any] = {
-            "ok": True,
-            "dataset": scene_name,
-            "config": config,
-            "algorithm": algorithm,
-            "width": width,
-            "height": height,
-            "isovalue": isovalue,
-            "timestep": timestep,
-            "merge_copies": merge_copies,
+        run = {
             "warm": not created,
-            "cached": False,
             "pool_cycle": pool.cycles_completed,
-            "latency_s": round(latency, 6),
             "makespan_s": round(metrics.makespan, 6),
             "active_pixels": result.active_pixels,
             "buffers_merged": result.buffers_merged,
             "acks": metrics.ack_messages,
-            "cache": self._cache_block(config, events),
             "streams": {
                 name: [stats.buffers, stats.bytes]
                 for name, stats in sorted(metrics.streams.items())
             },
-            "frame_b64": base64.b64encode(ppm_bytes(result.image)).decode(),
         }
-        if view:
-            response["view"] = {"azimuth": azimuth, "elevation": elevation}
-        if tracer is not None:
-            response["trace"] = {
-                "events": len(tracer.events),
-                "queue_samples": len(tracer.queue_samples),
-                "dropped": tracer.dropped,
-            }
-        return response
+        return self._respond(
+            query, outcome, run, result.image, events, tracer, t0
+        )
 
-    def _cached_response(
+    def _tile_hit(
         self,
-        request: "dict[str, Any]",
-        scene_name: str,
-        config: str,
-        algorithm: str,
-        width: int,
-        height: int,
-        isovalue: float,
-        timestep: int,
-        merge_copies: int,
-        view: Any,
-        azimuth: "float | None",
-        elevation: "float | None",
+        binding: CacheBinding,
+        query: Query,
+        warm: bool,
+        events: _Events,
+        tracer: Any,
+        t0: float,
+    ) -> "dict[str, Any] | None":
+        """The response from the tile tier alone, or None on any gap."""
+        _triangle_key, frame_key = cache_keys(binding.signature, query)
+        frame = self._cached_frame(binding.cache, frame_key, query, events)
+        if frame is None:
+            return None
+        image, meta = frame
+        run = {
+            "warm": warm, "pool_cycle": None, "makespan_s": 0.0,
+            "active_pixels": meta.active_pixels,
+            "buffers_merged": meta.buffers_merged,
+            "acks": 0, "streams": {},
+        }
+        return self._respond(query, "tile_hit", run, image, events, tracer, t0)
+
+    def _respond(
+        self,
+        query: Query,
+        outcome: str,
+        run: "dict[str, Any]",
         image: np.ndarray,
-        meta: CachedTile,
-        events: "list[tuple[str, str, int]]",
+        events: _Events,
         tracer: Any,
         t0: float,
     ) -> "dict[str, Any]":
-        """A query answered wholly from the tile tier (no pipeline run)."""
+        """Count one served query and shape its response (frame last)."""
         latency = time.perf_counter() - t0
         self._record_cache_events(tracer, events, latency)
         with self._count_lock:
-            self.queries_served += 1
+            self._served[outcome] += 1
         response: dict[str, Any] = {
             "ok": True,
-            "dataset": scene_name,
-            "config": config,
-            "algorithm": algorithm,
-            "width": width,
-            "height": height,
-            "isovalue": isovalue,
-            "timestep": timestep,
-            "merge_copies": merge_copies,
-            "warm": True,
-            "cached": True,
-            "pool_cycle": None,
+            "dataset": query.scene.name,
+            "config": query.config,
+            "algorithm": query.algorithm,
+            "width": query.width,
+            "height": query.height,
+            "isovalue": query.isovalue,
+            "timestep": query.timestep,
+            "merge_copies": query.merge_copies,
+            **run,
+            "cached": outcome == "tile_hit",
             "latency_s": round(latency, 6),
-            "makespan_s": 0.0,
-            "active_pixels": meta.active_pixels,
-            "buffers_merged": meta.buffers_merged,
-            "acks": 0,
-            "cache": self._cache_block(config, events),
-            "streams": {},
-            "frame_b64": base64.b64encode(ppm_bytes(image)).decode(),
+            "cache": self._cache_block(query.config, events),
         }
-        if view:
-            response["view"] = {"azimuth": azimuth, "elevation": elevation}
+        if query.orbit is not None:
+            response["view"] = {
+                "azimuth": query.orbit[0], "elevation": query.orbit[1]
+            }
         if tracer is not None:
             response["trace"] = {
                 "events": len(tracer.events),
                 "queue_samples": len(tracer.queue_samples),
                 "dropped": tracer.dropped,
             }
+        response["frame_b64"] = base64.b64encode(ppm_bytes(image)).decode()
         return response
 
     def cache_stats(self) -> "dict[str, Any]":
@@ -774,13 +743,14 @@ class QueryService:
 
     def stats(self) -> "dict[str, Any]":
         with self._count_lock:
-            served, failed = self.queries_served, self.queries_failed
+            served, failed = dict(self._served), self.queries_failed
         return {
             "scenes": sorted(self.scenes),
             "config": self.config,
             "algorithm": self.algorithm,
             "merge_copies": self.merge_copies,
-            "queries_served": served,
+            "queries_served": sum(served.values()),
+            "served_by": served,
             "queries_failed": failed,
             "cache": self.cache_stats(),
             "pools": self.pools.stats(),
@@ -796,6 +766,23 @@ class QueryService:
 
 
 # -- the asyncio frontend ----------------------------------------------------
+def response_line(response: "dict[str, Any]") -> bytes:
+    """One response as one newline-terminated JSON line.
+
+    ``json.dumps`` scans every string for characters to escape, and a
+    frame is a megabyte of base64, whose alphabet has none: the rest of
+    the response is encoded and the frame spliced in as its last member —
+    the same JSON value, without the scan.
+    """
+    frame = response.get("frame_b64")
+    if not isinstance(frame, str):
+        return json.dumps(response).encode() + b"\n"
+    head = {k: v for k, v in response.items() if k != "frame_b64"}
+    return b'%s, "frame_b64": "%s"}\n' % (
+        json.dumps(head).encode()[:-1], frame.encode("ascii")
+    )
+
+
 async def _serve(
     service: QueryService,
     host: str,
@@ -819,7 +806,7 @@ async def _serve(
         nonlocal inflight
 
         async def reply(response):
-            writer.write(json.dumps(response).encode() + b"\n")
+            writer.write(response_line(response))
             await writer.drain()
 
         async def discard_input():

@@ -57,14 +57,13 @@ def test_content_key_rejects_uncanonicalisable_values():
 
 
 # -- triangle sets and tiles -------------------------------------------------
-def test_make_triangle_set_digest_tracks_geometry():
-    tris = {0: np.zeros((2, 3, 3), np.float32), 1: np.zeros((0, 3, 3), np.float32)}
-    one = make_triangle_set(tris)
-    two = make_triangle_set(dict(reversed(list(tris.items()))))
-    assert one.digest == two.digest  # insertion order is canonicalised
-    assert one.nbytes >= sum(a.nbytes for a in tris.values())
-    moved = {0: np.ones((2, 3, 3), np.float32), 1: tris[1]}
-    assert make_triangle_set(moved).digest != one.digest
+def test_make_triangle_set_orders_chunks_and_accounts_bytes():
+    tris = {1: np.zeros((0, 3, 3), np.float32), 0: np.zeros((2, 3, 3), np.float32)}
+    frozen = make_triangle_set(tris)
+    assert list(frozen.triangles) == [0, 1]  # chunk order, whatever came in
+    assert frozen.triangles[0] is tris[0]  # the arrays themselves, not copies
+    assert frozen.nbytes >= sum(a.nbytes for a in tris.values())
+    assert not hasattr(frozen, "digest")  # nothing is keyed by the content
 
 
 def test_cached_tile_accounts_image_bytes():
@@ -104,6 +103,41 @@ def test_result_cache_put_replaces_existing_entry():
     assert len(cache) == 1
     assert cache.get("tiles", "k") == "two"
     assert cache.stats()["size_bytes"] == 90
+
+
+def test_result_cache_oversize_replacement_keeps_the_old_value():
+    """``put`` used to pop the existing entry before the budget check, so
+    a refused replacement silently dropped the old value."""
+    cache = ResultCache(100)
+    assert cache.put("tiles", "k", "old", 60)
+    assert not cache.put("tiles", "k", "huge", 101)
+    assert cache.get("tiles", "k") == "old"
+    stats = cache.stats()
+    assert stats["rejected"] == 1
+    assert stats["evictions"] == 0
+    assert stats["entries"] == 1
+    assert stats["size_bytes"] == 60
+
+
+def test_result_cache_reports_residency_and_evictions_by_tier():
+    cache = ResultCache(100)
+    cache.put("triangles", "t1", "T1", 40)
+    cache.put("tiles", "f1", "F1", 10)
+    cache.put("triangles", "t2", "T2", 40)
+    cache.put("tiles", "f2", "F2", 10)
+    cache.get("tiles", "f1")
+    cache.put("triangles", "t3", "T3", 40)  # evicts t1: the LRU entry
+    by_tier = cache.stats()["by_tier"]
+    assert by_tier["triangles"] == {
+        "hits": 0, "misses": 0, "entries": 2, "size_bytes": 80, "evictions": 1,
+    }
+    assert by_tier["tiles"] == {
+        "hits": 1, "misses": 0, "entries": 2, "size_bytes": 20, "evictions": 0,
+    }
+    stats = cache.stats()
+    assert stats["evictions"] == sum(t["evictions"] for t in by_tier.values())
+    assert stats["size_bytes"] == sum(t["size_bytes"] for t in by_tier.values())
+    assert stats["entries"] == sum(t["entries"] for t in by_tier.values())
 
 
 def test_result_cache_tiers_are_namespaced_and_counted():

@@ -195,10 +195,97 @@ def test_oversize_request_line_gets_an_error_response(server):
     assert _request(server, {"cmd": "ping"})["pong"] is True
 
 
+PING_LINE = b'{"ok": true, "pong": true}\n'
+
+
+def _raw_request(port, payload, then=PING_LINE, timeout=120.0):
+    """The response line exactly as it crossed the socket.
+
+    A ping rides behind the request on the same connection: its reply
+    arriving intact (``then``) shows the response was that one line and
+    not a byte more.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as s:
+        s.sendall(payload + b'\n{"cmd": "ping"}\n')
+        with s.makefile("rb") as fh:
+            line = fh.readline()
+            assert fh.readline() == then
+    assert line.endswith(b"\n") and line.count(b"\n") == 1
+    return line
+
+
+def test_response_lines_are_the_json_of_their_responses():
+    """The frame is spliced into the line instead of passing through
+    ``json.dumps``: every kind of response must still be one line holding
+    exactly the JSON value of the dict the server built."""
+    service = QueryService(scenes=[SCENE], width=32, height=32)
+    built = []
+
+    def recording(method):
+        def call(*args):
+            built.append(method(*args))
+            return built[-1]
+        return call
+
+    service.render = recording(service.render)
+    service.stats = recording(service.stats)
+    thread, port = _start_server(service)
+    try:
+        odd = 'mi"ss\\ing \u00e9\u4e2d'
+        requests = [
+            {"cmd": "query", "view": {"azimuth": 45}, "trace": True},
+            {"cmd": "query", "dataset": odd},
+            {"cmd": "stats"},
+            {"cmd": "ping"},
+            {"cmd": odd},
+        ]
+        lines = [_raw_request(port, json.dumps(r).encode()) for r in requests]
+        query, error, stats, ping, unknown = map(json.loads, lines)
+        assert query == json.loads(json.dumps(built[0]))
+        assert query["frame_b64"] == built[0]["frame_b64"]
+        assert base64.b64decode(query["frame_b64"]).startswith(b"P6 32 32")
+        assert error == {
+            "ok": False,
+            "error": f"unknown dataset {odd!r}; have ['unit']",
+        }
+        assert stats == {"ok": True, "stats": json.loads(json.dumps(built[1]))}
+        assert ping == {"ok": True, "pong": True}
+        assert unknown == {"ok": False, "error": f"unknown cmd {odd!r}"}
+        # an over-limit line still gets its one-line error reply, then EOF
+        huge = _raw_request(
+            port, b'{"padding": "' + b"x" * (200 * 1024) + b'"}', then=b""
+        )
+        assert "bad request" in json.loads(huge)["error"]
+    finally:
+        _request(port, {"cmd": "shutdown"})
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+
+def test_rejected_response_is_one_json_line():
+    service = QueryService(scenes=[SCENE], width=32, height=32)
+    thread, port = _start_server(service, admission_limit=0)
+    try:
+        line = _raw_request(port, b'{"cmd": "query"}')
+        assert json.loads(line) == {
+            "ok": False,
+            "rejected": True,
+            "error": "server busy: 0 queries in flight (admission limit 0)",
+        }
+    finally:
+        _request(port, {"cmd": "shutdown"})
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+
 def test_stats_counts_queries(server):
     stats = _request(server, {"cmd": "stats"})["stats"]
     assert stats["scenes"] == ["unit"]
     assert stats["queries_served"] >= 2
+    # cache off: every served query ran the whole pipeline
+    assert stats["served_by"] == {
+        "tile_hit": 0, "triangle_hit": 0, "cold": stats["queries_served"]
+    }
     assert len(stats["pools"]) >= 1  # one warm pool per pipeline key
     (pool_stats,) = stats["pools"].values()
     assert pool_stats["cycles_completed"] >= 2

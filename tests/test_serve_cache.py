@@ -6,11 +6,14 @@ engines' merge fan-outs, under eviction pressure, and for every tier.
 """
 
 import multiprocessing
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.serve import QueryService, SceneSpec
+from repro.serve import Query, QueryService, SceneSpec, cache_keys
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -59,9 +62,12 @@ def test_cached_responses_are_bit_exact(uncached_frames):
         assert first["frame_b64"] == uncached_frames["base"]
         assert second["frame_b64"] == uncached_frames["base"]
         assert first["cached"] is False
+        assert first["cache"]["tiles"] == "miss"
+        assert first["cache"]["triangles"] == "miss"
         assert second["cached"] is True
-        assert second["cache"]["triangles"] == "hit"
+        # A full hit is answered by the tile tier alone.
         assert second["cache"]["tiles"] == "hit"
+        assert "triangles" not in second["cache"]
         assert second["cache"]["bytes_saved"] > 0
         assert second["makespan_s"] == 0.0  # no pipeline run
         assert second["active_pixels"] == first["active_pixels"]
@@ -176,7 +182,9 @@ def test_pool_scope_gives_each_pool_its_own_cache(uncached_frames):
         stats = service.stats()
         assert stats["cache"]["scope"] == "pool"
         (pool_stats,) = stats["pools"].values()
-        assert pool_stats["cache"]["hits"] >= 2  # triangles + tiles
+        by_tier = pool_stats["cache"]["by_tier"]
+        assert by_tier["tiles"]["hits"] == 1  # the repeat: one tile lookup
+        assert by_tier["triangles"]["hits"] == 0  # ... and nothing else
     finally:
         service.close()
 
@@ -189,7 +197,15 @@ def test_trace_records_cache_events():
             {"isovalue": 0.4, "timestep": 1, "trace": True}
         )
         assert traced["cached"] is True
-        assert traced["trace"]["events"] >= 2  # cache_hit per tier
+        assert traced["trace"]["events"] == 1  # one cache_hit: the tile tier
+        moved = service.render(
+            {"isovalue": 0.4, "timestep": 1, "trace": True,
+             "view": {"azimuth": 60, "elevation": 10}}
+        )
+        # A new view at a cached isovalue: tile miss, triangle hit, pipeline.
+        assert moved["cache"]["tiles"] == "miss"
+        assert moved["cache"]["triangles"] == "hit"
+        assert moved["trace"]["events"] > 2
     finally:
         service.close()
 
@@ -204,5 +220,161 @@ def test_warm_pool_stats_surface_cache_binding():
         assert pool_stats["cache"]["signature"]
         shared = stats["cache"]["shared"]
         assert shared["entries"] >= 2  # triangles + one tile
+    finally:
+        service.close()
+
+
+# -- request-keyed frames (ISSUE 15) ------------------------------------------
+ISOVALUES = (0.3, 0.35, 0.4, 0.45, 0.5, 0.55)
+
+
+def test_frames_outlive_their_triangle_arrays():
+    """A budget that holds every frame but not every triangle set still
+    answers every repeat from the tile tier: plain LRU retires the
+    triangle arrays, which a full hit no longer touches."""
+    queries = [{"isovalue": iso, "timestep": 1} for iso in ISOVALUES]
+    sizing = _service(cache_mb=32)
+    try:
+        reference = [sizing.render(dict(q))["frame_b64"] for q in queries]
+        by_tier = sizing.cache_stats()["shared"]["by_tier"]
+    finally:
+        sizing.close()
+    frames_bytes = by_tier["tiles"]["size_bytes"]
+    triangles_bytes = by_tier["triangles"]["size_bytes"]
+    budget = frames_bytes + triangles_bytes // 3
+    service = _service(cache_mb=budget / 2**20)
+    try:
+        # Exploration traffic: each new query is followed by another look at
+        # everything seen so far, so every frame is younger than the arrays.
+        for seen, query in enumerate(queries, start=1):
+            cold = service.render(dict(query))
+            assert cold["cached"] is False
+            assert cold["frame_b64"] == reference[seen - 1]
+            for index in range(seen):
+                repeat = service.render(dict(queries[index]))
+                assert repeat["cached"] is True, (seen, index)
+                assert repeat["cache"]["tiles"] == "hit"
+                assert "triangles" not in repeat["cache"]
+                assert repeat["frame_b64"] == reference[index]
+        stats = service.stats()
+        by_tier = stats["cache"]["shared"]["by_tier"]
+        assert by_tier["tiles"]["entries"] == len(queries)
+        assert by_tier["tiles"]["size_bytes"] == frames_bytes
+        assert by_tier["tiles"]["evictions"] == 0
+        assert by_tier["triangles"]["evictions"] > 0
+        assert by_tier["triangles"]["entries"] < len(queries)
+        assert stats["served_by"] == {
+            "tile_hit": len(queries) * (len(queries) + 1) // 2,
+            "triangle_hit": 0,
+            "cold": len(queries),
+        }
+        assert stats["queries_served"] == sum(stats["served_by"].values())
+    finally:
+        service.close()
+
+
+VARIANTS = {
+    "isovalue": {"isovalue": 0.3},
+    "timestep": {"timestep": 0},
+    "azimuth": {"view": {"azimuth": 60, "elevation": 25}},
+    "elevation": {"view": {"azimuth": 30, "elevation": 10}},
+    "width": {"width": 24},
+    "height": {"height": 24},
+    "algorithm": {"algorithm": "zbuffer"},
+    "merge_copies": {"merge_copies": 2},
+    "dataset": {"dataset": "reseeded"},
+}
+
+
+def test_changing_one_request_field_never_returns_another_frame():
+    base = {"isovalue": 0.4, "timestep": 1,
+            "view": {"azimuth": 30, "elevation": 25}}
+    scenes = [SCENE, replace(SCENE, name="reseeded", seed=8)]
+    uncached = _service(scenes=scenes, max_pools=1)
+    cached = _service(scenes=scenes, max_pools=1, cache_mb=32)
+    try:
+        assert cached.render(dict(base))["cached"] is False
+        for field, change in VARIANTS.items():
+            query = {**base, **change}
+            expected = uncached.render(dict(query))["frame_b64"]
+            first = cached.render(dict(query))
+            assert first["cached"] is False, field
+            assert first["frame_b64"] == expected, field
+            again = cached.render(dict(query))
+            assert again["cached"] is True, field
+            assert again["frame_b64"] == expected, field
+        assert cached.render(dict(base))["cached"] is True
+    finally:
+        uncached.close()
+        cached.close()
+
+
+_queries = st.builds(
+    Query,
+    scene=st.builds(
+        SceneSpec,
+        name=st.just("s"),
+        grid=st.sampled_from([11, 13]),
+        timesteps=st.sampled_from([2, 3]),
+        species=st.sampled_from([1, 2]),
+        nchunks=st.sampled_from([8, 27]),
+        nfiles=st.sampled_from([2, 4]),
+        seed=st.sampled_from([7, 8]),
+    ),
+    config=st.sampled_from(["R-E-Ra-M", "RE-Ra-M"]),
+    algorithm=st.sampled_from(["active", "zbuffer"]),
+    width=st.sampled_from([24, 32]),
+    height=st.sampled_from([24, 32]),
+    isovalue=st.sampled_from([0.3, 0.4, 0.4000000000000001]),
+    timestep=st.sampled_from([0, 1]),
+    merge_copies=st.sampled_from([1, 2]),
+    orbit=st.sampled_from([None, (30.0, 25.0), (60.0, 25.0), (30.0, 10.0)]),
+)
+
+
+@given(one=_queries, other=_queries, signature=st.sampled_from(["a", "b"]))
+@settings(max_examples=300, deadline=None)
+def test_cache_keys_separate_any_two_different_requests(one, other, signature):
+    tri_one, frame_one = cache_keys(signature, one)
+    tri_other, frame_other = cache_keys(signature, other)
+    assert (frame_one == frame_other) == (one == other)
+    same_triangles = (one.scene, one.timestep, one.isovalue) == (
+        other.scene, other.timestep, other.isovalue
+    )
+    assert (tri_one == tri_other) == same_triangles
+    # the certified subgraph is part of every key
+    tri_rebound, frame_rebound = cache_keys(signature + "'", one)
+    assert tri_rebound != tri_one and frame_rebound != frame_one
+
+
+def test_evicted_pool_does_not_take_its_frames_with_it(uncached_frames):
+    base = {"isovalue": 0.4, "timestep": 1}
+    view = {**base, "view": {"azimuth": 60, "elevation": 10}}
+    service = _service(cache_mb=32, max_pools=1)
+    try:
+        service.render(dict(base))
+        service.render({**base, "width": 24})  # evicts the 32x32 pool
+        assert len(service.stats()["pools"]) == 1
+        # answered from the tile tier, without rebuilding the pool
+        repeat = service.render(dict(base))
+        assert repeat["cached"] is True
+        assert repeat["cache"]["tiles"] == "hit"
+        assert "triangles" not in repeat["cache"]
+        assert repeat["frame_b64"] == uncached_frames["base"]
+        # a new view rebuilds it cold, on the cached triangles ...
+        moved = service.render(dict(view))
+        assert moved["warm"] is False
+        assert moved["cache"]["tiles"] == "miss"
+        assert moved["cache"]["triangles"] == "hit"
+        assert moved["frame_b64"] == uncached_frames["view"]
+        # ... and the first query after the rebuild is a tile hit again
+        after = service.render(dict(base))
+        assert after["cached"] is True
+        assert "triangles" not in after["cache"]
+        assert after["frame_b64"] == uncached_frames["base"]
+        # (triangles are image-size independent: the 24-wide query hit them)
+        assert service.stats()["served_by"] == {
+            "tile_hit": 2, "triangle_hit": 2, "cold": 1
+        }
     finally:
         service.close()
