@@ -50,10 +50,16 @@ def run_partitioned(profile, weights=None, width=2048):
         profile, storage, timestep=0, width=width, height=width,
         regions=NODES, region_weights=weights,
     )
-    placement = Placement().spread("RE", nodes)
-    for region in range(NODES):
-        placement.place(f"Ra{region}", [nodes[region]])
-    return SimulatedEngine(cluster, graph, placement, policy="RR").run().makespan
+    # One strip owner per node, in owner order, behind the TileRouted policy.
+    placement = Placement().spread("RE", nodes).place("Ra", nodes)
+    return (
+        SimulatedEngine(
+            cluster, graph, placement, policy="RR",
+            policy_overrides={"RE->Ra": "TILE"},
+        )
+        .run()
+        .makespan
+    )
 
 
 def compare(scale=0.05):

@@ -16,10 +16,10 @@ source, neither of which requires running anything.
 """
 
 from repro.data import HostDisks, StorageMap
+from repro.viz import CONFIGURATIONS as CONFIGS
 from repro.viz import IsosurfaceApp
 from repro.viz.profile import DatasetProfile
 
-CONFIGS = ("R-E-Ra-M", "RE-Ra-M", "R-ERa-M", "RERa-M")
 HOSTS = ("h0", "h1")
 
 

@@ -58,11 +58,11 @@ def main() -> None:
     graph = build_partitioned_graph(
         profile, storage, timestep=0, width=2048, height=2048, regions=8
     )
-    placement = Placement().spread("RE", NODES[:4])
-    for region in range(8):
-        placement.place(f"Ra{region}", [NODES[region]])
+    # One strip owner per node, in owner order, behind the TileRouted policy.
+    placement = Placement().spread("RE", NODES[:4]).place("Ra", NODES)
     metrics = SimulatedEngine(
-        cluster, graph, placement, policy="RR"
+        cluster, graph, placement, policy="RR",
+        policy_overrides={"RE->Ra": "TILE"},
     ).run().validate(graph)
     print(f"partitioned over 8 strip owners: {metrics.makespan:.2f} s")
     print(

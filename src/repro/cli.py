@@ -55,6 +55,8 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+from repro.configurations import CONFIGURATIONS
+
 __all__ = ["main"]
 
 _EXPERIMENTS = (
@@ -453,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--grid", type=int, default=33, help="grid points per axis")
     p_render.add_argument("--image", type=int, default=256, help="image size (pixels)")
     p_render.add_argument("--config", default="RE-Ra-M",
-                          choices=["R-E-Ra-M", "RE-Ra-M", "R-ERa-M", "RERa-M"])
+                          choices=CONFIGURATIONS)
     p_render.add_argument("--algorithm", default="active",
                           choices=["active", "zbuffer"])
     p_render.add_argument("--policy", default="DD",
@@ -483,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--bg-jobs", type=int, default=0,
                        help="background jobs per Rogue node")
     p_sim.add_argument("--config", default="RE-Ra-M",
-                       choices=["R-E-Ra-M", "RE-Ra-M", "R-ERa-M", "RERa-M"])
+                       choices=CONFIGURATIONS)
     p_sim.add_argument("--algorithm", default="active",
                        choices=["active", "zbuffer"])
     p_sim.add_argument("--policy", default="DD",
@@ -546,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--image", type=int, default=256,
                          help="default frame size (pixels)")
     p_serve.add_argument("--config", default="RE-Ra-M",
-                         choices=["R-E-Ra-M", "RE-Ra-M", "R-ERa-M", "RERa-M"])
+                         choices=CONFIGURATIONS)
     p_serve.add_argument("--algorithm", default="active",
                          choices=["active", "zbuffer"])
     p_serve.add_argument("--policy", default="DD",

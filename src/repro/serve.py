@@ -75,6 +75,7 @@ from repro.cache import (
     content_key,
     make_triangle_set,
 )
+from repro.configurations import CONFIGURATIONS, extract_stage
 from repro.core.tiles import Tile, TileMap
 from repro.engines.pool import PoolManager, WarmPool
 from repro.errors import (
@@ -89,20 +90,8 @@ __all__ = [
     "run_server",
 ]
 
-CONFIGURATIONS = ("R-E-Ra-M", "RE-Ra-M", "R-ERa-M", "RERa-M")
-
 #: What a query's cache probes did so far: ``(tier, "hit" | "miss", bytes)``.
 _Events = list[tuple[str, str, int]]
-
-#: The extract-carrying stage per configuration — the subgraph a result
-#: cache tries to attach to.  Only the standalone ``E`` stage certifies
-#: (pure); the fused stages are IO/stateful and are refused (E703/E706).
-_CACHE_MEMBERS = {
-    "R-E-Ra-M": ("E",),
-    "RE-Ra-M": ("RE",),
-    "R-ERa-M": ("ERa",),
-    "RERa-M": ("RERa",),
-}
 
 
 def ppm_bytes(image) -> bytes:
@@ -370,7 +359,10 @@ class QueryService:
                     policy_overrides=overrides,
                     max_inflight=self.max_inflight,
                     cache=cache,
-                    cache_members=_CACHE_MEMBERS[config],
+                    # The extract-carrying stage is what a result cache
+                    # attaches to.  Only the standalone ``E`` certifies
+                    # (pure); a fused stage is IO/stateful and is refused.
+                    cache_members=(extract_stage(config),),
                 )
             except AnalysisError as exc:
                 # Certify-before-memoise: the subgraph is not provably

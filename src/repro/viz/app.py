@@ -8,6 +8,12 @@
 - ``R-ERa-M``   — extract+raster combined (decouples retrieval);
 - ``RERa-M``    — everything but merge combined (SPMD-like).
 
+The configuration name *is* the topology
+(:func:`repro.configurations.parse_configuration`): each group of stage
+names becomes one filter, built from the stage table below with
+:func:`~repro.core.fuse.fuse` — so there is one graph builder, and R, E
+and Ra are each defined once however they are grouped.
+
 Each graph carries *simulated* factories (cost models over a
 :class:`~repro.viz.profile.DatasetProfile`) and, when a real
 :class:`~repro.data.parssim.ParSSimDataset` is supplied, *real* factories
@@ -16,8 +22,18 @@ too — so the same graph runs on either engine.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.analysis.effects import Effect
+from repro.configurations import (
+    CONFIGURATIONS,
+    check_algorithm,
+    parse_configuration,
+    stage_name,
+)
+from repro.core.filter import Filter
+from repro.core.fuse import StageModel, fuse, fuse_models
 from repro.core.graph import FilterGraph
 from repro.core.negotiate import declare_bounds, negotiate
 from repro.core.placement import Placement
@@ -32,9 +48,74 @@ from repro.viz.camera import Camera
 from repro.viz.models import BufferSizes, CostParams
 from repro.viz.profile import DatasetProfile
 
-__all__ = ["IsosurfaceApp", "CONFIGURATIONS"]
+__all__ = ["IsosurfaceApp", "CONFIGURATIONS", "owner_hosts"]
 
-CONFIGURATIONS = ("R-E-Ra-M", "RE-Ra-M", "R-ERa-M", "RERa-M")
+
+@dataclass(frozen=True)
+class _Stage:
+    """One fusable pipeline stage, defined once for both engines.
+
+    ``effects`` is the declared effects class of the real filter (a fused
+    stage declares the worst of its parts'); ``output`` names the buffer
+    knob (``read`` / ``triangles`` / ``merge``) the stream leaving the
+    stage carries in the buffer-size negotiation.
+    """
+
+    effects: str
+    output: str
+    real: Callable[["IsosurfaceApp"], Filter]
+    model: Callable[["IsosurfaceApp", BufferSizes], StageModel]
+
+
+#: R, E and Ra.  Merge is not here: it is never fused, and its shape
+#: (one sink, or tile-merge copies plus a gather) is ``_attach_merge``'s.
+_STAGES = {
+    "R": _Stage(
+        "io",
+        "read",
+        lambda app: real.ReadFilter(
+            app._require_dataset(), app.storage, app.timestep
+        ),
+        lambda app, buffers: sim.ReadSourceModel(
+            app.profile, app.storage, app.timestep, app.costs, buffers
+        ),
+    ),
+    "E": _Stage(
+        "pure",
+        "triangles",
+        lambda app: real.ExtractFilter(app.isovalue),
+        lambda app, buffers: sim.ExtractModel(app.costs, buffers),
+    ),
+    "Ra": _Stage(
+        "stateful",
+        "merge",
+        lambda app: real.raster_filter(
+            app.algorithm, app.camera(), app.tile_map()
+        ),
+        lambda app, buffers: sim.raster_model(
+            app.algorithm, app.costs, buffers, app.width, app.height,
+            app.tile_map(),
+        ),
+    ),
+}
+
+
+def owner_hosts(owners: int, compute_hosts: list[str], anchor: str) -> list[str]:
+    """One distinct host label per tile owner, in owner order.
+
+    A tile-routed consumer runs one single-copy set per owner (copies
+    sharing a host share one queue, breaking owner routing), so a testbed
+    with fewer hosts than owners is padded with virtual ``anchor:mN``
+    labels.
+    """
+    hosts = list(compute_hosts[:owners])
+    index = 0
+    while len(hosts) < owners:
+        label = f"{anchor}:m{index}"
+        if label not in hosts:
+            hosts.append(label)
+        index += 1
+    return hosts
 
 
 @dataclass
@@ -89,10 +170,7 @@ class IsosurfaceApp:
     merge_tiles: int | None = None
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("zbuffer", "active"):
-            raise ConfigurationError(
-                f"algorithm must be 'zbuffer' or 'active', got {self.algorithm!r}"
-            )
+        check_algorithm(self.algorithm)
         if not 0 <= self.timestep < self.profile.timesteps:
             raise ConfigurationError(
                 f"timestep {self.timestep} outside [0, {self.profile.timesteps})"
@@ -138,12 +216,7 @@ class IsosurfaceApp:
 
     def merge_stream(self, configuration: str) -> str:
         """The stream carrying raster output into the merge stage."""
-        upstream = {
-            "R-E-Ra-M": "Ra",
-            "RE-Ra-M": "Ra",
-            "R-ERa-M": "ERa",
-            "RERa-M": "RERa",
-        }[configuration]
+        upstream = stage_name(parse_configuration(configuration)[-2])
         dst = "TM" if self.merge_copies > 1 else "M"
         return f"{upstream}->{dst}"
 
@@ -160,31 +233,44 @@ class IsosurfaceApp:
             return {}
         return {self.merge_stream(configuration): make_policy_factory("TILE")}
 
-    # -- graph builders ------------------------------------------------------
+    # -- graph builder ---------------------------------------------------------
     def graph(self, configuration: str) -> FilterGraph:
-        """Build the filter graph for one of :data:`CONFIGURATIONS`."""
-        if configuration not in CONFIGURATIONS:
-            raise ConfigurationError(
-                f"unknown configuration {configuration!r}; "
-                f"choose from {CONFIGURATIONS}"
-            )
-        builder = {
-            "R-E-Ra-M": self._graph_r_e_ra_m,
-            "RE-Ra-M": self._graph_re_ra_m,
-            "R-ERa-M": self._graph_r_era_m,
-            "RERa-M": self._graph_rera_m,
-        }[configuration]
-        return builder()
+        """Build the filter graph for one of :data:`CONFIGURATIONS`.
 
-    def _merge_factories(self):
-        sim_factory = lambda: sim.MergeModel(  # noqa: E731
-            self.costs, self.algorithm, self.width, self.height
-        )
-        if self.algorithm == "zbuffer":
-            real_factory = lambda: real.MergeZFilter(self.width, self.height)  # noqa: E731
-        else:
-            real_factory = lambda: real.MergeAPFilter(self.width, self.height)  # noqa: E731
-        return real_factory, sim_factory
+        One filter per stage group of the name, in pipeline order, each
+        the :func:`~repro.core.fuse.fuse` of its stages' parts; the merge
+        stage is appended by :meth:`_attach_merge`.
+        """
+        *groups, _merge = parse_configuration(configuration)
+        names = [stage_name(group) for group in groups]
+        g = FilterGraph()
+        roles: dict[str, str] = {}
+        for i, (name, group) in enumerate(zip(names, groups)):
+            g.add_filter(
+                name,
+                is_source=i == 0,
+                effects=max(
+                    Effect.parse(_STAGES[stage].effects) for stage in group
+                ).label,
+            )
+            if i:
+                stream = g.connect(names[i - 1], name)
+                roles[stream.name] = _STAGES[groups[i - 1][-1]].output
+        self._attach_merge(g, names[-1])
+        roles[self.merge_stream(configuration)] = "merge"
+        buffers = self._negotiate(g, roles)
+        for name, group in zip(names, groups):
+            spec = g.filters[name]
+            spec.factory = self._real_or_none(
+                lambda group=group: fuse(
+                    *(_STAGES[stage].real(self) for stage in group)
+                )
+            )
+            spec.sim_factory = lambda group=group: fuse_models(
+                *(_STAGES[stage].model(self, buffers) for stage in group)
+            )
+        self._bind_merge(g)
+        return g
 
     def _attach_merge(self, g: FilterGraph, upstream: str) -> None:
         """Append the merge stage after ``upstream``: single sink or TM->M.
@@ -216,9 +302,12 @@ class IsosurfaceApp:
         """Install the merge-stage factories (single or tiled)."""
         tmap = self.tile_map()
         if tmap is None:
-            real_m, sim_m = self._merge_factories()
-            g.filters["M"].factory = self._real_or_none(real_m)
-            g.filters["M"].sim_factory = sim_m
+            g.filters["M"].factory = self._real_or_none(
+                lambda: real.merge_filter(self.algorithm, self.width, self.height)
+            )
+            g.filters["M"].sim_factory = lambda: sim.MergeModel(
+                self.costs, self.algorithm, self.width, self.height
+            )
             return
         g.filters["TM"].factory = self._real_or_none(
             lambda: tiled.TileMergeFilter(tmap, self.algorithm)
@@ -232,24 +321,6 @@ class IsosurfaceApp:
         g.filters["M"].sim_factory = lambda: sim.TileGatherModel(
             self.costs, self.algorithm, self.width, self.height
         )
-
-    def _raster_factories(self, buffers: BufferSizes):
-        tmap = self.tile_map()
-        if self.algorithm == "zbuffer":
-            sim_factory = lambda: sim.RasterZBModel(  # noqa: E731
-                self.costs, buffers, self.width, self.height, tile_map=tmap
-            )
-            real_factory = lambda: real.RasterZFilter(  # noqa: E731
-                self.camera(), tile_map=tmap
-            )
-        else:
-            sim_factory = lambda: sim.RasterAPModel(  # noqa: E731
-                self.costs, buffers, self.width, self.height, tile_map=tmap
-            )
-            real_factory = lambda: real.RasterAPFilter(  # noqa: E731
-                self.camera(), tile_map=tmap
-            )
-        return real_factory, sim_factory
 
     def _real_or_none(self, factory):
         return factory if self.dataset is not None else None
@@ -307,153 +378,6 @@ class IsosurfaceApp:
                 else self.buffers.wpa
             ),
         )
-
-    def _graph_r_e_ra_m(self) -> FilterGraph:
-        g = FilterGraph()
-        g.add_filter(
-            "R",
-            factory=self._real_or_none(
-                lambda: real.ReadFilter(
-                    self._require_dataset(), self.storage, self.timestep
-                )
-            ),
-            is_source=True,
-            effects="io",
-        )
-        g.add_filter(
-            "E",
-            factory=self._real_or_none(lambda: real.ExtractFilter(self.isovalue)),
-            effects="pure",
-        )
-        g.add_filter("Ra", effects="stateful")
-        g.connect("R", "E")
-        g.connect("E", "Ra")
-        self._attach_merge(g, "Ra")
-        eff = self._negotiate(
-            g,
-            {
-                "R->E": "read",
-                "E->Ra": "triangles",
-                self.merge_stream("R-E-Ra-M"): "merge",
-            },
-        )
-        g.filters["R"].sim_factory = lambda: sim.ReadSourceModel(
-            self.profile, self.storage, self.timestep, self.costs, eff
-        )
-        g.filters["E"].sim_factory = lambda: sim.ExtractModel(self.costs, eff)
-        real_ra, sim_ra = self._raster_factories(eff)
-        g.filters["Ra"].factory = self._real_or_none(real_ra)
-        g.filters["Ra"].sim_factory = sim_ra
-        self._bind_merge(g)
-        return g
-
-    def _graph_re_ra_m(self) -> FilterGraph:
-        g = FilterGraph()
-        g.add_filter(
-            "RE",
-            factory=self._real_or_none(
-                lambda: real.ReadExtractFilter(
-                    self._require_dataset(),
-                    self.storage,
-                    self.timestep,
-                    self.isovalue,
-                )
-            ),
-            is_source=True,
-            effects="io",
-        )
-        g.add_filter("Ra", effects="stateful")
-        g.connect("RE", "Ra")
-        self._attach_merge(g, "Ra")
-        eff = self._negotiate(
-            g,
-            {"RE->Ra": "triangles", self.merge_stream("RE-Ra-M"): "merge"},
-        )
-        g.filters["RE"].sim_factory = lambda: sim.ReadExtractSourceModel(
-            self.profile, self.storage, self.timestep, self.costs, eff
-        )
-        real_ra, sim_ra = self._raster_factories(eff)
-        g.filters["Ra"].factory = self._real_or_none(real_ra)
-        g.filters["Ra"].sim_factory = sim_ra
-        self._bind_merge(g)
-        return g
-
-    def _graph_r_era_m(self) -> FilterGraph:
-        g = FilterGraph()
-        g.add_filter(
-            "R",
-            factory=self._real_or_none(
-                lambda: real.ReadFilter(
-                    self._require_dataset(), self.storage, self.timestep
-                )
-            ),
-            is_source=True,
-            effects="io",
-        )
-        g.add_filter(
-            "ERa",
-            factory=self._real_or_none(
-                lambda: real.ExtractRasterFilter(
-                    self.isovalue,
-                    self.camera(),
-                    self.algorithm,
-                    tile_map=self.tile_map(),
-                )
-            ),
-            effects="stateful",
-        )
-        g.connect("R", "ERa")
-        self._attach_merge(g, "ERa")
-        eff = self._negotiate(
-            g, {"R->ERa": "read", self.merge_stream("R-ERa-M"): "merge"}
-        )
-        g.filters["R"].sim_factory = lambda: sim.ReadSourceModel(
-            self.profile, self.storage, self.timestep, self.costs, eff
-        )
-        g.filters["ERa"].sim_factory = lambda: sim.ExtractRasterModel(
-            self.costs,
-            eff,
-            self.width,
-            self.height,
-            self.algorithm,
-            tile_map=self.tile_map(),
-        )
-        self._bind_merge(g)
-        return g
-
-    def _graph_rera_m(self) -> FilterGraph:
-        g = FilterGraph()
-        g.add_filter(
-            "RERa",
-            factory=self._real_or_none(
-                lambda: real.ReadExtractRasterFilter(
-                    self._require_dataset(),
-                    self.storage,
-                    self.timestep,
-                    self.isovalue,
-                    self.camera(),
-                    self.algorithm,
-                    tile_map=self.tile_map(),
-                )
-            ),
-            is_source=True,
-            effects="io",
-        )
-        self._attach_merge(g, "RERa")
-        eff = self._negotiate(g, {self.merge_stream("RERa-M"): "merge"})
-        g.filters["RERa"].sim_factory = lambda: sim.ReadExtractRasterSourceModel(
-            self.profile,
-            self.storage,
-            self.timestep,
-            self.costs,
-            eff,
-            self.width,
-            self.height,
-            self.algorithm,
-            tile_map=self.tile_map(),
-        )
-        self._bind_merge(g)
-        return g
 
     # -- placement helpers -------------------------------------------------------
     def placement(
@@ -521,14 +445,4 @@ class IsosurfaceApp:
                     f"{self.merge_copies} hosts, got {len(merge_hosts)}"
                 )
             return list(merge_hosts)
-        hosts = list(compute_hosts[: self.merge_copies])
-        # Each copy must be its own copy set (copies sharing a host share
-        # one queue, breaking owner routing) — pad with virtual labels
-        # when the testbed has fewer hosts than merge copies.
-        index = 0
-        while len(hosts) < self.merge_copies:
-            label = f"{merge_host}:m{index}"
-            if label not in hosts:
-                hosts.append(label)
-            index += 1
-        return hosts
+        return owner_hosts(self.merge_copies, compute_hosts, merge_host)

@@ -1,10 +1,12 @@
 """Real isosurface-rendering filters (threaded engine).
 
 The application decomposes into Read (R), Extract (E), Raster (Ra) and
-Merge (M) filters (paper Figure 2b), plus the combined RE, ERa and RERa
-filters used by the three experimental configurations (Figure 3).  These
-filters do real work on NumPy arrays and are exercised by the examples and
-the correctness tests; their simulated counterparts live in
+Merge (M) filters (paper Figure 2b), each defined here exactly once.  The
+combined RE, ERa and RERa stages of the three experimental configurations
+(Figure 3) are not classes: :class:`~repro.viz.app.IsosurfaceApp` builds
+them with :func:`repro.core.fuse.fuse` from these parts.  The filters do
+real work on NumPy arrays and are exercised by the examples and the
+correctness tests; their simulated counterparts live in
 :mod:`repro.viz.models`.
 """
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.configurations import check_algorithm
 from repro.core.buffer import DataBuffer
 from repro.core.filter import Filter, FilterContext
 from repro.data.chunks import ChunkSpec
@@ -36,9 +39,8 @@ __all__ = [
     "RasterAPFilter",
     "MergeZFilter",
     "MergeAPFilter",
-    "ReadExtractFilter",
-    "ExtractRasterFilter",
-    "ReadExtractRasterFilter",
+    "raster_filter",
+    "merge_filter",
     "TRIANGLE_BYTES",
 ]
 
@@ -221,21 +223,33 @@ class _RasterBase(Filter):
 
 
 class RasterZFilter(_RasterBase):
-    """Ra (z-buffer): accumulate locally, ship the whole buffer at EOW."""
+    """Ra (z-buffer): accumulate locally, ship the whole buffer at EOW.
+
+    Placed as a sink (the image-partitioned pipelines of
+    :mod:`repro.viz.partitioned`, which have no Merge) it ships nothing
+    and exposes the accumulated frame as its :meth:`result` instead.
+    """
 
     def init(self, ctx: FilterContext) -> None:
         """Per-unit-of-work set-up (see Filter.init)."""
         self._latch_camera(ctx)
         self._zbuf = ZBuffer(self.camera.width, self.camera.height)
+        self._buffers = 0
 
     def handle(self, ctx: FilterContext, buffer: DataBuffer) -> None:
         """Process one input buffer (see Filter.handle)."""
         payload: TrianglePayload = buffer.payload
         screen, colors = self._screen_and_colors(payload.triangles)
         self._zbuf.rasterize(screen, colors)
+        self._buffers += 1
 
     def flush(self, ctx: FilterContext) -> None:
         """End-of-work processing (see Filter.flush)."""
+        if not ctx.output_streams:
+            self._frame = RenderResult(
+                self._zbuf.image(), self._zbuf.active_pixels(), self._buffers
+            )
+            return
         if self.tile_map is None:
             for slab in self._zbuf.slabs(ZB_SLAB_ENTRIES):
                 ctx.write(DataBuffer(slab.nbytes, slab))
@@ -256,6 +270,14 @@ class RasterZFilter(_RasterBase):
     def finalize(self, ctx: FilterContext) -> None:
         """Release per-unit-of-work resources (see Filter.finalize)."""
         del self._zbuf
+
+    def result(self) -> RenderResult:
+        """The frame of a raster placed as a sink (after the run)."""
+        if not hasattr(self, "_frame"):
+            raise EngineError(
+                "RasterZFilter has no result yet: run the pipeline first"
+            )
+        return self._frame
 
 
 class RasterAPFilter(_RasterBase):
@@ -361,154 +383,15 @@ class MergeAPFilter(Filter):
         )
 
 
-class ReadExtractFilter(Filter):
-    """RE: read local chunks and extract triangles in one filter."""
-
-    def __init__(
-        self,
-        dataset: ParSSimDataset,
-        storage: StorageMap,
-        timestep: int,
-        isovalue: float,
-        species: int = 0,
-    ):
-        self.read = ReadFilter(dataset, storage, timestep, species)
-        self.isovalue = isovalue
-
-    def flush(self, ctx: FilterContext) -> None:
-        """End-of-work processing (see Filter.flush)."""
-        timestep = _uow_get(ctx, "timestep", self.read.timestep)
-        species = _uow_get(ctx, "species", self.read.species)
-        isovalue = _uow_get(ctx, "isovalue", self.isovalue)
-        for data_file, _disk in _copy_files(self.read.storage, ctx):
-            for chunk in data_file.chunks:
-                scalars = self.read.dataset.chunk_field(
-                    chunk, timestep, species
-                )
-                tris = extract_triangles(
-                    scalars, isovalue, origin=_chunk_world_origin(chunk)
-                )
-                if len(tris) == 0:
-                    continue
-                ctx.write(
-                    DataBuffer(
-                        len(tris) * TRIANGLE_BYTES,
-                        TrianglePayload(tris),
-                        tags={"chunk": chunk.chunk_id},
-                    )
-                )
+def raster_filter(algorithm: str, camera: Camera, tile_map=None) -> Filter:
+    """The Ra part for ``algorithm`` (z-buffer or active pixel)."""
+    check_algorithm(algorithm, DataError)
+    cls = RasterZFilter if algorithm == "zbuffer" else RasterAPFilter
+    return cls(camera, tile_map=tile_map)
 
 
-class ExtractRasterFilter(Filter):
-    """ERa: extract and rasterise in one filter.
-
-    ``algorithm`` selects z-buffer (accumulate + flush) or active pixel
-    (streaming emission).
-    """
-
-    def __init__(
-        self,
-        isovalue: float,
-        camera: Camera,
-        algorithm: str = "active",
-        tile_map=None,
-    ):
-        if algorithm not in ("zbuffer", "active"):
-            raise DataError(f"algorithm must be 'zbuffer' or 'active', got {algorithm!r}")
-        self.isovalue = isovalue
-        self.camera = camera
-        self.algorithm = algorithm
-        self.tile_map = tile_map
-
-    def init(self, ctx: FilterContext) -> None:
-        """Per-unit-of-work set-up (see Filter.init)."""
-        if self.algorithm == "zbuffer":
-            self._raster = RasterZFilter(self.camera, tile_map=self.tile_map)
-        else:
-            self._raster = RasterAPFilter(self.camera, tile_map=self.tile_map)
-        self._raster.init(ctx)
-        # Latched per cycle, like the raster camera: one isovalue per
-        # unit of work, stable across all of the cycle's chunks.
-        self._active_iso = _uow_get(ctx, "isovalue", self.isovalue)
-
-    def handle(self, ctx: FilterContext, buffer: DataBuffer) -> None:
-        """Process one input buffer (see Filter.handle)."""
-        payload: ChunkPayload = buffer.payload
-        tris = extract_triangles(
-            payload.scalars,
-            self._active_iso,
-            origin=_chunk_world_origin(payload.chunk),
-        )
-        if len(tris) == 0:
-            return
-        inner = DataBuffer(
-            len(tris) * TRIANGLE_BYTES, TrianglePayload(tris), tags=dict(buffer.tags)
-        )
-        self._raster.handle(ctx, inner)
-
-    def flush(self, ctx: FilterContext) -> None:
-        """End-of-work processing (see Filter.flush)."""
-        self._raster.flush(ctx)
-
-    def finalize(self, ctx: FilterContext) -> None:
-        """Release per-unit-of-work resources (see Filter.finalize)."""
-        self._raster.finalize(ctx)
-
-
-class ReadExtractRasterFilter(Filter):
-    """RERa: the fully combined single-filter configuration."""
-
-    def __init__(
-        self,
-        dataset: ParSSimDataset,
-        storage: StorageMap,
-        timestep: int,
-        isovalue: float,
-        camera: Camera,
-        algorithm: str = "active",
-        species: int = 0,
-        tile_map=None,
-    ):
-        if algorithm not in ("zbuffer", "active"):
-            raise DataError(f"algorithm must be 'zbuffer' or 'active', got {algorithm!r}")
-        self.dataset = dataset
-        self.storage = storage
-        self.timestep = timestep
-        self.species = species
-        self.isovalue = isovalue
-        self.camera = camera
-        self.algorithm = algorithm
-        self.tile_map = tile_map
-
-    def init(self, ctx: FilterContext) -> None:
-        """Per-unit-of-work set-up (see Filter.init)."""
-        if self.algorithm == "zbuffer":
-            self._raster = RasterZFilter(self.camera, tile_map=self.tile_map)
-        else:
-            self._raster = RasterAPFilter(self.camera, tile_map=self.tile_map)
-        self._raster.init(ctx)
-
-    def flush(self, ctx: FilterContext) -> None:
-        """End-of-work processing (see Filter.flush)."""
-        timestep = _uow_get(ctx, "timestep", self.timestep)
-        species = _uow_get(ctx, "species", self.species)
-        isovalue = _uow_get(ctx, "isovalue", self.isovalue)
-        for data_file, _disk in _copy_files(self.storage, ctx):
-            for chunk in data_file.chunks:
-                scalars = self.dataset.chunk_field(chunk, timestep, species)
-                tris = extract_triangles(
-                    scalars, isovalue, origin=_chunk_world_origin(chunk)
-                )
-                if len(tris) == 0:
-                    continue
-                inner = DataBuffer(
-                    len(tris) * TRIANGLE_BYTES,
-                    TrianglePayload(tris),
-                    tags={"chunk": chunk.chunk_id},
-                )
-                self._raster.handle(ctx, inner)
-        self._raster.flush(ctx)
-
-    def finalize(self, ctx: FilterContext) -> None:
-        """Release per-unit-of-work resources (see Filter.finalize)."""
-        self._raster.finalize(ctx)
+def merge_filter(algorithm: str, width: int, height: int) -> Filter:
+    """The M part for ``algorithm`` (z-buffer or active pixel)."""
+    check_algorithm(algorithm, DataError)
+    cls = MergeZFilter if algorithm == "zbuffer" else MergeAPFilter
+    return cls(width, height)

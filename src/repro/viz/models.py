@@ -1,17 +1,21 @@
 """Simulated cost/behaviour models of the isosurface filters.
 
 Each model mirrors one real filter in :mod:`repro.viz.filters`: it prices
-per-buffer work in reference core-seconds and emits buffers with the same
-counts/sizes the real filter would.  The constants in :class:`CostParams`
-are calibrated so that, on a reference (Rogue) node with the 1.5 GB dataset
-and a 2048x2048 image, the per-filter totals land near the paper's Table 2
-(R 0.7 s, E 1.7 s, Ra ~9-12 s, M ~0.7-0.9 s).
+work in reference core-seconds and emits buffers with the same
+counts/sizes the real filter would.  R, E and Ra are
+:class:`~repro.core.fuse.StageModel` parts — written over *logical units*
+(a chunk's voxels, a chunk's triangles, a batch of pixel entries), so the
+same definition prices the stage alone and inside a fused RE / ERa / RERa
+stage built by :func:`~repro.core.fuse.fuse_models`.  The constants in
+:class:`CostParams` are calibrated so that, on a reference (Rogue) node
+with the 1.5 GB dataset and a 2048x2048 image, the per-filter totals land
+near the paper's Table 2 (R 0.7 s, E 1.7 s, Ra ~9-12 s, M ~0.7-0.9 s).
 
 Buffer-flow fidelity (Table 1 semantics):
 
 - Read emits each chunk's voxels in fixed-size buffers;
 - Extract emits its output buffer *when full or when the current input
-  buffer is fully processed* — so triangle buffers are mostly partial;
+  unit is fully processed* — so triangle buffers are mostly partial;
 - z-buffer Raster emits nothing until end-of-work, then the whole
   ``W*H*8``-byte buffer in fixed slabs;
 - active-pixel Raster emits WPA buffers continuously (12 bytes/entry);
@@ -23,8 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.configurations import check_algorithm
 from repro.core.buffer import DataBuffer, chunk_bytes
-from repro.core.filter import FilterContext, SimFilter, SimSource, SourceItem
+from repro.core.filter import FilterContext, SimFilter
+from repro.core.fuse import StageModel, Unit
 from repro.data.storage import StorageMap
 from repro.errors import ConfigurationError
 from repro.viz.active_pixel import WPA_ENTRY_BYTES
@@ -39,12 +45,10 @@ __all__ = [
     "ExtractModel",
     "RasterZBModel",
     "RasterAPModel",
+    "raster_model",
     "MergeModel",
     "TileMergeModel",
     "TileGatherModel",
-    "ReadExtractSourceModel",
-    "ExtractRasterModel",
-    "ReadExtractRasterSourceModel",
 ]
 
 
@@ -88,20 +92,27 @@ class BufferSizes:
                 raise ConfigurationError(f"buffer size {field_name} must be >= 1")
 
 
-def _split_counts(total: int, weights: list[int]) -> list[int]:
-    """Split ``total`` items proportionally to ``weights`` (exact sum)."""
+def _split_counts(total: int, weights: list[float]) -> list[int]:
+    """Split ``total`` items proportionally to ``weights``.
+
+    Largest remainder: every share is the floor of its exact quota, and
+    the items left over go to the largest fractional parts (earlier
+    weights first on a tie) — so the shares are non-negative and sum to
+    ``total`` whatever the ratio of items to weights.
+    """
     wsum = sum(weights)
     if wsum == 0:
         out = [0] * len(weights)
         if out:
             out[-1] = total
         return out
-    out, acc = [], 0
-    for w in weights[:-1]:
-        share = int(round(total * w / wsum))
-        out.append(share)
-        acc += share
-    out.append(total - acc)
+    quotas = [total * w / wsum for w in weights]
+    out = [int(q) for q in quotas]
+    left = total - sum(out)
+    if left:
+        by_fraction = sorted(range(len(out)), key=lambda i: (out[i] - quotas[i], i))
+        for i in by_fraction[:left]:
+            out[i] += 1
     return out
 
 
@@ -156,7 +167,7 @@ def _emit_ap_tiled(entries: int, cap: int, tile_map) -> list[DataBuffer]:
     out: list[DataBuffer] = []
     shares = _split_counts(entries, [t.pixels for t in tile_map.tiles])
     for tile, share in zip(tile_map.tiles, shares):
-        if share <= 0:
+        if share == 0:
             continue
         out.extend(
             _tag_tiles(
@@ -169,16 +180,20 @@ def _emit_ap_tiled(entries: int, cap: int, tile_map) -> list[DataBuffer]:
     return out
 
 
-class ReadSourceModel(SimSource):
+class ReadSourceModel(StageModel):
     """R: read this copy's declustered files, emit voxel buffers.
 
-    Buffers are *packed across chunk boundaries* within a file ("a buffer
-    contains a subset of voxels in the dataset"): voxel data accumulates
-    until the fixed buffer size is reached, with a partial buffer flushed
-    at each file boundary.  This reproduces Table 1's buffer count — at
-    full scale, ~39 MB of voxels in 88 KiB buffers is the paper's ~443
-    R->E buffers — rather than one buffer per (small) chunk.
+    The logical unit is one chunk.  Alone, R packs voxel buffers *across
+    chunk boundaries* within a file ("a buffer contains a subset of voxels
+    in the dataset"): voxel data accumulates until the fixed buffer size
+    is reached, with a partial buffer flushed at each file boundary.  This
+    reproduces Table 1's buffer count — at full scale, ~39 MB of voxels in
+    88 KiB buffers is the paper's ~443 R->E buffers — rather than one
+    buffer per (small) chunk.  Fused, the chunk goes to the next part
+    whole and nothing is packed.
     """
+
+    source = True
 
     def __init__(
         self,
@@ -193,83 +208,105 @@ class ReadSourceModel(SimSource):
         self.timestep = timestep
         self.costs = costs
         self.buffers = buffers
+        self._pend_bytes = self._pend_voxels = self._pend_tris = 0
 
-    def items(self, ctx: FilterContext):
-        """Yield this copy's source work items (see SimSource)."""
-        cap = self.buffers.read
+    def units(self, ctx: FilterContext):
+        """One unit per chunk of this copy's files (see StageModel.units)."""
         files = self.storage.files_on(ctx.host)
         for data_file, disk in files[ctx.copy_index :: ctx.copies_on_host]:
-            pend_bytes = pend_voxels = pend_tris = 0
             last = len(data_file.chunks) - 1
             for i, chunk in enumerate(data_file.chunks):
-                pend_bytes += chunk.nbytes
-                pend_voxels += chunk.points
-                pend_tris += self.profile.triangles(self.timestep, chunk.chunk_id)
-                outs: list[DataBuffer] = []
-                while pend_bytes >= cap:
-                    vox = int(round(pend_voxels * cap / pend_bytes))
-                    tri = int(round(pend_tris * cap / pend_bytes))
-                    outs.append(
-                        DataBuffer(cap, tags={"voxels": vox, "triangles": tri})
+                yield chunk.nbytes, disk, i > 0, {
+                    "bytes": chunk.nbytes,
+                    "voxels": chunk.points,
+                    "triangles": self.profile.triangles(
+                        self.timestep, chunk.chunk_id
+                    ),
+                    "file_end": i == last,
+                }
+
+    def step(self, unit: Unit, cost: float):
+        """Price one chunk; it flows on whole (see StageModel.step)."""
+        return cost + unit["bytes"] * self.costs.read_per_byte, unit
+
+    def packets(self, unit: Unit) -> list[DataBuffer]:
+        """Voxel buffers completed by this chunk (see StageModel.packets)."""
+        cap = self.buffers.read
+        self._pend_bytes += unit["bytes"]
+        self._pend_voxels += unit["voxels"]
+        self._pend_tris += unit["triangles"]
+        outs: list[DataBuffer] = []
+        while self._pend_bytes >= cap:
+            vox = int(round(self._pend_voxels * cap / self._pend_bytes))
+            tri = int(round(self._pend_tris * cap / self._pend_bytes))
+            outs.append(DataBuffer(cap, tags={"voxels": vox, "triangles": tri}))
+            self._pend_bytes -= cap
+            self._pend_voxels -= vox
+            self._pend_tris -= tri
+        if unit["file_end"]:
+            if self._pend_bytes > 0:
+                # Partial buffer at the file boundary.
+                outs.append(
+                    DataBuffer(
+                        self._pend_bytes,
+                        tags={
+                            "voxels": self._pend_voxels,
+                            "triangles": self._pend_tris,
+                        },
                     )
-                    pend_bytes -= cap
-                    pend_voxels -= vox
-                    pend_tris -= tri
-                if i == last and pend_bytes > 0:
-                    # Partial buffer at the file boundary.
-                    outs.append(
-                        DataBuffer(
-                            pend_bytes,
-                            tags={"voxels": pend_voxels, "triangles": pend_tris},
-                        )
-                    )
-                    pend_bytes = pend_voxels = pend_tris = 0
-                yield SourceItem(
-                    read_bytes=chunk.nbytes,
-                    disk_index=disk,
-                    cpu=chunk.nbytes * self.costs.read_per_byte,
-                    sequential=i > 0,
-                    outputs=outs,
                 )
+            self._pend_bytes = self._pend_voxels = self._pend_tris = 0
+        return outs
 
 
-class ExtractModel(SimFilter):
-    """E: marching cubes cost; emits triangle buffers per input buffer."""
+class ExtractModel(StageModel):
+    """E: marching cubes cost; emits triangle buffers per input unit."""
 
     def __init__(self, costs: CostParams, buffers: BufferSizes):
         self.costs = costs
         self.buffers = buffers
+        # One input voxel buffer plus one output triangle buffer.
+        self.input_buffer_bytes = buffers.read
+        self.output_buffer_bytes = buffers.triangles
 
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer`` (reference core-seconds)."""
-        voxels = buffer.tags.get("voxels", 0)
-        tris = buffer.tags.get("triangles", 0)
-        return (
-            voxels * self.costs.extract_per_voxel
-            + tris * self.costs.extract_per_triangle
-        )
+    def step(self, unit: Unit, cost: float):
+        """Price one voxel unit; emit its triangles (see StageModel.step)."""
+        tris = unit.get("triangles", 0)
+        cost += unit.get("voxels", 0) * self.costs.extract_per_voxel
+        cost += tris * self.costs.extract_per_triangle
+        return cost, {"triangles": tris}
 
-    def react(self, buffer: DataBuffer):
-        """Buffers emitted in response to ``buffer``."""
-        tris = buffer.tags.get("triangles", 0)
+    def packets(self, unit: Unit) -> list[DataBuffer]:
+        """Triangle buffers of one emitted unit (see StageModel.packets)."""
+        tris = unit["triangles"]
         return _emit_stream_buffers(
             tris * TRIANGLE_BYTES, self.buffers.triangles, triangles=tris
         )
 
-    def memory_bytes(self) -> int:
-        # One input voxel buffer plus one output triangle buffer.
-        """Estimated resident memory of one copy."""
-        return self.buffers.read + self.buffers.triangles
 
+class _RasterModel(StageModel):
+    """Shared raster arithmetic.
 
-class _RasterCost:
-    """Shared raster arithmetic."""
+    Placed as a sink (the image-partitioned pipelines, no Merge) a raster
+    emits nothing and reports the triangles it drew as its ``result``.
+    """
 
-    def __init__(self, costs: CostParams, width: int, height: int):
+    def __init__(
+        self,
+        costs: CostParams,
+        buffers: BufferSizes,
+        width: int,
+        height: int,
+        tile_map=None,
+    ):
         self.costs = costs
+        self.buffers = buffers
         self.width = width
         self.height = height
+        self.tile_map = tile_map
         self.frag_per_tri = costs.fragments_per_triangle(width, height)
+        self.input_buffer_bytes = buffers.triangles
+        self.triangles = 0
 
     def triangle_cost(self, tris: int) -> float:
         """Transform + fill cost of ``tris`` triangles."""
@@ -280,84 +317,84 @@ class _RasterCost:
         """Winning-pixel entries generated by ``tris`` triangles."""
         return int(math.ceil(tris * self.frag_per_tri * self.costs.ap_entry_ratio))
 
+    def cost(self, buffer: DataBuffer) -> float:
+        """CPU cost of processing ``buffer`` (reference core-seconds)."""
+        self.triangles += buffer.tags.get("triangles", 0)
+        return super().cost(buffer)
 
-class RasterZBModel(SimFilter):
+    def result(self):
+        """Final value exposed by a raster placed as a sink."""
+        return {"triangles": self.triangles}
+
+
+class RasterZBModel(_RasterModel):
     """Ra (z-buffer): accumulate; flush the whole buffer in fixed slabs."""
 
-    def __init__(
-        self,
-        costs: CostParams,
-        buffers: BufferSizes,
-        width: int,
-        height: int,
-        tile_map=None,
-    ):
-        self._r = _RasterCost(costs, width, height)
-        self.buffers = buffers
-        self.costs = costs
-        self.tile_map = tile_map
+    def step(self, unit: Unit, cost: float):
+        """Price one triangle unit; nothing is emitted before end-of-work."""
+        return cost + self.triangle_cost(unit.get("triangles", 0)), None
 
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer`` (reference core-seconds)."""
-        return self._r.triangle_cost(buffer.tags.get("triangles", 0))
+    def flush_step(self, cost: float):
+        """Serialise the whole z-buffer (see StageModel.flush_step)."""
+        cost += self._zb_bytes() * self.costs.zb_send_per_byte
+        return cost, {"entries": self.width * self.height}
 
-    def flush_cost(self) -> float:
-        """CPU cost of end-of-work processing."""
-        return self._zb_bytes() * self.costs.zb_send_per_byte
-
-    def flush_outputs(self):
-        """Buffers emitted at end-of-work."""
+    def packets(self, unit: Unit) -> list[DataBuffer]:
+        """Dense slabs, whole-viewport or per tile (see StageModel.packets)."""
         if self.tile_map is not None:
             return _emit_zb_tiled(self.buffers.zbuffer_slab, self.tile_map)
-        entries = self._r.width * self._r.height
         return _emit_stream_buffers(
-            self._zb_bytes(), self.buffers.zbuffer_slab, entries=entries
+            self._zb_bytes(), self.buffers.zbuffer_slab, entries=unit["entries"]
         )
 
-    def memory_bytes(self) -> int:
+    def accumulator_bytes(self) -> int:
+        """Resident state of one copy (see StageModel.accumulator_bytes)."""
         # The full z-buffer accumulator dominates (paper Section 3.1.2).
-        """Estimated resident memory of one copy."""
-        return self._zb_bytes() + self.buffers.triangles
+        return self._zb_bytes()
 
     def _zb_bytes(self) -> int:
-        return self._r.width * self._r.height * ZBUFFER_ENTRY_BYTES
+        return self.width * self.height * ZBUFFER_ENTRY_BYTES
 
 
-class RasterAPModel(SimFilter):
+class RasterAPModel(_RasterModel):
     """Ra (active pixel): stream WPA buffers as inputs are processed."""
 
-    def __init__(
-        self,
-        costs: CostParams,
-        buffers: BufferSizes,
-        width: int,
-        height: int,
-        tile_map=None,
-    ):
-        self._r = _RasterCost(costs, width, height)
-        self.buffers = buffers
-        self.costs = costs
-        self.tile_map = tile_map
+    def step(self, unit: Unit, cost: float):
+        """Price one triangle unit; emit its winning-pixel entries."""
+        tris = unit.get("triangles", 0)
+        entries = self.ap_entries(tris)
+        cost += self.triangle_cost(tris)
+        cost += entries * self.costs.ap_per_entry
+        return cost, {"entries": entries}
 
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer`` (reference core-seconds)."""
-        tris = buffer.tags.get("triangles", 0)
-        return self._r.triangle_cost(tris) + self._r.ap_entries(tris) * self.costs.ap_per_entry
-
-    def react(self, buffer: DataBuffer):
-        """Buffers emitted in response to ``buffer``."""
-        entries = self._r.ap_entries(buffer.tags.get("triangles", 0))
+    def packets(self, unit: Unit) -> list[DataBuffer]:
+        """WPA buffers, whole-viewport or per tile (see StageModel.packets)."""
+        entries = unit["entries"]
         if self.tile_map is not None:
             return _emit_ap_tiled(entries, self.buffers.wpa, self.tile_map)
         return _emit_stream_buffers(
             entries * WPA_ENTRY_BYTES, self.buffers.wpa, entries=entries
         )
 
-    def memory_bytes(self) -> int:
+    def accumulator_bytes(self) -> int:
+        """Resident state of one copy (see StageModel.accumulator_bytes)."""
         # One open WPA buffer plus a scanline index (paper: MSA of the
         # screen's x-resolution) — the "better use of system memory".
-        """Estimated resident memory of one copy."""
-        return self.buffers.wpa + self._r.width * 4 + self.buffers.triangles
+        return self.buffers.wpa + self.width * 4
+
+
+def raster_model(
+    algorithm: str,
+    costs: CostParams,
+    buffers: BufferSizes,
+    width: int,
+    height: int,
+    tile_map=None,
+) -> _RasterModel:
+    """The Ra part for ``algorithm`` (z-buffer or active pixel)."""
+    check_algorithm(algorithm)
+    cls = RasterZBModel if algorithm == "zbuffer" else RasterAPModel
+    return cls(costs, buffers, width, height, tile_map=tile_map)
 
 
 class MergeModel(SimFilter):
@@ -368,10 +405,7 @@ class MergeModel(SimFilter):
     """
 
     def __init__(self, costs: CostParams, algorithm: str, width: int = 0, height: int = 0):
-        if algorithm not in ("zbuffer", "active"):
-            raise ConfigurationError(
-                f"algorithm must be 'zbuffer' or 'active', got {algorithm!r}"
-            )
+        check_algorithm(algorithm)
         self.costs = costs
         self.algorithm = algorithm
         self.width = width
@@ -418,10 +452,7 @@ class TileMergeModel(SimFilter):
     """
 
     def __init__(self, costs: CostParams, algorithm: str, tile_map):
-        if algorithm not in ("zbuffer", "active"):
-            raise ConfigurationError(
-                f"algorithm must be 'zbuffer' or 'active', got {algorithm!r}"
-            )
+        check_algorithm(algorithm)
         self.costs = costs
         self.algorithm = algorithm
         self.tile_map = tile_map
@@ -506,201 +537,3 @@ class TileGatherModel(SimFilter):
     def memory_bytes(self) -> int:
         """Estimated resident memory: the assembled RGB image."""
         return self.width * self.height * 3
-
-
-class ReadExtractSourceModel(SimSource):
-    """RE: read + extract combined; emits triangle buffers."""
-
-    def __init__(
-        self,
-        profile: DatasetProfile,
-        storage: StorageMap,
-        timestep: int,
-        costs: CostParams,
-        buffers: BufferSizes,
-    ):
-        self.profile = profile
-        self.storage = storage
-        self.timestep = timestep
-        self.costs = costs
-        self.buffers = buffers
-
-    def items(self, ctx: FilterContext):
-        """Yield this copy's source work items (see SimSource)."""
-        files = self.storage.files_on(ctx.host)
-        for data_file, disk in files[ctx.copy_index :: ctx.copies_on_host]:
-            for i, chunk in enumerate(data_file.chunks):
-                tris = self.profile.triangles(self.timestep, chunk.chunk_id)
-                cpu = (
-                    chunk.nbytes * self.costs.read_per_byte
-                    + chunk.points * self.costs.extract_per_voxel
-                    + tris * self.costs.extract_per_triangle
-                )
-                outs = _emit_stream_buffers(
-                    tris * TRIANGLE_BYTES, self.buffers.triangles, triangles=tris
-                )
-                yield SourceItem(
-                    read_bytes=chunk.nbytes, disk_index=disk, cpu=cpu,
-                    sequential=i > 0, outputs=outs,
-                )
-
-
-class ExtractRasterModel(SimFilter):
-    """ERa: extract + raster combined, consuming voxel buffers."""
-
-    def __init__(
-        self,
-        costs: CostParams,
-        buffers: BufferSizes,
-        width: int,
-        height: int,
-        algorithm: str,
-        tile_map=None,
-    ):
-        if algorithm not in ("zbuffer", "active"):
-            raise ConfigurationError(
-                f"algorithm must be 'zbuffer' or 'active', got {algorithm!r}"
-            )
-        self.algorithm = algorithm
-        self.costs = costs
-        self.buffers = buffers
-        self.tile_map = tile_map
-        self._r = _RasterCost(costs, width, height)
-
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer`` (reference core-seconds)."""
-        voxels = buffer.tags.get("voxels", 0)
-        tris = buffer.tags.get("triangles", 0)
-        total = (
-            voxels * self.costs.extract_per_voxel
-            + tris * self.costs.extract_per_triangle
-            + self._r.triangle_cost(tris)
-        )
-        if self.algorithm == "active":
-            total += self._r.ap_entries(tris) * self.costs.ap_per_entry
-        return total
-
-    def react(self, buffer: DataBuffer):
-        """Buffers emitted in response to ``buffer``."""
-        if self.algorithm == "zbuffer":
-            return ()
-        entries = self._r.ap_entries(buffer.tags.get("triangles", 0))
-        if self.tile_map is not None:
-            return _emit_ap_tiled(entries, self.buffers.wpa, self.tile_map)
-        return _emit_stream_buffers(
-            entries * WPA_ENTRY_BYTES, self.buffers.wpa, entries=entries
-        )
-
-    def flush_cost(self) -> float:
-        """CPU cost of end-of-work processing."""
-        if self.algorithm == "zbuffer":
-            return self._zb_bytes() * self.costs.zb_send_per_byte
-        return 0.0
-
-    def flush_outputs(self):
-        """Buffers emitted at end-of-work."""
-        if self.algorithm != "zbuffer":
-            return ()
-        if self.tile_map is not None:
-            return _emit_zb_tiled(self.buffers.zbuffer_slab, self.tile_map)
-        return _emit_stream_buffers(
-            self._zb_bytes(),
-            self.buffers.zbuffer_slab,
-            entries=self._r.width * self._r.height,
-        )
-
-    def memory_bytes(self) -> int:
-        """Estimated resident memory of one copy."""
-        if self.algorithm == "zbuffer":
-            return self._zb_bytes() + self.buffers.read
-        return self.buffers.wpa + self._r.width * 4 + self.buffers.read
-
-    def _zb_bytes(self) -> int:
-        return self._r.width * self._r.height * ZBUFFER_ENTRY_BYTES
-
-
-class ReadExtractRasterSourceModel(SimSource):
-    """RERa: the whole per-node pipeline in one source filter."""
-
-    def __init__(
-        self,
-        profile: DatasetProfile,
-        storage: StorageMap,
-        timestep: int,
-        costs: CostParams,
-        buffers: BufferSizes,
-        width: int,
-        height: int,
-        algorithm: str,
-        tile_map=None,
-    ):
-        if algorithm not in ("zbuffer", "active"):
-            raise ConfigurationError(
-                f"algorithm must be 'zbuffer' or 'active', got {algorithm!r}"
-            )
-        self.profile = profile
-        self.storage = storage
-        self.timestep = timestep
-        self.costs = costs
-        self.buffers = buffers
-        self.algorithm = algorithm
-        self.tile_map = tile_map
-        self._r = _RasterCost(costs, width, height)
-
-    def items(self, ctx: FilterContext):
-        """Yield this copy's source work items (see SimSource)."""
-        files = self.storage.files_on(ctx.host)
-        for data_file, disk in files[ctx.copy_index :: ctx.copies_on_host]:
-            for i, chunk in enumerate(data_file.chunks):
-                tris = self.profile.triangles(self.timestep, chunk.chunk_id)
-                cpu = (
-                    chunk.nbytes * self.costs.read_per_byte
-                    + chunk.points * self.costs.extract_per_voxel
-                    + tris * self.costs.extract_per_triangle
-                    + self._r.triangle_cost(tris)
-                )
-                outs: list[DataBuffer] = []
-                if self.algorithm == "active":
-                    entries = self._r.ap_entries(tris)
-                    cpu += entries * self.costs.ap_per_entry
-                    if self.tile_map is not None:
-                        outs = _emit_ap_tiled(
-                            entries, self.buffers.wpa, self.tile_map
-                        )
-                    else:
-                        outs = _emit_stream_buffers(
-                            entries * WPA_ENTRY_BYTES,
-                            self.buffers.wpa,
-                            entries=entries,
-                        )
-                yield SourceItem(
-                    read_bytes=chunk.nbytes, disk_index=disk, cpu=cpu,
-                    sequential=i > 0, outputs=outs,
-                )
-
-    def flush_cost(self) -> float:
-        """CPU cost of end-of-work processing."""
-        if self.algorithm == "zbuffer":
-            return self._zb_bytes() * self.costs.zb_send_per_byte
-        return 0.0
-
-    def flush_outputs(self):
-        """Buffers emitted at end-of-work."""
-        if self.algorithm != "zbuffer":
-            return ()
-        if self.tile_map is not None:
-            return _emit_zb_tiled(self.buffers.zbuffer_slab, self.tile_map)
-        return _emit_stream_buffers(
-            self._zb_bytes(),
-            self.buffers.zbuffer_slab,
-            entries=self._r.width * self._r.height,
-        )
-
-    def _zb_bytes(self) -> int:
-        return self._r.width * self._r.height * ZBUFFER_ENTRY_BYTES
-
-    def memory_bytes(self) -> int:
-        """Estimated resident memory of one copy."""
-        if self.algorithm == "zbuffer":
-            return self._zb_bytes()
-        return self.buffers.wpa + self._r.width * 4

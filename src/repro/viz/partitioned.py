@@ -5,18 +5,21 @@ Merge filter becomes a bottleneck and propose an alternative: "partition
 the image space into subregions among the raster filters, thus eliminating
 the merge filter.  However, this will cause load imbalance among raster
 filters if the amount of data for each subregion is not the same."  This
-module implements that design so the trade-off can be measured
-(``benchmarks/test_ablation_image_partition.py``):
+module builds that design from the ordinary stage parts so the trade-off
+can be measured (``benchmarks/test_ablation_image_partition.py``):
 
-- the screen is divided into vertical strips, one per raster filter;
-- extraction routes each triangle to every strip its projection overlaps
-  (a triangle spanning a boundary is drawn by both owners; each crops to
-  its own strip, so the assembled image is exact);
-- each strip owner rasterises into its own buffer; there is no Merge.
+- the screen is a :class:`~repro.core.tiles.TileMap` of column tiles, one
+  owner each (``TileMap.grid(width, height, regions, 1)``);
+- the source stage is ``fuse(R, E, route)``: the route part sends each
+  triangle to every tile its projection overlaps (a triangle spanning a
+  boundary is drawn by both owners; each keeps only its own columns, so
+  the assembled image is exact), tagged for the ``TileRouted`` policy;
+- ``Ra`` is the ordinary raster part placed as a *sink*, one single-copy
+  set per owner in owner order; there is no Merge.
 
-Real filters (threaded engine) and cost models (simulated engine) are both
-provided; ``assemble_strips`` rebuilds the full image for correctness
-checks against the merge-based pipeline.
+:func:`build_partitioned_graph` carries cost models and — given a dataset
+— real factories; ``assemble_strips`` rebuilds the full image for
+correctness checks against the merge-based pipeline.
 """
 
 from __future__ import annotations
@@ -24,239 +27,128 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.buffer import DataBuffer
-from repro.core.filter import Filter, FilterContext, SimFilter, SimSource, SourceItem
+from repro.core.filter import Filter, FilterContext
+from repro.core.fuse import StageModel, Unit, fuse, fuse_models
 from repro.core.graph import FilterGraph
-from repro.data.parssim import ParSSimDataset
+from repro.core.tiles import TileMap
 from repro.data.storage import StorageMap
 from repro.errors import ConfigurationError
 from repro.viz.camera import Camera
 from repro.viz.filters import (
     TRIANGLE_BYTES,
+    ExtractFilter,
+    ReadFilter,
+    RenderResult,
     TrianglePayload,
-    _chunk_world_origin,
-    _copy_files,
+    raster_filter,
 )
-from repro.viz.marching_cubes import extract_triangles
-from repro.viz.models import BufferSizes, CostParams, _emit_stream_buffers, _RasterCost
+from repro.viz.models import (
+    BufferSizes,
+    CostParams,
+    ExtractModel,
+    ReadSourceModel,
+    _emit_stream_buffers,
+    _split_counts,
+    _tag_tiles,
+    raster_model,
+)
 from repro.viz.profile import DatasetProfile
-from repro.viz.raster import ZBuffer
-from repro.viz.shading import shade_triangles
 
 __all__ = [
-    "x_strips",
-    "region_stream",
-    "PartitionedReadExtractFilter",
-    "StripRasterFilter",
+    "StripRouteFilter",
+    "StripRouteModel",
     "assemble_strips",
-    "PartitionedReadExtractSourceModel",
-    "StripRasterSinkModel",
     "build_partitioned_graph",
 ]
 
 
-def x_strips(width: int, regions: int) -> list[tuple[int, int]]:
-    """Split ``width`` pixels into ``regions`` contiguous [x0, x1) strips."""
-    if regions < 1:
-        raise ConfigurationError(f"regions must be >= 1, got {regions}")
-    if width < regions:
-        raise ConfigurationError(f"{regions} strips need >= {regions} pixels")
-    bounds = [round(i * width / regions) for i in range(regions + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(regions)]
+class StripRouteFilter(Filter):
+    """Route triangles to the owners of the tiles their x-extent overlaps."""
 
-
-def region_stream(region: int) -> str:
-    """Name of the stream feeding strip ``region``'s raster filter."""
-    return f"to_Ra{region}"
-
-
-# --------------------------------------------------------------------------
-# Real filters (threaded engine)
-# --------------------------------------------------------------------------
-class PartitionedReadExtractFilter(Filter):
-    """RE that routes triangles to strip owners by projected x-extent."""
-
-    def __init__(
-        self,
-        dataset: ParSSimDataset,
-        storage: StorageMap,
-        timestep: int,
-        isovalue: float,
-        camera: Camera,
-        strips: list[tuple[int, int]],
-        species: int = 0,
-    ):
-        self.dataset = dataset
-        self.storage = storage
-        self.timestep = timestep
-        self.species = species
-        self.isovalue = isovalue
+    def __init__(self, camera: Camera, tile_map: TileMap):
         self.camera = camera
-        self.strips = strips
-
-    def flush(self, ctx: FilterContext) -> None:
-        """End-of-work processing (see Filter.flush)."""
-        for data_file, _disk in _copy_files(self.storage, ctx):
-            for chunk in data_file.chunks:
-                scalars = self.dataset.chunk_field(
-                    chunk, self.timestep, self.species
-                )
-                tris = extract_triangles(
-                    scalars, self.isovalue, origin=_chunk_world_origin(chunk)
-                )
-                if len(tris) == 0:
-                    continue
-                screen, kept = self.camera.project_and_cull(tris)
-                world = tris[kept]
-                if len(world) == 0:
-                    continue
-                xmin = screen[:, :, 0].min(axis=1)
-                xmax = screen[:, :, 0].max(axis=1)
-                for region, (x0, x1) in enumerate(self.strips):
-                    overlap = (xmax >= x0) & (xmin < x1)
-                    if not overlap.any():
-                        continue
-                    subset = world[overlap]
-                    ctx.write(
-                        DataBuffer(
-                            len(subset) * TRIANGLE_BYTES,
-                            TrianglePayload(subset),
-                            tags={"chunk": chunk.chunk_id},
-                        ),
-                        stream=region_stream(region),
-                    )
-
-
-class StripRasterFilter(Filter):
-    """A raster filter owning one vertical strip of the image.
-
-    A sink: there is no Merge filter.  ``result`` returns the strip bounds
-    and the cropped image region.
-    """
-
-    def __init__(self, camera: Camera, strip: tuple[int, int]):
-        self.camera = camera
-        self.strip = strip
-
-    def init(self, ctx: FilterContext) -> None:
-        """Per-unit-of-work set-up (see Filter.init)."""
-        self._zbuf = ZBuffer(self.camera.width, self.camera.height)
+        self.tile_map = tile_map
 
     def handle(self, ctx: FilterContext, buffer: DataBuffer) -> None:
         """Process one input buffer (see Filter.handle)."""
-        payload: TrianglePayload = buffer.payload
-        colors = shade_triangles(payload.triangles)
-        screen, kept = self.camera.project_and_cull(payload.triangles)
-        self._zbuf.rasterize(screen, colors[kept])
-
-    def result(self) -> tuple[tuple[int, int], np.ndarray]:
-        """Final value exposed by this sink."""
-        x0, x1 = self.strip
-        return (self.strip, self._zbuf.image()[:, x0:x1].copy())
+        tris = buffer.payload.triangles
+        screen, kept = self.camera.project_and_cull(tris)
+        world = tris[kept]
+        if len(world) == 0:
+            return
+        xmin = screen[:, :, 0].min(axis=1)
+        xmax = screen[:, :, 0].max(axis=1)
+        for tile in self.tile_map.tiles:
+            overlap = (xmax >= tile.x0) & (xmin < tile.x1)
+            if not overlap.any():
+                continue
+            subset = world[overlap]
+            ctx.write(
+                DataBuffer(
+                    len(subset) * TRIANGLE_BYTES,
+                    TrianglePayload(subset),
+                    tags={
+                        **buffer.tags,
+                        "tile": tile.index,
+                        "tile_owner": tile.owner,
+                    },
+                )
+            )
 
 
 def assemble_strips(
-    results: list[tuple[tuple[int, int], np.ndarray]], width: int, height: int
+    results: list[RenderResult], tile_map: TileMap
 ) -> np.ndarray:
-    """Stitch strip images back into the full frame."""
-    image = np.zeros((height, width, 3), dtype=np.uint8)
-    covered = 0
-    for (x0, x1), strip in results:
-        image[:, x0:x1] = strip
-        covered += x1 - x0
-    if covered != width:
+    """Stitch the owners' frames back into the full image.
+
+    ``results`` holds one frame per owner *in owner order* — what the real
+    engines return for ``Ra`` placed as owner-ordered single-copy sets.
+    Each owner's frame is valid on its own tiles only.
+    """
+    if len(results) != tile_map.n_owners:
         raise ConfigurationError(
-            f"strips cover {covered} of {width} image columns"
+            f"{len(results)} strip results for {tile_map.n_owners} owners"
         )
+    image = np.zeros((tile_map.height, tile_map.width, 3), dtype=np.uint8)
+    for tile in tile_map.tiles:
+        image[tile.y0 : tile.y1, tile.x0 : tile.x1] = results[
+            tile.owner
+        ].image[tile.y0 : tile.y1, tile.x0 : tile.x1]
     return image
 
 
-# --------------------------------------------------------------------------
-# Cost models (simulated engine)
-# --------------------------------------------------------------------------
-class PartitionedReadExtractSourceModel(SimSource):
-    """RE source whose triangle output is split across region streams.
+class StripRouteModel(StageModel):
+    """Splits each unit's triangles over the tiles by ``weights``.
 
-    ``region_weights`` sets the share of triangles landing in each strip
-    (the paper's predicted load-imbalance risk); defaults to an even split.
+    The weights are the share of triangles landing in each strip (the
+    paper's predicted load-imbalance risk).  Routing itself is not priced.
     """
 
-    def __init__(
-        self,
-        profile: DatasetProfile,
-        storage: StorageMap,
-        timestep: int,
-        costs: CostParams,
-        buffers: BufferSizes,
-        regions: int,
-        region_weights: list[float] | None = None,
-    ):
-        if regions < 1:
-            raise ConfigurationError(f"regions must be >= 1, got {regions}")
-        weights = region_weights or [1.0] * regions
-        if len(weights) != regions or any(w < 0 for w in weights):
-            raise ConfigurationError("need one non-negative weight per region")
-        total = sum(weights)
-        if total <= 0:
-            raise ConfigurationError("region weights sum to zero")
-        self.profile = profile
-        self.storage = storage
-        self.timestep = timestep
-        self.costs = costs
+    def __init__(self, buffers: BufferSizes, tile_map: TileMap, weights: list[float]):
         self.buffers = buffers
-        self.fractions = [w / total for w in weights]
+        self.tile_map = tile_map
+        self.weights = weights
 
-    def items(self, ctx: FilterContext):
-        """Yield this copy's source work items (see SimSource)."""
-        files = self.storage.files_on(ctx.host)
-        for data_file, disk in files[ctx.copy_index :: ctx.copies_on_host]:
-            for i, chunk in enumerate(data_file.chunks):
-                tris = self.profile.triangles(self.timestep, chunk.chunk_id)
-                cpu = (
-                    chunk.nbytes * self.costs.read_per_byte
-                    + chunk.points * self.costs.extract_per_voxel
-                    + tris * self.costs.extract_per_triangle
-                )
-                outs: list[DataBuffer] = []
-                for region, fraction in enumerate(self.fractions):
-                    share = int(round(tris * fraction))
-                    if share == 0:
-                        continue
-                    for buf in _emit_stream_buffers(
+    def step(self, unit: Unit, cost: float):
+        """The triangles flow on, unpriced (see StageModel.step)."""
+        return cost, unit
+
+    def packets(self, unit: Unit) -> list[DataBuffer]:
+        """Per-tile triangle buffers, tagged for ``TileRouted``."""
+        out: list[DataBuffer] = []
+        shares = _split_counts(unit["triangles"], self.weights)
+        for tile, share in zip(self.tile_map.tiles, shares):
+            out.extend(
+                _tag_tiles(
+                    _emit_stream_buffers(
                         share * TRIANGLE_BYTES,
                         self.buffers.triangles,
                         triangles=share,
-                    ):
-                        buf.tags["stream"] = region_stream(region)
-                        outs.append(buf)
-                yield SourceItem(
-                    read_bytes=chunk.nbytes, disk_index=disk, cpu=cpu,
-                    sequential=i > 0, outputs=outs,
+                    ),
+                    tile,
                 )
-
-
-class StripRasterSinkModel(SimFilter):
-    """Cost model of a strip-owning raster filter (active pixel, no Merge)."""
-
-    def __init__(self, costs: CostParams, width: int, height: int, regions: int):
-        # A strip owner rasterises into its own region; fragments per
-        # triangle are unchanged (the triangle's area is what it is).
-        self._r = _RasterCost(costs, width, height)
-        self.costs = costs
-        self.regions = regions
-        self.triangles = 0
-        self.entries = 0
-
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer`` (reference core-seconds)."""
-        tris = buffer.tags.get("triangles", 0)
-        entries = self._r.ap_entries(tris)
-        self.triangles += tris
-        self.entries += entries
-        return self._r.triangle_cost(tris) + entries * self.costs.ap_per_entry
-
-    def result(self):
-        """Final value exposed by this sink."""
-        return {"triangles": self.triangles, "entries": self.entries}
+            )
+        return out
 
 
 def build_partitioned_graph(
@@ -269,30 +161,55 @@ def build_partitioned_graph(
     costs: CostParams | None = None,
     buffers: BufferSizes | None = None,
     region_weights: list[float] | None = None,
+    dataset: object | None = None,
+    isovalue: float = 0.5,
 ) -> FilterGraph:
-    """Simulated graph: RE source -> one strip raster per region, no Merge."""
+    """``RE`` source -> tile-routed ``Ra`` sinks, one per region, no Merge.
+
+    Place ``Ra`` as ``regions`` single-copy sets in owner order and run
+    the graph with ``policy_overrides={"RE->Ra": "TILE"}``.  With a
+    ``dataset`` (any ``chunk_field`` provider) the graph also carries real
+    factories (z-buffer rasters; see :func:`assemble_strips`).
+    """
     if regions < 1:
         raise ConfigurationError(f"regions must be >= 1, got {regions}")
-    if region_weights is not None:
-        if len(region_weights) != regions or any(w < 0 for w in region_weights):
-            raise ConfigurationError("need one non-negative weight per region")
-        if sum(region_weights) <= 0:
-            raise ConfigurationError("region weights sum to zero")
+    weights = region_weights or [1.0] * regions
+    if len(weights) != regions or any(w < 0 for w in weights):
+        raise ConfigurationError("need one non-negative weight per region")
+    if sum(weights) <= 0:
+        raise ConfigurationError("region weights sum to zero")
     costs = costs or CostParams()
     buffers = buffers or BufferSizes()
+    tile_map = TileMap.grid(width, height, regions, 1)
+    camera = Camera.fit_grid(profile.grid_shape, width=width, height=height)
+    real = dataset is not None
     graph = FilterGraph()
     graph.add_filter(
         "RE",
-        sim_factory=lambda: PartitionedReadExtractSourceModel(
-            profile, storage, timestep, costs, buffers, regions, region_weights
+        factory=(
+            lambda: fuse(
+                ReadFilter(dataset, storage, timestep),
+                ExtractFilter(isovalue),
+                StripRouteFilter(camera, tile_map),
+            )
+        )
+        if real
+        else None,
+        sim_factory=lambda: fuse_models(
+            ReadSourceModel(profile, storage, timestep, costs, buffers),
+            ExtractModel(costs, buffers),
+            StripRouteModel(buffers, tile_map, weights),
         ),
         is_source=True,
     )
-    for region in range(regions):
-        name = f"Ra{region}"
-        graph.add_filter(
-            name,
-            sim_factory=lambda: StripRasterSinkModel(costs, width, height, regions),
-        )
-        graph.connect("RE", name, name=region_stream(region))
+    graph.add_filter(
+        "Ra",
+        factory=(lambda: raster_filter("zbuffer", camera)) if real else None,
+        # A strip owner rasterises into its own region; fragments per
+        # triangle are unchanged (the triangle's area is what it is).
+        sim_factory=lambda: raster_model("active", costs, buffers, width, height),
+        phase_synchronised=True,
+        tile_map=tile_map,
+    )
+    graph.connect("RE", "Ra")
     return graph

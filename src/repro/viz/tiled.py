@@ -35,6 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.configurations import check_algorithm
 from repro.core.buffer import DataBuffer
 from repro.core.filter import Filter, FilterContext
 from repro.core.tiles import Tile, TileMap
@@ -154,10 +155,7 @@ class TileMergeFilter(Filter):
     """
 
     def __init__(self, tile_map: TileMap, algorithm: str = "active"):
-        if algorithm not in ("zbuffer", "active"):
-            raise DataError(
-                f"algorithm must be 'zbuffer' or 'active', got {algorithm!r}"
-            )
+        check_algorithm(algorithm, DataError)
         self.tile_map = tile_map
         self.algorithm = algorithm
 

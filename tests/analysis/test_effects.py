@@ -17,6 +17,7 @@ from repro.analysis import (
     verify_effects,
 )
 from repro.core import DataBuffer, Filter, FilterGraph
+from repro.core.fuse import FusedFilter
 from repro.errors import GraphError
 from repro.viz import filters as real
 from repro.viz import tiled
@@ -33,9 +34,6 @@ VIZ_FILTER_EFFECTS = {
     real.RasterAPFilter: Effect.STATEFUL,  # active-pixel raster state
     real.MergeZFilter: Effect.STATEFUL,  # merge z-buffer + counters
     real.MergeAPFilter: Effect.STATEFUL,
-    real.ReadExtractFilter: Effect.IO,  # reads the chunk store
-    real.ExtractRasterFilter: Effect.STATEFUL,  # fused raster state
-    real.ReadExtractRasterFilter: Effect.IO,  # reads + rasterises
     tiled.TileMergeFilter: Effect.STATEFUL,  # per-tile slab accumulators
     tiled.TileGatherFilter: Effect.STATEFUL,  # assembles the framebuffer
 }
@@ -54,6 +52,46 @@ def test_viz_filter_inference(cls, expected):
     )
     if expected is not Effect.PURE:
         assert summary.reasons, "impure classification must carry evidence"
+
+
+#: The fused stages are not classes but ``fuse(...)`` of the parts above:
+#: stage name -> (configuration that has it, expected effect).
+FUSED_STAGE_EFFECTS = {
+    "RE": ("RE-Ra-M", Effect.IO),  # reads the chunk store
+    "ERa": ("R-ERa-M", Effect.STATEFUL),  # fused raster state
+    "RERa": ("RERa-M", Effect.IO),  # reads + rasterises
+}
+
+
+def fused_stage_graph(stage):
+    """The shipped graph that has fused ``stage``, with real factories."""
+    from repro.data import HostDisks, ParSSimDataset, StorageMap
+    from repro.viz import IsosurfaceApp
+    from repro.viz.profile import DatasetProfile
+
+    dataset = ParSSimDataset((9, 9, 9), timesteps=1, species=1, seed=2)
+    profile = DatasetProfile.measured("fx", dataset, 4, 2, isovalue=0.35)
+    storage = StorageMap.balanced(profile.files, [HostDisks("h0")])
+    app = IsosurfaceApp(
+        profile, storage, width=16, height=16, dataset=dataset, isovalue=0.35
+    )
+    return app.graph(FUSED_STAGE_EFFECTS[stage][0])
+
+
+@pytest.mark.parametrize("stage", sorted(FUSED_STAGE_EFFECTS))
+def test_fused_stage_inference(stage):
+    """A fused stage's effect is the worst of its parts', and the graph
+    declares exactly that."""
+    expected = FUSED_STAGE_EFFECTS[stage][1]
+    spec = fused_stage_graph(stage).filters[stage]
+    fused = spec.factory()
+    assert isinstance(fused, FusedFilter)
+    summaries = [infer_class_effects(type(part)) for part in fused.parts]
+    assert max(s.effect for s in summaries) is expected
+    assert Effect.parse(spec.effects) is expected
+    assert any(s.reasons for s in summaries), (
+        "impure classification must carry evidence"
+    )
 
 
 def test_inference_walks_base_classes():
@@ -196,6 +234,16 @@ def test_certifier_verdict_per_viz_filter(cls):
         assert "E703" in cert.report.rule_ids()
         (diag,) = cert.report.diagnostics
         assert diag.subject == "f"
+
+
+@pytest.mark.parametrize("stage", sorted(FUSED_STAGE_EFFECTS))
+def test_certifier_verdict_per_fused_stage(stage):
+    """No fused stage is pure, so none certifies: E703 names the stage."""
+    cert = certify_memoisable(fused_stage_graph(stage), [stage])
+    assert not cert.ok
+    assert "E703" in cert.report.rule_ids()
+    (diag,) = cert.report.diagnostics
+    assert diag.subject == stage
 
 
 def test_certifier_rejects_unknown_effects_with_e704():

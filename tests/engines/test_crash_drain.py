@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
 from repro.core.buffer import BufferCodec
+from repro.core.fuse import fuse
 from repro.core.policies import make_policy_factory
 from repro.engines import ProcessEngine, ThreadedEngine
 from repro.engines.runtime import Writer
@@ -162,6 +163,43 @@ def test_failure_after_input_closed_does_not_hang(engine_cls, hook, shm_ledger):
     (metrics,) = exc.metrics
     assert metrics.stream_totals("src->sink")[0] == 10
     assert metrics.filter_buffers_in("sink") == 10
+    assert not shm_ledger()
+
+
+@both_engines
+@pytest.mark.parametrize("hook", ["handle", "flush"])
+def test_fused_inner_part_failure_names_the_fused_copy(
+    engine_cls, hook, shm_ledger
+):
+    """A part raising inside a fused stage fails that stage's copy.
+
+    The error names the fused filter's copy and cycle (the parts have no
+    identity of their own), the crash drain runs on the fused copy's
+    queue, and nothing leaks.
+    """
+
+    class Forward(Filter):
+        def handle(self, ctx, buffer):
+            ctx.write(DataBuffer(buffer.nbytes, payload=buffer.payload.copy()))
+
+    def explode(self, *_args):
+        raise RuntimeError(f"inner {hook} exploded")
+
+    inner_cls = type("ExplodingPart", (Forward,), {hook: explode})
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: ArraySource(10), is_source=True)
+    g.add_filter("mid", factory=lambda: fuse(Forward(), inner_cls(), Forward()))
+    g.add_filter("sink", factory=ArraySumSink)
+    g.connect("src", "mid")
+    g.connect("mid", "sink")
+    p = Placement()
+    p.place("src", ["h0"]).place("mid", ["h0"]).place("sink", ["h0"])
+    engine = engine_cls(
+        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
+        queue_capacity=2,
+    )
+    exc = _run_expecting_failure(engine, f"inner {hook} exploded")
+    assert "mid@h0#0 cycle 0" in str(exc)
     assert not shm_ledger()
 
 

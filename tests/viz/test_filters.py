@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.buffer import DataBuffer
 from repro.core.filter import FilterContext
+from repro.core.fuse import fuse
 from repro.data import HostDisks, ParSSimDataset, StorageMap
 from repro.errors import DataError
 from repro.viz.camera import Camera
@@ -12,13 +13,13 @@ from repro.viz.filters import (
     TRIANGLE_BYTES,
     ChunkPayload,
     ExtractFilter,
-    ExtractRasterFilter,
     MergeAPFilter,
     MergeZFilter,
     RasterAPFilter,
     RasterZFilter,
     ReadFilter,
     TrianglePayload,
+    raster_filter,
 )
 from repro.viz.profile import DatasetProfile
 
@@ -168,7 +169,7 @@ def test_extract_raster_filter_validation():
     cam = Camera(eye=(0, 0, 10), target=(0, 0, 0), up=(0, 1, 0),
                  width=8, height=8)
     with pytest.raises(DataError):
-        ExtractRasterFilter(0.5, cam, algorithm="bogus")
+        fuse(ExtractFilter(0.5), raster_filter("bogus", cam))
 
 
 def test_merge_result_before_run_raises():

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.buffer import DataBuffer
+from repro.core.fuse import fuse_models
+from repro.core.tiles import TileMap
 from repro.errors import ConfigurationError
 from repro.viz.active_pixel import WPA_ENTRY_BYTES
 from repro.viz.filters import TRIANGLE_BYTES
@@ -10,12 +12,13 @@ from repro.viz.models import (
     BufferSizes,
     CostParams,
     ExtractModel,
-    ExtractRasterModel,
     MergeModel,
     RasterAPModel,
     RasterZBModel,
+    _emit_ap_tiled,
     _emit_stream_buffers,
     _split_counts,
+    raster_model,
 )
 from repro.viz.raster import ZBUFFER_ENTRY_BYTES
 
@@ -33,6 +36,27 @@ def test_split_counts_proportionality():
 
 def test_split_counts_zero_weights():
     assert sum(_split_counts(10, [0, 0])) == 10
+
+
+def test_split_counts_more_weights_than_items():
+    # Used to over-allocate by rounding every share up and hand the last
+    # weight the (negative) difference: [1, 1, 1, 1, 1, 1, 1, -2].
+    shares = _split_counts(5, [1] * 8)
+    assert sum(shares) == 5
+    assert min(shares) >= 0
+    assert max(shares) == 1
+
+
+@pytest.mark.parametrize("entries", [0, 1, 6, 7, 8, 9, 1000])
+def test_emit_ap_tiled_conserves_entries(entries):
+    # A 6-entry WPA over 8 tiles used to emit 7 entries.
+    tile_map = TileMap.rows(64, 64, 8)
+    bufs = _emit_ap_tiled(entries, 1 << 16, tile_map)
+    assert sum(b.tags["entries"] for b in bufs) == entries
+    assert sum(b.nbytes for b in bufs) == entries * WPA_ENTRY_BYTES
+    assert all(b.tags["entries"] > 0 for b in bufs)
+    for b in bufs:
+        assert b.tags["tile_owner"] == tile_map.tiles[b.tags["tile"]].owner
 
 
 def test_emit_stream_buffers_sizes_and_tags():
@@ -98,8 +122,14 @@ def test_merge_model_cost_per_entry():
 def test_extract_raster_model_zb_vs_ap():
     costs = CostParams()
     buffers = BufferSizes()
-    zb = ExtractRasterModel(costs, buffers, 512, 512, "zbuffer")
-    ap = ExtractRasterModel(costs, buffers, 512, 512, "active")
+    def extract_raster(algorithm):
+        return fuse_models(
+            ExtractModel(costs, buffers),
+            raster_model(algorithm, costs, buffers, 512, 512),
+        )
+
+    zb = extract_raster("zbuffer")
+    ap = extract_raster("active")
     buf = DataBuffer(1000, tags={"voxels": 100, "triangles": 40})
     # AP pays the per-entry cost on top of shared extract+raster work.
     assert ap.cost(buf) > zb.cost(buf)
@@ -109,7 +139,7 @@ def test_extract_raster_model_zb_vs_ap():
     assert sum(b.nbytes for b in zb.flush_outputs()) == 512 * 512 * 8
     assert list(ap.flush_outputs()) == []
     with pytest.raises(ConfigurationError):
-        ExtractRasterModel(costs, buffers, 512, 512, "nope")
+        extract_raster("nope")
 
 
 def test_untagged_buffer_costs_nothing():

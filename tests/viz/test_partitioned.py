@@ -4,35 +4,47 @@ import numpy as np
 import pytest
 
 from repro.core.placement import Placement
+from repro.core.tiles import TileMap
 from repro.data import HostDisks, ParSSimDataset, StorageMap
 from repro.engines import SimulatedEngine, ThreadedEngine
 from repro.errors import ConfigurationError
 from repro.sim import Environment, homogeneous_cluster
-from repro.viz.app import IsosurfaceApp
-from repro.viz.camera import Camera
-from repro.viz.partitioned import (
-    PartitionedReadExtractFilter,
-    StripRasterFilter,
-    assemble_strips,
-    build_partitioned_graph,
-    region_stream,
-    x_strips,
-)
+from repro.viz.app import IsosurfaceApp, owner_hosts
+from repro.viz.filters import RenderResult
+from repro.viz.partitioned import assemble_strips, build_partitioned_graph
 from repro.viz.profile import DatasetProfile
+
+TILE_ROUTED = {"RE->Ra": "TILE"}
+
+
+def small_profile():
+    return DatasetProfile.synthetic(
+        "p", (17, 17, 17), nchunks=8, nfiles=4, timesteps=1,
+        total_triangles=100, seed=0,
+    )
+
+
+def strip_tiles(width, regions):
+    profile = small_profile()
+    storage = StorageMap.balanced(profile.files, [HostDisks("h")])
+    graph = build_partitioned_graph(profile, storage, 0, width, 64, regions)
+    return graph.filters["Ra"].tile_map.tiles
 
 
 def test_x_strips_cover_width_exactly():
-    strips = x_strips(100, 3)
-    assert strips[0][0] == 0
-    assert strips[-1][1] == 100
-    assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
+    strips = strip_tiles(100, 3)
+    assert strips[0].x0 == 0
+    assert strips[-1].x1 == 100
+    assert all(a.x1 == b.x0 for a, b in zip(strips, strips[1:]))
+    assert [t.owner for t in strips] == [0, 1, 2]
+    assert all((t.y0, t.y1) == (0, 64) for t in strips)
 
 
 def test_x_strips_validation():
     with pytest.raises(ConfigurationError):
-        x_strips(100, 0)
+        strip_tiles(100, 0)
     with pytest.raises(ConfigurationError):
-        x_strips(2, 3)
+        strip_tiles(2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +59,6 @@ def scenario():
 def test_partitioned_matches_merge_based_image(scenario):
     dataset, profile, storage, iso = scenario
     width = height = 40
-    camera = Camera.fit_grid(profile.grid_shape, width=width, height=height)
 
     # Reference: the standard merge-based pipeline.
     app = IsosurfaceApp(
@@ -61,33 +72,42 @@ def test_partitioned_matches_merge_based_image(scenario):
     )
 
     # Partitioned: 3 strip owners, no merge filter.
-    from repro.core.graph import FilterGraph
-
-    strips = x_strips(width, 3)
-    graph = FilterGraph()
-    graph.add_filter(
-        "RE",
-        factory=lambda: PartitionedReadExtractFilter(
-            dataset, storage, 0, iso, camera, strips
-        ),
-        is_source=True,
+    graph = build_partitioned_graph(
+        profile, storage, 0, width, height, regions=3,
+        dataset=dataset, isovalue=iso,
     )
-    placement = Placement().place("RE", ["h0"])
-    for region, strip in enumerate(strips):
-        name = f"Ra{region}"
-        graph.add_filter(
-            name, factory=lambda s=strip: StripRasterFilter(camera, s)
-        )
-        graph.connect("RE", name, name=region_stream(region))
-        placement.place(name, ["h0"])
-    metrics = ThreadedEngine(graph, placement).run()
-    image = assemble_strips(metrics.result, width, height)
+    placement = (
+        Placement()
+        .place("RE", ["h0"])
+        .place("Ra", owner_hosts(3, ["h0"], "h0"))
+    )
+    metrics = ThreadedEngine(
+        graph, placement, policy_overrides=TILE_ROUTED
+    ).run()
+    image = assemble_strips(metrics.result, graph.filters["Ra"].tile_map)
     np.testing.assert_array_equal(image, ref)
+    assert sum(r.buffers_merged for r in metrics.result) == (
+        metrics.stream_totals("RE->Ra")[0]
+    )
+
+
+def test_strip_raster_result_before_run_raises():
+    from repro.errors import EngineError
+
+    profile = small_profile()
+    storage = StorageMap.balanced(profile.files, [HostDisks("h")])
+    graph = build_partitioned_graph(
+        profile, storage, 0, 16, 16, regions=2, dataset=object()
+    )
+    with pytest.raises(EngineError, match="run the pipeline first"):
+        graph.filters["Ra"].factory().result()
 
 
 def test_assemble_strips_requires_full_cover():
+    tile_map = TileMap.grid(10, 4, 2, 1)
+    frame = RenderResult(np.zeros((4, 10, 3), dtype=np.uint8), 0, 0)
     with pytest.raises(ConfigurationError):
-        assemble_strips([((0, 5), np.zeros((4, 5, 3), dtype=np.uint8))], 10, 4)
+        assemble_strips([frame], tile_map)
 
 
 def sim_partitioned(regions, weights=None, nodes=4, tris=40_000):
@@ -103,10 +123,14 @@ def sim_partitioned(regions, weights=None, nodes=4, tris=40_000):
         profile, storage, timestep=0, width=512, height=512,
         regions=regions, region_weights=weights,
     )
-    placement = Placement().place("RE", [names[0]])
-    for region in range(regions):
-        placement.place(f"Ra{region}", [names[(region + 1) % nodes]])
-    return SimulatedEngine(cluster, graph, placement, policy="RR").run()
+    placement = (
+        Placement()
+        .place("RE", [names[0]])
+        .place("Ra", [names[(region + 1) % nodes] for region in range(regions)])
+    )
+    return SimulatedEngine(
+        cluster, graph, placement, policy="RR", policy_overrides=TILE_ROUTED
+    ).run()
 
 
 def test_sim_partitioned_distributes_triangles():
@@ -114,7 +138,8 @@ def test_sim_partitioned_distributes_triangles():
     results = metrics.result
     assert len(results) == 3
     total = sum(r["triangles"] for r in results)
-    # Even split within rounding (one round() per chunk per region).
+    # Even split within rounding, and nothing lost to it.
+    assert total == 40_000
     shares = sorted(r["triangles"] for r in results)
     assert shares[-1] - shares[0] < 0.1 * total
 
@@ -132,10 +157,7 @@ def test_sim_partitioned_imbalance_slows_run():
 
 
 def test_build_partitioned_graph_validation():
-    profile = DatasetProfile.synthetic(
-        "p", (17, 17, 17), nchunks=8, nfiles=4, timesteps=1,
-        total_triangles=100, seed=0,
-    )
+    profile = small_profile()
     storage = StorageMap.balanced(profile.files, [HostDisks("h")])
     with pytest.raises(ConfigurationError):
         build_partitioned_graph(
