@@ -12,19 +12,27 @@ copies that do not share an address space.  Large NumPy arrays anywhere in
 the payload travel through ``multiprocessing.shared_memory`` segments (one
 memcpy in, zero-copy attach out) while the remaining object structure rides
 a small pickle header — the process engine's queues carry only the header
-plus segment names.  The threaded engine accepts the same codec (mostly for
-testing) so both real engines share one wire format.
+plus segment names.  One kind of large array is shared memory *already*: a
+C-contiguous read-only view into a ``mode="r"`` file mapping (what the Read
+filter streams from a :class:`~repro.data.diskstore.DeclusteredStore`).
+Such an array travels as a ``(path, byte offset, shape, dtype)`` descriptor
+and the consumer maps the same file — no segment, no copy.  The threaded
+engine accepts the same codec (mostly for testing) so both real engines
+share one wire format.
 """
 
 from __future__ import annotations
 
 import io
+import mmap
 import os
 import pickle
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from repro.errors import EngineError
 
 __all__ = [
     "DataBuffer",
@@ -64,25 +72,42 @@ class DataBuffer:
         return DataBuffer(self.nbytes, self.payload, merged)
 
 
+#: A copied array: (segment name, shape, dtype string).
+_Segment = tuple[str, tuple[int, ...], str]
+#: An array passed by reference: (file path, byte offset, shape, dtype string).
+_Mapped = tuple[str, int, tuple[int, ...], str]
+
+
+def _array_bytes(shape: tuple[int, ...], dtype: str) -> int:
+    return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+
+
 @dataclass(frozen=True)
 class EncodedBuffer:
     """The wire form of one :class:`DataBuffer` (cheap to pickle).
 
     ``header`` is a pickle of the buffer with every exported array replaced
     by a persistent-id reference; ``segments`` describes the shared-memory
-    segment backing each reference as ``(name, shape, dtype_str)``.
+    segment backing each copied array as ``(name, shape, dtype_str)`` and
+    ``mapped`` the file region behind each array passed by reference as
+    ``(path, byte offset, shape, dtype_str)``.
     """
 
     header: bytes
-    segments: tuple[tuple[str, tuple[int, ...], str], ...]
+    segments: tuple[_Segment, ...]
     nbytes: int  # wire size of the original buffer (accounting convenience)
+    mapped: tuple[_Mapped, ...] = ()
 
     @property
     def shared_bytes(self) -> int:
-        """Payload bytes carried in shared memory rather than the header."""
+        """Payload bytes copied into shared-memory segments."""
+        return sum(_array_bytes(shape, dtype) for _name, shape, dtype in self.segments)
+
+    @property
+    def mapped_bytes(self) -> int:
+        """Payload bytes passed by reference to a read-only file mapping."""
         return sum(
-            int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-            for _name, shape, dtype in self.segments
+            _array_bytes(shape, dtype) for _path, _offset, shape, dtype in self.mapped
         )
 
 
@@ -127,21 +152,59 @@ class PayloadLease:
                 shm._fd = -1
 
 
+def _file_region(arr: np.ndarray) -> "_Mapped | None":
+    """Where ``arr`` lives in a file, if it is shared memory already.
+
+    That takes a C-contiguous, read-only view whose memory belongs to a
+    ``np.memmap`` opened with ``mode="r"``: any process can map the same
+    bytes, and nobody holding the view can change them.  Everything else —
+    writeable, strided, ``r+``/``c`` maps (the owner may write), arrays not
+    backed by a file — is ``None`` and travels by copy.
+    """
+    if arr.flags.writeable or not arr.flags.c_contiguous:
+        return None
+    root: Any = arr
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if not (
+        isinstance(root, np.memmap)
+        and isinstance(root.base, mmap.mmap)
+        and root.mode == "r"
+        and root.filename is not None
+    ):
+        return None
+    # Only the root memmap's ``offset`` is its own (views inherit the
+    # attribute unchanged), so measure from there by address.
+    address = arr.__array_interface__["data"][0]
+    offset = root.offset + address - root.__array_interface__["data"][0]
+    return (str(root.filename), offset, arr.shape, arr.dtype.str)
+
+
 class _SegmentPickler(pickle.Pickler):
-    """Pickler that spills large contiguous arrays to shared memory."""
+    """Pickler that takes large arrays out of band.
+
+    A read-only view into a file mapping becomes a descriptor of its file
+    region; any other large array is copied into a shared-memory segment.
+    """
 
     def __init__(self, fh: io.BytesIO, threshold: int) -> None:
         super().__init__(fh, protocol=pickle.HIGHEST_PROTOCOL)
         self.threshold = threshold
         self.segments: list[Any] = []  # SharedMemory objects
-        self.descriptors: list[tuple[str, tuple[int, ...], str]] = []
+        self.descriptors: list[_Segment] = []
+        self.mapped: list[_Mapped] = []
 
-    def persistent_id(self, obj: Any) -> "int | None":
+    def persistent_id(self, obj: Any) -> "int | tuple[str, int] | None":
         if (
             isinstance(obj, np.ndarray)
             and obj.nbytes >= self.threshold
             and obj.dtype != object
         ):
+            region = _file_region(obj)
+            if region is not None:
+                self.mapped.append(region)
+                return ("mapped", len(self.mapped) - 1)
+
             from multiprocessing import shared_memory
 
             arr = np.ascontiguousarray(obj)
@@ -156,12 +219,18 @@ class _SegmentPickler(pickle.Pickler):
 class _SegmentUnpickler(pickle.Unpickler):
     """Unpickler that resolves persistent ids to shared-memory arrays."""
 
-    def __init__(self, fh: io.BytesIO, encoded: "EncodedBuffer") -> None:
+    def __init__(
+        self, fh: io.BytesIO, encoded: "EncodedBuffer", codec: "BufferCodec"
+    ) -> None:
         super().__init__(fh)
         self.encoded = encoded
+        self.codec = codec
         self.shms: list[Any] = []
 
     def persistent_load(self, pid: Any) -> np.ndarray:
+        if isinstance(pid, tuple):
+            return self.codec._mapped_view(*self.encoded.mapped[pid[1]])
+
         from multiprocessing import shared_memory
 
         name, shape, dtype = self.encoded.segments[pid]
@@ -176,19 +245,24 @@ class BufferCodec:
     Parameters
     ----------
     shm_threshold:
-        Arrays of at least this many bytes go to shared memory; smaller
-        ones (and object-dtype arrays) pickle inline in the header.  The
+        Arrays of at least this many bytes go out of band; smaller ones
+        (and object-dtype arrays) pickle inline in the header.  The
         default (64 KiB) keeps headers under a pipe write while moving
         every scalar block / triangle array / z-buffer slab out of band.
     use_shared_memory:
         ``False`` pickles everything inline — useful on platforms without
         POSIX shared memory or for debugging; the wire format is unchanged
-        (``segments`` is simply empty).
+        (``segments`` and ``mapped`` are simply empty).
 
-    The codec is stateless and fork-safe: it may be shared by every copy of
-    a run.  ``encode`` performs exactly one copy of each large array (into
-    its segment); ``decode`` attaches the segments zero-copy and returns a
-    :class:`PayloadLease` governing their lifetime.
+    The codec is fork-safe and may be shared by every copy of a run; its
+    only state is a per-process cache of the read-only file mappings it
+    decoded from.  ``encode`` copies each large array once (into its
+    segment) unless the array is a read-only view of a mapped file, which
+    is described instead; ``decode`` attaches segments and maps files
+    zero-copy and returns a :class:`PayloadLease` governing the segments'
+    lifetime.  Mapped regions need no lease: the file belongs to whoever
+    wrote it and outlives the payload, and a view keeps its own mapping
+    alive.
     """
 
     def __init__(self, shm_threshold: int = 64 * 1024, use_shared_memory: bool = True):
@@ -196,36 +270,81 @@ class BufferCodec:
             raise ValueError(f"shm_threshold must be >= 1, got {shm_threshold}")
         self.shm_threshold = shm_threshold
         self.use_shared_memory = use_shared_memory
+        #: path -> (st_dev, st_ino, whole-file read-only mapping)
+        self._maps: dict[str, tuple[int, int, mmap.mmap]] = {}
 
     def encode(self, buffer: DataBuffer) -> EncodedBuffer:
         """Encode one buffer; creates the backing shared-memory segments."""
         fh = io.BytesIO()
-        if self.use_shared_memory:
-            pickler = _SegmentPickler(fh, self.shm_threshold)
-            pickler.dump(buffer)
-            descriptors = tuple(pickler.descriptors)
-            # Close our mapping now; the segments stay alive (named) until
-            # the consumer unlinks them via its PayloadLease.
-            for seg in pickler.segments:
-                seg.close()
-        else:
+        if not self.use_shared_memory:
             pickle.dump(buffer, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            descriptors = ()
-        return EncodedBuffer(fh.getvalue(), descriptors, buffer.nbytes)
+            return EncodedBuffer(fh.getvalue(), (), buffer.nbytes)
+        pickler = _SegmentPickler(fh, self.shm_threshold)
+        pickler.dump(buffer)
+        # Close our mapping now; the segments stay alive (named) until
+        # the consumer unlinks them via its PayloadLease.
+        for seg in pickler.segments:
+            seg.close()
+        return EncodedBuffer(
+            fh.getvalue(), tuple(pickler.descriptors), buffer.nbytes,
+            tuple(pickler.mapped),
+        )
 
     def decode(self, encoded: EncodedBuffer) -> tuple[DataBuffer, PayloadLease]:
-        """Decode one buffer zero-copy; the lease controls segment lifetime."""
-        fh = io.BytesIO(encoded.header)
-        unpickler = _SegmentUnpickler(fh, encoded)
-        buffer: DataBuffer = unpickler.load()
+        """Decode one buffer zero-copy; the lease controls segment lifetime.
+
+        A payload that cannot be decoded (a mapped file gone or too short)
+        raises with every segment of the buffer released.
+        """
+        unpickler = _SegmentUnpickler(io.BytesIO(encoded.header), encoded, self)
+        try:
+            buffer: DataBuffer = unpickler.load()
+        except BaseException:
+            self.release_encoded(encoded)
+            raise
         return buffer, PayloadLease(unpickler.shms)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A mapping does not cross a pickle (the ``spawn`` start method);
+        # the receiving process maps on first use.
+        return {**self.__dict__, "_maps": {}}
+
+    def _mapped_view(
+        self, path: str, offset: int, shape: tuple[int, ...], dtype: str
+    ) -> np.ndarray:
+        """A read-only view of ``path``'s bytes from ``offset``.
+
+        The file is checked by name on every call: touching a mapped page
+        past the end of a file that shrank is a SIGBUS, not an exception.
+        """
+        end = offset + _array_bytes(shape, dtype)
+        try:
+            st = os.stat(path)
+        except OSError as exc:
+            raise EngineError(f"mapped payload {path}: file is gone ({exc})") from None
+        if end > st.st_size:
+            raise EngineError(
+                f"mapped payload {path}: bytes {offset}..{end} requested, "
+                f"file has {st.st_size}"
+            )
+        cached = self._maps.get(path)
+        if (
+            cached is None
+            or cached[:2] != (st.st_dev, st.st_ino)
+            or len(cached[2]) < end
+        ):
+            with open(path, "rb") as fh:
+                mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            cached = self._maps[path] = (st.st_dev, st.st_ino, mapping)
+        return np.ndarray(shape, np.dtype(dtype), buffer=cached[2], offset=offset)
 
     @staticmethod
     def release_encoded(encoded: EncodedBuffer) -> None:
         """Free an encoded buffer's segments without decoding it.
 
         Error paths (a consumer draining its queue after a failure) call
-        this so discarded buffers never leak shared memory.
+        this so discarded buffers never leak shared memory.  Mapped
+        regions are not the codec's to free.
         """
         from multiprocessing import shared_memory
 

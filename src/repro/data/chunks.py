@@ -13,10 +13,13 @@ communication — the standard ghost-layer arrangement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
+
+import numpy as np
 
 from repro.errors import DataError
 
-__all__ = ["ChunkSpec", "partition_grid", "partition_counts"]
+__all__ = ["ChunkSource", "ChunkSpec", "partition_grid", "partition_counts"]
 
 BYTES_PER_POINT = 4  # float32 scalar field
 
@@ -56,6 +59,26 @@ class ChunkSpec:
     def slices(self) -> tuple[slice, slice, slice]:
         """NumPy slices extracting this chunk from a (z, y, x) field."""
         return tuple(slice(a, b) for a, b in zip(self.start, self.stop))
+
+
+class ChunkSource(Protocol):
+    """Anything the Read filter can stream sub-volumes from.
+
+    The synthetic generators (:class:`~repro.data.parssim.ParSSimDataset`,
+    :class:`~repro.data.spectral.SpectralDataset`) compute a chunk on
+    demand; a :class:`~repro.data.diskstore.DeclusteredStore` returns a
+    read-only view of its file.
+    """
+
+    shape: tuple[int, int, int]
+    timesteps: int
+    species: int
+
+    def chunk_field(
+        self, chunk: ChunkSpec, timestep: int, species: int = 0
+    ) -> np.ndarray:
+        """The ``chunk.shape`` float32 scalars of one chunk."""
+        ...
 
 
 def partition_counts(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.data.chunks import ChunkSpec
+from repro.data.chunks import ChunkSource, ChunkSpec
 from repro.errors import DataError
 
 __all__ = ["DeclusteredStore"]
@@ -57,7 +57,7 @@ class DeclusteredStore:
     @classmethod
     def write(
         cls,
-        dataset,
+        dataset: ChunkSource,
         profile,
         directory: str | Path,
         timesteps: list[int] | None = None,
@@ -65,10 +65,11 @@ class DeclusteredStore:
     ) -> "DeclusteredStore":
         """Materialise ``profile``'s declustered layout of ``dataset``.
 
-        ``dataset`` is any object with ``chunk_field(chunk, t, s)`` (the
-        synthetic generators or another store); ``profile`` supplies the
-        chunk grid and file assignment.  ``timesteps``/``species`` default
-        to everything the dataset stores.
+        ``dataset`` is any :class:`~repro.data.chunks.ChunkSource` (the
+        synthetic generators or another store), read once per (chunk,
+        timestep, species); ``profile`` supplies the chunk grid and file
+        assignment.  ``timesteps``/``species`` default to everything the
+        dataset stores.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -191,6 +192,15 @@ class DeclusteredStore:
         return sum(
             p.stat().st_size for p in self.directory.glob("*.bin")
         )
+
+    def close(self) -> None:
+        """Let go of every file mapping this handle opened.
+
+        Each mapping goes away with the last array that views it, so a
+        caller that has dropped its chunks leaves nothing of the store
+        mapped; the handle maps again on the next read.
+        """
+        self._maps.clear()
 
     def __repr__(self) -> str:
         return (

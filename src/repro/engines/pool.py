@@ -25,8 +25,11 @@ The parent-side supervisor blocks in ``multiprocessing.connection.wait``
 on the worker sentinels; an unexpected worker death marks the pool
 *broken*, fails every pending query, terminates the siblings and drains
 abandoned traffic through the runtime's ack-and-release helper so no
-shared-memory segment outlives the pool.  An ``idle_timeout`` reaps the
-pool (full ``close()``) after that long with no work in flight.
+shared-memory segment outlives the pool.  A copy that could not decode an
+input payload (a mapped file gone or cut short under it) fails its query
+with the error it raised and breaks the pool the same way.  An
+``idle_timeout`` reaps the pool (full ``close()``) after that long with no
+work in flight.
 
 Payload lifetime contract: unchanged from the process engine — an input
 buffer's arrays are shared-memory views valid only during ``handle``; the
@@ -205,6 +208,7 @@ class WarmPool(ProcessEngine):
         self._closed = False
         self._broken = False
         self._break_reason: "str | None" = None
+        self._transport_fault: "str | None" = None
         self._closing = threading.Event()
         self._shutdown_done = threading.Event()
         self._last_activity = time.monotonic()
@@ -396,6 +400,17 @@ class WarmPool(ProcessEngine):
             )
         else:
             pending._succeed(metrics)
+        fault = next((r for r in pending.reports if r.transport_fault), None)
+        if fault is not None:
+            # A payload that could not be decoded — a mapped file gone or
+            # cut short — means the copies may hold mappings of damaged
+            # storage, where the next touch is a SIGBUS: retire them all.
+            # The supervisor owns the teardown (it joins this thread).
+            self._transport_fault = (
+                f"{self._world.plan[fault.cid].label} could not decode its "
+                f"input in cycle {k}"
+            )
+            self._wake_send.send(b"x")
 
     def _supervise_loop(self) -> None:
         """Block on worker sentinels; break the pool on unexpected death.
@@ -434,6 +449,18 @@ class WarmPool(ProcessEngine):
             if self._wake_recv in ready:
                 while self._wake_recv.poll():
                     self._wake_recv.recv()
+                if self._transport_fault is not None:
+                    # Every copy has reported the faulty cycle, so each is
+                    # between cycles or finishing another query: let them
+                    # leave by themselves.  A copy terminated while it
+                    # still holds the result queue's lock would wedge the
+                    # teardown; the break only terminates stragglers.
+                    for control in self._controls:
+                        control.put(STOP)
+                    for proc in self._procs.values():
+                        proc.join(timeout=10.0)
+                    self._break_pool(self._transport_fault)
+                    return
                 continue
             dead_cid = sentinels[
                 next(s for s in ready if s is not self._wake_recv)

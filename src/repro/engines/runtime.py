@@ -526,6 +526,9 @@ class CycleReport:
     result: Any = None
     has_result: bool = False
     error: "str | None" = None
+    #: The error is an input payload that could not be decoded: the
+    #: transport under this copy failed, not its filter.
+    transport_fault: bool = False
     events: list[TraceEvent] = field(default_factory=list)
     queue_samples: list[QueueSample] = field(default_factory=list)
     dropped: int = 0
@@ -619,7 +622,11 @@ def execute_cycle(
                 buffer: DataBuffer = wire.payload
                 lease: "PayloadLease | None" = None
                 if codec is not None:
-                    buffer, lease = codec.decode(wire.payload)
+                    try:
+                        buffer, lease = codec.decode(wire.payload)
+                    except BaseException:
+                        report.transport_fault = True
+                        raise
                 t0 = time.perf_counter()
                 if tracer:
                     tracer.record(clock(), label, "compute", "start")

@@ -8,6 +8,13 @@ shape: a thin asyncio frontend accepts JSON queries over TCP, multiplexes
 them onto :class:`~repro.engines.pool.WarmPool` pipelines kept warm
 between queries, and returns rendered frames.
 
+Read path: a scene is generated once, at its first use, straight into a
+Hilbert-declustered :class:`~repro.data.diskstore.DeclusteredStore` in a
+temporary directory the service owns (removed by :meth:`QueryService.
+close`).  Every query's Read copies stream memory-mapped chunks from those
+files, and on one host the codec hands them to Extract by reference — a
+file region descriptor, no copy (:mod:`repro.core.buffer`).
+
 Protocol: newline-delimited JSON, one request per line, one response per
 line (stdlib only — no HTTP).  Requests::
 
@@ -60,9 +67,11 @@ import asyncio
 import base64
 import json
 import math
+import tempfile
 import threading
 import time
 import traceback
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Callable, NoReturn
 
@@ -152,9 +161,10 @@ def _frame_tiles(width: int, height: int, merge_copies: int) -> "list[Tile]":
 class SceneSpec:
     """One servable dataset: the quickstart scene's knobs, named.
 
-    The service generates the ParSSim dataset in memory at first use and
-    declusters it over one host — the serving testbed is a single machine,
-    where transparent copies (one process each) supply the parallelism.
+    The service generates the ParSSim dataset once, at first use, into a
+    declustered store on one host — the serving testbed is a single
+    machine, where transparent copies (one process each) supply the
+    parallelism — and serves every query from those files.
     """
 
     name: str
@@ -292,7 +302,11 @@ class QueryService:
         self._bindings: "dict[Any, CacheBinding]" = {}
         #: configuration -> E703/E706 refusal text (uncached fallback)
         self._cache_refusals: "dict[str, str]" = {}
+        #: scene name -> (store, profile, storage), made at first use
         self._assets: "dict[str, tuple[Any, Any, Any]]" = {}
+        #: scene name -> the directory its store lives in; a directory is
+        #: removed by close(), or with the service if it is never closed
+        self._store_dirs: "dict[str, tempfile.TemporaryDirectory[str]]" = {}
         self._assets_lock = threading.Lock()
         #: served queries by how far they had to go: the tile tier, the
         #: triangle tier + Raster/Merge, or the whole pipeline
@@ -302,7 +316,11 @@ class QueryService:
 
     # -- pipeline construction ----------------------------------------------
     def _scene_assets(self, scene: SceneSpec) -> "tuple[Any, Any, Any]":
-        """(dataset, profile, storage) for a scene, built once and reused."""
+        """(store, profile, storage) for a scene, made once and reused.
+
+        One pass over the generator profiles the scene and writes its
+        declustered store; pools (also rebuilt ones) read the files.
+        """
         from repro.data import HostDisks, ParSSimDataset, StorageMap
         from repro.viz.profile import DatasetProfile
 
@@ -313,15 +331,21 @@ class QueryService:
                     scene.shape, timesteps=scene.timesteps,
                     species=scene.species, seed=scene.seed,
                 )
-                profile = DatasetProfile.measured(
-                    scene.name, dataset, nchunks=scene.nchunks,
-                    nfiles=scene.nfiles, isovalue=scene.isovalue,
-                )
+                directory = tempfile.TemporaryDirectory(prefix="repro-serve-")
+                try:
+                    profile, store = DatasetProfile.measured_to_store(
+                        scene.name, dataset, nchunks=scene.nchunks,
+                        nfiles=scene.nfiles, isovalue=scene.isovalue,
+                        directory=directory.name,
+                    )
+                except BaseException:
+                    directory.cleanup()
+                    raise
                 storage = StorageMap.balanced(
                     profile.files, [HostDisks("host0")]
                 )
-                assets = (dataset, profile, storage)
-                self._assets[scene.name] = assets
+                self._store_dirs[scene.name] = directory
+                assets = self._assets[scene.name] = (store, profile, storage)
         return assets
 
     def _pool_cache(self) -> "ResultCache | None":
@@ -335,14 +359,14 @@ class QueryService:
         from repro.viz import IsosurfaceApp
 
         config = query.config
-        dataset, profile, storage = self._scene_assets(query.scene)
+        store, profile, storage = self._scene_assets(query.scene)
         app = IsosurfaceApp(
             profile,
             storage,
             width=query.width,
             height=query.height,
             algorithm=query.algorithm,
-            dataset=dataset,
+            dataset=store,
             isovalue=query.scene.isovalue,
             merge_copies=query.merge_copies,
         )
@@ -404,26 +428,32 @@ class QueryService:
     ) -> "dict[int, np.ndarray]":
         """Per-chunk marching cubes, exactly as the pipeline computes it.
 
-        Same chunk partition (the profile's), same generator, same
+        Same chunk partition (the profile's), same store files, same
         ``extract_triangles`` kernel and the same world origin per chunk
         — so injected triangles are bit-identical to what the Read →
-        Extract stages would have produced for this unit of work.
+        Extract stages would have produced for this unit of work.  The
+        store is read through a handle of this call's own, let go of
+        after every file, so this long-lived process maps one file at a
+        time and keeps none.
         """
+        from repro.data import DeclusteredStore
         from repro.viz.marching_cubes import extract_triangles
 
-        dataset, profile, _storage = self._scene_assets(scene)
+        store, profile, _storage = self._scene_assets(scene)
         out: dict[int, np.ndarray] = {}
-        for data_file in profile.files:
-            for chunk in data_file.chunks:
-                scalars = dataset.chunk_field(chunk, timestep, 0)
-                origin = (
-                    float(chunk.start[2]),
-                    float(chunk.start[1]),
-                    float(chunk.start[0]),
-                )
-                out[chunk.chunk_id] = extract_triangles(
-                    scalars, isovalue, origin=origin
-                )
+        with closing(DeclusteredStore.open(store.directory)) as handle:
+            for data_file in profile.files:
+                for chunk in data_file.chunks:
+                    origin = (
+                        float(chunk.start[2]),
+                        float(chunk.start[1]),
+                        float(chunk.start[0]),
+                    )
+                    out[chunk.chunk_id] = extract_triangles(
+                        handle.chunk_field(chunk, timestep, 0), isovalue,
+                        origin=origin,
+                    )
+                handle.close()
         return out
 
     def _cached_frame(
@@ -736,8 +766,19 @@ class QueryService:
     def stats(self) -> "dict[str, Any]":
         with self._count_lock:
             served, failed = dict(self._served), self.queries_failed
+        stores = {}
+        with self._assets_lock:  # close() removes the files under it
+            for name in sorted(self._assets):
+                directory = self._assets[name][0].directory
+                files = list(directory.glob("*.bin"))
+                stores[name] = {
+                    "path": str(directory),
+                    "bytes": sum(f.stat().st_size for f in files),
+                    "files": len(files),
+                }
         return {
             "scenes": sorted(self.scenes),
+            "stores": stores,
             "config": self.config,
             "algorithm": self.algorithm,
             "merge_copies": self.merge_copies,
@@ -754,7 +795,12 @@ class QueryService:
             self.queries_failed += 1
 
     def close(self) -> None:
+        """Retire the pools, then remove every scene's store."""
         self.pools.close_all()
+        with self._assets_lock:
+            self._assets.clear()
+            while self._store_dirs:
+                self._store_dirs.popitem()[1].cleanup()
 
 
 # -- the asyncio frontend ----------------------------------------------------

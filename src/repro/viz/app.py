@@ -39,6 +39,7 @@ from repro.core.negotiate import declare_bounds, negotiate
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.core.tiles import TileMap
+from repro.data.chunks import ChunkSource
 from repro.data.storage import StorageMap
 from repro.errors import ConfigurationError
 from repro.viz import filters as real
@@ -137,8 +138,8 @@ class IsosurfaceApp:
     costs / buffers:
         Cost-model calibration and stream buffer sizes.
     dataset / isovalue:
-        Optional real dataset enabling threaded execution: any object with
-        ``chunk_field(chunk, timestep, species)`` — the synthetic
+        Optional real dataset enabling threaded execution: any
+        :class:`~repro.data.chunks.ChunkSource` — the synthetic
         generators or an on-disk :class:`~repro.data.diskstore.
         DeclusteredStore`.  ``isovalue`` is the rendered surface level.
     merge_copies / merge_tiles:
@@ -158,8 +159,7 @@ class IsosurfaceApp:
     timestep: int = 0
     costs: CostParams = field(default_factory=CostParams)
     buffers: BufferSizes = field(default_factory=BufferSizes)
-    #: any chunk_field(chunk, t, s) provider; typed loosely on purpose
-    dataset: object | None = None
+    dataset: ChunkSource | None = None
     isovalue: float = 0.5
     #: Optional explicit camera (e.g. an animation frame's viewpoint);
     #: ``None`` means a default camera framing the whole grid.

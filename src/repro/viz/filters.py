@@ -19,8 +19,7 @@ import numpy as np
 from repro.configurations import check_algorithm
 from repro.core.buffer import DataBuffer
 from repro.core.filter import Filter, FilterContext
-from repro.data.chunks import ChunkSpec
-from repro.data.parssim import ParSSimDataset
+from repro.data.chunks import ChunkSource, ChunkSpec
 from repro.data.storage import StorageMap
 from repro.errors import DataError, EngineError
 from repro.viz.active_pixel import ActivePixelMerger, ActivePixelRaster, WPABuffer
@@ -117,7 +116,7 @@ class ReadFilter(Filter):
 
     def __init__(
         self,
-        dataset: ParSSimDataset,
+        dataset: ChunkSource,
         storage: StorageMap,
         timestep: int,
         species: int = 0,

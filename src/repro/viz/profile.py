@@ -10,7 +10,9 @@ isosurface triangle counts per timestep.  Two constructors:
   and 25 GB ParSSim outputs cannot be materialised;
 - :meth:`DatasetProfile.measured` — runs the real marching-cubes counter
   over a (small) :class:`~repro.data.parssim.ParSSimDataset`, making
-  simulation and real execution agree exactly.
+  simulation and real execution agree exactly;
+  :meth:`DatasetProfile.measured_to_store` writes the dataset out as a
+  :class:`~repro.data.diskstore.DeclusteredStore` in the same pass.
 
 ``dataset_1p5gb`` / ``dataset_25gb`` reproduce the paper's two datasets
 (Section 4), with a ``scale`` knob to shrink them proportionally so benches
@@ -20,12 +22,18 @@ finish quickly; scaling preserves the compute/IO/network balance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from repro.data.chunks import ChunkSpec, partition_counts, partition_grid
+from repro.data.chunks import (
+    ChunkSource,
+    ChunkSpec,
+    partition_counts,
+    partition_grid,
+)
 from repro.data.decluster import DataFile, decluster
-from repro.data.parssim import ParSSimDataset
+from repro.data.diskstore import DeclusteredStore
 from repro.errors import DataError
 from repro.viz.marching_cubes import triangle_count
 
@@ -127,29 +135,89 @@ class DatasetProfile:
         return cls(name, tuple(grid_shape), chunks, files, timesteps, tri_counts)
 
     @classmethod
+    def _layout(
+        cls, name: str, dataset: ChunkSource, nchunks: int, nfiles: int
+    ) -> "DatasetProfile":
+        """``dataset``'s chunk grid and file assignment, no triangles yet."""
+        counts3 = partition_counts(dataset.shape, nchunks, exact=False)
+        chunks = partition_grid(dataset.shape, counts3)
+        tri_counts = {
+            t: np.zeros(len(chunks), dtype=np.int64)
+            for t in range(dataset.timesteps)
+        }
+        return cls(
+            name, dataset.shape, chunks, decluster(chunks, nfiles),
+            dataset.timesteps, tri_counts,
+        )
+
+    @classmethod
     def measured(
         cls,
         name: str,
-        dataset: ParSSimDataset,
+        dataset: ChunkSource,
         nchunks: int,
         nfiles: int,
         isovalue: float,
         species: int = 0,
     ) -> "DatasetProfile":
         """Profile a real (small) dataset by counting actual triangles."""
-        counts3 = partition_counts(dataset.shape, nchunks, exact=False)
-        chunks = partition_grid(dataset.shape, counts3)
-        files = decluster(chunks, nfiles)
-        tri_counts: dict[int, np.ndarray] = {}
-        for t in range(dataset.timesteps):
-            counts = np.zeros(len(chunks), dtype=np.int64)
-            for c in chunks:
+        profile = cls._layout(name, dataset, nchunks, nfiles)
+        for t, counts in profile.tri_counts.items():
+            for c in profile.chunks:
                 scalars = dataset.chunk_field(c, t, species)
                 counts[c.chunk_id] = triangle_count(scalars, isovalue)
-            tri_counts[t] = counts
-        return cls(
-            name, dataset.shape, chunks, files, dataset.timesteps, tri_counts
+        return profile
+
+    @classmethod
+    def measured_to_store(
+        cls,
+        name: str,
+        dataset: ChunkSource,
+        nchunks: int,
+        nfiles: int,
+        isovalue: float,
+        directory: "str | Path",
+        species: int = 0,
+    ) -> "tuple[DatasetProfile, DeclusteredStore]":
+        """:meth:`measured` and ``DeclusteredStore.write`` in one pass.
+
+        Each (chunk, timestep) of ``species`` is produced once and feeds
+        both the triangle count and its declustered file — generating a
+        chunk costs several times what counting or writing it does.  The
+        profile and the files are the ones the two separate calls give.
+        """
+        profile = cls._layout(name, dataset, nchunks, nfiles)
+        counted = _CountedSource(dataset, isovalue, profile.tri_counts)
+        store = DeclusteredStore.write(
+            counted, profile, directory, species=[species]
         )
+        return profile, store
+
+
+class _CountedSource:
+    """A chunk source that counts each chunk's triangles as it is read."""
+
+    def __init__(
+        self,
+        dataset: ChunkSource,
+        isovalue: float,
+        tri_counts: "dict[int, np.ndarray]",
+    ):
+        self.dataset = dataset
+        self.shape = dataset.shape
+        self.timesteps = dataset.timesteps
+        self.species = dataset.species
+        self.isovalue = isovalue
+        self.tri_counts = tri_counts
+
+    def chunk_field(
+        self, chunk: ChunkSpec, timestep: int, species: int = 0
+    ) -> np.ndarray:
+        scalars = self.dataset.chunk_field(chunk, timestep, species)
+        self.tri_counts[timestep][chunk.chunk_id] = triangle_count(
+            scalars, self.isovalue
+        )
+        return scalars
 
 
 def _scaled(extent: int, scale: float) -> int:

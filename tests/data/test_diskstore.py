@@ -1,5 +1,7 @@
 """Tests for the on-disk declustered store."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,35 @@ def test_subset_write(source, tmp_path):
     )
     with pytest.raises(DataError):
         DeclusteredStore.write(dataset, profile, tmp_path / "e", timesteps=[])
+
+
+def _mapped_under(directory):
+    """Paths under ``directory`` that this process has mapped right now."""
+    with open("/proc/self/maps") as fh:
+        return sorted({line.split()[-1] for line in fh if str(directory) in line})
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+)
+def test_close_unmaps_the_store_files(source, tmp_path):
+    dataset, profile = source
+    store = DeclusteredStore.write(dataset, profile, tmp_path / "c")
+    total = sum(
+        float(store.chunk_field(chunk, 1, 0).sum()) for chunk in profile.chunks
+    )
+    assert len(_mapped_under(store.directory)) == len(profile.files)
+    store.close()
+    assert _mapped_under(store.directory) == []
+    # the handle maps again on the next read
+    again = sum(
+        float(store.chunk_field(chunk, 1, 0).sum()) for chunk in profile.chunks
+    )
+    assert again == total
+    held = store.chunk_field(profile.chunks[0], 0, 0)
+    store.close()
+    # a chunk the caller still holds keeps its own file mapped, and valid
+    assert len(_mapped_under(store.directory)) == 1
+    np.testing.assert_array_equal(
+        held, dataset.chunk_field(profile.chunks[0], 0, 0)
+    )

@@ -26,6 +26,7 @@ from repro.core.buffer import BufferCodec
 from repro.core.fuse import fuse
 from repro.core.policies import make_policy_factory
 from repro.engines import ProcessEngine, ThreadedEngine
+from repro.engines.pool import WarmPool
 from repro.engines.runtime import Writer
 from repro.errors import EngineError
 
@@ -94,17 +95,18 @@ def _crash_graph(sink_factory, count=10):
     return g, p
 
 
-def _run_expecting_failure(engine, match, timeout=60.0):
+def _run_expecting_failure(engine, match, timeout=60.0, uows=None):
     """``engine.run()`` must raise ``EngineError`` within ``timeout``.
 
-    The run happens on a helper thread so a wedged engine fails the test at
-    the join instead of hanging the suite.
+    The run (``run_cycles(uows)`` when units of work are given) happens on a
+    helper thread so a wedged engine fails the test at the join instead of
+    hanging the suite.
     """
     outcome = []
 
     def target():
         try:
-            outcome.append(engine.run())
+            outcome.append(engine.run_cycles(uows) if uows else engine.run())
         except BaseException as exc:  # noqa: BLE001 - inspected below
             outcome.append(exc)
 
@@ -257,6 +259,145 @@ def test_producer_death_with_consumer_blocked_on_dd_window(engine_cls, shm_ledge
     exc = _run_expecting_failure(engine, "source died")
     (metrics,) = exc.metrics
     assert metrics.result == sum(float(i) * 4096 for i in range(8))
+    assert not shm_ledger()
+
+
+class MappedSource(Filter):
+    """Emits buffers that mix copied arrays with views of a mapped file.
+
+    ``uow = {"fault": "gone" | "short"}`` makes the cycle stream from a
+    private copy of the file and damage it after mapping, before the first
+    send: unlinked, or cut in the middle of buffer 5.  The mapping itself
+    stays valid here; only a consumer opening the file by name can tell.
+    """
+
+    COUNT = 10
+    LENGTH = 4096  # float64 values per view: 32 KiB, over the threshold
+
+    def __init__(self, path):
+        self.path = path
+
+    def flush(self, ctx):
+        fault = ctx.uow.get("fault") if isinstance(ctx.uow, dict) else None
+        path = self.path
+        if fault:
+            path = f"{self.path}.{fault}"
+            with open(self.path, "rb") as src, open(path, "wb") as dst:
+                dst.write(src.read())
+        mapped = np.memmap(path, dtype=np.float64, mode="r")
+        if fault == "gone":
+            os.unlink(path)
+        elif fault == "short":
+            os.truncate(path, int(5.5 * self.LENGTH * 8))
+        for i in range(self.COUNT):
+            view = np.asarray(mapped[i * self.LENGTH : (i + 1) * self.LENGTH])
+            before = np.full(self.LENGTH, float(i))
+            after = np.full(self.LENGTH, -float(i))
+            # Decode order is dict order: one segment is attached before
+            # the mapped region is resolved, one never is.
+            payload = {"before": before, "mapped": view, "after": after}
+            ctx.write(DataBuffer(view.nbytes, payload=payload, tags={"seq": i}))
+
+
+class MappedSumSink(Filter):
+    def init(self, ctx):
+        self.total = 0.0
+
+    def handle(self, ctx, buffer):
+        seq = float(buffer.tags["seq"])
+        assert buffer.payload["before"][-1] == seq
+        assert buffer.payload["after"][-1] == -seq
+        assert not buffer.payload["mapped"].flags.writeable
+        self.total += float(buffer.payload["mapped"].sum())
+
+    def result(self):
+        return self.total
+
+
+@pytest.fixture
+def mapped_file(tmp_path):
+    """(path, sum of its values) of a file ``MappedSource`` streams."""
+    values = np.random.default_rng(5).random(
+        MappedSource.COUNT * MappedSource.LENGTH
+    )
+    path = tmp_path / "values.bin"
+    values.tofile(path)
+    total = sum(
+        float(part.sum()) for part in np.split(values, MappedSource.COUNT)
+    )
+    return str(path), total
+
+
+def _mapped_graph(path):
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: MappedSource(path), is_source=True)
+    g.add_filter("sink", factory=MappedSumSink)
+    g.connect("src", "sink")
+    p = Placement().place("src", ["h0"]).place("sink", ["h0"])
+    return g, p
+
+
+@both_engines
+@pytest.mark.parametrize(
+    "fault, complaint", [("gone", "file is gone"), ("short", "file has 180224")]
+)
+def test_damaged_mapped_file_fails_the_cycle(
+    engine_cls, fault, complaint, mapped_file, shm_ledger
+):
+    """A file region that cannot be mapped fails the cycle, by exception.
+
+    The consumer checks the file by name before it touches a page, so a
+    file unlinked or cut short under the descriptor is an error naming the
+    file, the copy and the cycle — not a SIGBUS — and the segments that
+    travelled in the same buffers are released.
+    """
+    path, total = mapped_file
+    g, p = _mapped_graph(path)
+    engine = engine_cls(
+        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
+        queue_capacity=2,
+    )
+    good = engine.run_cycles([None])[0]
+    assert good.result == total
+    assert not shm_ledger()
+
+    engine = engine_cls(
+        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
+        queue_capacity=2,
+    )
+    exc = _run_expecting_failure(
+        engine, f"{path}.{fault}", uows=[{"fault": fault}]
+    )
+    assert complaint in str(exc)
+    assert "sink@h0#0 cycle 0" in str(exc)
+    assert not shm_ledger()
+
+
+@pytest.mark.parametrize("fault", ["gone", "short"])
+def test_damaged_mapped_file_breaks_the_warm_pool(fault, mapped_file, shm_ledger):
+    """On a warm pool the failed query names the file, copy and cycle, the
+    pool is retired (its copies may hold mappings of damaged storage), and
+    a rebuilt pool answers the next query exactly."""
+    path, total = mapped_file
+    g, p = _mapped_graph(path)
+    codec = BufferCodec(shm_threshold=1024)
+    pool = WarmPool(g, p, policy="DD", codec=codec, queue_capacity=2)
+    try:
+        assert pool.submit(None).result(timeout=60.0).result == total
+        with pytest.raises(EngineError) as failure:
+            pool.submit({"fault": fault}).result(timeout=60.0)
+        assert f"{path}.{fault}" in str(failure.value)
+        assert "sink@h0#0 cycle 1" in str(failure.value)
+        deadline = time.monotonic() + 30.0
+        while pool.usable and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool.stats()["broken"]
+        with pytest.raises(EngineError, match="could not decode its input"):
+            pool.submit(None)
+    finally:
+        pool.close()
+    with WarmPool(g, p, policy="DD", codec=codec, queue_capacity=2) as rebuilt:
+        assert rebuilt.submit(None).result(timeout=60.0).result == total
     assert not shm_ledger()
 
 

@@ -109,3 +109,45 @@ def test_bytes_per_timestep_includes_ghosts():
     raw = 17 * 17 * 17 * 4
     assert profile.bytes_per_timestep > raw  # ghost layers overlap
     assert profile.bytes_per_timestep < raw * 1.6
+
+
+def test_measured_to_store_is_measured_then_write_in_one_pass(tmp_path):
+    """Same counts, same manifest, byte-identical files — and every
+    (chunk, timestep) of the generator is produced exactly once."""
+    import filecmp
+
+    from repro.data import DeclusteredStore
+
+    dataset = ParSSimDataset((17, 17, 17), timesteps=3, species=2, seed=5)
+    reads = []
+
+    class Counting:
+        shape, timesteps, species = dataset.shape, dataset.timesteps, dataset.species
+
+        def chunk_field(self, chunk, timestep, species=0):
+            reads.append((chunk.chunk_id, timestep, species))
+            return dataset.chunk_field(chunk, timestep, species)
+
+    two_pass = DatasetProfile.measured("m", dataset, 8, 4, isovalue=0.35)
+    DeclusteredStore.write(dataset, two_pass, tmp_path / "two", species=[0])
+    one_pass, store = DatasetProfile.measured_to_store(
+        "m", Counting(), 8, 4, isovalue=0.35, directory=tmp_path / "one"
+    )
+
+    assert sorted(reads) == sorted(
+        (chunk.chunk_id, t, 0) for t in range(3) for chunk in one_pass.chunks
+    )
+    assert one_pass.chunks == two_pass.chunks
+    assert one_pass.files == two_pass.files
+    assert one_pass.tri_counts.keys() == two_pass.tri_counts.keys()
+    for t, counts in two_pass.tri_counts.items():
+        np.testing.assert_array_equal(one_pass.tri_counts[t], counts)
+        assert counts.sum() > 0
+    names = sorted(p.name for p in (tmp_path / "two").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert len(names) == 3 * 4 + 1  # timesteps x files, and the manifest
+    match, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "two", tmp_path / "one", names, shallow=False
+    )
+    assert (sorted(match), mismatch, errors) == (names, [], [])
+    assert (store.timesteps, store.species) == (3, 1)
