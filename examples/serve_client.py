@@ -86,11 +86,14 @@ def main() -> int:
         return 1
     with open(args.out, "wb") as fh:
         fh.write(base64.b64decode(response.pop("frame_b64")))
+    how = "warm" if response["warm"] else "cold"
+    chunks = response.get("chunks")  # None: answered from cached tiles
+    if chunks:
+        how += f", {chunks[0]} of {chunks[1]} chunks needed"
     print(
         f"{response['dataset']} iso={response['isovalue']} "
         f"t={response['timestep']}: {response['active_pixels']} active "
-        f"pixels, {response['latency_s'] * 1e3:.1f} ms "
-        f"({'warm' if response['warm'] else 'cold'}) -> {args.out}"
+        f"pixels, {response['latency_s'] * 1e3:.1f} ms ({how}) -> {args.out}"
     )
     cache = response.get("cache")
     if cache and cache.get("mode") != "off":

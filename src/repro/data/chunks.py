@@ -19,7 +19,10 @@ import numpy as np
 
 from repro.errors import DataError
 
-__all__ = ["ChunkSource", "ChunkSpec", "partition_grid", "partition_counts"]
+__all__ = [
+    "ChunkSource", "ChunkSpec", "chunk_range", "partition_grid",
+    "partition_counts",
+]
 
 BYTES_PER_POINT = 4  # float32 scalar field
 
@@ -68,6 +71,11 @@ class ChunkSource(Protocol):
     :class:`~repro.data.spectral.SpectralDataset`) compute a chunk on
     demand; a :class:`~repro.data.diskstore.DeclusteredStore` returns a
     read-only view of its file.
+
+    A source that recorded the smallest and largest scalar of every chunk
+    (the store does, as it writes them) also has a ``chunk_range`` method
+    with ``chunk_field``'s arguments; one that did not simply lacks it —
+    ask through :func:`chunk_range`.
     """
 
     shape: tuple[int, int, int]
@@ -79,6 +87,14 @@ class ChunkSource(Protocol):
     ) -> np.ndarray:
         """The ``chunk.shape`` float32 scalars of one chunk."""
         ...
+
+
+def chunk_range(
+    source: ChunkSource, chunk: ChunkSpec, timestep: int, species: int = 0
+) -> "tuple[float, float] | None":
+    """``(min, max)`` of one chunk's scalars, or ``None`` if not recorded."""
+    recorded = getattr(source, "chunk_range", None)
+    return None if recorded is None else recorded(chunk, timestep, species)
 
 
 def partition_counts(

@@ -6,6 +6,10 @@ layout: :meth:`DeclusteredStore.write` serialises a synthetic dataset's
 chunks into one binary file per declustered :class:`~repro.data.decluster.
 DataFile` (per timestep and species), with a JSON manifest describing the
 layout; :meth:`DeclusteredStore.open` reads it back lazily via memory maps.
+The manifest also records, per (timestep, species, chunk), the smallest and
+largest scalar written — the value-range index a reader consults to leave
+alone the chunks an isosurface cannot cross (:meth:`DeclusteredStore.
+chunk_range`).
 
 A store quacks like a dataset (``shape`` / ``timesteps`` / ``species`` /
 ``chunk_field``), so it drops straight into
@@ -26,7 +30,7 @@ from repro.errors import DataError
 __all__ = ["DeclusteredStore"]
 
 _MANIFEST = "manifest.json"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # 2: per-chunk value ranges
 
 
 def _bin_name(file_id: int, timestep: int, species: int) -> str:
@@ -50,6 +54,11 @@ class DeclusteredStore:
         self._chunks: dict[int, tuple[int, int, tuple[int, int, int]]] = {
             entry["id"]: (entry["file"], entry["offset"], tuple(entry["shape"]))
             for entry in manifest["chunks"]
+        }
+        # chunk_id -> position k in manifest["chunks"], which is also its
+        # position in manifest["ranges"][timestep][species]
+        self._position: dict[int, int] = {
+            entry["id"]: k for k, entry in enumerate(manifest["chunks"])
         }
         self._maps: dict[str, np.memmap] = {}
 
@@ -80,6 +89,11 @@ class DeclusteredStore:
 
         chunk_entries = []
         offsets_known = False
+        # ranges[local_t][local_sp][k] = (min, max) of chunk_entries[k]:
+        # store-local indices, like the file names
+        ranges: list[list[list[tuple[float, float]]]] = [
+            [[] for _ in specs] for _ in steps
+        ]
         for local_t, t in enumerate(steps):
             for local_sp, sp in enumerate(specs):
                 for data_file in profile.files:
@@ -101,6 +115,11 @@ class DeclusteredStore:
                                     f"{scalars.shape}, expected {chunk.shape}"
                                 )
                             fh.write(scalars.tobytes())
+                            # min/max hand a NaN sample on: a range with
+                            # one excludes no isovalue
+                            ranges[local_t][local_sp].append(
+                                (float(scalars.min()), float(scalars.max()))
+                            )
                             if not offsets_known:
                                 chunk_entries.append(
                                     {
@@ -124,6 +143,7 @@ class DeclusteredStore:
             "timesteps": len(steps),
             "species": len(specs),
             "chunks": chunk_entries,
+            "ranges": ranges,
         }
         with open(directory / _MANIFEST, "w") as fh:
             json.dump(manifest, fh)
@@ -145,18 +165,34 @@ class DeclusteredStore:
         return cls(directory, manifest)
 
     # -- dataset interface -------------------------------------------------
-    def chunk_field(
-        self, chunk: ChunkSpec, timestep: int, species: int = 0
-    ) -> np.ndarray:
-        """Read one chunk's scalars from its declustered file."""
+    def _locate(
+        self, chunk: ChunkSpec, timestep: int, species: int
+    ) -> tuple[int, int, tuple[int, int, int]]:
+        """A stored chunk's (file id, offset, shape), or :class:`DataError`."""
         if not 0 <= timestep < self.timesteps:
             raise DataError(f"timestep {timestep} outside [0, {self.timesteps})")
         if not 0 <= species < self.species:
             raise DataError(f"species {species} outside [0, {self.species})")
         try:
-            file_id, offset, shape = self._chunks[chunk.chunk_id]
+            return self._chunks[chunk.chunk_id]
         except KeyError:
             raise DataError(f"unknown chunk id {chunk.chunk_id}") from None
+
+    def chunk_range(
+        self, chunk: ChunkSpec, timestep: int, species: int = 0
+    ) -> tuple[float, float]:
+        """``(min, max)`` of one chunk's scalars, from the manifest alone."""
+        self._locate(chunk, timestep, species)
+        lo, hi = self._manifest["ranges"][timestep][species][
+            self._position[chunk.chunk_id]
+        ]
+        return lo, hi
+
+    def chunk_field(
+        self, chunk: ChunkSpec, timestep: int, species: int = 0
+    ) -> np.ndarray:
+        """Read one chunk's scalars from its declustered file."""
+        file_id, offset, shape = self._locate(chunk, timestep, species)
         path = self.directory / _bin_name(file_id, timestep, species)
         key = path.name
         mm = self._maps.get(key)

@@ -13,7 +13,12 @@ Hilbert-declustered :class:`~repro.data.diskstore.DeclusteredStore` in a
 temporary directory the service owns (removed by :meth:`QueryService.
 close`).  Every query's Read copies stream memory-mapped chunks from those
 files, and on one host the codec hands them to Extract by reference — a
-file region descriptor, no copy (:mod:`repro.core.buffer`).
+file region descriptor, no copy (:mod:`repro.core.buffer`).  Only the
+chunks the isosurface can cross are read: the store records each chunk's
+value range, and Read and the front-end's own extraction both skip a chunk
+whose range rules out a triangle at the query's isovalue
+(:func:`repro.viz.marching_cubes.range_excludes`); the response's
+``chunks`` is ``[needed, stored]`` for the query's timestep.
 
 Protocol: newline-delimited JSON, one request per line, one response per
 line (stdlib only — no HTTP).  Requests::
@@ -311,6 +316,9 @@ class QueryService:
         #: served queries by how far they had to go: the tile tier, the
         #: triangle tier + Raster/Merge, or the whole pipeline
         self._served = {"tile_hit": 0, "triangle_hit": 0, "cold": 0}
+        #: chunks the served pipeline runs needed, of those their timesteps
+        #: store (tile hits run no pipeline and count nothing)
+        self._chunks_needed = self._chunks_total = 0
         self.queries_failed = 0
         self._count_lock = threading.Lock()
 
@@ -423,6 +431,25 @@ class QueryService:
             events.append(("negative", "miss", 0))
         raise ConfigurationError(message)
 
+    def _chunks_needed_by(
+        self, scene: SceneSpec, timestep: int, isovalue: float
+    ) -> "frozenset[int]":
+        """Ids of the chunks whose value range admits a triangle.
+
+        The rule is the Read filter's (``range_excludes`` over the store's
+        ranges), so this is the set of chunks a pipeline run reads.
+        """
+        from repro.viz.marching_cubes import range_excludes
+
+        store, profile, _storage = self._scene_assets(scene)
+        return frozenset(
+            chunk.chunk_id
+            for chunk in profile.chunks
+            if not range_excludes(
+                store.chunk_range(chunk, timestep, 0), isovalue
+            )
+        )
+
     def _extract_triangles(
         self, scene: SceneSpec, timestep: int, isovalue: float
     ) -> "dict[int, np.ndarray]":
@@ -431,19 +458,25 @@ class QueryService:
         Same chunk partition (the profile's), same store files, same
         ``extract_triangles`` kernel and the same world origin per chunk
         — so injected triangles are bit-identical to what the Read →
-        Extract stages would have produced for this unit of work.  The
-        store is read through a handle of this call's own, let go of
-        after every file, so this long-lived process maps one file at a
-        time and keeps none.
+        Extract stages would have produced for this unit of work.  A
+        chunk Read would skip (:meth:`_chunks_needed_by`) gets the empty
+        array the kernel would return, without being read, and a file
+        with no needed chunk is never opened.  The store is read through a
+        handle of this call's own, let go of after every file, so this
+        long-lived process maps one file at a time and keeps none.
         """
         from repro.data import DeclusteredStore
         from repro.viz.marching_cubes import extract_triangles
 
         store, profile, _storage = self._scene_assets(scene)
+        needed = self._chunks_needed_by(scene, timestep, isovalue)
         out: dict[int, np.ndarray] = {}
         with closing(DeclusteredStore.open(store.directory)) as handle:
             for data_file in profile.files:
                 for chunk in data_file.chunks:
+                    if chunk.chunk_id not in needed:
+                        out[chunk.chunk_id] = np.empty((0, 3, 3), np.float32)
+                        continue
                     origin = (
                         float(chunk.start[2]),
                         float(chunk.start[1]),
@@ -583,6 +616,17 @@ class QueryService:
             width, height, isovalue, timestep, merge_copies, orbit,
         )
 
+    def _pool_key(self, query: Query) -> "tuple[Any, ...]":
+        """What a warm pool is built for: the query fields baked into its
+        filter instances and process topology (``merge_copies`` is a
+        different fan-out, so its own pipeline rather than a rebuild).
+
+        Every query field in it also enters the frame key
+        (:func:`cache_keys`); ``policy`` and ``copies`` are the service's.
+        """
+        return (query.scene.name, query.config, query.algorithm, query.width,
+                query.height, self.policy, self.copies, query.merge_copies)
+
     def render(self, request: "dict[str, Any]") -> "dict[str, Any]":
         """Execute one query; returns the JSON-serialisable response dict.
 
@@ -599,17 +643,13 @@ class QueryService:
         query = self._parse(request, events)
         tracer = Tracer() if request.get("trace") else None
 
-        # merge_copies is pool-keyed like any other placement parameter:
-        # a different fan-out is a different process topology, so it gets
-        # its own warm pipeline rather than rebuilding an existing one.
-        key = (query.scene.name, query.config, query.algorithm, query.width,
-               query.height, self.policy, self.copies, query.merge_copies)
+        key = self._pool_key(query)
 
         # The binding outlives its pool, so a cached frame is answered
         # without a pool even after the pool was evicted.
         binding = self._bindings.get(key)
         if binding is not None:
-            hit = self._tile_hit(binding, query, True, events, tracer, t0)
+            hit = self._tile_hit(binding, query, events, tracer, t0)
             if hit is not None:
                 return hit
 
@@ -627,10 +667,12 @@ class QueryService:
             )
         pool, created = self.pools.get(key, lambda: self._build_pool(query))
         if binding is None and pool.cache_binding is not None:
+            # The first query of its pool key to get here.  Tiles are put
+            # only after a binding is recorded, and a frame key holds every
+            # query field the pool key does (``_pool_key``), so no frame of
+            # this key is cached yet: a tile miss without a lookup.
             binding = self._bindings[key] = pool.cache_binding
-            hit = self._tile_hit(binding, query, not created, events, tracer, t0)
-            if hit is not None:
-                return hit
+            events.append(("tiles", "miss", 0))
 
         outcome = "cold"
         if binding is not None:
@@ -659,6 +701,12 @@ class QueryService:
         result = metrics.result
         if binding is not None:
             self._store_tiles(binding.cache, frame_key, result, query)
+        # Read's range rule, worked out here: len(needed) is the R->E buffer
+        # count, unless triangles were injected (Read then touched no storage)
+        needed = self._chunks_needed_by(
+            query.scene, query.timestep, query.isovalue
+        )
+        profile = self._scene_assets(query.scene)[1]
         metrics.cache_hits = sum(1 for _, o, _ in events if o == "hit")
         metrics.cache_misses = sum(1 for _, o, _ in events if o == "miss")
         metrics.cache_bytes_saved = sum(
@@ -675,6 +723,7 @@ class QueryService:
                 name: [stats.buffers, stats.bytes]
                 for name, stats in sorted(metrics.streams.items())
             },
+            "chunks": [len(needed), len(profile.chunks)],
         }
         return self._respond(
             query, outcome, run, result.image, events, tracer, t0
@@ -684,7 +733,6 @@ class QueryService:
         self,
         binding: CacheBinding,
         query: Query,
-        warm: bool,
         events: _Events,
         tracer: Any,
         t0: float,
@@ -696,10 +744,10 @@ class QueryService:
             return None
         image, meta = frame
         run = {
-            "warm": warm, "pool_cycle": None, "makespan_s": 0.0,
+            "warm": True, "pool_cycle": None, "makespan_s": 0.0,
             "active_pixels": meta.active_pixels,
             "buffers_merged": meta.buffers_merged,
-            "acks": 0, "streams": {},
+            "acks": 0, "streams": {}, "chunks": None,
         }
         return self._respond(query, "tile_hit", run, image, events, tracer, t0)
 
@@ -718,6 +766,9 @@ class QueryService:
         self._record_cache_events(tracer, events, latency)
         with self._count_lock:
             self._served[outcome] += 1
+            if run["chunks"] is not None:
+                self._chunks_needed += run["chunks"][0]
+                self._chunks_total += run["chunks"][1]
         response: dict[str, Any] = {
             "ok": True,
             "dataset": query.scene.name,
@@ -766,6 +817,7 @@ class QueryService:
     def stats(self) -> "dict[str, Any]":
         with self._count_lock:
             served, failed = dict(self._served), self.queries_failed
+            chunks = self._chunks_needed, self._chunks_total
         stores = {}
         with self._assets_lock:  # close() removes the files under it
             for name in sorted(self._assets):
@@ -785,6 +837,8 @@ class QueryService:
             "queries_served": sum(served.values()),
             "served_by": served,
             "queries_failed": failed,
+            "chunks_needed": chunks[0],
+            "chunks_total": chunks[1],
             "cache": self.cache_stats(),
             "pools": self.pools.stats(),
         }

@@ -75,7 +75,8 @@ _STAGES = {
         "io",
         "read",
         lambda app: real.ReadFilter(
-            app._require_dataset(), app.storage, app.timestep
+            app._require_dataset(), app.storage, app.timestep,
+            isovalue=app.isovalue,
         ),
         lambda app, buffers: sim.ReadSourceModel(
             app.profile, app.storage, app.timestep, app.costs, buffers

@@ -19,12 +19,12 @@ import numpy as np
 from repro.configurations import check_algorithm
 from repro.core.buffer import DataBuffer
 from repro.core.filter import Filter, FilterContext
-from repro.data.chunks import ChunkSource, ChunkSpec
+from repro.data.chunks import ChunkSource, ChunkSpec, chunk_range
 from repro.data.storage import StorageMap
 from repro.errors import DataError, EngineError
 from repro.viz.active_pixel import ActivePixelMerger, ActivePixelRaster, WPABuffer
 from repro.viz.camera import Camera
-from repro.viz.marching_cubes import extract_triangles
+from repro.viz.marching_cubes import extract_triangles, range_excludes
 from repro.viz.raster import ZBuffer, ZBufferSlab
 from repro.viz.shading import shade_triangles
 
@@ -102,16 +102,24 @@ def _uow_get(ctx: FilterContext, key: str, default):
 class ReadFilter(Filter):
     """R: read declustered chunk data from this copy's host.
 
-    Emits one buffer per chunk, tagged with the chunk id.  Copies on the
-    same host split the host's files round-robin.
+    Emits one buffer per chunk the isosurface can cross, tagged with the
+    chunk id.  Copies on the same host split the host's files round-robin.
+
+    A chunk whose recorded value range
+    (:func:`~repro.data.chunks.chunk_range`) rules out a triangle at the
+    isovalue (:func:`~repro.viz.marching_cubes.range_excludes`) is not
+    read, mapped or emitted; a dataset without ranges — the in-memory
+    generators — is read whole.  The isovalue is the constructor's (none
+    known: nothing is ruled out) or the unit of work's
+    ``ctx.uow["isovalue"]``, as for :class:`ExtractFilter`.
 
     A result-cache hit may inject pre-extracted triangles for this unit
     of work via ``ctx.uow["triangles"]`` (chunk id -> ``(N, 3, 3)``
     float32, the ``repro.cache`` triangle tier).  For every owned chunk
     present in that mapping the copy emits the cached
     :class:`TrianglePayload` instead of reading the chunk — storage and
-    marching cubes are both skipped; chunks missing from the mapping
-    fall back to the normal read path.
+    marching cubes are both skipped; a chunk missing from the mapping is
+    range-checked like any other and, if kept, read from storage.
     """
 
     def __init__(
@@ -120,16 +128,19 @@ class ReadFilter(Filter):
         storage: StorageMap,
         timestep: int,
         species: int = 0,
+        isovalue: "float | None" = None,
     ):
         self.dataset = dataset
         self.storage = storage
         self.timestep = timestep
         self.species = species
+        self.isovalue = isovalue
 
     def flush(self, ctx: FilterContext) -> None:
         """End-of-work processing (see Filter.flush)."""
         timestep = _uow_get(ctx, "timestep", self.timestep)
         species = _uow_get(ctx, "species", self.species)
+        isovalue = _uow_get(ctx, "isovalue", self.isovalue)
         triangles = _uow_get(ctx, "triangles", None)
         for data_file, _disk in _copy_files(self.storage, ctx):
             for chunk in data_file.chunks:
@@ -143,6 +154,10 @@ class ReadFilter(Filter):
                                 tags={"chunk": chunk.chunk_id},
                             )
                         )
+                    continue
+                if isovalue is not None and range_excludes(
+                    chunk_range(self.dataset, chunk, timestep, species), isovalue
+                ):
                     continue
                 scalars = self.dataset.chunk_field(chunk, timestep, species)
                 ctx.write(

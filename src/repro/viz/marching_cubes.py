@@ -22,7 +22,10 @@ import numpy as np
 
 from repro.errors import DataError
 
-__all__ = ["extract_triangles", "triangle_count", "TRI_TABLE", "CORNER_OFFSETS"]
+__all__ = [
+    "extract_triangles", "triangle_count", "range_excludes", "TRI_TABLE",
+    "CORNER_OFFSETS",
+]
 
 #: (8, 3) integer offsets of cube corners, columns (x, y, z).
 CORNER_OFFSETS = np.array(
@@ -96,6 +99,33 @@ _CONFIG_START = np.cumsum(_TRIS_PER_CONFIG) - _TRIS_PER_CONFIG
 _BLOCK_TRIANGLES = 2048
 
 
+def _inside(scalars: np.ndarray, isovalue: float) -> np.ndarray:
+    """Which samples are inside the surface: the kernel's one comparison."""
+    return scalars > isovalue
+
+
+def range_excludes(
+    value_range: "tuple[float, float] | None", isovalue: float
+) -> bool:
+    """Whether a grid with this value range cannot yield a triangle.
+
+    ``value_range`` is the ``(min, max)`` of the grid's float32 samples, or
+    ``None`` when nobody recorded it (nothing is excluded then).  A
+    triangle needs a cube with one corner inside and one outside, so there
+    is none when the smallest sample is inside (all are) or the largest is
+    not (none is).  The bounds are classified by :func:`_inside` as float32
+    like the samples, so an isovalue that reaches a sample only after
+    rounding to float32 is judged here exactly as the kernel judges it.
+    The minimum and maximum of a grid with a NaN sample are NaN: such a
+    sample is outside but bounds nothing, and the grid is not excluded.
+    """
+    if value_range is None:
+        return False
+    bounds = np.array(value_range, dtype=np.float32)
+    lo_inside, hi_inside = _inside(bounds, isovalue)
+    return bool(lo_inside or not (hi_inside or np.isnan(bounds[1])))
+
+
 def _cube_configs(scalars: np.ndarray, isovalue: float) -> np.ndarray:
     """Config bitmask per cube for a (nz, ny, nx) scalar grid."""
     if scalars.ndim != 3:
@@ -105,7 +135,7 @@ def _cube_configs(scalars: np.ndarray, isovalue: float) -> np.ndarray:
         raise DataError(f"grid too small for cubes: {scalars.shape}")
     # Corner c is bit c and sits at (c & 1, c >> 1 & 1, c >> 2 & 1): fold
     # the +x neighbour in as bit 0 -> 1, then +y as bits 0-1 -> 2-3, then +z.
-    inside = (scalars > isovalue).astype(np.uint16)
+    inside = _inside(scalars, isovalue).astype(np.uint16)
     along_x = inside[:, :, :-1] | (inside[:, :, 1:] << 1)
     along_xy = along_x[:, :-1] | (along_x[:, 1:] << 2)
     return along_xy[:-1] | (along_xy[1:] << 4)

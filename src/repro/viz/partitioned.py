@@ -188,7 +188,7 @@ def build_partitioned_graph(
         "RE",
         factory=(
             lambda: fuse(
-                ReadFilter(dataset, storage, timestep),
+                ReadFilter(dataset, storage, timestep, isovalue=isovalue),
                 ExtractFilter(isovalue),
                 StripRouteFilter(camera, tile_map),
             )

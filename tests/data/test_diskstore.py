@@ -65,6 +65,22 @@ def test_bad_version_rejected(source, tmp_path):
         DeclusteredStore.open(tmp_path / "v")
 
 
+def test_version_1_store_is_refused(source, tmp_path):
+    """A manifest without value ranges is not read as if it had them."""
+    import json
+
+    dataset, profile = source
+    DeclusteredStore.write(dataset, profile, tmp_path / "v1")
+    path = tmp_path / "v1" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["version"] == 2
+    del manifest["ranges"]
+    manifest["version"] = 1
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="unsupported store version 1"):
+        DeclusteredStore.open(tmp_path / "v1")
+
+
 def test_range_checks(source, tmp_path):
     dataset, profile = source
     store = DeclusteredStore.write(dataset, profile, tmp_path / "r")
@@ -76,6 +92,75 @@ def test_range_checks(source, tmp_path):
     bogus = type(chunk)(999, (0, 0, 0), (0, 0, 0), (2, 2, 2))
     with pytest.raises(DataError, match="unknown chunk"):
         store.chunk_field(bogus, 0, 0)
+    # the value-range index takes the same arguments and checks them alike
+    with pytest.raises(DataError, match="timestep -1"):
+        store.chunk_range(chunk, -1, 0)
+    with pytest.raises(DataError, match="species 9"):
+        store.chunk_range(chunk, 0, 9)
+    with pytest.raises(DataError, match="unknown chunk"):
+        store.chunk_range(bogus, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [{}, {"timesteps": [1], "species": [1]}, {"timesteps": [1, 0]}],
+    ids=["whole", "one-field", "reordered-timesteps"],
+)
+def test_value_ranges_are_those_of_the_chunks(source, tmp_path, subset):
+    """The manifest holds every chunk's (min, max), under the store-local
+    (timestep, species) its file is named by — also when the store was
+    written from a subset, and in what a later ``open`` reads back."""
+    dataset, profile = source
+    written = DeclusteredStore.write(dataset, profile, tmp_path / "r", **subset)
+    reopened = DeclusteredStore.open(tmp_path / "r")
+    steps = subset.get("timesteps", range(dataset.timesteps))
+    specs = subset.get("species", range(dataset.species))
+    assert (written.timesteps, written.species) == (len(steps), len(specs))
+    seen = set()
+    for local_t, t in enumerate(steps):
+        for local_sp, sp in enumerate(specs):
+            for chunk in profile.chunks:
+                scalars = dataset.chunk_field(chunk, t, sp)
+                expected = (float(scalars.min()), float(scalars.max()))
+                for store in (written, reopened):
+                    assert store.chunk_range(chunk, local_t, local_sp) == expected
+                    stored = store.chunk_field(chunk, local_t, local_sp)
+                    assert (float(stored.min()), float(stored.max())) == expected
+                seen.add(expected)
+    # every (timestep, species, chunk) has a range of its own here, so one
+    # filed under another's index would have failed above
+    assert len(seen) == len(steps) * len(specs) * len(profile.chunks)
+
+
+def test_value_ranges_keep_nan_and_infinity(tmp_path):
+    """A NaN sample makes its chunk's range NaN (which rules nothing out),
+    an infinite one is a bound like any other; both survive the manifest."""
+    from repro.viz.marching_cubes import range_excludes
+
+    dataset = ParSSimDataset((9, 9, 9), timesteps=1, species=1, seed=8)
+    profile = DatasetProfile.measured("odd", dataset, 8, 2, isovalue=0.35)
+    poisoned = {0: np.nan, 1: np.inf, 2: -np.inf}
+
+    class Poisoned:
+        shape, timesteps, species = dataset.shape, 1, 1
+
+        def chunk_field(self, chunk, timestep, species=0):
+            scalars = dataset.chunk_field(chunk, timestep, species).copy()
+            if chunk.chunk_id in poisoned:
+                scalars[0, 0, 0] = poisoned[chunk.chunk_id]
+            return scalars
+
+    DeclusteredStore.write(Poisoned(), profile, tmp_path / "odd")
+    store = DeclusteredStore.open(tmp_path / "odd")
+    by_id = {chunk.chunk_id: chunk for chunk in profile.chunks}
+    lo, hi = store.chunk_range(by_id[0], 0)
+    assert np.isnan(lo) and np.isnan(hi)
+    assert not range_excludes((lo, hi), 1e9)
+    assert store.chunk_range(by_id[1], 0)[1] == np.inf
+    assert not range_excludes(store.chunk_range(by_id[1], 0), 1e9)
+    assert store.chunk_range(by_id[2], 0)[0] == -np.inf
+    assert range_excludes(store.chunk_range(by_id[2], 0), 1e9)
+    assert range_excludes(store.chunk_range(by_id[3], 0), 1e9)
 
 
 def test_pipeline_renders_from_disk(source, tmp_path):

@@ -347,6 +347,59 @@ def test_cache_keys_separate_any_two_different_requests(one, other, signature):
     assert tri_rebound != tri_one and frame_rebound != frame_one
 
 
+@pytest.fixture(scope="module")
+def keyer():
+    """A service to ask for pool keys (it builds nothing until it renders)."""
+    service = QueryService()
+    yield service
+    service.close()
+
+
+_named = st.tuples(_queries, st.sampled_from(["s", "t"])).map(
+    lambda drawn: replace(drawn[0], scene=replace(drawn[0].scene, name=drawn[1]))
+)
+
+
+@given(one=_named, other=_named)
+@settings(max_examples=300, deadline=None)
+def test_two_pool_keys_never_share_a_frame_key(keyer, one, other):
+    """Why ``render`` does not look for tiles when a pool key first gets its
+    binding: tiles are only ever put under a bound key, and every query
+    field of the pool key is in the frame key — no other key's frame can
+    be this query's."""
+    if keyer._pool_key(one) != keyer._pool_key(other):
+        assert cache_keys("sig", one)[1] != cache_keys("sig", other)[1]
+
+
+def test_first_query_of_a_pool_key_is_a_tile_miss_without_a_lookup(
+    uncached_frames,
+):
+    """Same request at another image size is another pool key: nothing it
+    could find in the shared tile tier, so nothing is looked up there."""
+    base = {"isovalue": 0.4, "timestep": 1}
+    service = _service(cache_mb=32)
+
+    def tile_lookups():
+        tier = service.cache_stats()["shared"]["by_tier"]["tiles"]
+        return tier["hits"] + tier["misses"]
+
+    try:
+        first = service.render(dict(base))
+        assert first["cache"]["tiles"] == "miss" and tile_lookups() == 0
+        resized = service.render({**base, "width": 24})
+        assert resized["cached"] is False
+        assert resized["cache"]["tiles"] == "miss"
+        assert resized["cache"]["triangles"] == "hit"
+        assert tile_lookups() == 0
+        # bound keys look their frames up: one lookup each, both hits
+        assert service.render(dict(base))["cached"] is True
+        assert service.render({**base, "width": 24})["cached"] is True
+        assert tile_lookups() == 2
+        assert first["frame_b64"] == uncached_frames["base"]
+    finally:
+        service.close()
+
+
 def test_evicted_pool_does_not_take_its_frames_with_it(uncached_frames):
     base = {"isovalue": 0.4, "timestep": 1}
     view = {**base, "view": {"azimuth": 60, "elevation": 10}}

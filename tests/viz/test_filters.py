@@ -78,6 +78,79 @@ def test_read_filter_unknown_host_reads_nothing(world):
     assert col.written == []
 
 
+class Ranged:
+    """``world``'s dataset with the value-range index a store would carry;
+    remembers which chunks were actually read."""
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+        self.shape, self.timesteps, self.species = (
+            dataset.shape, dataset.timesteps, dataset.species,
+        )
+        self.read = []
+
+    def chunk_field(self, chunk, timestep, species=0):
+        self.read.append(chunk.chunk_id)
+        return self.dataset.chunk_field(chunk, timestep, species)
+
+    def chunk_range(self, chunk, timestep, species=0):
+        scalars = self.dataset.chunk_field(chunk, timestep, species)
+        return float(scalars.min()), float(scalars.max())
+
+
+def _flush_read(source, storage, uow=None, **kw):
+    col = Collector()
+    col.ctx.uow = uow
+    ReadFilter(source, storage, timestep=0, **kw).flush(col.ctx)
+    return col.written
+
+
+def test_read_filter_skips_chunks_the_isosurface_cannot_cross(world):
+    """With value ranges, Read emits exactly the chunks that yield a
+    triangle, and does not touch the others."""
+    dataset, profile, storage, iso = world
+    yielding = [c.chunk_id for c in profile.chunks if profile.triangles(0, c.chunk_id)]
+    assert 0 < len(yielding) < len(profile.chunks)
+    source = Ranged(dataset)
+    written = _flush_read(source, storage, isovalue=iso)
+    assert sorted(buf.tags["chunk"] for _s, buf in written) == yielding
+    assert sorted(source.read) == yielding
+    assert all(isinstance(buf.payload, ChunkPayload) for _s, buf in written)
+
+
+def test_read_filter_takes_the_isovalue_from_the_unit_of_work(world):
+    dataset, profile, storage, iso = world
+    source = Ranged(dataset)
+    # above every sample: nothing to read, whatever the constructor said
+    assert _flush_read(source, storage, {"isovalue": 99.0}, isovalue=iso) == []
+    assert _flush_read(source, storage, {"isovalue": 99.0}) == []
+    assert source.read == []
+    # the constructor's isovalue excludes everything, the unit of work's not
+    written = _flush_read(source, storage, {"isovalue": iso}, isovalue=99.0)
+    assert len(written) == len(source.read) > 0
+    # no isovalue from either: nothing can be ruled out
+    assert len(_flush_read(source, storage)) == len(profile.chunks)
+
+
+def test_read_filter_range_checks_chunks_missing_from_injected_triangles(world):
+    """An injected chunk is emitted as triangles; one absent from the
+    mapping is read only if its range admits the isovalue."""
+    dataset, profile, storage, iso = world
+    counts = {c.chunk_id: profile.triangles(0, c.chunk_id) for c in profile.chunks}
+    yielding = [cid for cid, n in counts.items() if n]
+    empty = [cid for cid, n in counts.items() if not n]
+    fake = np.zeros((2, 3, 3), dtype=np.float32)
+    injected = {yielding[0]: fake, empty[0]: np.zeros((0, 3, 3), np.float32)}
+    source = Ranged(dataset)
+    written = _flush_read(
+        source, storage, {"isovalue": iso, "triangles": injected}
+    )
+    by_chunk = {buf.tags["chunk"]: buf.payload for _s, buf in written}
+    assert sorted(by_chunk) == yielding  # no empty chunk, injected or not
+    assert by_chunk[yielding[0]].triangles is fake
+    assert sorted(source.read) == yielding[1:]
+
+
 def test_extract_filter_counts_match_profile(world):
     dataset, profile, storage, iso = world
     read_col = Collector()

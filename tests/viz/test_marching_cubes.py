@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import DataError
 from repro.viz.marching_cubes import (
     CORNER_OFFSETS,
     TRI_TABLE,
     extract_triangles,
+    range_excludes,
     triangle_count,
 )
 
@@ -193,3 +195,65 @@ def test_isovalue_monotonicity_on_sphere():
     big = triangle_count(S, -0.8)
     small = triangle_count(S, -0.3)
     assert small < big
+
+
+# -- the value-range rule ------------------------------------------------------
+_AWKWARD = [0.0, -0.0, 0.4, 1.0, float("inf"), float("-inf"), float("nan")]
+_SAMPLES = st.sampled_from(_AWKWARD) | st.floats(width=32)
+_FIELDS = hnp.arrays(
+    np.float32,
+    st.tuples(*[st.integers(2, 4)] * 3),
+    elements=_SAMPLES,
+    fill=_SAMPLES,  # mostly-constant and constant grids
+)
+
+
+@st.composite
+def _field_and_isovalue(draw):
+    """A float32 grid and an isovalue that is likely to sit on a sample."""
+    field = draw(_FIELDS)
+    sample = float(draw(st.sampled_from(field.ravel().tolist())))
+    with np.errstate(over="ignore"):  # the neighbours of the largest float32
+        near = [
+            sample,
+            # other float64 numbers that are this sample as float32
+            float(np.nextafter(sample, np.inf)),
+            float(np.nextafter(sample, -np.inf)),
+            # its float32 neighbours
+            float(np.nextafter(np.float32(sample), np.float32(np.inf))),
+            float(np.nextafter(np.float32(sample), np.float32(-np.inf))),
+        ]
+    isovalue = draw(
+        st.sampled_from(near)
+        | st.sampled_from(_AWKWARD)
+        | st.floats(min_value=-3e38, max_value=3e38)
+    )
+    return field, isovalue
+
+
+@given(_field_and_isovalue())
+@example((np.full((2, 2, 2), 0.4, np.float32), 0.4))  # 0.4 < float32(0.4)
+@example((np.full((2, 2, 2), 0.4, np.float32), float(np.float32(0.4))))
+@example((np.array([0.0, -0.0] * 4, np.float32).reshape(2, 2, 2), 0.0))
+@example((np.array([np.nan] + [1.0] * 7, np.float32).reshape(2, 2, 2), 0.5))
+@example((np.array([np.inf] * 4 + [-np.inf] * 4, np.float32).reshape(2, 2, 2), 0.0))
+@settings(max_examples=400, deadline=None)
+def test_property_excluded_range_means_no_triangle(case):
+    """Whenever the rule rules a grid out, the kernel finds nothing in it —
+    and on a grid of numbers it rules out every grid the kernel finds
+    nothing in (a grid with both sides has a cube with both)."""
+    field, isovalue = case
+    value_range = (float(field.min()), float(field.max()))  # as the store records
+    with np.errstate(all="ignore"):  # inf - inf, an isovalue past float32
+        count = triangle_count(field, isovalue)
+        assert len(extract_triangles(field, isovalue)) == count
+        excluded = range_excludes(value_range, isovalue)
+    if excluded:
+        assert count == 0
+    elif not np.isnan(field).any():
+        assert count > 0
+
+
+def test_a_grid_without_a_recorded_range_is_never_excluded():
+    assert range_excludes(None, 0.5) is False
+    assert range_excludes((0.0, 1.0), 2.0) is True
