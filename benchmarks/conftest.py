@@ -61,7 +61,6 @@ def pipeline_report():
         not report["engines"]
         and "warm_pool" not in report
         and "merge_scaling" not in report
-        and "deep_analysis" not in report
         and "cache" not in report
     ):
         return
@@ -93,9 +92,6 @@ def pipeline_report():
     merge_scaling = report.get("merge_scaling", previous.get("merge_scaling"))
     if merge_scaling:
         payload["merge_scaling"] = merge_scaling
-    deep_analysis = report.get("deep_analysis", previous.get("deep_analysis"))
-    if deep_analysis:
-        payload["deep_analysis"] = deep_analysis
     cache = report.get("cache", previous.get("cache"))
     if cache:
         payload["cache"] = cache

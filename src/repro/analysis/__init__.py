@@ -10,9 +10,9 @@ BufferCodec)`` — dangling/unreachable filters and streams, cycles,
 source/sink arity, copy sets on unknown hosts, degenerate WRR weights,
 demand-driven windows that defeat the bounded queues, phase-synchronised
 (z-buffer) filters behind unsynchronised fan-in, and payload-dtype /
-buffer-size mismatches against the codec.  All three engines run it
-before executing: ERROR diagnostics abort the run, WARNING diagnostics
-become ``analysis`` trace events.
+buffer-size mismatches against the codec.  Every engine runs it before
+executing: ERROR diagnostics abort the run, WARNING diagnostics become
+``analysis`` trace events.
 
 **Pass 2 — filter-code lint** (:func:`lint_file` / :func:`lint_class`):
 stdlib-``ast`` checks over :class:`~repro.core.filter.Filter` subclasses
@@ -22,8 +22,9 @@ state that cannot cross the process engine's fork/pickle boundary, and
 content-routed policies whose ``route()`` ignores its tags.  Nothing is
 imported or executed, so it lints untrusted pipeline definitions safely.
 
-**Deep passes** (``verify_pipeline(..., deep=True)`` / ``repro lint
---deep``), run by the engines at construction:
+**Deep passes.**  Two read the configuration off and are part of the
+engine gate (``verify_pipeline(..., deep=True)``, every engine
+constructor, and ``repro lint --deep``):
 
 - **effects** (:mod:`repro.analysis.effects`, ``E7xx``): AST effect and
   purity inference per filter class (PURE / STATEFUL / IO /
@@ -33,6 +34,12 @@ imported or executed, so it lints untrusted pipeline definitions safely.
   propagation of declared buffer sizes and dtypes through graph +
   placement — per-host queue/window high-water bounds, shared-memory
   slab mismatches, tile fan-in bursts, transitive dtype conflicts.
+
+The third searches a state space, and runs where a search is affordable
+and its verdict is read — ``repro lint --deep`` (:func:`verify_protocol`),
+the tests and direct :func:`check_protocol` calls — never in an engine
+constructor:
+
 - **protocol** (:mod:`repro.analysis.protocol`, ``F9xx``): a bounded
   model checker over the credit/ack/close protocol proving
   deadlock-freedom and EOW delivery, with counterexample event traces.

@@ -119,6 +119,12 @@ class DiagnosticReport:
         """Add many findings."""
         self.diagnostics.extend(diagnostics)
 
+    def sort(self) -> None:
+        """Deterministic presentation: errors first, then by rule id/subject."""
+        self.diagnostics.sort(
+            key=lambda d: (-int(d.severity), d.rule, d.subject, d.message)
+        )
+
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
 

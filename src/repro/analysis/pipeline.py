@@ -7,7 +7,11 @@ reports every violation as a structured :class:`~repro.analysis.Diagnostic`
 individual passes are exposed for the thin ``validate()`` compatibility
 wrappers on :class:`~repro.core.graph.FilterGraph` and
 :class:`~repro.core.placement.Placement`; engines call
-:func:`verify_pipeline` which runs everything applicable.
+:func:`verify_pipeline` with ``deep=True``, which runs every rule that
+reads the configuration off and can refuse it: the G/P/W/Z/B rules here,
+effect inference and resource dataflow.  The protocol model checker
+(:mod:`repro.analysis.protocol`) *searches* a state space instead, and is
+not part of this function: ``repro lint --deep`` and the tests call it.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import networkx as nx
 import numpy as np
 
 from repro.analysis.dataflow import verify_dataflow
-from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
+from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.analysis.effects import verify_effects
-from repro.analysis.protocol import verify_protocol
 from repro.analysis.rules import RULES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -410,7 +413,6 @@ def verify_pipeline(
     codec: "BufferCodec | None" = None,
     deep: bool = False,
     host_memory: Mapping[str, int] | None = None,
-    protocol_max_states: int = 4_000,
 ) -> DiagnosticReport:
     """Run every applicable pipeline rule and return the full report.
 
@@ -420,13 +422,9 @@ def verify_pipeline(
     :meth:`DiagnosticReport.raise_errors` /
     :attr:`DiagnosticReport.errors`.
 
-    With ``deep=True`` the three deep passes run as well: effect/purity
-    inference (``E7xx``), symbolic resource dataflow (``M8xx``, host
-    budgets via ``host_memory``) and the flow-control protocol model
-    checker (``F9xx``).  The protocol pass only runs when the shallow
-    rules found no errors — a structurally broken pipeline wedges for
-    reasons the G/P/Z rules already name — and is bounded by
-    ``protocol_max_states`` so it stays cheap at engine construction.
+    With ``deep=True`` effect/purity inference (``E7xx``) and symbolic
+    resource dataflow (``M8xx``, host budgets via ``host_memory``) run as
+    well — what every engine runs at construction.
     """
     report = DiagnosticReport()
     report.extend(verify_graph(graph))
@@ -444,21 +442,5 @@ def verify_pipeline(
                 graph, placement, policy_for, queue_capacity, codec, host_memory
             )
         )
-        shallow_clean = not any(
-            d.severity >= Severity.ERROR for d in report.diagnostics
-        )
-        if shallow_clean:
-            report.extend(
-                verify_protocol(
-                    graph,
-                    placement,
-                    policy_for,
-                    queue_capacity,
-                    max_states=protocol_max_states,
-                )
-            )
-    # Deterministic presentation: errors first, then by rule id/subject.
-    report.diagnostics.sort(
-        key=lambda d: (-int(d.severity), d.rule, d.subject, d.message)
-    )
+    report.sort()
     return report

@@ -31,6 +31,14 @@ marker fan-in) does not change with more buffers, so a wedge reachable
 at all is reachable within a small bound.  ``stalled`` names copy sets
 whose copies never consume (a crashed or wedged consumer) — the
 configuration the close-while-busy wedge needs.
+
+**Where it runs.**  Not at engine construction: a valid pipeline (acyclic,
+every window at least 1 — both refused earlier by rules that cannot be
+truncated) has never produced a wedge here, and at Table 4 scale the
+search returned no verdict at all.  ``repro lint --deep`` runs it through
+:func:`verify_protocol`; the exhaustive proofs of the shipped
+configurations are in ``tests/analysis/test_protocol.py`` and CI; the
+``stalled`` states are reached only by calling :func:`check_protocol`.
 """
 
 from __future__ import annotations
@@ -651,14 +659,16 @@ def verify_protocol(
     policy_for: "Callable[[str], Callable[[], WriterPolicy]] | None" = None,
     queue_capacity: int = 8,
     max_states: int = 4_000,
-    max_edges: int = 32,
     max_buffers: int = 1,
 ) -> list[Diagnostic]:
-    """Run the ``F9xx`` protocol rules with engine-hook sized bounds.
+    """Run the ``F9xx`` protocol rules: ``repro lint --deep``'s wrapper.
 
-    The defaults keep the pass cheap enough to run at every engine
-    construction; ``repro lint --deep`` and direct :func:`check_protocol`
-    calls use larger bounds for complete proofs.
+    One bounded exploration reported as diagnostics: a reachable wedge is
+    F901–F903 with its event trace, a search cut off at ``max_states``
+    (``--protocol-max-states``) is F904, a complete proof is silent.  No
+    engine calls this: the shallow rules they do run refuse every cycle
+    and the policy constructors every window below 1, after which the
+    model has never wedged (``tests/analysis/test_properties.py``).
     """
     model = build_model(
         graph,
@@ -667,15 +677,7 @@ def verify_protocol(
         queue_capacity,
         max_buffers=max_buffers,
     )
-    if len(model.edges) > max_edges or not model.edges:
-        if model.edges:
-            return [
-                RULES["F904"].diagnostic(
-                    "graph",
-                    f"protocol model has {len(model.edges)} copy-set edges "
-                    f"(> {max_edges}); the pass was skipped",
-                )
-            ]
+    if not model.edges:
         return []
     result = check_model(model, max_states=max_states)
     out: list[Diagnostic] = []

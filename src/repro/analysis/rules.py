@@ -431,9 +431,9 @@ _rule(
 )
 _rule(
     "F904", "state-space-truncated", Severity.INFO, "protocol",
-    "The protocol model checker hit its state or size budget before "
-    "exhausting the reachable state space; deadlock-freedom is verified "
-    "only up to the explored bound.",
+    "The protocol model checker hit its state budget (repro lint "
+    "--protocol-max-states) before exhausting the reachable state space; "
+    "deadlock-freedom is verified only up to the explored bound.",
     "Re-run repro.analysis.protocol.check_protocol directly with a "
     "higher max_states for a complete proof.",
 )

@@ -242,6 +242,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         lint_graph_filters,
         to_json,
         verify_pipeline,
+        verify_protocol,
     )
 
     if args.rules:
@@ -285,17 +286,32 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         from repro.core.policies import make_policy_factory
 
         policy_factory = make_policy_factory(args.policy)
+
+        def policy_for(_stream: str):
+            return policy_factory
+
         for graph, placement, module_file in loaded:
-            report.extend(
-                verify_pipeline(
-                    graph,
-                    placement,
-                    policy_for=(lambda _stream: policy_factory),
-                    queue_capacity=args.queue_capacity,
-                    deep=args.deep,
-                    protocol_max_states=args.protocol_max_states,
-                )
+            found = verify_pipeline(
+                graph,
+                placement,
+                policy_for=policy_for,
+                queue_capacity=args.queue_capacity,
+                deep=args.deep,
             )
+            # A structurally broken pipeline wedges for reasons the other
+            # rules already name, so the model is explored only without them.
+            if args.deep and not found.errors:
+                found.extend(
+                    verify_protocol(
+                        graph,
+                        placement,
+                        policy_for,
+                        args.queue_capacity,
+                        max_states=args.protocol_max_states,
+                    )
+                )
+                found.sort()
+            report.extend(found)
             report.extend(
                 lint_graph_filters(graph, process_engine=args.process)
             )
@@ -396,7 +412,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         pool_idle_timeout=args.idle_timeout,
         cache_mb=args.cache_mb,
-        cache_scope=args.cache_scope,
     )
     try:
         run_server(
@@ -568,10 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-mb", type=float, default=0.0,
                          help="result-cache budget in MiB (0 disables "
                               "caching; see repro.cache)")
-    p_serve.add_argument("--cache-scope", choices=("shared", "pool"),
-                         default="shared",
-                         help="one cache shared by every pool, or a "
-                              "private cache per pool")
     p_serve.add_argument("--idle-timeout", type=float, default=300.0,
                          help="seconds before an idle pool is reaped")
     p_serve.set_defaults(func=_cmd_serve)

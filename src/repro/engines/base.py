@@ -66,18 +66,18 @@ def validate_run_setup(
     known_hosts: "Iterable[str] | None" = None,
     codec: "BufferCodec | None" = None,
     factory_slot: str = "factory",
-    deep: bool = True,
 ) -> "DiagnosticReport":
     """Shared constructor checks of every engine: the static verifier.
 
     Runs :func:`repro.analysis.verify_pipeline` over the full run
     configuration — graph structure, placement (against ``known_hosts``
     when the engine has a cluster; the real engines treat host names as
-    labels), writer-policy flow control and buffer/codec declarations —
-    plus the engine-specific requirements (a ``factory``/``sim_factory``
-    per filter, a sane queue bound).  With ``deep=True`` (the default)
-    the effect-inference, resource-dataflow and protocol model-checker
-    passes run too, under conservative state-space bounds.
+    labels), writer-policy flow control, buffer/codec declarations,
+    effect inference and resource dataflow — plus the engine-specific
+    requirements (a ``factory``/``sim_factory`` per filter, a sane queue
+    bound).  Every rule here reads the configuration off and can refuse
+    it; the protocol model checker, which searches a state space, is
+    ``repro lint --deep``'s and the tests', not the constructors'.
 
     ERROR-level diagnostics raise immediately (:class:`GraphError` /
     :class:`PlacementError` / :class:`~repro.errors.AnalysisError` by rule
@@ -101,7 +101,7 @@ def validate_run_setup(
         policy_for=policy_for,
         queue_capacity=queue_capacity,
         codec=codec,
-        deep=deep,
+        deep=True,
     )
     report.raise_errors()
     for spec in graph.filters.values():
@@ -119,9 +119,10 @@ def emit_analysis_events(
     """Record the verifier's WARNING diagnostics as ``analysis`` events.
 
     Each ``(rule, subject)`` pair is recorded at most once per tracer:
-    engines re-verify graphs that applications already verified at
-    construction, and without the dedup every finding would appear twice
-    in the same trace.
+    an engine emits its construction-time report at the start of every
+    run, and one tracer may follow several runs (``run()`` twice, or one
+    warm-pool query after another), so without the dedup every finding
+    would appear once per run in the same trace.
     """
     if tracer is None or report is None:
         return

@@ -131,14 +131,6 @@ class WarmPool(ProcessEngine):
     ``idle_timeout``
         Seconds of no in-flight work after which the pool closes itself
         (``None`` = never).
-    ``cache`` / ``cache_members``
-        Attach a :class:`~repro.cache.ResultCache` to the named subgraph.
-        The attachment is certified *before* any worker forks: an
-        uncertified subgraph raises
-        :class:`~repro.errors.AnalysisError` with the E703–E706
-        diagnostics and no processes are spawned.  The resulting
-        :attr:`cache_binding` carries the subgraph signature callers
-        (``repro.serve``) derive cache keys from.
     """
 
     def __init__(
@@ -153,9 +145,6 @@ class WarmPool(ProcessEngine):
         start_method: "str | None" = None,
         max_inflight: int = 2,
         idle_timeout: "float | None" = None,
-        deep_analysis: bool = True,
-        cache=None,
-        cache_members: "tuple[str, ...] | None" = None,
     ):
         super().__init__(
             graph,
@@ -167,7 +156,6 @@ class WarmPool(ProcessEngine):
             tracer=None,
             codec=codec,
             start_method=start_method,
-            deep_analysis=deep_analysis,
         )
         if max_inflight < 1:
             raise EngineError(f"max_inflight must be >= 1, got {max_inflight}")
@@ -175,18 +163,6 @@ class WarmPool(ProcessEngine):
         self.idle_timeout = idle_timeout
         self.reaped = False
         self.cycles_completed = 0
-        self.cache_binding = None
-        if cache is not None:
-            if not cache_members:
-                raise EngineError(
-                    "cache attachment needs cache_members naming the "
-                    "memoised subgraph"
-                )
-            from repro.cache import bind_cache
-
-            # Certify before forking: a refused binding must not leak
-            # worker processes.
-            self.cache_binding = bind_cache(graph, cache_members, cache)
         self._spawn()
 
     # -- lifecycle -----------------------------------------------------------
@@ -273,7 +249,7 @@ class WarmPool(ProcessEngine):
     def stats(self) -> dict:
         """A snapshot for service dashboards (``repro serve`` ``stats``)."""
         with self._lock:
-            out = {
+            return {
                 "workers": len(self._procs),
                 "max_inflight": self.max_inflight,
                 "inflight": len(self._pending),
@@ -283,13 +259,6 @@ class WarmPool(ProcessEngine):
                 "reaped": self.reaped,
                 "age_s": time.monotonic() - self.created_at,
             }
-        if self.cache_binding is not None:
-            out["cache"] = {
-                "members": list(self.cache_binding.members),
-                "signature": self.cache_binding.signature,
-                **self.cache_binding.cache.stats(),
-            }
-        return out
 
     # -- submission ----------------------------------------------------------
     def submit(

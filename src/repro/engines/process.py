@@ -90,14 +90,12 @@ class ProcessEngine(Engine):
         tracer: "Tracer | None" = None,
         codec: "BufferCodec | None" = None,
         start_method: str | None = None,
-        deep_analysis: bool = True,
     ):
         self._set_policies(policy, policy_overrides)
         self.codec = codec or BufferCodec()
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "process",
             policy_for=self._policy_for, codec=self.codec,
-            deep=deep_analysis,
         )
         start_method = start_method or "fork"
         if start_method not in multiprocessing.get_all_start_methods():

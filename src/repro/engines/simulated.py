@@ -163,13 +163,12 @@ class SimulatedEngine(Engine):
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         ack_nbytes: int = DEFAULT_ACK_BYTES,
         tracer: "Tracer | None" = None,
-        deep_analysis: bool = True,
     ):
         self._set_policies(policy, policy_overrides)
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "simulated",
             policy_for=self._policy_for, known_hosts=cluster.hosts,
-            factory_slot="sim_factory", deep=deep_analysis,
+            factory_slot="sim_factory",
         )
         self.cluster = cluster
         self.env: Environment = cluster.env

@@ -70,12 +70,11 @@ class ThreadedEngine(Engine):
         ack_nbytes: int = DEFAULT_ACK_BYTES,
         tracer: "Tracer | None" = None,
         codec: "BufferCodec | None" = None,
-        deep_analysis: bool = True,
     ):
         self._set_policies(policy, policy_overrides)
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "threaded",
-            policy_for=self._policy_for, codec=codec, deep=deep_analysis,
+            policy_for=self._policy_for, codec=codec,
         )
         self.graph = graph
         self.placement = placement

@@ -47,8 +47,11 @@ same warm processes.
 
 Result caching (``cache_mb > 0``)
 ---------------------------------
-Repetitive traffic is served through the :mod:`repro.cache` tiers.  The
-cache attaches per pool to the standalone extract stage and only when
+Repetitive traffic is served through the :mod:`repro.cache` tiers: one
+cache for the service, shared by every pool, so popular content is shared
+across image sizes and merge fan-outs.  The service binds it to the
+standalone extract stage of a pool's graph just before it builds the pool
+(:func:`repro.cache.bind_cache`), and only when
 :func:`repro.analysis.effects.certify_memoisable` passes — with the
 shipped configurations that is exactly ``R-E-Ra-M``; the fused
 configurations are *refused* (E703/E706, surfaced in the response's
@@ -60,10 +63,7 @@ a triangle-tier hit (a new view at a cached isovalue) the cached
 per-chunk triangles ride ``uow["triangles"]`` and the Read/Extract
 stages skip storage and marching cubes.
 Failed metadata lookups (unknown dataset, out-of-range timestep) are
-answered from the negative tier.  ``cache_scope`` selects one shared
-cache for every pool (``"shared"``, the default — popular content is
-shared across image sizes and merge fan-outs) or a private cache per
-pool (``"pool"``).
+answered from the negative tier.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ from repro.cache import (
     CacheBinding,
     CachedTile,
     ResultCache,
+    bind_cache,
     content_key,
     make_triangle_set,
 )
@@ -253,7 +254,6 @@ class QueryService:
         max_inflight: int = 2,
         pool_idle_timeout: "float | None" = 300.0,
         cache_mb: float = 0.0,
-        cache_scope: str = "shared",
     ):
         if config not in CONFIGURATIONS:
             raise ConfigurationError(
@@ -266,10 +266,6 @@ class QueryService:
         if cache_mb < 0:
             raise ConfigurationError(
                 f"cache_mb must be >= 0, got {cache_mb}"
-            )
-        if cache_scope not in ("shared", "pool"):
-            raise ConfigurationError(
-                f"cache_scope must be 'shared' or 'pool', got {cache_scope!r}"
             )
         scenes = scenes or [SceneSpec("default")]
         self.scenes = {scene.name: scene for scene in scenes}
@@ -286,24 +282,15 @@ class QueryService:
             max_pools=max_pools, idle_timeout=pool_idle_timeout
         )
         self.cache_mb = float(cache_mb)
-        self.cache_scope = cache_scope
-        self._shared_cache: "ResultCache | None" = None
-        self._negative_cache: "ResultCache | None" = None
+        #: the one result cache, shared by every pool (None: caching off)
+        self._cache: "ResultCache | None" = None
         if self.cache_mb > 0:
-            if cache_scope == "shared":
-                self._shared_cache = ResultCache(
-                    int(self.cache_mb * 2**20), name="serve-shared"
-                )
-                self._negative_cache = self._shared_cache
-            else:
-                # Per-pool caches hold pipeline results; negative lookups
-                # precede pool selection, so they get a small service-wide
-                # cache of their own.
-                self._negative_cache = ResultCache(
-                    256 * 1024, name="serve-negative"
-                )
-        #: pool key -> certified binding (cache + subgraph signature) once
-        #: one exists; lets full tile-set hits skip the pool entirely.
+            self._cache = ResultCache(
+                int(self.cache_mb * 2**20), name="serve-shared"
+            )
+        #: pool key -> certified binding (cache + subgraph signature),
+        #: recorded when the key's first pool is built; it outlives the
+        #: pool, so full tile-set hits skip the pool entirely.
         self._bindings: "dict[Any, CacheBinding]" = {}
         #: configuration -> E703/E706 refusal text (uncached fallback)
         self._cache_refusals: "dict[str, str]" = {}
@@ -356,13 +343,6 @@ class QueryService:
                 assets = self._assets[scene.name] = (store, profile, storage)
         return assets
 
-    def _pool_cache(self) -> "ResultCache | None":
-        if self.cache_mb <= 0:
-            return None
-        if self.cache_scope == "shared":
-            return self._shared_cache
-        return ResultCache(int(self.cache_mb * 2**20), name="serve-pool")
-
     def _build_pool(self, query: Query) -> WarmPool:
         from repro.viz import IsosurfaceApp
 
@@ -380,21 +360,13 @@ class QueryService:
         )
         graph = app.graph(config)
         placement = app.placement(config, copies_per_host=self.copies)
-        overrides = app.policy_overrides(config)
-        cache = self._pool_cache()
-        if cache is not None:
+        if self._cache is not None:
             try:
-                return WarmPool(
-                    graph,
-                    placement,
-                    policy=self.policy,
-                    policy_overrides=overrides,
-                    max_inflight=self.max_inflight,
-                    cache=cache,
-                    # The extract-carrying stage is what a result cache
-                    # attaches to.  Only the standalone ``E`` certifies
-                    # (pure); a fused stage is IO/stateful and is refused.
-                    cache_members=(extract_stage(config),),
+                # The extract-carrying stage is what a result cache
+                # attaches to.  Only the standalone ``E`` certifies
+                # (pure); a fused stage is IO/stateful and is refused.
+                self._bindings[self._pool_key(query)] = bind_cache(
+                    graph, (extract_stage(config),), self._cache
                 )
             except AnalysisError as exc:
                 # Certify-before-memoise: the subgraph is not provably
@@ -411,7 +383,7 @@ class QueryService:
             graph,
             placement,
             policy=self.policy,
-            policy_overrides=overrides,
+            policy_overrides=app.policy_overrides(config),
             max_inflight=self.max_inflight,
         )
 
@@ -420,14 +392,13 @@ class QueryService:
         self, events: _Events, message: str, *subject: Any
     ) -> NoReturn:
         """Raise a failed metadata lookup; repeats hit the negative tier."""
-        negative = self._negative_cache
-        if negative is not None:
+        if self._cache is not None:
             nkey = content_key("negative", *subject)
-            cached = negative.get("negative", nkey)
+            cached = self._cache.get("negative", nkey)
             if cached is not None:
                 events.append(("negative", "hit", len(cached)))
                 raise ConfigurationError(cached)
-            negative.put("negative", nkey, message, len(message))
+            self._cache.put("negative", nkey, message, len(message))
             events.append(("negative", "miss", 0))
         raise ConfigurationError(message)
 
@@ -535,14 +506,14 @@ class QueryService:
 
     def _cache_block(self, config: str, events: _Events) -> "dict[str, Any]":
         block: dict[str, Any] = {
-            "mode": self.cache_scope if self.cache_mb > 0 else "off"
+            "mode": "shared" if self._cache is not None else "off"
         }
         for tier, outcome, _nbytes in events:
             block[tier] = outcome
         block["bytes_saved"] = sum(
             nbytes for _tier, outcome, nbytes in events if outcome == "hit"
         )
-        if self.cache_mb > 0 and config in self._cache_refusals:
+        if config in self._cache_refusals:
             block["mode"] = "refused"
             block["error"] = self._cache_refusals[config]
         return block
@@ -655,7 +626,7 @@ class QueryService:
 
         # Built before the pool is fetched: a pool forked by a process that
         # has already made a Camera serves about 5 % faster (EXPERIMENTS,
-        # ISSUE 15; the cause is open — ROADMAP 4f).
+        # ISSUE 15; the cause is open — ROADMAP 9a).
         uow: dict[str, Any] = {"isovalue": query.isovalue, "timestep": query.timestep}
         if query.orbit is not None:
             uow["camera"] = Camera.orbit(
@@ -666,13 +637,15 @@ class QueryService:
                 height=query.height,
             )
         pool, created = self.pools.get(key, lambda: self._build_pool(query))
-        if binding is None and pool.cache_binding is not None:
-            # The first query of its pool key to get here.  Tiles are put
-            # only after a binding is recorded, and a frame key holds every
-            # query field the pool key does (``_pool_key``), so no frame of
-            # this key is cached yet: a tile miss without a lookup.
-            binding = self._bindings[key] = pool.cache_binding
-            events.append(("tiles", "miss", 0))
+        if binding is None:
+            # No binding when this query looked, so no frame of its key was
+            # cached then: tiles are put only under a recorded binding, and
+            # a frame key holds every query field the pool key does
+            # (``_pool_key``).  If building the key's pool has recorded one
+            # since, the query is a tile miss without a lookup.
+            binding = self._bindings.get(key)
+            if binding is not None:
+                events.append(("tiles", "miss", 0))
 
         outcome = "cold"
         if binding is not None:
@@ -800,18 +773,19 @@ class QueryService:
     def cache_stats(self) -> "dict[str, Any]":
         """Service-level cache facts (also embedded in :meth:`stats`)."""
         out: dict[str, Any] = {
-            "enabled": self.cache_mb > 0,
-            "scope": self.cache_scope if self.cache_mb > 0 else None,
+            "enabled": self._cache is not None,
             "cache_mb": self.cache_mb,
             "refusals": dict(self._cache_refusals),
+            "bindings": {
+                str(key): {
+                    "members": list(binding.members),
+                    "signature": binding.signature,
+                }
+                for key, binding in list(self._bindings.items())
+            },
         }
-        if self._shared_cache is not None:
-            out["shared"] = self._shared_cache.stats()
-        if (
-            self._negative_cache is not None
-            and self._negative_cache is not self._shared_cache
-        ):
-            out["negative"] = self._negative_cache.stats()
+        if self._cache is not None:
+            out["shared"] = self._cache.stats()
         return out
 
     def stats(self) -> "dict[str, Any]":

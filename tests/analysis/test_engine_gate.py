@@ -4,10 +4,14 @@ ERROR diagnostics abort construction with the historical exception types;
 WARNING diagnostics surface as ``analysis`` trace events at run start.
 """
 
+import multiprocessing
+
+import numpy as np
 import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement, SimFilter, SimSource, SourceItem
 from repro.core.tracing import Tracer
+from repro.engines.pool import WarmPool
 from repro.engines.process import ProcessEngine
 from repro.engines.simulated import SimulatedEngine
 from repro.engines.threaded import ThreadedEngine
@@ -86,12 +90,40 @@ def test_threaded_engine_refuses_phase_sync_fan_in():
     assert "Z401" in err.value.report.rule_ids()
 
 
-def test_process_engine_refuses_cycle():
-    g = thread_graph()
+ENGINES = ["threaded", "process", "simulated", "pool"]
+
+
+def build_engine(kind, graph, placement, **kwargs):
+    """One engine of each kind, hosts ``node0``/``node1``; a pool forks at once."""
+    if kind == "simulated":
+        cluster = homogeneous_cluster(Environment(), nodes=2)
+        return SimulatedEngine(cluster, graph, placement, **kwargs)
+    cls = {
+        "threaded": ThreadedEngine, "process": ProcessEngine, "pool": WarmPool
+    }[kind]
+    return cls(graph, placement, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_engine_refuses_cycle(kind):
+    """G102 is why no engine needs the protocol model: a credit cycle
+    needs a graph cycle, and every constructor refuses one (a pool before
+    it forks a worker)."""
+    g = FilterGraph()
+    g.add_filter("src", factory=OneShotSource, sim_factory=ListSource,
+                 is_source=True)
+    g.add_filter("mid", factory=Forward, sim_factory=Counting)
+    g.add_filter("sink", factory=CountSink, sim_factory=Counting)
+    g.connect("src", "mid")
+    g.connect("mid", "sink")
     g.connect("sink", "mid", name="back")
-    p = full_placement(g)
+    p = Placement()
+    for name in g.filters:
+        p.place(name, ["node0"])
+    before = multiprocessing.active_children()
     with pytest.raises(GraphError, match="cycle"):
-        ProcessEngine(g, p)
+        build_engine(kind, g, p)
+    assert multiprocessing.active_children() == before
 
 
 def test_simulated_engine_refuses_unknown_host():
@@ -185,12 +217,12 @@ def test_process_engine_records_analysis_warnings():
 
 
 def test_analysis_events_deduplicate_across_reruns():
-    """Re-verifying the same graph must not duplicate trace findings.
+    """Re-emitting the same report must not duplicate trace findings.
 
-    Applications verify at construction and engines verify again per
+    An engine emits its construction-time report at the start of every
     run; ``analysis`` events are keyed by (rule, subject) per tracer so
-    each finding appears exactly once however many times the report is
-    emitted.
+    each finding appears exactly once however many runs the tracer
+    follows.
     """
     g = thread_graph()
     p = Placement()
@@ -225,10 +257,49 @@ def test_emit_analysis_events_dedup_is_per_tracer():
     assert count(first) == count(second) == len(report.warnings) > 0
 
 
-def test_deep_analysis_opt_out():
-    """deep_analysis=False skips the E/M/F passes at construction."""
-    g = thread_graph(effects="pure")  # mid forwards: genuinely pure
-    p = full_placement(g)
-    engine = ThreadedEngine(g, p, deep_analysis=False)
-    rules = engine._analysis_report.rule_ids()
-    assert not any(r.startswith(("E", "M", "F")) for r in rules)
+@pytest.mark.parametrize("kind", ENGINES)
+def test_engine_construction_explores_no_protocol_model(kind, monkeypatch):
+    """No constructor builds or explores the protocol model.
+
+    With both entry points of the search made to raise, every engine still
+    constructs and runs the four shipped configurations; the real ones
+    still agree on the frame.
+    """
+    from repro.analysis import protocol
+    from repro.data import HostDisks, ParSSimDataset, StorageMap
+    from repro.viz import CONFIGURATIONS, IsosurfaceApp
+    from repro.viz.profile import DatasetProfile
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("an engine constructor reached the protocol model")
+
+    monkeypatch.setattr(protocol, "build_model", refuse)
+    monkeypatch.setattr(protocol, "check_model", refuse)
+
+    dataset = ParSSimDataset((9, 9, 9), timesteps=1, seed=7)
+    profile = DatasetProfile.measured(
+        "gate", dataset, nchunks=8, nfiles=2, isovalue=0.3
+    )
+    hosts = ["node0", "node1"]
+    storage = StorageMap.balanced(profile.files, [HostDisks(h) for h in hosts])
+    app = IsosurfaceApp(
+        profile, storage, width=16, height=16, dataset=dataset, isovalue=0.3
+    )
+    frames = []
+    for config in CONFIGURATIONS:
+        graph = app.graph(config)
+        engine = build_engine(
+            kind, graph, app.placement(config, compute_hosts=hosts),
+            policy_overrides=app.policy_overrides(config),
+        )
+        try:
+            assert "F904" not in engine._analysis_report.rule_ids()
+            metrics = engine.run()
+        finally:
+            if kind == "pool":
+                engine.close()
+        metrics.validate(graph)
+        if kind != "simulated":
+            frames.append(metrics.result.image)
+    for frame in frames[1:]:
+        assert np.array_equal(frame, frames[0])

@@ -116,7 +116,7 @@ def test_valid_pipelines_verify_clean_and_run(pipeline):
     assert metrics.result == expected
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(pipelines())
 def test_valid_pipelines_have_no_protocol_wedge(pipeline):
     """The model checker never finds a wedge in a valid random pipeline.
@@ -124,7 +124,12 @@ def test_valid_pipelines_have_no_protocol_wedge(pipeline):
     Zero F9xx findings, ever: ``deadlock_free`` is either ``True`` (the
     bound sufficed for an exhaustive proof — the common case) or ``None``
     (honest truncation on the largest generated placements, reported as
-    F904 INFO by the verify hook) — never ``False``.
+    F904 INFO by ``repro lint --deep``) — never ``False``.
+
+    This is the standing evidence for the shape of the engine gate: the
+    constructors run the rules that refuse a cycle (G102) and a window
+    below 1 (the policy constructors), and do not explore the model,
+    because a pipeline that passes those has never wedged it.
     """
     from repro.analysis import check_protocol
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -359,6 +361,31 @@ def test_lint_deep_runs_the_deep_passes(tmp_path, capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     rules = {d["rule"] for d in payload["diagnostics"]}
     assert "E702" in rules
+
+
+def test_lint_deep_over_the_shipped_configurations(capsys, monkeypatch):
+    """CI's deep-lint targets at the default bound, output pinned.
+
+    Recorded when the protocol pass was still inside ``verify_pipeline``
+    (a88fbce): three of the four configurations are truncated at 4,000
+    states, ``RERa-M`` is proved, nothing else fires, the exit code is 0.
+    """
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    monkeypatch.syspath_prepend(str(root / "examples"))
+    code = main(
+        ["lint", "--deep", "--process",
+         "--graph-module", "deep_lint_targets:targets",
+         "src/repro/core/fuse.py", "src/repro/viz"]
+    )
+    truncated = (
+        "INFO    F904 (state-space-truncated) graph: protocol exploration "
+        "truncated at 4000 states (max_states=4000); no wedge found so far\n"
+        "        fix: Re-run repro.analysis.protocol.check_protocol directly "
+        "with a higher max_states for a complete proof.\n"
+    )
+    assert capsys.readouterr().out == truncated * 3 + "-- 3 info (3 total)\n"
+    assert code == 0
 
 
 def test_lint_graph_module_list_of_pairs(tmp_path, capsys, monkeypatch):

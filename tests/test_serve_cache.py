@@ -71,6 +71,9 @@ def test_cached_responses_are_bit_exact(uncached_frames):
         assert second["cache"]["bytes_saved"] > 0
         assert second["makespan_s"] == 0.0  # no pipeline run
         assert second["active_pixels"] == first["active_pixels"]
+        by_tier = service.cache_stats()["shared"]["by_tier"]
+        assert by_tier["tiles"]["hits"] == 1  # the repeat: one tile lookup
+        assert by_tier["triangles"]["hits"] == 0  # ... and nothing else
     finally:
         service.close()
 
@@ -168,23 +171,7 @@ def test_fused_config_refuses_cache_but_still_serves(uncached_frames):
         assert first["frame_b64"] == uncached_frames["base"]
         assert second["frame_b64"] == uncached_frames["base"]
         assert service.cache_stats()["refusals"]["RE-Ra-M"]
-    finally:
-        service.close()
-
-
-def test_pool_scope_gives_each_pool_its_own_cache(uncached_frames):
-    service = _service(cache_mb=8, cache_scope="pool")
-    try:
-        service.render({"isovalue": 0.4, "timestep": 1})
-        second = service.render({"isovalue": 0.4, "timestep": 1})
-        assert second["cached"] is True
-        assert second["frame_b64"] == uncached_frames["base"]
-        stats = service.stats()
-        assert stats["cache"]["scope"] == "pool"
-        (pool_stats,) = stats["pools"].values()
-        by_tier = pool_stats["cache"]["by_tier"]
-        assert by_tier["tiles"]["hits"] == 1  # the repeat: one tile lookup
-        assert by_tier["triangles"]["hits"] == 0  # ... and nothing else
+        assert service.cache_stats()["bindings"] == {}
     finally:
         service.close()
 
@@ -215,9 +202,14 @@ def test_warm_pool_stats_surface_cache_binding():
     try:
         service.render({"isovalue": 0.4, "timestep": 1})
         stats = service.stats()
-        (pool_stats,) = stats["pools"].values()
-        assert pool_stats["cache"]["members"] == ["E"]
-        assert pool_stats["cache"]["signature"]
+        # The binding is the service's: listed under the pool's own key,
+        # beside the refusals, and the pool's block knows no cache.
+        ((pool_key, pool_stats),) = stats["pools"].items()
+        assert "cache" not in pool_stats
+        binding = stats["cache"]["bindings"][pool_key]
+        assert binding["members"] == ["E"]
+        assert binding["signature"]
+        assert stats["cache"]["refusals"] == {}
         shared = stats["cache"]["shared"]
         assert shared["entries"] >= 2  # triangles + one tile
     finally:
