@@ -99,7 +99,7 @@ def main() -> int:
     if cache and cache.get("mode") != "off":
         tiers = " ".join(
             f"{tier}={cache[tier]}"
-            for tier in ("negative", "triangles", "tiles")
+            for tier in ("triangles", "tiles")
             if tier in cache
         )
         print(

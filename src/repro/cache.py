@@ -1,29 +1,23 @@
-"""Memoisation-certified result/fragment cache for the serve path.
+"""Memoisation-certified result cache for the serve path.
 
-Million-user isosurface traffic is highly repetitive — the same dataset,
-a handful of popular isovalues, nearby views — yet every warm-pool query
-still pays Read+Extract+Raster in full.  This module supplies the
-content-addressed, capacity-bounded cache that ROADMAP item 2 calls for,
-in three tiers:
+Isosurface traffic is highly repetitive — the same dataset, a handful of
+popular isovalues, nearby views — yet every warm-pool query would pay
+Read + Extract + Raster in full.  This module supplies the
+content-addressed, capacity-bounded cache ``repro serve`` answers such
+traffic from, in two tiers:
 
 ``triangles``
-    Extracted triangle sets keyed by ``(subgraph signature, dataset
-    digest, chunk-partition digest, timestep, isovalue)``.  A hit lets
-    the serve layer inject the triangles into the pipeline's unit of
-    work, so the Read and Extract stages skip storage and marching
-    cubes entirely.
+    Extracted triangle sets keyed by ``(subgraph signature, scene facts,
+    chunk partition, timestep, isovalue)``.  A hit lets the serve layer
+    inject the triangles into the pipeline's unit of work, so the Read
+    and Extract stages skip storage and marching cubes entirely.
 ``tiles``
-    Rendered frame tiles keyed by ``(triangle key, view, image size,
-    algorithm, configuration, merge fan-out, tile id)`` — the request,
-    not the triangle data, so a frame stays answerable after the arrays
-    that produced it have been evicted.  Shaped like the PR 5
-    distributed-framebuffer tiles (:class:`CachedTile` mirrors
-    ``repro.viz.tiled.TileImage``).  A full tile-set hit reconstructs
-    the frame without running the pipeline at all.
-``negative``
-    Metadata lookups that *failed* (unknown dataset, out-of-range
-    timestep), so repeated bad queries are answered without touching
-    the scene registry.
+    Rendered frames keyed by ``(triangle key, view, image size,
+    algorithm, configuration, merge fan-out)`` — the request, not the
+    triangle data, so a frame stays answerable after the arrays that
+    produced it have been evicted.  One entry per frame
+    (:class:`CachedFrame`: a frame is its one full-viewport tile); a hit
+    answers the query without running the pipeline at all.
 
 The certify-before-memoise contract
 -----------------------------------
@@ -31,7 +25,7 @@ A cache may only attach to a subgraph that
 :func:`repro.analysis.effects.certify_memoisable` passes: every member
 provably PURE and the member set convex.  :func:`bind_cache` enforces
 this — a rejected subgraph raises :class:`~repro.errors.AnalysisError`
-carrying the certifier's E703–E705 findings plus the new E706
+carrying the certifier's E703–E705 findings plus the E706
 (*cache-over-uncertified-subgraph*) diagnostic.  Cache keys start from
 :func:`subgraph_signature`, a digest of the members' **static**
 ``FilterSpec`` metadata (dtype, nbytes, phase discipline, effects
@@ -39,9 +33,9 @@ declaration, topology), so a key can never match across pipelines whose
 declared semantics differ.
 
 The cache itself (:class:`ResultCache`) is a thread-safe, byte-budgeted
-LRU shared by all tiers; hits account the bytes they saved, which the
-serve layer surfaces as ``cache_hit``/``cache_miss`` trace events and
-``RunMetrics`` fields.
+LRU shared by both tiers; hits account the bytes they saved, which the
+serve layer surfaces in each response's ``cache`` block and as
+``cache_hit``/``cache_miss`` trace events.
 """
 
 from __future__ import annotations
@@ -65,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 __all__ = [
     "TIERS",
     "CacheBinding",
-    "CachedTile",
+    "CachedFrame",
     "ResultCache",
     "TriangleSet",
     "bind_cache",
@@ -75,8 +69,8 @@ __all__ = [
     "verify_cache_attachment",
 ]
 
-#: The three cache tiers (the serve path probes tiles before triangles).
-TIERS = ("triangles", "tiles", "negative")
+#: The two cache tiers (the serve path probes tiles before triangles).
+TIERS = ("triangles", "tiles")
 
 
 # -- content addressing ------------------------------------------------------
@@ -170,7 +164,7 @@ def subgraph_signature(graph: "FilterGraph", members: Iterable[str]) -> str:
 # -- cached values -----------------------------------------------------------
 @dataclass(frozen=True)
 class TriangleSet:
-    """Tier-(a) value: per-chunk world-space triangle arrays.
+    """``triangles`` value: per-chunk world-space triangle arrays.
 
     ``triangles`` maps chunk id -> ``(N, 3, 3)`` float32, in chunk order
     (empty chunks included, so a replay knows the coverage is total).
@@ -190,19 +184,15 @@ def make_triangle_set(triangles: "Mapping[int, np.ndarray]") -> TriangleSet:
 
 
 @dataclass(frozen=True)
-class CachedTile:
-    """Tier-(b) value: one composited tile of a rendered frame.
+class CachedFrame:
+    """``tiles`` value: one rendered frame and its merge facts.
 
-    Same shape as the PR 5 tile framebuffer's ``TileImage`` — tile id,
-    viewport offset and the tile's pixels — plus the frame-level merge
-    facts (``active_pixels``, ``buffers_merged``) replicated on every
-    tile so a full-set hit can rebuild the whole query response.
+    Everything a query response says about its frame (``active_pixels``,
+    ``buffers_merged``), so a hit rebuilds the response from this entry
+    alone.
     """
 
-    tile: int
-    x0: int
-    y0: int
-    image: np.ndarray  # (tile_h, tile_w, 3) uint8
+    image: np.ndarray  # (height, width, 3) uint8
     active_pixels: int
     buffers_merged: int
 
@@ -263,12 +253,6 @@ class ResultCache:
             self._hits[tier] += 1
             self.bytes_saved += entry[1]
             return entry[0]
-
-    def peek(self, tier: str, key: str) -> bool:
-        """True when an entry exists; no counters touched, no LRU bump."""
-        self._check_tier(tier)
-        with self._lock:
-            return (tier, key) in self._entries
 
     def put(self, tier: str, key: str, value: Any, nbytes: int) -> bool:
         """Insert a value; evict LRU entries until it fits.

@@ -5,8 +5,8 @@ Extract, Raster, Merge — grouped differently, and a configuration *name*
 is that grouping: ``"RE-Ra-M"`` is ``(("R", "E"), ("Ra",), ("M",))``.
 :func:`parse_configuration` is the one place the names are read;
 :class:`~repro.viz.app.IsosurfaceApp` builds its graph from the groups,
-``repro serve`` finds the extract-carrying stage in them, and the CLI
-lists :data:`CONFIGURATIONS` as its choices.
+and the CLI and ``repro serve`` list :data:`CONFIGURATIONS` as their
+choices.
 
 This module lives outside :mod:`repro.viz` on purpose: importing anything
 under that package loads the NumPy kernels, and the CLI and the server
@@ -25,7 +25,6 @@ __all__ = [
     "ALGORITHMS",
     "parse_configuration",
     "stage_name",
-    "extract_stage",
     "check_algorithm",
 ]
 
@@ -51,13 +50,6 @@ def parse_configuration(name: str) -> tuple[tuple[str, ...], ...]:
 def stage_name(group: tuple[str, ...]) -> str:
     """The filter name of a stage group: ``("R", "E")`` is ``"RE"``."""
     return "".join(group)
-
-
-def extract_stage(name: str) -> str:
-    """The filter that carries Extract in configuration ``name``."""
-    return next(
-        stage_name(group) for group in parse_configuration(name) if "E" in group
-    )
 
 
 def check_algorithm(

@@ -70,12 +70,6 @@ class RunMetrics:
         self.ack_bytes: int = 0
         #: per-message ack wire size the engine used (0 = engine never set it)
         self.ack_nbytes: int = 0
-        #: result-cache lookups this run benefited from / paid for
-        #: (``repro.cache`` via the serve layer; 0 when no cache attached)
-        self.cache_hits: int = 0
-        self.cache_misses: int = 0
-        #: stored bytes the cache hits saved the pipeline from recomputing
-        self.cache_bytes_saved: int = 0
 
     # -- registration ----------------------------------------------------------
     def new_copy(self, filter_name: str, host: str, copy_index: int) -> CopyStats:
@@ -132,9 +126,6 @@ class RunMetrics:
             "filters": sorted({c.filter_name for c in self.copies}),
             "ack_messages": self.ack_messages,
             "ack_bytes": self.ack_bytes,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_bytes_saved": self.cache_bytes_saved,
         }
 
     # -- consistency -----------------------------------------------------------

@@ -27,9 +27,9 @@ on the worker sentinels; an unexpected worker death marks the pool
 abandoned traffic through the runtime's ack-and-release helper so no
 shared-memory segment outlives the pool.  A copy that could not decode an
 input payload (a mapped file gone or cut short under it) fails its query
-with the error it raised and breaks the pool the same way.  An
-``idle_timeout`` reaps the pool (full ``close()``) after that long with no
-work in flight.
+with the error it raised and breaks the pool the same way.  Idle pools
+are retired by their owner: :class:`PoolManager` closes one that has had no
+work in flight for its ``idle_timeout`` (:meth:`WarmPool.idle_seconds`).
 
 Payload lifetime contract: unchanged from the process engine — an input
 buffer's arrays are shared-memory views valid only during ``handle``; the
@@ -52,7 +52,7 @@ from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory
 from repro.core.tracing import Tracer
 from repro.engines.base import open_wall_trace
-from repro.engines.process import ProcessEngine
+from repro.engines.process import START_METHOD, ProcessEngine
 from repro.engines.runtime import (
     STOP,
     CycleReport,
@@ -123,14 +123,11 @@ class WarmPool(ProcessEngine):
     an explicit close delivers queued DD acks and joins the ack threads
     before the processes exit.
 
-    Additional parameters over the process engine:
+    Additional parameter over the process engine:
 
     ``max_inflight``
         Slots in the cycle ring — how many queries may pipeline through
         the filters concurrently (submits beyond that block).
-    ``idle_timeout``
-        Seconds of no in-flight work after which the pool closes itself
-        (``None`` = never).
     """
 
     def __init__(
@@ -142,9 +139,7 @@ class WarmPool(ProcessEngine):
         queue_capacity: int = 8,
         ack_nbytes: int = DEFAULT_ACK_BYTES,
         codec=None,
-        start_method: "str | None" = None,
         max_inflight: int = 2,
-        idle_timeout: "float | None" = None,
     ):
         super().__init__(
             graph,
@@ -155,19 +150,16 @@ class WarmPool(ProcessEngine):
             ack_nbytes=ack_nbytes,
             tracer=None,
             codec=codec,
-            start_method=start_method,
         )
         if max_inflight < 1:
             raise EngineError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
-        self.idle_timeout = idle_timeout
-        self.reaped = False
         self.cycles_completed = 0
         self._spawn()
 
     # -- lifecycle -----------------------------------------------------------
     def _spawn(self) -> None:
-        mp_ctx = multiprocessing.get_context(self.start_method)
+        mp_ctx = multiprocessing.get_context(START_METHOD)
         nslots = self.max_inflight
         # Slots play the role cycles play in the batch engine's layout.
         world = self._world = self._build_world(mp_ctx, nslots)
@@ -256,7 +248,6 @@ class WarmPool(ProcessEngine):
                 "cycles_completed": self.cycles_completed,
                 "closed": self._closed,
                 "broken": self._broken,
-                "reaped": self.reaped,
                 "age_s": time.monotonic() - self.created_at,
             }
 
@@ -386,35 +377,14 @@ class WarmPool(ProcessEngine):
 
         Same no-polling contract as ``ProcessEngine._supervise``: while the
         workers are healthy this thread sleeps in the kernel (the wake pipe
-        exists so ``close()`` can retire it).  With an ``idle_timeout`` the
-        wait is bounded by the time left until the pool would be reaped.
+        exists so ``close()`` can retire it).
         """
         sentinels = {p.sentinel: c for c, p in self._procs.items()}
         waitables = list(sentinels) + [self._wake_recv]
         while True:
-            timeout = None
-            if self.idle_timeout is not None:
-                with self._lock:
-                    busy = bool(self._pending)
-                    idle_for = time.monotonic() - self._last_activity
-                if not busy:
-                    timeout = max(0.0, self.idle_timeout - idle_for)
-            ready = multiprocessing.connection.wait(waitables, timeout)
+            ready = multiprocessing.connection.wait(waitables)
             if self._closing.is_set():
                 return
-            if not ready:
-                with self._lock:
-                    reap = (
-                        not self._pending
-                        and not self._closed
-                        and time.monotonic() - self._last_activity
-                        >= self.idle_timeout
-                    )
-                if reap:
-                    self.reaped = True
-                    self.close()
-                    return
-                continue
             if self._wake_recv in ready:
                 while self._wake_recv.poll():
                     self._wake_recv.recv()
@@ -485,8 +455,7 @@ class WarmPool(ProcessEngine):
                 already = self._closed
                 self._closed = True
         if already:
-            if threading.current_thread() is not self._supervisor:
-                self._shutdown_done.wait()
+            self._shutdown_done.wait()
             return
         with self._lock:
             pending = list(self._pending.values())
@@ -497,8 +466,7 @@ class WarmPool(ProcessEngine):
             self._wake_send.send(b"x")
         except (OSError, ValueError):  # pragma: no cover - already torn down
             pass
-        if threading.current_thread() is not self._supervisor:
-            self._supervisor.join()
+        self._supervisor.join()
         if not self._broken:
             for control in self._controls:
                 control.put(STOP)

@@ -29,10 +29,9 @@ and the supervision of forked workers:
   where they merge into one run-relative wall-clock trace — ``repro trace``
   and ``RunMetrics.validate`` work unchanged.
 
-The engine needs the ``fork`` start method (the default): filter factories
-are typically closures over datasets and cameras, which fork inherits for
-free.  On platforms without fork construct with ``start_method="spawn"``
-and a fully picklable graph, or fall back to the threaded engine.
+The engine needs the ``fork`` start method: filter factories are closures
+over datasets and cameras, which fork inherits for free and no other start
+method can carry.  On platforms without fork use the threaded engine.
 """
 
 from __future__ import annotations
@@ -61,7 +60,10 @@ from repro.engines.runtime import (
 )
 from repro.errors import EngineError
 
-__all__ = ["ProcessEngine"]
+__all__ = ["ProcessEngine", "START_METHOD"]
+
+#: The ``multiprocessing`` start method of every worker (see above).
+START_METHOD = "fork"
 
 
 class ProcessEngine(Engine):
@@ -74,9 +76,6 @@ class ProcessEngine(Engine):
     ``codec``
         The :class:`~repro.core.buffer.BufferCodec` moving payloads between
         processes (default: shared memory for arrays >= 64 KiB).
-    ``start_method``
-        ``multiprocessing`` start method; default ``"fork"`` (required for
-        closure factories — see the module docstring).
     """
 
     def __init__(
@@ -89,7 +88,6 @@ class ProcessEngine(Engine):
         ack_nbytes: int = DEFAULT_ACK_BYTES,
         tracer: "Tracer | None" = None,
         codec: "BufferCodec | None" = None,
-        start_method: str | None = None,
     ):
         self._set_policies(policy, policy_overrides)
         self.codec = codec or BufferCodec()
@@ -97,10 +95,9 @@ class ProcessEngine(Engine):
             graph, placement, queue_capacity, "process",
             policy_for=self._policy_for, codec=self.codec,
         )
-        start_method = start_method or "fork"
-        if start_method not in multiprocessing.get_all_start_methods():
+        if START_METHOD not in multiprocessing.get_all_start_methods():
             raise EngineError(
-                f"start method {start_method!r} unavailable on this platform "
+                f"start method {START_METHOD!r} unavailable on this platform "
                 f"(have {multiprocessing.get_all_start_methods()}); the "
                 f"process engine needs fork for closure factories — use the "
                 f"threaded engine instead"
@@ -110,7 +107,6 @@ class ProcessEngine(Engine):
         self.queue_capacity = queue_capacity
         self.ack_nbytes = ack_nbytes
         self.tracer = tracer
-        self.start_method = start_method
 
     def run(self) -> RunMetrics:
         """Execute one unit of work; blocks until all copies finish."""
@@ -129,7 +125,7 @@ class ProcessEngine(Engine):
         if not uows:
             raise EngineError("run_cycles() needs at least one unit of work")
         ncycles = len(uows)
-        mp_ctx = multiprocessing.get_context(self.start_method)
+        mp_ctx = multiprocessing.get_context(START_METHOD)
         world = self._build_world(mp_ctx, ncycles)
         results = mp_ctx.SimpleQueue()
         trace_limit = open_wall_trace(self.tracer, self._analysis_report)

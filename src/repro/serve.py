@@ -47,23 +47,26 @@ same warm processes.
 
 Result caching (``cache_mb > 0``)
 ---------------------------------
-Repetitive traffic is served through the :mod:`repro.cache` tiers: one
+Repetitive traffic is served through the two :mod:`repro.cache` tiers: one
 cache for the service, shared by every pool, so popular content is shared
-across image sizes and merge fan-outs.  The service binds it to the
-standalone extract stage of a pool's graph just before it builds the pool
-(:func:`repro.cache.bind_cache`), and only when
-:func:`repro.analysis.effects.certify_memoisable` passes — with the
-shipped configurations that is exactly ``R-E-Ra-M``; the fused
-configurations are *refused* (E703/E706, surfaced in the response's
-``cache`` block) and run uncached.  Both keys are functions of the
-request alone (:func:`cache_keys`) and the probe order is tiles →
-triangles → pipeline: on a full tile-set hit the frame is reconstructed
-from cached tiles without touching the triangle tier or the pipeline; on
-a triangle-tier hit (a new view at a cached isovalue) the cached
-per-chunk triangles ride ``uow["triangles"]`` and the Read/Extract
-stages skip storage and marching cubes.
-Failed metadata lookups (unknown dataset, out-of-range timestep) are
-answered from the negative tier.
+across configurations, image sizes and merge fan-outs.  What is certified
+is the stage definition, what is keyed is the request.  The triangle tier
+holds what the Extract stage computes — the front-end runs its kernel
+(:meth:`QueryService._extract_triangles`) and injects the result through
+``uow["triangles"]`` whatever node carries the stage — so the service asks
+:func:`repro.analysis.effects.certify_memoisable` once, before its first
+probe, about that stage where it is a node of its own (``E`` of
+``R-E-Ra-M``, through :func:`repro.cache.bind_cache`), and all four
+configurations take the same path under that one certificate.  A refusal
+(E703/E706 — reachable only by changing the Extract definition) is
+surfaced in every response's ``cache`` block and the service runs
+uncached.  Both keys are functions of the request alone
+(:func:`cache_keys`) and the probe order is tiles → triangles → pipeline:
+a repeat query is one tile-tier lookup, answered without a pool; on a
+triangle-tier hit (a new view at a cached isovalue) the cached per-chunk
+triangles ride ``uow["triangles"]`` and the Read/Extract stages skip
+storage and marching cubes.  An invalid request raises before any probe
+and never touches the cache.
 """
 
 from __future__ import annotations
@@ -78,20 +81,19 @@ import time
 import traceback
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.cache import (
     CacheBinding,
-    CachedTile,
+    CachedFrame,
     ResultCache,
     bind_cache,
     content_key,
     make_triangle_set,
 )
-from repro.configurations import CONFIGURATIONS, extract_stage
-from repro.core.tiles import Tile, TileMap
+from repro.configurations import CONFIGURATIONS
 from repro.engines.pool import PoolManager, WarmPool
 from repro.errors import (
     AnalysisError,
@@ -154,13 +156,6 @@ def _coerce_float(value: Any, name: str) -> float:
     if not math.isfinite(out):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")
     return out
-
-
-def _frame_tiles(width: int, height: int, merge_copies: int) -> "list[Tile]":
-    """The cached-frame partition: the PR 5 row bands, or one full tile."""
-    if merge_copies > 1:
-        return TileMap.rows(width, height, merge_copies, merge_copies).tiles
-    return [Tile(0, 0, 0, width, height, 0)]
 
 
 @dataclass(frozen=True)
@@ -288,12 +283,11 @@ class QueryService:
             self._cache = ResultCache(
                 int(self.cache_mb * 2**20), name="serve-shared"
             )
-        #: pool key -> certified binding (cache + subgraph signature),
-        #: recorded when the key's first pool is built; it outlives the
-        #: pool, so full tile-set hits skip the pool entirely.
-        self._bindings: "dict[Any, CacheBinding]" = {}
-        #: configuration -> E703/E706 refusal text (uncached fallback)
-        self._cache_refusals: "dict[str, str]" = {}
+        #: the cache bound to the Extract stage definition, certified once,
+        #: before the first probe (None: caching off, not asked yet, refused)
+        self._binding: "CacheBinding | None" = None
+        #: the certifier's E703/E706 text when it refused: served uncached
+        self._cache_refusal: "str | None" = None
         #: scene name -> (store, profile, storage), made at first use
         self._assets: "dict[str, tuple[Any, Any, Any]]" = {}
         #: scene name -> the directory its store lives in; a directory is
@@ -358,49 +352,49 @@ class QueryService:
             isovalue=query.scene.isovalue,
             merge_copies=query.merge_copies,
         )
-        graph = app.graph(config)
-        placement = app.placement(config, copies_per_host=self.copies)
-        if self._cache is not None:
-            try:
-                # The extract-carrying stage is what a result cache
-                # attaches to.  Only the standalone ``E`` certifies
-                # (pure); a fused stage is IO/stateful and is refused.
-                self._bindings[self._pool_key(query)] = bind_cache(
-                    graph, (extract_stage(config),), self._cache
-                )
-            except AnalysisError as exc:
-                # Certify-before-memoise: the subgraph is not provably
-                # pure, so this configuration runs uncached (the E703/E706
-                # findings are surfaced in responses and stats).
-                report = getattr(exc, "report", None)
-                if report is not None and report.errors:
-                    self._cache_refusals[config] = "; ".join(
-                        f"[{d.rule}] {d.message}" for d in report.errors
-                    )
-                else:
-                    self._cache_refusals[config] = str(exc)
         return WarmPool(
-            graph,
-            placement,
+            app.graph(config),
+            app.placement(config, copies_per_host=self.copies),
             policy=self.policy,
             policy_overrides=app.policy_overrides(config),
             max_inflight=self.max_inflight,
         )
 
     # -- cache plumbing ------------------------------------------------------
-    def _refuse(
-        self, events: _Events, message: str, *subject: Any
-    ) -> NoReturn:
-        """Raise a failed metadata lookup; repeats hit the negative tier."""
-        if self._cache is not None:
-            nkey = content_key("negative", *subject)
-            cached = self._cache.get("negative", nkey)
-            if cached is not None:
-                events.append(("negative", "hit", len(cached)))
-                raise ConfigurationError(cached)
-            self._cache.put("negative", nkey, message, len(message))
-            events.append(("negative", "miss", 0))
-        raise ConfigurationError(message)
+    def _certified(self, scene: SceneSpec) -> "CacheBinding | None":
+        """The cache bound to the Extract stage, or None (off or refused).
+
+        What the tiers memoise is what the Extract *stage definition*
+        computes, whichever node of a configuration carries it, so the
+        certifier is asked about that definition where it is a node of its
+        own — ``E`` of ``R-E-Ra-M`` — once per service, at its first query
+        (the stage's static metadata, hence the binding's signature, is
+        the same for every scene and pipeline shape).
+        """
+        if (
+            self._cache is None
+            or self._binding is not None
+            or self._cache_refusal is not None
+        ):
+            return self._binding
+        from repro.viz import IsosurfaceApp
+
+        store, profile, storage = self._scene_assets(scene)
+        with self._assets_lock:
+            if self._binding is None and self._cache_refusal is None:
+                app = IsosurfaceApp(profile, storage, dataset=store)
+                try:
+                    self._binding = bind_cache(
+                        app.graph("R-E-Ra-M"), ("E",), self._cache
+                    )
+                except AnalysisError as exc:
+                    # Certify-before-memoise: Extract is not provably pure,
+                    # so the service runs uncached (the E703/E706 findings
+                    # are surfaced in responses and stats).
+                    self._cache_refusal = "; ".join(
+                        f"[{d.rule}] {d.message}" for d in exc.report.errors
+                    )
+        return self._binding
 
     def _chunks_needed_by(
         self, scene: SceneSpec, timestep: int, isovalue: float
@@ -460,51 +454,7 @@ class QueryService:
                 handle.close()
         return out
 
-    def _cached_frame(
-        self, cache: ResultCache, frame_key: str, query: Query, events: _Events
-    ) -> "tuple[np.ndarray, CachedTile] | None":
-        """Rebuild the frame from cached tiles, or None on any gap."""
-        tiles = _frame_tiles(query.width, query.height, query.merge_copies)
-        keys = [content_key(frame_key, tile.index) for tile in tiles]
-        missing = [k for k in keys if not cache.peek("tiles", k)]
-        if missing:
-            cache.get("tiles", missing[0])  # register exactly one miss
-            events.append(("tiles", "miss", 0))
-            return None
-        records = [cache.get("tiles", k) for k in keys]
-        if any(record is None for record in records):  # raced an eviction
-            events.append(("tiles", "miss", 0))
-            return None
-        events.append(
-            ("tiles", "hit", sum(record.nbytes for record in records))
-        )
-        if len(records) == 1:  # the whole frame: nothing to assemble
-            return records[0].image, records[0]
-        image = np.zeros((query.height, query.width, 3), np.uint8)
-        for record in records:
-            h, w = record.image.shape[:2]
-            image[record.y0 : record.y0 + h, record.x0 : record.x0 + w] = (
-                record.image
-            )
-        return image, records[0]
-
-    def _store_tiles(
-        self, cache: ResultCache, frame_key: str, result: Any, query: Query
-    ) -> None:
-        for tile in _frame_tiles(query.width, query.height, query.merge_copies):
-            sub = np.ascontiguousarray(
-                result.image[tile.y0 : tile.y1, tile.x0 : tile.x1]
-            )
-            record = CachedTile(
-                tile.index, tile.x0, tile.y0, sub,
-                result.active_pixels, result.buffers_merged,
-            )
-            cache.put(
-                "tiles", content_key(frame_key, tile.index), record,
-                record.nbytes,
-            )
-
-    def _cache_block(self, config: str, events: _Events) -> "dict[str, Any]":
+    def _cache_block(self, events: _Events) -> "dict[str, Any]":
         block: dict[str, Any] = {
             "mode": "shared" if self._cache is not None else "off"
         }
@@ -513,9 +463,9 @@ class QueryService:
         block["bytes_saved"] = sum(
             nbytes for _tier, outcome, nbytes in events if outcome == "hit"
         )
-        if config in self._cache_refusals:
+        if self._cache_refusal is not None:
             block["mode"] = "refused"
-            block["error"] = self._cache_refusals[config]
+            block["error"] = self._cache_refusal
         return block
 
     @staticmethod
@@ -533,15 +483,13 @@ class QueryService:
             )
 
     # -- queries -------------------------------------------------------------
-    def _parse(self, request: "dict[str, Any]", events: _Events) -> Query:
+    def _parse(self, request: "dict[str, Any]") -> Query:
         """Validate one request into a :class:`Query` (service defaults applied)."""
         name = str(request.get("dataset", self.default_scene))
         scene = self.scenes.get(name)
         if scene is None:
-            self._refuse(
-                events,
-                f"unknown dataset {name!r}; have {sorted(self.scenes)}",
-                "dataset", name,
+            raise ConfigurationError(
+                f"unknown dataset {name!r}; have {sorted(self.scenes)}"
             )
         config = str(request.get("config", self.config))
         if config not in CONFIGURATIONS:
@@ -560,11 +508,9 @@ class QueryService:
         )
         timestep = _coerce_int(request.get("timestep", 0), "timestep")
         if not 0 <= timestep < scene.timesteps:
-            self._refuse(
-                events,
+            raise ConfigurationError(
                 f"timestep {timestep} out of range for {scene.name!r} "
-                f"(has {scene.timesteps})",
-                "timestep", scene.name, timestep,
+                f"(has {scene.timesteps})"
             )
         merge_copies = _coerce_int(
             request.get("merge_copies", self.merge_copies), "merge_copies",
@@ -603,26 +549,36 @@ class QueryService:
 
         Raises :class:`~repro.errors.ReproError` on invalid requests or
         pipeline failures — the server wraps those into error responses.
-        With a certified cache the probe order is tiles → triangles →
-        pipeline, so a repeat query touches one tile entry and nothing else.
+        One path for every configuration: parse → keys → tile probe →
+        camera → pool → triangle probe or front-end extraction → run → put
+        → respond, so a repeat query touches one tile entry and nothing
+        else, and an invalid one nothing at all.
         """
         from repro.core.tracing import Tracer
         from repro.viz.camera import Camera
 
         t0 = time.perf_counter()
-        events: _Events = []
-        query = self._parse(request, events)
+        query = self._parse(request)
         tracer = Tracer() if request.get("trace") else None
+        events: _Events = []
 
-        key = self._pool_key(query)
-
-        # The binding outlives its pool, so a cached frame is answered
-        # without a pool even after the pool was evicted.
-        binding = self._bindings.get(key)
+        binding = self._certified(query.scene)
         if binding is not None:
-            hit = self._tile_hit(binding, query, events, tracer, t0)
-            if hit is not None:
-                return hit
+            triangle_key, frame_key = cache_keys(binding.signature, query)
+            frame = binding.cache.get("tiles", frame_key)
+            if frame is not None:
+                # Answered without a pool: also after the pool was evicted.
+                events.append(("tiles", "hit", frame.nbytes))
+                run = {
+                    "warm": True, "pool_cycle": None, "makespan_s": 0.0,
+                    "active_pixels": frame.active_pixels,
+                    "buffers_merged": frame.buffers_merged,
+                    "acks": 0, "streams": {}, "chunks": None,
+                }
+                return self._respond(
+                    query, "tile_hit", run, frame.image, events, tracer, t0
+                )
+            events.append(("tiles", "miss", 0))
 
         # Built before the pool is fetched: a pool forked by a process that
         # has already made a Camera serves about 5 % faster (EXPERIMENTS,
@@ -636,20 +592,12 @@ class QueryService:
                 width=query.width,
                 height=query.height,
             )
-        pool, created = self.pools.get(key, lambda: self._build_pool(query))
-        if binding is None:
-            # No binding when this query looked, so no frame of its key was
-            # cached then: tiles are put only under a recorded binding, and
-            # a frame key holds every query field the pool key does
-            # (``_pool_key``).  If building the key's pool has recorded one
-            # since, the query is a tile miss without a lookup.
-            binding = self._bindings.get(key)
-            if binding is not None:
-                events.append(("tiles", "miss", 0))
+        pool, created = self.pools.get(
+            self._pool_key(query), lambda: self._build_pool(query)
+        )
 
         outcome = "cold"
         if binding is not None:
-            triangle_key, frame_key = cache_keys(binding.signature, query)
             tri = binding.cache.get("triangles", triangle_key)
             if tri is None:
                 # Triangle-tier miss: extract once, serve-side, and let
@@ -673,18 +621,16 @@ class QueryService:
             raise
         result = metrics.result
         if binding is not None:
-            self._store_tiles(binding.cache, frame_key, result, query)
+            frame = CachedFrame(
+                result.image, result.active_pixels, result.buffers_merged
+            )
+            binding.cache.put("tiles", frame_key, frame, frame.nbytes)
         # Read's range rule, worked out here: len(needed) is the R->E buffer
         # count, unless triangles were injected (Read then touched no storage)
         needed = self._chunks_needed_by(
             query.scene, query.timestep, query.isovalue
         )
         profile = self._scene_assets(query.scene)[1]
-        metrics.cache_hits = sum(1 for _, o, _ in events if o == "hit")
-        metrics.cache_misses = sum(1 for _, o, _ in events if o == "miss")
-        metrics.cache_bytes_saved = sum(
-            n for _, o, n in events if o == "hit"
-        )
         run = {
             "warm": not created,
             "pool_cycle": pool.cycles_completed,
@@ -701,28 +647,6 @@ class QueryService:
         return self._respond(
             query, outcome, run, result.image, events, tracer, t0
         )
-
-    def _tile_hit(
-        self,
-        binding: CacheBinding,
-        query: Query,
-        events: _Events,
-        tracer: Any,
-        t0: float,
-    ) -> "dict[str, Any] | None":
-        """The response from the tile tier alone, or None on any gap."""
-        _triangle_key, frame_key = cache_keys(binding.signature, query)
-        frame = self._cached_frame(binding.cache, frame_key, query, events)
-        if frame is None:
-            return None
-        image, meta = frame
-        run = {
-            "warm": True, "pool_cycle": None, "makespan_s": 0.0,
-            "active_pixels": meta.active_pixels,
-            "buffers_merged": meta.buffers_merged,
-            "acks": 0, "streams": {}, "chunks": None,
-        }
-        return self._respond(query, "tile_hit", run, image, events, tracer, t0)
 
     def _respond(
         self,
@@ -755,7 +679,7 @@ class QueryService:
             **run,
             "cached": outcome == "tile_hit",
             "latency_s": round(latency, 6),
-            "cache": self._cache_block(query.config, events),
+            "cache": self._cache_block(events),
         }
         if query.orbit is not None:
             response["view"] = {
@@ -775,15 +699,12 @@ class QueryService:
         out: dict[str, Any] = {
             "enabled": self._cache is not None,
             "cache_mb": self.cache_mb,
-            "refusals": dict(self._cache_refusals),
-            "bindings": {
-                str(key): {
-                    "members": list(binding.members),
-                    "signature": binding.signature,
-                }
-                for key, binding in list(self._bindings.items())
-            },
         }
+        if self._binding is not None:
+            out["members"] = list(self._binding.members)
+            out["signature"] = self._binding.signature
+        if self._cache_refusal is not None:
+            out["refused"] = self._cache_refusal
         if self._cache is not None:
             out["shared"] = self._cache.stats()
         return out
@@ -866,6 +787,16 @@ async def _serve(
         except (asyncio.CancelledError, ConnectionError):
             pass  # client gone or server shutting down mid-read
         finally:
+            # Pool workers forked while this connection was open hold a copy
+            # of its socket, so close() alone sends no FIN and a client
+            # reading to EOF would wait forever: half-close first.  A second
+            # EOF (the over-limit path sent one) is a no-op; a peer already
+            # gone makes the shutdown raise.
+            if writer.can_write_eof() and not writer.is_closing():
+                try:
+                    writer.write_eof()
+                except OSError:
+                    pass
             writer.close()
 
     async def _handle_connection(reader, writer):

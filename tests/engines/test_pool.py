@@ -127,18 +127,6 @@ def test_per_query_tracer_is_query_relative():
     assert "done" in kinds
 
 
-def test_idle_timeout_reaps_pool():
-    pool = build_pool(idle_timeout=0.3)
-    assert pool.submit(None).result().result == EXPECTED
-    deadline = time.time() + 10.0
-    while not pool.reaped and time.time() < deadline:
-        time.sleep(0.05)
-    assert pool.reaped
-    assert not pool.usable
-    with pytest.raises(EngineError, match="closed"):
-        pool.submit(None)
-
-
 def test_close_while_busy_finishes_inflight_queries():
     class SlowSink(Filter):
         def init(self, ctx):

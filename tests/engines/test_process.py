@@ -194,14 +194,24 @@ def test_missing_factory_rejected():
         ProcessEngine(g, p)
 
 
-def test_unknown_start_method_rejected():
+def test_unknown_start_method_rejected(monkeypatch):
+    """The engine forks; a platform that does not know fork is refused at
+    construction and pointed at the threaded engine."""
+    import multiprocessing
+
     g = FilterGraph()
     g.add_filter("src", factory=lambda: NumberSource(1), is_source=True)
     g.add_filter("sink", factory=SumSink)
     g.connect("src", "sink")
     p = Placement().place("src", ["h0"]).place("sink", ["h0"])
-    with pytest.raises(EngineError, match="start method"):
-        ProcessEngine(g, p, start_method="not-a-method")
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    with pytest.raises(
+        EngineError, match=r"start method 'fork' unavailable.*\['spawn'\]"
+        r".*threaded engine",
+    ):
+        ProcessEngine(g, p)
 
 
 def test_queue_capacity_backpressure():

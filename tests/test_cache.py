@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache import (
-    CachedTile,
+    CachedFrame,
     ResultCache,
     TIERS,
     bind_cache,
@@ -66,10 +66,10 @@ def test_make_triangle_set_orders_chunks_and_accounts_bytes():
     assert not hasattr(frozen, "digest")  # nothing is keyed by the content
 
 
-def test_cached_tile_accounts_image_bytes():
+def test_cached_frame_accounts_image_bytes():
     image = np.zeros((4, 8, 3), np.uint8)
-    tile = CachedTile(0, 0, 0, image, 5, 2)
-    assert tile.nbytes >= image.nbytes
+    frame = CachedFrame(image, 5, 2)
+    assert frame.nbytes >= image.nbytes
 
 
 # -- the LRU store -----------------------------------------------------------
@@ -80,7 +80,8 @@ def test_result_cache_lru_eviction_under_byte_budget():
     assert cache.put("tiles", "c", "C", 100)
     assert cache.get("tiles", "a") == "A"  # refresh a
     assert cache.put("tiles", "d", "D", 100)  # evicts b (LRU)
-    assert cache.peek("tiles", "b") is False
+    assert cache.stats()["by_tier"]["tiles"]["entries"] == 3  # a, c, d
+    assert cache.get("tiles", "b") is None
     assert cache.get("tiles", "a") == "A"
     assert cache.get("tiles", "d") == "D"
     stats = cache.stats()
@@ -92,7 +93,8 @@ def test_result_cache_rejects_oversize_entries():
     cache = ResultCache(100)
     assert cache.put("tiles", "small", "s", 50)
     assert not cache.put("tiles", "huge", "h", 101)
-    assert cache.peek("tiles", "small")  # rejection evicted nothing
+    # rejection evicted nothing
+    assert cache.stats()["by_tier"]["tiles"]["entries"] == 1
     assert cache.stats()["rejected"] == 1
 
 
@@ -144,15 +146,14 @@ def test_result_cache_tiers_are_namespaced_and_counted():
     cache = ResultCache(1000)
     cache.put("triangles", "k", "tri", 10)
     cache.put("tiles", "k", "tile", 10)
-    cache.put("negative", "k", "no", 10)
     assert cache.get("triangles", "k") == "tri"
     assert cache.get("tiles", "k") == "tile"
-    assert cache.get("negative", "missing") is None
+    assert cache.get("tiles", "missing") is None
     stats = cache.stats()
-    for tier in TIERS:
-        assert tier in stats["by_tier"]
+    assert TIERS == ("triangles", "tiles")
+    assert sorted(stats["by_tier"]) == sorted(TIERS)
     assert stats["by_tier"]["triangles"]["hits"] == 1
-    assert stats["by_tier"]["negative"]["misses"] == 1
+    assert stats["by_tier"]["tiles"]["misses"] == 1
     assert stats["bytes_saved"] == 20
     with pytest.raises(ConfigurationError, match="unknown cache tier"):
         cache.get("frames", "k")

@@ -278,6 +278,27 @@ def test_rejected_response_is_one_json_line():
         assert not thread.is_alive()
 
 
+def test_client_reading_to_eof_gets_eof():
+    """Pool workers forked while a connection is open inherit its socket, so
+    the server's ``close()`` alone sent no FIN: a client that half-closed
+    and read to EOF got its response and then waited forever."""
+    service = QueryService(scenes=[SCENE], width=32, height=32)
+    thread, port = _start_server(service)
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=15.0) as s:
+            s.sendall(b'{"cmd": "query"}\n')  # its pool is forked meanwhile
+            s.shutdown(socket.SHUT_WR)
+            with s.makefile("rb") as fh:
+                data = fh.read()  # to EOF, or socket.timeout
+        assert data.endswith(b"\n") and data.count(b"\n") == 1
+        response = json.loads(data)
+        assert response["ok"] is True and response["warm"] is False
+    finally:
+        _request(port, {"cmd": "shutdown"})
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+
 def test_stats_counts_queries(server):
     stats = _request(server, {"cmd": "stats"})["stats"]
     assert stats["scenes"] == ["unit"]

@@ -1,8 +1,9 @@
 """End-to-end tests for the serve-path result cache.
 
 Correctness bar: a cached response must be byte-identical (same PPM
-payload) to what an uncached service renders for the same query — across
-engines' merge fan-outs, under eviction pressure, and for every tier.
+payload) to what an uncached service renders for the same query — for
+every configuration, algorithm and merge fan-out, under eviction pressure,
+and for both tiers.
 """
 
 import multiprocessing
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.configurations import ALGORITHMS, CONFIGURATIONS
 from repro.errors import ConfigurationError
 from repro.serve import Query, QueryService, SceneSpec, cache_keys
 
@@ -35,8 +37,16 @@ def _service(**kw):
 
 
 @pytest.fixture(scope="module")
-def uncached_frames():
-    """Reference frames from a cache-free service, one per query shape."""
+def uncached():
+    """The module's cache-free service: where reference frames come from."""
+    service = _service()
+    yield service
+    service.close()
+
+
+@pytest.fixture(scope="module")
+def uncached_frames(uncached):
+    """Reference frames, one per query shape."""
     queries = {
         "base": {"isovalue": 0.4, "timestep": 1},
         "view": {"isovalue": 0.4, "timestep": 1,
@@ -44,36 +54,86 @@ def uncached_frames():
         "iso2": {"isovalue": 0.3, "timestep": 0},
         "tiled": {"isovalue": 0.4, "timestep": 1, "merge_copies": 2},
     }
-    service = _service()
+    return {
+        name: uncached.render(dict(query))["frame_b64"]
+        for name, query in queries.items()
+    }
+
+
+@pytest.mark.parametrize("merge_copies", [1, 2])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("config", CONFIGURATIONS)
+def test_cached_responses_are_bit_exact(uncached, config, algorithm, merge_copies):
+    """One probe path whatever node carries Extract: first sight misses both
+    tiers, a repeat is one tile lookup, a new view rides the cached
+    triangles — each frame the uncached service's."""
+    base = {"isovalue": 0.4, "timestep": 1, "config": config,
+            "algorithm": algorithm, "merge_copies": merge_copies}
+    moved = {**base, "view": {"azimuth": 60, "elevation": 10}}
+    service = _service(cache_mb=32)
     try:
-        return {
-            name: service.render(dict(query))["frame_b64"]
-            for name, query in queries.items()
+        first = service.render(dict(base))
+        second = service.render(dict(base))
+        third = service.render(dict(moved))
+        for query, responses in ((base, (first, second)), (moved, (third,))):
+            expected = uncached.render(dict(query))
+            for response in responses:
+                assert response["frame_b64"] == expected["frame_b64"]
+                assert response["active_pixels"] == expected["active_pixels"]
+        assert third["frame_b64"] != first["frame_b64"]
+        # a hit replays the merge facts of the run that made the frame
+        assert second["buffers_merged"] == first["buffers_merged"]
+        assert first["cached"] is False
+        assert first["cache"] == {
+            "mode": "shared", "tiles": "miss", "triangles": "miss",
+            "bytes_saved": 0,
         }
+        assert second["cached"] is True
+        # A full hit is answered by the tile tier alone.
+        assert second["cache"] == {
+            "mode": "shared", "tiles": "hit",
+            "bytes_saved": second["cache"]["bytes_saved"],
+        }
+        assert second["cache"]["bytes_saved"] > 0
+        assert second["makespan_s"] == 0.0  # no pipeline run
+        by_tier = service.cache_stats()["shared"]["by_tier"]
+        assert by_tier["tiles"]["hits"] == 1  # the repeat: one tile lookup
+        assert by_tier["tiles"]["misses"] == 2  # (first sight, new view)
+        assert third["cached"] is False
+        assert third["cache"] == {
+            "mode": "shared", "tiles": "miss", "triangles": "hit",
+            "bytes_saved": third["cache"]["bytes_saved"],
+        }
+        # ... and nothing else: the triangle tier saw the two pipeline runs
+        assert by_tier["triangles"]["hits"] == 1
+        assert by_tier["triangles"]["misses"] == 1
+        assert by_tier["tiles"]["entries"] == 2  # one entry per frame
     finally:
         service.close()
 
 
-def test_cached_responses_are_bit_exact(uncached_frames):
+def test_triangles_extracted_under_one_configuration_serve_another(uncached):
+    """The triangle key never held the configuration (the frame key does):
+    what one grouping of the stages extracted, every other injects."""
+    base = {"isovalue": 0.4, "timestep": 1}
     service = _service(cache_mb=32)
     try:
-        first = service.render({"isovalue": 0.4, "timestep": 1})
-        second = service.render({"isovalue": 0.4, "timestep": 1})
-        assert first["frame_b64"] == uncached_frames["base"]
-        assert second["frame_b64"] == uncached_frames["base"]
-        assert first["cached"] is False
-        assert first["cache"]["tiles"] == "miss"
+        first = service.render({**base, "config": CONFIGURATIONS[0]})
         assert first["cache"]["triangles"] == "miss"
-        assert second["cached"] is True
-        # A full hit is answered by the tile tier alone.
-        assert second["cache"]["tiles"] == "hit"
-        assert "triangles" not in second["cache"]
-        assert second["cache"]["bytes_saved"] > 0
-        assert second["makespan_s"] == 0.0  # no pipeline run
-        assert second["active_pixels"] == first["active_pixels"]
-        by_tier = service.cache_stats()["shared"]["by_tier"]
-        assert by_tier["tiles"]["hits"] == 1  # the repeat: one tile lookup
-        assert by_tier["triangles"]["hits"] == 0  # ... and nothing else
+        for config in CONFIGURATIONS[1:]:
+            query = {**base, "config": config}
+            other = service.render(dict(query))
+            assert other["cached"] is False, config
+            assert other["cache"]["tiles"] == "miss", config
+            assert other["cache"]["triangles"] == "hit", config
+            assert other["frame_b64"] == uncached.render(query)["frame_b64"]
+        stats = service.stats()
+        by_tier = stats["cache"]["shared"]["by_tier"]
+        assert by_tier["triangles"]["entries"] == 1
+        assert by_tier["tiles"]["entries"] == len(CONFIGURATIONS)
+        assert stats["served_by"] == {
+            "tile_hit": 0, "triangle_hit": len(CONFIGURATIONS) - 1, "cold": 1
+        }
     finally:
         service.close()
 
@@ -142,36 +202,64 @@ def test_eviction_pressure_keeps_responses_bit_exact(uncached_frames):
         service.close()
 
 
-def test_negative_tier_caches_failed_lookups():
-    service = _service(cache_mb=8)
+def test_invalid_requests_leave_the_cache_alone():
+    """A request that fails validation is refused before any probe: a flood
+    of distinct bad ones — the negative tier stored each, and they evicted
+    the frames — changes no cache counter and costs no frame."""
+    queries = [{"isovalue": iso, "timestep": 1} for iso in ISOVALUES]
+    service = _service(cache_mb=0.125)  # every frame and set, little to spare
     try:
-        for _ in range(2):
+        for query in queries:
+            assert service.render(dict(query))["cached"] is False
+        before = service.cache_stats()["shared"]
+        assert before["evictions"] == 0
+        assert before["by_tier"]["tiles"]["entries"] == len(queries)
+        for index in range(2000):
             with pytest.raises(ConfigurationError, match="unknown dataset"):
-                service.render({"dataset": "missing"})
-        for _ in range(2):
+                service.render({"dataset": f"missing-{index}"})
             with pytest.raises(ConfigurationError, match="out of range"):
-                service.render({"timestep": 99})
-        negative = service.cache_stats()["shared"]["by_tier"]["negative"]
-        assert negative["hits"] == 2
-        assert negative["misses"] == 2
+                service.render({"timestep": SCENE.timesteps + index})
+        assert service.cache_stats()["shared"] == before
+        for query in queries:
+            repeat = service.render(dict(query))
+            assert repeat["cached"] is True
+            assert repeat["cache"]["tiles"] == "hit"
+        after = service.cache_stats()["shared"]
+        for counter in ("entries", "size_bytes", "evictions", "insertions"):
+            assert after[counter] == before[counter], counter
     finally:
         service.close()
 
 
-def test_fused_config_refuses_cache_but_still_serves(uncached_frames):
+def test_refused_certificate_still_serves(monkeypatch, uncached_frames):
+    """The certifier is asked about the Extract *definition*: one that is
+    not provably pure is refused for the whole service, which then serves
+    every query uncached."""
+    from repro.viz import app
+
+    monkeypatch.setitem(
+        app._STAGES, "E", replace(app._STAGES["E"], effects="stateful")
+    )
     service = _service(cache_mb=8, config="RE-Ra-M")
     try:
         first = service.render({"isovalue": 0.4, "timestep": 1})
         second = service.render({"isovalue": 0.4, "timestep": 1})
-        assert first["cache"]["mode"] == "refused"
-        assert "E703" in first["cache"]["error"]
-        assert "E706" in first["cache"]["error"]
-        assert second["cached"] is False  # nothing memoised
+        other = service.render(
+            {"isovalue": 0.4, "timestep": 1, "config": "R-E-Ra-M"}
+        )
+        for response in (first, second, other):
+            assert response["cache"]["mode"] == "refused"
+            assert "E703" in response["cache"]["error"]
+            assert "E706" in response["cache"]["error"]
+            assert response["cached"] is False  # nothing memoised
+            assert response["frame_b64"] == uncached_frames["base"]
         assert second["warm"] is True  # ...but the pool still serves warm
-        assert first["frame_b64"] == uncached_frames["base"]
-        assert second["frame_b64"] == uncached_frames["base"]
-        assert service.cache_stats()["refusals"]["RE-Ra-M"]
-        assert service.cache_stats()["bindings"] == {}
+        stats = service.cache_stats()
+        assert stats["refused"] == first["cache"]["error"]
+        assert "signature" not in stats and "members" not in stats
+        shared = stats["shared"]
+        assert shared["insertions"] == shared["entries"] == 0  # nothing put
+        assert shared["hits"] == shared["misses"] == 0  # nothing looked up
     finally:
         service.close()
 
@@ -198,22 +286,29 @@ def test_trace_records_cache_events():
 
 
 def test_warm_pool_stats_surface_cache_binding():
+    """One certificate per service, about the stage definition: the same
+    signature whatever the service's pipelines look like."""
     service = _service(cache_mb=8)
+    other = _service(
+        cache_mb=8, config="RERa-M", algorithm="zbuffer", width=24, height=40
+    )
     try:
+        assert "signature" not in service.cache_stats()  # asked at first use
         service.render({"isovalue": 0.4, "timestep": 1})
+        other.render({"isovalue": 0.4, "timestep": 1})
         stats = service.stats()
-        # The binding is the service's: listed under the pool's own key,
-        # beside the refusals, and the pool's block knows no cache.
-        ((pool_key, pool_stats),) = stats["pools"].items()
+        # The binding is the service's, and a pool's block knows no cache.
+        ((_pool_key, pool_stats),) = stats["pools"].items()
         assert "cache" not in pool_stats
-        binding = stats["cache"]["bindings"][pool_key]
-        assert binding["members"] == ["E"]
-        assert binding["signature"]
-        assert stats["cache"]["refusals"] == {}
-        shared = stats["cache"]["shared"]
-        assert shared["entries"] >= 2  # triangles + one tile
+        assert stats["cache"]["members"] == ["E"]
+        assert stats["cache"]["signature"]
+        assert "refused" not in stats["cache"]
+        assert stats["cache"]["shared"]["entries"] == 2  # triangles + frame
+        for fact in ("members", "signature"):
+            assert other.cache_stats()[fact] == stats["cache"][fact]
     finally:
         service.close()
+        other.close()
 
 
 # -- request-keyed frames (ISSUE 15) ------------------------------------------
@@ -355,38 +450,35 @@ _named = st.tuples(_queries, st.sampled_from(["s", "t"])).map(
 @given(one=_named, other=_named)
 @settings(max_examples=300, deadline=None)
 def test_two_pool_keys_never_share_a_frame_key(keyer, one, other):
-    """Why ``render`` does not look for tiles when a pool key first gets its
-    binding: tiles are only ever put under a bound key, and every query
-    field of the pool key is in the frame key — no other key's frame can
-    be this query's."""
+    """Why the first query of a pool key can only miss the tile tier: every
+    query field of the pool key is in the frame key — no other key's frame
+    can be this query's."""
     if keyer._pool_key(one) != keyer._pool_key(other):
         assert cache_keys("sig", one)[1] != cache_keys("sig", other)[1]
 
 
-def test_first_query_of_a_pool_key_is_a_tile_miss_without_a_lookup(
-    uncached_frames,
-):
-    """Same request at another image size is another pool key: nothing it
-    could find in the shared tile tier, so nothing is looked up there."""
+def test_first_query_of_a_pool_key_is_one_tile_lookup_a_miss(uncached_frames):
+    """Same request at another image size is another pool key: it probes
+    like any query — exactly one tile lookup, which can only miss."""
     base = {"isovalue": 0.4, "timestep": 1}
     service = _service(cache_mb=32)
 
     def tile_lookups():
         tier = service.cache_stats()["shared"]["by_tier"]["tiles"]
-        return tier["hits"] + tier["misses"]
+        return tier["hits"], tier["misses"]
 
     try:
         first = service.render(dict(base))
-        assert first["cache"]["tiles"] == "miss" and tile_lookups() == 0
+        assert first["cache"]["tiles"] == "miss" and tile_lookups() == (0, 1)
         resized = service.render({**base, "width": 24})
         assert resized["cached"] is False
         assert resized["cache"]["tiles"] == "miss"
         assert resized["cache"]["triangles"] == "hit"
-        assert tile_lookups() == 0
-        # bound keys look their frames up: one lookup each, both hits
+        assert tile_lookups() == (0, 2)
+        # repeats: one lookup each, both hits
         assert service.render(dict(base))["cached"] is True
         assert service.render({**base, "width": 24})["cached"] is True
-        assert tile_lookups() == 2
+        assert tile_lookups() == (2, 2)
         assert first["frame_b64"] == uncached_frames["base"]
     finally:
         service.close()

@@ -157,30 +157,33 @@ def test_served_frames_are_the_generators(served, generator_frames, config, algo
 
 
 def test_cached_service_serves_the_generators_frames(generator_frames):
-    """Triangle-tier misses extract from the store serve-side and inject;
-    hits inject the cached arrays; tiles assemble — all the same frame."""
-    expected = generator_frames["R-E-Ra-M", "zbuffer", 1]
-    service = _service(config="R-E-Ra-M", algorithm="zbuffer", cache_mb=16)
-    try:
-        miss = service.render(dict(QUERY))
-        assert miss["cache"]["triangles"] == "miss"
-        assert "R->E" in miss["streams"]  # carries the injected triangles
-        other_view = service.render(
-            {**QUERY, "view": {"azimuth": 200, "elevation": -20}}
-        )
-        assert other_view["cache"]["triangles"] == "hit"
-        tiled = service.render({**QUERY, "merge_copies": 2})
-        assert tiled["cache"] == {
-            "mode": "shared", "tiles": "miss", "triangles": "hit",
-            "bytes_saved": tiled["cache"]["bytes_saved"],
-        }
-        hit = service.render(dict(QUERY))
-        assert hit["cached"] is True
-        for response in (miss, tiled, hit):
-            assert _frame(response) == expected
-        assert _frame(other_view) != expected
-    finally:
-        service.close()
+    """Triangle-tier misses extract from the store serve-side and inject,
+    into a Read that stands alone or a fused one; hits inject the cached
+    arrays; a repeat is the cached frame — all the same frame."""
+    for config in CONFIGURATIONS:
+        expected = generator_frames[config, "zbuffer", 1]
+        service = _service(config=config, algorithm="zbuffer", cache_mb=16)
+        try:
+            miss = service.render(dict(QUERY))
+            assert miss["cache"]["triangles"] == "miss"
+            if config in _READ_STREAM:  # carries the injected triangles
+                assert _READ_STREAM[config] in miss["streams"]
+            other_view = service.render(
+                {**QUERY, "view": {"azimuth": 200, "elevation": -20}}
+            )
+            assert other_view["cache"]["triangles"] == "hit"
+            tiled = service.render({**QUERY, "merge_copies": 2})
+            assert tiled["cache"] == {
+                "mode": "shared", "tiles": "miss", "triangles": "hit",
+                "bytes_saved": tiled["cache"]["bytes_saved"],
+            }
+            hit = service.render(dict(QUERY))
+            assert hit["cached"] is True
+            for response in (miss, tiled, hit):
+                assert _frame(response) == expected
+            assert _frame(other_view) != expected
+        finally:
+            service.close()
     uncached = _service(config="R-E-Ra-M", algorithm="zbuffer", merge_copies=2)
     try:
         assert (
