@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules import RULES
+from repro.errors import GraphError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.buffer import BufferCodec
@@ -101,12 +102,10 @@ def _resolved_dtypes(graph: "FilterGraph") -> dict[str, tuple[str, str]]:
     resolved: dict[str, tuple[str, str]] = {}
     try:
         order = graph.topological_order()
-    except Exception:
+    except GraphError:
         order = list(graph.filters)
     for name in order:
-        spec = graph.filters.get(name)
-        if spec is None:
-            continue
+        spec = graph.filters[name]
         out_dtype: tuple[str, str] | None = None
         if spec.output_dtype is not None:
             out_dtype = (spec.output_dtype, "declared")

@@ -6,7 +6,7 @@ Classifies every filter as ``PURE`` / ``STATEFUL`` / ``IO`` /
 input buffers), checks declarations (``FilterSpec.effects``) against the
 inference, rolls summaries up to subgraphs and exposes
 :func:`certify_memoisable` — the purity gate a result cache needs before
-it may memoise a subgraph's output (ROADMAP item 2).
+it may memoise a subgraph's output.
 
 Inference is deliberately conservative: a filter is only ``PURE`` when
 nothing in its class suggests otherwise, and an unresolvable factory
@@ -26,8 +26,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING, Any
-
-import networkx as nx
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.analysis.rules import RULES
@@ -509,17 +507,12 @@ def certify_memoisable(
 
     # Convexity: an outside filter both reachable from the member set
     # and reaching back into it sits on a member-to-member path.
-    dag = nx.DiGraph()
-    dag.add_nodes_from(graph.filters)
-    for stream in graph.streams.values():
-        if stream.src in graph.filters and stream.dst in graph.filters:
-            dag.add_edge(stream.src, stream.dst)
     member_set = set(members)
     downstream: set[str] = set()
     upstream: set[str] = set()
     for name in members:
-        downstream |= nx.descendants(dag, name)
-        upstream |= nx.ancestors(dag, name)
+        downstream |= graph.downstream_of(name)
+        upstream |= graph.upstream_of(name)
     straddlers = sorted((downstream & upstream) - member_set)
     if straddlers:
         report.append(

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.analysis.dataflow import verify_dataflow
@@ -42,16 +41,6 @@ __all__ = [
 ]
 
 
-def _structure(graph: "FilterGraph") -> nx.DiGraph:
-    """The stream graph restricted to filters that actually exist."""
-    dag = nx.DiGraph()
-    dag.add_nodes_from(graph.filters)
-    for stream in graph.streams.values():
-        if stream.src in graph.filters and stream.dst in graph.filters:
-            dag.add_edge(stream.src, stream.dst)
-    return dag
-
-
 def verify_graph(graph: "FilterGraph") -> list[Diagnostic]:
     """Run the ``G1xx`` graph-structure rules."""
     out: list[Diagnostic] = []
@@ -71,9 +60,8 @@ def verify_graph(graph: "FilterGraph") -> list[Diagnostic]:
                     )
                 )
 
-    dag = _structure(graph)
-    if not nx.is_directed_acyclic_graph(dag):
-        cycle = nx.find_cycle(dag)
+    cycle = graph.find_cycle()
+    if cycle:
         out.append(
             RULES["G102"].diagnostic(
                 "graph", f"graph has a cycle: {cycle}"
@@ -112,7 +100,7 @@ def verify_graph(graph: "FilterGraph") -> list[Diagnostic]:
     else:
         reachable = set(sources)
         for name in sources:
-            reachable |= nx.descendants(dag, name)
+            reachable |= graph.downstream_of(name)
         for name in graph.filters:
             if name not in reachable:
                 out.append(

@@ -19,8 +19,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-import networkx as nx
-
 from repro.errors import GraphError
 
 __all__ = ["FilterSpec", "StreamSpec", "FilterGraph"]
@@ -180,25 +178,76 @@ class FilterGraph:
         """Filters with no output streams (result consumers)."""
         return [f for f in self.filters.values() if not f.outputs]
 
+    def adjacency(self, reverse: bool = False) -> dict[str, list[str]]:
+        """Each filter's consumers (``reverse``: its producers), one per stream.
+
+        The one definition of the graph's structure, behind every query
+        below: a stream counts only if both its endpoints exist (``G106``).
+        """
+        out: dict[str, list[str]] = {name: [] for name in self.filters}
+        for stream in self.streams.values():
+            src, dst = (stream.dst, stream.src) if reverse else (stream.src, stream.dst)
+            if src in out and dst in out:
+                out[src].append(dst)
+        return out
+
     def topological_order(self) -> list[str]:
         """Filter names in a producer-before-consumer order.
 
-        Raises :class:`GraphError` on a cyclic graph; unlike earlier
-        versions it does *not* re-run full validation on every call —
-        use :meth:`validate` or :func:`repro.analysis.verify_graph` for
-        the structural rule set.
+        Kahn's algorithm seeded in filter-insertion order.  Raises
+        :class:`GraphError` on a cyclic graph; use :meth:`validate` or
+        :func:`repro.analysis.verify_graph` for the structural rule set.
         """
-        try:
-            return list(nx.topological_sort(self._as_nx()))
-        except nx.NetworkXUnfeasible:
-            cycle = nx.find_cycle(self._as_nx())
-            raise GraphError(f"graph has a cycle: {cycle}") from None
+        consumers = self.adjacency()
+        waiting = {name: len(srcs) for name, srcs in self.adjacency(reverse=True).items()}
+        order = [name for name, count in waiting.items() if not count]
+        for name in order:  # grows as filters become ready
+            for dst in consumers[name]:
+                waiting[dst] -= 1
+                if not waiting[dst]:
+                    order.append(dst)
+        if len(order) < len(consumers):
+            raise GraphError(f"graph has a cycle: {self.find_cycle()}")
+        return order
+
+    def find_cycle(self) -> list[tuple[str, str]]:
+        """One cycle's ``(src, dst)`` edges, closing on its first filter; ``[]`` if acyclic."""
+        consumers = self.adjacency()
+        finished: set[str] = set()
+        for root in consumers:
+            path, pending = [root], [iter(consumers[root])]
+            while path:
+                dst = next(pending[-1], None)
+                if dst is None:
+                    finished.add(path.pop())
+                    pending.pop()
+                elif dst in path:
+                    walk = path[path.index(dst):] + [dst]
+                    return list(zip(walk, walk[1:]))
+                elif dst not in finished:
+                    path.append(dst)
+                    pending.append(iter(consumers[dst]))
+        return []
 
     def upstream_of(self, name: str) -> set[str]:
         """All filters that (transitively) feed ``name``."""
+        return self._reachable(name, reverse=True)
+
+    def downstream_of(self, name: str) -> set[str]:
+        """All filters that ``name`` (transitively) feeds."""
+        return self._reachable(name, reverse=False)
+
+    def _reachable(self, name: str, reverse: bool) -> set[str]:
         if name not in self.filters:
             raise GraphError(f"unknown filter {name!r}")
-        return nx.ancestors(self._as_nx(), name)
+        adjacency = self.adjacency(reverse)
+        seen, stack = {name}, [name]
+        while stack:
+            for other in adjacency[stack.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        return seen - {name}
 
     # -- validation ---------------------------------------------------------
     def validate(self) -> None:
@@ -214,13 +263,6 @@ class FilterGraph:
         from repro.analysis.pipeline import verify_graph
 
         DiagnosticReport(verify_graph(self)).raise_errors()
-
-    def _as_nx(self) -> nx.DiGraph:
-        dag = nx.DiGraph()
-        dag.add_nodes_from(self.filters)
-        for stream in self.streams.values():
-            dag.add_edge(stream.src, stream.dst)
-        return dag
 
     def __repr__(self) -> str:
         return (

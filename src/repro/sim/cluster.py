@@ -10,9 +10,7 @@ Gigabit/Fast-Ethernet interconnects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import networkx as nx
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.sim.host import Host
@@ -50,12 +48,6 @@ class LinkSpec:
     message_overhead: float = 0.0
 
 
-@dataclass
-class _Switch:
-    name: str
-    hosts: list[str] = field(default_factory=list)
-
-
 class Cluster:
     """The simulated installation: hosts, switches, and the network.
 
@@ -67,8 +59,8 @@ class Cluster:
         self.env = env
         self.network = Network(env)
         self.hosts: dict[str, Host] = {}
-        self._switches: dict[str, _Switch] = {}
-        self._switch_graph = nx.Graph()
+        #: switch -> {neighbouring switch: trunk}, both in connection order.
+        self._trunks: dict[str, dict[str, LinkSpec]] = {}
         self._host_access: dict[str, LinkSpec] = {}
         self._host_switch: dict[str, str] = {}
         self._finalized = False
@@ -77,10 +69,9 @@ class Cluster:
     def add_switch(self, name: str) -> None:
         """Register a switch (one per physical cluster's interconnect)."""
         self._ensure_mutable()
-        if name in self._switches:
+        if name in self._trunks:
             raise ConfigurationError(f"duplicate switch {name!r}")
-        self._switches[name] = _Switch(name)
-        self._switch_graph.add_node(name)
+        self._trunks[name] = {}
 
     def add_host(
         self,
@@ -97,7 +88,7 @@ class Cluster:
         self._ensure_mutable()
         if name in self.hosts:
             raise ConfigurationError(f"duplicate host {name!r}")
-        if switch not in self._switches:
+        if switch not in self._trunks:
             raise ConfigurationError(f"unknown switch {switch!r}")
         nic = nic or LinkSpec(GIGABIT, GIGABIT_LATENCY, GIGABIT_MSG_OVERHEAD)
         host = Host(
@@ -110,7 +101,6 @@ class Cluster:
             cluster_name=cluster_name or switch,
         )
         self.hosts[name] = host
-        self._switches[switch].hosts.append(name)
         self._host_switch[name] = switch
         self._host_access[name] = nic
         # Full-duplex NIC: separate tx and rx links.
@@ -122,11 +112,11 @@ class Cluster:
         """Join two switches with a full-duplex trunk."""
         self._ensure_mutable()
         for sw in (a, b):
-            if sw not in self._switches:
+            if sw not in self._trunks:
                 raise ConfigurationError(f"unknown switch {sw!r}")
         self.network.add_link(f"{a}->{b}", spec.bandwidth)
         self.network.add_link(f"{b}->{a}", spec.bandwidth)
-        self._switch_graph.add_edge(a, b, spec=spec)
+        self._trunks[a][b] = self._trunks[b][a] = spec
 
     def finalize(self) -> "Cluster":
         """Compute the (host, host) routing table.  Idempotent."""
@@ -150,19 +140,35 @@ class Cluster:
         latency = nic_src.latency + nic_dst.latency
         overhead = nic_src.message_overhead + nic_dst.message_overhead
         if sw_src != sw_dst:
-            try:
-                path = nx.shortest_path(self._switch_graph, sw_src, sw_dst)
-            except nx.NetworkXNoPath:
-                raise ConfigurationError(
-                    f"switches {sw_src!r} and {sw_dst!r} are not connected"
-                ) from None
+            path = self._switch_path(sw_src, sw_dst)
             for a, b in zip(path, path[1:]):
-                spec: LinkSpec = self._switch_graph.edges[a, b]["spec"]
+                spec = self._trunks[a][b]
                 links.append(self.network.links[f"{a}->{b}"])
                 latency += spec.latency
                 overhead += spec.message_overhead
         links.append(self.network.links[f"{dst}.rx"])
         self.network.set_route(src, dst, links, latency, overhead)
+
+    def _switch_path(self, src: str, dst: str) -> list[str]:
+        """The fewest-hop switch path, found breadth-first from ``src``.
+
+        Among equally short paths the one through the earliest-connected
+        trunk wins: a switch's trunks are tried in :meth:`connect_switches`
+        order and the first to reach a switch keeps it.
+        """
+        parent = {src: src}
+        reached = [src]
+        for sw in reached:  # grows as switches are reached
+            for peer in self._trunks[sw]:
+                if peer not in parent:
+                    parent[peer] = sw
+                    reached.append(peer)
+        if dst not in parent:
+            raise ConfigurationError(f"switches {src!r} and {dst!r} are not connected")
+        path = [dst]
+        while path[-1] != src:
+            path.append(parent[path[-1]])
+        return path[::-1]
 
     def _ensure_mutable(self) -> None:
         if self._finalized:

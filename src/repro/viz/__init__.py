@@ -12,7 +12,7 @@ from repro.viz.camera import Camera
 from repro.viz.marching_cubes import extract_triangles, triangle_count
 from repro.viz.models import BufferSizes, CostParams
 from repro.viz.profile import DatasetProfile, dataset_1p5gb, dataset_25gb
-from repro.viz.raster import ZBUFFER_ENTRY_BYTES, ZBuffer, ZBufferSlab, triangle_fragments
+from repro.viz.raster import ZBUFFER_ENTRY_BYTES, ZBuffer, ZBufferSlab
 from repro.viz.shading import shade_triangles, triangle_normals
 from repro.viz.tiled import TileGatherFilter, TileImage, TileMergeFilter, TileSlab
 
@@ -39,6 +39,5 @@ __all__ = [
     "extract_triangles",
     "shade_triangles",
     "triangle_count",
-    "triangle_fragments",
     "triangle_normals",
 ]

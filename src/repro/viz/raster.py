@@ -1,12 +1,12 @@
 """Rasterisation: fragment generation and the classic z-buffer.
 
-``triangle_fragments`` turns one screen-space triangle into covered pixels
+``rasterize_triangles`` turns screen-space triangles into covered pixels
 with interpolated depth (barycentric, pixel-centre sampling, clipped to the
-viewport); it is the *reference* kernel.  ``rasterize_triangles`` is the
-batched production kernel: it processes whole triangle soups per call by
-bucketing triangles with equal clipped-bounding-box shapes into stacked
-grids, and emits exactly the fragments the reference emits, in the same
-order.  :class:`ZBuffer` is the paper's first hidden-surface-removal
+viewport).  It processes whole triangle soups per call by bucketing
+triangles with equal clipped-bounding-box shapes into stacked grids, and
+emits exactly the fragments the per-triangle reference kernel
+(``triangle_fragments`` in ``tests/viz/reference_kernels.py``) emits, in
+the same order.  :class:`ZBuffer` is the paper's first hidden-surface-removal
 method: a dense per-pixel (depth, colour) array, filled during the local
 rendering phase and shipped wholesale to the Merge filter at end-of-work.
 """
@@ -19,57 +19,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["triangle_fragments", "rasterize_triangles", "ZBuffer", "ZBufferSlab"]
+__all__ = ["rasterize_triangles", "ZBuffer", "ZBufferSlab"]
 
 #: Bytes per z-buffer pixel on the wire: float32 depth + RGBX.
 ZBUFFER_ENTRY_BYTES = 8
-
-
-def triangle_fragments(
-    tri: np.ndarray, width: int, height: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rasterise one screen-space triangle.
-
-    Parameters
-    ----------
-    tri:
-        (3, 3) array; per vertex (pixel x, pixel y, depth).
-    width, height:
-        Viewport bounds; fragments outside are clipped.
-
-    Returns
-    -------
-    (pixels, depth): flat pixel indices (``y * width + x``) and their
-    interpolated depths.  Fragments with non-positive depth (behind the
-    camera) are dropped.
-    """
-    xs, ys, zs = tri[:, 0], tri[:, 1], tri[:, 2]
-    x0 = max(0, int(np.floor(xs.min())))
-    x1 = min(width - 1, int(np.ceil(xs.max())))
-    y0 = max(0, int(np.floor(ys.min())))
-    y1 = min(height - 1, int(np.ceil(ys.max())))
-    if x0 > x1 or y0 > y1:
-        return _EMPTY_FRAGS
-    denom = (ys[1] - ys[2]) * (xs[0] - xs[2]) + (xs[2] - xs[1]) * (ys[0] - ys[2])
-    if abs(denom) < 1e-12:
-        return _EMPTY_FRAGS  # degenerate (zero-area) triangle
-    px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
-    py = np.arange(y0, y1 + 1, dtype=np.float64) + 0.5
-    gx, gy = np.meshgrid(px, py)
-    w0 = ((ys[1] - ys[2]) * (gx - xs[2]) + (xs[2] - xs[1]) * (gy - ys[2])) / denom
-    w1 = ((ys[2] - ys[0]) * (gx - xs[2]) + (xs[0] - xs[2]) * (gy - ys[2])) / denom
-    w2 = 1.0 - w0 - w1
-    inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-    if not inside.any():
-        return _EMPTY_FRAGS
-    depth = w0 * zs[0] + w1 * zs[1] + w2 * zs[2]
-    inside &= depth > 0
-    iy, ix = np.nonzero(inside)
-    pixels = (iy + y0) * width + (ix + x0)
-    return pixels.astype(np.int64), depth[inside]
-
-
-_EMPTY_FRAGS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 
 def rasterize_triangles(
@@ -77,9 +30,10 @@ def rasterize_triangles(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rasterise a batch of screen-space triangles in bucketed grid stacks.
 
-    Produces bit-identical fragments to calling :func:`triangle_fragments`
-    per triangle: the coefficient arithmetic runs in the input dtype and the
-    grid arithmetic in float64, exactly as the reference does, and fragments
+    Produces bit-identical fragments to calling the reference kernel
+    (``tests/viz/reference_kernels.py::triangle_fragments``) per triangle:
+    the coefficient arithmetic runs in the input dtype and the grid
+    arithmetic in float64, exactly as the reference does, and fragments
     keep the reference's order (triangle by triangle, row-major within each
     triangle's bounding box).  Triangles whose clipped bounding boxes have
     equal shape are stacked into one (G, bh, bw) barycentric evaluation, so
@@ -208,7 +162,7 @@ def _fold(op: np.ufunc, per_vertex: np.ndarray) -> np.ndarray:
     return op(op(per_vertex[:, 0], per_vertex[:, 1]), per_vertex[:, 2])
 
 
-_NO_FRAGS = (*_EMPTY_FRAGS, np.empty(0, dtype=np.int64))
+_NO_FRAGS = (np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, np.int64))
 
 
 @dataclass

@@ -77,8 +77,43 @@ def test_disconnected_switches_rejected():
     c.add_switch("b")
     c.add_host("h0", "a", cores=1)
     c.add_host("h1", "b", cores=1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as raised:
         c.finalize()
+    assert str(raised.value) == "switches 'a' and 'b' are not connected"
+
+
+def trunks_crossed(cluster, src, dst):
+    links, _, _ = cluster.network.route(src, dst)
+    return [ln.name for ln in links[1:-1]]
+
+
+def test_diamond_routes_through_the_earliest_connected_trunk():
+    env = Environment()
+    c = Cluster(env)
+    for sw in "abcd":
+        c.add_switch(sw)
+        c.add_host(f"h{sw}", sw, cores=1)
+    spec = LinkSpec(100.0, 0.0)
+    # Two two-hop paths a..d; the b side is connected first at both ends.
+    for a, b in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")):
+        c.connect_switches(a, b, spec)
+    c.finalize()
+    assert trunks_crossed(c, "ha", "hd") == ["a->b", "b->d"]
+    assert trunks_crossed(c, "hd", "ha") == ["d->b", "b->a"]
+    assert trunks_crossed(c, "hb", "hc") == ["b->a", "a->c"]
+    assert trunks_crossed(c, "ha", "hc") == ["a->c"]  # fewest hops first
+
+
+def test_umd_testbed_routes_are_symmetric_and_cross_at_most_two_trunks():
+    c = umd_testbed(Environment(), red_nodes=2, blue_nodes=2, rogue_nodes=2)
+    for src in c.hosts:
+        for dst in c.hosts:
+            if src == dst:
+                continue
+            there = trunks_crossed(c, src, dst)
+            back = trunks_crossed(c, dst, src)
+            assert len(there) <= 2
+            assert back == ["->".join(reversed(t.split("->"))) for t in reversed(there)]
 
 
 def test_inter_switch_route_includes_trunk():

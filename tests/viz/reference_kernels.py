@@ -5,7 +5,9 @@ the executable definition of what those kernels must compute, bit for bit:
 
 - :class:`SequentialActivePixelRaster` — Winning Pixel Array insertion one
   triangle at a time through a per-pixel index (the paper's Modified
-  Scanline Array), fed by the per-triangle ``triangle_fragments`` kernel;
+  Scanline Array), fed by :func:`triangle_fragments`;
+- :func:`triangle_fragments` — fragment generation one screen-space
+  triangle at a time (the definition of ``rasterize_triangles``' output);
 - :func:`extract_triangles_sequential` — marching cubes one cube
   configuration at a time, over :func:`cube_configs_sequential`'s bitmasks
   (one cube corner at a time).
@@ -17,7 +19,53 @@ import numpy as np
 
 from repro.viz.active_pixel import WPABuffer
 from repro.viz.marching_cubes import CORNER_OFFSETS, TRI_TABLE
-from repro.viz.raster import triangle_fragments
+
+
+_EMPTY_FRAGS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+
+
+def triangle_fragments(
+    tri: np.ndarray, width: int, height: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rasterise one screen-space triangle.
+
+    Parameters
+    ----------
+    tri:
+        (3, 3) array; per vertex (pixel x, pixel y, depth).
+    width, height:
+        Viewport bounds; fragments outside are clipped.
+
+    Returns
+    -------
+    (pixels, depth): flat pixel indices (``y * width + x``) and their
+    interpolated depths.  Fragments with non-positive depth (behind the
+    camera) are dropped.
+    """
+    xs, ys, zs = tri[:, 0], tri[:, 1], tri[:, 2]
+    x0 = max(0, int(np.floor(xs.min())))
+    x1 = min(width - 1, int(np.ceil(xs.max())))
+    y0 = max(0, int(np.floor(ys.min())))
+    y1 = min(height - 1, int(np.ceil(ys.max())))
+    if x0 > x1 or y0 > y1:
+        return _EMPTY_FRAGS
+    denom = (ys[1] - ys[2]) * (xs[0] - xs[2]) + (xs[2] - xs[1]) * (ys[0] - ys[2])
+    if abs(denom) < 1e-12:
+        return _EMPTY_FRAGS  # degenerate (zero-area) triangle
+    px = np.arange(x0, x1 + 1, dtype=np.float64) + 0.5
+    py = np.arange(y0, y1 + 1, dtype=np.float64) + 0.5
+    gx, gy = np.meshgrid(px, py)
+    w0 = ((ys[1] - ys[2]) * (gx - xs[2]) + (xs[2] - xs[1]) * (gy - ys[2])) / denom
+    w1 = ((ys[2] - ys[0]) * (gx - xs[2]) + (xs[0] - xs[2]) * (gy - ys[2])) / denom
+    w2 = 1.0 - w0 - w1
+    inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
+    if not inside.any():
+        return _EMPTY_FRAGS
+    depth = w0 * zs[0] + w1 * zs[1] + w2 * zs[2]
+    inside &= depth > 0
+    iy, ix = np.nonzero(inside)
+    pixels = (iy + y0) * width + (ix + x0)
+    return pixels.astype(np.int64), depth[inside]
 
 
 class SequentialActivePixelRaster:

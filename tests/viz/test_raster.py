@@ -9,7 +9,8 @@ from repro.viz.active_pixel import (
     ActivePixelMerger,
     ActivePixelRaster,
 )
-from repro.viz.raster import ZBUFFER_ENTRY_BYTES, ZBuffer, triangle_fragments
+from repro.viz.raster import ZBUFFER_ENTRY_BYTES, ZBuffer
+from tests.viz.reference_kernels import triangle_fragments
 
 
 def big_tri(depth=1.0):

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.viz.raster import ZBuffer, rasterize_triangles, triangle_fragments
+from repro.viz.raster import ZBuffer, rasterize_triangles
+from tests.viz.reference_kernels import triangle_fragments
 
 WIDTH, HEIGHT = 40, 32
 
