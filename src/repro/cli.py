@@ -59,40 +59,26 @@ from repro.configurations import CONFIGURATIONS
 
 __all__ = ["main"]
 
-_EXPERIMENTS = (
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "figure4",
-    "figure5",
-    "figure7",
-    "dynamic_load",
-    "concurrent_queries",
-    "validation",
-    "figure2a",
-)
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    import importlib
+    import inspect
 
-    extensions = ("dynamic_load", "concurrent_queries", "validation", "figure2a")
-    names = args.names or [n for n in _EXPERIMENTS if n not in extensions]
+    from repro.experiments import EXPERIMENTS
+
+    by_name = {experiment.name: experiment for experiment in EXPERIMENTS}
+    names = args.names or [e.name for e in EXPERIMENTS if not e.extension]
     for name in names:
-        if name not in _EXPERIMENTS:
+        if name not in by_name:
             print(
                 f"unknown experiment {name!r}; choose from "
-                f"{', '.join(_EXPERIMENTS)}",
+                f"{', '.join(by_name)}",
                 file=sys.stderr,
             )
             return 2
-        module = importlib.import_module(f"repro.experiments.{name}")
+        run = by_name[name].load().run
         kwargs = {}
-        if args.scale is not None and name not in ("validation", "figure2a"):
+        if args.scale is not None and "scale" in inspect.signature(run).parameters:
             kwargs["scale"] = args.scale
-        print(module.run(**kwargs).format())
+        print(run(**kwargs).format())
         print()
     return 0
 
@@ -458,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("experiments", help="regenerate tables/figures")
-    p_exp.add_argument("names", nargs="*", help=f"subset of: {', '.join(_EXPERIMENTS)}")
+    p_exp.add_argument("names", nargs="*",
+                       help="modules of repro.experiments (default: the paper's "
+                            "tables and figures; an unknown name lists them all)")
     p_exp.add_argument("--scale", type=float, default=None, help="dataset scale")
     p_exp.set_defaults(func=_cmd_experiments)
 

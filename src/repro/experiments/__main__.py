@@ -1,4 +1,4 @@
-"""Run the full evaluation section: every table and figure, in order.
+"""Run the full evaluation section: every table and figure of the registry.
 
 Usage::
 
@@ -9,41 +9,12 @@ import argparse
 import sys
 import time
 
-from repro.experiments import (
-    concurrent_queries,
-    dynamic_load,
-    figure4,
-    figure5,
-    figure7,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    validation,
-)
+from repro.experiments import EXPERIMENTS
 from repro.experiments.charts import bar_chart
-
-MODULES = [
-    ("Table 1", table1, None),
-    ("Table 2", table2, None),
-    ("Figure 4", figure4, ("seconds", ["nodes", "image"], "system")),
-    ("Figure 5", figure5, ("normalized", ["rogue+blue", "bg_jobs", "image"], "system")),
-    ("Table 3", table3, None),
-    ("Table 4", table4, None),
-    ("Table 5", table5, None),
-    ("Figure 7", figure7, ("seconds", ["skew", "policy"], "config")),
-]
-
-EXTENSIONS = [
-    ("Dynamic load (extension)", dynamic_load, ("seconds", ["timestep"], "policy")),
-    ("Concurrent queries (extension)", concurrent_queries, None),
-    ("Cross-engine validation (extension)", validation, None),
-]
 
 
 def main(argv=None) -> int:
-    """Print this experiment's table."""
+    """Print every experiment's table."""
     parser = argparse.ArgumentParser(prog="repro.experiments")
     parser.add_argument(
         "--charts", action="store_true",
@@ -55,17 +26,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    modules = MODULES + (EXTENSIONS if args.extensions else [])
-    for name, module, chart in modules:
+    for experiment in EXPERIMENTS:
+        if experiment.extension and not args.extensions:
+            continue
         start = time.perf_counter()
-        table = module.run()
+        table = experiment.load().run()
         elapsed = time.perf_counter() - start
         print(table.format())
-        if args.charts and chart is not None:
-            value, labels, series = chart
+        if args.charts and experiment.chart is not None:
+            value, labels, series = experiment.chart
             print()
             print(bar_chart(table, value, labels, series))
-        print(f"[{name} regenerated in {elapsed:.1f}s]")
+        print(f"[{experiment.title} regenerated in {elapsed:.1f}s]")
         print()
     return 0
 

@@ -17,7 +17,7 @@ file region descriptor, no copy (:mod:`repro.core.buffer`).  Only the
 chunks the isosurface can cross are read: the store records each chunk's
 value range, and Read and the front-end's own extraction both skip a chunk
 whose range rules out a triangle at the query's isovalue
-(:func:`repro.viz.marching_cubes.range_excludes`); the response's
+(:func:`repro.viz.filters.chunks_needed`); the response's
 ``chunks`` is ``[needed, stored]`` for the query's timestep.
 
 Protocol: newline-delimited JSON, one request per line, one response per
@@ -93,7 +93,7 @@ from repro.cache import (
     content_key,
     make_triangle_set,
 )
-from repro.configurations import CONFIGURATIONS
+from repro.configurations import CONFIGURATIONS, check_algorithm
 from repro.engines.pool import PoolManager, WarmPool
 from repro.errors import (
     AnalysisError,
@@ -396,27 +396,9 @@ class QueryService:
                     )
         return self._binding
 
-    def _chunks_needed_by(
-        self, scene: SceneSpec, timestep: int, isovalue: float
-    ) -> "frozenset[int]":
-        """Ids of the chunks whose value range admits a triangle.
-
-        The rule is the Read filter's (``range_excludes`` over the store's
-        ranges), so this is the set of chunks a pipeline run reads.
-        """
-        from repro.viz.marching_cubes import range_excludes
-
-        store, profile, _storage = self._scene_assets(scene)
-        return frozenset(
-            chunk.chunk_id
-            for chunk in profile.chunks
-            if not range_excludes(
-                store.chunk_range(chunk, timestep, 0), isovalue
-            )
-        )
-
     def _extract_triangles(
-        self, scene: SceneSpec, timestep: int, isovalue: float
+        self, scene: SceneSpec, timestep: int, isovalue: float,
+        needed: "frozenset[int]",
     ) -> "dict[int, np.ndarray]":
         """Per-chunk marching cubes, exactly as the pipeline computes it.
 
@@ -424,17 +406,17 @@ class QueryService:
         ``extract_triangles`` kernel and the same world origin per chunk
         — so injected triangles are bit-identical to what the Read →
         Extract stages would have produced for this unit of work.  A
-        chunk Read would skip (:meth:`_chunks_needed_by`) gets the empty
-        array the kernel would return, without being read, and a file
-        with no needed chunk is never opened.  The store is read through a
-        handle of this call's own, let go of after every file, so this
-        long-lived process maps one file at a time and keeps none.
+        chunk Read would skip (not in ``needed``, the query's
+        :func:`~repro.viz.filters.chunks_needed`) gets the empty array the
+        kernel would return, unread, and a file with no needed chunk is
+        never opened.  The store is read through a handle of this call's
+        own, let go of after every file: one file mapped at a time, none kept.
         """
         from repro.data import DeclusteredStore
+        from repro.viz.filters import _chunk_world_origin
         from repro.viz.marching_cubes import extract_triangles
 
         store, profile, _storage = self._scene_assets(scene)
-        needed = self._chunks_needed_by(scene, timestep, isovalue)
         out: dict[int, np.ndarray] = {}
         with closing(DeclusteredStore.open(store.directory)) as handle:
             for data_file in profile.files:
@@ -442,14 +424,9 @@ class QueryService:
                     if chunk.chunk_id not in needed:
                         out[chunk.chunk_id] = np.empty((0, 3, 3), np.float32)
                         continue
-                    origin = (
-                        float(chunk.start[2]),
-                        float(chunk.start[1]),
-                        float(chunk.start[0]),
-                    )
                     out[chunk.chunk_id] = extract_triangles(
                         handle.chunk_field(chunk, timestep, 0), isovalue,
-                        origin=origin,
+                        origin=_chunk_world_origin(chunk),
                     )
                 handle.close()
         return out
@@ -512,9 +489,12 @@ class QueryService:
                 f"timestep {timestep} out of range for {scene.name!r} "
                 f"(has {scene.timesteps})"
             )
+        algorithm = str(request.get("algorithm", self.algorithm))
+        check_algorithm(algorithm)
+        # one row band per tile-merge copy: TileMap.rows' limit
         merge_copies = _coerce_int(
             request.get("merge_copies", self.merge_copies), "merge_copies",
-            minimum=1,
+            minimum=1, maximum=height,
         )
         view = request.get("view")
         if view is not None and not isinstance(view, dict):
@@ -529,8 +509,8 @@ class QueryService:
                 _coerce_float(view.get("elevation", 25.0), "view.elevation"),
             )
         return Query(
-            scene, config, str(request.get("algorithm", self.algorithm)),
-            width, height, isovalue, timestep, merge_copies, orbit,
+            scene, config, algorithm, width, height, isovalue, timestep,
+            merge_copies, orbit,
         )
 
     def _pool_key(self, query: Query) -> "tuple[Any, ...]":
@@ -556,6 +536,7 @@ class QueryService:
         """
         from repro.core.tracing import Tracer
         from repro.viz.camera import Camera
+        from repro.viz.filters import chunks_needed
 
         t0 = time.perf_counter()
         query = self._parse(request)
@@ -596,6 +577,10 @@ class QueryService:
             self._pool_key(query), lambda: self._build_pool(query)
         )
 
+        # Read's rule, asked once per run: len(needed) is the R->E buffer
+        # count, unless triangles were injected (Read then touched no storage)
+        store, profile, _storage = self._scene_assets(query.scene)
+        needed = chunks_needed(store, profile.chunks, query.timestep, query.isovalue)
         outcome = "cold"
         if binding is not None:
             tri = binding.cache.get("triangles", triangle_key)
@@ -605,7 +590,7 @@ class QueryService:
                 events.append(("triangles", "miss", 0))
                 tri = make_triangle_set(
                     self._extract_triangles(
-                        query.scene, query.timestep, query.isovalue
+                        query.scene, query.timestep, query.isovalue, needed
                     )
                 )
                 binding.cache.put("triangles", triangle_key, tri, tri.nbytes)
@@ -625,12 +610,6 @@ class QueryService:
                 result.image, result.active_pixels, result.buffers_merged
             )
             binding.cache.put("tiles", frame_key, frame, frame.nbytes)
-        # Read's range rule, worked out here: len(needed) is the R->E buffer
-        # count, unless triangles were injected (Read then touched no storage)
-        needed = self._chunks_needed_by(
-            query.scene, query.timestep, query.isovalue
-        )
-        profile = self._scene_assets(query.scene)[1]
         run = {
             "warm": not created,
             "pool_cycle": pool.cycles_completed,

@@ -12,6 +12,7 @@ correctness tests; their simulated counterparts live in
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "raster_filter",
     "merge_filter",
     "TRIANGLE_BYTES",
+    "chunks_needed",
 ]
 
 #: Wire size of one triangle: 3 vertices x (x, y, z) float32.
@@ -80,6 +82,28 @@ def _chunk_world_origin(chunk: ChunkSpec) -> tuple[float, float, float]:
     return (float(chunk.start[2]), float(chunk.start[1]), float(chunk.start[0]))
 
 
+def chunks_needed(
+    source: ChunkSource,
+    chunks: "Iterable[ChunkSpec]",
+    timestep: int,
+    isovalue: "float | None",
+    species: int = 0,
+) -> "frozenset[int]":
+    """Ids of the ``chunks`` a query at ``isovalue`` has to read.
+
+    The one statement of the rule: all but those whose recorded value range
+    (:func:`~repro.data.chunks.chunk_range`) rules out a triangle
+    (:func:`~repro.viz.marching_cubes.range_excludes`).  A source without
+    ranges (the in-memory generators) and no isovalue rule nothing out.
+    """
+    return frozenset(
+        chunk.chunk_id
+        for chunk in chunks
+        if isovalue is None
+        or not range_excludes(chunk_range(source, chunk, timestep, species), isovalue)
+    )
+
+
 def _copy_files(storage: StorageMap, ctx: FilterContext):
     """The declustered files this source copy is responsible for."""
     files = storage.files_on(ctx.host)
@@ -105,13 +129,11 @@ class ReadFilter(Filter):
     Emits one buffer per chunk the isosurface can cross, tagged with the
     chunk id.  Copies on the same host split the host's files round-robin.
 
-    A chunk whose recorded value range
-    (:func:`~repro.data.chunks.chunk_range`) rules out a triangle at the
-    isovalue (:func:`~repro.viz.marching_cubes.range_excludes`) is not
-    read, mapped or emitted; a dataset without ranges — the in-memory
-    generators — is read whole.  The isovalue is the constructor's (none
-    known: nothing is ruled out) or the unit of work's
-    ``ctx.uow["isovalue"]``, as for :class:`ExtractFilter`.
+    A chunk :func:`chunks_needed` rules out at the isovalue is not read,
+    mapped or emitted; a dataset without ranges — the in-memory generators
+    — is read whole.  The isovalue is the constructor's (none known:
+    nothing is ruled out) or the unit of work's ``ctx.uow["isovalue"]``,
+    as for :class:`ExtractFilter`.
 
     A result-cache hit may inject pre-extracted triangles for this unit
     of work via ``ctx.uow["triangles"]`` (chunk id -> ``(N, 3, 3)``
@@ -141,11 +163,16 @@ class ReadFilter(Filter):
         timestep = _uow_get(ctx, "timestep", self.timestep)
         species = _uow_get(ctx, "species", self.species)
         isovalue = _uow_get(ctx, "isovalue", self.isovalue)
-        triangles = _uow_get(ctx, "triangles", None)
+        injected = _uow_get(ctx, "triangles", None) or {}
         for data_file, _disk in _copy_files(self.storage, ctx):
+            needed = chunks_needed(
+                self.dataset,
+                [c for c in data_file.chunks if c.chunk_id not in injected],
+                timestep, isovalue, species,
+            )
             for chunk in data_file.chunks:
-                if triangles is not None and chunk.chunk_id in triangles:
-                    tris = triangles[chunk.chunk_id]
+                tris = injected.get(chunk.chunk_id)
+                if tris is not None:
                     if len(tris):
                         ctx.write(
                             DataBuffer(
@@ -154,19 +181,15 @@ class ReadFilter(Filter):
                                 tags={"chunk": chunk.chunk_id},
                             )
                         )
-                    continue
-                if isovalue is not None and range_excludes(
-                    chunk_range(self.dataset, chunk, timestep, species), isovalue
-                ):
-                    continue
-                scalars = self.dataset.chunk_field(chunk, timestep, species)
-                ctx.write(
-                    DataBuffer(
-                        chunk.nbytes,
-                        ChunkPayload(chunk, scalars),
-                        tags={"chunk": chunk.chunk_id},
+                elif chunk.chunk_id in needed:
+                    scalars = self.dataset.chunk_field(chunk, timestep, species)
+                    ctx.write(
+                        DataBuffer(
+                            chunk.nbytes,
+                            ChunkPayload(chunk, scalars),
+                            tags={"chunk": chunk.chunk_id},
+                        )
                     )
-                )
 
 
 class ExtractFilter(Filter):

@@ -53,7 +53,10 @@ def test_main_single_experiment_via_cli(capsys):
     import repro.experiments.__main__ as entry
 
     assert callable(entry.main)
-    assert len(entry.MODULES) == 8
+    paper = [e for e in entry.EXPERIMENTS if not e.extension]
+    assert len(paper) == 8 and len(entry.EXPERIMENTS) == 12
+    for experiment in entry.EXPERIMENTS:
+        assert callable(experiment.load().run), experiment.name
 
 
 def test_validation_report_all_exact_or_estimate():

@@ -214,12 +214,19 @@ def test_invalid_requests_leave_the_cache_alone():
         before = service.cache_stats()["shared"]
         assert before["evictions"] == 0
         assert before["by_tier"]["tiles"]["entries"] == len(queries)
+        pools = sorted(service.stats()["pools"])
         for index in range(2000):
             with pytest.raises(ConfigurationError, match="unknown dataset"):
                 service.render({"dataset": f"missing-{index}"})
             with pytest.raises(ConfigurationError, match="out of range"):
                 service.render({"timestep": SCENE.timesteps + index})
+            # refused by _parse, not by the pool build behind a counted probe
+            with pytest.raises(ConfigurationError, match="algorithm must be"):
+                service.render({"algorithm": f"foo-{index}"})
+            with pytest.raises(ConfigurationError, match="merge_copies must be"):
+                service.render({"merge_copies": 33 + index})  # 32-px frame
         assert service.cache_stats()["shared"] == before
+        assert sorted(service.stats()["pools"]) == pools
         for query in queries:
             repeat = service.render(dict(query))
             assert repeat["cached"] is True
@@ -229,6 +236,18 @@ def test_invalid_requests_leave_the_cache_alone():
             assert after[counter] == before[counter], counter
     finally:
         service.close()
+    fresh = _service(cache_mb=0.125)  # nothing served yet: no store, no pool
+    try:
+        for bad in ({"algorithm": "foo"}, {"merge_copies": 40},
+                    {"merge_copies": 9, "height": 8}):
+            with pytest.raises(ConfigurationError):
+                fresh.render(bad)
+        stats = fresh.stats()
+        assert stats["stores"] == {} and stats["pools"] == {}
+        shared = stats["cache"]["shared"]
+        assert shared["hits"] == shared["misses"] == 0
+    finally:
+        fresh.close()
 
 
 def test_refused_certificate_still_serves(monkeypatch, uncached_frames):
@@ -285,7 +304,7 @@ def test_trace_records_cache_events():
         service.close()
 
 
-def test_warm_pool_stats_surface_cache_binding():
+def test_stats_show_one_certificate_per_service():
     """One certificate per service, about the stage definition: the same
     signature whatever the service's pipelines look like."""
     service = _service(cache_mb=8)

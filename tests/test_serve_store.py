@@ -23,6 +23,7 @@ from repro.errors import ReproError
 from repro.serve import Query, QueryService, SceneSpec, cache_keys, ppm_bytes
 from repro.viz import IsosurfaceApp
 from repro.viz.camera import Camera
+from repro.viz.filters import chunks_needed
 from repro.viz.marching_cubes import range_excludes
 from repro.viz.profile import DatasetProfile
 from tests.engines.test_crash_drain import shm_ledger  # noqa: F401  (fixture)
@@ -364,8 +365,10 @@ def test_front_end_extraction_reads_only_the_chunks_it_needs(
         }
         for isovalue in (QUERY["isovalue"], outside["above"], outside["below"]):
             del read[:], opened[:]
-            triangles = service._extract_triangles(SCENE, 1, isovalue)
             kept = {chunk.chunk_id for chunk in _kept(store, profile, isovalue)}
+            triangles = service._extract_triangles(
+                SCENE, 1, isovalue, chunks_needed(store, profile.chunks, 1, isovalue)
+            )
             assert sorted(read) == sorted(kept)
             assert len(opened) == len({file_of[chunk_id] for chunk_id in kept})
             assert sorted(triangles) == sorted(file_of)
@@ -527,10 +530,10 @@ def test_two_services_have_distinct_stores():
 
 
 def test_close_removes_the_store_when_the_first_pool_build_raised():
-    service = _service()
+    service = _service(policy="no-such-policy")  # past _parse: the pool's to refuse
     try:
         with pytest.raises(ReproError):
-            service.render({**QUERY, "algorithm": "no-such-algorithm"})
+            service.render(dict(QUERY))
         path = Path(_store_of(service)["path"])
         assert path.is_dir()  # the scene was materialised before the pool failed
     finally:
@@ -616,8 +619,10 @@ def test_scoped_handle_reads_what_the_pipeline_reads():
     )
     service = _service()
     try:
-        triangles = service._extract_triangles(SCENE, 1, 0.4)
-        profile = service._scene_assets(SCENE)[1]
+        store, profile, _storage = service._scene_assets(SCENE)
+        triangles = service._extract_triangles(
+            SCENE, 1, 0.4, chunks_needed(store, profile.chunks, 1, 0.4)
+        )
         assert sorted(triangles) == [c.chunk_id for c in profile.chunks]
         for chunk in profile.chunks:
             origin = tuple(float(chunk.start[axis]) for axis in (2, 1, 0))
