@@ -4,8 +4,8 @@
 Exposes :func:`targets`, a zero-arg builder returning one ``(graph,
 placement)`` pair per IsosurfaceApp configuration (R-E-Ra-M, RE-Ra-M,
 R-ERa-M, RERa-M) on a small synthetic dataset profile.  CI runs the full
-analyzer — including the effect-inference, resource-dataflow and
-protocol model-checker passes — over all four with::
+analyzer — including the effect-inference and protocol model-checker
+passes — over all four with::
 
     PYTHONPATH=src:examples python -m repro.cli lint --deep \\
         --graph-module deep_lint_targets:targets

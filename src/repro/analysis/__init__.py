@@ -1,18 +1,18 @@
 """Static analysis of filter pipelines and filter code.
 
-Five passes, all reporting structured :class:`Diagnostic` objects with a
+Four passes, all reporting structured :class:`Diagnostic` objects with a
 stable rule id, a severity and a fix hint (see
 :mod:`repro.analysis.rules` for the catalogue):
 
 **Pass 1 — pipeline verifier** (:func:`verify_pipeline`): rule-based
-checks over ``(FilterGraph, Placement, writer policies, cluster hosts,
-BufferCodec)`` — dangling/unreachable filters and streams, cycles,
-source/sink arity, copy sets on unknown hosts, degenerate WRR weights,
-demand-driven windows that defeat the bounded queues, phase-synchronised
-(z-buffer) filters behind unsynchronised fan-in, and payload-dtype /
-buffer-size mismatches against the codec.  Every engine runs it before
-executing: ERROR diagnostics abort the run, WARNING diagnostics become
-``analysis`` trace events.
+checks over ``(FilterGraph, Placement, writer policies, cluster hosts)``
+— dangling/unreachable filters and streams, cycles, source/sink arity,
+copy sets on unknown hosts, degenerate WRR weights, demand-driven windows
+that defeat the bounded queues, phase-synchronised (z-buffer) filters
+behind unsynchronised fan-in, and tile maps that do not match their
+placement or policy.  Every engine runs it before executing: ERROR
+diagnostics abort the run, WARNING diagnostics become ``analysis`` trace
+events.
 
 **Pass 2 — filter-code lint** (:func:`lint_file` / :func:`lint_class`):
 stdlib-``ast`` checks over :class:`~repro.core.filter.Filter` subclasses
@@ -22,38 +22,23 @@ state that cannot cross the process engine's fork/pickle boundary, and
 content-routed policies whose ``route()`` ignores its tags.  Nothing is
 imported or executed, so it lints untrusted pipeline definitions safely.
 
-**Deep passes.**  Two read the configuration off and are part of the
-engine gate (``verify_pipeline(..., deep=True)``, every engine
-constructor, and ``repro lint --deep``):
+**Pass 3 — effects** (:mod:`repro.analysis.effects`, ``E7xx``): AST
+effect and purity inference per filter class (PURE / STATEFUL / IO /
+NONDETERMINISTIC), rolled up to subgraphs; :func:`certify_memoisable` is
+the purity gate for result caches.  It reads the configuration off, so it
+is the ``deep=True`` part of the engine gate (``verify_pipeline(...,
+deep=True)``, every engine constructor, and ``repro lint --deep``).
 
-- **effects** (:mod:`repro.analysis.effects`, ``E7xx``): AST effect and
-  purity inference per filter class (PURE / STATEFUL / IO /
-  NONDETERMINISTIC), rolled up to subgraphs;
-  :func:`certify_memoisable` is the purity gate for result caches.
-- **dataflow** (:mod:`repro.analysis.dataflow`, ``M8xx``): symbolic
-  propagation of declared buffer sizes and dtypes through graph +
-  placement — per-host queue/window high-water bounds, shared-memory
-  slab mismatches, tile fan-in bursts, transitive dtype conflicts.
-
-The third searches a state space, and runs where a search is affordable
-and its verdict is read — ``repro lint --deep`` (:func:`verify_protocol`),
-the tests and direct :func:`check_protocol` calls — never in an engine
-constructor:
-
-- **protocol** (:mod:`repro.analysis.protocol`, ``F9xx``): a bounded
-  model checker over the credit/ack/close protocol proving
-  deadlock-freedom and EOW delivery, with counterexample event traces.
+**Pass 4 — protocol** (:mod:`repro.analysis.protocol`, ``F9xx``): a bounded
+model checker over the credit/ack/close protocol proving deadlock-freedom
+and EOW delivery, with counterexample event traces.  It searches a state
+space, and runs where a search is affordable and its verdict is read —
+``repro lint --deep`` (:func:`verify_protocol`), the tests and direct
+:func:`check_protocol` calls — never in an engine constructor.
 
 All passes drive the ``repro lint`` CLI and the CI self-check.
 """
 
-from repro.analysis.dataflow import (
-    DataflowResult,
-    EdgeFlow,
-    HostLoad,
-    compute_dataflow,
-    verify_dataflow,
-)
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, Severity
 from repro.analysis.effects import (
     Effect,
@@ -73,7 +58,6 @@ from repro.analysis.filtercode import (
     lint_source,
 )
 from repro.analysis.pipeline import (
-    verify_buffers,
     verify_flow,
     verify_graph,
     verify_pipeline,
@@ -105,7 +89,6 @@ __all__ = [
     "verify_graph",
     "verify_placement",
     "verify_flow",
-    "verify_buffers",
     "verify_pipeline",
     "Effect",
     "EffectSummary",
@@ -116,11 +99,6 @@ __all__ = [
     "subgraph_effect",
     "certify_memoisable",
     "verify_effects",
-    "EdgeFlow",
-    "HostLoad",
-    "DataflowResult",
-    "compute_dataflow",
-    "verify_dataflow",
     "ProtocolModel",
     "ProtocolResult",
     "build_model",

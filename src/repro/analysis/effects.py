@@ -1,4 +1,4 @@
-"""Deep pass 1: effect/purity inference over filter classes.
+"""Pass 3: effect/purity inference over filter classes.
 
 Classifies every filter as ``PURE`` / ``STATEFUL`` / ``IO`` /
 ``NONDETERMINISTIC`` from the AST of its class (attribute writes outside

@@ -1,33 +1,29 @@
 """Pass 1: the static pipeline verifier.
 
-Checks a ``(FilterGraph, Placement, writer policies, cluster hosts,
-BufferCodec)`` configuration *before* any engine instantiates a copy, and
-reports every violation as a structured :class:`~repro.analysis.Diagnostic`
+Checks a ``(FilterGraph, Placement, writer policies, cluster hosts)``
+configuration *before* any engine instantiates a copy, and reports every
+violation as a structured :class:`~repro.analysis.Diagnostic`
 (TPIE-style "compile time" validation of the full pipeline graph).  The
 individual passes are exposed for the thin ``validate()`` compatibility
 wrappers on :class:`~repro.core.graph.FilterGraph` and
 :class:`~repro.core.placement.Placement`; engines call
 :func:`verify_pipeline` with ``deep=True``, which runs every rule that
-reads the configuration off and can refuse it: the G/P/W/Z/B rules here,
-effect inference and resource dataflow.  The protocol model checker
+reads the configuration off and can refuse it: the G/P/W/Z rules here
+and effect inference.  The protocol model checker
 (:mod:`repro.analysis.protocol`) *searches* a state space instead, and is
 not part of this function: ``repro lint --deep`` and the tests call it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.analysis.dataflow import verify_dataflow
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.analysis.effects import verify_effects
 from repro.analysis.rules import RULES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.buffer import BufferCodec
     from repro.core.graph import FilterGraph
     from repro.core.placement import Placement
     from repro.core.policies import WriterPolicy
@@ -36,7 +32,6 @@ __all__ = [
     "verify_graph",
     "verify_placement",
     "verify_flow",
-    "verify_buffers",
     "verify_pipeline",
 ]
 
@@ -336,83 +331,23 @@ def verify_flow(
     return out
 
 
-def verify_buffers(
-    graph: "FilterGraph", codec: "BufferCodec | None" = None
-) -> list[Diagnostic]:
-    """Run the ``B5xx`` buffer/dtype rules (codec rules only with a codec)."""
-    out: list[Diagnostic] = []
-
-    def parse_dtype(name: str, text: str) -> "np.dtype | None":
-        try:
-            return np.dtype(text)
-        except TypeError:
-            out.append(
-                RULES["B501"].diagnostic(
-                    name,
-                    f"filter {name!r} declares invalid payload dtype {text!r}",
-                )
-            )
-            return None
-
-    for stream in graph.streams.values():
-        src = graph.filters.get(stream.src)
-        dst = graph.filters.get(stream.dst)
-        if src is None or dst is None:
-            continue
-        if src.output_dtype is not None and dst.input_dtype is not None:
-            out_dtype = parse_dtype(src.name, src.output_dtype)
-            in_dtype = parse_dtype(dst.name, dst.input_dtype)
-            if (
-                out_dtype is not None
-                and in_dtype is not None
-                and out_dtype != in_dtype
-            ):
-                out.append(
-                    RULES["B501"].diagnostic(
-                        stream.name,
-                        f"stream {stream.name!r}: producer {src.name!r} emits "
-                        f"dtype {out_dtype} but consumer {dst.name!r} expects "
-                        f"{in_dtype}",
-                    )
-                )
-        if (
-            codec is not None
-            and not codec.use_shared_memory
-            and src.output_nbytes is not None
-            and src.output_nbytes >= codec.shm_threshold
-        ):
-            out.append(
-                RULES["B502"].diagnostic(
-                    stream.name,
-                    f"stream {stream.name!r}: ~{src.output_nbytes} B buffers "
-                    f"meet the codec's {codec.shm_threshold} B shared-memory "
-                    f"threshold, but the codec has shared memory disabled",
-                )
-            )
-    return out
-
-
 def verify_pipeline(
     graph: "FilterGraph",
     placement: "Placement | None" = None,
     known_hosts: Iterable[str] | None = None,
     policy_for: "Callable[[str], Callable[[], WriterPolicy]] | None" = None,
     queue_capacity: int = 8,
-    codec: "BufferCodec | None" = None,
     deep: bool = False,
-    host_memory: Mapping[str, int] | None = None,
 ) -> DiagnosticReport:
     """Run every applicable pipeline rule and return the full report.
 
     ``graph`` rules always run; placement and flow rules need a
-    ``placement`` (and flow rules a ``policy_for`` resolver); the codec
-    rules need a ``codec``.  Nothing raises — gate on
-    :meth:`DiagnosticReport.raise_errors` /
+    ``placement`` (and flow rules a ``policy_for`` resolver).  Nothing
+    raises — gate on :meth:`DiagnosticReport.raise_errors` /
     :attr:`DiagnosticReport.errors`.
 
-    With ``deep=True`` effect/purity inference (``E7xx``) and symbolic
-    resource dataflow (``M8xx``, host budgets via ``host_memory``) run as
-    well — what every engine runs at construction.
+    With ``deep=True`` effect/purity inference (``E7xx``) runs as well —
+    what every engine runs at construction.
     """
     report = DiagnosticReport()
     report.extend(verify_graph(graph))
@@ -422,13 +357,7 @@ def verify_pipeline(
             report.extend(
                 verify_flow(graph, placement, policy_for, queue_capacity)
             )
-    report.extend(verify_buffers(graph, codec))
     if deep:
         report.extend(verify_effects(graph))
-        report.extend(
-            verify_dataflow(
-                graph, placement, policy_for, queue_capacity, codec, host_memory
-            )
-        )
     report.sort()
     return report

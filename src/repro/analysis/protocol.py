@@ -1,4 +1,4 @@
-"""Deep pass 3: bounded model checking of the flow-control protocol.
+"""Pass 4: bounded model checking of the flow-control protocol.
 
 Builds a small finite-state model of one concrete ``(graph, placement,
 writer policies, phase-sync, EOW close)`` configuration and explores it

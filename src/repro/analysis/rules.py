@@ -1,4 +1,4 @@
-"""The rule catalogue: every check either analysis pass can report.
+"""The rule catalogue: every check an analysis pass can report.
 
 Rule ids are stable and grouped by scope:
 
@@ -7,11 +7,9 @@ Rule ids are stable and grouped by scope:
 ``P2xx``   placement (pipeline verifier)
 ``W3xx``   writer policy / flow control (pipeline verifier)
 ``Z4xx``   phase synchronisation (pipeline verifier)
-``B5xx``   buffer size / payload dtype vs the codec (pipeline verifier)
 ``C6xx``   filter code (AST lint)
-``E7xx``   filter effects / purity (deep pass 1)
-``M8xx``   symbolic resource dataflow (deep pass 2)
-``F9xx``   flow-control protocol model checking (deep pass 3)
+``E7xx``   filter effects / purity (pass 3)
+``F9xx``   flow-control protocol model checking (pass 4)
 =========  ===============================================================
 
 Each :class:`Rule` carries a default severity and a generic fix hint; a
@@ -240,22 +238,6 @@ _rule(
     "only at the end-of-work phase boundary.",
 )
 
-# -- B5xx: buffers vs the codec ----------------------------------------------
-_rule(
-    "B501", "payload-dtype-mismatch", Severity.ERROR, "buffer",
-    "Producer and consumer declare different payload dtypes for the "
-    "same stream; the consumer would misinterpret every buffer.",
-    "Align the declared output_dtype/input_dtype of the two filters.",
-)
-_rule(
-    "B502", "codec-bypass", Severity.WARNING, "buffer",
-    "A stream declares buffers at least as large as the codec's "
-    "shared-memory threshold, but the codec has shared memory disabled: "
-    "every payload will be fully pickled through the control queues "
-    "instead of travelling zero-copy.",
-    "Enable BufferCodec shared memory or shrink the declared buffers.",
-)
-
 # -- C6xx: filter code (AST lint) --------------------------------------------
 _rule(
     "C600", "parse-error", Severity.ERROR, "code",
@@ -313,7 +295,7 @@ _rule(
     "capacity-based policy instead of a content-routed one.",
 )
 
-# -- E7xx: filter effects / purity (deep pass 1) -----------------------------
+# -- E7xx: filter effects / purity (pass 3) ----------------------------------
 _rule(
     "E701", "declared-effect-mismatch", Severity.WARNING, "effects",
     "A filter's declared effects class is weaker than what its code "
@@ -365,43 +347,7 @@ _rule(
     "extract stage), or run the pipeline uncached.",
 )
 
-# -- M8xx: symbolic resource dataflow (deep pass 2) --------------------------
-_rule(
-    "M801", "host-memory-overcommit", Severity.WARNING, "memory",
-    "The static high-water bound of queued + windowed buffers on a host "
-    "exceeds its declared memory budget; under backpressure the host "
-    "pages or OOMs exactly when the pipeline is busiest.",
-    "Shrink queue_capacity, policy windows or declared buffer sizes, or "
-    "spread the heavy copy sets across more hosts.",
-)
-_rule(
-    "M802", "slab-payload-mismatch", Severity.WARNING, "memory",
-    "A stream's declared buffer size falls just below the codec's "
-    "shared-memory threshold: every payload is pickled inline through "
-    "the bounded control queue instead of travelling as a shared-memory "
-    "slab, so the queue pipe carries near-slab-sized byte strings.",
-    "Lower BufferCodec.shm_threshold below the declared buffer size, or "
-    "batch payloads into larger slabs that cross the threshold.",
-)
-_rule(
-    "M803", "tile-fanin-burst", Severity.WARNING, "memory",
-    "At the end-of-work phase boundary every producer copy flushes one "
-    "fragment per tile; the bound of fragments converging on the "
-    "busiest tile owner exceeds its copy-set queue, so producers "
-    "serialise on blocking puts exactly at the merge barrier.",
-    "Raise queue_capacity, spread tiles over more owners, or reduce "
-    "producer copies feeding the tile-mapped merge.",
-)
-_rule(
-    "M804", "dtype-chain-conflict", Severity.WARNING, "memory",
-    "Propagating declared payload dtypes through pass-through filters "
-    "reaches a consumer whose declared input dtype differs: the "
-    "mismatch B501 cannot see locally exists across the chain.",
-    "Align the declared dtypes along the chain, or declare the "
-    "converting filter's output_dtype explicitly.",
-)
-
-# -- F9xx: flow-control protocol model checking (deep pass 3) ----------------
+# -- F9xx: flow-control protocol model checking (pass 4) ---------------------
 _rule(
     "F901", "protocol-deadlock", Severity.ERROR, "protocol",
     "Bounded exploration of the credit/ack/close protocol reached a "

@@ -129,9 +129,8 @@ def content_key(*parts: Any) -> str:
 def subgraph_signature(graph: "FilterGraph", members: Iterable[str]) -> str:
     """Digest the *static* FilterSpec metadata of a subgraph.
 
-    Covers, per member: source-ness, phase discipline, declared input /
-    output dtypes, declared output bytes-per-UOW, declared effects class
-    and the member-incident stream topology — everything the PR 3 static
+    Covers, per member: source-ness, phase discipline, declared effects
+    class and the member-incident stream topology — everything the static
     metadata says about the subgraph's semantics, and nothing about the
     live instances.  Two pipelines share cache entries only when these
     digests match.
@@ -147,9 +146,6 @@ def subgraph_signature(graph: "FilterGraph", members: Iterable[str]) -> str:
                 spec.name,
                 bool(spec.is_source),
                 bool(spec.phase_synchronised),
-                spec.input_dtype,
-                spec.output_dtype,
-                spec.output_nbytes,
                 spec.effects,
             )
         )

@@ -40,9 +40,9 @@ Six subcommands::
         Run the static analysis layer (:mod:`repro.analysis`): AST-lint
         filter code in the given files (nothing is imported) and/or
         verify a live graph+placement from an imported module.  With
-        ``--deep``, the effect-inference (E7xx), resource-dataflow (M8xx)
-        and protocol model-checker (F9xx) passes run on the imported
-        graphs too.  Exits 1 when any ERROR-level diagnostic fires.
+        ``--deep``, the effect-inference (E7xx) and protocol
+        model-checker (F9xx) passes run on the imported graphs too.
+        Exits 1 when any ERROR-level diagnostic fires.
 
 Both engines emit the same trace schema (:mod:`repro.core.tracing`), so
 ``--trace``/``--trace-out`` work identically on ``render`` (threaded,
@@ -377,6 +377,7 @@ def _load_graph_objects(spec: str) -> list:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
     from repro.serve import QueryService, SceneSpec, run_server
 
     scene = SceneSpec(
@@ -386,19 +387,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         isovalue=args.isovalue,
     )
-    service = QueryService(
-        scenes=[scene],
-        config=args.config,
-        algorithm=args.algorithm,
-        width=args.image,
-        height=args.image,
-        policy=args.policy,
-        copies=args.copies,
-        merge_copies=args.merge_copies,
-        max_inflight=args.max_inflight,
-        pool_idle_timeout=args.idle_timeout,
-        cache_mb=args.cache_mb,
-    )
+    try:
+        service = QueryService(
+            scenes=[scene],
+            config=args.config,
+            algorithm=args.algorithm,
+            width=args.image,
+            height=args.image,
+            policy=args.policy,
+            copies=args.copies,
+            merge_copies=args.merge_copies,
+            max_inflight=args.max_inflight,
+            pool_idle_timeout=args.idle_timeout,
+            cache_mb=args.cache_mb,
+        )
+    except ReproError as exc:
+        print(f"cannot serve: {exc}", file=sys.stderr)
+        return 2
     try:
         run_server(
             service,
@@ -527,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="queue bound assumed for flow-control rules")
     p_lint.add_argument("--deep", action="store_true",
                         help="run the deep passes on --graph-module graphs: "
-                             "effect inference (E7xx), resource dataflow "
-                             "(M8xx) and the protocol model checker (F9xx)")
+                             "effect inference (E7xx) and the protocol "
+                             "model checker (F9xx)")
     p_lint.add_argument("--protocol-max-states", type=int, default=4_000,
                         help="state-space bound for the --deep model "
                              "checker; raise it for an exhaustive "

@@ -35,13 +35,6 @@ class FilterSpec:
         The filter accumulates and emits only at the end-of-work phase
         boundary (z-buffer raster/merge style); the verifier flags such
         filters behind unsynchronised fan-in (rule ``Z401``).
-    ``input_dtype`` / ``output_dtype``
-        NumPy dtype names of the payload arrays the filter expects /
-        emits; mismatched producer/consumer declarations on one stream
-        are rule ``B501``.
-    ``output_nbytes``
-        Nominal wire size of emitted buffers, checked against the
-        :class:`~repro.core.buffer.BufferCodec` configuration (``B502``).
     ``tile_map``
         For a distributed-framebuffer merge: the
         :class:`~repro.core.tiles.TileMap` partitioning this consumer's
@@ -54,10 +47,6 @@ class FilterSpec:
         inference pass (:mod:`repro.analysis.effects`) checks the
         declaration against the filter class's code (``E701``) and the
         memoisation certifier trusts it.
-    ``output_buffers``
-        Nominal number of buffers the filter emits per unit of work;
-        together with ``output_nbytes`` it gives the dataflow pass a
-        bytes-per-UOW figure for each outgoing stream.
     """
 
     name: str
@@ -67,12 +56,8 @@ class FilterSpec:
     inputs: list["StreamSpec"] = field(default_factory=list)
     outputs: list["StreamSpec"] = field(default_factory=list)
     phase_synchronised: bool = False
-    input_dtype: str | None = None
-    output_dtype: str | None = None
-    output_nbytes: int | None = None
     tile_map: Any | None = None
     effects: str | None = None
-    output_buffers: int | None = None
 
     def __repr__(self) -> str:
         return f"<FilterSpec {self.name}>"
@@ -113,12 +98,8 @@ class FilterGraph:
         sim_factory: Callable[[], Any] | None = None,
         is_source: bool = False,
         phase_synchronised: bool = False,
-        input_dtype: str | None = None,
-        output_dtype: str | None = None,
-        output_nbytes: int | None = None,
         tile_map: Any | None = None,
         effects: str | None = None,
-        output_buffers: int | None = None,
     ) -> FilterSpec:
         """Register a logical filter.  Names must be unique.
 
@@ -143,12 +124,8 @@ class FilterGraph:
             sim_factory=sim_factory,
             is_source=is_source,
             phase_synchronised=phase_synchronised,
-            input_dtype=input_dtype,
-            output_dtype=output_dtype,
-            output_nbytes=output_nbytes,
             tile_map=tile_map,
             effects=effects,
-            output_buffers=output_buffers,
         )
         self.filters[name] = spec
         return spec

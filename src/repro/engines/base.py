@@ -12,7 +12,6 @@ from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.analysis.diagnostics import DiagnosticReport
-    from repro.core.buffer import BufferCodec
     from repro.core.graph import FilterGraph
     from repro.core.placement import Placement
     from repro.core.policies import WriterPolicy
@@ -64,7 +63,6 @@ def validate_run_setup(
     engine_name: str,
     policy_for: "Callable[[str], Callable[[], WriterPolicy]] | None" = None,
     known_hosts: "Iterable[str] | None" = None,
-    codec: "BufferCodec | None" = None,
     factory_slot: str = "factory",
 ) -> "DiagnosticReport":
     """Shared constructor checks of every engine: the static verifier.
@@ -72,12 +70,12 @@ def validate_run_setup(
     Runs :func:`repro.analysis.verify_pipeline` over the full run
     configuration — graph structure, placement (against ``known_hosts``
     when the engine has a cluster; the real engines treat host names as
-    labels), writer-policy flow control, buffer/codec declarations,
-    effect inference and resource dataflow — plus the engine-specific
-    requirements (a ``factory``/``sim_factory`` per filter, a sane queue
-    bound).  Every rule here reads the configuration off and can refuse
-    it; the protocol model checker, which searches a state space, is
-    ``repro lint --deep``'s and the tests', not the constructors'.
+    labels), writer-policy flow control and effect inference — plus the
+    engine-specific requirements (a ``factory``/``sim_factory`` per
+    filter, a sane queue bound).  Every rule here reads the configuration
+    off and can refuse it; the protocol model checker, which searches a
+    state space, is ``repro lint --deep``'s and the tests', not the
+    constructors'.
 
     ERROR-level diagnostics raise immediately (:class:`GraphError` /
     :class:`PlacementError` / :class:`~repro.errors.AnalysisError` by rule
@@ -100,7 +98,6 @@ def validate_run_setup(
         known_hosts=known_hosts,
         policy_for=policy_for,
         queue_capacity=queue_capacity,
-        codec=codec,
         deep=True,
     )
     report.raise_errors()

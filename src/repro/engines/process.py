@@ -93,7 +93,7 @@ class ProcessEngine(Engine):
         self.codec = codec or BufferCodec()
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "process",
-            policy_for=self._policy_for, codec=self.codec,
+            policy_for=self._policy_for,
         )
         if START_METHOD not in multiprocessing.get_all_start_methods():
             raise EngineError(

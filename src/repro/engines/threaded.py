@@ -74,7 +74,7 @@ class ThreadedEngine(Engine):
         self._set_policies(policy, policy_overrides)
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "threaded",
-            policy_for=self._policy_for, codec=codec,
+            policy_for=self._policy_for,
         )
         self.graph = graph
         self.placement = placement

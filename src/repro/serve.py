@@ -94,6 +94,7 @@ from repro.cache import (
     make_triangle_set,
 )
 from repro.configurations import CONFIGURATIONS, check_algorithm
+from repro.core.policies import make_policy_factory
 from repro.engines.pool import PoolManager, WarmPool
 from repro.errors import (
     AnalysisError,
@@ -125,14 +126,15 @@ def _coerce_int(
 ) -> int:
     """A request field as an int, or :class:`ConfigurationError`.
 
-    Bare ``int("banana")`` / ``int(None)`` raise ``ValueError`` /
-    ``TypeError``, which used to escape ``render()`` and kill the
-    connection without an error response; coercion failures and
-    out-of-range values are now uniform configuration errors.
+    Bare ``int("banana")`` / ``int(None)`` / ``int(float("inf"))`` (what
+    ``json.loads`` makes of ``1e999`` and ``Infinity``) raise
+    ``ValueError`` / ``TypeError`` / ``OverflowError``; a request field
+    that cannot be coerced or is out of range is a bad request, so each is
+    the same configuration error.
     """
     try:
         out = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(
             f"{name} must be an integer, got {value!r}"
         ) from None
@@ -250,14 +252,6 @@ class QueryService:
         pool_idle_timeout: "float | None" = 300.0,
         cache_mb: float = 0.0,
     ):
-        if config not in CONFIGURATIONS:
-            raise ConfigurationError(
-                f"config must be one of {CONFIGURATIONS}, got {config!r}"
-            )
-        if merge_copies < 1:
-            raise ConfigurationError(
-                f"merge_copies must be >= 1, got {merge_copies}"
-            )
         if cache_mb < 0:
             raise ConfigurationError(
                 f"cache_mb must be >= 0, got {cache_mb}"
@@ -269,10 +263,16 @@ class QueryService:
         self.algorithm = algorithm
         self.width = width
         self.height = height
-        self.policy = policy
-        self.copies = copies
         self.merge_copies = merge_copies
-        self.max_inflight = max_inflight
+        # The service's defaults are request fields nobody sent: a service
+        # whose default query is a bad request would fail every query, and
+        # bad pool settings only after a scene's store was written.
+        for scene in scenes:
+            self._parse({"dataset": scene.name})
+        make_policy_factory(policy)
+        self.policy = policy
+        self.copies = _coerce_int(copies, "copies", minimum=1)
+        self.max_inflight = _coerce_int(max_inflight, "max_inflight", minimum=1)
         self.pools = PoolManager(
             max_pools=max_pools, idle_timeout=pool_idle_timeout
         )

@@ -1,6 +1,6 @@
 """Per-rule fixtures for the static pipeline verifier.
 
-Every ``G``/``P``/``W``/``Z``/``B`` rule in the catalogue gets one graph
+Every ``G``/``P``/``W``/``Z`` rule in the catalogue gets one graph
 that triggers it and one that passes it clean.  The ``C6xx`` filter-code
 rules live in ``test_filtercode.py``.
 """
@@ -12,13 +12,11 @@ from repro.analysis import (
     DiagnosticReport,
     Severity,
     rule_catalogue,
-    verify_buffers,
     verify_flow,
     verify_graph,
     verify_pipeline,
     verify_placement,
 )
-from repro.core.buffer import BufferCodec
 from repro.core.graph import FilterGraph
 from repro.core.placement import CopySetSpec, Placement
 from repro.core.policies import make_policy_factory
@@ -379,48 +377,6 @@ def test_tiled_app_pipeline_is_clean():
         policy_for=lambda s: overrides.get(s, default),
     )
     assert not report.errors
-
-
-# -- B5xx buffers ------------------------------------------------------------
-
-
-def test_b501_dtype_mismatch():
-    g = FilterGraph()
-    g.add_filter("a", is_source=True, output_dtype="float32")
-    g.add_filter("b", input_dtype="float64")
-    g.connect("a", "b")
-    assert_rule(verify_buffers(g), "B501")
-
-
-def test_b501_invalid_dtype_string():
-    g = FilterGraph()
-    g.add_filter("a", is_source=True, output_dtype="not-a-dtype")
-    g.add_filter("b", input_dtype="float64")
-    g.connect("a", "b")
-    assert_rule(verify_buffers(g), "B501")
-
-
-def test_b501_silent_on_matching_or_undeclared_dtypes():
-    g = FilterGraph()
-    g.add_filter("a", is_source=True, output_dtype="float32")
-    g.add_filter("b", input_dtype="float32")
-    g.add_filter("c")  # undeclared: no opinion
-    g.connect("a", "b")
-    g.connect("b", "c")
-    assert verify_buffers(g) == []
-
-
-def test_b502_codec_bypass_for_large_buffers():
-    g = FilterGraph()
-    g.add_filter("a", is_source=True, output_nbytes=1 << 20)
-    g.add_filter("b")
-    g.connect("a", "b")
-    codec = BufferCodec(use_shared_memory=False)
-    assert_rule(verify_buffers(g, codec), "B502")
-    # Shared memory on, or small buffers: silent.
-    assert verify_buffers(g, BufferCodec()) == []
-    g.filters["a"].output_nbytes = 16
-    assert verify_buffers(g, codec) == []
 
 
 # -- report / wrapper behaviour ---------------------------------------------

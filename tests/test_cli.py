@@ -192,8 +192,8 @@ from repro.core.graph import FilterGraph
 from repro.core.placement import Placement
 
 graph = FilterGraph()
-graph.add_filter("a", is_source=True, output_dtype="float32")
-graph.add_filter("b", input_dtype="float64")
+graph.add_filter("a", is_source=True)
+graph.add_filter("b")
 graph.add_filter("merge", phase_synchronised=True)
 graph.add_filter("floating")
 graph.connect("a", "b")
@@ -212,7 +212,7 @@ placement.place("ghost", ["h0"])
 def test_lint_rules_catalogue(capsys):
     assert main(["lint", "--rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("G102", "P203", "W302", "Z401", "B501", "C601"):
+    for rule in ("G102", "P203", "W302", "Z401", "C601"):
         assert rule in out
 
 
@@ -293,7 +293,6 @@ def test_lint_graph_module_detects_many_rules(tmp_path, capsys, monkeypatch):
         "P204",  # multi-copy sink
         "W302",  # DD window 4 > queue capacity 2
         "Z401",  # phase-synchronised fan-in
-        "B501",  # float32 -> float64 dtype mismatch
         "C601",  # mutation after send
         "C603",  # blocking call in handle
     }
@@ -328,7 +327,7 @@ def test_lint_graph_module_import_error(capsys):
 
 
 def test_lint_deep_runs_the_deep_passes(tmp_path, capsys, monkeypatch):
-    """--deep adds E7xx/M8xx/F9xx findings shallow lint cannot see."""
+    """--deep adds E7xx/F9xx findings shallow lint cannot see."""
     import json
 
     (tmp_path / "deepmod.py").write_text(
@@ -412,3 +411,25 @@ def test_lint_graph_module_list_of_pairs(tmp_path, capsys, monkeypatch):
          "--graph-module", "listmod:build_all"]
     ) == 0
     assert "no diagnostics" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--copies", "--max-inflight", "--image"])
+def test_serve_refuses_defaults_no_query_could_use(
+    flag, capsys, monkeypatch, tmp_path
+):
+    """A service that could answer no query exits 2 before it listens or
+    writes a store (it used to bind, print "listening" and fail each query)."""
+    import tempfile
+
+    import repro.serve
+
+    def listening(*_args, **_kwargs):
+        raise AssertionError("the server was started")
+
+    monkeypatch.setattr(repro.serve, "run_server", listening)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert main(["serve", "--port", "0", flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert "must be >= 1, got 0" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []

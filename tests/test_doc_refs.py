@@ -1,9 +1,10 @@
 """Cross-references from the code and the documents resolve (ROADMAP 12d).
 
-First slice: every ``ROADMAP <n>[letter]`` names an item ROADMAP.md still
-lists as open, and every ``benchmarks/...py`` / ``tests/...py`` path that is
-mentioned exists.  A retired sub-item is written ``(a) → done, ...`` (or
-``→ item n``) in ROADMAP.md; that arrow is what this test reads.
+Every ``ROADMAP <n>[letter]`` names an item ROADMAP.md still lists as
+open, every ``benchmarks/...py`` / ``tests/...py`` path that is mentioned
+exists, and every rule id or family (``W302``, ``E7xx``) names a rule of
+``repro.analysis.RULES``.  A retired sub-item is written ``(a) → done, ...``
+(or ``→ item n``) in ROADMAP.md; that arrow is what this test reads.
 """
 
 import re
@@ -17,8 +18,17 @@ SOURCES = [
     *sorted((ROOT / "src").rglob("*.py")),
 ]
 
+#: Where a rule id is a promise about the catalogue: the documents above,
+#: plus CI (it greps lint output for ids) and the examples.
+RULE_SOURCES = [
+    *SOURCES,
+    ROOT / ".github" / "workflows" / "ci.yml",
+    *sorted((ROOT / "examples").glob("*.py")),
+]
+
 ROADMAP_REF = re.compile(r"ROADMAP(?: item)? (\d+)([a-z])?\b")
 TEST_PATH = re.compile(r"\b((?:benchmarks|tests)/[\w/.-]*\.py)\b")
+RULE_REF = re.compile(r"\b([BCEFGMPWZ][1-9])(\d\d|xx)\b")
 
 
 def open_items(roadmap: str) -> "dict[int, set[str]]":
@@ -36,8 +46,8 @@ def open_items(roadmap: str) -> "dict[int, set[str]]":
     return items
 
 
-def _mentions(pattern):
-    for path in SOURCES:
+def _mentions(pattern, sources=SOURCES):
+    for path in sources:
         lines = path.read_text(encoding="utf-8").splitlines()
         for lineno, line in enumerate(lines, 1):
             for match in pattern.finditer(line):
@@ -72,3 +82,16 @@ def test_mentioned_test_and_bench_files_exist():
         if not (ROOT / match.group(1)).is_file()
     ]
     assert not missing, "\n".join(missing)
+
+
+def test_mentioned_rules_are_in_the_catalogue():
+    from repro.analysis import RULES
+
+    families = {rule[:2] for rule in RULES}
+    unknown = [
+        f"{where}: {match.group(0)}"
+        for where, match in _mentions(RULE_REF, RULE_SOURCES)
+        if (match.group(1) not in families if match.group(2) == "xx"
+            else match.group(0) not in RULES)
+    ]
+    assert not unknown, "\n".join(unknown)

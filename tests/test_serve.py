@@ -126,7 +126,20 @@ def test_bad_requests_get_error_responses(server):
 
 def test_malformed_request_fields_get_error_responses(server):
     """Coercion failures must come back as error responses, not dropped
-    connections (bare ValueError/TypeError used to kill the handler)."""
+    connections (bare ValueError/TypeError used to kill the handler), and
+    what ``json.loads`` makes of ``Infinity`` / ``1e999`` is a bad request
+    like any other, not an ``OverflowError`` counted as a server failure."""
+    failed_before = _request(server, {"cmd": "stats"})["stats"]["queries_failed"]
+    for raw, needle in [
+        (b'{"cmd": "query", "width": 1e999}', "width must be an integer"),
+        (b'{"cmd": "query", "timestep": Infinity}', "timestep must be an integer"),
+        (b'{"cmd": "query", "merge_copies": -Infinity}', "merge_copies must be"),
+    ]:
+        response = _request(server, raw)
+        assert response["ok"] is False, raw
+        assert needle in response["error"], (raw, response["error"])
+    stats = _request(server, {"cmd": "stats"})["stats"]
+    assert stats["queries_failed"] == failed_before
     cases = [
         ({"width": "banana"}, "width"),
         ({"width": 0}, "width"),
@@ -323,6 +336,25 @@ def test_admission_control_rejects_at_limit():
     finally:
         _request(port, {"cmd": "shutdown"})
         thread.join(timeout=30.0)
+
+
+@pytest.mark.parametrize("bad, needle", [
+    ({"copies": 0}, "copies must be >= 1"),
+    ({"max_inflight": 0}, "max_inflight must be >= 1"),
+    ({"policy": "XX"}, "unknown policy"),
+    ({"width": 0}, "width must be >= 1"),
+    ({"height": 8, "merge_copies": 9}, "merge_copies must be <= 8"),
+    ({"algorithm": "bogus"}, "algorithm must be"),
+    ({"scenes": [SceneSpec("empty", timesteps=0)]}, "out of range"),
+])
+def test_service_whose_default_query_must_fail_does_not_construct(bad, needle):
+    """Defaults are request fields nobody sent: a service whose every query
+    would be refused — or whose pool could not be built, found only after
+    the scene's store was written — is refused at construction."""
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match=needle):
+        QueryService(**{"scenes": [SCENE], "width": 32, "height": 32, **bad})
 
 
 def test_ppm_bytes_header():

@@ -530,7 +530,8 @@ def test_two_services_have_distinct_stores():
 
 
 def test_close_removes_the_store_when_the_first_pool_build_raised():
-    service = _service(policy="no-such-policy")  # past _parse: the pool's to refuse
+    service = _service()
+    service.policy = "no-such-policy"  # past the constructor: the pool's to refuse
     try:
         with pytest.raises(ReproError):
             service.render(dict(QUERY))
