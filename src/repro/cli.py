@@ -377,7 +377,6 @@ def _load_graph_objects(spec: str) -> list:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.serve import QueryService, SceneSpec, run_server
 
     scene = SceneSpec(
@@ -387,23 +386,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         isovalue=args.isovalue,
     )
-    try:
-        service = QueryService(
-            scenes=[scene],
-            config=args.config,
-            algorithm=args.algorithm,
-            width=args.image,
-            height=args.image,
-            policy=args.policy,
-            copies=args.copies,
-            merge_copies=args.merge_copies,
-            max_inflight=args.max_inflight,
-            pool_idle_timeout=args.idle_timeout,
-            cache_mb=args.cache_mb,
-        )
-    except ReproError as exc:
-        print(f"cannot serve: {exc}", file=sys.stderr)
-        return 2
+    service = QueryService(
+        scenes=[scene],
+        config=args.config,
+        algorithm=args.algorithm,
+        width=args.image,
+        height=args.image,
+        policy=args.policy,
+        copies=args.copies,
+        merge_copies=args.merge_copies,
+        max_inflight=args.max_inflight,
+        pool_idle_timeout=args.idle_timeout,
+        cache_mb=args.cache_mb,
+    )
     try:
         run_server(
             service,
@@ -592,9 +587,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
+    from repro.errors import ReproError
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # Bad input is a message, not a traceback.
+        print(f"cannot {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

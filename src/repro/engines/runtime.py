@@ -14,17 +14,18 @@ The paper's filter-stream protocol is written here exactly once:
   end-of-work, with a crash drain that keeps the close protocol alive when
   the filter raises;
 - **one copy** (:func:`run_copy`) builds its filter once and runs a cycle per
-  item of whatever iterator the engine feeds it: the batch engines pass the
-  units of work they were given, the warm pool a generator over its control
-  queue;
+  item of whatever iterator the engine feeds it: the threaded engine passes
+  the units of work it was given, forked copies read a generator over their
+  control queue;
 - **one world** (:class:`World`) lays out copy sets x slots, the copy plan and
   the ack channels, and **one folder** (:func:`fold_cycle`,
   :func:`merge_trace`, :func:`fold_batch`) turns the copies' reports into
   :class:`~repro.core.instrument.RunMetrics` and a merged trace.
 
 What differs between engines is a :class:`Transport` — the primitives a
-world is built from — and how each engine supervises its copies, which
-stays in the engine.  The simulated engine is not a client: its copies are
+world is built from — and the parent side: threads are just joined, forked
+copies have one supervisor (``process.ForkedCopies``, batch run and warm
+pool alike).  The simulated engine is not a client: its copies are
 generator coroutines under the DES kernel and cannot call a blocking
 runtime (DESIGN section 3b).
 
@@ -692,8 +693,8 @@ def run_copy(
 ) -> None:
     """One copy's whole life: build the filter, run every cycle, report each.
 
-    ``cycles`` yields the units of work in order — a list for the batch
-    engines, a blocking generator over the control queue for the warm pool —
+    ``cycles`` yields the units of work in order — a list for the threaded
+    engine, a blocking generator over the control queue for forked copies —
     and ``emit`` ships each cycle's report to whoever folds them.
     """
     writers_by_cycle: WriterTable = {}

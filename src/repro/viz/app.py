@@ -176,6 +176,10 @@ class IsosurfaceApp:
             raise ConfigurationError(
                 f"timestep {self.timestep} outside [0, {self.profile.timesteps})"
             )
+        if self.width < 1 or self.height < 1:
+            raise ConfigurationError(
+                f"image dimensions must be >= 1, got {self.width}x{self.height}"
+            )
         if self.merge_copies < 1:
             raise ConfigurationError(
                 f"merge_copies must be >= 1, got {self.merge_copies}"

@@ -12,6 +12,7 @@ a hang is a failure, not a stalled suite.
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -25,7 +26,7 @@ from repro.core import DataBuffer, Filter, FilterGraph, Placement
 from repro.core.buffer import BufferCodec
 from repro.core.fuse import fuse
 from repro.core.policies import make_policy_factory
-from repro.engines import ProcessEngine, ThreadedEngine
+from repro.engines import ProcessEngine, ThreadedEngine, process
 from repro.engines.pool import WarmPool
 from repro.engines.runtime import Writer
 from repro.errors import EngineError
@@ -401,13 +402,23 @@ def test_damaged_mapped_file_breaks_the_warm_pool(fault, mapped_file, shm_ledger
     assert not shm_ledger()
 
 
-def test_consumer_hard_crash_releases_segments(shm_ledger):
+forked_parents = pytest.mark.parametrize("engine_cls", [ProcessEngine, WarmPool])
+
+
+def _close(engine):
+    """Retire a warm pool's copies (a batch engine has none left)."""
+    getattr(engine, "close", lambda: None)()
+
+
+@forked_parents
+def test_consumer_hard_crash_releases_segments(engine_cls, shm_ledger):
     """A consumer dying without cleanup leaves the parent to drain.
 
     The producer keeps sending into the dead copy set — blocked on the
-    capacity-1 queue and the DD window — so the supervisor's drain must
-    both release the stranded segments and ack them to unblock the
-    producer.  (A copy killed *mid-handle* necessarily loses the one
+    capacity-1 queue and the DD window, an encoded buffer in hand — so the
+    supervisor must let it leave by itself: discarding the stranded
+    envelopes both releases their segments and acks them, which unblocks
+    the producer.  (A copy killed *mid-handle* necessarily loses the one
     segment it was leasing until the resource tracker reclaims it at
     interpreter exit; dying in init models every parent-recoverable
     hard-crash point.)
@@ -415,16 +426,89 @@ def test_consumer_hard_crash_releases_segments(shm_ledger):
 
     class DyingSink(Filter):
         def init(self, ctx):
+            time.sleep(0.3)  # the producer is surely blocked in put by now
             os._exit(3)
 
     g, p = _crash_graph(DyingSink, count=12)
-    engine = ProcessEngine(
+    engine = engine_cls(
         g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
         queue_capacity=1,
     )
-    with pytest.raises(EngineError, match="exit code 3"):
-        engine.run()
+    try:
+        exc = _run_expecting_failure(engine, "exit code 3")
+        assert "sink@h0#0" in str(exc)
+    finally:
+        _close(engine)
     assert not shm_ledger()
+
+
+@forked_parents
+def test_idle_sibling_killed_does_not_hang(engine_cls, tmp_path, monkeypatch):
+    """One of two sibling consumers is SIGKILLed while idle in ``get()``.
+
+    A blocking ``multiprocessing.Queue.get`` holds the queue's reader lock
+    while it waits, so the lock dies with copy 0 and its sibling can never
+    read again: nothing the parent announces or discards gets the survivor
+    out.  The run must still end — the error names the dead copy and its
+    exit code at once, the survivors get the leave bound, the straggler is
+    terminated — and fresh copies answer correctly afterwards.
+    """
+    bound = 0.5
+    monkeypatch.setattr(process, "LEAVE_BOUND", bound)
+    pid_file = tmp_path / "sink0.pid"
+
+    class LateSource(Filter):
+        def __init__(self, delay):
+            self.delay = delay
+
+        def flush(self, ctx):
+            time.sleep(self.delay)
+            for i in range(6):
+                ctx.write(DataBuffer(8, payload=i))
+
+    class PidSink(Filter):
+        def init(self, ctx):
+            self.total = 0
+            if ctx.copy_index == 0:
+                pid_file.write_text(str(os.getpid()))
+            else:
+                time.sleep(0.3)  # copy 0 takes the reader lock first
+
+        def handle(self, ctx, buffer):
+            self.total += buffer.payload
+
+        def result(self):
+            return self.total
+
+    def build(delay):
+        g = FilterGraph()
+        g.add_filter("src", factory=lambda: LateSource(delay), is_source=True)
+        g.add_filter("sink", factory=PidSink)
+        g.connect("src", "sink")
+        p = Placement().place("src", ["h0"]).place("sink", [("h0", 2)])
+        return engine_cls(g, p, policy="RR")
+
+    def kill_sink_copy_0():
+        while not pid_file.exists() or not pid_file.read_text():
+            time.sleep(0.01)
+        time.sleep(0.5)
+        os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+    engine = build(delay=1.2)
+    threading.Thread(target=kill_sink_copy_0, daemon=True).start()
+    t0 = time.monotonic()
+    try:
+        exc = _run_expecting_failure(engine, "sink@h0#0", timeout=20.0)
+        assert f"exit code {-signal.SIGKILL}" in str(exc)
+    finally:
+        _close(engine)
+    assert time.monotonic() - t0 < 0.8 + bound + 5.0
+
+    engine = build(delay=0.0)
+    try:
+        assert sum(engine.run().result) == sum(range(6))
+    finally:
+        _close(engine)
 
 
 def test_abandoned_send_releases_encoded_payload(shm_ledger):

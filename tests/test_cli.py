@@ -433,3 +433,45 @@ def test_serve_refuses_defaults_no_query_could_use(
     assert "must be >= 1, got 0" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+BAD_INPUTS = [
+    (["render", "--copies", "0"], "must have >= 1 copies, got 0"),
+    (["render", "--grid", "1"], "3 axes of >= 2 points"),
+    (["render", "--chunks", "0"], "nchunks must be >= 1, got 0"),
+    (["render", "--files", "0"], "nfiles must be >= 1, got 0"),
+    (["render", "--timestep", "-1"], "timestep -1 outside"),
+    (["render", "--image", "0"], "image dimensions must be >= 1, got 0x0"),
+    (["simulate", "--rogue", "0", "--blue", "0"], "no storage targets"),
+    (["simulate", "--scale", "0"], "scale must be in (0, 1], got 0.0"),
+    (
+        ["simulate", "--scale", "0.01", "--image", "0"],
+        "image dimensions must be >= 1, got 0x0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, complaint", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
+)
+def test_bad_input_is_a_message_not_a_traceback(
+    argv, complaint, capsys, monkeypatch, tmp_path
+):
+    """Input no run could use exits 2 with one line on stderr, before any
+    engine exists (these used to be tracebacks and exit 1; ``render --image
+    0`` failed only inside a copy, ``simulate --image 0`` not at all)."""
+    from repro import engines
+
+    def constructed(*_args, **_kwargs):
+        raise AssertionError("an engine was constructed")
+
+    for name in ("ThreadedEngine", "ProcessEngine", "SimulatedEngine"):
+        monkeypatch.setattr(getattr(engines, name), "__init__", constructed)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot {argv[0]}: ")
+    assert complaint in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
