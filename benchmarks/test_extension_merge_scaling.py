@@ -4,8 +4,9 @@ The single Merge filter is the pipeline's one stage that cannot be
 transparently copied — the paper's bottleneck for every decomposition.
 This scales the tile-routed merge (``merge_copies`` 1 -> 8) on a
 merge-bound scene of the simulated cluster and asserts the shape only:
-eight tile-merge copies beat the single merge.  What the real engines
-make of ``merge_copies`` is measured on S129 in EXPERIMENTS.md.
+eight tile-merge copies beat the single merge.  The fan-out is a
+simulator configuration only: on S129 with two real cores it did not pay
+(EXPERIMENTS.md, "tile-routed merge on a real engine").
 """
 
 from repro.data import HostDisks, StorageMap

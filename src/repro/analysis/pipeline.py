@@ -163,30 +163,12 @@ def verify_placement(
                     name, f"placed filter {name!r} is not in the graph"
                 )
             )
-        hosts_seen: set[str] = set()
         for cs in copysets:
             if known is not None and cs.host not in known:
                 out.append(
                     RULES["P203"].diagnostic(
                         name,
                         f"filter {name!r} placed on unknown host {cs.host!r}",
-                    )
-                )
-            if cs.host in hosts_seen:
-                out.append(
-                    RULES["P205"].diagnostic(
-                        name,
-                        f"filter {name!r} has multiple copy sets on host "
-                        f"{cs.host!r}",
-                    )
-                )
-            hosts_seen.add(cs.host)
-            if cs.copies < 1:
-                out.append(
-                    RULES["P206"].diagnostic(
-                        name,
-                        f"filter {name!r} copy set on {cs.host!r} declares "
-                        f"{cs.copies} copies",
                     )
                 )
     # Z403 tile-mapped filters need one single-copy set per owner, in

@@ -150,17 +150,6 @@ _rule(
     "a list, which is rarely what a merge stage intends.",
     "Place result-producing sinks as a single copy on one host.",
 )
-_rule(
-    "P205", "duplicate-host", Severity.ERROR, "placement",
-    "One filter has two copy sets on the same host; writer policies "
-    "would double-count the host's capacity.",
-    "Use one copy set per host and raise its copy count instead.",
-)
-_rule(
-    "P206", "bad-copy-count", Severity.ERROR, "placement",
-    "A copy set declares fewer than one copy.",
-    "Every copy set needs >= 1 transparent copies.",
-)
 
 # -- W3xx: writer policy / flow control --------------------------------------
 _rule(

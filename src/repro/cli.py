@@ -109,7 +109,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
         dataset=dataset,
         isovalue=args.isovalue,
         timestep=args.timestep,
-        merge_copies=args.merge_copies,
     )
     graph = app.graph(args.config)
     placement = app.placement(args.config, copies_per_host=args.copies)
@@ -118,7 +117,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
         graph,
         placement,
         policy=args.policy,
-        policy_overrides=app.policy_overrides(args.config),
         tracer=tracer,
     ).run()
     metrics.validate(graph)
@@ -394,7 +392,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         height=args.image,
         policy=args.policy,
         copies=args.copies,
-        merge_copies=args.merge_copies,
         max_inflight=args.max_inflight,
         pool_idle_timeout=args.idle_timeout,
         cache_mb=args.cache_mb,
@@ -465,9 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["RR", "WRR", "DD", "RATE"])
     p_render.add_argument("--copies", type=int, default=2,
                           help="raster copies per host")
-    p_render.add_argument("--merge-copies", type=int, default=1,
-                          help="distributed tile-framebuffer merge copies "
-                               "(1 = classic single merge)")
     p_render.add_argument("--isovalue", type=float, default=0.3)
     p_render.add_argument("--timestep", type=int, default=0)
     p_render.add_argument("--chunks", type=int, default=27)
@@ -558,9 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["RR", "WRR", "DD", "RATE"])
     p_serve.add_argument("--copies", type=int, default=2,
                          help="raster copies per host")
-    p_serve.add_argument("--merge-copies", type=int, default=1,
-                         help="distributed tile-framebuffer merge copies "
-                              "(1 = classic single merge)")
     p_serve.add_argument("--isovalue", type=float, default=0.35,
                          help="default isovalue (queries may override)")
     p_serve.add_argument("--seed", type=int, default=7)

@@ -238,6 +238,10 @@ class _PoolBuild:
         self.error: "BaseException | None" = None
 
 
+#: The ``spare`` of a sweep no ``get`` asked for: equal to no key.
+_NO_KEY = object()
+
+
 class PoolManager:
     """Keyed cache of warm pools for a query service.
 
@@ -246,7 +250,8 @@ class PoolManager:
     scene/configuration parameters that built them.  ``get`` returns the
     warm pool on a hit and builds (cold) on a miss; at most ``max_pools``
     stay warm, evicting least-recently-used, and ``reap_idle`` closes pools
-    idle past ``idle_timeout`` (also swept on every ``get``).
+    idle past ``idle_timeout`` (also swept on every ``get``, which spares
+    the pool it was asked for).
 
     Lifecycle contracts (each one a former bug):
 
@@ -286,7 +291,7 @@ class PoolManager:
         while True:
             to_close: list[WarmPool] = []
             with self._lock:
-                self._sweep_locked(to_close)
+                self._sweep_locked(to_close, spare=key)
                 pool = self._pools.get(key)
                 if pool is not None and pool.usable:
                     self._pools.move_to_end(key)
@@ -336,12 +341,16 @@ class PoolManager:
         return pool
 
     # -- sweeping and eviction (under the lock; closes deferred) ------------
-    def _sweep_locked(self, to_close: "list[WarmPool]") -> None:
+    def _sweep_locked(
+        self, to_close: "list[WarmPool]", spare: Any = _NO_KEY
+    ) -> None:
         """Drop dead and idle-expired pools; queue them for closing.
 
         Dead pools (``not usable``) are closed *defensively* — a broken
         pool normally cleaned up when it broke, but close is idempotent
         and this is the last line of defence for its shm ledger.
+        ``spare`` (the key a ``get`` asked for) is never dropped for
+        idleness: the query about to use it ends its idle spell.
         """
         for key in list(self._pools):
             pool = self._pools[key]
@@ -349,7 +358,8 @@ class PoolManager:
                 del self._pools[key]
                 to_close.append(pool)
             elif (
-                self.idle_timeout is not None
+                key != spare
+                and self.idle_timeout is not None
                 and pool.idle_seconds() >= self.idle_timeout
             ):
                 del self._pools[key]

@@ -49,7 +49,7 @@ Result caching (``cache_mb > 0``)
 ---------------------------------
 Repetitive traffic is served through the two :mod:`repro.cache` tiers: one
 cache for the service, shared by every pool, so popular content is shared
-across configurations, image sizes and merge fan-outs.  What is certified
+across configurations and image sizes.  What is certified
 is the stage definition, what is keyed is the request.  The triangle tier
 holds what the Extract stage computes — the front-end runs its kernel
 (:meth:`QueryService._extract_triangles`) and injects the result through
@@ -195,7 +195,6 @@ class Query:
     height: int
     isovalue: float
     timestep: int
-    merge_copies: int
     orbit: "tuple[float, float] | None"  # (azimuth, elevation) in degrees
 
 
@@ -220,7 +219,6 @@ def cache_keys(signature: str, query: Query) -> "tuple[str, str]":
     frame_key = content_key(
         "frame", triangle_key, query.orbit or "default-camera",
         query.width, query.height, query.algorithm, query.config,
-        query.merge_copies,
     )
     return triangle_key, frame_key
 
@@ -246,7 +244,6 @@ class QueryService:
         height: int = 256,
         policy: str = "DD",
         copies: int = 2,
-        merge_copies: int = 1,
         max_pools: int = 4,
         max_inflight: int = 2,
         pool_idle_timeout: "float | None" = 300.0,
@@ -263,7 +260,6 @@ class QueryService:
         self.algorithm = algorithm
         self.width = width
         self.height = height
-        self.merge_copies = merge_copies
         # The service's defaults are request fields nobody sent: a service
         # whose default query is a bad request would fail every query, and
         # bad pool settings only after a scene's store was written.
@@ -350,13 +346,11 @@ class QueryService:
             algorithm=query.algorithm,
             dataset=store,
             isovalue=query.scene.isovalue,
-            merge_copies=query.merge_copies,
         )
         return WarmPool(
             app.graph(config),
             app.placement(config, copies_per_host=self.copies),
             policy=self.policy,
-            policy_overrides=app.policy_overrides(config),
             max_inflight=self.max_inflight,
         )
 
@@ -491,11 +485,6 @@ class QueryService:
             )
         algorithm = str(request.get("algorithm", self.algorithm))
         check_algorithm(algorithm)
-        # one row band per tile-merge copy: TileMap.rows' limit
-        merge_copies = _coerce_int(
-            request.get("merge_copies", self.merge_copies), "merge_copies",
-            minimum=1, maximum=height,
-        )
         view = request.get("view")
         if view is not None and not isinstance(view, dict):
             raise ConfigurationError(
@@ -509,20 +498,18 @@ class QueryService:
                 _coerce_float(view.get("elevation", 25.0), "view.elevation"),
             )
         return Query(
-            scene, config, algorithm, width, height, isovalue, timestep,
-            merge_copies, orbit,
+            scene, config, algorithm, width, height, isovalue, timestep, orbit,
         )
 
     def _pool_key(self, query: Query) -> "tuple[Any, ...]":
         """What a warm pool is built for: the query fields baked into its
-        filter instances and process topology (``merge_copies`` is a
-        different fan-out, so its own pipeline rather than a rebuild).
+        filter instances and process topology.
 
         Every query field in it also enters the frame key
         (:func:`cache_keys`); ``policy`` and ``copies`` are the service's.
         """
         return (query.scene.name, query.config, query.algorithm, query.width,
-                query.height, self.policy, self.copies, query.merge_copies)
+                query.height, self.policy, self.copies)
 
     def render(self, request: "dict[str, Any]") -> "dict[str, Any]":
         """Execute one query; returns the JSON-serialisable response dict.
@@ -654,7 +641,6 @@ class QueryService:
             "height": query.height,
             "isovalue": query.isovalue,
             "timestep": query.timestep,
-            "merge_copies": query.merge_copies,
             **run,
             "cached": outcome == "tile_hit",
             "latency_s": round(latency, 6),
@@ -707,7 +693,6 @@ class QueryService:
             "stores": stores,
             "config": self.config,
             "algorithm": self.algorithm,
-            "merge_copies": self.merge_copies,
             "queries_served": sum(served.values()),
             "served_by": served,
             "queries_failed": failed,

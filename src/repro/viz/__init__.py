@@ -14,7 +14,6 @@ from repro.viz.models import BufferSizes, CostParams
 from repro.viz.profile import DatasetProfile, dataset_1p5gb, dataset_25gb
 from repro.viz.raster import ZBUFFER_ENTRY_BYTES, ZBuffer, ZBufferSlab
 from repro.viz.shading import shade_triangles, triangle_normals
-from repro.viz.tiled import TileGatherFilter, TileImage, TileMergeFilter, TileSlab
 
 __all__ = [
     "ActivePixelMerger",
@@ -25,10 +24,6 @@ __all__ = [
     "CostParams",
     "DatasetProfile",
     "IsosurfaceApp",
-    "TileGatherFilter",
-    "TileImage",
-    "TileMergeFilter",
-    "TileSlab",
     "WPABuffer",
     "WPA_ENTRY_BYTES",
     "ZBUFFER_ENTRY_BYTES",

@@ -17,7 +17,8 @@ and Ra are each defined once however they are grouped.
 Each graph carries *simulated* factories (cost models over a
 :class:`~repro.viz.profile.DatasetProfile`) and, when a real
 :class:`~repro.data.parssim.ParSSimDataset` is supplied, *real* factories
-too — so the same graph runs on either engine.
+too — so the same graph runs on either engine.  The merge fan-out
+(``merge_copies > 1``) is the one configuration that is simulated only.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.data.storage import StorageMap
 from repro.errors import ConfigurationError
 from repro.viz import filters as real
 from repro.viz import models as sim
-from repro.viz import tiled
 from repro.viz.camera import Camera
 from repro.viz.models import BufferSizes, CostParams
 from repro.viz.profile import DatasetProfile
@@ -91,9 +91,7 @@ _STAGES = {
     "Ra": _Stage(
         "stateful",
         "merge",
-        lambda app: real.raster_filter(
-            app.algorithm, app.camera(), app.tile_map()
-        ),
+        lambda app: real.raster_filter(app.algorithm, app.camera()),
         lambda app, buffers: sim.raster_model(
             app.algorithm, app.costs, buffers, app.width, app.height,
             app.tile_map(),
@@ -145,11 +143,13 @@ class IsosurfaceApp:
         DeclusteredStore`.  ``isovalue`` is the rendered surface level.
     merge_copies / merge_tiles:
         ``merge_copies > 1`` replaces the single Merge sink with the
-        distributed tile framebuffer: ``merge_tiles`` row-band tiles
-        (default: one per copy) owned round-robin by ``merge_copies``
-        tile-merge copies behind a ``TileRouted`` writer, gathered by a
-        lightweight single-copy sink.  ``merge_copies=1`` is exactly the
-        classic single-merge pipeline.
+        simulated distributed tile framebuffer: ``merge_tiles`` row-band
+        tiles (default: one per copy) owned round-robin by
+        ``merge_copies`` tile-merge models behind a ``TileRouted`` writer,
+        gathered by a lightweight single-copy sink.  It has no real
+        factories: with a ``dataset`` it is refused (on two cores it never
+        paid, ROADMAP 7).  ``merge_copies=1`` is exactly the classic
+        single-merge pipeline.
     """
 
     profile: DatasetProfile
@@ -188,6 +188,12 @@ class IsosurfaceApp:
             raise ConfigurationError(
                 f"merge_tiles ({self.merge_tiles}) must be >= merge_copies "
                 f"({self.merge_copies})"
+            )
+        if self.merge_copies > 1 and self.dataset is not None:
+            raise ConfigurationError(
+                f"merge_copies={self.merge_copies} is simulated only: the "
+                f"tile-merge fan-out has no real filters (ROADMAP 7); "
+                f"render a dataset with merge_copies=1"
             )
 
     # -- real-mode helpers -------------------------------------------------
@@ -304,7 +310,7 @@ class IsosurfaceApp:
         g.connect("TM", "M")
 
     def _bind_merge(self, g: FilterGraph) -> None:
-        """Install the merge-stage factories (single or tiled)."""
+        """Install the merge-stage factories (single, or tiled models)."""
         tmap = self.tile_map()
         if tmap is None:
             g.filters["M"].factory = self._real_or_none(
@@ -314,14 +320,8 @@ class IsosurfaceApp:
                 self.costs, self.algorithm, self.width, self.height
             )
             return
-        g.filters["TM"].factory = self._real_or_none(
-            lambda: tiled.TileMergeFilter(tmap, self.algorithm)
-        )
         g.filters["TM"].sim_factory = lambda: sim.TileMergeModel(
             self.costs, self.algorithm, tmap
-        )
-        g.filters["M"].factory = self._real_or_none(
-            lambda: tiled.TileGatherFilter(self.width, self.height)
         )
         g.filters["M"].sim_factory = lambda: sim.TileGatherModel(
             self.costs, self.algorithm, self.width, self.height

@@ -234,21 +234,16 @@ class _RasterBase(Filter):
 
     The active camera may be overridden per unit of work via
     ``ctx.uow["camera"]`` (latched at ``init``, when the cycle starts).
-    With a ``tile_map`` the filter splits its output per tile and tags
-    each buffer with ``{"tile", "tile_owner"}`` so a ``TileRouted``
-    writer can deliver it to the owning merge copy.
     """
 
     def __init__(
         self,
         camera: Camera,
         light_direction: tuple[float, float, float] = (0.4, -0.5, 0.8),
-        tile_map=None,
     ):
         self.camera = camera
         self._active_camera = camera
         self.light_direction = light_direction
-        self.tile_map = tile_map
 
     def _latch_camera(self, ctx: FilterContext) -> None:
         self._active_camera = _uow_get(ctx, "camera", self.camera)
@@ -287,22 +282,8 @@ class RasterZFilter(_RasterBase):
                 self._zbuf.image(), self._zbuf.active_pixels(), self._buffers
             )
             return
-        if self.tile_map is None:
-            for slab in self._zbuf.slabs(ZB_SLAB_ENTRIES):
-                ctx.write(DataBuffer(slab.nbytes, slab))
-            return
-        from repro.viz.tiled import zbuffer_tile_slabs
-
-        for tile, slab in zbuffer_tile_slabs(
-            self._zbuf, self.tile_map, ZB_SLAB_ENTRIES
-        ):
-            ctx.write(
-                DataBuffer(
-                    slab.nbytes,
-                    slab,
-                    tags={"tile": tile.index, "tile_owner": tile.owner},
-                )
-            )
+        for slab in self._zbuf.slabs(ZB_SLAB_ENTRIES):
+            ctx.write(DataBuffer(slab.nbytes, slab))
 
     def finalize(self, ctx: FilterContext) -> None:
         """Release per-unit-of-work resources (see Filter.finalize)."""
@@ -325,9 +306,8 @@ class RasterAPFilter(_RasterBase):
         camera,
         light_direction=(0.4, -0.5, 0.8),
         capacity_entries=5461,
-        tile_map=None,
     ):
-        super().__init__(camera, light_direction, tile_map)
+        super().__init__(camera, light_direction)
         self.capacity_entries = capacity_entries
 
     def init(self, ctx: FilterContext) -> None:
@@ -341,21 +321,8 @@ class RasterAPFilter(_RasterBase):
         """Process one input buffer (see Filter.handle)."""
         payload: TrianglePayload = buffer.payload
         screen, colors = self._screen_and_colors(payload.triangles)
-        if self.tile_map is None:
-            for wpa in self._raster.process(screen, colors):
-                ctx.write(DataBuffer(wpa.nbytes, wpa))
-            return
-        from repro.viz.tiled import split_wpa
-
         for wpa in self._raster.process(screen, colors):
-            for tile, sub in split_wpa(wpa, self.tile_map):
-                ctx.write(
-                    DataBuffer(
-                        sub.nbytes,
-                        sub,
-                        tags={"tile": tile.index, "tile_owner": tile.owner},
-                    )
-                )
+            ctx.write(DataBuffer(wpa.nbytes, wpa))
 
     def finalize(self, ctx: FilterContext) -> None:
         """Release per-unit-of-work resources (see Filter.finalize)."""
@@ -420,11 +387,11 @@ class MergeAPFilter(Filter):
         )
 
 
-def raster_filter(algorithm: str, camera: Camera, tile_map=None) -> Filter:
+def raster_filter(algorithm: str, camera: Camera) -> Filter:
     """The Ra part for ``algorithm`` (z-buffer or active pixel)."""
     check_algorithm(algorithm, DataError)
     cls = RasterZFilter if algorithm == "zbuffer" else RasterAPFilter
-    return cls(camera, tile_map=tile_map)
+    return cls(camera)
 
 
 def merge_filter(algorithm: str, width: int, height: int) -> Filter:

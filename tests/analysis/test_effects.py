@@ -20,7 +20,6 @@ from repro.core import DataBuffer, Filter, FilterGraph
 from repro.core.fuse import FusedFilter
 from repro.errors import GraphError
 from repro.viz import filters as real
-from repro.viz import tiled
 
 
 # -- class-level inference ----------------------------------------------------
@@ -34,8 +33,6 @@ VIZ_FILTER_EFFECTS = {
     real.RasterAPFilter: Effect.STATEFUL,  # active-pixel raster state
     real.MergeZFilter: Effect.STATEFUL,  # merge z-buffer + counters
     real.MergeAPFilter: Effect.STATEFUL,
-    tiled.TileMergeFilter: Effect.STATEFUL,  # per-tile slab accumulators
-    tiled.TileGatherFilter: Effect.STATEFUL,  # assembles the framebuffer
 }
 
 

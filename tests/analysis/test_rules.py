@@ -18,7 +18,7 @@ from repro.analysis import (
     verify_placement,
 )
 from repro.core.graph import FilterGraph
-from repro.core.placement import CopySetSpec, Placement
+from repro.core.placement import Placement
 from repro.core.policies import make_policy_factory
 from repro.core.tiles import Tile, TileMap
 from repro.errors import AnalysisError, GraphError, PlacementError
@@ -171,25 +171,6 @@ def test_p204_multi_copy_sink_warning():
     p = placed(g, {"a": ["h0"], "sink": [("h0", 2)]})
     hits = assert_rule(verify_placement(g, p), "P204")
     assert hits[0].severity is Severity.WARNING
-
-
-def test_p205_duplicate_host():
-    g = linear_graph("a", "b")
-    p = placed(g, {"a": ["h0"], "b": ["h0"]})
-    # place() rejects duplicates, so corrupt the table directly — exactly
-    # the kind of drift the verifier exists to catch.
-    p._map["b"] = [CopySetSpec("h0", 1), CopySetSpec("h0", 2)]
-    assert_rule(verify_placement(g, p), "P205")
-
-
-def test_p206_bad_copy_count():
-    g = linear_graph("a", "b")
-    p = placed(g, {"a": ["h0"], "b": ["h0"]})
-    bad = CopySetSpec.__new__(CopySetSpec)
-    object.__setattr__(bad, "host", "h1")
-    object.__setattr__(bad, "copies", 0)
-    p._map["b"] = [bad]
-    assert_rule(verify_placement(g, p), "P206")
 
 
 def test_clean_placement_has_no_diagnostics():

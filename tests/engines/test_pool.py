@@ -300,6 +300,21 @@ def test_pool_manager_drops_unusable_and_reaps_idle():
     manager.close_all()
 
 
+def test_pool_manager_get_after_idle_timeout_keeps_the_pool_it_asked_for():
+    """The sweep on ``get`` used to reap every pool idle past the timeout,
+    the requested one included: a query after ``idle_timeout`` closed its
+    own warm pool and cold-built a new one."""
+    manager = PoolManager(max_pools=4, idle_timeout=0.2)
+    pool, _ = manager.get("k", lambda: build_pool(count=5))
+    manager.get("other", lambda: build_pool(count=5))
+    time.sleep(0.4)
+    again, created = manager.get("k", lambda: build_pool(count=5))
+    assert again is pool and not created and pool.usable
+    assert len(manager) == 1  # the other idle pool is still reaped
+    assert pool.submit(None).result().result["total"] == 20
+    manager.close_all()
+
+
 def _build_slow_pool(per_buffer=0.05, count=10):
     class SlowSink(Filter):
         def init(self, ctx):

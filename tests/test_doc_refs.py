@@ -2,11 +2,14 @@
 
 Every ``ROADMAP <n>[letter]`` names an item ROADMAP.md still lists as
 open, every ``benchmarks/...py`` / ``tests/...py`` path that is mentioned
-exists, and every rule id or family (``W302``, ``E7xx``) names a rule of
-``repro.analysis.RULES``.  A retired sub-item is written ``(a) → done, ...``
-(or ``→ item n``) in ROADMAP.md; that arrow is what this test reads.
+exists, every rule id or family (``W302``, ``E7xx``) names a rule of
+``repro.analysis.RULES``, and every backticked ``repro.<dotted>`` name
+imports: its longest importable prefix is a module and each name after it
+an attribute.  A retired sub-item is written ``(a) → done, ...`` (or
+``→ item n``) in ROADMAP.md; that arrow is what this test reads.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -29,6 +32,8 @@ RULE_SOURCES = [
 ROADMAP_REF = re.compile(r"ROADMAP(?: item)? (\d+)([a-z])?\b")
 TEST_PATH = re.compile(r"\b((?:benchmarks|tests)/[\w/.-]*\.py)\b")
 RULE_REF = re.compile(r"\b([BCEFGMPWZ][1-9])(\d\d|xx)\b")
+#: in Markdown backticks, RST double backticks or a Sphinx role (``~`` too)
+DOTTED_REF = re.compile(r"`~?(repro(?:\.\w+)+)")
 
 
 def open_items(roadmap: str) -> "dict[int, set[str]]":
@@ -95,3 +100,35 @@ def test_mentioned_rules_are_in_the_catalogue():
             else match.group(0) not in RULES)
     ]
     assert not unknown, "\n".join(unknown)
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is a module, or attributes of its longest module."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def test_the_resolver_reads_modules_and_attributes():
+    assert resolves("repro.viz.filters.RasterZFilter.result")
+    assert resolves("repro.engines")
+    assert not resolves("repro.viz.nowhere")
+    assert not resolves("repro.viz.filters.RasterZFilter.nothing")
+
+
+def test_mentioned_repro_names_resolve():
+    dangling = [
+        f"{where}: {match.group(1)}"
+        for where, match in _mentions(DOTTED_REF)
+        if not resolves(match.group(1))
+    ]
+    assert not dangling, "\n".join(dangling)

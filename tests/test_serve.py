@@ -133,7 +133,7 @@ def test_malformed_request_fields_get_error_responses(server):
     for raw, needle in [
         (b'{"cmd": "query", "width": 1e999}', "width must be an integer"),
         (b'{"cmd": "query", "timestep": Infinity}', "timestep must be an integer"),
-        (b'{"cmd": "query", "merge_copies": -Infinity}', "merge_copies must be"),
+        (b'{"cmd": "query", "height": -Infinity}', "height must be an integer"),
     ]:
         response = _request(server, raw)
         assert response["ok"] is False, raw
@@ -148,8 +148,6 @@ def test_malformed_request_fields_get_error_responses(server):
         ({"isovalue": "not-a-number"}, "isovalue"),
         ({"isovalue": float("inf")}, "isovalue"),
         ({"timestep": "two"}, "timestep"),
-        ({"merge_copies": "lots"}, "merge_copies"),
-        ({"merge_copies": -1}, "merge_copies"),
         ({"view": "sideways"}, "view"),
         ({"view": {"azimuth": "east"}}, "view.azimuth"),
     ]
@@ -343,7 +341,7 @@ def test_admission_control_rejects_at_limit():
     ({"max_inflight": 0}, "max_inflight must be >= 1"),
     ({"policy": "XX"}, "unknown policy"),
     ({"width": 0}, "width must be >= 1"),
-    ({"height": 8, "merge_copies": 9}, "merge_copies must be <= 8"),
+    ({"height": 0}, "height must be >= 1"),
     ({"algorithm": "bogus"}, "algorithm must be"),
     ({"scenes": [SceneSpec("empty", timesteps=0)]}, "out of range"),
 ])
@@ -364,20 +362,3 @@ def test_ppm_bytes_header():
     data = ppm_bytes(image)
     assert data.startswith(b"P6 6 4 255\n")
     assert len(data) == len(b"P6 6 4 255\n") + 4 * 6 * 3
-
-
-def test_merge_copies_request_keys_its_own_pool(server):
-    tiled = _request(server, {"cmd": "query", "merge_copies": 2})
-    assert tiled["ok"]
-    assert tiled["merge_copies"] == 2
-    assert tiled["warm"] is False  # new pool key: first query is cold
-    base = _request(server, {"cmd": "query"})
-    # Same scene and size: the tiled pipeline renders the same frame.
-    assert tiled["frame_b64"] == base["frame_b64"]
-    again = _request(server, {"cmd": "query", "merge_copies": 2})
-    assert again["warm"] is True
-    stats = _request(server, {"cmd": "stats"})["stats"]
-    assert len(stats["pools"]) >= 2  # single-merge and tiled pools coexist
-    bad = _request(server, {"cmd": "query", "merge_copies": 0})
-    assert not bad["ok"]
-    assert "merge_copies" in bad["error"]

@@ -2,8 +2,8 @@
 
 Correctness bar: a cached response must be byte-identical (same PPM
 payload) to what an uncached service renders for the same query — for
-every configuration, algorithm and merge fan-out, under eviction pressure,
-and for both tiers.
+every configuration, algorithm and raster copy count, under eviction
+pressure, and for both tiers.
 """
 
 import multiprocessing
@@ -52,7 +52,6 @@ def uncached_frames(uncached):
         "view": {"isovalue": 0.4, "timestep": 1,
                  "view": {"azimuth": 60, "elevation": 10}},
         "iso2": {"isovalue": 0.3, "timestep": 0},
-        "tiled": {"isovalue": 0.4, "timestep": 1, "merge_copies": 2},
     }
     return {
         name: uncached.render(dict(query))["frame_b64"]
@@ -60,17 +59,17 @@ def uncached_frames(uncached):
     }
 
 
-@pytest.mark.parametrize("merge_copies", [1, 2])
+@pytest.mark.parametrize("copies", [1, 2])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("config", CONFIGURATIONS)
-def test_cached_responses_are_bit_exact(uncached, config, algorithm, merge_copies):
+def test_cached_responses_are_bit_exact(uncached, config, algorithm, copies):
     """One probe path whatever node carries Extract: first sight misses both
     tiers, a repeat is one tile lookup, a new view rides the cached
-    triangles — each frame the uncached service's."""
+    triangles — each frame the uncached (two-copy) service's."""
     base = {"isovalue": 0.4, "timestep": 1, "config": config,
-            "algorithm": algorithm, "merge_copies": merge_copies}
+            "algorithm": algorithm}
     moved = {**base, "view": {"azimuth": 60, "elevation": 10}}
-    service = _service(cache_mb=32)
+    service = _service(cache_mb=32, copies=copies)
     try:
         first = service.render(dict(base))
         second = service.render(dict(base))
@@ -161,24 +160,6 @@ def test_cached_view_queries_do_not_collide(uncached_frames):
         service.close()
 
 
-def test_tiered_merge_cached_frames_match_single_merge(uncached_frames):
-    service = _service(cache_mb=32, merge_copies=2)
-    try:
-        first = service.render(
-            {"isovalue": 0.4, "timestep": 1, "merge_copies": 2}
-        )
-        second = service.render(
-            {"isovalue": 0.4, "timestep": 1, "merge_copies": 2}
-        )
-        assert second["cached"] is True
-        assert first["frame_b64"] == uncached_frames["tiled"]
-        assert second["frame_b64"] == uncached_frames["tiled"]
-        # The tiled pipeline renders the same image as the single merge.
-        assert second["frame_b64"] == uncached_frames["base"]
-    finally:
-        service.close()
-
-
 def test_eviction_pressure_keeps_responses_bit_exact(uncached_frames):
     # A cache too small for every entry: eviction churns constantly, but
     # every response — hit, miss, or recomputed after eviction — must stay
@@ -223,8 +204,6 @@ def test_invalid_requests_leave_the_cache_alone():
             # refused by _parse, not by the pool build behind a counted probe
             with pytest.raises(ConfigurationError, match="algorithm must be"):
                 service.render({"algorithm": f"foo-{index}"})
-            with pytest.raises(ConfigurationError, match="merge_copies must be"):
-                service.render({"merge_copies": 33 + index})  # 32-px frame
         assert service.cache_stats()["shared"] == before
         assert sorted(service.stats()["pools"]) == pools
         for query in queries:
@@ -238,8 +217,7 @@ def test_invalid_requests_leave_the_cache_alone():
         service.close()
     fresh = _service(cache_mb=0.125)  # nothing served yet: no store, no pool
     try:
-        for bad in ({"algorithm": "foo"}, {"merge_copies": 40},
-                    {"merge_copies": 9, "height": 8}):
+        for bad in ({"algorithm": "foo"}, {"width": 0}, {"height": 16385}):
             with pytest.raises(ConfigurationError):
                 fresh.render(bad)
         stats = fresh.stats()
@@ -387,7 +365,6 @@ VARIANTS = {
     "width": {"width": 24},
     "height": {"height": 24},
     "algorithm": {"algorithm": "zbuffer"},
-    "merge_copies": {"merge_copies": 2},
     "dataset": {"dataset": "reseeded"},
 }
 
@@ -433,7 +410,6 @@ _queries = st.builds(
     height=st.sampled_from([24, 32]),
     isovalue=st.sampled_from([0.3, 0.4, 0.4000000000000001]),
     timestep=st.sampled_from([0, 1]),
-    merge_copies=st.sampled_from([1, 2]),
     orbit=st.sampled_from([None, (30.0, 25.0), (60.0, 25.0), (30.0, 10.0)]),
 )
 

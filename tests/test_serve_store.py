@@ -81,37 +81,35 @@ def _uow(isovalue=QUERY["isovalue"]):
     }
 
 
-def _pipeline(dataset, profile, storage, config, algorithm, merge_copies=1):
+def _pipeline(dataset, profile, storage, config, algorithm):
     """(graph, engine keyword arguments) of one pipeline over ``dataset``."""
     app = IsosurfaceApp(
         profile, storage, width=SIZE, height=SIZE, algorithm=algorithm,
-        dataset=dataset, isovalue=SCENE.isovalue, merge_copies=merge_copies,
+        dataset=dataset, isovalue=SCENE.isovalue,
     )
     return app.graph(config), dict(
         placement=app.placement(config, copies_per_host=2), policy="DD",
-        policy_overrides=app.policy_overrides(config),
     )
 
 
 @pytest.fixture(scope="module")
 def generator_frames():
     """Cold ``ThreadedEngine`` frames of QUERY over the in-memory generator,
-    one per (configuration, algorithm, merge copies)."""
+    one per (configuration, algorithm)."""
     scene = _generator_scene()
 
-    def render(config, algorithm, merge_copies=1):
-        graph, kw = _pipeline(*scene, config, algorithm, merge_copies)
+    def render(config, algorithm):
+        graph, kw = _pipeline(*scene, config, algorithm)
         engine = ThreadedEngine(graph, **kw)
         return ppm_bytes(engine.run_cycles([_uow()])[0].result.image)
 
     frames = {
-        (config, algorithm, 1): render(config, algorithm)
+        (config, algorithm): render(config, algorithm)
         for config in CONFIGURATIONS
         for algorithm in ALGORITHMS
     }
-    frames["R-E-Ra-M", "zbuffer", 2] = render("R-E-Ra-M", "zbuffer", 2)
     assert len(set(frames.values())) == 1  # one scene, one frame
-    assert max(frames["R-E-Ra-M", "zbuffer", 1][len(b"P6 48 48 255\n"):]) > 0
+    assert max(frames["R-E-Ra-M", "zbuffer"][len(b"P6 48 48 255\n"):]) > 0
     return frames
 
 
@@ -138,7 +136,7 @@ def test_served_frames_are_the_generators(served, generator_frames, config, algo
     response = served.render(
         {**QUERY, "config": config, "algorithm": algorithm}
     )
-    assert _frame(response) == generator_frames[config, algorithm, 1]
+    assert _frame(response) == generator_frames[config, algorithm]
     read_streams = [
         name for name in response["streams"] if name.startswith("R->")
     ]
@@ -162,7 +160,7 @@ def test_cached_service_serves_the_generators_frames(generator_frames):
     into a Read that stands alone or a fused one; hits inject the cached
     arrays; a repeat is the cached frame — all the same frame."""
     for config in CONFIGURATIONS:
-        expected = generator_frames[config, "zbuffer", 1]
+        expected = generator_frames[config, "zbuffer"]
         service = _service(config=config, algorithm="zbuffer", cache_mb=16)
         try:
             miss = service.render(dict(QUERY))
@@ -173,26 +171,13 @@ def test_cached_service_serves_the_generators_frames(generator_frames):
                 {**QUERY, "view": {"azimuth": 200, "elevation": -20}}
             )
             assert other_view["cache"]["triangles"] == "hit"
-            tiled = service.render({**QUERY, "merge_copies": 2})
-            assert tiled["cache"] == {
-                "mode": "shared", "tiles": "miss", "triangles": "hit",
-                "bytes_saved": tiled["cache"]["bytes_saved"],
-            }
             hit = service.render(dict(QUERY))
             assert hit["cached"] is True
-            for response in (miss, tiled, hit):
+            for response in (miss, hit):
                 assert _frame(response) == expected
             assert _frame(other_view) != expected
         finally:
             service.close()
-    uncached = _service(config="R-E-Ra-M", algorithm="zbuffer", merge_copies=2)
-    try:
-        assert (
-            _frame(uncached.render(dict(QUERY)))
-            == generator_frames["R-E-Ra-M", "zbuffer", 2]
-        )
-    finally:
-        uncached.close()
 
 
 # -- isovalues no chunk can cross: Read streams nothing --------------------------
@@ -295,7 +280,7 @@ def test_engines_complete_cycles_that_read_nothing(
         results = engine_cls(graph, **kw).run_cycles(uows)
     expected = [
         blank_frames[config, algorithm, "below"],
-        generator_frames[config, algorithm, 1],
+        generator_frames[config, algorithm],
         blank_frames[config, algorithm, "above"],
     ]
     for metrics, isovalue, frame in zip(results, isovalues, expected):
@@ -419,13 +404,13 @@ def test_front_end_and_pipeline_agree_on_the_chunks_read(outside):
 def test_cache_keys_are_those_of_the_in_memory_scene():
     """The store materialises the same scene facts, so nothing about it
     enters a key: these are the digests the generator-backed service made."""
-    query = Query(SCENE, "R-E-Ra-M", "zbuffer", 48, 48, 0.4, 1, 1, (60.0, 10.0))
+    query = Query(SCENE, "R-E-Ra-M", "zbuffer", 48, 48, 0.4, 1, (60.0, 10.0))
     assert cache_keys("sig", query) == (
-        "93e775b2379325e8ba1eb871", "41a9894a3012b243644e792d",
+        "93e775b2379325e8ba1eb871", "aefdbdfe5a0ac27924fe4a33",
     )
-    query = Query(SCENE, "R-E-Ra-M", "active", 32, 32, 0.3, 0, 2, None)
+    query = Query(SCENE, "R-E-Ra-M", "active", 32, 32, 0.3, 0, None)
     assert cache_keys("sig", query) == (
-        "f144bf06193913327d363e75", "6ab6d1fa450c9a0128a69872",
+        "f144bf06193913327d363e75", "1c0a2fe65e0def58929213f5",
     )
 
 

@@ -168,60 +168,7 @@ def test_app_validation(scenario):
     assert g.filters["RE"].factory is None
 
 
-# -- distributed tile framebuffer (merge_copies > 1) -------------------------
-
-
-def render_tiled(scenario, algorithm, configuration, merge_copies,
-                 hosts=("h0", "h1"), copies=1, policy="DD", engine_cls=None,
-                 merge_tiles=None):
-    app = make_app(
-        scenario, algorithm, hosts,
-        merge_copies=merge_copies, merge_tiles=merge_tiles,
-    )
-    graph = app.graph(configuration)
-    placement = app.placement(
-        configuration, compute_hosts=list(hosts), copies_per_host=copies
-    )
-    engine_cls = engine_cls or ThreadedEngine
-    return engine_cls(
-        graph, placement, policy=policy,
-        policy_overrides=app.policy_overrides(configuration),
-    ).run()
-
-
-@pytest.mark.parametrize("policy", ["RR", "WRR", "DD"])
-@pytest.mark.parametrize("algorithm", ["zbuffer", "active"])
-def test_tiled_merge_bit_exact_across_policies(scenario, policy, algorithm):
-    ref = render(scenario, algorithm, "RE-Ra-M").result
-    out = render_tiled(
-        scenario, algorithm, "RE-Ra-M", merge_copies=2, copies=2,
-        policy=policy,
-    ).result
-    np.testing.assert_array_equal(out.image, ref.image)
-    assert out.active_pixels == ref.active_pixels
-
-
-@pytest.mark.parametrize("configuration", CONFIGURATIONS)
-def test_tiled_merge_all_configurations(scenario, configuration):
-    ref = render(scenario, "active", configuration).result
-    out = render_tiled(
-        scenario, "active", configuration, merge_copies=3, merge_tiles=6
-    ).result
-    np.testing.assert_array_equal(out.image, ref.image)
-    assert out.active_pixels == ref.active_pixels
-
-
-@pytest.mark.parametrize("algorithm", ["zbuffer", "active"])
-def test_tiled_merge_process_engine(scenario, algorithm):
-    from repro.engines.process import ProcessEngine
-
-    ref = render(scenario, algorithm, "RE-Ra-M").result
-    out = render_tiled(
-        scenario, algorithm, "RE-Ra-M", merge_copies=2,
-        engine_cls=ProcessEngine,
-    ).result
-    np.testing.assert_array_equal(out.image, ref.image)
-    assert out.active_pixels == ref.active_pixels
+# -- distributed tile framebuffer (merge_copies > 1, simulated only) ---------
 
 
 def test_tiled_merge_simulated_engine(scenario):
@@ -263,9 +210,14 @@ def test_merge_copies_validation(scenario):
     app = IsosurfaceApp(profile, storage, merge_copies=1)
     assert app.tile_map() is None
     assert app.policy_overrides("RE-Ra-M") == {}
+    # The fan-out has cost models only: a real dataset is refused.
+    with pytest.raises(ConfigurationError, match="simulated only"):
+        IsosurfaceApp(profile, storage, dataset=dataset, merge_copies=2)
 
 
 def test_merge_hosts_must_match_copies(scenario):
-    app = make_app(scenario, "active", ("h0", "h1"), merge_copies=2)
+    _dataset, profile, _iso = scenario
+    storage = StorageMap.balanced(profile.files, [HostDisks("h0")])
+    app = IsosurfaceApp(profile, storage, merge_copies=2)
     with pytest.raises(ConfigurationError, match="merge_hosts"):
         app.placement("RE-Ra-M", merge_hosts=["h0"])

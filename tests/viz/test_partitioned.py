@@ -1,12 +1,14 @@
 """Tests for the image-partitioned (merge-free) extension."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.placement import Placement
 from repro.core.tiles import TileMap
 from repro.data import HostDisks, ParSSimDataset, StorageMap
-from repro.engines import SimulatedEngine, ThreadedEngine
+from repro.engines import ProcessEngine, SimulatedEngine, ThreadedEngine
 from repro.errors import ConfigurationError
 from repro.sim import Environment, homogeneous_cluster
 from repro.viz.app import IsosurfaceApp, owner_hosts
@@ -56,8 +58,19 @@ def scenario():
     return dataset, profile, storage, iso
 
 
-def test_partitioned_matches_merge_based_image(scenario):
+def _shm_segments():
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+
+
+@pytest.mark.parametrize("engine_cls", [ThreadedEngine, ProcessEngine],
+                         ids=lambda cls: cls.__name__)
+def test_partitioned_matches_merge_based_image(scenario, engine_cls):
+    """Content routing (``TileRouted`` through ``Writer.send``) delivers
+    every strip its triangles, in threads and across processes."""
     dataset, profile, storage, iso = scenario
+    before = _shm_segments()
     width = height = 40
 
     # Reference: the standard merge-based pipeline.
@@ -81,7 +94,7 @@ def test_partitioned_matches_merge_based_image(scenario):
         .place("RE", ["h0"])
         .place("Ra", owner_hosts(3, ["h0"], "h0"))
     )
-    metrics = ThreadedEngine(
+    metrics = engine_cls(
         graph, placement, policy_overrides=TILE_ROUTED
     ).run()
     image = assemble_strips(metrics.result, graph.filters["Ra"].tile_map)
@@ -89,6 +102,7 @@ def test_partitioned_matches_merge_based_image(scenario):
     assert sum(r.buffers_merged for r in metrics.result) == (
         metrics.stream_totals("RE->Ra")[0]
     )
+    assert _shm_segments() <= before
 
 
 def test_strip_raster_result_before_run_raises():
