@@ -16,8 +16,6 @@ The package provides:
 - :mod:`repro.adr` — the Active Data Repository baseline;
 - :mod:`repro.experiments` — generators for every table and figure in the
   paper's evaluation section, plus extension experiments;
-- :mod:`repro.planner` — automatic placement (the paper's "automate some of
-  these steps" future work);
 - :mod:`repro.cli` — the ``repro`` command-line interface.
 """
 

@@ -348,7 +348,7 @@ _rule(
 )
 _rule(
     "F902", "dd-credit-deadlock", Severity.ERROR, "protocol",
-    "A demand-driven (or rate-based) sliding window wedges: a producer "
+    "A demand-driven sliding window wedges: a producer "
     "sits on a full window whose acks can never arrive because the "
     "consumer is itself blocked sending — a credit cycle, typically "
     "through a feedback edge into a tile-routed merge.",

@@ -181,17 +181,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
     )
     tracer = _make_tracer(args)
-    if args.auto_place:
-        from repro.planner import auto_place
-
-        advice = auto_place(app, args.config, cluster, compute_hosts=nodes)
-        placement = advice.placement
-        print(f"auto-place: bottleneck {advice.bottleneck}, "
-              f"merge on {advice.merge_host}")
-        for note in advice.notes:
-            print(f"auto-place: {note}")
-    else:
-        placement = app.placement(args.config, compute_hosts=nodes)
+    placement = app.placement(args.config, compute_hosts=nodes)
     graph = app.graph(args.config)
     metrics = SimulatedEngine(
         cluster,
@@ -459,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--algorithm", default="active",
                           choices=["active", "zbuffer"])
     p_render.add_argument("--policy", default="DD",
-                          choices=["RR", "WRR", "DD", "RATE"])
+                          choices=["RR", "WRR", "DD"])
     p_render.add_argument("--copies", type=int, default=2,
                           help="raster copies per host")
     p_render.add_argument("--isovalue", type=float, default=0.3)
@@ -486,10 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--algorithm", default="active",
                        choices=["active", "zbuffer"])
     p_sim.add_argument("--policy", default="DD",
-                       choices=["RR", "WRR", "DD", "RATE"])
+                       choices=["RR", "WRR", "DD"])
     p_sim.add_argument("--image", type=int, default=2048)
-    p_sim.add_argument("--auto-place", action="store_true",
-                       help="derive placement/copies with repro.planner")
     p_sim.add_argument("--trace", action="store_true",
                        help="print a per-copy activity timeline")
     p_sim.add_argument("--trace-out", default=None, metavar="FILE",
@@ -515,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lint for the process engine (unpicklable "
                              "filter state becomes an ERROR)")
     p_lint.add_argument("--policy", default="DD",
-                        choices=["RR", "WRR", "DD", "RATE"],
+                        choices=["RR", "WRR", "DD"],
                         help="writer policy assumed for flow-control rules")
     p_lint.add_argument("--queue-capacity", type=int, default=8,
                         help="queue bound assumed for flow-control rules")
@@ -549,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--algorithm", default="active",
                          choices=["active", "zbuffer"])
     p_serve.add_argument("--policy", default="DD",
-                         choices=["RR", "WRR", "DD", "RATE"])
+                         choices=["RR", "WRR", "DD"])
     p_serve.add_argument("--copies", type=int, default=2,
                          help="raster copies per host")
     p_serve.add_argument("--isovalue", type=float, default=0.35,

@@ -20,7 +20,6 @@ from repro.core.placement import CopySetSpec, Placement
 from repro.core.policies import (
     DemandDriven,
     PolicyFactory,
-    RateBased,
     RoundRobin,
     Target,
     TileRouted,
@@ -45,7 +44,6 @@ __all__ = [
     "Placement",
     "PolicyFactory",
     "QueueSample",
-    "RateBased",
     "RoundRobin",
     "RunMetrics",
     "SimFilter",

@@ -20,7 +20,6 @@ state.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Mapping
 from typing import Any
@@ -33,7 +32,6 @@ __all__ = [
     "RoundRobin",
     "WeightedRoundRobin",
     "DemandDriven",
-    "RateBased",
     "TileRouted",
     "PolicyFactory",
     "make_policy_factory",
@@ -69,7 +67,7 @@ class WriterPolicy(ABC):
     """Per-writer buffer routing decision logic."""
 
     #: True if the engine must deliver consumer acknowledgments to this
-    #: policy (Demand Driven and Rate Based need them).
+    #: policy (Demand Driven needs them).
     needs_ack: bool = False
 
     #: True if the policy routes on buffer *content* (tags) rather than on
@@ -80,9 +78,6 @@ class WriterPolicy(ABC):
 
     def __init__(self) -> None:
         self.targets: list[Target] = []
-        #: Time source; engines override it (the simulated engine injects
-        #: the simulation clock) so time-aware policies see the right time.
-        self.clock: Callable[[], float] = time.monotonic
 
     def bind(self, targets: list[Target]) -> None:
         """Attach the consumer copy sets this writer can route to."""
@@ -239,107 +234,6 @@ class DemandDriven(WriterPolicy):
         target.unacked -= 1
 
 
-class RateBased(WriterPolicy):
-    """Service-rate-estimating routing (an extension beyond the paper).
-
-    The paper's conclusions call for "other dynamic strategies for buffer
-    distribution".  Demand Driven reacts to *outstanding counts*; this
-    policy also learns each copy set's *service time* — the EWMA of the
-    interval between sending a buffer and receiving its acknowledgment —
-    and routes the next buffer to the copy set with the least expected
-    completion time, ``(unacked + 1) * ewma_service_time``.  Unmeasured
-    targets get one probe buffer each before estimates kick in.
-
-    Parameters
-    ----------
-    window:
-        Maximum unacknowledged buffers per copy set (as in DD).
-    alpha:
-        EWMA smoothing factor in (0, 1]; higher = more reactive.
-    prefer_local:
-        Break score ties in favour of a co-located copy set.
-    """
-
-    needs_ack = True
-
-    def __init__(self, window: int = 8, alpha: float = 0.3, prefer_local: bool = True) -> None:
-        super().__init__()
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        self.window = window
-        self.alpha = alpha
-        self.prefer_local = prefer_local
-        self._sent_at: dict[int, list[float]] = {}
-        self._ewma: dict[int, float] = {}
-
-    def bind(self, targets: list[Target]) -> None:
-        """Attach the consumer copy sets and precompute the cycle."""
-        super().bind(targets)
-        self._sent_at = {t.index: [] for t in targets}
-        self._ewma = {}
-
-    def select(self) -> Target | None:
-        # Probe pass: any idle, never-measured target gets one buffer so an
-        # estimate forms (without flooding a potentially slow target).  A
-        # co-located candidate is probed first when preferred.
-        """Pick the destination copy set for the next buffer."""
-        probe: Target | None = None
-        for target in self.targets:
-            if target.index not in self._ewma and target.unacked == 0:
-                if probe is None or (
-                    self.prefer_local and target.local and not probe.local
-                ):
-                    probe = target
-        if probe is not None:
-            return probe
-        best: Target | None = None
-        best_score = float("inf")
-        for target in self.targets:
-            if target.unacked >= self.window:
-                continue
-            est = self._ewma.get(target.index)
-            if est is None:
-                # Unmeasured and busy: fall back to DD-style counting so it
-                # is not starved while its probe is in flight.
-                score = float(target.unacked)
-            else:
-                score = (target.unacked + 1) * est
-            if score < best_score:
-                best, best_score = target, score
-            elif (
-                self.prefer_local
-                and score == best_score
-                and target.local
-                and best is not None
-                and not best.local
-            ):
-                best = target
-        return best
-
-    def on_sent(self, target: Target) -> None:
-        """Account one buffer sent to ``target``."""
-        super().on_sent(target)
-        target.unacked += 1
-        self._sent_at[target.index].append(self.clock())
-
-    def on_ack(self, target: Target) -> None:
-        """Account one acknowledgment from ``target``."""
-        if target.unacked <= 0:
-            raise ConfigurationError(
-                f"ack for target {target.host!r} with no outstanding buffers"
-            )
-        target.unacked -= 1
-        sent = self._sent_at[target.index].pop(0)
-        latency = max(self.clock() - sent, 1e-12)
-        prev = self._ewma.get(target.index)
-        if prev is None:
-            self._ewma[target.index] = latency
-        else:
-            self._ewma[target.index] = self.alpha * latency + (1 - self.alpha) * prev
-
-
 class TileRouted(WriterPolicy):
     """Content routing for a distributed tile framebuffer.
 
@@ -401,7 +295,6 @@ _REGISTRY: dict[str, Callable[..., WriterPolicy]] = {
     "RR": RoundRobin,
     "WRR": WeightedRoundRobin,
     "DD": DemandDriven,
-    "RATE": RateBased,
     "TILE": TileRouted,
 }
 

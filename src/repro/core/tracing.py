@@ -16,7 +16,7 @@ Event kinds (the unified schema):
 ``compute`` CPU charge span (detail: ``start`` / ``end``)
 ``io``      disk read span (detail: ``start`` / ``end``)
 ``send``    a copy routed one buffer (detail: ``stream->dst_host``)
-``ack``     a DD/RATE acknowledgment returned to the producer
+``ack``     a DD acknowledgment returned to the producer
             (detail: round-trip latency in seconds, as text)
 ``flush``   end-of-stream flush span (detail: ``start`` / ``end``)
 ``done``    a copy finished its unit of work

@@ -12,7 +12,6 @@ from repro.data.decluster import DataFile, decluster
 from repro.data.diskstore import DeclusteredStore
 from repro.data.hilbert import hilbert_index, hilbert_point, hilbert_sort_key
 from repro.data.parssim import ParSSimDataset, PlumeSpec
-from repro.data.spectral import SpectralDataset
 from repro.data.storage import HostDisks, StorageMap
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "HostDisks",
     "ParSSimDataset",
     "PlumeSpec",
-    "SpectralDataset",
     "StorageMap",
     "decluster",
     "hilbert_index",

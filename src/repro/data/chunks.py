@@ -67,10 +67,10 @@ class ChunkSpec:
 class ChunkSource(Protocol):
     """Anything the Read filter can stream sub-volumes from.
 
-    The synthetic generators (:class:`~repro.data.parssim.ParSSimDataset`,
-    :class:`~repro.data.spectral.SpectralDataset`) compute a chunk on
-    demand; a :class:`~repro.data.diskstore.DeclusteredStore` returns a
-    read-only view of its file.
+    The synthetic generator (:class:`~repro.data.parssim.ParSSimDataset`)
+    computes a chunk on demand; a
+    :class:`~repro.data.diskstore.DeclusteredStore` returns a read-only view
+    of its file.
 
     A source that recorded the smallest and largest scalar of every chunk
     (the store does, as it writes them) also has a ``chunk_range`` method

@@ -13,17 +13,15 @@
 from repro.engines.base import Engine
 from repro.engines.pool import PendingQuery, PoolManager, WarmPool
 from repro.engines.process import ProcessEngine
-from repro.engines.simulated import PendingRun, SimulatedEngine, run_concurrent
+from repro.engines.simulated import SimulatedEngine
 from repro.engines.threaded import ThreadedEngine
 
 __all__ = [
     "Engine",
     "PendingQuery",
-    "PendingRun",
     "PoolManager",
     "ProcessEngine",
     "SimulatedEngine",
     "ThreadedEngine",
     "WarmPool",
-    "run_concurrent",
 ]

@@ -267,7 +267,9 @@ class PoolManager:
       and a cold start no longer serialises unrelated warm hits.
     - Dead pools found during a sweep are closed defensively before
       being dropped, so a broken pool's shared-memory ledger is released
-      even when nobody else ever touched it again.
+      even when nobody else ever touched it again.  ``get`` closes them on
+      a background thread: the query that rebuilds a dead pool does not
+      wait out its close.
     """
 
     def __init__(self, max_pools: int = 4, idle_timeout: "float | None" = None):
@@ -308,7 +310,8 @@ class PoolManager:
                     builder = True
                 else:
                     builder = False
-            self._close_now(to_close)
+            # A broken pool's close can take LEAVE_BOUND: not on this query.
+            self._close_later(to_close)
             if not builder:
                 latch.done.wait()
                 if latch.error is not None:
@@ -393,7 +396,7 @@ class PoolManager:
             pool.close()
 
     def _close_later(self, pools: "list[WarmPool]") -> None:
-        """Close evicted pools without blocking the warm-hit fast path."""
+        """Close swept or evicted pools off the calling query's path."""
         if not pools:
             return
         threading.Thread(

@@ -18,8 +18,8 @@ its units of work arriving over the control queues (so they must pickle).
 - **copy-set queues** are bounded ``multiprocessing.Queue`` objects shared
   by all copies of a filter on one "host"; end-of-work markers are counted
   in a cross-process shared counter;
-- **writer policies** (RR / WRR / DD / RATE) run unchanged inside each
-  producer process; DD/RATE acknowledgments travel *back* over a per-copy
+- **writer policies** (RR / WRR / DD) run unchanged inside each
+  producer process; DD acknowledgments travel *back* over a per-copy
   control queue (``multiprocessing.SimpleQueue``) and are applied by an
   ack-drain thread inside the producer, which also wakes writers blocked on
   full windows;

@@ -6,7 +6,7 @@ The paper's filter-stream protocol is written here exactly once:
   all copies of a filter on one "host", closed *in band* — every producer
   enqueues an end-of-work marker behind its own data, and the consumer that
   pulls the final marker stops its siblings;
-- **writers** (:class:`Writer`) run the RR / WRR / DD / RATE policies on the
+- **writers** (:class:`Writer`) run the RR / WRR / DD policies on the
   producer side, block while every window is full and are woken by
   acknowledgments;
 - **one cycle** (:func:`execute_cycle`) is writers -> ``init`` -> receive /
@@ -27,7 +27,7 @@ world is built from — and the parent side: threads are just joined, forked
 copies have one supervisor (``process.ForkedCopies``, batch run and warm
 pool alike).  The simulated engine is not a client: its copies are
 generator coroutines under the DES kernel and cannot call a blocking
-runtime (DESIGN section 3b).
+runtime (DESIGN §3b).
 
 Payload lifetime contract: with a codec, an input buffer's arrays are
 shared-memory views valid only during ``handle`` (the runtime releases the
@@ -253,7 +253,7 @@ def discard(wire: Envelope, acks: list[Any]) -> None:
 
     The single helper behind every abandon path — a supervisor draining
     dead copy sets and a copy's own crash drain — so none can leak the
-    envelope's shared-memory segments.  The ack reopens DD/RATE windows so
+    envelope's shared-memory segments.  The ack reopens DD windows so
     producers blocked on the abandoned consumer wake up and finish.
     """
     _acknowledge(wire, acks)

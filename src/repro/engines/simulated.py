@@ -41,7 +41,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.kernel import Environment, Event
 from repro.sim.store import Store
 
-__all__ = ["SimulatedEngine", "PendingRun", "run_concurrent"]
+__all__ = ["SimulatedEngine"]
 
 #: Default per-copy-set queue capacity (buffers).
 DEFAULT_QUEUE_CAPACITY = 8
@@ -67,12 +67,11 @@ class _Writer:
 
     __slots__ = ("env", "policy", "targets", "copysets", "ack_event", "host", "label")
 
-    def __init__(self, env: Environment, host: str, policy, copysets, label: str = ""):
+    def __init__(self, env: Environment, host: str, policy, copysets, label: str):
         self.env = env
         self.host = host
-        self.label = label or host
+        self.label = label
         self.policy = policy
-        policy.clock = lambda: env.now  # time-aware policies see sim time
         self.copysets = copysets  # parallel to policy targets
         targets = [
             Target(i, cs.host, cs.copies, local=(cs.host == host))
@@ -211,14 +210,11 @@ class SimulatedEngine(Engine):
         ]
 
     # -- execution ---------------------------------------------------------
-    def launch(self) -> "PendingRun":
-        """Spawn this unit of work's processes without driving the clock.
+    def run(self) -> RunMetrics:
+        """Execute one unit of work; returns the run's metrics.
 
-        Use for concurrent workloads: launch several engines on the same
-        cluster, then drive them together with :func:`run_concurrent` (or
-        ``env.run(until=pending.done)`` manually) and call
-        :meth:`PendingRun.finalize` on each.  :meth:`run` is the
-        launch-and-drive convenience for a single unit of work.
+        The engine may be run repeatedly on the same cluster (consecutive
+        timesteps); simulated time accumulates, makespan is per-run.
         """
         env = self.env
         start = env.now
@@ -282,22 +278,13 @@ class SimulatedEngine(Engine):
                         gen = self._source_proc(
                             spec, cs_runtime, ctx, stats, writers, metrics
                         )
-                    done_events.append(
-                        env.process(gen, name=f"{name}@{cs_runtime.host}#{copy_index}")
-                    )
+                    done_events.append(env.process(gen, name=label))
 
-        finished = env.all_of(done_events)
-        return PendingRun(env, finished, metrics, results, start)
-
-    def run(self) -> RunMetrics:
-        """Execute one unit of work; returns the run's metrics.
-
-        The engine may be run repeatedly on the same cluster (consecutive
-        timesteps); simulated time accumulates, makespan is per-run.
-        """
-        pending = self.launch()
-        self.env.run(until=pending.done)
-        return pending.finalize()
+        env.run(until=env.all_of(done_events))
+        finished = max((c.finished_at for c in metrics.copies), default=env.now)
+        metrics.makespan = finished - start
+        metrics.result = results[0] if len(results) == 1 else results or None
+        return metrics
 
     def run_many(self, count: int) -> list[RunMetrics]:
         """Run ``count`` consecutive units of work (e.g. timesteps)."""
@@ -438,27 +425,23 @@ class SimulatedEngine(Engine):
         writers: dict[str, _Writer],
         buffer: DataBuffer,
         metrics: RunMetrics,
-        stream: str | None = None,
-        label: str | None = None,
+        label: str,
     ) -> Generator[Event, Any, None]:
         """Route one buffer: pick a copy set, transfer, enqueue."""
+        stream = buffer.tags.get("stream")
         if stream is None:
-            stream = buffer.tags.get("stream")
-            if stream is None:
-                if len(writers) != 1:
-                    raise EngineError(
-                        f"filter {filter_name!r} has {len(writers)} output "
-                        f"streams; model outputs must carry a 'stream' tag"
-                    )
-                stream = next(iter(writers))
-            elif stream not in writers:
+            if len(writers) != 1:
                 raise EngineError(
-                    f"filter {filter_name!r} has no output stream {stream!r}"
+                    f"filter {filter_name!r} has {len(writers)} output "
+                    f"streams; model outputs must carry a 'stream' tag"
                 )
+            stream = next(iter(writers))
+        elif stream not in writers:
+            raise EngineError(
+                f"filter {filter_name!r} has no output stream {stream!r}"
+            )
         writer = writers[stream]
         tracer = self.tracer
-        if label is None:
-            label = writer.label
         target = writer.policy.route(buffer.tags)
         if target is None:
             # All windows full: the writer stalls until an ack returns.
@@ -531,51 +514,3 @@ def _reject_ctx_write(stream: str, buffer: DataBuffer) -> None:
         "simulated filter models return outputs from react()/flush_outputs() "
         "instead of calling ctx.write()"
     )
-
-
-class PendingRun:
-    """A launched-but-not-yet-driven unit of work (see ``launch``)."""
-
-    def __init__(self, env, done: Event, metrics: RunMetrics, results, start: float):
-        self.env = env
-        self.done = done
-        self._metrics = metrics
-        self._results = results
-        self._start = start
-        self._finalized = False
-
-    def finalize(self) -> RunMetrics:
-        """Seal and return the metrics; call once ``done`` has triggered."""
-        if not self.done.triggered:
-            raise EngineError("finalize() before the run completed")
-        metrics = self._metrics
-        if not self._finalized:
-            self._finalized = True
-            # Makespan ends when this run's last copy finished, not when
-            # the whole batch of concurrent runs did.
-            finished = max(
-                (c.finished_at for c in metrics.copies), default=self.env.now
-            )
-            metrics.makespan = finished - self._start
-            results = self._results
-            metrics.result = results[0] if len(results) == 1 else results or None
-        return metrics
-
-
-def run_concurrent(engines: "list[SimulatedEngine]") -> list[RunMetrics]:
-    """Run several units of work concurrently on one shared cluster.
-
-    All engines must share the same environment (cluster).  The queries
-    contend for CPUs, disks and links exactly as co-scheduled queries
-    would; each returned :class:`RunMetrics` has its own makespan
-    (launch-to-last-copy-finished).
-    """
-    if not engines:
-        raise EngineError("run_concurrent() needs at least one engine")
-    env = engines[0].env
-    for engine in engines:
-        if engine.env is not env:
-            raise EngineError("concurrent engines must share one cluster")
-    pending = [engine.launch() for engine in engines]
-    env.run(until=env.all_of([p.done for p in pending]))
-    return [p.finalize() for p in pending]

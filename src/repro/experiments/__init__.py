@@ -39,11 +39,5 @@ EXPERIMENTS = (
         chart=("normalized", ["rogue+blue", "bg_jobs", "image"], "system"),
     ),
     Experiment("figure7", "Figure 7", chart=("seconds", ["skew", "policy"], "config")),
-    Experiment(
-        "dynamic_load", "Dynamic load (extension)", extension=True,
-        chart=("seconds", ["timestep"], "policy"),
-    ),
-    Experiment("concurrent_queries", "Concurrent queries (extension)", extension=True),
-    Experiment("validation", "Cross-engine validation (extension)", extension=True),
     Experiment("figure2a", "Figure 2a (extension)", extension=True),
 )

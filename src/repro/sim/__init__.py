@@ -6,7 +6,6 @@ max-min fair network links, and a cluster topology builder that recreates
 the UMD Red/Blue/Rogue/Deathstar installation.
 """
 
-from repro.sim.background import LoadPhase, apply_background_load, scheduled_background_load
 from repro.sim.cluster import (
     FAST_ETHERNET,
     GIGABIT,
@@ -34,14 +33,11 @@ __all__ = [
     "Host",
     "Link",
     "LinkSpec",
-    "LoadPhase",
     "Network",
     "Process",
     "ProcessorSharingCPU",
     "Store",
     "Timeout",
-    "apply_background_load",
     "homogeneous_cluster",
-    "scheduled_background_load",
     "umd_testbed",
 ]

@@ -87,7 +87,7 @@ def pipelines(draw):
         else:
             p.place(name, [(h, copies) for h in hosts])
 
-    policy = draw(st.sampled_from(["RR", "WRR", "DD", "RATE"]))
+    policy = draw(st.sampled_from(["RR", "WRR", "DD"]))
     queue_capacity = draw(st.integers(min_value=8, max_value=32))
     return g, p, policy, queue_capacity
 

@@ -182,27 +182,6 @@ def test_wrr_rebind_same_targets_restarts_cycle():
     assert policy.select().host == "a"
 
 
-def test_rate_probes_each_target_once_before_estimating():
-    from repro.core.policies import RateBased
-
-    policy = RateBased(window=4, prefer_local=False)
-    clock = [0.0]
-    policy.clock = lambda: clock[0]
-    policy.bind(targets(("a", 1), ("b", 1)))
-    # First two sends are probes (one per unmeasured idle target).
-    first = policy.select()
-    policy.on_sent(first)
-    second = policy.select()
-    policy.on_sent(second)
-    assert {first.host, second.host} == {"a", "b"}
-    # Acks form estimates; selection proceeds from scores, never None
-    # while windows have room.
-    clock[0] = 1.0
-    policy.on_ack(first)
-    policy.on_ack(second)
-    assert policy.select() is not None
-
-
 # -- TILE (content routing) --------------------------------------------------
 
 

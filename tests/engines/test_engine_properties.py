@@ -76,7 +76,7 @@ pipeline_args = dict(
     sizes=st.lists(
         st.integers(min_value=1, max_value=500_000), min_size=1, max_size=25
     ),
-    policy=st.sampled_from(["RR", "WRR", "DD", "RATE"]),
+    policy=st.sampled_from(["RR", "WRR", "DD"]),
     relay_copies=st.integers(min_value=1, max_value=3),
     src_copies=st.integers(min_value=1, max_value=2),
     n_relay_hosts=st.integers(min_value=1, max_value=3),

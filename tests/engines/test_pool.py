@@ -315,6 +315,42 @@ def test_pool_manager_get_after_idle_timeout_keeps_the_pool_it_asked_for():
     manager.close_all()
 
 
+class _SlowToClose:
+    """The manager's view of a pool, with a ``close()`` that takes a while."""
+
+    busy = False
+
+    def __init__(self, close_seconds=0.0):
+        self.usable = True
+        self.close_seconds = close_seconds
+        self.closed = threading.Event()
+
+    def idle_seconds(self):
+        return 0.0
+
+    def close(self):
+        time.sleep(self.close_seconds)
+        self.closed.set()
+
+
+def test_pool_manager_get_does_not_wait_for_a_dead_pool_to_close():
+    """``get`` used to close the key's own dead pool before rebuilding it,
+    so the query paid the broken pool's close (up to ``LEAVE_BOUND``)."""
+    manager = PoolManager(max_pools=2)
+    dead = _SlowToClose(close_seconds=2.0)
+    manager.get("k", lambda: dead)
+    dead.usable = False
+    fresh = _SlowToClose()
+    t0 = time.perf_counter()
+    pool, created = manager.get("k", lambda: fresh)
+    elapsed = time.perf_counter() - t0
+    assert pool is fresh and created
+    assert elapsed < 0.5
+    assert dead.closed.wait(timeout=10.0)  # closed all the same, off the path
+    manager.close_all()
+    assert fresh.closed.is_set()
+
+
 def _build_slow_pool(per_buffer=0.05, count=10):
     class SlowSink(Filter):
         def init(self, ctx):
@@ -517,15 +553,3 @@ def test_manager_sweep_closes_dead_pool_and_releases_shm():
         time.sleep(0.02)
     assert not leaked
     manager.close_all()
-
-
-def test_real_concurrent_queries_table():
-    """The extension experiment's warm-pool rerun produces sane rows."""
-    from repro.experiments.concurrent_queries import run_real
-
-    table = run_real(levels=(1, 2), grid=9, image=24)
-    assert [row["queries"] for row in table.rows] == [1, 2]
-    for row in table.rows:
-        assert row["mean_latency"] > 0.0
-        assert row["batch_time"] > 0.0
-        assert row["throughput_qps"] > 0.0

@@ -54,23 +54,9 @@ def test_main_single_experiment_via_cli(capsys):
 
     assert callable(entry.main)
     paper = [e for e in entry.EXPERIMENTS if not e.extension]
-    assert len(paper) == 8 and len(entry.EXPERIMENTS) == 12
+    assert len(paper) == 8 and len(entry.EXPERIMENTS) == 9
     for experiment in entry.EXPERIMENTS:
         assert callable(experiment.load().run), experiment.name
-
-
-def test_validation_report_all_exact_or_estimate():
-    from repro.experiments import validation
-
-    table = validation.run(grid=13, image=48)
-    for row in table.rows:
-        assert row["agreement"] == "exact" or row["agreement"].startswith(
-            "estimate"
-        ), row
-    digest_row = table.select(
-        quantity="image digest (zbuffer vs active)"
-    )[0]
-    assert digest_row["agreement"] == "exact"
 
 
 def test_figure2a_renders(tmp_path):

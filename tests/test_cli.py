@@ -75,7 +75,7 @@ def test_simulate_prints_makespan(capsys):
 
 
 def test_simulate_policy_variants(capsys):
-    for policy in ("RR", "WRR", "RATE"):
+    for policy in ("RR", "WRR"):
         assert main(
             ["simulate", "--scale", "0.01", "--rogue", "1", "--blue", "1",
              "--policy", policy, "--image", "512"]
@@ -90,17 +90,6 @@ def test_parser_requires_command():
 def test_parser_rejects_bad_choice():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["simulate", "--policy", "MAGIC"])
-
-
-def test_simulate_auto_place(capsys):
-    code = main(
-        ["simulate", "--scale", "0.01", "--rogue", "2", "--blue", "2",
-         "--auto-place", "--image", "512"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "auto-place: bottleneck" in out
-    assert "makespan" in out
 
 
 def test_simulate_trace_timeline(capsys):

@@ -1,14 +1,18 @@
-"""Cross-references from the code and the documents resolve (ROADMAP 12d).
+"""Cross-references from the code and the documents resolve.
 
 Every ``ROADMAP <n>[letter]`` names an item ROADMAP.md still lists as
 open, every ``benchmarks/...py`` / ``tests/...py`` path that is mentioned
-exists, every rule id or family (``W302``, ``E7xx``) names a rule of
-``repro.analysis.RULES``, and every backticked ``repro.<dotted>`` name
-imports: its longest importable prefix is a module and each name after it
-an attribute.  A retired sub-item is written ``(a) → done, ...`` (or
-``→ item n``) in ROADMAP.md; that arrow is what this test reads.
+exists, and a ``path.py::name`` after one names a ``def`` or ``class`` of
+that file (the name may wrap onto the next line).  Every ``§n[letter]``
+names a ``## n[letter].`` heading of DESIGN.md, every rule id or family
+(``W302``, ``E7xx``) names a rule of ``repro.analysis.RULES``, and every
+backticked ``repro.<dotted>`` name imports: its longest importable prefix
+is a module and each name after it an attribute.  A retired sub-item is
+written ``(a) → done, ...`` (or ``→ item n``) in ROADMAP.md; that arrow is
+what this test reads.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -31,6 +35,9 @@ RULE_SOURCES = [
 
 ROADMAP_REF = re.compile(r"ROADMAP(?: item)? (\d+)([a-z])?\b")
 TEST_PATH = re.compile(r"\b((?:benchmarks|tests)/[\w/.-]*\.py)\b")
+#: ``path.py::name``, the name possibly wrapped onto the next line
+TEST_ID = re.compile(r"\b((?:benchmarks|tests)/[\w/.-]*\.py)::\s*(\w+)")
+SECTION_REF = re.compile(r"§\s?(\d+[a-z]?)\b")
 RULE_REF = re.compile(r"\b([BCEFGMPWZ][1-9])(\d\d|xx)\b")
 #: in Markdown backticks, RST double backticks or a Sphinx role (``~`` too)
 DOTTED_REF = re.compile(r"`~?(repro(?:\.\w+)+)")
@@ -87,6 +94,42 @@ def test_mentioned_test_and_bench_files_exist():
         if not (ROOT / match.group(1)).is_file()
     ]
     assert not missing, "\n".join(missing)
+
+
+def defined_names(path: Path) -> "set[str]":
+    """The top-level ``def`` and ``class`` names of a Python file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def test_mentioned_test_ids_name_a_def_or_class():
+    dangling = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        for match in TEST_ID.finditer(text):
+            target = ROOT / match.group(1)
+            if not target.is_file() or match.group(2) not in defined_names(target):
+                lineno = text.count("\n", 0, match.start()) + 1
+                dangling.append(
+                    f"{path.relative_to(ROOT)}:{lineno}: "
+                    f"{match.group(1)}::{match.group(2)}"
+                )
+    assert not dangling, "\n".join(dangling)
+
+
+def test_section_references_name_design_headings():
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    headings = set(re.findall(r"^## (\d+[a-z]?)\.", design, re.MULTILINE))
+    dangling = [
+        f"{where}: {match.group(0)}"
+        for where, match in _mentions(SECTION_REF)
+        if match.group(1) not in headings
+    ]
+    assert not dangling, "\n".join(dangling)
 
 
 def test_mentioned_rules_are_in_the_catalogue():
