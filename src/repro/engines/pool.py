@@ -55,7 +55,7 @@ from repro.core.policies import PolicyFactory
 from repro.core.tracing import Tracer
 from repro.engines.base import open_wall_trace
 from repro.engines.process import ForkedCopies, PendingQuery, ProcessEngine
-from repro.engines.runtime import fold_cycle, merge_trace
+from repro.engines.runtime import copies_failed, fold_cycle, merge_trace
 from repro.errors import EngineError
 
 __all__ = ["PendingQuery", "PoolManager", "WarmPool"]
@@ -184,11 +184,7 @@ class WarmPool(ProcessEngine):
                 metrics_list.append(exc.metrics[0] if exc.metrics else None)
                 errors.extend(exc.errors or [str(exc)])
         if errors:
-            raise EngineError(
-                f"filter copy failed: {errors[0]}",
-                metrics=metrics_list,
-                errors=errors,
-            )
+            raise copies_failed(errors, metrics_list)
         return metrics_list
 
     def _finish_cycle(self, pending: PendingQuery) -> None:
@@ -201,13 +197,7 @@ class WarmPool(ProcessEngine):
         )
         merge_trace(pending.tracer, pending.reports, time_offset=pending.t0)
         if errors:
-            pending._resolve(
-                error=EngineError(
-                    f"filter copy failed: {errors[0]}",
-                    metrics=[metrics],
-                    errors=errors,
-                )
-            )
+            pending._resolve(error=copies_failed(errors, [metrics]))
         else:
             pending._resolve(metrics)
         fault = next((r for r in pending.reports if r.transport_fault), None)

@@ -1,7 +1,13 @@
-"""The work-cycle runtime shared by the threaded, process and pool engines.
+"""The work-cycle runtime of every engine.
 
 The paper's filter-stream protocol is written here exactly once:
 
+- **one cycle** (:func:`execute_cycle`) is a generator of effects — ``init``
+  -> receive / acknowledge / work / send -> ``flush`` -> ``finalize`` ->
+  announce end-of-work, with a crash drain that keeps the close protocol
+  alive when the filter raises — that keeps the books and the trace but
+  performs nothing: the real engines drive it by blocking, the simulated
+  engine by yielding the DES events each effect costs (DESIGN §3b);
 - **copy-set queues** (:class:`CopySetQueue`) are bounded queues shared by
   all copies of a filter on one "host", closed *in band* — every producer
   enqueues an end-of-work marker behind its own data, and the consumer that
@@ -9,25 +15,20 @@ The paper's filter-stream protocol is written here exactly once:
 - **writers** (:class:`Writer`) run the RR / WRR / DD policies on the
   producer side, block while every window is full and are woken by
   acknowledgments;
-- **one cycle** (:func:`execute_cycle`) is writers -> ``init`` -> receive /
-  acknowledge / decode / ``handle`` -> ``flush`` -> ``finalize`` -> announce
-  end-of-work, with a crash drain that keeps the close protocol alive when
-  the filter raises;
 - **one copy** (:func:`run_copy`) builds its filter once and runs a cycle per
-  item of whatever iterator the engine feeds it: the threaded engine passes
-  the units of work it was given, forked copies read a generator over their
-  control queue;
-- **one world** (:class:`World`) lays out copy sets x slots, the copy plan and
-  the ack channels, and **one folder** (:func:`fold_cycle`,
+  item of whatever iterator the engine feeds it, performing every effect by
+  blocking: the threaded engine passes the units of work it was given,
+  forked copies read a generator over their control queue;
+- **one plan** (:func:`copy_plan`) numbers the copies of every engine,
+  **one world** (:class:`World`) lays out the real engines' copy sets x
+  slots and ack channels, and **one folder** (:func:`fold_cycle`,
   :func:`merge_trace`, :func:`fold_batch`) turns the copies' reports into
   :class:`~repro.core.instrument.RunMetrics` and a merged trace.
 
-What differs between engines is a :class:`Transport` — the primitives a
-world is built from — and the parent side: threads are just joined, forked
-copies have one supervisor (``process.ForkedCopies``, batch run and warm
-pool alike).  The simulated engine is not a client: its copies are
-generator coroutines under the DES kernel and cannot call a blocking
-runtime (DESIGN §3b).
+What differs between the real engines is a :class:`Transport` — the
+primitives a world is built from — and the parent side: threads are just
+joined, forked copies have one supervisor (``process.ForkedCopies``, batch
+run and warm pool alike).
 
 Payload lifetime contract: with a codec, an input buffer's arrays are
 shared-memory views valid only during ``handle`` (the runtime releases the
@@ -41,7 +42,7 @@ import queue
 import threading
 import time
 import traceback
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
@@ -55,8 +56,10 @@ from repro.core.tracing import QueueSample, TraceEvent, Tracer
 from repro.errors import EngineError
 
 __all__ = [
-    "CopyPlan", "CopySetQueue", "CycleReport", "Envelope", "ProcessTransport",
-    "STOP", "ThreadTransport", "Transport", "World", "Writer", "discard",
+    "ACK", "ANNOUNCE", "DEPTH", "DISCARD", "FINISH", "FLUSH", "INIT", "PRODUCE",
+    "RECV", "SEND", "WORK", "CopyPlan", "CopySetQueue", "CycleReport",
+    "Envelope", "ProcessTransport", "STOP", "ThreadTransport", "Transport",
+    "World", "Writer", "copies_failed", "copy_plan", "discard",
     "execute_cycle", "fold_batch", "fold_cycle", "merge_trace", "run_copy",
 ]
 
@@ -445,13 +448,27 @@ class CopyPlan:
         return f"{self.spec.name}@{self.host}#{self.copy_index}"
 
 
+def copy_plan(graph: FilterGraph, placement: Placement) -> list[CopyPlan]:
+    """Number every copy: filters in graph order, then copy sets, then slots
+    within a set — the one numbering of every engine."""
+    plan: list[CopyPlan] = []
+    for name, spec in graph.filters.items():
+        total = placement.total_copies(name)
+        for set_idx, cs in enumerate(placement.copysets(name)):
+            for copy_index in range(cs.copies):
+                plan.append(CopyPlan(
+                    len(plan), spec, cs.host, copy_index, cs.copies, total, set_idx
+                ))
+    return plan
+
+
 class World:
     """Everything the copies of one engine share.
 
     ``copysets[filter][set_idx][slot]`` holds one :class:`CopySetQueue` per
     (filter, host, slot); a batch run uses one slot per cycle so cycles
     pipeline without barriers, the warm pool a ring of ``max_inflight``.
-    ``plan`` numbers the copies (``plan[cid].cid == cid``) and ``acks`` holds
+    ``plan`` numbers the copies (:func:`copy_plan`) and ``acks`` holds
     one ack channel per producing copy whose writers need them.  ``clock``
     is wall seconds since the world was built, on ``perf_counter`` —
     CLOCK_MONOTONIC on Linux, shared by all forked workers, so every copy's
@@ -472,30 +489,24 @@ class World:
         self.nslots = nslots
         self.copysets: dict[str, list[list[CopySetQueue]]] = {}
         self.hosts: dict[str, list[str]] = {}
-        self.plan: list[CopyPlan] = []
-        self.acks: list[Any] = []
         for name, spec in graph.filters.items():
             expected = sum(placement.total_copies(s.src) for s in spec.inputs)
-            needs_ack = any(policy_for(st.name)().needs_ack for st in spec.outputs)
-            total = placement.total_copies(name)
-            self.copysets[name] = []
-            self.hosts[name] = []
-            for set_idx, cs in enumerate(placement.copysets(name)):
-                self.copysets[name].append(
-                    [
-                        CopySetQueue(transport, cs.copies, expected, queue_capacity)
-                        for _ in range(nslots)
-                    ]
-                )
-                self.hosts[name].append(cs.host)
-                for copy_index in range(cs.copies):
-                    self.plan.append(
-                        CopyPlan(
-                            len(self.plan), spec, cs.host, copy_index,
-                            cs.copies, total, set_idx,
-                        )
-                    )
-                    self.acks.append(transport.ack_channel() if needs_ack else None)
+            sets = placement.copysets(name)
+            self.copysets[name] = [
+                [CopySetQueue(transport, cs.copies, expected, queue_capacity)
+                 for _ in range(nslots)]
+                for cs in sets
+            ]
+            self.hosts[name] = [cs.host for cs in sets]
+        acked = {
+            name for name, spec in graph.filters.items()
+            if any(policy_for(st.name)().needs_ack for st in spec.outputs)
+        }
+        self.plan = copy_plan(graph, placement)
+        self.acks: list[Any] = [
+            transport.ack_channel() if copy.spec.name in acked else None
+            for copy in self.plan
+        ]
         self.t_start = time.perf_counter()
 
     def clock(self) -> float:
@@ -511,13 +522,15 @@ class World:
 # -- one cycle, one copy ------------------------------------------------------
 @dataclass
 class CycleReport:
-    """One copy's measurements (and trace) for one unit of work."""
+    """One copy's measurements (and trace) for one unit of work; its driver
+    adds the seconds it charges (``busy_time``, ``io_time``)."""
 
     cid: int
     cycle: int
     buffers_in: int = 0
     buffers_out: int = 0
     busy_time: float = 0.0
+    io_time: float = 0.0
     finished_at: float = 0.0
     #: (stream, src_host, dst_host) -> [buffers, bytes]
     stream_records: dict[tuple[str, str, str], list[int]] = field(
@@ -534,155 +547,237 @@ class CycleReport:
     queue_samples: list[QueueSample] = field(default_factory=list)
     dropped: int = 0
 
+    def sent(self, stream: str, src: str, dst: str, nbytes: int) -> None:
+        """Book one buffer this copy sent from host ``src`` to ``dst``."""
+        self.buffers_out += 1
+        entry = self.stream_records.setdefault((stream, src, dst), [0, 0])
+        entry[0] += 1
+        entry[1] += nbytes
+
+
+#: The effects a cycle asks its driver to perform, each yielded as
+#: ``(effect, argument)`` and answered with its result; an effect that raises
+#: is thrown back in at its ``yield``.  DESIGN §3b tables both drivers.
+INIT = "init"  # -> None: the copy's writers and context, then init
+PRODUCE = "produce"  # -> a source's next unit of work, or None
+RECV = "recv"  # -> the next input envelope, or None once the input closed
+DEPTH = "depth"  # -> the input queue's depth, -1 if unknown (traced only)
+ACK = "ack"  # envelope asking for one -> whether an acknowledgment went out
+WORK = "work"  # envelope or unit -> the buffers it emitted, still to send
+SEND = "send"  # buffer -> (stream, destination host)
+FLUSH = "flush"  # -> the buffers end-of-work emitted, still to send
+FINISH = "finish"  # result wanted? -> finalize, then the sink's result
+DISCARD = "discard"  # envelope -> None: acknowledged and freed, unread
+ANNOUNCE = "announce"  # -> None: end-of-work behind this copy's data
+Effect = tuple[str, Any]
+
 
 def execute_cycle(
-    world: World,
     copy: CopyPlan,
     k: int,
-    slot: int,
-    uow: Any,
-    instance: "Filter | None",
-    build_error: "str | None",
+    report: CycleReport,
     tracer: "Tracer | None",
-    writers_by_cycle: WriterTable,
-) -> CycleReport:
-    """Run one unit of work through one copy.
+    clock: Callable[[], float],
+) -> Generator[Effect, Any, None]:
+    """One unit of work through one copy, as the effects it asks for.
 
-    The whole cycle protocol lives here — writers, init/handle/flush/
-    finalize, end-of-work announcement, crash drain.  ``k`` is the global
-    cycle number and ``slot`` the ring position whose queues it uses.  A
-    failure is recorded in the report and end-of-work is still announced,
-    so downstream copies never block on a producer that died.
+    The whole cycle protocol, for every engine: ``init`` -> receive /
+    acknowledge / work / send per input buffer (a source: produce / work /
+    send per unit of its own) -> flush and send -> finalize and result ->
+    announce end-of-work; the books, the recv / queue / compute / flush /
+    done trace records and the crash drain.  It performs nothing:
+    :func:`run_copy` drives it by blocking, ``SimulatedEngine`` in
+    simulated time.  A failure is recorded in ``report`` and end-of-work
+    is still announced, exactly once, so downstream copies never block on
+    a producer that died.
     """
-    spec, host, label = copy.spec, copy.host, copy.label
-    clock, codec = world.clock, world.transport.codec
-    my_queue = world.copysets[spec.name][copy.set_idx][slot]
-    out_queues = {
-        st.name: [sets[slot] for sets in world.copysets[st.dst]]
-        for st in spec.outputs
-    }
-    report = CycleReport(copy.cid, k)
-    announced = False
-    input_done = False
+    spec, label = copy.spec, copy.label
+    input_done = closing = False
     try:
-        if instance is None:
-            raise EngineError(
-                build_error or f"filter {spec.name!r} failed to build"
-            )
-        writers = {
-            st.name: Writer(
-                host,
-                world.policy_for(st.name)(),
-                out_queues[st.name],
-                world.hosts[st.dst],
-                label=label,
-                clock=clock,
-                tracer=tracer,
-                codec=codec,
-                producer_cid=copy.cid,
-                cycle=k,
-                stream=st.name,
-            )
-            for st in spec.outputs
-        }
-        writers_by_cycle[k] = writers
-
-        def write_fn(stream: str, buffer: DataBuffer) -> None:
-            target = writers[stream].send(buffer)
-            report.buffers_out += 1
-            entry = report.stream_records.setdefault(
-                (stream, host, target.host), [0, 0]
-            )
-            entry[0] += 1
-            entry[1] += buffer.nbytes
-            if tracer:
-                tracer.record(clock(), label, "send", f"{stream}->{target.host}")
-
-        ctx = FilterContext(
-            filter_name=spec.name,
-            host=host,
-            copy_index=copy.copy_index,
-            copies_on_host=copy.copies_on_host,
-            total_copies=copy.total,
-            output_streams=[st.name for st in spec.outputs],
-            write_fn=write_fn,
-            uow=uow,
-        )
-        instance.init(ctx)
-        busy = 0.0
-        if spec.inputs:
-            while (wire := my_queue.recv()) is not None:
+        yield INIT, None
+        receive = (RECV if spec.inputs else PRODUCE), None
+        while (got := (yield receive)) is not None:
+            if spec.inputs:
                 report.buffers_in += 1
                 if tracer:
-                    tracer.record(clock(), label, "recv", wire.stream)
-                    depth = my_queue.qsize()
+                    tracer.record(clock(), label, "recv", got.stream)
+                    depth = yield DEPTH, None
                     if depth >= 0:
-                        tracer.sample_queue(clock(), f"{spec.name}@{host}", depth)
-                if _acknowledge(wire, world.acks):
+                        tracer.sample_queue(clock(), f"{spec.name}@{copy.host}", depth)
+                if got.needs_ack and (yield ACK, got):
                     report.ack_messages += 1
-                buffer: DataBuffer = wire.payload
-                lease: "PayloadLease | None" = None
-                if codec is not None:
-                    try:
-                        buffer, lease = codec.decode(wire.payload)
-                    except BaseException:
-                        report.transport_fault = True
-                        raise
-                t0 = time.perf_counter()
-                if tracer:
-                    tracer.record(clock(), label, "compute", "start")
-                try:
-                    instance.handle(ctx, buffer)
-                finally:
-                    # Always, even when handle() raises: the lease holds the
-                    # decoded shared-memory segment, and an abandoned one
-                    # survives process exit.
-                    if lease is not None:
-                        lease.release()
-                busy += time.perf_counter() - t0
-                if tracer:
-                    tracer.record(clock(), label, "compute", "end")
-            input_done = True
-        t0 = time.perf_counter()
+            if tracer:
+                tracer.record(clock(), label, "compute", "start")
+            outputs = yield WORK, got
+            if tracer:
+                tracer.record(clock(), label, "compute", "end")
+            for buffer in outputs:
+                stream, dst = yield SEND, buffer
+                report.sent(stream, copy.host, dst, buffer.nbytes)
+        input_done = True
         if tracer:
             tracer.record(clock(), label, "flush", "start")
-        instance.flush(ctx)
-        busy += time.perf_counter() - t0
+        outputs = yield FLUSH, None
         if tracer:
             tracer.record(clock(), label, "flush", "end")
-        report.busy_time = busy
-        instance.finalize(ctx)
-        for queues in out_queues.values():
-            for q in queues:
-                q.producer_finished()
-        announced = True
-        if not spec.outputs:
-            value = getattr(instance, "result", lambda: None)()
-            if value is not None:
-                report.result = value
-                report.has_result = True
-        if tracer:
-            tracer.record(clock(), label, "done", f"cycle={k}")
+        for buffer in outputs:
+            stream, dst = yield SEND, buffer
+            report.sent(stream, copy.host, dst, buffer.nbytes)
+        value = yield FINISH, not spec.outputs
+        if value is not None:
+            report.result, report.has_result = value, True
+    except GeneratorExit:
+        closing = True  # its driver is gone: nothing more can be performed
+        raise
     except BaseException:  # noqa: BLE001 - surfaced via the report
         report.error = f"{label} cycle {k}: {traceback.format_exc()}"
         # Keep participating in the close protocol so upstream puts never
         # block on a dead consumer (every producer eventually announces
         # end-of-work, even when it failed).  Skipped if our share of the
         # stream already closed — an error in flush/finalize/result — since
-        # no further STOP will ever arrive.
+        # no further end-of-work will ever arrive.
         if spec.inputs and not input_done:
-            while (wire := my_queue.recv()) is not None:
-                discard(wire, world.acks)
+            while (wire := (yield RECV, None)) is not None:
+                yield DISCARD, wire
     finally:
-        if not announced:
-            for queues in out_queues.values():
-                for q in queues:
-                    try:
-                        q.producer_finished()
-                    except BaseException:  # noqa: BLE001 - best effort
-                        pass
-        report.finished_at = clock()
-    return report
+        if not closing:
+            try:
+                yield ANNOUNCE, None
+            except BaseException:  # noqa: BLE001 - surfaced via the report
+                if report.error is None:
+                    report.error = f"{label} cycle {k}: {traceback.format_exc()}"
+            report.finished_at = clock()
+            if tracer and report.error is None:
+                tracer.record(report.finished_at, label, "done", f"cycle={k}")
+
+
+def _trampoline(
+    steps: Generator[Effect, Any, None], perform: dict[str, Callable[[Any], Any]]
+) -> None:
+    """Drive a cycle to its end: answer each effect with ``perform``'s call,
+    and throw an effect that raises back into the cycle."""
+    value: Any = None
+    thrown: "BaseException | None" = None
+    while True:
+        try:
+            effect, arg = steps.send(value) if thrown is None else steps.throw(thrown)
+        except StopIteration:
+            return
+        thrown = None
+        try:
+            value = perform[effect](arg)
+        except BaseException as exc:  # noqa: BLE001 - the cycle reports it
+            thrown = exc
+
+
+class _Unbuilt(Filter):
+    """Stands in for a filter whose factory raised: every ``init`` fails."""
+
+    def __init__(self, error: str) -> None:
+        self.error = error
+
+    def init(self, ctx: FilterContext) -> None:
+        raise EngineError(self.error)
+
+
+def _blocking(
+    world: World,
+    copy: CopyPlan,
+    k: int,
+    slot: int,
+    uow: Any,
+    instance: Filter,
+    tracer: "Tracer | None",
+    writers_by_cycle: WriterTable,
+    report: CycleReport,
+) -> dict[str, Callable[[Any], Any]]:
+    """Every effect of one cycle, performed by blocking (threads, forks).
+
+    Sends stay inline: ``ctx.write`` is a blocking :meth:`Writer.send`
+    inside ``handle`` / ``flush``, booked as it happens, so work and flush
+    return no buffers and a producer's sends overlap its consumers' work.
+    """
+    spec, host, label = copy.spec, copy.host, copy.label
+    clock, codec = world.clock, world.transport.codec
+    my_queue = world.copysets[spec.name][copy.set_idx][slot]
+    writers: dict[str, Writer] = {}
+
+    def write(stream: str, buffer: DataBuffer) -> None:
+        target = writers[stream].send(buffer)
+        report.sent(stream, host, target.host, buffer.nbytes)
+        if tracer:
+            tracer.record(clock(), label, "send", f"{stream}->{target.host}")
+
+    ctx = FilterContext(
+        spec.name, host, copy.copy_index, copy.copies_on_host, copy.total,
+        [st.name for st in spec.outputs], write, uow,
+    )
+
+    def init(_: None) -> None:
+        for st in spec.outputs:
+            writers[st.name] = Writer(
+                host, world.policy_for(st.name)(),
+                [sets[slot] for sets in world.copysets[st.dst]], world.hosts[st.dst],
+                label, clock, tracer, codec, copy.cid, k, st.name,
+            )
+        writers_by_cycle[k] = writers
+        instance.init(ctx)
+
+    def work(wire: Envelope) -> tuple[DataBuffer, ...]:
+        buffer: DataBuffer = wire.payload
+        lease: "PayloadLease | None" = None
+        if codec is not None:
+            try:
+                buffer, lease = codec.decode(wire.payload)
+            except BaseException:
+                report.transport_fault = True
+                raise
+        t0 = time.perf_counter()
+        try:
+            instance.handle(ctx, buffer)
+        finally:
+            # Always, even when handle() raises: the lease holds the decoded
+            # shared-memory segment, and an abandoned one survives process
+            # exit.
+            if lease is not None:
+                lease.release()
+        report.busy_time += time.perf_counter() - t0
+        return ()
+
+    def flush(_: None) -> tuple[DataBuffer, ...]:
+        t0 = time.perf_counter()
+        instance.flush(ctx)
+        report.busy_time += time.perf_counter() - t0
+        return ()
+
+    def finish(wants_result: bool) -> Any:
+        instance.finalize(ctx)
+        return getattr(instance, "result", lambda: None)() if wants_result else None
+
+    def announce(_: None) -> None:
+        # Every downstream queue gets its marker, even past one that fails.
+        failed: list[BaseException] = []
+        for st in spec.outputs:
+            for sets in world.copysets[st.dst]:
+                try:
+                    sets[slot].producer_finished()
+                except BaseException as exc:  # noqa: BLE001 - raised below
+                    failed.append(exc)
+        if failed:
+            raise failed[0]
+
+    return {
+        INIT: init,
+        PRODUCE: lambda _: None,  # a real source writes from its flush
+        RECV: lambda _: my_queue.recv(),
+        DEPTH: lambda _: my_queue.qsize(),
+        ACK: lambda wire: _acknowledge(wire, world.acks),
+        WORK: work,
+        FLUSH: flush,
+        FINISH: finish,
+        DISCARD: lambda wire: discard(wire, world.acks),
+        ANNOUNCE: announce,
+    }
 
 
 def run_copy(
@@ -704,13 +799,12 @@ def run_copy(
         if channel is not None
         else None
     )
-    instance: "Filter | None" = None
-    build_error = None
+    instance: Filter = _Unbuilt(f"filter {copy.spec.name!r} failed to build")
     try:
         if copy.spec.factory is not None:  # engines check at construction
             instance = copy.spec.factory()
     except BaseException as exc:  # noqa: BLE001 - reported per cycle
-        build_error = f"filter {copy.spec.name!r} failed to build: {exc!r}"
+        instance = _Unbuilt(f"filter {copy.spec.name!r} failed to build: {exc!r}")
 
     for k, slot, uow, trace_limit in cycles:
         # Copy-local tracer: same schema, merged (time-sorted) by the folder.
@@ -719,9 +813,13 @@ def run_copy(
             if trace_limit is not None
             else None
         )
-        report = execute_cycle(
-            world, copy, k, slot, uow, instance, build_error, tracer,
-            writers_by_cycle,
+        report = CycleReport(copy.cid, k)
+        _trampoline(
+            execute_cycle(copy, k, report, tracer, world.clock),
+            _blocking(
+                world, copy, k, slot, uow, instance, tracer, writers_by_cycle,
+                report,
+            ),
         )
         # Writers older than the slot ring can no longer receive acks that
         # matter; prune so a long-lived copy stays bounded.
@@ -758,6 +856,7 @@ def fold_cycle(
         stats.buffers_in = report.buffers_in
         stats.buffers_out = report.buffers_out
         stats.busy_time = report.busy_time
+        stats.io_time = report.io_time
         stats.finished_at = report.finished_at - time_offset
         for (stream, src, dst), (count, nbytes) in sorted(
             report.stream_records.items()
@@ -830,9 +929,13 @@ def fold_batch(
         errors.extend(cycle_errors)
     merge_trace(tracer, reports)
     if errors:
-        raise EngineError(
-            f"filter copy failed: {errors[0]}",
-            metrics=metrics_list,  # type: ignore[arg-type]
-            errors=errors,
-        )
+        raise copies_failed(errors, metrics_list)
     return metrics_list
+
+
+def copies_failed(errors: list[str], metrics: list[Any]) -> EngineError:
+    """The error of a run whose copies failed: the first failure quoted,
+    every failure and the run's metrics (one per cycle) attached."""
+    return EngineError(
+        f"filter copy failed: {errors[0]}", metrics=metrics, errors=errors
+    )

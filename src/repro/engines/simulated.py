@@ -1,10 +1,13 @@
 """Simulated execution engine.
 
 Runs a placed :class:`repro.core.graph.FilterGraph` over a
-:class:`repro.sim.cluster.Cluster`: every transparent copy becomes a DES
-process that pulls buffers from its copy set's shared queue, charges CPU via
-its host's processor-sharing CPU, and routes output buffers through a writer
-policy (RR / WRR / DD) to downstream copy sets over the simulated network.
+:class:`repro.sim.cluster.Cluster`.  Every transparent copy runs the one work
+cycle of :func:`repro.engines.runtime.execute_cycle` as a DES process whose
+driver, :meth:`SimulatedEngine._drive`, turns each effect into the simulation
+events it costs: receives pull from the copy set's shared queue, work and
+flush charge CPU on the host's processor-sharing CPU, sends route through a
+writer policy (RR / WRR / DD) to downstream copy sets over the simulated
+network.
 
 Fidelity notes (mapped to the paper):
 
@@ -25,16 +28,16 @@ Fidelity notes (mapped to the paper):
 from __future__ import annotations
 
 from collections.abc import Generator
-from dataclasses import dataclass
 from typing import Any
 
 from repro.core.buffer import DataBuffer
-from repro.core.filter import FilterContext, SimFilter, SimSource
+from repro.core.filter import FilterContext
 from repro.core.graph import FilterGraph
-from repro.core.instrument import DEFAULT_ACK_BYTES, CopyStats, RunMetrics
+from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory, Target
 from repro.core.tracing import Tracer
+from repro.engines import runtime
 from repro.engines.base import Engine, emit_analysis_events, validate_run_setup
 from repro.errors import EngineError, StreamClosedError
 from repro.sim.cluster import Cluster
@@ -51,21 +54,10 @@ DEFAULT_QUEUE_CAPACITY = 8
 _QUEUE_BUFFER_ESTIMATE = 2 * 1024 * 1024
 
 
-@dataclass
-class _Envelope:
-    """A buffer in flight, with the routing info the consumer needs."""
-
-    buffer: DataBuffer
-    stream: str
-    writer: "_Writer | None"  # ack destination (None unless policy needs acks)
-    target: Target | None
-    sent_at: float = 0.0  # producer clock at send, for ack-latency tracing
-
-
 class _Writer:
     """Producer-side router for one (copy, output stream) pair."""
 
-    __slots__ = ("env", "policy", "targets", "copysets", "ack_event", "host", "label")
+    __slots__ = ("env", "policy", "copysets", "ack_event", "host", "label")
 
     def __init__(self, env: Environment, host: str, policy, copysets, label: str):
         self.env = env
@@ -73,17 +65,11 @@ class _Writer:
         self.label = label
         self.policy = policy
         self.copysets = copysets  # parallel to policy targets
-        targets = [
+        policy.bind([
             Target(i, cs.host, cs.copies, local=(cs.host == host))
             for i, cs in enumerate(copysets)
-        ]
-        policy.bind(targets)
-        self.targets = targets
+        ])
         self.ack_event = Event(env)
-
-    def copyset_for(self, target: Target):
-        """The copy-set runtime behind a policy target."""
-        return self.copysets[target.index]
 
     def deliver_ack(self, target: Target) -> None:
         """Called when an ack message arrives back at the producer host."""
@@ -94,7 +80,11 @@ class _Writer:
 
 
 class _CopySetRuntime:
-    """Per-(filter, host) state: the shared queue and EOW accounting."""
+    """Per-(filter, host) state: the shared queue and EOW accounting.
+
+    The close protocol stays out of band here: the final marker closes the
+    Store, where in-band markers would cost DES events.
+    """
 
     def __init__(
         self,
@@ -214,12 +204,13 @@ class SimulatedEngine(Engine):
         """Execute one unit of work; returns the run's metrics.
 
         The engine may be run repeatedly on the same cluster (consecutive
-        timesteps); simulated time accumulates, makespan is per-run.
+        timesteps); simulated time accumulates, and makespan and finish
+        times are per-run.  A copy that fails raises :class:`EngineError`
+        once every copy has finished, naming the copy and carrying the
+        run's metrics, as the real engines do.
         """
         env = self.env
         start = env.now
-        metrics = RunMetrics()
-        metrics.ack_nbytes = self.ack_nbytes
         if self.tracer is not None and not self.tracer.clock:
             self.tracer.clock = "sim"
         emit_analysis_events(self.tracer, self._analysis_report, start)
@@ -241,272 +232,171 @@ class SimulatedEngine(Engine):
                 )
                 for cs in self.placement.copysets(name)
             ]
-
-        results: list[Any] = []
-        done_events: list[Event] = []
-        for name, spec in self.graph.filters.items():
-            sets = copysets[name]
-            total_copies = self.placement.total_copies(name)
-            for cs_runtime in sets:
-                for copy_index in range(cs_runtime.copies):
-                    ctx = FilterContext(
-                        filter_name=name,
-                        host=cs_runtime.host,
-                        copy_index=copy_index,
-                        copies_on_host=cs_runtime.copies,
-                        total_copies=total_copies,
-                        output_streams=[s.name for s in spec.outputs],
-                        write_fn=_reject_ctx_write,
-                    )
-                    stats = metrics.new_copy(name, cs_runtime.host, copy_index)
-                    label = f"{name}@{cs_runtime.host}#{copy_index}"
-                    writers = {
-                        s.name: _Writer(
-                            env,
-                            cs_runtime.host,
-                            self._policy_for(s.name)(),
-                            copysets[s.dst],
-                            label=label,
-                        )
-                        for s in spec.outputs
-                    }
-                    if spec.inputs:
-                        gen = self._copy_proc(
-                            spec, cs_runtime, ctx, stats, writers, metrics, results
-                        )
-                    else:
-                        gen = self._source_proc(
-                            spec, cs_runtime, ctx, stats, writers, metrics
-                        )
-                    done_events.append(env.process(gen, name=label))
-
-        env.run(until=env.all_of(done_events))
-        finished = max((c.finished_at for c in metrics.copies), default=env.now)
-        metrics.makespan = finished - start
-        metrics.result = results[0] if len(results) == 1 else results or None
+        plan = runtime.copy_plan(self.graph, self.placement)
+        writers = [
+            {
+                s.name: _Writer(env, copy.host, self._policy_for(s.name)(),
+                                copysets[s.dst], copy.label)
+                for s in copy.spec.outputs
+            }
+            for copy in plan
+        ]
+        reports = [runtime.CycleReport(copy.cid, 0) for copy in plan]
+        done = [
+            env.process(self._drive(copy, report, copysets, writers), copy.label)
+            for copy, report in zip(plan, reports)
+        ]
+        env.run(until=env.all_of(done))
+        metrics, errors = runtime.fold_cycle(reports, plan, self.ack_nbytes, start)
+        if errors:
+            raise runtime.copies_failed(errors, [metrics])
         return metrics
 
     def run_many(self, count: int) -> list[RunMetrics]:
         """Run ``count`` consecutive units of work (e.g. timesteps)."""
         return [self.run() for _ in range(count)]
 
-    # -- copy processes ------------------------------------------------------
-    def _source_proc(
+    # -- the DES driver ------------------------------------------------------
+    def _drive(
         self,
-        spec,
-        cs_runtime: _CopySetRuntime,
-        ctx: FilterContext,
-        stats: CopyStats,
-        writers: dict[str, _Writer],
-        metrics: RunMetrics,
+        copy: runtime.CopyPlan,
+        report: runtime.CycleReport,
+        copysets: dict[str, list[_CopySetRuntime]],
+        writers_of: list[dict[str, _Writer]],
     ) -> Generator[Event, Any, None]:
-        state: SimSource = self.graph.filters[spec.name].sim_factory()
-        host = self.cluster.host(cs_runtime.host)
-        env = self.env
-        label = f"{spec.name}@{ctx.host}#{ctx.copy_index}"
-        tracer = self.tracer
-        for item in state.items(ctx):
-            if item.read_bytes:
-                t0 = env.now
-                if tracer:
-                    tracer.record(t0, label, "io", "start")
-                yield host.read_disk(
-                    item.read_bytes, item.disk_index, sequential=item.sequential
-                )
-                stats.io_time += env.now - t0
-                if tracer:
-                    tracer.record(env.now, label, "io", "end")
-            if item.cpu:
-                t0 = env.now
-                if tracer:
-                    tracer.record(t0, label, "compute", "start")
-                yield host.compute(item.cpu)
-                stats.busy_time += env.now - t0
-                if tracer:
-                    tracer.record(env.now, label, "compute", "end")
-            for out in item.outputs:
-                yield from self._send(
-                    spec.name, ctx.host, stats, writers, out, metrics, label=label
-                )
-        fcost = state.flush_cost()
-        t0 = env.now
-        if tracer:
-            # Always mark the flush transition (zero-length without cost)
-            # so both engines trace the same copy lifecycle.
-            tracer.record(t0, label, "flush", "start")
-        if fcost:
-            yield host.compute(fcost)
-            stats.busy_time += env.now - t0
-        if tracer:
-            tracer.record(env.now, label, "flush", "end")
-        for out in state.flush_outputs():
-            yield from self._send(
-                spec.name, ctx.host, stats, writers, out, metrics, label=label
-            )
-        yield from self._announce_done(ctx.host, writers)
-        stats.finished_at = env.now
-        if tracer:
-            tracer.record(env.now, label, "done")
+        """Perform one copy's cycle in simulated time.
 
-    def _copy_proc(
-        self,
-        spec,
-        cs_runtime: _CopySetRuntime,
-        ctx: FilterContext,
-        stats: CopyStats,
-        writers: dict[str, _Writer],
-        metrics: RunMetrics,
-        results: list[Any],
-    ) -> Generator[Event, Any, None]:
-        state: SimFilter = self.graph.filters[spec.name].sim_factory()
-        state.start(ctx)
-        host = self.cluster.host(cs_runtime.host)
-        env = self.env
-        label = f"{spec.name}@{ctx.host}#{ctx.copy_index}"
-        tracer = self.tracer
+        Each effect becomes the events it costs, yielded in the order the
+        cycle asks for them; it adds no process and no event of its own, so
+        equal-time steps keep their order.  Busy seconds exclude disk reads,
+        transfers and DD waits; a source's disk reads are charged to
+        ``io_time`` while producing a unit, outside its compute span.
+        """
+        env, cluster, tracer = self.env, self.cluster, self.tracer
+        spec, label = copy.spec, copy.label
+        host = cluster.host(copy.host)
+        my_set = copysets[spec.name][copy.set_idx]
+        writers = writers_of[copy.cid]
+        model: Any = None
+        items: Any = None
+        steps = runtime.execute_cycle(copy, 0, report, tracer, lambda: env.now)
+        value: Any = None
+        thrown: "Exception | None" = None
         while True:
             try:
-                envelope: _Envelope = yield cs_runtime.store.get()
-            except StreamClosedError:
-                break
-            stats.buffers_in += 1
-            if tracer:
-                tracer.record(env.now, label, "recv", envelope.stream)
-                tracer.sample_queue(
-                    env.now,
-                    f"{cs_runtime.filter_name}@{cs_runtime.host}",
-                    len(cs_runtime.store),
-                )
-            if envelope.writer is not None:
-                self._send_ack(ctx.host, envelope, metrics)
-            cost = state.cost(envelope.buffer)
-            if cost:
-                t0 = env.now
-                if tracer:
-                    tracer.record(t0, label, "compute", "start")
-                yield host.compute(cost)
-                stats.busy_time += env.now - t0
-                if tracer:
-                    tracer.record(env.now, label, "compute", "end")
-            for out in state.react(envelope.buffer):
-                yield from self._send(
-                    spec.name, ctx.host, stats, writers, out, metrics, label=label
-                )
-        fcost = state.flush_cost()
-        t0 = env.now
-        if tracer:
-            # Always mark the flush transition (zero-length without cost)
-            # so both engines trace the same copy lifecycle.
-            tracer.record(t0, label, "flush", "start")
-        if fcost:
-            yield host.compute(fcost)
-            stats.busy_time += env.now - t0
-        if tracer:
-            tracer.record(env.now, label, "flush", "end")
-        for out in state.flush_outputs():
-            yield from self._send(
-                spec.name, ctx.host, stats, writers, out, metrics, label=label
-            )
-        yield from self._announce_done(ctx.host, writers)
-        if not spec.outputs:
-            value = state.result()
-            if value is not None:
-                results.append(value)
-        stats.finished_at = env.now
-        if tracer:
-            tracer.record(env.now, label, "done")
+                effect, arg = steps.send(value) if thrown is None else steps.throw(thrown)
+            except StopIteration:
+                return
+            value = thrown = None
+            try:
+                if effect is runtime.RECV:
+                    try:
+                        value = yield my_set.store.get()
+                    except StreamClosedError:
+                        pass
+                elif effect is runtime.ACK:
+                    self._ack(copy.host, arg, writers_of)
+                    value = True
+                elif effect is runtime.WORK:
+                    cost = model.cost(arg.payload) if spec.inputs else arg.cpu
+                    if cost:
+                        t0 = env.now
+                        yield host.compute(cost)
+                        report.busy_time += env.now - t0
+                    value = model.react(arg.payload) if spec.inputs else arg.outputs
+                elif effect is runtime.SEND:
+                    stream = arg.tags.get("stream")
+                    if stream is None and len(writers) == 1:
+                        stream = next(iter(writers))
+                    if stream not in writers:
+                        raise EngineError(
+                            f"filter {spec.name!r} has output streams {sorted(writers)}; "
+                            f"a model output must name one in a 'stream' tag"
+                        )
+                    writer = writers[stream]
+                    target = writer.policy.route(arg.tags)
+                    if target is None:
+                        # All windows full: the writer stalls until an ack returns.
+                        if tracer:
+                            tracer.record(env.now, label, "blocked", "start")
+                        while target is None:
+                            yield writer.ack_event
+                            target = writer.policy.route(arg.tags)
+                        if tracer:
+                            tracer.record(env.now, label, "blocked", "end")
+                    writer.policy.on_sent(target)
+                    sent_at = env.now
+                    dst = writer.copysets[target.index]
+                    yield cluster.transfer(copy.host, dst.host, arg.nbytes)
+                    yield dst.store.put(runtime.Envelope(
+                        0, stream, copy.cid, target.index, sent_at,
+                        writer.policy.needs_ack, arg,
+                    ))
+                    if tracer:
+                        tracer.record(env.now, label, "send", f"{stream}->{dst.host}")
+                        tracer.sample_queue(env.now, dst.store.name, len(dst.store))
+                    value = stream, dst.host
+                elif effect is runtime.PRODUCE:
+                    value = next(items, None)
+                    if value is not None and value.read_bytes:
+                        t0 = env.now
+                        if tracer:
+                            tracer.record(t0, label, "io", "start")
+                        yield host.read_disk(
+                            value.read_bytes, value.disk_index, value.sequential
+                        )
+                        report.io_time += env.now - t0
+                        if tracer:
+                            tracer.record(env.now, label, "io", "end")
+                elif effect is runtime.DEPTH:
+                    value = len(my_set.store)
+                elif effect is runtime.FLUSH:
+                    cost = model.flush_cost()
+                    if cost:
+                        t0 = env.now
+                        yield host.compute(cost)
+                        report.busy_time += env.now - t0
+                    value = model.flush_outputs()
+                elif effect is runtime.INIT:
+                    ctx = FilterContext(
+                        spec.name, copy.host, copy.copy_index, copy.copies_on_host,
+                        copy.total, [s.name for s in spec.outputs], _reject_ctx_write,
+                    )
+                    model = spec.sim_factory()
+                    if spec.inputs:
+                        model.start(ctx)
+                    else:
+                        items = iter(model.items(ctx))
+                elif effect is runtime.FINISH:
+                    value = model.result() if arg else None
+                elif effect is runtime.ANNOUNCE:
+                    for writer in writers.values():
+                        for dst in writer.copysets:
+                            yield cluster.transfer(copy.host, dst.host, 0)
+                            dst.producer_finished()
+                elif effect is runtime.DISCARD and arg.needs_ack:
+                    self._ack(copy.host, arg, writers_of)
+            except Exception as exc:  # noqa: BLE001 - the cycle reports it
+                thrown = exc
 
-    # -- buffer movement ------------------------------------------------------
-    def _send(
+    def _ack(
         self,
-        filter_name: str,
-        src_host: str,
-        stats: CopyStats,
-        writers: dict[str, _Writer],
-        buffer: DataBuffer,
-        metrics: RunMetrics,
-        label: str,
-    ) -> Generator[Event, Any, None]:
-        """Route one buffer: pick a copy set, transfer, enqueue."""
-        stream = buffer.tags.get("stream")
-        if stream is None:
-            if len(writers) != 1:
-                raise EngineError(
-                    f"filter {filter_name!r} has {len(writers)} output "
-                    f"streams; model outputs must carry a 'stream' tag"
-                )
-            stream = next(iter(writers))
-        elif stream not in writers:
-            raise EngineError(
-                f"filter {filter_name!r} has no output stream {stream!r}"
-            )
-        writer = writers[stream]
-        tracer = self.tracer
-        target = writer.policy.route(buffer.tags)
-        if target is None:
-            # All windows full: the writer stalls until an ack returns.
-            if tracer:
-                tracer.record(self.env.now, label, "blocked", "start")
-            while target is None:
-                pending = writer.ack_event
-                yield pending
-                target = writer.policy.route(buffer.tags)
-            if tracer:
-                tracer.record(self.env.now, label, "blocked", "end")
-        writer.policy.on_sent(target)
-        sent_at = self.env.now
-        dst = writer.copyset_for(target)
-        yield self.cluster.transfer(src_host, dst.host, buffer.nbytes)
-        envelope = _Envelope(
-            buffer,
-            stream,
-            writer if writer.policy.needs_ack else None,
-            target if writer.policy.needs_ack else None,
-            sent_at=sent_at,
-        )
-        yield dst.store.put(envelope)
-        stats.buffers_out += 1
-        # Account traffic at delivery.
-        metrics.streams[stream].record(src_host, dst.host, buffer.nbytes)
-        if tracer:
-            tracer.record(
-                self.env.now, label, "send", f"{stream}->{dst.host}"
-            )
-            tracer.sample_queue(
-                self.env.now, f"{dst.filter_name}@{dst.host}", len(dst.store)
-            )
-
-    def _send_ack(
-        self, consumer_host: str, envelope: _Envelope, metrics: RunMetrics
+        consumer_host: str,
+        wire: runtime.Envelope,
+        writers_of: list[dict[str, _Writer]],
     ) -> None:
         """Fire-and-forget acknowledgment back to the producing copy."""
-        metrics.ack_messages += 1
-        metrics.ack_bytes += self.ack_nbytes
-        writer, target = envelope.writer, envelope.target
-        sent_at = envelope.sent_at
+        env, tracer = self.env, self.tracer
+        writer = writers_of[wire.producer][wire.stream]
         transfer = self.cluster.transfer(consumer_host, writer.host, self.ack_nbytes)
 
         def _deliver(_ev: Event) -> None:
-            writer.deliver_ack(target)
-            if self.tracer:
-                # Round-trip latency: producer send to ack delivery.
-                self.tracer.record(
-                    self.env.now,
-                    writer.label,
-                    "ack",
-                    f"{self.env.now - sent_at:.9f}",
-                )
+            writer.deliver_ack(writer.policy.targets[wire.target_index])
+            if tracer:  # round-trip latency: producer send to ack delivery
+                latency = env.now - wire.sent_at
+                tracer.record(env.now, writer.label, "ack", f"{latency:.9f}")
 
         transfer.callbacks.append(_deliver)
-
-    def _announce_done(
-        self, src_host: str, writers: dict[str, _Writer]
-    ) -> Generator[Event, Any, None]:
-        """Send an end-of-work marker to every downstream copy set."""
-        for writer in writers.values():
-            for dst in writer.copysets:
-                yield self.cluster.transfer(src_host, dst.host, 0)
-                dst.producer_finished()
 
 
 def _reject_ctx_write(stream: str, buffer: DataBuffer) -> None:

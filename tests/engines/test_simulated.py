@@ -371,6 +371,11 @@ def test_figure1_copy_set_routing():
 
 
 def test_sim_model_exception_propagates():
+    """A model that raises fails its copy as a real filter would: the run
+    raises EngineError naming the copy and cycle, with the traceback, once
+    the crashed copy has drained and announced — and the surviving copies'
+    metrics ride on the error."""
+
     class BadModel(SimFilter):
         def cost(self, buffer):
             raise RuntimeError("model blew up")
@@ -382,5 +387,13 @@ def test_sim_model_exception_propagates():
     g.add_filter("bad", sim_factory=BadModel)
     g.connect("src", "bad")
     p = Placement().place("src", ["node0"]).place("bad", ["node0"])
-    with pytest.raises(RuntimeError, match="model blew up"):
+    with pytest.raises(EngineError, match="bad@node0#0 cycle 0") as info:
         SimulatedEngine(cluster, g, p, policy="RR").run()
+    (error,) = info.value.errors
+    assert "Traceback" in error and "RuntimeError: model blew up" in error
+    (metrics,) = info.value.metrics
+    src, bad = metrics.copies
+    assert (src.buffers_out, src.finished_at > 0.0) == (3, True)
+    # The first buffer was worked on and raised; the crash drain discarded
+    # the other two instead of leaving the source blocked on them.
+    assert (bad.buffers_in, bad.finished_at > 0.0) == (1, True)
