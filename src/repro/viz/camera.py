@@ -18,6 +18,11 @@ from repro.errors import ConfigurationError
 __all__ = ["Camera"]
 
 
+def fold_vertices(op: np.ufunc, per_vertex: np.ndarray) -> np.ndarray:
+    """``op`` across the three vertex columns of an (N, 3) array."""
+    return op(op(per_vertex[:, 0], per_vertex[:, 1]), per_vertex[:, 2])
+
+
 @dataclass
 class Camera:
     """A look-at camera with orthographic or perspective projection.
@@ -29,12 +34,12 @@ class Camera:
     width / height:
         Output image resolution in pixels.
     view_width:
-        Orthographic: world units spanned by the image's horizontal axis.
-        Perspective: ignored.
+        Orthographic: world units spanned by the image's horizontal axis
+        (> 0).  Perspective: ignored.
     projection:
         ``"ortho"`` or ``"persp"``.
     fov_degrees:
-        Perspective field of view (horizontal).
+        Perspective field of view (horizontal), in (0, 180).
     """
 
     eye: tuple[float, float, float]
@@ -52,6 +57,14 @@ class Camera:
         if self.projection not in ("ortho", "persp"):
             raise ConfigurationError(
                 f"projection must be 'ortho' or 'persp', got {self.projection!r}"
+            )
+        # Written to refuse NaN too: 0 or NaN would blank the frame, a
+        # negative width mirror it, and 180 degrees collapse it to a point.
+        if not self.view_width > 0:
+            raise ConfigurationError(f"view_width must be > 0, got {self.view_width}")
+        if not 0 < self.fov_degrees < 180:
+            raise ConfigurationError(
+                f"fov_degrees must be in (0, 180), got {self.fov_degrees}"
             )
         eye = np.asarray(self.eye, dtype=np.float64)
         target = np.asarray(self.target, dtype=np.float64)
@@ -85,49 +98,50 @@ class Camera:
         Depth grows away from the camera; smaller wins the z-test.  Pixel
         (0, 0) is the top-left corner.
         """
-        view = self.to_view(points)
-        depth = -view[:, 2]
+        screen = self._screen(points)
+        return screen[:, :2], screen[:, 2]
+
+    def _screen(self, points: np.ndarray) -> np.ndarray:
+        """World (N, 3) -> (N, 3) of (pixel x, pixel y, depth).
+
+        Pixel x is ``(x / half_w + 1) * 0.5 * width``, pixel y
+        ``(1 - y / half_h) * 0.5 * height`` and depth ``-z`` (perspective
+        also divides x and y by depth).  Each column of the view-space
+        array is overwritten by those operations in that order: the same
+        bits as the expressions, with no temporaries.
+        """
+        screen = self.to_view(points)
+        x, y, depth = screen[:, 0], screen[:, 1], screen[:, 2]
+        np.negative(depth, out=depth)
         aspect = self.height / self.width
         if self.projection == "ortho":
             half_w = self.view_width / 2.0
-            half_h = half_w * aspect
-            ndc_x = view[:, 0] / half_w
-            ndc_y = view[:, 1] / half_h
+            x /= half_w
+            y /= half_w * aspect
         else:
             half_w = np.tan(np.radians(self.fov_degrees) / 2.0)
-            half_h = half_w * aspect
             safe = np.where(depth > 1e-9, depth, np.nan)
-            ndc_x = view[:, 0] / (half_w * safe)
-            ndc_y = view[:, 1] / (half_h * safe)
-        px = (ndc_x + 1.0) * 0.5 * self.width
-        py = (1.0 - ndc_y) * 0.5 * self.height
-        return np.stack([px, py], axis=1), depth
+            x /= half_w * safe
+            y /= half_w * aspect * safe
+        x += 1.0
+        x *= 0.5
+        x *= self.width
+        np.subtract(1.0, y, out=y)
+        y *= 0.5
+        y *= self.height
+        return screen
 
     def project_triangles(self, triangles: np.ndarray) -> np.ndarray:
         """World triangles (N, 3, 3) -> screen triangles (M, 3, 3).
 
-        Output columns per vertex: (pixel x, pixel y, depth).  Triangles
-        entirely behind the camera or entirely outside the viewport are
-        culled (M <= N); partially visible triangles are kept — the
-        rasterisers clip per pixel.
+        Output columns per vertex: (pixel x, pixel y, depth).  Culled
+        (M <= N): triangles with all three vertices behind the camera or
+        entirely outside the viewport and, under perspective, triangles
+        with any vertex at or behind the eye plane (it projects to NaN).
+        Other partially visible triangles are kept — the rasterisers clip
+        per pixel.
         """
-        tris = np.asarray(triangles, dtype=np.float64)
-        if tris.size == 0:
-            return np.empty((0, 3, 3), dtype=np.float64)
-        flat = tris.reshape(-1, 3)
-        xy, depth = self.project_points(flat)
-        screen = np.concatenate([xy, depth[:, None]], axis=1).reshape(-1, 3, 3)
-        # Cull: all three vertices behind camera, or bbox outside viewport.
-        front = (screen[:, :, 2] > 0).any(axis=1)
-        finite = np.isfinite(screen).all(axis=(1, 2))
-        xs, ys = screen[:, :, 0], screen[:, :, 1]
-        onscreen = (
-            (xs.max(axis=1) >= 0)
-            & (xs.min(axis=1) < self.width)
-            & (ys.max(axis=1) >= 0)
-            & (ys.min(axis=1) < self.height)
-        )
-        return screen[front & finite & onscreen]
+        return self.project_and_cull(triangles)[0]
 
     def project_and_cull(
         self, triangles: np.ndarray
@@ -143,19 +157,21 @@ class Camera:
                 np.empty((0, 3, 3), dtype=np.float64),
                 np.empty(0, dtype=np.int64),
             )
-        flat = tris.reshape(-1, 3)
-        xy, depth = self.project_points(flat)
-        screen = np.concatenate([xy, depth[:, None]], axis=1).reshape(-1, 3, 3)
-        front = (screen[:, :, 2] > 0).any(axis=1)
-        finite = np.isfinite(screen).all(axis=(1, 2))
-        xs, ys = screen[:, :, 0], screen[:, :, 1]
-        onscreen = (
-            (xs.max(axis=1) >= 0)
-            & (xs.min(axis=1) < self.width)
-            & (ys.max(axis=1) >= 0)
-            & (ys.min(axis=1) < self.height)
-        )
-        keep = np.nonzero(front & finite & onscreen)[0]
+        screen = self._screen(tris.reshape(-1, 3)).reshape(-1, 3, 3)
+        xs, ys, zs = screen[:, :, 0], screen[:, :, 1], screen[:, :, 2]
+        # Vertex extremes as binary folds (a reduction along an axis of
+        # length 3 costs ~15x as much).  They propagate NaN, so a NaN
+        # fails every comparison below; an infinity fails the last one.
+        xlo, xhi = fold_vertices(np.minimum, xs), fold_vertices(np.maximum, xs)
+        ylo, yhi = fold_vertices(np.minimum, ys), fold_vertices(np.maximum, ys)
+        zlo, zhi = fold_vertices(np.minimum, zs), fold_vertices(np.maximum, zs)
+        front = zhi > 0
+        onscreen = (xhi >= 0) & (xlo < self.width) & (yhi >= 0) & (ylo < self.height)
+        lo = np.minimum(np.minimum(xlo, ylo), zlo)
+        hi = np.maximum(np.maximum(xhi, yhi), zhi)
+        keep = np.flatnonzero(front & onscreen & np.isfinite(lo) & np.isfinite(hi))
+        if len(keep) == len(screen):
+            return screen, keep
         return screen[keep], keep
 
     @classmethod

@@ -249,9 +249,12 @@ class _RasterBase(Filter):
         self._active_camera = _uow_get(ctx, "camera", self.camera)
 
     def _screen_and_colors(self, tris: np.ndarray):
-        colors = shade_triangles(tris, light_direction=self.light_direction)
+        # Shading is per triangle, so shading the kept rows gives the bits
+        # of shading all rows and keeping those.
         screen, kept = self._active_camera.project_and_cull(tris)
-        return screen, colors[kept]
+        if len(kept) < len(tris):
+            tris = tris[kept]
+        return screen, shade_triangles(tris, light_direction=self.light_direction)
 
 
 class RasterZFilter(_RasterBase):

@@ -3,7 +3,7 @@
 ``rasterize_triangles`` turns screen-space triangles into covered pixels
 with interpolated depth (barycentric, pixel-centre sampling, clipped to the
 viewport).  It processes whole triangle soups per call by bucketing
-triangles with equal clipped-bounding-box shapes into stacked grids, and
+triangles with equal candidate-box shapes into stacked grids, and
 emits exactly the fragments the per-triangle reference kernel
 (``triangle_fragments`` in ``tests/viz/reference_kernels.py``) emits, in
 the same order.  :class:`ZBuffer` is the paper's first hidden-surface-removal
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.viz.camera import fold_vertices
 
 __all__ = ["rasterize_triangles", "ZBuffer", "ZBufferSlab"]
 
@@ -35,10 +36,12 @@ def rasterize_triangles(
     the coefficient arithmetic runs in the input dtype and the grid
     arithmetic in float64, exactly as the reference does, and fragments
     keep the reference's order (triangle by triangle, row-major within each
-    triangle's bounding box).  Triangles whose clipped bounding boxes have
-    equal shape are stacked into one (G, bh, bw) barycentric evaluation, so
-    a soup of thousands of small triangles costs a handful of NumPy passes
-    instead of thousands of per-triangle calls.
+    triangle's bounding box).  Each triangle is evaluated only on the
+    pixel centres it can cover (its candidate box, see :func:`_fragments`),
+    and triangles whose clipped candidate boxes have equal shape are
+    stacked into one (G, bh, bw) barycentric evaluation, so a soup of
+    thousands of small triangles costs a handful of NumPy passes instead
+    of thousands of per-triangle calls.
 
     Parameters
     ----------
@@ -70,6 +73,35 @@ def _fragments(
     Returns ``(pixels, depth, tri)`` in reference order, ``tri`` being the
     index of the triangle each fragment came from (non-decreasing).  The
     one fragment source of :class:`ZBuffer` and the active-pixel raster.
+
+    *Candidate box.*  The reference tests every cell of
+    ``[floor(min), ceil(max)]``, and most of a 1-2 px triangle's 3 x 3
+    cells have centres outside it (on S129, 78 % of the triangles cover
+    no pixel centre at all).  Each triangle here tests that box
+    intersected with the cells whose centres lie within ``mu`` of its
+    vertices' bounding box, ``mu = C eps (e + 1)**3 / |denom|`` capped at
+    2 px (``C = 64``; ``eps`` of the coefficient dtype; ``e`` the larger
+    of the x and y extents; ``denom`` as computed).  Every cell left out
+    fails the reference's ``w >= 0`` test; the box only stops evaluating
+    it.  With ``u = eps / 2``:
+
+    - The coefficients round in the input dtype, so the reference's ``w``
+      are the exact barycentrics of a triangle T' that keeps vertex 2 and
+      moves the other two by at most ``e (u + |rho|)``, ``rho`` being the
+      relative error of ``denom`` (``|rho| <= 4.3 u e**2 / |denom|`` once
+      ``mu < 2``): at most ``3.2 eps (e + 1)**3 / |denom|``.
+    - Evaluating ``w`` in float64 on the reference box errs by at most
+      ``E = 14 eps64 e (e + 1.5) / |denom|`` per ``w``.  A centre ``d``
+      beyond T''s box has an exact ``w`` below ``-d / (2 e')``, so it
+      fails ``w >= 0`` once ``d > 2 (e + 1) E``, i.e.
+      ``28 eps (e + 1)**3 / |denom|``.
+    - Together that is 31 of the 64: ``C`` doubles it for second-order
+      terms.  ``eps`` is per dtype because float32 coefficients round
+      2**29 times as coarsely as float64 ones.  The float64 box bounds
+      round monotonically, so no centre inside ``[min - mu, max + mu]``
+      is dropped, and at the 2 px cap the box contains the reference's
+      (``ceil(min - 2.5) <= floor(min)``, ``floor(max + 1.5) >=
+      ceil(max)``): an ill-conditioned sliver gets the reference's box.
     """
     tris = np.asarray(tris)
     if tris.ndim != 3 or tris.shape[1:] != (3, 3):
@@ -79,15 +111,6 @@ def _fragments(
     if len(tris) == 0:
         return _NO_FRAGS
     xs, ys, zs = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
-    # Clamp in float space before the integer cast so far-off-viewport
-    # coordinates cannot overflow int64; the clip bounds leave every
-    # empty-box comparison (x0 > x1 / y0 > y1) with its reference outcome.
-    # (min/max over the three vertices as two binary ops: a reduction along
-    # an axis of length 3 costs ~15x as much.)
-    x0 = np.clip(np.floor(_fold(np.minimum, xs)), 0, width).astype(np.int64)
-    x1 = np.clip(np.ceil(_fold(np.maximum, xs)), -1, width - 1).astype(np.int64)
-    y0 = np.clip(np.floor(_fold(np.minimum, ys)), 0, height).astype(np.int64)
-    y1 = np.clip(np.ceil(_fold(np.maximum, ys)), -1, height - 1).astype(np.int64)
     # Coefficients in the *input* dtype, like the reference's scalar maths;
     # they promote to float64 only when they meet the pixel-centre grids.
     a0 = ys[:, 1] - ys[:, 2]
@@ -95,6 +118,19 @@ def _fragments(
     a1 = ys[:, 2] - ys[:, 0]
     b1 = xs[:, 0] - xs[:, 2]
     denom = a0 * (xs[:, 0] - xs[:, 2]) + b0 * (ys[:, 0] - ys[:, 2])
+    # Vertex extremes (exact in float64) and the candidate-box margin.
+    # Integer input has exact coefficients; the float type NumPy pairs it
+    # with only over-covers them.
+    xlo = fold_vertices(np.minimum, xs).astype(np.float64)
+    xhi = fold_vertices(np.maximum, xs).astype(np.float64)
+    ylo = fold_vertices(np.minimum, ys).astype(np.float64)
+    yhi = fold_vertices(np.maximum, ys).astype(np.float64)
+    ext1 = np.maximum(xhi - xlo, yhi - ylo) + 1.0  # e + 1
+    eps = np.finfo(np.result_type(tris.dtype, np.float16)).eps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        margin = np.fmin(64.0 * eps * ext1 * ext1 * ext1 / np.abs(denom), 2.0)
+    x0, x1 = _candidate_span(xlo, xhi, margin, width)
+    y0, y1 = _candidate_span(ylo, yhi, margin, height)
     live = np.flatnonzero((x0 <= x1) & (y0 <= y1) & ~(np.abs(denom) < 1e-12))
     if not live.size:
         return _NO_FRAGS
@@ -157,9 +193,21 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
 
 
-def _fold(op: np.ufunc, per_vertex: np.ndarray) -> np.ndarray:
-    """``op`` across the three vertex columns of an (N, 3) array."""
-    return op(op(per_vertex[:, 0], per_vertex[:, 1]), per_vertex[:, 2])
+def _candidate_span(
+    lo: np.ndarray, hi: np.ndarray, margin: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and last candidate cell along one axis (see :func:`_fragments`).
+
+    Clamped in float space before the integer cast so far-off-viewport
+    coordinates cannot overflow int64; the clip bounds leave every
+    empty-box comparison (first > last) with its reference outcome.
+    """
+    first = np.maximum(np.floor(lo), np.ceil(lo - margin - 0.5))
+    last = np.minimum(np.ceil(hi), np.floor(hi + margin - 0.5))
+    return (
+        np.clip(first, 0, size).astype(np.int64),
+        np.clip(last, -1, size - 1).astype(np.int64),
+    )
 
 
 _NO_FRAGS = (np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, np.int64))

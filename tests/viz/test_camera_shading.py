@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.viz.camera import Camera
@@ -88,6 +90,47 @@ def test_project_and_cull_indices():
     assert screen.shape == (2, 3, 3)
 
 
+def test_perspective_culls_a_triangle_crossing_the_eye_plane():
+    cam = Camera(eye=(0, 0, 10), target=(0, 0, 0), up=(0, 1, 0), projection="persp")
+    tri = np.array([[[0, 0, 0.0], [1, 0, 0.0], [0, 0, 11.0]]])  # one vertex behind
+    assert len(cam.project_triangles(tri)) == 0
+
+
+world_coord = st.one_of(
+    st.floats(-12.0, 12.0),
+    # 1.7e308 is finite in the world and overflows to inf on the screen
+    st.sampled_from([np.inf, -np.inf, np.nan, 1.7e308, -1.7e308]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(world_coord, min_size=9, max_size=9), min_size=1, max_size=20),
+    st.sampled_from(["ortho", "persp"]),
+)
+def test_cull_keeps_what_per_triangle_reductions_keep(rows, projection):
+    # The folded cull against its definition: some vertex in front, all
+    # nine coordinates finite, the screen box overlapping the viewport.
+    cam = Camera(
+        eye=(0, 0, 10), target=(0, 0, 0), up=(0, 1, 0), width=64, height=48,
+        view_width=8.0, projection=projection,
+    )
+    tris = np.array(rows).reshape(-1, 3, 3)
+    with np.errstate(all="ignore"):
+        xy, depth = cam.project_points(tris.reshape(-1, 3))
+        screen = np.concatenate([xy, depth[:, None]], axis=1).reshape(-1, 3, 3)
+        xs, ys = screen[:, :, 0], screen[:, :, 1]
+        expected = np.flatnonzero(
+            (screen[:, :, 2] > 0).any(axis=1)
+            & np.isfinite(screen).all(axis=(1, 2))
+            & (xs.max(axis=1) >= 0) & (xs.min(axis=1) < cam.width)
+            & (ys.max(axis=1) >= 0) & (ys.min(axis=1) < cam.height)
+        )
+        projected, kept = cam.project_and_cull(tris)
+    np.testing.assert_array_equal(kept, expected)
+    np.testing.assert_array_equal(projected, screen[expected])
+
+
 def test_empty_input():
     cam = front_camera()
     assert cam.project_triangles(np.empty((0, 3, 3))).shape == (0, 3, 3)
@@ -104,6 +147,23 @@ def test_camera_validation():
         Camera(eye=(0, 0, 1), target=(0, 0, 0), projection="weird")
     with pytest.raises(ConfigurationError):
         Camera(eye=(0, 0, 1), target=(0, 0, 0), width=0)
+
+
+@pytest.mark.parametrize(
+    "optics",
+    [
+        {"view_width": 0.0},  # divides by zero: a blank frame
+        {"view_width": -2.0},  # a silently mirrored frame
+        {"view_width": float("nan")},
+        {"fov_degrees": 0.0, "projection": "persp"},  # divides by zero
+        {"fov_degrees": 180.0, "projection": "persp"},  # every vertex on the centre
+        {"fov_degrees": -30.0, "projection": "persp"},
+        {"fov_degrees": float("nan"), "projection": "persp"},
+    ],
+)
+def test_camera_refuses_impossible_optics(optics):
+    with pytest.raises(ConfigurationError, match="view_width|fov_degrees"):
+        Camera(eye=(0, 0, 1), target=(0, 0, 0), up=(0, 1, 0), **optics)
 
 
 def test_fit_grid_sees_whole_grid():
@@ -168,6 +228,19 @@ def test_shading_validation():
         shade_triangles(tri, light_direction=(0, 0, 0))
     with pytest.raises(ConfigurationError):
         shade_triangles(tri, ambient=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([np.float32, np.float64])
+)
+def test_shading_a_subset_equals_the_subset_of_shading(seed, n, dtype):
+    # The Raster filters shade only the triangles the cull keeps; that is
+    # bit-identical to shading all and keeping the same rows.
+    rng = np.random.default_rng(seed)
+    tris = rng.uniform(-50, 50, size=(n, 3, 3)).astype(dtype)
+    kept = np.flatnonzero(rng.random(n) < rng.random())
+    np.testing.assert_array_equal(shade_triangles(tris)[kept], shade_triangles(tris[kept]))
 
 
 def test_shading_range():

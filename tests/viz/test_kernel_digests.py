@@ -11,10 +11,14 @@ comparison — this file is the one place that would see it.
 Regenerate (only when a change *means* to alter the bits) with
 ``PYTHONPATH=src python tests/viz/test_kernel_digests.py``.
 
-The scene goes through ``np.exp`` (ParSSim) and ``cos``/``sin`` (camera),
-whose last bit may differ between SIMD builds of NumPy; the kernels'
-*inputs* are therefore pinned too, and where they differ from the
-recorded ones the output digests say nothing and the test is skipped.
+The scene goes through ``np.exp`` (ParSSim) and ``cos``/``sin`` (the orbit
+camera's eye), whose last bit may differ between SIMD builds of NumPy.
+``scene`` pins those fields and that eye; where they differ from the
+recorded ones the other digests say nothing and every test here is
+skipped.  ``projected`` pins the screen triangles and colours that
+``Camera.project_and_cull`` and ``shade_triangles`` make of the scene, and
+is asserted like every kernel digest: a change to projection, culling or
+shading that moves a bit fails here instead of reading as a skip.
 """
 
 import hashlib
@@ -37,7 +41,8 @@ GRID, IMAGE, ISOVALUE, TIMESTEP = 33, 128, 0.3, 1
 WPA_CAPACITY = 257
 
 EXPECTED = {
-    "inputs": "361e0a874b1db0fdf24f844b896e67728311811703eb86fae6dbbec97c175195",
+    "scene": "19b984b7f0b53bbca7bb05b1fefd1a2ef660129f1408a62b5ddb18d60c8557fb",
+    "projected": "fb8d6f59b67c9ced3e449b24f094c47a3bee348ca20989507e7a9a645451d88a",
     "extract": "35b177d7fb101eb9f4790e0f32d4c4d0d37cd88fdac506f459c53faeaefa1137",
     "rasterize": "b16eed22d2ab7c7a3d54f05439af9577963102055a4040685f738cdd9797419b",
     "zbuffer": "53363b5239e9167ba848a3701fc4e5e75c6ac24b668cbf757dea5d1f009f2b88",
@@ -88,7 +93,8 @@ def compute_digests() -> dict:
         soups.append((screen, shade_triangles(tris)[kept]))
 
     out = {
-        "inputs": sha(*fields, *(part for soup in soups for part in soup)),
+        "scene": sha(*fields, np.array(camera.eye)),
+        "projected": sha(*(part for soup in soups for part in soup)),
         "extract": sha(*triangles),
         "rasterize": sha(
             *(
@@ -136,7 +142,7 @@ def compute_digests() -> dict:
 @pytest.fixture(scope="module")
 def digests():
     found = compute_digests()
-    if found["inputs"] != EXPECTED["inputs"]:
+    if found["scene"] != EXPECTED["scene"]:
         pytest.skip(
             "this NumPy build computes the scene itself differently "
             "(np.exp / cos last-bit); the pinned outputs do not apply"
@@ -144,7 +150,7 @@ def digests():
     return found
 
 
-@pytest.mark.parametrize("name", [n for n in EXPECTED if n != "inputs"])
+@pytest.mark.parametrize("name", [n for n in EXPECTED if n != "scene"])
 def test_kernel_output_is_bit_identical_to_the_pinned_parent(digests, name):
     assert digests[name] == EXPECTED[name]
 

@@ -90,6 +90,92 @@ def test_matches_reference_with_degenerates(tri_list, data):
     assert_matches_reference(tris)
 
 
+depth_pos = st.floats(min_value=0.1, max_value=5.0)
+
+
+@st.composite
+def near_centre_triangle(draw, dtype):
+    """A 0-4 px triangle whose vertices sit within 8 ulps of pixel centres.
+
+    Vertices 0 and 1 share a centre half the time: the thin case, where a
+    float32 coefficient's rounding reaches past the vertex box.
+    """
+    cx, cy = draw(st.integers(2, WIDTH - 3)), draw(st.integers(2, HEIGHT - 3))
+    shared = draw(st.booleans())
+    step = st.integers(-2, 2)
+    tri = []
+    for vertex in range(3):
+        on_first = vertex == 0 or (shared and vertex == 1)
+        dx, dy = (0, 0) if on_first else (draw(step), draw(step))
+        x = dtype(cx + dx + 0.5)
+        y = dtype(cy + dy + 0.5)
+        x += draw(st.integers(-8, 8)) * np.spacing(x)
+        y += draw(st.integers(-8, 8)) * np.spacing(y)
+        tri.append((x, y, draw(depth_pos)))
+    return tri
+
+
+@st.composite
+def sliver_triangle(draw):
+    """The third vertex 1e-9 to 1e-3 px off the line of the first edge."""
+    x0, y0 = draw(st.floats(0.0, WIDTH)), draw(st.floats(0.0, HEIGHT))
+    dx, dy = draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0))
+    length = np.hypot(dx, dy)
+    if length < 1e-3:
+        dx, dy, length = 1.0, 0.0, 1.0
+    t = draw(st.floats(-0.5, 1.5))
+    off = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, -3.0))
+    x2 = x0 + t * dx - off * dy / length
+    y2 = y0 + t * dy + off * dx / length
+    z = [draw(depth_pos) for _ in range(3)]
+    return [(x0, y0, z[0]), (x0 + dx, y0 + dy, z[1]), (x2, y2, z[2])]
+
+
+@st.composite
+def scaled_triangle(draw):
+    """A 1e-3-scale or viewport-length triangle."""
+    scale = draw(st.sampled_from([1e-3, float(WIDTH)]))
+    cx, cy = draw(st.floats(0.0, WIDTH)), draw(st.floats(0.0, HEIGHT))
+    unit = st.floats(-1.0, 1.0)
+    return [
+        (cx + scale * draw(unit), cy + scale * draw(unit), draw(depth_pos))
+        for _ in range(3)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.data())
+def test_candidate_box_keeps_every_reference_fragment(dtype, data):
+    # The fragment pass tests only the cells whose centres lie within a
+    # dtype-scaled margin of each triangle's vertex box; every cell it
+    # skips must be one the reference rejects, at the edge cases of that
+    # bound: vertices ulps from centres, slivers, tiny and huge triangles.
+    kinds = st.one_of(near_centre_triangle(dtype), sliver_triangle(), scaled_triangle())
+    tri_list = data.draw(st.lists(kinds, min_size=1, max_size=40))
+    assert_matches_reference(np.array(tri_list, dtype=dtype).reshape(-1, 3, 3))
+
+
+def test_float32_fragment_beyond_the_vertex_box_is_kept():
+    # Two vertices sit 4 float32 ulps (7.6e-6 px) right of pixel (20, 21)'s
+    # centre, yet the reference's float32 coefficients cover that centre
+    # (in float64 the same triangle covers none).  A margin blind to the
+    # dtype, 1e-6 px, would drop the fragment.
+    tri = np.array(
+        [
+            [
+                [20.50000762939453, 21.499984741210938, 2.767178535461426],
+                [20.50000762939453, 21.500011444091797, 2.7552881240844727],
+                [23.5, 19.4999942779541, 4.3947343826293945],
+            ]
+        ],
+        dtype=np.float32,
+    )
+    pixels, _ = triangle_fragments(tri[0], WIDTH, HEIGHT)
+    assert pixels.tolist() == [21 * WIDTH + 20]
+    assert 20.5 < tri[0, :, 0].min() - 1e-6
+    assert_matches_reference(tri)
+
+
 def test_empty_and_shape_validation():
     pix, dep, counts = rasterize_triangles(np.empty((0, 3, 3)), WIDTH, HEIGHT)
     assert pix.size == 0 and dep.size == 0 and counts.size == 0
