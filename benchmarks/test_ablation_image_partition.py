@@ -50,16 +50,9 @@ def run_partitioned(profile, weights=None, width=2048):
         profile, storage, timestep=0, width=width, height=width,
         regions=NODES, region_weights=weights,
     )
-    # One strip owner per node, in owner order, behind the TileRouted policy.
+    # One strip owner per node, in owner order; Ra's tile map routes RE->Ra.
     placement = Placement().spread("RE", nodes).place("Ra", nodes)
-    return (
-        SimulatedEngine(
-            cluster, graph, placement, policy="RR",
-            policy_overrides={"RE->Ra": "TILE"},
-        )
-        .run()
-        .makespan
-    )
+    return SimulatedEngine(cluster, graph, placement, policy="RR").run().makespan
 
 
 def compare(scale=0.05):

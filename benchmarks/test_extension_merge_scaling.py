@@ -43,8 +43,7 @@ def makespans_by_copies():
             ),
         )
         metrics = SimulatedEngine(
-            cluster, app.graph("RE-Ra-M"), placement, policy="DD",
-            policy_overrides=app.policy_overrides("RE-Ra-M"),
+            cluster, app.graph("RE-Ra-M"), placement, policy="DD"
         ).run()
         rows[copies] = round(metrics.makespan, 4)
     return rows

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Deep-lint targets: the four isosurface configurations, as lint inputs.
+"""Deep-lint targets: the four isosurface configurations and the strip
+pipeline, as lint inputs.
 
 Exposes :func:`targets`, a zero-arg builder returning one ``(graph,
 placement)`` pair per IsosurfaceApp configuration (R-E-Ra-M, RE-Ra-M,
-R-ERa-M, RERa-M) on a small synthetic dataset profile.  CI runs the full
-analyzer — including the effect-inference and protocol model-checker
-passes — over all four with::
+R-ERa-M, RERa-M) on a small synthetic dataset profile, plus the
+image-partitioned strip pipeline (two tile-owning raster sinks, no
+Merge).  CI runs the full analyzer — including the effect-inference and
+protocol model-checker passes — over all five with::
 
     PYTHONPATH=src:examples python -m repro.cli lint --deep \\
         --graph-module deep_lint_targets:targets
@@ -15,9 +17,12 @@ passes read the declared metadata and the *real* filter factories'
 source, neither of which requires running anything.
 """
 
+from repro.core.placement import Placement
 from repro.data import HostDisks, StorageMap
 from repro.viz import CONFIGURATIONS as CONFIGS
 from repro.viz import IsosurfaceApp
+from repro.viz.app import owner_hosts
+from repro.viz.partitioned import build_partitioned_graph
 from repro.viz.profile import DatasetProfile
 
 HOSTS = ("h0", "h1")
@@ -39,8 +44,23 @@ def make_app() -> IsosurfaceApp:
     return IsosurfaceApp(profile, storage, width=32, height=32)
 
 
+def strip_target():
+    """The strip pipeline: one RE copy tile-routed into a Ra sink per host."""
+    app = make_app()
+    storage = StorageMap.balanced(app.profile.files, [HostDisks(HOSTS[0])])
+    graph = build_partitioned_graph(
+        app.profile, storage, 0, app.width, app.height, regions=len(HOSTS)
+    )
+    placement = (
+        Placement()
+        .place("RE", [HOSTS[0]])
+        .place("Ra", owner_hosts(len(HOSTS), list(HOSTS), HOSTS[0]))
+    )
+    return graph, placement
+
+
 def targets():
-    """(graph, placement) per configuration — the lint CLI's input shape."""
+    """(graph, placement) per target — the lint CLI's input shape."""
     app = make_app()
     return [
         (
@@ -48,11 +68,11 @@ def targets():
             app.placement(config, compute_hosts=list(HOSTS)),
         )
         for config in CONFIGS
-    ]
+    ] + [strip_target()]
 
 
 if __name__ == "__main__":
-    for (graph, placement), config in zip(targets(), CONFIGS):
-        print(f"{config}: {len(graph.filters)} filters, "
+    for (graph, placement), name in zip(targets(), (*CONFIGS, "strips")):
+        print(f"{name}: {len(graph.filters)} filters, "
               f"{len(graph.streams)} streams, "
               f"{len(placement.placed_filters())} placed")

@@ -58,11 +58,10 @@ def main() -> None:
     graph = build_partitioned_graph(
         profile, storage, timestep=0, width=2048, height=2048, regions=8
     )
-    # One strip owner per node, in owner order, behind the TileRouted policy.
+    # One strip owner per node, in owner order; Ra's tile map routes RE->Ra.
     placement = Placement().spread("RE", NODES[:4]).place("Ra", NODES)
     metrics = SimulatedEngine(
-        cluster, graph, placement, policy="RR",
-        policy_overrides={"RE->Ra": "TILE"},
+        cluster, graph, placement, policy="RR"
     ).run().validate(graph)
     print(f"partitioned over 8 strip owners: {metrics.makespan:.2f} s")
     print(

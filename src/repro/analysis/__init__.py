@@ -9,8 +9,8 @@ checks over ``(FilterGraph, Placement, writer policies, cluster hosts)``
 — dangling/unreachable filters and streams, cycles, source/sink arity,
 copy sets on unknown hosts, degenerate WRR weights, demand-driven windows
 that defeat the bounded queues, phase-synchronised (z-buffer) filters
-behind unsynchronised fan-in, and tile maps that do not match their
-placement or policy.  Every engine runs it before executing: ERROR
+behind unsynchronised fan-in, and tile maps that do not partition their
+viewport or match their placement.  Every engine runs it before executing: ERROR
 diagnostics abort the run, WARNING diagnostics become ``analysis`` trace
 events.
 
@@ -19,8 +19,7 @@ stdlib-``ast`` checks over :class:`~repro.core.filter.Filter` subclasses
 — payload mutation after ``ctx.write``, silent filters that never feed
 their consumers, blocking calls in the per-buffer callback, unpicklable
 state that cannot cross the process engine's fork/pickle boundary, and
-content-routed policies whose ``route()`` ignores its tags.  Nothing is
-imported or executed, so it lints untrusted pipeline definitions safely.
+per-cycle state never reset between units of work.  Nothing is imported or executed, so it lints untrusted pipeline definitions safely.
 
 **Pass 3 — effects** (:mod:`repro.analysis.effects`, ``E7xx``): AST
 effect and purity inference per filter class (PURE / STATEFUL / IO /

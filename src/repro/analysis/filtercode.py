@@ -18,11 +18,7 @@ Rules (``C6xx`` in the catalogue):
   engine, whose workers cross a fork/pickle boundary;
 - **C605** accumulator attributes grown from ``handle``/``flush`` but
   never reset in ``init`` — stale state leaks across cycles when the
-  instance is reused by ``run_cycles`` or a warm pool;
-- **C606** a content-routed writer policy (``TileRouted`` subclass, or a
-  class declaring ``content_routed = True``) whose ``route()`` override
-  never reads its tags argument — the code-level twin of the graph-level
-  Z404 mismatch: tile-tagged buffers get routed blindly.
+  instance is reused by ``run_cycles`` or a warm pool.
 """
 
 from __future__ import annotations
@@ -369,66 +365,6 @@ class _ClassLint:
                         )
 
 
-def _is_content_routed_policy(node: ast.ClassDef) -> bool:
-    """Heuristic: the class is (or declares itself) a content-routed policy."""
-    for base in node.bases:
-        short = _dotted_name(base).rsplit(".", 1)[-1]
-        if short == "TileRouted" or short.endswith("TileRouted"):
-            return True
-    for item in node.body:
-        targets: list[ast.expr] = []
-        if isinstance(item, ast.Assign):
-            targets = list(item.targets)
-        elif isinstance(item, ast.AnnAssign) and item.value is not None:
-            targets = [item.target]
-        if not any(
-            isinstance(t, ast.Name) and t.id == "content_routed" for t in targets
-        ):
-            continue
-        value = item.value
-        if isinstance(value, ast.Constant) and value.value is True:
-            return True
-    return False
-
-
-def _lint_route_override(
-    node: ast.ClassDef, filename: str
-) -> list[Diagnostic]:
-    """C606: a content-routed ``route()`` that never reads its tags."""
-    if not _is_content_routed_policy(node):
-        return []
-    route = next(
-        (
-            item
-            for item in node.body
-            if isinstance(item, ast.FunctionDef) and item.name == "route"
-        ),
-        None,
-    )
-    if route is None:
-        return []
-    params = [a.arg for a in route.args.args if a.arg != "self"]
-    if not params:
-        return []
-    tags_param = params[0]
-    for sub in ast.walk(route):
-        if (
-            isinstance(sub, ast.Name)
-            and sub.id == tags_param
-            and isinstance(sub.ctx, ast.Load)
-        ):
-            return []
-    return [
-        RULES["C606"].diagnostic(
-            f"{node.name}.route",
-            f"{node.name}.route() never reads its {tags_param!r} argument; "
-            f"a content-routed policy that ignores the tile_owner tag "
-            f"routes tile fragments blindly",
-            location=f"{filename}:{route.lineno}",
-        )
-    ]
-
-
 def lint_source(
     source: str,
     filename: str = "<string>",
@@ -447,10 +383,8 @@ def lint_source(
         ]
     findings: list[Diagnostic] = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            if _is_filter_class(node):
-                findings.extend(_ClassLint(node, filename, process_engine).run())
-            findings.extend(_lint_route_override(node, filename))
+        if isinstance(node, ast.ClassDef) and _is_filter_class(node):
+            findings.extend(_ClassLint(node, filename, process_engine).run())
     findings.sort(key=lambda d: (d.location, d.rule))
     return findings
 

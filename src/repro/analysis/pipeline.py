@@ -105,7 +105,8 @@ def verify_graph(graph: "FilterGraph") -> list[Diagnostic]:
                     )
                 )
 
-    # Z402 tile maps must be valid owner-assigned partitions.
+    # Z402 tile maps must be valid owner-assigned partitions; Z405 their
+    # consumers phase-synchronised.
     for spec in graph.filters.values():
         tile_map = getattr(spec, "tile_map", None)
         if tile_map is None:
@@ -115,6 +116,15 @@ def verify_graph(graph: "FilterGraph") -> list[Diagnostic]:
                 RULES["Z402"].diagnostic(
                     spec.name,
                     f"filter {spec.name!r} tile map: {problem}",
+                )
+            )
+        if not spec.phase_synchronised:
+            out.append(
+                RULES["Z405"].diagnostic(
+                    spec.name,
+                    f"tile-mapped consumer {spec.name!r} is not "
+                    f"phase-synchronised and may stream torn per-tile state "
+                    f"downstream",
                 )
             )
 
@@ -198,8 +208,12 @@ def verify_placement(
                         f"tile->owner mapping cannot address them)",
                     )
                 )
+    # P204 spares a tile-mapped sink: one result per owner is its contract
+    # (Z403 fixes the count).
     for spec in graph.filters.values():
         if spec.outputs or spec.name not in placed:
+            continue
+        if getattr(spec, "tile_map", None) is not None:
             continue
         total = sum(cs.copies for cs in placed[spec.name])
         if total > 1:
@@ -219,7 +233,7 @@ def verify_flow(
     policy_for: "Callable[[str], Callable[[], WriterPolicy]]",
     queue_capacity: int,
 ) -> list[Diagnostic]:
-    """Run the ``W3xx`` flow-control and ``Z4xx`` phase rules.
+    """Run the ``W3xx`` flow-control rules and ``Z401``.
 
     ``policy_for`` maps a stream name to its policy *factory* (exactly
     what the engines hold); one probe instance is built per stream to
@@ -247,38 +261,6 @@ def verify_flow(
                     stream.name,
                     f"WRR on stream {stream.name!r}: every consumer copy set "
                     f"runs 1 copy, so weighted cycling degenerates to RR",
-                )
-            )
-        # Z404/Z405 content routing and tile partitioning come in pairs.
-        dst_spec = graph.filters[stream.dst]
-        content_routed = bool(described.get("content_routed"))
-        dst_tile_map = getattr(dst_spec, "tile_map", None)
-        if dst_tile_map is not None and not content_routed:
-            out.append(
-                RULES["Z404"].diagnostic(
-                    stream.name,
-                    f"stream {stream.name!r}: consumer {stream.dst!r} is "
-                    f"tile-mapped but policy "
-                    f"{described.get('name', '?')} is not content-routed; "
-                    f"merge copies would receive tiles they do not own",
-                )
-            )
-        if content_routed and dst_tile_map is None:
-            out.append(
-                RULES["Z404"].diagnostic(
-                    stream.name,
-                    f"stream {stream.name!r}: policy "
-                    f"{described.get('name', '?')} routes by content but "
-                    f"consumer {stream.dst!r} declares no tile_map",
-                )
-            )
-        if content_routed and not dst_spec.phase_synchronised:
-            out.append(
-                RULES["Z405"].diagnostic(
-                    stream.name,
-                    f"stream {stream.name!r}: content-routed policy feeds "
-                    f"{stream.dst!r}, which is not phase-synchronised and "
-                    f"may stream torn per-tile state downstream",
                 )
             )
         if isinstance(window, int):

@@ -145,9 +145,9 @@ _rule(
 )
 _rule(
     "P204", "multi-copy-sink", Severity.WARNING, "placement",
-    "A sink filter runs more than one transparent copy; each copy "
-    "produces an independent partial result and engines return them as "
-    "a list, which is rarely what a merge stage intends.",
+    "A sink filter without a tile map runs more than one transparent "
+    "copy; each copy produces an independent partial result and engines "
+    "return them as a list, which is rarely what a merge stage intends.",
     "Place result-producing sinks as a single copy on one host.",
 )
 
@@ -199,31 +199,20 @@ _rule(
 )
 _rule(
     "Z403", "tile-fanin-mismatch", Severity.ERROR, "tile",
-    "A tile-mapped merge filter's placement does not match its tile "
-    "map's owner count: the tile->owner mapping indexes merge copies in "
-    "placement order, so a missing copy silently drops its tiles and a "
+    "A tile-mapped consumer's placement does not match its tile map's "
+    "owner count: the tile->owner mapping indexes the consumer's copies "
+    "in placement order, so a missing copy silently drops its tiles and a "
     "multi-copy set makes owner indices ambiguous (copies on one host "
     "share a single queue).",
     "Place exactly tile_map.n_owners copy sets of one copy each, on "
     "distinct host labels, in owner order.",
 )
 _rule(
-    "Z404", "tile-routing-mismatch", Severity.ERROR, "tile",
-    "Tile partitioning and content routing must come in pairs: a "
-    "tile-mapped consumer behind a capacity-based policy (RR/WRR/DD) "
-    "receives tiles it does not own, and a content-routed policy into "
-    "an unmapped consumer has no tile_owner tags to route on.",
-    "Pair TileRouted streams with tile-mapped consumers: set the "
-    "stream's policy to TILE and give the consumer spec its tile_map "
-    "(or drop both).",
-)
-_rule(
-    "Z405", "content-routed-unsynced", Severity.WARNING, "tile",
-    "A content-routed policy feeds a consumer that is not "
-    "phase-synchronised: the consumer streams partial per-tile state "
-    "downstream before every producer has delivered its fragments for "
-    "the tile, so downstream observes torn tiles.",
-    "Mark the tile-merge consumer phase_synchronised=True so it emits "
+    "Z405", "tile-map-unsynced", Severity.WARNING, "tile",
+    "A tile-mapped consumer is not phase-synchronised: it streams partial "
+    "per-tile state downstream before every producer has delivered its "
+    "fragments for the tile, so downstream observes torn tiles.",
+    "Mark the tile-mapped consumer phase_synchronised=True so it emits "
     "only at the end-of-work phase boundary.",
 )
 
@@ -273,15 +262,6 @@ _rule(
     "next.",
     "Reset every accumulator in init() — it runs once per cycle, before "
     "the first buffer; __init__ runs only once per copy lifetime.",
-)
-_rule(
-    "C606", "route-ignores-tile-owner", Severity.WARNING, "code",
-    "A content-routed writer policy overrides route() without ever "
-    "reading its tags argument; every tile-tagged buffer is routed "
-    "blindly, so merge copies receive tiles they do not own (the "
-    "code-level twin of the graph-level Z404 mismatch).",
-    "Route on tags['tile_owner'] inside route(), or subclass a "
-    "capacity-based policy instead of a content-routed one.",
 )
 
 # -- E7xx: filter effects / purity (pass 3) ----------------------------------

@@ -55,7 +55,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.configurations import CONFIGURATIONS
+from repro.configurations import ALGORITHMS, CONFIGURATIONS, POLICIES
 
 __all__ = ["main"]
 
@@ -257,14 +257,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from repro.core.policies import make_policy_factory
-
-        policy_factory = make_policy_factory(args.policy)
-
-        def policy_for(_stream: str):
-            return policy_factory
+        from repro.core.policies import stream_policies
 
         for graph, placement, module_file in loaded:
+            policy_for = stream_policies(graph, args.policy)
             found = verify_pipeline(
                 graph,
                 placement,
@@ -446,10 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--image", type=int, default=256, help="image size (pixels)")
     p_render.add_argument("--config", default="RE-Ra-M",
                           choices=CONFIGURATIONS)
-    p_render.add_argument("--algorithm", default="active",
-                          choices=["active", "zbuffer"])
-    p_render.add_argument("--policy", default="DD",
-                          choices=["RR", "WRR", "DD"])
+    p_render.add_argument("--algorithm", default="active", choices=ALGORITHMS)
+    p_render.add_argument("--policy", default="DD", choices=POLICIES)
     p_render.add_argument("--copies", type=int, default=2,
                           help="raster copies per host")
     p_render.add_argument("--isovalue", type=float, default=0.3)
@@ -473,10 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="background jobs per Rogue node")
     p_sim.add_argument("--config", default="RE-Ra-M",
                        choices=CONFIGURATIONS)
-    p_sim.add_argument("--algorithm", default="active",
-                       choices=["active", "zbuffer"])
-    p_sim.add_argument("--policy", default="DD",
-                       choices=["RR", "WRR", "DD"])
+    p_sim.add_argument("--algorithm", default="active", choices=ALGORITHMS)
+    p_sim.add_argument("--policy", default="DD", choices=POLICIES)
     p_sim.add_argument("--image", type=int, default=2048)
     p_sim.add_argument("--trace", action="store_true",
                        help="print a per-copy activity timeline")
@@ -502,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--process", action="store_true",
                         help="lint for the process engine (unpicklable "
                              "filter state becomes an ERROR)")
-    p_lint.add_argument("--policy", default="DD",
-                        choices=["RR", "WRR", "DD"],
+    p_lint.add_argument("--policy", default="DD", choices=POLICIES,
                         help="writer policy assumed for flow-control rules")
     p_lint.add_argument("--queue-capacity", type=int, default=8,
                         help="queue bound assumed for flow-control rules")
@@ -534,10 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="default frame size (pixels)")
     p_serve.add_argument("--config", default="RE-Ra-M",
                          choices=CONFIGURATIONS)
-    p_serve.add_argument("--algorithm", default="active",
-                         choices=["active", "zbuffer"])
-    p_serve.add_argument("--policy", default="DD",
-                         choices=["RR", "WRR", "DD"])
+    p_serve.add_argument("--algorithm", default="active", choices=ALGORITHMS)
+    p_serve.add_argument("--policy", default="DD", choices=POLICIES)
     p_serve.add_argument("--copies", type=int, default=2,
                          help="raster copies per host")
     p_serve.add_argument("--isovalue", type=float, default=0.35,

@@ -1,12 +1,12 @@
-"""The isosurface pipeline's vocabulary: stages, configurations, algorithms.
+"""The pipeline's vocabulary: stages, configurations, algorithms, policies.
 
 The paper's decompositions (Figure 3) are the same four stages — Read,
 Extract, Raster, Merge — grouped differently, and a configuration *name*
 is that grouping: ``"RE-Ra-M"`` is ``(("R", "E"), ("Ra",), ("M",))``.
 :func:`parse_configuration` is the one place the names are read;
 :class:`~repro.viz.app.IsosurfaceApp` builds its graph from the groups,
-and the CLI and ``repro serve`` list :data:`CONFIGURATIONS` as their
-choices.
+and the CLI and ``repro serve`` list :data:`CONFIGURATIONS`,
+:data:`ALGORITHMS` and :data:`POLICIES` as their choices.
 
 This module lives outside :mod:`repro.viz` on purpose: importing anything
 under that package loads the NumPy kernels, and the CLI and the server
@@ -23,6 +23,7 @@ from repro.errors import ConfigurationError, ReproError
 __all__ = [
     "CONFIGURATIONS",
     "ALGORITHMS",
+    "POLICIES",
     "parse_configuration",
     "stage_name",
     "check_algorithm",
@@ -34,6 +35,9 @@ CONFIGURATIONS = ("R-E-Ra-M", "RE-Ra-M", "R-ERa-M", "RERa-M")
 
 #: Hidden-surface-removal algorithms of the Raster and Merge stages.
 ALGORITHMS = ("zbuffer", "active")
+
+#: Session writer-policy names (:func:`repro.core.policies.make_policy_factory`).
+POLICIES = ("RR", "WRR", "DD")
 
 _STAGE = re.compile("Ra|R|E|M")
 

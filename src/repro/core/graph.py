@@ -36,11 +36,15 @@ class FilterSpec:
         boundary (z-buffer raster/merge style); the verifier flags such
         filters behind unsynchronised fan-in (rule ``Z401``).
     ``tile_map``
-        For a distributed-framebuffer merge: the
-        :class:`~repro.core.tiles.TileMap` partitioning this consumer's
-        viewport.  The verifier checks the map's geometry (``Z402``), the
-        tile-owner -> copy-set correspondence (``Z403``) and the pairing
-        with a content-routed writer policy (``Z404``/``Z405``).
+        For a consumer that owns image tiles (a strip raster, a
+        distributed-framebuffer merge): the
+        :class:`~repro.core.tiles.TileMap` partitioning its viewport.  The
+        stream into it is tile-routed by construction
+        (:func:`~repro.core.policies.stream_policies`): each buffer goes to
+        the copy set owning its ``tile_owner`` tag.  The verifier checks
+        the map's geometry (``Z402``), the tile-owner -> copy-set
+        correspondence (``Z403``) and that the consumer is
+        phase-synchronised (``Z405``).
     ``effects``
         Declared effects class of the filter code: one of ``"pure"``,
         ``"stateful"``, ``"io"`` or ``"nondeterministic"``.  The effect

@@ -22,9 +22,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Mapping
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.configurations import POLICIES
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.core.graph import FilterGraph
 
 __all__ = [
     "Target",
@@ -35,6 +39,7 @@ __all__ = [
     "TileRouted",
     "PolicyFactory",
     "make_policy_factory",
+    "stream_policies",
 ]
 
 
@@ -70,12 +75,6 @@ class WriterPolicy(ABC):
     #: policy (Demand Driven needs them).
     needs_ack: bool = False
 
-    #: True if the policy routes on buffer *content* (tags) rather than on
-    #: load/rotation state.  Content-routed policies pair with consumers
-    #: that partition their input deterministically (e.g. a tile-mapped
-    #: merge); the verifier's ``Z4xx`` tile rules key off this flag.
-    content_routed: bool = False
-
     def __init__(self) -> None:
         self.targets: list[Target] = []
 
@@ -98,7 +97,6 @@ class WriterPolicy(ABC):
         return {
             "name": type(self).__name__,
             "needs_ack": self.needs_ack,
-            "content_routed": self.content_routed,
             "window": window if isinstance(window, int) else None,
         }
 
@@ -237,32 +235,22 @@ class DemandDriven(WriterPolicy):
 class TileRouted(WriterPolicy):
     """Content routing for a distributed tile framebuffer.
 
-    Every outgoing buffer must carry an integer owner index under ``tag``
-    (default ``"tile_owner"``); the buffer is delivered to the consumer
-    copy set at that index, in placement order.  Producers split their
-    output per tile before writing, so each buffer lands on exactly the
-    merge copy owning its tile — the routing decision is a table lookup,
-    never load-dependent, and needs no acknowledgments.
+    Every outgoing buffer must carry an integer owner index under the
+    ``"tile_owner"`` tag; the buffer is delivered to the consumer copy set
+    at that index, in placement order.  Producers split their output per
+    tile before writing, so each buffer lands on exactly the copy owning
+    its tile — the routing decision is a table lookup, never
+    load-dependent, and needs no acknowledgments.
 
     The owner index keys the consumer's *copy sets*: a tile-routed
     consumer must run its copies as one single-copy set per owner
     (verifier rule ``Z403``), because copies within one set share a queue
-    and any of them could dequeue a buffer meant for a sibling.
+    and any of them could dequeue a buffer meant for a sibling.  Engines
+    never take it as a session policy: :func:`stream_policies` puts it on
+    exactly the streams into tile-mapped consumers.
     """
 
-    content_routed = True
-
-    def __init__(self, tag: str = "tile_owner") -> None:
-        super().__init__()
-        if not tag:
-            raise ConfigurationError("TileRouted tag must be non-empty")
-        self.tag = tag
-
-    def describe(self) -> dict[str, object]:
-        """Static self-description (see WriterPolicy.describe)."""
-        described = super().describe()
-        described["tag"] = self.tag
-        return described
+    tag = "tile_owner"
 
     def select(self) -> Target | None:
         """Unavailable: tile routing needs the buffer's tags (use route)."""
@@ -291,12 +279,9 @@ class TileRouted(WriterPolicy):
 #: A callable producing a fresh policy per writer.
 PolicyFactory = Callable[[], WriterPolicy]
 
-_REGISTRY: dict[str, Callable[..., WriterPolicy]] = {
-    "RR": RoundRobin,
-    "WRR": WeightedRoundRobin,
-    "DD": DemandDriven,
-    "TILE": TileRouted,
-}
+_REGISTRY: dict[str, Callable[..., WriterPolicy]] = dict(
+    zip(POLICIES, (RoundRobin, WeightedRoundRobin, DemandDriven))
+)
 
 
 def make_policy_factory(name: str, **kwargs: object) -> PolicyFactory:
@@ -312,3 +297,35 @@ def make_policy_factory(name: str, **kwargs: object) -> PolicyFactory:
             f"unknown policy {name!r}; choose from {sorted(_REGISTRY)}"
         ) from None
     return lambda: cls(**kwargs)
+
+
+def stream_policies(
+    graph: "FilterGraph", policy: "str | PolicyFactory"
+) -> Callable[[str], PolicyFactory]:
+    """Resolve the writer-policy factory of every stream of ``graph``.
+
+    A stream into a consumer that declares a ``tile_map`` is tile-routed
+    (:class:`TileRouted`): the consumer's copy sets own the tiles, so the
+    owner of a buffer's tile is the copy that receives it.  Every other
+    stream runs the session ``policy`` (a registry name or a factory).
+    The table is built once, here; the returned lookup is what engines
+    and the analyser call per stream.  A session policy that is itself
+    tile-routed is refused: it would route streams whose consumers own
+    no tiles.
+    """
+    session = policy if callable(policy) else make_policy_factory(policy)
+    if isinstance(session(), TileRouted):
+        raise ConfigurationError(
+            "TileRouted is not a session policy: streams into a consumer "
+            "with a tile_map are tile-routed already; pass RR, WRR or DD"
+        )
+    routed: dict[str, PolicyFactory] = {
+        stream.name: TileRouted
+        for stream in graph.streams.values()
+        if getattr(graph.filters.get(stream.dst), "tile_map", None) is not None
+    }
+
+    def policy_for(stream: str) -> PolicyFactory:
+        return routed.get(stream, session)
+
+    return policy_for

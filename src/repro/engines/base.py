@@ -7,7 +7,6 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 from repro.core.instrument import RunMetrics
-from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -34,26 +33,6 @@ class Engine(ABC):
     @abstractmethod
     def run(self) -> RunMetrics:
         """Execute one unit of work and return its measurements."""
-
-    def _set_policies(
-        self,
-        policy: str | PolicyFactory,
-        overrides: dict[str, str | PolicyFactory] | None,
-    ) -> None:
-        """Resolve the default writer policy and the per-stream overrides."""
-        self._default_factory = self._resolve(policy)
-        self._stream_factories = {
-            name: self._resolve(p) for name, p in (overrides or {}).items()
-        }
-
-    @staticmethod
-    def _resolve(policy: str | PolicyFactory) -> PolicyFactory:
-        if callable(policy):
-            return policy
-        return make_policy_factory(policy)
-
-    def _policy_for(self, stream: str) -> PolicyFactory:
-        return self._stream_factories.get(stream, self._default_factory)
 
 
 def validate_run_setup(

@@ -83,7 +83,6 @@ class WarmPool(ProcessEngine):
         graph: FilterGraph,
         placement: Placement,
         policy: "str | PolicyFactory" = "DD",
-        policy_overrides: "dict[str, str | PolicyFactory] | None" = None,
         queue_capacity: int = 8,
         ack_nbytes: int = DEFAULT_ACK_BYTES,
         codec=None,
@@ -93,7 +92,6 @@ class WarmPool(ProcessEngine):
             graph,
             placement,
             policy=policy,
-            policy_overrides=policy_overrides,
             queue_capacity=queue_capacity,
             ack_nbytes=ack_nbytes,
             tracer=None,

@@ -35,7 +35,7 @@ from repro.core.filter import FilterContext
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, Target
+from repro.core.policies import PolicyFactory, Target, stream_policies
 from repro.core.tracing import Tracer
 from repro.engines import runtime
 from repro.engines.base import Engine, emit_analysis_events, validate_run_setup
@@ -127,10 +127,9 @@ class SimulatedEngine(Engine):
     placement:
         Filter-to-host mapping with copy counts.
     policy:
-        Writer policy for all streams: a name (``"RR"``/``"WRR"``/``"DD"``)
-        or a :data:`PolicyFactory`.
-    policy_overrides:
-        Optional per-stream policy (stream name -> name or factory).
+        Session writer policy: a name (``"RR"``/``"WRR"``/``"DD"``) or a
+        :data:`PolicyFactory`.  Streams into a tile-mapped consumer are
+        tile-routed regardless (:func:`~repro.core.policies.stream_policies`).
     queue_capacity:
         Bounded copy-set queue size in buffers (backpressure depth).
     ack_nbytes:
@@ -148,12 +147,11 @@ class SimulatedEngine(Engine):
         graph: FilterGraph,
         placement: Placement,
         policy: str | PolicyFactory = "DD",
-        policy_overrides: dict[str, str | PolicyFactory] | None = None,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         ack_nbytes: int = DEFAULT_ACK_BYTES,
         tracer: "Tracer | None" = None,
     ):
-        self._set_policies(policy, policy_overrides)
+        self._policy_for = stream_policies(graph, policy)
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "simulated",
             policy_for=self._policy_for, known_hosts=cluster.hosts,

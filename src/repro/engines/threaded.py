@@ -22,7 +22,7 @@ from repro.core.buffer import BufferCodec
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory
+from repro.core.policies import PolicyFactory, stream_policies
 from repro.core.tracing import Tracer
 from repro.engines.base import Engine, open_wall_trace, validate_run_setup
 from repro.engines.runtime import (
@@ -65,13 +65,12 @@ class ThreadedEngine(Engine):
         graph: FilterGraph,
         placement: Placement,
         policy: str | PolicyFactory = "DD",
-        policy_overrides: dict[str, str | PolicyFactory] | None = None,
         queue_capacity: int = 8,
         ack_nbytes: int = DEFAULT_ACK_BYTES,
         tracer: "Tracer | None" = None,
         codec: "BufferCodec | None" = None,
     ):
-        self._set_policies(policy, policy_overrides)
+        self._policy_for = stream_policies(graph, policy)
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "threaded",
             policy_for=self._policy_for,

@@ -103,7 +103,6 @@ def run_datacutter(
     compute_hosts: list[str] | None = None,
     merge_host: str | None = None,
     copies_per_host: int | dict[str, int] = 1,
-    engine_kwargs: dict[str, Any] | None = None,
 ) -> list[RunMetrics]:
     """Render ``timesteps`` consecutively with the DataCutter engine.
 
@@ -129,8 +128,6 @@ def run_datacutter(
             merge_host=merge_host,
             copies_per_host=copies_per_host,
         )
-        engine = SimulatedEngine(
-            cluster, graph, placement, policy=policy, **(engine_kwargs or {})
-        )
+        engine = SimulatedEngine(cluster, graph, placement, policy=policy)
         results.append(engine.run().validate(graph))
     return results

@@ -38,7 +38,6 @@ from repro.core.fuse import StageModel, fuse, fuse_models
 from repro.core.graph import FilterGraph
 from repro.core.negotiate import declare_bounds, negotiate
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.core.tiles import TileMap
 from repro.data.chunks import ChunkSource
 from repro.data.storage import StorageMap
@@ -145,8 +144,9 @@ class IsosurfaceApp:
         ``merge_copies > 1`` replaces the single Merge sink with the
         simulated distributed tile framebuffer: ``merge_tiles`` row-band
         tiles (default: one per copy) owned round-robin by
-        ``merge_copies`` tile-merge models behind a ``TileRouted`` writer,
-        gathered by a lightweight single-copy sink.  It has no real
+        ``merge_copies`` tile-merge models, gathered by a lightweight
+        single-copy sink.  The tile-merge stage declares the tile map, so
+        every engine tile-routes the stream into it.  It has no real
         factories: with a ``dataset`` it is refused (on two cores it never
         paid, ROADMAP 7).  ``merge_copies=1`` is exactly the classic
         single-merge pipeline.
@@ -230,19 +230,6 @@ class IsosurfaceApp:
         upstream = stage_name(parse_configuration(configuration)[-2])
         dst = "TM" if self.merge_copies > 1 else "M"
         return f"{upstream}->{dst}"
-
-    def policy_overrides(
-        self, configuration: str
-    ) -> dict[str, PolicyFactory]:
-        """Per-stream writer-policy overrides the engines need.
-
-        A tiled pipeline routes the raster -> merge stream by buffer
-        content (``TileRouted``) regardless of the session-wide policy;
-        every other stream keeps the engine default.
-        """
-        if self.merge_copies == 1:
-            return {}
-        return {self.merge_stream(configuration): make_policy_factory("TILE")}
 
     # -- graph builder ---------------------------------------------------------
     def graph(self, configuration: str) -> FilterGraph:
@@ -403,7 +390,7 @@ class IsosurfaceApp:
 
         With ``merge_copies > 1`` the tile-merge filter runs as
         ``merge_copies`` single-copy sets, one per owner index *in order*
-        (the ``TileRouted`` routing invariant), on ``merge_hosts`` when
+        (the tile-routing invariant, ``Z403``), on ``merge_hosts`` when
         given, else on the first compute hosts (padded with synthesized
         ``host:mN`` labels on a single-host testbed); the gather keeps the
         classic single-copy placement on ``merge_host``.

@@ -13,9 +13,10 @@ can be measured (``benchmarks/test_ablation_image_partition.py``):
 - the source stage is ``fuse(R, E, route)``: the route part sends each
   triangle to every tile its projection overlaps (a triangle spanning a
   boundary is drawn by both owners; each keeps only its own columns, so
-  the assembled image is exact), tagged for the ``TileRouted`` policy;
+  the assembled image is exact), tagged with its ``tile_owner``;
 - ``Ra`` is the ordinary raster part placed as a *sink*, one single-copy
-  set per owner in owner order; there is no Merge.
+  set per owner in owner order; it declares the tile map, so every engine
+  routes ``RE->Ra`` by the owner tag.  There is no Merge.
 
 :func:`build_partitioned_graph` carries cost models and — given a dataset
 — real factories; ``assemble_strips`` rebuilds the full image for
@@ -134,7 +135,7 @@ class StripRouteModel(StageModel):
         return cost, unit
 
     def packets(self, unit: Unit) -> list[DataBuffer]:
-        """Per-tile triangle buffers, tagged for ``TileRouted``."""
+        """Per-tile triangle buffers, tagged with their owner."""
         out: list[DataBuffer] = []
         shares = _split_counts(unit["triangles"], self.weights)
         for tile, share in zip(self.tile_map.tiles, shares):
@@ -166,8 +167,9 @@ def build_partitioned_graph(
 ) -> FilterGraph:
     """``RE`` source -> tile-routed ``Ra`` sinks, one per region, no Merge.
 
-    Place ``Ra`` as ``regions`` single-copy sets in owner order and run
-    the graph with ``policy_overrides={"RE->Ra": "TILE"}``.  With a
+    Place ``Ra`` as ``regions`` single-copy sets in owner order (e.g.
+    :func:`~repro.viz.app.owner_hosts`); any engine runs the graph as it
+    is, ``RE->Ra`` tile-routed because ``Ra`` declares the tile map.  With a
     ``dataset`` (any ``chunk_field`` provider) the graph also carries real
     factories (z-buffer rasters; see :func:`assemble_strips`).
     """

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement, SimFilter, SimSource, SourceItem
+from repro.core.policies import TileRouted
+from repro.core.tiles import TileMap
 from repro.core.tracing import Tracer
 from repro.engines.pool import WarmPool
 from repro.engines.process import ProcessEngine
 from repro.engines.simulated import SimulatedEngine
 from repro.engines.threaded import ThreadedEngine
-from repro.errors import AnalysisError, GraphError, PlacementError
+from repro.errors import AnalysisError, ConfigurationError, GraphError, PlacementError
 from repro.sim import Environment, homogeneous_cluster
 
 
@@ -289,8 +291,7 @@ def test_engine_construction_explores_no_protocol_model(kind, monkeypatch):
     for config in CONFIGURATIONS:
         graph = app.graph(config)
         engine = build_engine(
-            kind, graph, app.placement(config, compute_hosts=hosts),
-            policy_overrides=app.policy_overrides(config),
+            kind, graph, app.placement(config, compute_hosts=hosts)
         )
         try:
             assert "F904" not in engine._analysis_report.rule_ids()
@@ -303,3 +304,65 @@ def test_engine_construction_explores_no_protocol_model(kind, monkeypatch):
             frames.append(metrics.result.image)
     for frame in frames[1:]:
         assert np.array_equal(frame, frames[0])
+
+
+# -- a tile-mapped consumer is tile-routed by construction -------------------
+
+
+class OwnerSource(Filter):
+    def flush(self, ctx):
+        for owner in (1, 0, 1):
+            ctx.write(DataBuffer(8, payload=owner, tags={"tile_owner": owner}))
+
+
+class OwnerSimSource(SimSource):
+    def items(self, ctx):
+        for owner in (1, 0, 1):
+            yield SourceItem(outputs=[DataBuffer(100, tags={"tile_owner": owner})])
+
+
+class OwnerSink(Filter):
+    def init(self, ctx):
+        self.seen = []
+
+    def handle(self, ctx, buffer):
+        self.seen.append(buffer.payload)
+
+    def result(self):
+        return tuple(self.seen)
+
+
+def tile_routed_pipeline():
+    """One source writing owner-tagged buffers into two tile owners."""
+    g = FilterGraph()
+    g.add_filter("src", factory=OwnerSource, sim_factory=OwnerSimSource,
+                 is_source=True)
+    g.add_filter("strips", factory=OwnerSink, sim_factory=Counting,
+                 phase_synchronised=True, tile_map=TileMap.grid(4, 4, 2, 1))
+    g.connect("src", "strips")
+    p = Placement().place("src", ["node0"]).place("strips", ["node0", "node1"])
+    return g, p
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_engine_tile_routes_a_tile_mapped_consumer(kind):
+    """No policy argument: under an RR session the stream still follows
+    the owner tags (RR would hand owner 0 the first and third buffers)."""
+    g, p = tile_routed_pipeline()
+    engine = build_engine(kind, g, p, policy="RR")
+    try:
+        metrics = engine.run()
+    finally:
+        if kind == "pool":
+            engine.close()
+    assert metrics.result == ([1, 2] if kind == "simulated" else [(0,), (1, 1)])
+    assert engine._analysis_report.rule_ids() == set()
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_engine_refuses_a_tile_routed_session_policy(kind):
+    g, p = tile_routed_pipeline()
+    before = multiprocessing.active_children()
+    with pytest.raises(ConfigurationError, match="session policy"):
+        build_engine(kind, g, p, policy=TileRouted)
+    assert multiprocessing.active_children() == before

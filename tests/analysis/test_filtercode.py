@@ -341,64 +341,3 @@ def test_c605_honours_init_reset_helpers_and_clear():
         """
     )
     assert "C605" not in rules_of(diags)
-
-
-# -- C606 content-routed route() ignoring its tags ---------------------------
-
-
-def test_c606_tilerouted_subclass_ignoring_tags():
-    diags = lint(
-        """
-        class BlindRouter(TileRouted):
-            def route(self, tags=None):
-                return self.select()  # round-robins tile fragments
-        """
-    )
-    hits = [d for d in diags if d.rule == "C606"]
-    assert len(hits) == 1
-    assert hits[0].severity is Severity.WARNING
-    assert hits[0].subject == "BlindRouter.route"
-    assert "tile_owner" in hits[0].message
-
-
-def test_c606_content_routed_attribute_ignoring_tags():
-    diags = lint(
-        """
-        class Custom(WriterPolicy):
-            content_routed = True
-
-            def route(self, tags=None):
-                return self.targets[0]
-        """
-    )
-    assert "C606" in rules_of(diags)
-
-
-def test_c606_silent_when_route_reads_its_tags():
-    diags = lint(
-        """
-        class ProperRouter(TileRouted):
-            def route(self, tags=None):
-                owner = tags.get(self.tag) if tags else None
-                return self.targets[owner]
-        """
-    )
-    assert "C606" not in rules_of(diags)
-
-
-def test_c606_silent_for_non_content_routed_policies():
-    diags = lint(
-        """
-        class PlainPolicy(WriterPolicy):
-            def route(self, tags=None):
-                return self.select()  # the base contract: tags optional
-        """
-    )
-    assert "C606" not in rules_of(diags)
-
-
-def test_c606_shipped_tilerouted_policy_is_clean():
-    import repro.core.policies as policies
-
-    diags = lint_file(policies.__file__)
-    assert "C606" not in rules_of(diags)

@@ -54,7 +54,7 @@ def test_every_metadata_field_is_declared_by_a_shipped_graph(monkeypatch):
         if f.name not in STRUCTURAL
     }
     graphs = list(shipped_graphs())
-    assert len(graphs) == 16 + 1 + 4
+    assert len(graphs) == 16 + 1 + 5
     declared = {
         name
         for graph in graphs

@@ -16,13 +16,12 @@ from repro.analysis import (
 )
 from repro.core.graph import FilterGraph
 from repro.core.placement import Placement
-from repro.core.policies import make_policy_factory
+from repro.core.policies import make_policy_factory, stream_policies
 from repro.core.tiles import TileMap
 
 DD1 = make_policy_factory("DD", window=1)
 DD = make_policy_factory("DD")
 RR = make_policy_factory("RR")
-TILE = make_policy_factory("TILE")
 
 
 def placed(mapping):
@@ -111,7 +110,7 @@ def test_dd_credit_cycle_yields_f902_counterexample():
     g, p = dd_credit_cycle()
     result = check_protocol(
         g, p,
-        policy_for=lambda s: TILE if s == "ra->tm" else DD1,
+        policy_for=stream_policies(g, DD1),
         queue_capacity=2, max_buffers=5, max_states=300_000,
     )
     assert result.deadlock_free is False
@@ -127,7 +126,7 @@ def test_dd_credit_cycle_diagnostic_carries_the_trace():
     g, p = dd_credit_cycle()
     diags = verify_protocol(
         g, p,
-        policy_for=lambda s: TILE if s == "ra->tm" else DD1,
+        policy_for=stream_policies(g, DD1),
         queue_capacity=2, max_states=300_000, max_buffers=5,
     )
     hits = [d for d in diags if d.rule == "F902"]
@@ -226,10 +225,9 @@ def test_isosurface_configs_proved_deadlock_free(config):
     app = IsosurfaceApp(profile, storage, width=16, height=16)
     g = app.graph(config)
     p = app.placement(config, compute_hosts=["h0", "h1"])
-    overrides = app.policy_overrides(config)
     result = check_protocol(
         g, p,
-        policy_for=lambda s: overrides.get(s, DD),
+        policy_for=stream_policies(g, DD),
         queue_capacity=4, max_buffers=1, max_states=500_000,
     )
     assert result.deadlock_free is True, result.stuck

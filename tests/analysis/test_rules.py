@@ -19,7 +19,7 @@ from repro.analysis import (
 )
 from repro.core.graph import FilterGraph
 from repro.core.placement import Placement
-from repro.core.policies import make_policy_factory
+from repro.core.policies import make_policy_factory, stream_policies
 from repro.core.tiles import Tile, TileMap
 from repro.errors import AnalysisError, GraphError, PlacementError
 
@@ -173,6 +173,16 @@ def test_p204_multi_copy_sink_warning():
     assert hits[0].severity is Severity.WARNING
 
 
+def test_p204_silent_for_tile_mapped_sink():
+    # One frame per owner is the strip pipeline's contract (assemble_strips
+    # reads it; Z403 fixes its length), not a stray multi-copy sink.
+    g = linear_graph("a", "sink")
+    g.filters["sink"].tile_map = TileMap.grid(8, 8, 2, 1)
+    g.filters["sink"].phase_synchronised = True
+    p = placed(g, {"a": ["h0"], "sink": [("h0", 1), ("h1", 1)]})
+    assert verify_placement(g, p) == []
+
+
 def test_clean_placement_has_no_diagnostics():
     g = linear_graph("a", "b", "c")
     p = placed(g, {"a": ["h0"], "b": [("h0", 2), ("h1", 2)], "c": ["h1"]})
@@ -240,7 +250,7 @@ def test_z401_silent_for_single_input_phase_filter():
     assert "Z401" not in rules_of(flow(g, p))
 
 
-# -- Z402..Z405 tile framebuffer ---------------------------------------------
+# -- Z402, Z403, Z405 tile framebuffer --------------------------------------
 
 
 def tile_graph(tile_map, policy_synced=True):
@@ -301,38 +311,19 @@ def test_z403_silent_for_one_single_copy_set_per_owner():
     assert "Z403" not in rules_of(verify_placement(g, p))
 
 
-def test_z404_tile_mapped_consumer_needs_content_routing():
-    g = tile_graph(TileMap.rows(8, 8, 2, 2))
-    p = placed(g, {"ra": ["h0"], "tm": [("h1", 1), ("h2", 1)]})
-    hits = assert_rule(flow(g, p, policy="DD"), "Z404")
-    assert "not content-routed" in hits[0].message
-
-
-def test_z404_content_routed_needs_tile_map():
-    g = linear_graph("a", "b")
-    g.filters["b"].phase_synchronised = True
-    p = placed(g, {"a": ["h0"], "b": ["h0"]})
-    hits = assert_rule(flow(g, p, policy="TILE"), "Z404")
-    assert "no tile_map" in hits[0].message
-
-
-def test_z404_silent_when_paired():
-    g = tile_graph(TileMap.rows(8, 8, 2, 2))
-    p = placed(g, {"ra": ["h0"], "tm": [("h1", 1), ("h2", 1)]})
-    diags = flow(g, p, policy="TILE")
-    assert "Z404" not in rules_of(diags)
-    assert "Z405" not in rules_of(diags)
-
-
 def test_z405_content_routed_into_unsynced_consumer():
+    # The stream into a tile-mapped consumer is content-routed by
+    # construction; the consumer must hold its tiles until end-of-work.
     g = tile_graph(TileMap.rows(8, 8, 2, 2), policy_synced=False)
-    p = placed(g, {"ra": ["h0"], "tm": [("h1", 1), ("h2", 1)]})
-    hits = assert_rule(flow(g, p, policy="TILE"), "Z405")
+    hits = assert_rule(verify_graph(g), "Z405")
     assert hits[0].severity is Severity.WARNING
+    assert hits[0].subject == "tm"
+    synced = tile_graph(TileMap.rows(8, 8, 2, 2))
+    assert "Z405" not in rules_of(verify_graph(synced))
 
 
 def test_tiled_app_pipeline_is_clean():
-    # The real builder wires TM the way Z402..Z405 demand.
+    # The real builder wires TM the way Z402, Z403 and Z405 demand.
     from repro.data import HostDisks, StorageMap
     from repro.viz import IsosurfaceApp
     from repro.viz.profile import DatasetProfile
@@ -350,13 +341,7 @@ def test_tiled_app_pipeline_is_clean():
     )
     g = app.graph("RE-Ra-M")
     p = app.placement("RE-Ra-M", compute_hosts=["h0", "h1"])
-    overrides = app.policy_overrides("RE-Ra-M")
-    default = make_policy_factory("DD")
-    report = verify_pipeline(
-        g,
-        p,
-        policy_for=lambda s: overrides.get(s, default),
-    )
+    report = verify_pipeline(g, p, policy_for=stream_policies(g, "DD"))
     assert not report.errors
 
 

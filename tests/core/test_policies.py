@@ -1,14 +1,18 @@
-"""Unit tests for RR / WRR / DD writer policies."""
+"""Unit tests for RR / WRR / DD / tile-routed writer policies."""
 
 import pytest
 
+from repro.core.graph import FilterGraph
 from repro.core.policies import (
     DemandDriven,
     RoundRobin,
     Target,
+    TileRouted,
     WeightedRoundRobin,
     make_policy_factory,
+    stream_policies,
 )
+from repro.core.tiles import TileMap
 from repro.errors import ConfigurationError
 
 
@@ -182,12 +186,10 @@ def test_wrr_rebind_same_targets_restarts_cycle():
     assert policy.select().host == "a"
 
 
-# -- TILE (content routing) --------------------------------------------------
+# -- TileRouted (content routing) --------------------------------------------
 
 
 def tile_policy(n=3):
-    from repro.core.policies import TileRouted
-
     policy = TileRouted()
     policy.bind(targets(*[(f"h{i}", 1) for i in range(n)]))
     return policy
@@ -225,26 +227,15 @@ def test_tile_out_of_range_owner_raises():
         tile_policy(2).route({"tile_owner": -1})
 
 
-def test_tile_custom_tag_and_describe():
-    from repro.core.policies import TileRouted
-
-    policy = TileRouted(tag="band")
-    policy.bind(targets(("a", 1)))
-    assert policy.route({"band": 0}).host == "a"
-    described = policy.describe()
-    assert described["name"] == "TileRouted"
-    assert described["content_routed"] is True
-    assert described["tag"] == "band"
-    with pytest.raises(ConfigurationError, match="non-empty"):
-        TileRouted(tag="")
+def test_tile_describe():
+    described = tile_policy().describe()
+    assert described == {"name": "TileRouted", "needs_ack": False, "window": None}
 
 
-def test_tile_registered_in_factory():
-    from repro.core.policies import TileRouted
-
-    policy = make_policy_factory("TILE")()
-    assert isinstance(policy, TileRouted)
-    assert policy.needs_ack is False
+def test_tile_not_in_factory_registry():
+    # Tile routing follows from the consumer's tile map, never from a name.
+    with pytest.raises(ConfigurationError, match="unknown policy"):
+        make_policy_factory("TILE")
 
 
 def test_capacity_policies_route_ignores_tags():
@@ -253,4 +244,39 @@ def test_capacity_policies_route_ignores_tags():
     policy.bind(targets(("a", 1), ("b", 1)))
     assert policy.route({"tile_owner": 1}).host == "a"
     assert policy.route(None).host == "b"
-    assert policy.describe()["content_routed"] is False
+
+
+# -- stream_policies (the per-stream resolver) --------------------------------
+
+
+def tiled_graph():
+    """src -> relay -> strips, with ``strips`` owning two tiles."""
+    g = FilterGraph()
+    g.add_filter("src", is_source=True)
+    g.add_filter("relay")
+    g.add_filter(
+        "strips", phase_synchronised=True, tile_map=TileMap.grid(8, 8, 2, 1)
+    )
+    g.connect("src", "relay")
+    g.connect("relay", "strips")
+    return g
+
+
+def test_stream_policies_tile_route_into_tile_mapped_consumers():
+    policy_for = stream_policies(tiled_graph(), "DD")
+    assert policy_for("relay->strips") is TileRouted
+    assert isinstance(policy_for("src->relay")(), DemandDriven)
+
+
+def test_stream_policies_session_factory_passes_through():
+    session = make_policy_factory("DD", window=2)
+    policy_for = stream_policies(tiled_graph(), session)
+    assert policy_for("src->relay") is session
+    assert policy_for("relay->strips") is TileRouted
+
+
+def test_stream_policies_refuse_a_tile_routed_session():
+    with pytest.raises(ConfigurationError, match="session policy"):
+        stream_policies(tiled_graph(), TileRouted)
+    with pytest.raises(ConfigurationError, match="unknown policy"):
+        stream_policies(tiled_graph(), "TILE")

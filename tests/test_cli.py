@@ -92,6 +92,22 @@ def test_parser_rejects_bad_choice():
         build_parser().parse_args(["simulate", "--policy", "MAGIC"])
 
 
+@pytest.mark.parametrize("command", ["render", "simulate", "serve", "lint"])
+def test_parser_choices_are_the_session_vocabulary(command):
+    """--policy (and --algorithm) list repro.configurations' tuples; tile
+    routing is no session policy, so TILE is refused."""
+    from repro.configurations import ALGORITHMS, POLICIES
+
+    parser = build_parser()
+    for name in POLICIES:
+        assert parser.parse_args([command, "--policy", name]).policy == name
+    if command != "lint":
+        for name in ALGORITHMS:
+            assert parser.parse_args([command, "--algorithm", name]).algorithm == name
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--policy", "TILE"])
+
+
 def test_simulate_trace_timeline(capsys):
     code = main(
         ["simulate", "--scale", "0.01", "--rogue", "1", "--blue", "1",
@@ -354,9 +370,9 @@ def test_lint_deep_runs_the_deep_passes(tmp_path, capsys, monkeypatch):
 def test_lint_deep_over_the_shipped_configurations(capsys, monkeypatch):
     """CI's deep-lint targets at the default bound, output pinned.
 
-    Recorded when the protocol pass was still inside ``verify_pipeline``
-    (a88fbce): three of the four configurations are truncated at 4,000
-    states, ``RERa-M`` is proved, nothing else fires, the exit code is 0.
+    Three of the four configurations are truncated at 4,000 states;
+    ``RERa-M`` and the two-owner strip pipeline are proved, nothing else
+    fires, the exit code is 0.
     """
     root = Path(__file__).resolve().parents[1]
     monkeypatch.chdir(root)
@@ -373,6 +389,20 @@ def test_lint_deep_over_the_shipped_configurations(capsys, monkeypatch):
         "with a higher max_states for a complete proof.\n"
     )
     assert capsys.readouterr().out == truncated * 3 + "-- 3 info (3 total)\n"
+    assert code == 0
+
+
+@pytest.mark.parametrize("policy", ["RR", "WRR", "DD"])
+def test_lint_passes_the_shipped_strip_pipeline(policy, capsys, monkeypatch):
+    """``Ra`` declares the tile map, so ``RE->Ra`` is tile-routed under any
+    session policy, and one frame per owner is no multi-copy sink."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "examples"))
+    code = main(
+        ["lint", "--policy", policy,
+         "--graph-module", "deep_lint_targets:strip_target"]
+    )
+    assert capsys.readouterr().out == "no diagnostics\n"
     assert code == 0
 
 

@@ -188,10 +188,7 @@ def test_tiled_merge_simulated_engine(scenario):
         merge_host="node2",
         merge_hosts=["node3", "node4"],
     )
-    metrics = SimulatedEngine(
-        cluster, graph, placement, policy="DD",
-        policy_overrides=app.policy_overrides("RE-Ra-M"),
-    ).run()
+    metrics = SimulatedEngine(cluster, graph, placement, policy="DD").run()
     assert metrics.makespan > 0
     # The gather's result is shape-compatible with the single merge's.
     result = metrics.result
@@ -209,7 +206,6 @@ def test_merge_copies_validation(scenario):
     # merge_tiles without tiling is meaningless but harmless at 1 copy.
     app = IsosurfaceApp(profile, storage, merge_copies=1)
     assert app.tile_map() is None
-    assert app.policy_overrides("RE-Ra-M") == {}
     # The fan-out has cost models only: a real dataset is refused.
     with pytest.raises(ConfigurationError, match="simulated only"):
         IsosurfaceApp(profile, storage, dataset=dataset, merge_copies=2)

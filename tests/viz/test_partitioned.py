@@ -16,9 +16,6 @@ from repro.viz.filters import RenderResult
 from repro.viz.partitioned import assemble_strips, build_partitioned_graph
 from repro.viz.profile import DatasetProfile
 
-TILE_ROUTED = {"RE->Ra": "TILE"}
-
-
 def small_profile():
     return DatasetProfile.synthetic(
         "p", (17, 17, 17), nchunks=8, nfiles=4, timesteps=1,
@@ -68,7 +65,8 @@ def _shm_segments():
                          ids=lambda cls: cls.__name__)
 def test_partitioned_matches_merge_based_image(scenario, engine_cls):
     """Content routing (``TileRouted`` through ``Writer.send``) delivers
-    every strip its triangles, in threads and across processes."""
+    every strip its triangles, in threads and across processes — with no
+    policy argument: ``Ra``'s tile map makes ``RE->Ra`` tile-routed."""
     dataset, profile, storage, iso = scenario
     before = _shm_segments()
     width = height = 40
@@ -94,9 +92,7 @@ def test_partitioned_matches_merge_based_image(scenario, engine_cls):
         .place("RE", ["h0"])
         .place("Ra", owner_hosts(3, ["h0"], "h0"))
     )
-    metrics = engine_cls(
-        graph, placement, policy_overrides=TILE_ROUTED
-    ).run()
+    metrics = engine_cls(graph, placement).run()
     image = assemble_strips(metrics.result, graph.filters["Ra"].tile_map)
     np.testing.assert_array_equal(image, ref)
     assert sum(r.buffers_merged for r in metrics.result) == (
@@ -142,9 +138,7 @@ def sim_partitioned(regions, weights=None, nodes=4, tris=40_000):
         .place("RE", [names[0]])
         .place("Ra", [names[(region + 1) % nodes] for region in range(regions)])
     )
-    return SimulatedEngine(
-        cluster, graph, placement, policy="RR", policy_overrides=TILE_ROUTED
-    ).run()
+    return SimulatedEngine(cluster, graph, placement, policy="RR").run()
 
 
 def test_sim_partitioned_distributes_triangles():
