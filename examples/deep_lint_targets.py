@@ -21,8 +21,7 @@ from repro.core.placement import Placement
 from repro.data import HostDisks, StorageMap
 from repro.viz import CONFIGURATIONS as CONFIGS
 from repro.viz import IsosurfaceApp
-from repro.viz.app import owner_hosts
-from repro.viz.partitioned import build_partitioned_graph
+from repro.viz.partitioned import build_partitioned_graph, owner_hosts
 from repro.viz.profile import DatasetProfile
 
 HOSTS = ("h0", "h1")

@@ -105,29 +105,6 @@ def verify_graph(graph: "FilterGraph") -> list[Diagnostic]:
                     )
                 )
 
-    # Z402 tile maps must be valid owner-assigned partitions; Z405 their
-    # consumers phase-synchronised.
-    for spec in graph.filters.values():
-        tile_map = getattr(spec, "tile_map", None)
-        if tile_map is None:
-            continue
-        for problem in tile_map.problems():
-            out.append(
-                RULES["Z402"].diagnostic(
-                    spec.name,
-                    f"filter {spec.name!r} tile map: {problem}",
-                )
-            )
-        if not spec.phase_synchronised:
-            out.append(
-                RULES["Z405"].diagnostic(
-                    spec.name,
-                    f"tile-mapped consumer {spec.name!r} is not "
-                    f"phase-synchronised and may stream torn per-tile state "
-                    f"downstream",
-                )
-            )
-
     seen_pairs: dict[tuple[str, str], int] = {}
     for stream in graph.streams.values():
         pair = (stream.src, stream.dst)

@@ -189,15 +189,6 @@ _rule(
 )
 
 _rule(
-    "Z402", "tile-map-invalid", Severity.ERROR, "tile",
-    "A filter declares a tile map that does not partition its viewport: "
-    "tiles leave pixels uncovered, overlap each other, fall outside the "
-    "viewport, or name owners inconsistently, so tile-routed fragments "
-    "are lost or double-merged.",
-    "Build tile maps with TileMap.rows()/grid(), or fix the hand-built "
-    "map until TileMap.problems() is empty.",
-)
-_rule(
     "Z403", "tile-fanin-mismatch", Severity.ERROR, "tile",
     "A tile-mapped consumer's placement does not match its tile map's "
     "owner count: the tile->owner mapping indexes the consumer's copies "
@@ -206,14 +197,6 @@ _rule(
     "share a single queue).",
     "Place exactly tile_map.n_owners copy sets of one copy each, on "
     "distinct host labels, in owner order.",
-)
-_rule(
-    "Z405", "tile-map-unsynced", Severity.WARNING, "tile",
-    "A tile-mapped consumer is not phase-synchronised: it streams partial "
-    "per-tile state downstream before every producer has delivered its "
-    "fragments for the tile, so downstream observes torn tiles.",
-    "Mark the tile-mapped consumer phase_synchronised=True so it emits "
-    "only at the end-of-work phase boundary.",
 )
 
 # -- C6xx: filter code (AST lint) --------------------------------------------

@@ -13,7 +13,7 @@ traffic from, in two tiers:
     and Extract stages skip storage and marching cubes entirely.
 ``tiles``
     Rendered frames keyed by ``(triangle key, view, image size,
-    algorithm, configuration, merge fan-out)`` — the request, not the
+    algorithm, configuration)`` — the request, not the
     triangle data, so a frame stays answerable after the arrays that
     produced it have been evicted.  One entry per frame
     (:class:`CachedFrame`: a frame is its one full-viewport tile); a hit

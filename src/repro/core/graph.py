@@ -36,15 +36,14 @@ class FilterSpec:
         boundary (z-buffer raster/merge style); the verifier flags such
         filters behind unsynchronised fan-in (rule ``Z401``).
     ``tile_map``
-        For a consumer that owns image tiles (a strip raster, a
-        distributed-framebuffer merge): the
-        :class:`~repro.core.tiles.TileMap` partitioning its viewport.  The
-        stream into it is tile-routed by construction
-        (:func:`~repro.core.policies.stream_policies`): each buffer goes to
-        the copy set owning its ``tile_owner`` tag.  The verifier checks
-        the map's geometry (``Z402``), the tile-owner -> copy-set
-        correspondence (``Z403``) and that the consumer is
-        phase-synchronised (``Z405``).
+        For a consumer that owns image tiles (the strip rasters of
+        :mod:`repro.viz.partitioned`): the
+        :class:`~repro.core.tiles.TileMap` partitioning its viewport,
+        valid by construction.  The stream into it is tile-routed by
+        construction (:func:`~repro.core.policies.stream_policies`): each
+        buffer goes to the copy set owning its ``tile_owner`` tag.  The
+        verifier checks the tile-owner -> copy-set correspondence
+        (``Z403``).
     ``effects``
         Declared effects class of the filter code: one of ``"pure"``,
         ``"stateful"``, ``"io"`` or ``"nondeterministic"``.  The effect

@@ -233,7 +233,7 @@ class DemandDriven(WriterPolicy):
 
 
 class TileRouted(WriterPolicy):
-    """Content routing for a distributed tile framebuffer.
+    """Content routing into a tile-mapped consumer (the strip rasters).
 
     Every outgoing buffer must carry an integer owner index under the
     ``"tile_owner"`` tag; the buffer is delivered to the consumer copy set

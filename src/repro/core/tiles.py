@@ -1,26 +1,23 @@
-"""Tile maps: partitioning a viewport among distributed merge copies.
+"""Tile maps: partitioning a viewport among tile-owning consumer copies.
 
 A :class:`TileMap` splits a ``width x height`` viewport into rectangular
-:class:`Tile` regions, each *owned* by one of N merge copies (the
-distributed-framebuffer scheme: fragments are routed to the copy owning
-their tile, composited locally, and gathered into the final image).  The
-map is pure geometry — it knows nothing about hosts or engines; the
-``owner`` index corresponds, by convention, to the owning filter's copy-set
-order in the :class:`~repro.core.placement.Placement` (copy set ``o``
-receives every buffer tagged with owner ``o``).
+:class:`Tile` regions, each *owned* by one copy of a tile-mapped consumer
+(the strip rasters of :mod:`repro.viz.partitioned`: a producer tags each
+buffer with the owner of its tile, and the stream delivers it to that
+owner).  The map is pure geometry — it knows nothing about hosts or
+engines; the ``owner`` index corresponds, by convention, to the owning
+filter's copy-set order in the :class:`~repro.core.placement.Placement`
+(copy set ``o`` receives every buffer tagged with owner ``o``).
 
-Construction is deliberately permissive: :meth:`TileMap.problems` reports
-coverage gaps, overlaps, out-of-bounds tiles and owner-numbering holes as
-text, and the static pipeline verifier (rule ``Z402``) turns any problem
-into an ERROR before an engine runs.  The :meth:`TileMap.rows` and
-:meth:`TileMap.grid` factories always build valid maps, including viewports
-not divisible by the tile count and degenerate 1x1 tiles.
+A map that exists is valid: the constructor refuses tiles that leave
+pixels uncovered, overlap, fall outside the viewport or number their
+owners with holes.  :meth:`TileMap.grid` builds one for any viewport,
+including sizes not divisible by the tile count and degenerate 1x1 tiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +59,47 @@ class Tile:
         )
 
 
+def _problems(width: int, height: int, tiles: list[Tile]) -> list[str]:
+    """Every way ``tiles`` fail to partition the viewport, as text.
+
+    Checks: tiles inside the viewport with positive area, full coverage,
+    no overlaps, and owner indices forming ``0..N-1`` with every owner
+    owning at least one tile.
+    """
+    out: list[str] = []
+    covered = np.zeros((height, width), dtype=np.int16)
+    for tile in tiles:
+        if tile.x0 >= tile.x1 or tile.y0 >= tile.y1:
+            out.append(f"tile {tile.index} has non-positive area")
+            continue
+        if tile.x0 < 0 or tile.y0 < 0 or tile.x1 > width or tile.y1 > height:
+            out.append(
+                f"tile {tile.index} exceeds the {width}x{height} viewport"
+            )
+        x0, x1 = max(tile.x0, 0), min(tile.x1, width)
+        y0, y1 = max(tile.y0, 0), min(tile.y1, height)
+        if x0 < x1 and y0 < y1:
+            covered[y0:y1, x0:x1] += 1
+        if tile.owner < 0:
+            out.append(f"tile {tile.index} has negative owner {tile.owner}")
+    uncovered = int((covered == 0).sum())
+    if uncovered:
+        out.append(
+            f"{uncovered} of {width * height} pixels are covered by no tile"
+        )
+    overlapped = int((covered > 1).sum())
+    if overlapped:
+        out.append(f"{overlapped} pixels are covered by multiple tiles")
+    owners = {tile.owner for tile in tiles if tile.owner >= 0}
+    if owners:
+        missing = sorted(set(range(max(owners) + 1)) - owners)
+        if missing:
+            out.append(
+                f"owner indices are not contiguous: {missing} own no tile"
+            )
+    return out
+
+
 class TileMap:
     """An owner-assigned rectangular partition of a viewport.
 
@@ -70,8 +108,10 @@ class TileMap:
     width / height:
         Viewport size in pixels.
     tiles:
-        The partition; ``tiles[i].index`` must equal ``i``.  Geometry and
-        owner numbering are *not* validated here — see :meth:`problems`.
+        The partition; ``tiles[i].index`` must equal ``i``, the tiles must
+        cover every pixel exactly once, and the owners must number
+        ``0..N-1`` — anything else raises :class:`ConfigurationError`
+        naming every problem.
     """
 
     def __init__(self, width: int, height: int, tiles: list[Tile]) -> None:
@@ -85,57 +125,27 @@ class TileMap:
                     f"tile at position {i} has index {tile.index}; tiles "
                     f"must be listed in index order"
                 )
+        problems = _problems(width, height, tiles)
+        if problems:
+            raise ConfigurationError(
+                f"tiles do not partition the {width}x{height} viewport: "
+                + "; ".join(problems)
+            )
         self.width = width
         self.height = height
         self.tiles = list(tiles)
 
-    # -- factories -----------------------------------------------------------
     @classmethod
-    def rows(
-        cls, width: int, height: int, n_tiles: int, n_owners: int | None = None
-    ) -> "TileMap":
-        """Horizontal row bands, remainder rows spread over the first bands.
+    def grid(cls, width: int, height: int, tiles_x: int, tiles_y: int) -> "TileMap":
+        """A ``tiles_x x tiles_y`` grid in raster order, one owner per tile.
 
-        ``n_owners`` defaults to ``n_tiles`` (one tile per owner); with
-        fewer owners the bands are assigned round-robin so each owner's
-        tiles interleave across the image.
+        Remainder columns and rows spread over the tiles, so every
+        viewport size partitions exactly.
         """
-        if not 1 <= n_tiles <= height:
-            raise ConfigurationError(
-                f"need 1 <= n_tiles <= height, got {n_tiles} for height {height}"
-            )
-        owners = n_tiles if n_owners is None else n_owners
-        if not 1 <= owners <= n_tiles:
-            raise ConfigurationError(
-                f"need 1 <= n_owners <= n_tiles, got {owners} for {n_tiles} tiles"
-            )
-        tiles = []
-        for t in range(n_tiles):
-            y0 = t * height // n_tiles
-            y1 = (t + 1) * height // n_tiles
-            tiles.append(Tile(t, 0, y0, width, y1, t % owners))
-        return cls(width, height, tiles)
-
-    @classmethod
-    def grid(
-        cls,
-        width: int,
-        height: int,
-        tiles_x: int,
-        tiles_y: int,
-        n_owners: int | None = None,
-    ) -> "TileMap":
-        """A ``tiles_x x tiles_y`` rectangular grid in raster order."""
         if not 1 <= tiles_x <= width or not 1 <= tiles_y <= height:
             raise ConfigurationError(
                 f"need 1 <= tiles_x <= width and 1 <= tiles_y <= height, "
                 f"got {tiles_x}x{tiles_y} for {width}x{height}"
-            )
-        total = tiles_x * tiles_y
-        owners = total if n_owners is None else n_owners
-        if not 1 <= owners <= total:
-            raise ConfigurationError(
-                f"need 1 <= n_owners <= {total}, got {owners}"
             )
         tiles = []
         for ty in range(tiles_y):
@@ -145,87 +155,13 @@ class TileMap:
                 x0 = tx * width // tiles_x
                 x1 = (tx + 1) * width // tiles_x
                 index = ty * tiles_x + tx
-                tiles.append(Tile(index, x0, y0, x1, y1, index % owners))
+                tiles.append(Tile(index, x0, y0, x1, y1, index))
         return cls(width, height, tiles)
 
-    # -- queries -------------------------------------------------------------
     @property
     def n_owners(self) -> int:
         """Number of owners the map routes to (highest owner index + 1)."""
         return max(tile.owner for tile in self.tiles) + 1
-
-    @cached_property
-    def _tile_lookup(self) -> np.ndarray:
-        """Flat pixel index -> tile index (int32; -1 where uncovered).
-
-        Overlapping tiles keep the *highest* tile index in the lookup; the
-        overlap itself is reported by :meth:`problems`.
-        """
-        lookup = np.full(self.width * self.height, -1, dtype=np.int32)
-        grid = lookup.reshape(self.height, self.width)
-        for tile in self.tiles:
-            x0, x1 = max(tile.x0, 0), min(tile.x1, self.width)
-            y0, y1 = max(tile.y0, 0), min(tile.y1, self.height)
-            if x0 < x1 and y0 < y1:
-                grid[y0:y1, x0:x1] = tile.index
-        return lookup
-
-    def tile_of(self, pixels: np.ndarray) -> np.ndarray:
-        """Vectorised lookup: flat pixel indices -> owning tile indices."""
-        return self._tile_lookup[pixels]
-
-    def tiles_of_owner(self, owner: int) -> list[Tile]:
-        """All tiles assigned to one owner, in index order."""
-        return [tile for tile in self.tiles if tile.owner == owner]
-
-    # -- validation ----------------------------------------------------------
-    def problems(self) -> list[str]:
-        """Every way this map fails the partition contract, as text.
-
-        Checks: tiles inside the viewport with positive area, full
-        coverage, no overlaps, and owner indices forming ``0..N-1`` with
-        every owner owning at least one tile.  An empty list means the map
-        is a valid owner-assigned partition.
-        """
-        out: list[str] = []
-        covered = np.zeros((self.height, self.width), dtype=np.int16)
-        for tile in self.tiles:
-            if tile.x0 >= tile.x1 or tile.y0 >= tile.y1:
-                out.append(f"tile {tile.index} has non-positive area")
-                continue
-            if (
-                tile.x0 < 0
-                or tile.y0 < 0
-                or tile.x1 > self.width
-                or tile.y1 > self.height
-            ):
-                out.append(
-                    f"tile {tile.index} exceeds the {self.width}x"
-                    f"{self.height} viewport"
-                )
-            x0, x1 = max(tile.x0, 0), min(tile.x1, self.width)
-            y0, y1 = max(tile.y0, 0), min(tile.y1, self.height)
-            if x0 < x1 and y0 < y1:
-                covered[y0:y1, x0:x1] += 1
-            if tile.owner < 0:
-                out.append(f"tile {tile.index} has negative owner {tile.owner}")
-        uncovered = int((covered == 0).sum())
-        if uncovered:
-            out.append(
-                f"{uncovered} of {self.width * self.height} pixels are "
-                f"covered by no tile"
-            )
-        overlapped = int((covered > 1).sum())
-        if overlapped:
-            out.append(f"{overlapped} pixels are covered by multiple tiles")
-        owners = {tile.owner for tile in self.tiles if tile.owner >= 0}
-        if owners:
-            missing = sorted(set(range(max(owners) + 1)) - owners)
-            if missing:
-                out.append(
-                    f"owner indices are not contiguous: {missing} own no tile"
-                )
-        return out
 
     def __repr__(self) -> str:
         return (

@@ -17,8 +17,9 @@ and Ra are each defined once however they are grouped.
 Each graph carries *simulated* factories (cost models over a
 :class:`~repro.viz.profile.DatasetProfile`) and, when a real
 :class:`~repro.data.parssim.ParSSimDataset` is supplied, *real* factories
-too — so the same graph runs on either engine.  The merge fan-out
-(``merge_copies > 1``) is the one configuration that is simulated only.
+too — so the same graph runs on either engine.  Every configuration ends
+in one Merge sink; the merge-free alternative the paper proposes, image
+space split among the rasters, is :mod:`repro.viz.partitioned`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.core.fuse import StageModel, fuse, fuse_models
 from repro.core.graph import FilterGraph
 from repro.core.negotiate import declare_bounds, negotiate
 from repro.core.placement import Placement
-from repro.core.tiles import TileMap
 from repro.data.chunks import ChunkSource
 from repro.data.storage import StorageMap
 from repro.errors import ConfigurationError
@@ -48,7 +48,7 @@ from repro.viz.camera import Camera
 from repro.viz.models import BufferSizes, CostParams
 from repro.viz.profile import DatasetProfile
 
-__all__ = ["IsosurfaceApp", "CONFIGURATIONS", "owner_hosts"]
+__all__ = ["IsosurfaceApp", "CONFIGURATIONS"]
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class _Stage:
     model: Callable[["IsosurfaceApp", BufferSizes], StageModel]
 
 
-#: R, E and Ra.  Merge is not here: it is never fused, and its shape
-#: (one sink, or tile-merge copies plus a gather) is ``_attach_merge``'s.
+#: R, E and Ra.  Merge is not here: it is never fused, so the graph
+#: builder appends it as the one sink of every configuration.
 _STAGES = {
     "R": _Stage(
         "io",
@@ -92,29 +92,10 @@ _STAGES = {
         "merge",
         lambda app: real.raster_filter(app.algorithm, app.camera()),
         lambda app, buffers: sim.raster_model(
-            app.algorithm, app.costs, buffers, app.width, app.height,
-            app.tile_map(),
+            app.algorithm, app.costs, buffers, app.width, app.height
         ),
     ),
 }
-
-
-def owner_hosts(owners: int, compute_hosts: list[str], anchor: str) -> list[str]:
-    """One distinct host label per tile owner, in owner order.
-
-    A tile-routed consumer runs one single-copy set per owner (copies
-    sharing a host share one queue, breaking owner routing), so a testbed
-    with fewer hosts than owners is padded with virtual ``anchor:mN``
-    labels.
-    """
-    hosts = list(compute_hosts[:owners])
-    index = 0
-    while len(hosts) < owners:
-        label = f"{anchor}:m{index}"
-        if label not in hosts:
-            hosts.append(label)
-        index += 1
-    return hosts
 
 
 @dataclass
@@ -140,16 +121,6 @@ class IsosurfaceApp:
         :class:`~repro.data.chunks.ChunkSource` — the synthetic
         generators or an on-disk :class:`~repro.data.diskstore.
         DeclusteredStore`.  ``isovalue`` is the rendered surface level.
-    merge_copies / merge_tiles:
-        ``merge_copies > 1`` replaces the single Merge sink with the
-        simulated distributed tile framebuffer: ``merge_tiles`` row-band
-        tiles (default: one per copy) owned round-robin by
-        ``merge_copies`` tile-merge models, gathered by a lightweight
-        single-copy sink.  The tile-merge stage declares the tile map, so
-        every engine tile-routes the stream into it.  It has no real
-        factories: with a ``dataset`` it is refused (on two cores it never
-        paid, ROADMAP 7).  ``merge_copies=1`` is exactly the classic
-        single-merge pipeline.
     """
 
     profile: DatasetProfile
@@ -165,10 +136,6 @@ class IsosurfaceApp:
     #: Optional explicit camera (e.g. an animation frame's viewpoint);
     #: ``None`` means a default camera framing the whole grid.
     view: Camera | None = None
-    #: Distributed-framebuffer fan-out: number of tile-merge copies.
-    merge_copies: int = 1
-    #: Tiles in the tile map (>= merge_copies); ``None`` = one per copy.
-    merge_tiles: int | None = None
 
     def __post_init__(self) -> None:
         check_algorithm(self.algorithm)
@@ -179,21 +146,6 @@ class IsosurfaceApp:
         if self.width < 1 or self.height < 1:
             raise ConfigurationError(
                 f"image dimensions must be >= 1, got {self.width}x{self.height}"
-            )
-        if self.merge_copies < 1:
-            raise ConfigurationError(
-                f"merge_copies must be >= 1, got {self.merge_copies}"
-            )
-        if self.merge_tiles is not None and self.merge_tiles < self.merge_copies:
-            raise ConfigurationError(
-                f"merge_tiles ({self.merge_tiles}) must be >= merge_copies "
-                f"({self.merge_copies})"
-            )
-        if self.merge_copies > 1 and self.dataset is not None:
-            raise ConfigurationError(
-                f"merge_copies={self.merge_copies} is simulated only: the "
-                f"tile-merge fan-out has no real filters (ROADMAP 7); "
-                f"render a dataset with merge_copies=1"
             )
 
     # -- real-mode helpers -------------------------------------------------
@@ -213,31 +165,13 @@ class IsosurfaceApp:
             )
         return self.dataset
 
-    # -- distributed tile framebuffer ----------------------------------------
-    def tile_map(self) -> TileMap | None:
-        """The viewport partition, or ``None`` for the single-merge sink."""
-        if self.merge_copies == 1:
-            return None
-        return TileMap.rows(
-            self.width,
-            self.height,
-            self.merge_tiles or self.merge_copies,
-            self.merge_copies,
-        )
-
-    def merge_stream(self, configuration: str) -> str:
-        """The stream carrying raster output into the merge stage."""
-        upstream = stage_name(parse_configuration(configuration)[-2])
-        dst = "TM" if self.merge_copies > 1 else "M"
-        return f"{upstream}->{dst}"
-
     # -- graph builder ---------------------------------------------------------
     def graph(self, configuration: str) -> FilterGraph:
         """Build the filter graph for one of :data:`CONFIGURATIONS`.
 
         One filter per stage group of the name, in pipeline order, each
-        the :func:`~repro.core.fuse.fuse` of its stages' parts; the merge
-        stage is appended by :meth:`_attach_merge`.
+        the :func:`~repro.core.fuse.fuse` of its stages' parts, then the
+        one Merge sink.
         """
         *groups, _merge = parse_configuration(configuration)
         names = [stage_name(group) for group in groups]
@@ -254,8 +188,20 @@ class IsosurfaceApp:
             if i:
                 stream = g.connect(names[i - 1], name)
                 roles[stream.name] = _STAGES[groups[i - 1][-1]].output
-        self._attach_merge(g, names[-1])
-        roles[self.merge_stream(configuration)] = "merge"
+        # The z-buffer merge is a phase-synchronised accumulator: it only
+        # emits at the end-of-work phase boundary (verifier Z401).
+        g.add_filter(
+            "M",
+            factory=self._real_or_none(
+                lambda: real.merge_filter(self.algorithm, self.width, self.height)
+            ),
+            sim_factory=lambda: sim.MergeModel(
+                self.costs, self.algorithm, self.width, self.height
+            ),
+            phase_synchronised=self.algorithm == "zbuffer",
+            effects="stateful",
+        )
+        roles[g.connect(names[-1], "M").name] = "merge"
         buffers = self._negotiate(g, roles)
         for name, group in zip(names, groups):
             spec = g.filters[name]
@@ -267,52 +213,7 @@ class IsosurfaceApp:
             spec.sim_factory = lambda group=group: fuse_models(
                 *(_STAGES[stage].model(self, buffers) for stage in group)
             )
-        self._bind_merge(g)
         return g
-
-    def _attach_merge(self, g: FilterGraph, upstream: str) -> None:
-        """Append the merge stage after ``upstream``: single sink or TM->M.
-
-        With ``merge_copies == 1`` this is today's phase behaviour exactly;
-        otherwise the tile-merge copies and the gather are both
-        phase-synchronised (they emit/complete only at end-of-work).
-        """
-        tmap = self.tile_map()
-        if tmap is None:
-            g.add_filter(
-                # The z-buffer merge is a phase-synchronised accumulator: it
-                # only emits at the end-of-work phase boundary (verifier
-                # Z401).
-                "M",
-                phase_synchronised=self.algorithm == "zbuffer",
-                effects="stateful",
-            )
-            g.connect(upstream, "M")
-            return
-        g.add_filter(
-            "TM", phase_synchronised=True, tile_map=tmap, effects="stateful"
-        )
-        g.add_filter("M", phase_synchronised=True, effects="stateful")
-        g.connect(upstream, "TM")
-        g.connect("TM", "M")
-
-    def _bind_merge(self, g: FilterGraph) -> None:
-        """Install the merge-stage factories (single, or tiled models)."""
-        tmap = self.tile_map()
-        if tmap is None:
-            g.filters["M"].factory = self._real_or_none(
-                lambda: real.merge_filter(self.algorithm, self.width, self.height)
-            )
-            g.filters["M"].sim_factory = lambda: sim.MergeModel(
-                self.costs, self.algorithm, self.width, self.height
-            )
-            return
-        g.filters["TM"].sim_factory = lambda: sim.TileMergeModel(
-            self.costs, self.algorithm, tmap
-        )
-        g.filters["M"].sim_factory = lambda: sim.TileGatherModel(
-            self.costs, self.algorithm, self.width, self.height
-        )
 
     def _real_or_none(self, factory):
         return factory if self.dataset is not None else None
@@ -349,24 +250,18 @@ class IsosurfaceApp:
                 declare_bounds(graph, spec.src, stream, self._MIN_BUFFER)
             declare_bounds(graph, spec.dst, stream, want)
         sizes = negotiate(graph, default=self._MIN_BUFFER)
-        # Streams without a role (e.g. the TM->M gather stream) keep the
-        # negotiated default and don't feed back into the knobs.
-        by_role = {
-            roles[stream]: size
-            for stream, size in sizes.items()
-            if stream in roles
-        }
+        by_role = {roles[stream]: size for stream, size in sizes.items()}
         return BufferSizes(
             read=by_role.get("read", self.buffers.read),
             triangles=by_role.get("triangles", self.buffers.triangles),
             zbuffer_slab=(
                 by_role["merge"]
-                if self.algorithm == "zbuffer" and "merge" in by_role
+                if self.algorithm == "zbuffer"
                 else self.buffers.zbuffer_slab
             ),
             wpa=(
                 by_role["merge"]
-                if self.algorithm == "active" and "merge" in by_role
+                if self.algorithm == "active"
                 else self.buffers.wpa
             ),
         )
@@ -378,7 +273,6 @@ class IsosurfaceApp:
         compute_hosts: list[str] | None = None,
         merge_host: str | None = None,
         copies_per_host: int | dict[str, int] = 1,
-        merge_hosts: list[str] | None = None,
     ) -> Placement:
         """A standard placement for ``configuration``.
 
@@ -387,13 +281,6 @@ class IsosurfaceApp:
         (default: the data hosts); Merge runs once on ``merge_host``
         (default: the first compute host).  ``copies_per_host`` may be an
         int or a per-host dict and applies to the worker filters.
-
-        With ``merge_copies > 1`` the tile-merge filter runs as
-        ``merge_copies`` single-copy sets, one per owner index *in order*
-        (the tile-routing invariant, ``Z403``), on ``merge_hosts`` when
-        given, else on the first compute hosts (padded with synthesized
-        ``host:mN`` labels on a single-host testbed); the gather keeps the
-        classic single-copy placement on ``merge_host``.
         """
         graph = self.graph(configuration)
         data_hosts = self.storage.hosts()
@@ -405,10 +292,6 @@ class IsosurfaceApp:
         for spec in graph.filters.values():
             if spec.is_source:
                 placement.spread(spec.name, data_hosts)
-            elif spec.name == "TM":
-                placement.place("TM", self._merge_copy_hosts(
-                    compute_hosts, merge_host, merge_hosts
-                ))
             elif spec.name == "M":
                 placement.place("M", [merge_host])
             else:
@@ -423,18 +306,3 @@ class IsosurfaceApp:
                     )
         return placement
 
-    def _merge_copy_hosts(
-        self,
-        compute_hosts: list[str],
-        merge_host: str,
-        merge_hosts: list[str] | None,
-    ) -> list[str]:
-        """One distinct host label per tile-merge copy, in owner order."""
-        if merge_hosts is not None:
-            if len(merge_hosts) != self.merge_copies:
-                raise ConfigurationError(
-                    f"merge_hosts must list exactly merge_copies="
-                    f"{self.merge_copies} hosts, got {len(merge_hosts)}"
-                )
-            return list(merge_hosts)
-        return owner_hosts(self.merge_copies, compute_hosts, merge_host)

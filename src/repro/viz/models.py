@@ -47,8 +47,6 @@ __all__ = [
     "RasterAPModel",
     "raster_model",
     "MergeModel",
-    "TileMergeModel",
-    "TileGatherModel",
 ]
 
 
@@ -69,8 +67,6 @@ class CostParams:
     fragments_per_triangle_2048: float = 10.0
     #: winning-pixel entries per fragment in the active-pixel scheme
     ap_entry_ratio: float = 0.9
-    #: per-pixel cost of pasting a composited tile at the gather stage
-    gather_per_pixel: float = 3.0e-8
 
     def fragments_per_triangle(self, width: int, height: int) -> float:
         """Projected fragments per triangle at the given image size."""
@@ -133,51 +129,6 @@ def _emit_stream_buffers(total_bytes: int, cap: int, **unit_tags) -> list[DataBu
         DataBuffer(size, tags={key: shares[key][i] for key in shares})
         for i, size in enumerate(sizes)
     ]
-
-
-def _tag_tiles(buffers: list[DataBuffer], tile) -> list[DataBuffer]:
-    """Stamp tile-routing tags onto emitted buffers (in place)."""
-    for buffer in buffers:
-        buffer.tags["tile"] = tile.index
-        buffer.tags["tile_owner"] = tile.owner
-    return buffers
-
-
-def _emit_zb_tiled(cap: int, tile_map) -> list[DataBuffer]:
-    """Per-tile dense z-buffer slabs, mirroring the real tile split."""
-    out: list[DataBuffer] = []
-    for tile in tile_map.tiles:
-        out.extend(
-            _tag_tiles(
-                _emit_stream_buffers(
-                    tile.pixels * ZBUFFER_ENTRY_BYTES, cap, entries=tile.pixels
-                ),
-                tile,
-            )
-        )
-    return out
-
-
-def _emit_ap_tiled(entries: int, cap: int, tile_map) -> list[DataBuffer]:
-    """WPA entries split per tile proportionally to tile area.
-
-    Tiles whose share rounds to zero emit nothing — modelling the real
-    behaviour where a tile with no fragments never reaches its owner.
-    """
-    out: list[DataBuffer] = []
-    shares = _split_counts(entries, [t.pixels for t in tile_map.tiles])
-    for tile, share in zip(tile_map.tiles, shares):
-        if share == 0:
-            continue
-        out.extend(
-            _tag_tiles(
-                _emit_stream_buffers(
-                    share * WPA_ENTRY_BYTES, cap, entries=share
-                ),
-                tile,
-            )
-        )
-    return out
 
 
 class ReadSourceModel(StageModel):
@@ -297,13 +248,11 @@ class _RasterModel(StageModel):
         buffers: BufferSizes,
         width: int,
         height: int,
-        tile_map=None,
     ):
         self.costs = costs
         self.buffers = buffers
         self.width = width
         self.height = height
-        self.tile_map = tile_map
         self.frag_per_tri = costs.fragments_per_triangle(width, height)
         self.input_buffer_bytes = buffers.triangles
         self.triangles = 0
@@ -340,9 +289,7 @@ class RasterZBModel(_RasterModel):
         return cost, {"entries": self.width * self.height}
 
     def packets(self, unit: Unit) -> list[DataBuffer]:
-        """Dense slabs, whole-viewport or per tile (see StageModel.packets)."""
-        if self.tile_map is not None:
-            return _emit_zb_tiled(self.buffers.zbuffer_slab, self.tile_map)
+        """Dense slabs of the whole viewport (see StageModel.packets)."""
         return _emit_stream_buffers(
             self._zb_bytes(), self.buffers.zbuffer_slab, entries=unit["entries"]
         )
@@ -368,10 +315,8 @@ class RasterAPModel(_RasterModel):
         return cost, {"entries": entries}
 
     def packets(self, unit: Unit) -> list[DataBuffer]:
-        """WPA buffers, whole-viewport or per tile (see StageModel.packets)."""
+        """WPA buffers of one emitted unit (see StageModel.packets)."""
         entries = unit["entries"]
-        if self.tile_map is not None:
-            return _emit_ap_tiled(entries, self.buffers.wpa, self.tile_map)
         return _emit_stream_buffers(
             entries * WPA_ENTRY_BYTES, self.buffers.wpa, entries=entries
         )
@@ -389,12 +334,11 @@ def raster_model(
     buffers: BufferSizes,
     width: int,
     height: int,
-    tile_map=None,
 ) -> _RasterModel:
     """The Ra part for ``algorithm`` (z-buffer or active pixel)."""
     check_algorithm(algorithm)
     cls = RasterZBModel if algorithm == "zbuffer" else RasterAPModel
-    return cls(costs, buffers, width, height, tile_map=tile_map)
+    return cls(costs, buffers, width, height)
 
 
 class MergeModel(SimFilter):
@@ -439,101 +383,3 @@ class MergeModel(SimFilter):
     def memory_bytes(self) -> int:
         """Estimated resident memory of one copy."""
         return self.width * self.height * ZBUFFER_ENTRY_BYTES
-
-
-class TileMergeModel(SimFilter):
-    """TM: one distributed-merge copy compositing its owned tiles.
-
-    Prices incoming buffers like :class:`MergeModel` but keyed per tile;
-    at end-of-work it emits one composited-tile buffer per tile it saw
-    (the TileMerge -> gather stream).  Each transparent copy instance only
-    ever sees the buffers the ``TileRouted`` writer sent to its owner
-    index, so the per-copy tile set needs no owner identity.
-    """
-
-    def __init__(self, costs: CostParams, algorithm: str, tile_map):
-        check_algorithm(algorithm)
-        self.costs = costs
-        self.algorithm = algorithm
-        self.tile_map = tile_map
-        self.buffers_in = 0
-        self.entries_in = 0
-        self._seen: dict[int, int] = {}  # tile index -> buffers merged
-
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer`` (reference core-seconds)."""
-        if self.algorithm == "zbuffer":
-            entries = buffer.nbytes / ZBUFFER_ENTRY_BYTES
-            unit = self.costs.merge_zb_per_entry
-        else:
-            entries = buffer.nbytes / WPA_ENTRY_BYTES
-            unit = self.costs.merge_ap_per_entry
-        self.buffers_in += 1
-        self.entries_in += int(entries)
-        tile = buffer.tags.get("tile")
-        if isinstance(tile, int):
-            self._seen[tile] = self._seen.get(tile, 0) + 1
-        return entries * unit
-
-    def flush_cost(self) -> float:
-        """CPU cost of end-of-work processing (tile-image serialisation)."""
-        pixels = sum(self.tile_map.tiles[t].pixels for t in self._seen)
-        return pixels * 3 * self.costs.zb_send_per_byte
-
-    def flush_outputs(self):
-        """One composited-tile buffer per tile this copy received."""
-        out = []
-        for tile_index in sorted(self._seen):
-            tile = self.tile_map.tiles[tile_index]
-            out.append(
-                DataBuffer(
-                    tile.pixels * 3 + 16,
-                    tags={"tile": tile.index, "pixels": tile.pixels},
-                )
-            )
-        return out
-
-    def memory_bytes(self) -> int:
-        """Estimated resident memory of one copy (worst owner's tiles)."""
-        per_owner: dict[int, int] = {}
-        for tile in self.tile_map.tiles:
-            per_owner[tile.owner] = per_owner.get(tile.owner, 0) + tile.pixels
-        return max(per_owner.values()) * ZBUFFER_ENTRY_BYTES
-
-
-class TileGatherModel(SimFilter):
-    """G: paste composited tiles into the final image; exposes statistics.
-
-    The sink of a tiled pipeline — its :meth:`result` mirrors
-    :class:`MergeModel.result` so downstream reporting is shape-compatible.
-    """
-
-    def __init__(self, costs: CostParams, algorithm: str, width: int, height: int):
-        self.costs = costs
-        self.algorithm = algorithm
-        self.width = width
-        self.height = height
-        self.buffers_in = 0
-        self.entries_in = 0
-        self.bytes_in = 0
-
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of pasting one composited tile."""
-        pixels = buffer.tags.get("pixels", 0)
-        self.buffers_in += 1
-        self.entries_in += int(pixels)
-        self.bytes_in += buffer.nbytes
-        return pixels * self.costs.gather_per_pixel
-
-    def result(self):
-        """Final value exposed by this sink."""
-        return {
-            "algorithm": self.algorithm,
-            "buffers": self.buffers_in,
-            "entries": self.entries_in,
-            "bytes": self.bytes_in,
-        }
-
-    def memory_bytes(self) -> int:
-        """Estimated resident memory: the assembled RGB image."""
-        return self.width * self.height * 3

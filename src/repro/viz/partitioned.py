@@ -13,10 +13,13 @@ can be measured (``benchmarks/test_ablation_image_partition.py``):
 - the source stage is ``fuse(R, E, route)``: the route part sends each
   triangle to every tile its projection overlaps (a triangle spanning a
   boundary is drawn by both owners; each keeps only its own columns, so
-  the assembled image is exact), tagged with its ``tile_owner``;
+  the assembled image is exact), tagged with its ``tile_owner``.  It
+  projects with the rasters' camera: the unit of work's ``camera`` when it
+  names one, as for the raster part;
 - ``Ra`` is the ordinary raster part placed as a *sink*, one single-copy
-  set per owner in owner order; it declares the tile map, so every engine
-  routes ``RE->Ra`` by the owner tag.  There is no Merge.
+  set per owner in owner order (:func:`owner_hosts`); it declares the tile
+  map, so every engine routes ``RE->Ra`` by the owner tag.  There is no
+  Merge.
 
 :func:`build_partitioned_graph` carries cost models and — given a dataset
 — real factories; ``assemble_strips`` rebuilds the full image for
@@ -31,7 +34,7 @@ from repro.core.buffer import DataBuffer
 from repro.core.filter import Filter, FilterContext
 from repro.core.fuse import StageModel, Unit, fuse, fuse_models
 from repro.core.graph import FilterGraph
-from repro.core.tiles import TileMap
+from repro.core.tiles import Tile, TileMap
 from repro.data.storage import StorageMap
 from repro.errors import ConfigurationError
 from repro.viz.camera import Camera
@@ -41,6 +44,7 @@ from repro.viz.filters import (
     ReadFilter,
     RenderResult,
     TrianglePayload,
+    _uow_get,
     raster_filter,
 )
 from repro.viz.models import (
@@ -50,7 +54,6 @@ from repro.viz.models import (
     ReadSourceModel,
     _emit_stream_buffers,
     _split_counts,
-    _tag_tiles,
     raster_model,
 )
 from repro.viz.profile import DatasetProfile
@@ -60,20 +63,49 @@ __all__ = [
     "StripRouteModel",
     "assemble_strips",
     "build_partitioned_graph",
+    "owner_hosts",
 ]
 
 
+def owner_hosts(owners: int, compute_hosts: list[str], anchor: str) -> list[str]:
+    """One distinct host label per tile owner, in owner order.
+
+    A tile-routed consumer runs one single-copy set per owner (copies
+    sharing a host share one queue, breaking owner routing), so a testbed
+    with fewer hosts than owners is padded with virtual ``anchor:mN``
+    labels.
+    """
+    hosts = list(compute_hosts[:owners])
+    index = 0
+    while len(hosts) < owners:
+        label = f"{anchor}:m{index}"
+        if label not in hosts:
+            hosts.append(label)
+        index += 1
+    return hosts
+
+
 class StripRouteFilter(Filter):
-    """Route triangles to the owners of the tiles their x-extent overlaps."""
+    """Route triangles to the owners of the tiles their x-extent overlaps.
+
+    The camera may be overridden per unit of work via ``ctx.uow["camera"]``
+    (latched at ``init``), exactly as the raster parts do — so a triangle
+    goes to the strips it covers in the view it is drawn in.
+    """
 
     def __init__(self, camera: Camera, tile_map: TileMap):
         self.camera = camera
+        self._active_camera = camera
         self.tile_map = tile_map
+
+    def init(self, ctx: FilterContext) -> None:
+        """Per-unit-of-work set-up (see Filter.init)."""
+        self._active_camera = _uow_get(ctx, "camera", self.camera)
 
     def handle(self, ctx: FilterContext, buffer: DataBuffer) -> None:
         """Process one input buffer (see Filter.handle)."""
         tris = buffer.payload.triangles
-        screen, kept = self.camera.project_and_cull(tris)
+        screen, kept = self._active_camera.project_and_cull(tris)
         world = tris[kept]
         if len(world) == 0:
             return
@@ -116,6 +148,14 @@ def assemble_strips(
             tile.owner
         ].image[tile.y0 : tile.y1, tile.x0 : tile.x1]
     return image
+
+
+def _tag_tiles(buffers: list[DataBuffer], tile: Tile) -> list[DataBuffer]:
+    """Stamp tile-routing tags onto emitted buffers (in place)."""
+    for buffer in buffers:
+        buffer.tags["tile"] = tile.index
+        buffer.tags["tile_owner"] = tile.owner
+    return buffers
 
 
 class StripRouteModel(StageModel):
@@ -168,7 +208,7 @@ def build_partitioned_graph(
     """``RE`` source -> tile-routed ``Ra`` sinks, one per region, no Merge.
 
     Place ``Ra`` as ``regions`` single-copy sets in owner order (e.g.
-    :func:`~repro.viz.app.owner_hosts`); any engine runs the graph as it
+    :func:`owner_hosts`); any engine runs the graph as it
     is, ``RE->Ra`` tile-routed because ``Ra`` declares the tile map.  With a
     ``dataset`` (any ``chunk_field`` provider) the graph also carries real
     factories (z-buffer rasters; see :func:`assemble_strips`).

@@ -9,7 +9,6 @@ declares it.
 
 import dataclasses
 import importlib
-import itertools
 from pathlib import Path
 
 from repro.configurations import ALGORITHMS, CONFIGURATIONS
@@ -32,10 +31,9 @@ def shipped_graphs():
         total_triangles=500,
     )
     storage = StorageMap.balanced(profile.files, [HostDisks("h0")])
-    for algorithm, merge_copies in itertools.product(ALGORITHMS, (1, 2)):
+    for algorithm in ALGORITHMS:
         app = IsosurfaceApp(
             profile, storage, width=32, height=32, algorithm=algorithm,
-            merge_copies=merge_copies,
         )
         for configuration in CONFIGURATIONS:
             yield app.graph(configuration)
@@ -54,7 +52,7 @@ def test_every_metadata_field_is_declared_by_a_shipped_graph(monkeypatch):
         if f.name not in STRUCTURAL
     }
     graphs = list(shipped_graphs())
-    assert len(graphs) == 16 + 1 + 5
+    assert len(graphs) == 8 + 1 + 5
     declared = {
         name
         for graph in graphs

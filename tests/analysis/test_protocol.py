@@ -1,7 +1,7 @@
 """The flow-control model checker (F9xx): proofs and counterexamples.
 
 Two seeded deadlock configurations must yield concrete event traces (the
-DD credit cycle through a tile-routed merge, and the close-while-busy
+DD credit cycle through a tile-routed consumer, and the close-while-busy
 wedge behind a stalled consumer), and every shipped IsosurfaceApp
 configuration must be *proved* deadlock-free by exhaustive exploration.
 """
@@ -88,17 +88,16 @@ def test_copyset_granularity_labels():
 
 
 def dd_credit_cycle():
-    """A feedback edge from a tile-routed merge back to the raster.
+    """A feedback edge from a tile-routed consumer back to the raster.
 
-    The merge is tile-mapped but *not* phase-synchronised (the Z405
-    misconfiguration): it forwards mid-run on its window-1 feedback
-    stream while the raster keeps its inbound queue full — credits can
-    then wedge against queue slots.
+    The consumer is tile-mapped but *not* phase-synchronised: it forwards
+    mid-run on its window-1 feedback stream while the raster keeps its
+    inbound queue full — credits can then wedge against queue slots.
     """
     g = FilterGraph()
     g.add_filter("seed", is_source=True)
     g.add_filter("ra")
-    g.add_filter("tm", tile_map=TileMap.rows(8, 8, 2, 2))
+    g.add_filter("tm", tile_map=TileMap.grid(8, 8, 1, 2))
     g.connect("seed", "ra")
     g.connect("ra", "tm")
     g.connect("tm", "ra", name="feedback")

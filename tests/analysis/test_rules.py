@@ -20,7 +20,7 @@ from repro.analysis import (
 from repro.core.graph import FilterGraph
 from repro.core.placement import Placement
 from repro.core.policies import make_policy_factory, stream_policies
-from repro.core.tiles import Tile, TileMap
+from repro.core.tiles import TileMap
 from repro.errors import AnalysisError, GraphError, PlacementError
 
 
@@ -250,97 +250,54 @@ def test_z401_silent_for_single_input_phase_filter():
     assert "Z401" not in rules_of(flow(g, p))
 
 
-# -- Z402, Z403, Z405 tile framebuffer --------------------------------------
+# -- Z403 tile owners vs copy sets -------------------------------------------
 
 
-def tile_graph(tile_map, policy_synced=True):
+def tile_graph(tile_map):
     g = FilterGraph()
-    g.add_filter("ra", is_source=True)
-    g.add_filter("tm", phase_synchronised=policy_synced, tile_map=tile_map)
-    g.connect("ra", "tm")
+    g.add_filter("src", is_source=True)
+    g.add_filter("strips", phase_synchronised=True, tile_map=tile_map)
+    g.connect("src", "strips")
     return g
 
 
-def test_z402_invalid_tile_map():
-    # One band covering only the top half: a coverage gap.
-    gap = TileMap(8, 8, [Tile(0, 0, 0, 8, 4, 0)])
-    g = tile_graph(gap)
-    hits = assert_rule(verify_graph(g), "Z402")
-    assert "covered by no tile" in hits[0].message
-    assert hits[0].subject == "tm"
-
-
-def test_z402_reports_each_problem():
-    # Overlap + non-contiguous owners -> one finding per problem.
-    bad = TileMap(
-        8,
-        8,
-        [Tile(0, 0, 0, 8, 8, 0), Tile(1, 0, 0, 8, 8, 2)],
-    )
-    hits = assert_rule(verify_graph(tile_graph(bad)), "Z402")
-    assert len(hits) >= 2
-
-
-def test_z402_silent_for_factory_maps():
-    for tmap in (
-        TileMap.rows(8, 8, 3, 2),  # non-divisible viewport
-        TileMap.grid(8, 8, 2, 2),
-        TileMap.rows(1, 1, 1),  # degenerate 1x1
-    ):
-        assert tmap.problems() == []
-        assert "Z402" not in rules_of(verify_graph(tile_graph(tmap)))
-
-
 def test_z403_owner_count_vs_copy_sets():
-    g = tile_graph(TileMap.rows(8, 8, 4, 2))  # 2 owners
-    p = placed(g, {"ra": ["h0"], "tm": ["h1"]})  # but 1 copy set
+    g = tile_graph(TileMap.grid(8, 8, 2, 1))  # 2 owners
+    p = placed(g, {"src": ["h0"], "strips": ["h1"]})  # but 1 copy set
     hits = assert_rule(verify_placement(g, p), "Z403")
     assert "2 owners" in hits[0].message
 
 
 def test_z403_multi_copy_set():
-    g = tile_graph(TileMap.rows(8, 8, 2, 2))
-    p = placed(g, {"ra": ["h0"], "tm": [("h1", 2), ("h2", 1)]})
+    g = tile_graph(TileMap.grid(8, 8, 2, 1))
+    p = placed(g, {"src": ["h0"], "strips": [("h1", 2), ("h2", 1)]})
     hits = assert_rule(verify_placement(g, p), "Z403")
     assert any("share a queue" in d.message for d in hits)
 
 
 def test_z403_silent_for_one_single_copy_set_per_owner():
-    g = tile_graph(TileMap.rows(8, 8, 4, 2))
-    p = placed(g, {"ra": ["h0"], "tm": [("h1", 1), ("h2", 1)]})
+    g = tile_graph(TileMap.grid(8, 8, 2, 1))
+    p = placed(g, {"src": ["h0"], "strips": [("h1", 1), ("h2", 1)]})
     assert "Z403" not in rules_of(verify_placement(g, p))
 
 
-def test_z405_content_routed_into_unsynced_consumer():
-    # The stream into a tile-mapped consumer is content-routed by
-    # construction; the consumer must hold its tiles until end-of-work.
-    g = tile_graph(TileMap.rows(8, 8, 2, 2), policy_synced=False)
-    hits = assert_rule(verify_graph(g), "Z405")
-    assert hits[0].severity is Severity.WARNING
-    assert hits[0].subject == "tm"
-    synced = tile_graph(TileMap.rows(8, 8, 2, 2))
-    assert "Z405" not in rules_of(verify_graph(synced))
-
-
 def test_tiled_app_pipeline_is_clean():
-    # The real builder wires TM the way Z402, Z403 and Z405 demand.
+    # The strip pipeline on owner_hosts is wired the way Z403 demands.
     from repro.data import HostDisks, StorageMap
-    from repro.viz import IsosurfaceApp
+    from repro.viz.partitioned import build_partitioned_graph, owner_hosts
     from repro.viz.profile import DatasetProfile
 
     profile = DatasetProfile.synthetic(
         "tiny", (8, 8, 8), nchunks=4, nfiles=2, timesteps=1,
         total_triangles=100,
     )
-    storage = StorageMap.balanced(
-        profile.files, [HostDisks("h0"), HostDisks("h1")]
+    storage = StorageMap.balanced(profile.files, [HostDisks("h0")])
+    g = build_partitioned_graph(profile, storage, 0, 16, 16, regions=3)
+    p = (
+        Placement()
+        .place("RE", ["h0"])
+        .place("Ra", owner_hosts(3, ["h0", "h1"], "h0"))
     )
-    app = IsosurfaceApp(
-        profile, storage, width=16, height=16,
-        merge_copies=2, merge_tiles=4,
-    )
-    g = app.graph("RE-Ra-M")
-    p = app.placement("RE-Ra-M", compute_hosts=["h0", "h1"])
     report = verify_pipeline(g, p, policy_for=stream_policies(g, "DD"))
     assert not report.errors
 

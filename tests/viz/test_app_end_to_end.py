@@ -166,54 +166,3 @@ def test_app_validation(scenario):
     # Simulation-only app refuses to build real factories lazily at run.
     g = app.graph("RE-Ra-M")
     assert g.filters["RE"].factory is None
-
-
-# -- distributed tile framebuffer (merge_copies > 1, simulated only) ---------
-
-
-def test_tiled_merge_simulated_engine(scenario):
-    _dataset, profile, _iso = scenario
-    env = Environment()
-    cluster = homogeneous_cluster(env, nodes=6)
-    storage = StorageMap.balanced(
-        profile.files, [HostDisks("node0", 2), HostDisks("node1", 2)]
-    )
-    app = IsosurfaceApp(
-        profile, storage, width=64, height=64, algorithm="active",
-        merge_copies=2, merge_tiles=4,
-    )
-    graph = app.graph("RE-Ra-M")
-    placement = app.placement(
-        "RE-Ra-M",
-        merge_host="node2",
-        merge_hosts=["node3", "node4"],
-    )
-    metrics = SimulatedEngine(cluster, graph, placement, policy="DD").run()
-    assert metrics.makespan > 0
-    # The gather's result is shape-compatible with the single merge's.
-    result = metrics.result
-    assert result["algorithm"] == "active"
-    assert result["buffers"] == 4  # one composited buffer per tile
-
-
-def test_merge_copies_validation(scenario):
-    dataset, profile, isovalue = scenario
-    storage = StorageMap.balanced(profile.files, [HostDisks("h0")])
-    with pytest.raises(ConfigurationError, match="merge_copies"):
-        IsosurfaceApp(profile, storage, merge_copies=0)
-    with pytest.raises(ConfigurationError, match="merge_tiles"):
-        IsosurfaceApp(profile, storage, merge_copies=2, merge_tiles=1)
-    # merge_tiles without tiling is meaningless but harmless at 1 copy.
-    app = IsosurfaceApp(profile, storage, merge_copies=1)
-    assert app.tile_map() is None
-    # The fan-out has cost models only: a real dataset is refused.
-    with pytest.raises(ConfigurationError, match="simulated only"):
-        IsosurfaceApp(profile, storage, dataset=dataset, merge_copies=2)
-
-
-def test_merge_hosts_must_match_copies(scenario):
-    _dataset, profile, _iso = scenario
-    storage = StorageMap.balanced(profile.files, [HostDisks("h0")])
-    app = IsosurfaceApp(profile, storage, merge_copies=2)
-    with pytest.raises(ConfigurationError, match="merge_hosts"):
-        app.placement("RE-Ra-M", merge_hosts=["h0"])

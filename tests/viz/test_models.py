@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.buffer import DataBuffer
 from repro.core.fuse import fuse_models
-from repro.core.tiles import TileMap
 from repro.errors import ConfigurationError
 from repro.viz.active_pixel import WPA_ENTRY_BYTES
 from repro.viz.filters import TRIANGLE_BYTES
@@ -15,7 +14,6 @@ from repro.viz.models import (
     MergeModel,
     RasterAPModel,
     RasterZBModel,
-    _emit_ap_tiled,
     _emit_stream_buffers,
     _split_counts,
     raster_model,
@@ -45,18 +43,6 @@ def test_split_counts_more_weights_than_items():
     assert sum(shares) == 5
     assert min(shares) >= 0
     assert max(shares) == 1
-
-
-@pytest.mark.parametrize("entries", [0, 1, 6, 7, 8, 9, 1000])
-def test_emit_ap_tiled_conserves_entries(entries):
-    # A 6-entry WPA over 8 tiles used to emit 7 entries.
-    tile_map = TileMap.rows(64, 64, 8)
-    bufs = _emit_ap_tiled(entries, 1 << 16, tile_map)
-    assert sum(b.tags["entries"] for b in bufs) == entries
-    assert sum(b.nbytes for b in bufs) == entries * WPA_ENTRY_BYTES
-    assert all(b.tags["entries"] > 0 for b in bufs)
-    for b in bufs:
-        assert b.tags["tile_owner"] == tile_map.tiles[b.tags["tile"]].owner
 
 
 def test_emit_stream_buffers_sizes_and_tags():

@@ -11,9 +11,16 @@ from repro.data import HostDisks, ParSSimDataset, StorageMap
 from repro.engines import ProcessEngine, SimulatedEngine, ThreadedEngine
 from repro.errors import ConfigurationError
 from repro.sim import Environment, homogeneous_cluster
-from repro.viz.app import IsosurfaceApp, owner_hosts
-from repro.viz.filters import RenderResult
-from repro.viz.partitioned import assemble_strips, build_partitioned_graph
+from repro.viz.app import IsosurfaceApp
+from repro.viz.camera import Camera
+from repro.viz.filters import TRIANGLE_BYTES, RenderResult
+from repro.viz.models import BufferSizes
+from repro.viz.partitioned import (
+    StripRouteModel,
+    assemble_strips,
+    build_partitioned_graph,
+    owner_hosts,
+)
 from repro.viz.profile import DatasetProfile
 
 def small_profile():
@@ -66,37 +73,50 @@ def _shm_segments():
 def test_partitioned_matches_merge_based_image(scenario, engine_cls):
     """Content routing (``TileRouted`` through ``Writer.send``) delivers
     every strip its triangles, in threads and across processes — with no
-    policy argument: ``Ra``'s tile map makes ``RE->Ra`` tile-routed."""
+    policy argument: ``Ra``'s tile map makes ``RE->Ra`` tile-routed.
+
+    A unit of work that turns the camera turns the route part with the
+    rasters: a triangle goes to the strips it covers in the view it is
+    drawn in, not in the view the graph was built with."""
     dataset, profile, storage, iso = scenario
     before = _shm_segments()
     width = height = 40
+    turned = Camera.orbit(profile.grid_shape, 75.0, 40.0, width, height)
 
-    # Reference: the standard merge-based pipeline.
-    app = IsosurfaceApp(
-        profile, storage, width=width, height=height, algorithm="zbuffer",
-        dataset=dataset, isovalue=iso,
-    )
-    ref = (
-        ThreadedEngine(app.graph("RE-Ra-M"), app.placement("RE-Ra-M"))
-        .run()
-        .result.image
-    )
+    def merge_based(view):
+        app = IsosurfaceApp(
+            profile, storage, width=width, height=height, algorithm="zbuffer",
+            dataset=dataset, isovalue=iso, view=view,
+        )
+        return (
+            ThreadedEngine(app.graph("RE-Ra-M"), app.placement("RE-Ra-M"))
+            .run()
+            .result.image
+        )
 
     # Partitioned: 3 strip owners, no merge filter.
     graph = build_partitioned_graph(
         profile, storage, 0, width, height, regions=3,
         dataset=dataset, isovalue=iso,
     )
+    tile_map = graph.filters["Ra"].tile_map
     placement = (
         Placement()
         .place("RE", ["h0"])
         .place("Ra", owner_hosts(3, ["h0"], "h0"))
     )
     metrics = engine_cls(graph, placement).run()
-    image = assemble_strips(metrics.result, graph.filters["Ra"].tile_map)
-    np.testing.assert_array_equal(image, ref)
+    image = assemble_strips(metrics.result, tile_map)
+    np.testing.assert_array_equal(image, merge_based(None))
     assert sum(r.buffers_merged for r in metrics.result) == (
         metrics.stream_totals("RE->Ra")[0]
+    )
+
+    (cycle,) = engine_cls(graph, placement).run_cycles([{"camera": turned}])
+    reference = merge_based(turned)
+    assert not np.array_equal(reference, image)
+    np.testing.assert_array_equal(
+        assemble_strips(cycle.result, tile_map), reference
     )
     assert _shm_segments() <= before
 
@@ -118,6 +138,20 @@ def test_assemble_strips_requires_full_cover():
     frame = RenderResult(np.zeros((4, 10, 3), dtype=np.uint8), 0, 0)
     with pytest.raises(ConfigurationError):
         assemble_strips([frame], tile_map)
+
+
+@pytest.mark.parametrize("triangles", [0, 1, 6, 7, 8, 9, 1000])
+def test_strip_route_model_conserves_triangles(triangles):
+    # Fewer triangles than strips: the shares still sum to the total, and
+    # a strip whose share is zero gets no buffer.
+    tile_map = TileMap.grid(64, 64, 8, 1)
+    model = StripRouteModel(BufferSizes(), tile_map, [1.0] * 8)
+    bufs = model.packets({"triangles": triangles})
+    assert sum(b.tags["triangles"] for b in bufs) == triangles
+    assert sum(b.nbytes for b in bufs) == triangles * TRIANGLE_BYTES
+    assert all(b.tags["triangles"] > 0 for b in bufs)
+    for b in bufs:
+        assert b.tags["tile_owner"] == tile_map.tiles[b.tags["tile"]].owner
 
 
 def sim_partitioned(regions, weights=None, nodes=4, tris=40_000):

@@ -10,7 +10,7 @@ invisible everywhere but here.
 
 Pinned, for 4 configurations x 2 algorithms x {RR, WRR, DD} on a small
 Table-4-style testbed (8 Rogue nodes, one background job on four of them,
-``merge_copies=1``): per-stream ``(buffers, bytes)`` exactly, per-filter
+one Merge sink): per-stream ``(buffers, bytes)`` exactly, per-filter
 busy time and makespan to 1e-9 relative, per-copy ``memory_bytes``
 exactly; plus Table 1's stream volumes (R-E-Ra-M isolated on four hosts).
 
