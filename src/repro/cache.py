@@ -16,8 +16,9 @@ traffic from, in two tiers:
     algorithm, configuration)`` — the request, not the
     triangle data, so a frame stays answerable after the arrays that
     produced it have been evicted.  One entry per frame
-    (:class:`CachedFrame`: a frame is its one full-viewport tile); a hit
-    answers the query without running the pipeline at all.
+    (:class:`CachedFrame`: a frame is its one full-viewport tile), held
+    as the base64 PPM a response carries; a hit answers the query
+    without running the pipeline or encoding the frame again.
 
 The certify-before-memoise contract
 -----------------------------------
@@ -181,20 +182,23 @@ def make_triangle_set(triangles: "Mapping[int, np.ndarray]") -> TriangleSet:
 
 @dataclass(frozen=True)
 class CachedFrame:
-    """``tiles`` value: one rendered frame and its merge facts.
+    """``tiles`` value: one rendered frame, encoded, and its merge facts.
 
-    Everything a query response says about its frame (``active_pixels``,
-    ``buffers_merged``), so a hit rebuilds the response from this entry
-    alone.
+    ``frame_b64`` is the frame in the form a response carries it — the
+    base64 of its binary PPM, encoded once, on the miss — and the other
+    fields are everything else a response says about its frame
+    (``active_pixels``, ``buffers_merged``), so a hit rebuilds the
+    response from this entry alone and encodes nothing.  ``nbytes``
+    charges the encoded string, which is what stays resident.
     """
 
-    image: np.ndarray  # (height, width, 3) uint8
+    frame_b64: str
     active_pixels: int
     buffers_merged: int
 
     @property
     def nbytes(self) -> int:
-        return int(self.image.nbytes) + 32
+        return len(self.frame_b64) + 32
 
 
 # -- the byte-budgeted LRU ---------------------------------------------------

@@ -15,18 +15,6 @@ class SimulationError(ReproError):
     """Errors raised by the discrete-event simulation kernel."""
 
 
-class Interrupt(SimulationError):
-    """Raised inside a simulated process that has been interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.kernel.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class GraphError(ReproError):
     """Errors in filter-graph construction or validation."""
 

@@ -29,7 +29,9 @@ line (stdlib only — no HTTP).  Requests::
 
 ``cmd`` defaults to ``"query"``.  A query response carries the frame as a
 base64 PPM (``frame_b64``), per-query latency, stream/ack totals and a
-``warm`` flag (False when this query cold-built its pool).  Admission is
+``warm`` flag (False when this query cold-built its pool).  A frame is
+encoded once, when it is rendered, so a miss's ``latency_s`` includes the
+encode and a tile hit's has none to include.  Admission is
 bounded: beyond ``admission_limit`` concurrently running queries the server
 answers ``{"ok": false, "rejected": true}`` immediately instead of queueing
 without bound.  Every request line gets a response line: an invalid request
@@ -62,10 +64,11 @@ configurations take the same path under that one certificate.  A refusal
 surfaced in every response's ``cache`` block and the service runs
 uncached.  Both keys are functions of the request alone
 (:func:`cache_keys`) and the probe order is tiles → triangles → pipeline:
-a repeat query is one tile-tier lookup, answered without a pool; on a
-triangle-tier hit (a new view at a cached isovalue) the cached per-chunk
-triangles ride ``uow["triangles"]`` and the Read/Extract stages skip
-storage and marching cubes.  An invalid request raises before any probe
+a repeat query is one tile-tier lookup, answered without a pool, and one
+write — the tile holds the encoded frame, which :func:`response_line`
+joins into the reply as it is; on a triangle-tier hit (a new view at a
+cached isovalue) the cached per-chunk triangles ride ``uow["triangles"]``
+and the Read/Extract stages skip storage and marching cubes.  An invalid request raises before any probe
 and never touches the cache.
 """
 
@@ -544,7 +547,7 @@ class QueryService:
                     "acks": 0, "streams": {}, "chunks": None,
                 }
                 return self._respond(
-                    query, "tile_hit", run, frame.image, events, tracer, t0
+                    query, "tile_hit", run, frame.frame_b64, events, tracer, t0
                 )
             events.append(("tiles", "miss", 0))
 
@@ -592,9 +595,11 @@ class QueryService:
             self.count_failure()
             raise
         result = metrics.result
+        # Encoded once: the tile entry and the response share the string.
+        frame_b64 = base64.b64encode(ppm_bytes(result.image)).decode()
         if binding is not None:
             frame = CachedFrame(
-                result.image, result.active_pixels, result.buffers_merged
+                frame_b64, result.active_pixels, result.buffers_merged
             )
             binding.cache.put("tiles", frame_key, frame, frame.nbytes)
         run = {
@@ -611,7 +616,7 @@ class QueryService:
             "chunks": [len(needed), len(profile.chunks)],
         }
         return self._respond(
-            query, outcome, run, result.image, events, tracer, t0
+            query, outcome, run, frame_b64, events, tracer, t0
         )
 
     def _respond(
@@ -619,7 +624,7 @@ class QueryService:
         query: Query,
         outcome: str,
         run: "dict[str, Any]",
-        image: np.ndarray,
+        frame_b64: str,
         events: _Events,
         tracer: Any,
         t0: float,
@@ -656,7 +661,7 @@ class QueryService:
                 "queue_samples": len(tracer.queue_samples),
                 "dropped": tracer.dropped,
             }
-        response["frame_b64"] = base64.b64encode(ppm_bytes(image)).decode()
+        response["frame_b64"] = frame_b64
         return response
 
     def cache_stats(self) -> "dict[str, Any]":
@@ -722,16 +727,17 @@ def response_line(response: "dict[str, Any]") -> bytes:
 
     ``json.dumps`` scans every string for characters to escape, and a
     frame is a megabyte of base64, whose alphabet has none: the rest of
-    the response is encoded and the frame spliced in as its last member —
+    the response is encoded and the frame joined in as its last member —
     the same JSON value, without the scan.
     """
     frame = response.get("frame_b64")
     if not isinstance(frame, str):
         return json.dumps(response).encode() + b"\n"
     head = {k: v for k, v in response.items() if k != "frame_b64"}
-    return b'%s, "frame_b64": "%s"}\n' % (
-        json.dumps(head).encode()[:-1], frame.encode("ascii")
-    )
+    return b"".join((
+        json.dumps(head).encode()[:-1], b', "frame_b64": "',
+        frame.encode("ascii"), b'"}\n',
+    ))
 
 
 async def _serve(

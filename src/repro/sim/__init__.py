@@ -17,13 +17,12 @@ from repro.sim.cluster import (
 from repro.sim.cpu import ProcessorSharingCPU
 from repro.sim.disk import Disk
 from repro.sim.host import Host
-from repro.sim.kernel import AllOf, AnyOf, Environment, Event, Process, Timeout
+from repro.sim.kernel import AllOf, Environment, Event, Process, Timeout
 from repro.sim.network import Link, Network
 from repro.sim.store import Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Cluster",
     "Disk",
     "Environment",

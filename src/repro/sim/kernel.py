@@ -16,7 +16,7 @@ import heapq
 from collections.abc import Callable, Generator, Iterable
 from typing import Any
 
-from repro.errors import Interrupt, SimulationError
+from repro.errors import SimulationError
 
 __all__ = [
     "Environment",
@@ -24,7 +24,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "PENDING",
 ]
 
@@ -138,7 +137,7 @@ class Process(Event):
     value when it finishes (or fails with the escaping exception).
     """
 
-    __slots__ = ("name", "_generator", "_waiting_on")
+    __slots__ = ("name", "_generator")
 
     def __init__(
         self,
@@ -151,7 +150,6 @@ class Process(Event):
         super().__init__(env)
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._waiting_on: Event | None = None
         # Bootstrap: resume the process at the current time.
         boot = Event(env)
         boot._ok = True
@@ -164,31 +162,8 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`repro.errors.Interrupt` into the process.
-
-        The process may catch the interrupt and continue; the event it was
-        waiting on remains pending and can be re-awaited.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._waiting_on = None
-        kick = Event(self.env)
-        kick._ok = False
-        kick._value = Interrupt(cause)
-        kick.callbacks.append(self._resume)
-        kick._defused = True
-        self.env._schedule(kick, priority=0)
-
     # -- internal --------------------------------------------------------
     def _resume(self, trigger: Event) -> None:
-        self._waiting_on = None
         event: Any = trigger
         while True:
             try:
@@ -221,13 +196,12 @@ class Process(Event):
                 # Already processed: continue immediately with its value.
                 event = target
                 continue
-            self._waiting_on = target
             target.callbacks.append(self._resume)
             return
 
 
 class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+    """Base for composite events (:class:`AllOf`)."""
 
     __slots__ = ("events", "_count")
 
@@ -274,21 +248,6 @@ class AllOf(_Condition):
             self.succeed(self._collect())
 
 
-class AnyOf(_Condition):
-    """Triggers as soon as any constituent event succeeds (or fails)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            setattr(event, "_defused", True)
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
-
-
 class Environment:
     """The simulation world: clock plus event queue.
 
@@ -333,10 +292,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event: all of ``events``."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event: any of ``events``."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:

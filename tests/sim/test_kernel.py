@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import Interrupt, SimulationError
+from repro.errors import SimulationError
 from repro.sim.kernel import Environment
 
 
@@ -246,22 +246,6 @@ def test_all_of_waits_for_every_event():
     assert times == [4.0]
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-    times = []
-
-    def proc(env):
-        a = env.timeout(1.0, value="a")
-        b = env.timeout(4.0, value="b")
-        result = yield env.any_of([a, b])
-        times.append(env.now)
-        assert "a" in set(result.values())
-
-    env.process(proc(env))
-    env.run()
-    assert times == [1.0]
-
-
 def test_all_of_empty_triggers_immediately():
     env = Environment()
 
@@ -271,38 +255,6 @@ def test_all_of_empty_triggers_immediately():
 
     p = env.process(proc(env))
     assert env.run(until=p) == {}
-
-
-def test_interrupt_raises_in_process():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as exc:
-            log.append((env.now, exc.cause))
-
-    def attacker(env, target):
-        yield env.timeout(2.0)
-        target.interrupt("preempted")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert log == [(2.0, "preempted")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_process_is_alive_lifecycle():

@@ -66,10 +66,10 @@ def test_make_triangle_set_orders_chunks_and_accounts_bytes():
     assert not hasattr(frozen, "digest")  # nothing is keyed by the content
 
 
-def test_cached_frame_accounts_image_bytes():
-    image = np.zeros((4, 8, 3), np.uint8)
-    frame = CachedFrame(image, 5, 2)
-    assert frame.nbytes >= image.nbytes
+def test_cached_frame_accounts_encoded_bytes():
+    frame_b64 = "UDYgOCA0IDI1NQo=" * 8  # what stays resident is the string
+    frame = CachedFrame(frame_b64, 5, 2)
+    assert frame.nbytes == len(frame_b64) + 32
 
 
 # -- the LRU store -----------------------------------------------------------

@@ -19,13 +19,6 @@ def test_all_derive_from_repro_error():
         assert issubclass(cls, errors.ReproError)
 
 
-def test_interrupt_carries_cause():
-    exc = errors.Interrupt("preempted")
-    assert exc.cause == "preempted"
-    assert isinstance(exc, errors.SimulationError)
-    assert errors.Interrupt().cause is None
-
-
 def test_single_catch_point():
     with pytest.raises(errors.ReproError):
         raise errors.DataError("boom")

@@ -226,7 +226,7 @@ def _raw_request(port, payload, then=PING_LINE, timeout=120.0):
 
 
 def test_response_lines_are_the_json_of_their_responses():
-    """The frame is spliced into the line instead of passing through
+    """The frame is joined into the line instead of passing through
     ``json.dumps``: every kind of response must still be one line holding
     exactly the JSON value of the dict the server built."""
     service = QueryService(scenes=[SCENE], width=32, height=32)

@@ -357,6 +357,62 @@ def test_frames_outlive_their_triangle_arrays():
         service.close()
 
 
+def test_tile_hit_encodes_nothing(monkeypatch):
+    """The tile tier holds the frame as the response carries it: a repeat
+    is one lookup, answered without a PPM or base64 pass."""
+    query = {"isovalue": 0.4, "timestep": 1}
+    service = _service(cache_mb=32)
+    try:
+        first = service.render(dict(query))
+
+        def refuse(*_args, **_kw):
+            raise AssertionError("a tile hit encoded its frame")
+
+        monkeypatch.setattr("repro.serve.ppm_bytes", refuse)
+        monkeypatch.setattr("repro.serve.base64.b64encode", refuse)
+        repeat = service.render(dict(query))
+        assert repeat["cached"] is True
+        assert repeat["frame_b64"] == first["frame_b64"]
+    finally:
+        service.close()
+
+
+def test_tiles_are_charged_encoded():
+    """A tile is charged the base64 it holds, 4/3 of the image: a budget
+    that fits four raw frames beside their triangle set fits only two
+    encoded ones, and a hit saves exactly the encoded entry."""
+    views = [
+        {"isovalue": 0.4, "timestep": 1,
+         "view": {"azimuth": azimuth, "elevation": 25}}
+        for azimuth in (0, 45, 90, 135)
+    ]
+    sizing = _service(cache_mb=32)
+    try:
+        sizing.render(dict(views[0]))
+        by_tier = sizing.cache_stats()["shared"]["by_tier"]
+    finally:
+        sizing.close()
+    raw = 32 * 32 * 3 + 32  # what an image-holding tile would be charged
+    encoded = by_tier["tiles"]["size_bytes"]
+    assert encoded == 4148  # base64 of a 3,085-byte P6 is 4,116 characters
+    budget = by_tier["triangles"]["size_bytes"] + len(views) * raw
+    service = _service(cache_mb=budget / 2**20)
+    try:
+        responses = [service.render(dict(view)) for view in views]
+        stats = service.cache_stats()["shared"]
+        # every miss refreshes the shared triangle set before its put, so
+        # the oldest frames go: four frames, room for two
+        assert stats["evictions"] == stats["by_tier"]["tiles"]["evictions"] == 2
+        assert stats["by_tier"]["tiles"]["entries"] == 2
+        hit = service.render(dict(views[-1]))
+        assert hit["cached"] is True
+        assert hit["cache"]["bytes_saved"] == encoded
+        assert hit["cache"]["bytes_saved"] == len(hit["frame_b64"]) + 32
+        assert hit["frame_b64"] == responses[-1]["frame_b64"]
+    finally:
+        service.close()
+
+
 VARIANTS = {
     "isovalue": {"isovalue": 0.3},
     "timestep": {"timestep": 0},
