@@ -80,7 +80,7 @@ class ActivePixelRaster:
         self.capacity = capacity_entries
         self.fragments_tested = 0
 
-    def process(self, triangles: np.ndarray, colors: np.ndarray) -> list[WPABuffer]:
+    def process(self, triangles: np.ndarray, colors) -> list[WPABuffer]:
         """Rasterise one input buffer's triangles; returns emitted WPA buffers.
 
         Emits every ``capacity_entries`` full buffer produced while
@@ -94,6 +94,10 @@ class ActivePixelRaster:
         depth.  A stable sort by pixel plays the MSA's part: it ranks every
         fragment within its pixel, and the rule is applied one rank (one
         overdraw layer) at a time instead of one triangle at a time.
+
+        ``colors`` is read once, as ``colors[indices]`` of the triangles
+        that won a pixel: an (N, 3) uint8 array, or a
+        :class:`~repro.viz.shading.DeferredShading` that shades only those.
         """
         triangles = np.asarray(triangles)
         if not triangles.size:
@@ -125,7 +129,7 @@ class ActivePixelRaster:
         entry = np.argsort(by_pixel[starts])
         wpa_pix = pix[starts][entry]
         wpa_depth = win_depth[entry]
-        wpa_color = np.asarray(colors, dtype=np.uint8)[win_tri[entry]]
+        wpa_color = colors[win_tri[entry]]
         return [
             WPABuffer(
                 wpa_pix[lo : lo + self.capacity],

@@ -27,7 +27,7 @@ from repro.viz.active_pixel import ActivePixelMerger, ActivePixelRaster, WPABuff
 from repro.viz.camera import Camera
 from repro.viz.marching_cubes import extract_triangles, range_excludes
 from repro.viz.raster import ZBuffer, ZBufferSlab
-from repro.viz.shading import shade_triangles
+from repro.viz.shading import DeferredShading
 
 __all__ = [
     "ChunkPayload",
@@ -249,12 +249,11 @@ class _RasterBase(Filter):
         self._active_camera = _uow_get(ctx, "camera", self.camera)
 
     def _screen_and_colors(self, tris: np.ndarray):
-        # Shading is per triangle, so shading the kept rows gives the bits
-        # of shading all rows and keeping those.
+        # The rasterisers read colours only at the triangles that win a
+        # pixel; shading is per row, so those are shaded there, with the
+        # bits of shading every kept row.
         screen, kept = self._active_camera.project_and_cull(tris)
-        if len(kept) < len(tris):
-            tris = tris[kept]
-        return screen, shade_triangles(tris, light_direction=self.light_direction)
+        return screen, DeferredShading(tris, kept, self.light_direction)
 
 
 class RasterZFilter(_RasterBase):

@@ -85,18 +85,44 @@ TRI_TABLE = _build_table()
 #: triangles emitted per configuration (diagnostics / cost estimation)
 _TRIS_PER_CONFIG = np.array([t.shape[0] for t in TRI_TABLE], dtype=np.int64)
 
-# TRI_TABLE flattened, configuration after configuration: per triangle the
-# (inside, outside) corner numbers of its three edges (T, 3), the same
-# corners as (x, y, z) offsets (T, 3, 3), and each configuration's first row.
-_EDGE_INSIDE, _EDGE_OUTSIDE = np.moveaxis(np.concatenate(TRI_TABLE).astype(np.int64), 2, 0)
-_INSIDE_XYZ, _OUTSIDE_XYZ = CORNER_OFFSETS[_EDGE_INSIDE], CORNER_OFFSETS[_EDGE_OUTSIDE]
+
+def _build_cut_edges() -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per configuration: its distinct cut edges and each vertex's edge.
+
+    ``edges[config]`` is a (E, 2) array of the distinct (inside, outside)
+    corner pairs of ``TRI_TABLE[config]`` in order of first use (E <= 13),
+    ``slots[config]`` the (T, 3) position in it of every triangle vertex.
+    """
+    edges, slots = [], []
+    for tris in TRI_TABLE:
+        pairs = [tuple(pair) for pair in tris.reshape(-1, 2).tolist()]
+        distinct = list(dict.fromkeys(pairs))
+        edges.append(np.array(distinct, dtype=np.int64).reshape(-1, 2))
+        slots.append(np.array([distinct.index(p) for p in pairs], dtype=np.int64).reshape(-1, 3))
+    return edges, slots
+
+
+_CUT_EDGES, _VERTEX_SLOTS = _build_cut_edges()
+
+# The tables flattened, configuration after configuration.  Per cut edge:
+# its (inside, outside) corner numbers, the inside corner as an (x, y, z)
+# offset and the step to the outside corner, both exact in float64.  Per
+# triangle: the position of its three vertices in its configuration's
+# edge list.  Each configuration's first edge and first triangle row.
+_EDGE_INSIDE, _EDGE_OUTSIDE = np.concatenate(_CUT_EDGES).T
+_EDGE_FROM = CORNER_OFFSETS[_EDGE_INSIDE].astype(np.float64)
+_EDGE_STEP = (CORNER_OFFSETS[_EDGE_OUTSIDE] - CORNER_OFFSETS[_EDGE_INSIDE]).astype(np.float64)
+_VERTEX_SLOT = np.concatenate(_VERTEX_SLOTS)
+_EDGES_PER_CONFIG = np.array([len(e) for e in _CUT_EDGES], dtype=np.int64)
+_EDGE_START = np.cumsum(_EDGES_PER_CONFIG) - _EDGES_PER_CONFIG
 _CONFIG_START = np.cumsum(_TRIS_PER_CONFIG) - _TRIS_PER_CONFIG
 
-#: Triangles interpolated per pass of :func:`extract_triangles`.  A pass
-#: holds about a dozen (B, 3, 3) float64/int64 temporaries (~1 KB per
-#: triangle), so blocks keep them at ~2 MB whatever the chunk yields —
-#: serve front-end threads extract concurrently — at no cost in speed.
-_BLOCK_TRIANGLES = 2048
+#: Cubes interpolated per pass of :func:`extract_triangles`.  A cube has
+#: 7.3 cut edges and 5.8 triangles on average, and a pass holds about a
+#: dozen temporaries per edge and per triangle vertex (~2.5 KB per cube),
+#: so blocks keep them at ~2 MB whatever the chunk yields — serve
+#: front-end threads extract concurrently — at no cost in speed.
+_BLOCK_CUBES = 768
 
 
 def _inside(scalars: np.ndarray, isovalue: float) -> np.ndarray:
@@ -172,7 +198,9 @@ def extract_triangles(
     -------
     (N, 3, 3) float32 array: N triangles, 3 vertices, (x, y, z) world
     coordinates.  Every vertex lies on a cube/tetrahedron edge where linear
-    interpolation of the endpoint scalars equals ``isovalue``.
+    interpolation of the endpoint scalars equals ``isovalue``; each cut
+    edge of a cube is interpolated once, and the cube's triangles that
+    share it take the same vertex.
     """
     scalars = np.asarray(scalars, dtype=np.float32)
     cfg = _cube_configs(scalars, isovalue).reshape(-1)
@@ -188,27 +216,47 @@ def extract_triangles(
     corner0 = np.stack([ax, ay, az], axis=-1)  # (M, 3): cube origins as (x, y, z)
     per_cube = _TRIS_PER_CONFIG[cfg]
     first = np.cumsum(per_cube) - per_cube  # first output triangle per cube
-    total = int(per_cube.sum())
-    cube = np.repeat(np.arange(len(per_cube)), per_cube)  # (N,) cube per triangle
-    row = np.arange(total) + (_CONFIG_START[cfg] - first)[cube]  # (N,) edge-table row
 
     # Scalars are gathered through flat grid-point indices.
     flat = scalars.reshape(-1)
     point_stride = np.array([1, nx, nx * ny])
     corner0_flat = corner0 @ point_stride
-    corner_flat = CORNER_OFFSETS @ point_stride
+    inside_flat = (CORNER_OFFSETS @ point_stride)[_EDGE_INSIDE]
+    outside_flat = (CORNER_OFFSETS @ point_stride)[_EDGE_OUTSIDE]
+    corner0 = corner0.astype(np.float64)  # exact, like every offset below
     origin = np.asarray(origin, dtype=np.float64)
     spacing = np.asarray(spacing, dtype=np.float64)
-    out = np.empty((total, 3, 3), dtype=np.float32)
-    for lo in range(0, total, _BLOCK_TRIANGLES):
-        cubes, rows = cube[lo : lo + _BLOCK_TRIANGLES], row[lo : lo + _BLOCK_TRIANGLES]
-        # Scalar values at both corners of each edge: (B, 3).
-        s_a = flat[corner0_flat[cubes, None] + corner_flat[_EDGE_INSIDE[rows]]]
-        s_b = flat[corner0_flat[cubes, None] + corner_flat[_EDGE_OUTSIDE[rows]]]
+    out = np.empty((int(per_cube.sum()), 3, 3), dtype=np.float32)
+    for lo in range(0, len(cfg), _BLOCK_CUBES):
+        cubes = slice(lo, lo + _BLOCK_CUBES)
+        # Every cut edge of the block's cubes, once per cube: (E,).
+        edge_cube, edge, edge_first = _table_rows(
+            cfg[cubes], _EDGES_PER_CONFIG, _EDGE_START
+        )
+        points = corner0_flat[cubes][edge_cube]
+        s_a = flat[points + inside_flat[edge]]
+        s_b = flat[points + outside_flat[edge]]
         t = (isovalue - s_a) / (s_b - s_a)  # in (0, 1]; s_a > iso >= s_b
-        # Corner positions in (x, y, z) grid units: (B, 3, 3).
-        base = corner0[cubes][:, None, :]
-        pa = (base + _INSIDE_XYZ[rows]).astype(np.float64)
-        pb = (base + _OUTSIDE_XYZ[rows]).astype(np.float64)
-        out[lo : lo + _BLOCK_TRIANGLES] = origin + (pa + t[..., None] * (pb - pa)) * spacing
+        # Rows are gathered with np.take, ~3x as fast as fancy indexing.
+        pa = np.take(corner0[cubes], edge_cube, axis=0) + np.take(_EDGE_FROM, edge, axis=0)
+        vertex = origin + (pa + t[:, None] * np.take(_EDGE_STEP, edge, axis=0)) * spacing
+        # Each triangle takes its three vertices from its cube's edges.
+        tri_cube, row, _ = _table_rows(cfg[cubes], _TRIS_PER_CONFIG, _CONFIG_START)
+        slot = edge_first[tri_cube, None] + np.take(_VERTEX_SLOT, row, axis=0)
+        at = first[lo]
+        out[at : at + len(row)] = np.take(vertex, slot, axis=0)
     return out
+
+
+def _table_rows(
+    configs: np.ndarray, per_config: np.ndarray, config_start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand cubes into the rows a flattened per-configuration table holds.
+
+    Returns, per row, its cube (an index into ``configs``) and its table
+    row, cube after cube, and per cube the position of its first row.
+    """
+    counts = per_config[configs]
+    cube = np.repeat(np.arange(len(configs)), counts)
+    first = np.cumsum(counts) - counts
+    return cube, np.arange(len(cube)) + (config_start[configs] - first)[cube], first

@@ -242,14 +242,13 @@ class ZBuffer:
         self.depth = np.full(width * height, np.inf, dtype=np.float32)
         self.color = np.zeros((width * height, 3), dtype=np.uint8)
         self.fragments_tested = 0
-        self.fragments_won = 0
 
     @property
     def total_bytes(self) -> int:
         """Wire size of the full buffer."""
         return self.width * self.height * ZBUFFER_ENTRY_BYTES
 
-    def rasterize(self, triangles: np.ndarray, colors: np.ndarray) -> None:
+    def rasterize(self, triangles: np.ndarray, colors) -> None:
         """Rasterise screen-space triangles (N, 3, 3) with (N, 3) colours.
 
         Fragments come from the batched :func:`rasterize_triangles` kernel
@@ -258,9 +257,11 @@ class ZBuffer:
         sequential loop's first-writer-wins) is depth-tested against the
         buffer.  This matches processing the triangles one by one except
         when two fragments' depths differ by less than one float32 ulp,
-        where the old loop's intermediate float32 stores could keep either;
-        ``fragments_won`` counts pixels improved per call rather than every
-        intermediate overwrite.
+        where the old loop's intermediate float32 stores could keep either.
+
+        ``colors`` is read once, as ``colors[indices]`` of the triangles
+        that won a pixel: an (N, 3) uint8 array, or a
+        :class:`~repro.viz.shading.DeferredShading` that shades only those.
         """
         triangles = np.asarray(triangles)
         if triangles.size == 0:
@@ -277,12 +278,11 @@ class ZBuffer:
         cand = order[_run_starts(pixels[order])]
         cand_pix = pixels[cand]
         cand_depth = depth[cand]
-        wins = cand_depth < self.depth[cand_pix]
-        if wins.any():
+        wins = np.flatnonzero(cand_depth < self.depth[cand_pix])
+        if wins.size:
             won = cand_pix[wins]
             self.depth[won] = cand_depth[wins]
-            self.color[won] = np.asarray(colors)[tri_idx[cand[wins]]]
-            self.fragments_won += int(wins.sum())
+            self.color[won] = colors[tri_idx[cand[wins]]]
 
     def merge_entries(
         self, pixels: np.ndarray, depth: np.ndarray, color: np.ndarray
@@ -296,19 +296,27 @@ class ZBuffer:
 
     def merge_slab(self, slab: ZBufferSlab) -> None:
         """Depth-merge a contiguous slab (z-buffer pixel-merging phase)."""
-        sl = slice(slab.start, slab.start + len(slab.depth))
-        wins = slab.depth < self.depth[sl]
-        if wins.any():
-            self.depth[sl][wins] = slab.depth[wins]
-            self.color[sl][wins] = slab.color[wins]
+        self._merge_range(slab.start, slab.depth, slab.color)
 
     def merge(self, other: "ZBuffer") -> None:
         """Depth-merge another full z-buffer of the same size."""
         if (other.width, other.height) != (self.width, self.height):
             raise ConfigurationError("z-buffer size mismatch")
-        wins = other.depth < self.depth
-        self.depth[wins] = other.depth[wins]
-        self.color[wins] = other.color[wins]
+        self._merge_range(0, other.depth, other.color)
+
+    def _merge_range(self, start: int, depth: np.ndarray, color: np.ndarray) -> None:
+        """Depth-merge a contiguous (depth, colour) range starting at ``start``.
+
+        One comparison finds the pixels the range wins (strictly nearer:
+        an equal depth keeps the stored entry); depth and colour are
+        written there only.  A slab is mostly background (infinite depth,
+        which never wins), so the writes touch a few per cent of it.
+        """
+        dst_depth = self.depth[start : start + len(depth)]
+        won = np.flatnonzero(depth < dst_depth)
+        if won.size:
+            dst_depth[won] = depth[won]
+            self.color[start : start + len(depth)][won] = color[won]
 
     def slabs(self, entries_per_buffer: int) -> list[ZBufferSlab]:
         """Serialise the whole buffer into fixed-size contiguous slabs.

@@ -10,7 +10,9 @@ the executable definition of what those kernels must compute, bit for bit:
   triangle at a time (the definition of ``rasterize_triangles``' output);
 - :func:`extract_triangles_sequential` — marching cubes one cube
   configuration at a time, over :func:`cube_configs_sequential`'s bitmasks
-  (one cube corner at a time).
+  (one cube corner at a time), one interpolation per triangle vertex;
+- :func:`merge_slab_masked` — the z-buffer slab merge as boolean masks
+  over the whole slab.
 
 Nothing under ``src/`` imports this module.
 """
@@ -19,6 +21,7 @@ import numpy as np
 
 from repro.viz.active_pixel import WPABuffer
 from repro.viz.marching_cubes import CORNER_OFFSETS, TRI_TABLE
+from repro.viz.raster import ZBuffer, ZBufferSlab
 
 
 _EMPTY_FRAGS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
@@ -202,3 +205,12 @@ def extract_triangles_sequential(
     if not pieces:
         return np.empty((0, 3, 3), dtype=np.float32)
     return np.concatenate(pieces, axis=0).astype(np.float32)
+
+
+def merge_slab_masked(zbuffer: ZBuffer, slab: ZBufferSlab) -> None:
+    """``ZBuffer.merge_slab`` as three boolean-mask passes over the slab."""
+    sl = slice(slab.start, slab.start + len(slab.depth))
+    wins = slab.depth < zbuffer.depth[sl]
+    if wins.any():
+        zbuffer.depth[sl][wins] = slab.depth[wins]
+        zbuffer.color[sl][wins] = slab.color[wins]

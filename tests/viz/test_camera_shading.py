@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.viz.camera import Camera
-from repro.viz.shading import shade_triangles, triangle_normals
+from repro.viz.shading import DeferredShading, shade_triangles, triangle_normals
 
 
 def front_camera(width=100, height=100, view_width=10.0):
@@ -230,17 +230,57 @@ def test_shading_validation():
         shade_triangles(tri, ambient=2.0)
 
 
-@settings(max_examples=60, deadline=None)
+def test_shading_leaves_the_callers_light_direction_alone():
+    light = np.array([0.4, -0.5, 0.8])
+    shade_triangles(np.ones((2, 3, 3)).cumsum(axis=1), light_direction=light)
+    assert light.tolist() == [0.4, -0.5, 0.8]
+
+
+def rows_of(n):
+    """Row indices into n rows: unsorted, possibly repeated, possibly empty."""
+    return st.lists(st.integers(0, n - 1), max_size=2 * n + 3).map(
+        lambda rows: np.array(rows, dtype=np.int64)
+    )
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([np.float32, np.float64])
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 40),
+    st.sampled_from(range(8)),
+    st.sampled_from([np.float32, np.float64]),
+    st.data(),
 )
-def test_shading_a_subset_equals_the_subset_of_shading(seed, n, dtype):
-    # The Raster filters shade only the triangles the cull keeps; that is
-    # bit-identical to shading all and keeping the same rows.
+def test_shading_a_subset_equals_the_subset_of_shading(seed, eighths, residue, dtype, data):
+    # Shading is per row: the colours of any rows, in any order and with
+    # repeats, are those rows of the colours of all, byte for byte.  The
+    # Raster filters shade only the rows the cull keeps, and of those only
+    # the rows that win a pixel.  N covers every residue mod 8, where a
+    # SIMD loop's tail differs from its body.
+    n = 8 * eighths + residue
+    assume(n > 0)
     rng = np.random.default_rng(seed)
     tris = rng.uniform(-50, 50, size=(n, 3, 3)).astype(dtype)
-    kept = np.flatnonzero(rng.random(n) < rng.random())
-    np.testing.assert_array_equal(shade_triangles(tris)[kept], shade_triangles(tris[kept]))
+    light = tuple(rng.uniform(-1, 1, 3) + (0.0, 0.0, 2.0))
+    rows = data.draw(rows_of(n))
+    whole = shade_triangles(tris, light_direction=light)
+    part = shade_triangles(tris[rows], light_direction=light)
+    assert part.dtype == whole.dtype == np.uint8
+    assert part.tobytes() == whole[rows].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.booleans(), st.data())
+def test_deferred_shading_is_the_rows_of_eager_shading(seed, n, cull, data):
+    rng = np.random.default_rng(seed)
+    tris = rng.uniform(-50, 50, size=(n, 3, 3)).astype(np.float32)
+    kept = np.flatnonzero(rng.random(n) < 0.6) if cull else np.arange(n)
+    eager = shade_triangles(tris[kept], (0.3, 0.2, 0.9))
+    lazy = DeferredShading(tris, kept, (0.3, 0.2, 0.9))
+    assert len(lazy) == len(eager)
+    if len(eager):
+        index = data.draw(rows_of(len(eager)))
+        assert lazy[index].tobytes() == eager[index].tobytes()
 
 
 def test_shading_range():

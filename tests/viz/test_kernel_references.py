@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 
 from repro.viz import marching_cubes
 from repro.viz.active_pixel import ActivePixelRaster
+from repro.viz.camera import Camera
 from repro.viz.marching_cubes import extract_triangles, triangle_count
-from repro.viz.raster import ZBuffer
+from repro.viz.raster import ZBuffer, ZBufferSlab
+from repro.viz.shading import DeferredShading, shade_triangles
 from tests.viz.reference_kernels import (
     SequentialActivePixelRaster,
     cube_configs_sequential,
     extract_triangles_sequential,
+    merge_slab_masked,
 )
 
 WIDTH, HEIGHT = 40, 32
@@ -208,25 +211,39 @@ def test_every_single_cube_configuration(config):
     assert len(tris) == len(marching_cubes.TRI_TABLE[config])
 
 
+def field_from(shape, seed, nan):
+    scalars = np.random.default_rng(seed).random(shape, dtype=np.float32)
+    if nan:  # a NaN sample is outside; the edges it ends interpolate to NaN
+        scalars.flat[seed % scalars.size] = np.nan
+    return scalars
+
+
 fields = st.tuples(
-    st.integers(2, 6), st.integers(2, 6), st.integers(2, 6), st.integers(0, 2**31)
-).map(
-    lambda s: np.random.default_rng(s[3]).random(s[:3], dtype=np.float32)
-)
+    st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+    st.integers(0, 2**31),
+    st.booleans(),
+).map(lambda s: field_from(*s))
 isovalues = st.one_of(
     st.floats(min_value=-0.1, max_value=1.1, allow_nan=False),
+    st.floats(min_value=-0.1, max_value=1.1, allow_nan=False).map(np.float64),
     st.sampled_from([np.float32(0.4), np.float64(0.6), 0.0, 1.0]),
+)
+axis_spacing = st.one_of(
+    st.just(1.0), st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+)
+placements = st.tuples(
+    st.tuples(*[st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)] * 3),
+    st.tuples(axis_spacing, axis_spacing, axis_spacing),
 )
 
 
 @settings(max_examples=80, deadline=None)
-@given(fields, st.lists(isovalues, min_size=1, max_size=3))
-def test_random_fields_at_several_isovalues(scalars, levels):
+@given(fields, st.lists(isovalues, min_size=1, max_size=3), placements)
+def test_random_fields_at_several_isovalues(scalars, levels, placement):
+    origin, spacing = placement
     for isovalue in levels:
         assert_extract_matches(scalars, isovalue)
-        assert_extract_matches(
-            scalars, isovalue, origin=(16.0, 0.0, 32.0), spacing=(0.5, 1.0, 3.0)
-        )
+        assert_extract_matches(scalars, isovalue, origin=origin, spacing=spacing)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 7, 64])
@@ -239,7 +256,7 @@ def test_blocks_that_split_inside_a_configuration_run(monkeypatch, block):
     scalars = -np.sqrt(X**2 + Y**2 + Z**2)
     want = extract_triangles(scalars, -0.7)
     assert len(want) > 64 * 8
-    monkeypatch.setattr(marching_cubes, "_BLOCK_TRIANGLES", block)
+    monkeypatch.setattr(marching_cubes, "_BLOCK_CUBES", block)
     np.testing.assert_array_equal(assert_extract_matches(scalars, -0.7), want)
 
 
@@ -248,3 +265,114 @@ def test_non_contiguous_and_float64_fields():
     big = rng.random((9, 8, 14))
     assert_extract_matches(big[::2, 1:, ::3], 0.5)  # float64 view, strided
     assert_extract_matches(np.asfortranarray(big.astype(np.float32)), 0.45)
+
+
+# -- deferred shading --------------------------------------------------------
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 300))
+def test_deferred_colours_rasterise_like_eager_ones(seed, n, capacity):
+    # Both rasterisers read colours only at winning triangles; a colour
+    # source that shades the culled world triangles there gives the
+    # z-buffer and the WPA stream of shading them all up front.
+    rng = np.random.default_rng(seed)
+    world = rng.uniform(-12, 20, size=(n, 3, 3)).astype(np.float32)
+    camera = Camera.orbit(
+        (9, 9, 9), azimuth_deg=float(rng.uniform(0, 360)),
+        elevation_deg=float(rng.uniform(-30, 60)), width=WIDTH, height=HEIGHT,
+    )
+    screen, kept = camera.project_and_cull(world)
+    eager = shade_triangles(world[kept])
+    lazy = DeferredShading(world, kept)
+    zbuffers = [ZBuffer(WIDTH, HEIGHT) for _ in range(2)]
+    for zbuffer, colors in zip(zbuffers, (eager, lazy)):
+        zbuffer.rasterize(screen, colors)
+    assert zbuffers[0].depth.tobytes() == zbuffers[1].depth.tobytes()
+    assert zbuffers[0].color.tobytes() == zbuffers[1].color.tobytes()
+    want = ActivePixelRaster(WIDTH, HEIGHT, capacity).process(screen, eager)
+    got = ActivePixelRaster(WIDTH, HEIGHT, capacity).process(screen, lazy)
+    assert_same_buffers(got, want)
+
+
+# -- z-buffer merge ----------------------------------------------------------
+#: Few distinct depths, so equal depths meet; inf is background.
+merge_depths = st.sampled_from([np.inf, 0.5, 1.0, 1.0, 2.0, 7.25])
+
+
+def zbuffer_holding(depth, seed):
+    zbuffer = ZBuffer(len(depth), 1)
+    zbuffer.depth[:] = depth
+    zbuffer.color[:] = colors_for(len(depth), seed)
+    return zbuffer
+
+
+def assert_same_zbuffer(got, want):
+    assert got.depth.tobytes() == want.depth.tobytes()
+    assert got.color.tobytes() == want.color.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparse_slab_merge_matches_the_masked_merge(data):
+    n = data.draw(st.integers(1, 40))
+    state = data.draw(st.lists(merge_depths, min_size=n, max_size=n))
+    got, want = zbuffer_holding(state, 1), zbuffer_holding(state, 1)
+    for seed in range(data.draw(st.integers(1, 4))):
+        start = data.draw(st.integers(0, n - 1))
+        size = data.draw(st.integers(1, n - start))
+        depth = data.draw(st.lists(merge_depths, min_size=size, max_size=size))
+        slab = ZBufferSlab(
+            start, np.array(depth, dtype=np.float32), colors_for(size, seed + 2)
+        )
+        got.merge_slab(slab)
+        merge_slab_masked(want, slab)
+        assert_same_zbuffer(got, want)
+
+
+def test_slab_merge_keeps_the_stored_value_on_equal_depth():
+    zbuffer = zbuffer_holding([2.0, 2.0, 2.0], seed=1)
+    stored = zbuffer.color.copy()
+    zbuffer.merge_slab(ZBufferSlab(0, np.full(3, 2.0, np.float32), colors_for(3, 9)))
+    assert (zbuffer.color == stored).all()
+    assert (zbuffer.depth == 2.0).all()
+
+
+def test_an_all_background_slab_writes_nothing():
+    zbuffer = zbuffer_holding([np.inf, 1.0, np.inf, 3.0], seed=1)
+    zbuffer.depth.flags.writeable = False  # any write would raise
+    zbuffer.color.flags.writeable = False
+    background = ZBuffer(4, 1).slabs(3)
+    for slab in background:
+        zbuffer.merge_slab(slab)
+    zbuffer.merge(ZBuffer(4, 1))
+
+
+def test_short_final_slab_at_an_offset():
+    source = ZBuffer(10, 10)
+    tris = np.array(
+        [
+            [[0.0, 0.0, 2.0], [9.0, 0.0, 2.0], [0.0, 9.0, 2.0]],
+            [[3.0, 3.0, 1.0], [10.0, 3.0, 1.0], [3.0, 10.0, 1.0]],
+        ]
+    )
+    source.rasterize(tris, colors_for(2, 3))
+    slabs = source.slabs(16)
+    assert (slabs[-1].start, len(slabs[-1].depth)) == (96, 4)
+    state = np.where(np.arange(100) % 3 == 0, 1.5, np.inf)
+    got, want = zbuffer_holding(state, 5), zbuffer_holding(state, 5)
+    for slab in slabs:
+        got.merge_slab(slab)
+        merge_slab_masked(want, slab)
+    assert_same_zbuffer(got, want)
+    assert np.isfinite(got.depth).sum() > np.isfinite(state).sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_whole_buffer_merge_matches_the_masked_merge(data):
+    n = data.draw(st.integers(1, 40))
+    mine, theirs = (data.draw(st.lists(merge_depths, min_size=n, max_size=n)) for _ in "ab")
+    got, want = zbuffer_holding(mine, 1), zbuffer_holding(mine, 1)
+    other = zbuffer_holding(theirs, 2)
+    got.merge(other)
+    merge_slab_masked(want, ZBufferSlab(0, other.depth, other.color))
+    assert_same_zbuffer(got, want)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import DataError
+from repro.viz import marching_cubes as mc
 from repro.viz.marching_cubes import (
     CORNER_OFFSETS,
     TRI_TABLE,
@@ -45,6 +46,25 @@ def test_table_edges_cross_the_surface():
         for tri in TRI_TABLE[cfg]:
             for a, b in tri:
                 assert inside[a] == 1 and inside[b] == 0
+
+
+def test_cut_edge_table_rebuilds_the_triangle_table():
+    # Per configuration: distinct (inside, outside) corner pairs, at most
+    # 13 (a Kuhn-split cube has 19 edges), through which every triangle
+    # vertex finds its own pair; the float64 offsets are the corners'.
+    edges = mc._EDGE_INSIDE, mc._EDGE_OUTSIDE
+    for cfg in range(256):
+        lo, count = mc._EDGE_START[cfg], mc._EDGES_PER_CONFIG[cfg]
+        pairs = np.stack([e[lo : lo + count] for e in edges], axis=-1)
+        assert count <= 13
+        assert len({tuple(p) for p in pairs.tolist()}) == count
+        rows = slice(mc._CONFIG_START[cfg], mc._CONFIG_START[cfg] + len(TRI_TABLE[cfg]))
+        np.testing.assert_array_equal(pairs[mc._VERTEX_SLOT[rows]], TRI_TABLE[cfg])
+    assert mc._EDGES_PER_CONFIG.max() == 13
+    np.testing.assert_array_equal(mc._EDGE_FROM, CORNER_OFFSETS[mc._EDGE_INSIDE])
+    np.testing.assert_array_equal(
+        mc._EDGE_FROM + mc._EDGE_STEP, CORNER_OFFSETS[mc._EDGE_OUTSIDE]
+    )
 
 
 def test_corner_offsets():
