@@ -1,6 +1,6 @@
 """Static analysis of filter pipelines and filter code.
 
-Four passes, all reporting structured :class:`Diagnostic` objects with a
+Three passes, all reporting structured :class:`Diagnostic` objects with a
 stable rule id, a severity and a fix hint (see
 :mod:`repro.analysis.rules` for the catalogue):
 
@@ -24,16 +24,9 @@ per-cycle state never reset between units of work.  Nothing is imported or execu
 **Pass 3 — effects** (:mod:`repro.analysis.effects`, ``E7xx``): AST
 effect and purity inference per filter class (PURE / STATEFUL / IO /
 NONDETERMINISTIC), rolled up to subgraphs; :func:`certify_memoisable` is
-the purity gate for result caches.  It reads the configuration off, so it
-is the ``deep=True`` part of the engine gate (``verify_pipeline(...,
-deep=True)``, every engine constructor, and ``repro lint --deep``).
-
-**Pass 4 — protocol** (:mod:`repro.analysis.protocol`, ``F9xx``): a bounded
-model checker over the credit/ack/close protocol proving deadlock-freedom
-and EOW delivery, with counterexample event traces.  It searches a state
-space, and runs where a search is affordable and its verdict is read —
-``repro lint --deep`` (:func:`verify_protocol`), the tests and direct
-:func:`check_protocol` calls — never in an engine constructor.
+the purity gate for result caches.  It reads the configuration off, so
+:func:`verify_pipeline` always runs it: it is part of the engine gate, and
+``repro lint --graph-module`` reports exactly what that gate reports.
 
 All passes drive the ``repro lint`` CLI and the CI self-check.
 """
@@ -61,14 +54,6 @@ from repro.analysis.pipeline import (
     verify_graph,
     verify_pipeline,
     verify_placement,
-)
-from repro.analysis.protocol import (
-    ProtocolModel,
-    ProtocolResult,
-    build_model,
-    check_model,
-    check_protocol,
-    verify_protocol,
 )
 from repro.analysis.report import (
     format_rule_catalogue,
@@ -98,12 +83,6 @@ __all__ = [
     "subgraph_effect",
     "certify_memoisable",
     "verify_effects",
-    "ProtocolModel",
-    "ProtocolResult",
-    "build_model",
-    "check_model",
-    "check_protocol",
-    "verify_protocol",
     "lint_source",
     "lint_file",
     "lint_class",

@@ -7,11 +7,10 @@ violation as a structured :class:`~repro.analysis.Diagnostic`
 individual passes are exposed for the thin ``validate()`` compatibility
 wrappers on :class:`~repro.core.graph.FilterGraph` and
 :class:`~repro.core.placement.Placement`; engines call
-:func:`verify_pipeline` with ``deep=True``, which runs every rule that
-reads the configuration off and can refuse it: the G/P/W/Z rules here
-and effect inference.  The protocol model checker
-(:mod:`repro.analysis.protocol`) *searches* a state space instead, and is
-not part of this function: ``repro lint --deep`` and the tests call it.
+:func:`verify_pipeline`, which runs every rule that reads the
+configuration off and can refuse it: the G/P/W/Z rules here and effect
+inference.  ``repro lint --graph-module`` calls the same function, so it
+reports exactly what the engine gate reports.
 """
 
 from __future__ import annotations
@@ -105,19 +104,6 @@ def verify_graph(graph: "FilterGraph") -> list[Diagnostic]:
                     )
                 )
 
-    seen_pairs: dict[tuple[str, str], int] = {}
-    for stream in graph.streams.values():
-        pair = (stream.src, stream.dst)
-        seen_pairs[pair] = seen_pairs.get(pair, 0) + 1
-    for (src, dst), count in sorted(seen_pairs.items()):
-        if count > 1:
-            out.append(
-                RULES["G108"].diagnostic(
-                    f"{src}->{dst}",
-                    f"filters {src!r} and {dst!r} are connected by {count} "
-                    f"parallel streams",
-                )
-            )
     return out
 
 
@@ -278,7 +264,6 @@ def verify_pipeline(
     known_hosts: Iterable[str] | None = None,
     policy_for: "Callable[[str], Callable[[], WriterPolicy]] | None" = None,
     queue_capacity: int = 8,
-    deep: bool = False,
 ) -> DiagnosticReport:
     """Run every applicable pipeline rule and return the full report.
 
@@ -287,8 +272,8 @@ def verify_pipeline(
     raises — gate on :meth:`DiagnosticReport.raise_errors` /
     :attr:`DiagnosticReport.errors`.
 
-    With ``deep=True`` effect/purity inference (``E7xx``) runs as well —
-    what every engine runs at construction.
+    Effect/purity inference (``E7xx``) always runs: this is what every
+    engine runs at construction.
     """
     report = DiagnosticReport()
     report.extend(verify_graph(graph))
@@ -298,7 +283,6 @@ def verify_pipeline(
             report.extend(
                 verify_flow(graph, placement, policy_for, queue_capacity)
             )
-    if deep:
-        report.extend(verify_effects(graph))
+    report.extend(verify_effects(graph))
     report.sort()
     return report

@@ -9,7 +9,6 @@ Rule ids are stable and grouped by scope:
 ``Z4xx``   phase synchronisation (pipeline verifier)
 ``C6xx``   filter code (AST lint)
 ``E7xx``   filter effects / purity (pass 3)
-``F9xx``   flow-control protocol model checking (pass 4)
 =========  ===============================================================
 
 Each :class:`Rule` carries a default severity and a generic fix hint; a
@@ -118,13 +117,6 @@ _rule(
     "A filter cannot be reached from any source; it will only ever see "
     "end-of-work markers and process no data.",
     "Connect it downstream of a source or remove it.",
-)
-_rule(
-    "G108", "parallel-streams", Severity.INFO, "graph",
-    "Two filters are connected by more than one parallel stream; each "
-    "stream gets its own writer and policy instance.",
-    "Intentional fan-out aside, merge parallel streams into one and "
-    "multiplex on buffer tags.",
 )
 
 # -- P2xx: placement ---------------------------------------------------------
@@ -297,41 +289,4 @@ _rule(
     "return results a live run would not produce.",
     "Attach the cache to a certified subgraph (e.g. the standalone "
     "extract stage), or run the pipeline uncached.",
-)
-
-# -- F9xx: flow-control protocol model checking (pass 4) ---------------------
-_rule(
-    "F901", "protocol-deadlock", Severity.ERROR, "protocol",
-    "Bounded exploration of the credit/ack/close protocol reached a "
-    "state where no copy set can make progress: a cycle of blocking "
-    "sends and unconsumed queues wedges the pipeline before end-of-work "
-    "can propagate.",
-    "Break the blocking cycle shown in the event trace (reorder the "
-    "graph, raise queue capacity, or unblock the stalled consumer).",
-)
-_rule(
-    "F902", "dd-credit-deadlock", Severity.ERROR, "protocol",
-    "A demand-driven sliding window wedges: a producer "
-    "sits on a full window whose acks can never arrive because the "
-    "consumer is itself blocked sending — a credit cycle, typically "
-    "through a feedback edge into a tile-routed merge.",
-    "Remove the feedback edge (filter graphs must be DAGs), or widen "
-    "the window / queue so the ack cycle cannot close.",
-)
-_rule(
-    "F903", "eow-delivery-wedge", Severity.ERROR, "protocol",
-    "End-of-work delivery is not guaranteed: a producer finishes its "
-    "work but can never deliver its end-of-work marker (the consumer "
-    "queue stays full or the consumer never drains it), so downstream "
-    "phase boundaries wait forever — the close-while-busy wedge.",
-    "Ensure every consumer keeps draining until all markers arrive "
-    "(crash supervision must drain or fail the queue, not abandon it).",
-)
-_rule(
-    "F904", "state-space-truncated", Severity.INFO, "protocol",
-    "The protocol model checker hit its state budget (repro lint "
-    "--protocol-max-states) before exhausting the reachable state space; "
-    "deadlock-freedom is verified only up to the explored bound.",
-    "Re-run repro.analysis.protocol.check_protocol directly with a "
-    "higher max_states for a complete proof.",
 )

@@ -35,13 +35,11 @@ Six subcommands::
         exported with ``--trace-out`` (either engine).
 
     python -m repro.cli lint [PATH ...] [--graph-module MOD[:ATTR]]
-                             [--format text|json] [--process] [--deep]
-                             [--protocol-max-states N] [--rules]
+                             [--format text|json] [--process] [--rules]
         Run the static analysis layer (:mod:`repro.analysis`): AST-lint
         filter code in the given files (nothing is imported) and/or
-        verify a live graph+placement from an imported module.  With
-        ``--deep``, the effect-inference (E7xx) and protocol
-        model-checker (F9xx) passes run on the imported graphs too.
+        verify a live graph+placement from an imported module with the
+        rules every engine constructor runs (effect inference included).
         Exits 1 when any ERROR-level diagnostic fires.
 
 Both engines emit the same trace schema (:mod:`repro.core.tracing`), so
@@ -216,7 +214,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         lint_graph_filters,
         to_json,
         verify_pipeline,
-        verify_protocol,
     )
 
     if args.rules:
@@ -247,7 +244,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     for path in files:
         report.extend(lint_file(path, process_engine=args.process))
 
-    # Pass 1 over a live graph/placement from an imported module.
+    # The engine gate (passes 1 and 3) over a live graph/placement from an
+    # imported module, then pass 2 over its filter classes and file.
     if args.graph_module:
         try:
             loaded = _load_graph_objects(args.graph_module)
@@ -260,28 +258,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         from repro.core.policies import stream_policies
 
         for graph, placement, module_file in loaded:
-            policy_for = stream_policies(graph, args.policy)
-            found = verify_pipeline(
-                graph,
-                placement,
-                policy_for=policy_for,
-                queue_capacity=args.queue_capacity,
-                deep=args.deep,
-            )
-            # A structurally broken pipeline wedges for reasons the other
-            # rules already name, so the model is explored only without them.
-            if args.deep and not found.errors:
-                found.extend(
-                    verify_protocol(
-                        graph,
-                        placement,
-                        policy_for,
-                        args.queue_capacity,
-                        max_states=args.protocol_max_states,
-                    )
+            report.extend(
+                verify_pipeline(
+                    graph,
+                    placement,
+                    policy_for=stream_policies(graph, args.policy),
+                    queue_capacity=args.queue_capacity,
                 )
-                found.sort()
-            report.extend(found)
+            )
             report.extend(
                 lint_graph_filters(graph, process_engine=args.process)
             )
@@ -498,15 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="writer policy assumed for flow-control rules")
     p_lint.add_argument("--queue-capacity", type=int, default=8,
                         help="queue bound assumed for flow-control rules")
-    p_lint.add_argument("--deep", action="store_true",
-                        help="run the deep passes on --graph-module graphs: "
-                             "effect inference (E7xx) and the protocol "
-                             "model checker (F9xx)")
-    p_lint.add_argument("--protocol-max-states", type=int, default=4_000,
-                        help="state-space bound for the --deep model "
-                             "checker; raise it for an exhaustive "
-                             "deadlock-freedom proof instead of an F904 "
-                             "truncation note")
     p_lint.add_argument("--rules", action="store_true",
                         help="print the rule catalogue and exit")
     p_lint.set_defaults(func=_cmd_lint)

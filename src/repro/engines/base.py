@@ -52,9 +52,9 @@ def validate_run_setup(
     labels), writer-policy flow control and effect inference — plus the
     engine-specific requirements (a ``factory``/``sim_factory`` per
     filter, a sane queue bound).  Every rule here reads the configuration
-    off and can refuse it; the protocol model checker, which searches a
-    state space, is ``repro lint --deep``'s and the tests', not the
-    constructors'.
+    off and can refuse it.  Of the analyser's three passes this runs the
+    pipeline verifier and effect inference; ``repro lint --graph-module``
+    calls the same function, so lint and the gate report one rule set.
 
     ERROR-level diagnostics raise immediately (:class:`GraphError` /
     :class:`PlacementError` / :class:`~repro.errors.AnalysisError` by rule
@@ -77,7 +77,6 @@ def validate_run_setup(
         known_hosts=known_hosts,
         policy_for=policy_for,
         queue_capacity=queue_capacity,
-        deep=True,
     )
     report.raise_errors()
     for spec in graph.filters.values():

@@ -204,7 +204,6 @@ graph.add_filter("floating")
 graph.connect("a", "b")
 graph.connect("a", "merge")
 graph.connect("b", "merge")
-graph.connect("a", "b", name="dup")
 
 placement = Placement()
 placement.place("a", ["h0"])
@@ -292,7 +291,6 @@ def test_lint_graph_module_detects_many_rules(tmp_path, capsys, monkeypatch):
     expected = {
         "G103",  # floating filter neither source nor consumer
         "G107",  # unreachable from every source
-        "G108",  # parallel streams a->b
         "P201",  # floating has no placement
         "P202",  # ghost placed but not in graph
         "P204",  # multi-copy sink
@@ -331,22 +329,33 @@ def test_lint_graph_module_import_error(capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
-def test_lint_deep_runs_the_deep_passes(tmp_path, capsys, monkeypatch):
-    """--deep adds E7xx/F9xx findings shallow lint cannot see."""
+def test_lint_reports_exactly_the_engine_gate(tmp_path, capsys, monkeypatch):
+    """``lint --graph-module`` names the rules every engine constructor names.
+
+    A filter declared pure that calls ``random.random()`` is an E701 in the
+    gate's report, and so an ``analysis`` trace event of every run; lint
+    over the same module reports the same rules.
+    """
+    import importlib
     import json
 
-    (tmp_path / "deepmod.py").write_text(
+    from repro.engines.threaded import ThreadedEngine
+
+    (tmp_path / "gatemod.py").write_text(
         "import random\n"
         "from repro.core import DataBuffer, Filter\n"
         "from repro.core.graph import FilterGraph\n"
         "from repro.core.placement import Placement\n\n"
+        "class One(Filter):\n"
+        "    def flush(self, ctx):\n"
+        "        ctx.write(DataBuffer(8, payload=1))\n\n"
         "class Jitter(Filter):\n"
         "    def handle(self, ctx, buffer):\n"
         "        ctx.write(DataBuffer(8, payload=random.random()))\n\n"
         "def build():\n"
         "    g = FilterGraph()\n"
-        "    g.add_filter('src', is_source=True)\n"
-        "    g.add_filter('jit', factory=Jitter)\n"
+        "    g.add_filter('src', factory=One, is_source=True)\n"
+        "    g.add_filter('jit', factory=Jitter, effects='pure')\n"
         "    g.connect('src', 'jit')\n"
         "    p = Placement()\n"
         "    p.place('src', ['h0'])\n"
@@ -354,41 +363,29 @@ def test_lint_deep_runs_the_deep_passes(tmp_path, capsys, monkeypatch):
         "    return g, p\n"
     )
     monkeypatch.syspath_prepend(str(tmp_path))
-    # Shallow lint: clean.
-    assert main(["lint", "--graph-module", "deepmod:build"]) == 0
-    capsys.readouterr()
-    # Deep lint: the nondeterministic filter surfaces as E702.
-    main(
-        ["lint", "--deep", "--format", "json",
-         "--graph-module", "deepmod:build"]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    rules = {d["rule"] for d in payload["diagnostics"]}
-    assert "E702" in rules
+    code = main(["lint", "--format", "json", "--graph-module", "gatemod:build"])
+    linted = {d["rule"] for d in json.loads(capsys.readouterr().out)["diagnostics"]}
+    engine = ThreadedEngine(*importlib.import_module("gatemod").build())
+    assert "E701" in engine._analysis_report.rule_ids()
+    assert linted == engine._analysis_report.rule_ids()
+    assert code == 0
 
 
 def test_lint_deep_over_the_shipped_configurations(capsys, monkeypatch):
-    """CI's deep-lint targets at the default bound, output pinned.
+    """CI's step over ``deep_lint_targets``, output pinned.
 
-    Three of the four configurations are truncated at 4,000 states;
-    ``RERa-M`` and the two-owner strip pipeline are proved, nothing else
-    fires, the exit code is 0.
+    The four configurations and the strip pipeline pass the engine gate
+    and the filter-code lint (``--process``) clean; the exit code is 0.
     """
     root = Path(__file__).resolve().parents[1]
     monkeypatch.chdir(root)
     monkeypatch.syspath_prepend(str(root / "examples"))
     code = main(
-        ["lint", "--deep", "--process",
+        ["lint", "--process",
          "--graph-module", "deep_lint_targets:targets",
          "src/repro/core/fuse.py", "src/repro/viz"]
     )
-    truncated = (
-        "INFO    F904 (state-space-truncated) graph: protocol exploration "
-        "truncated at 4000 states (max_states=4000); no wedge found so far\n"
-        "        fix: Re-run repro.analysis.protocol.check_protocol directly "
-        "with a higher max_states for a complete proof.\n"
-    )
-    assert capsys.readouterr().out == truncated * 3 + "-- 3 info (3 total)\n"
+    assert capsys.readouterr().out == "no diagnostics\n"
     assert code == 0
 
 
@@ -425,10 +422,7 @@ def test_lint_graph_module_list_of_pairs(tmp_path, capsys, monkeypatch):
         "    return out\n"
     )
     monkeypatch.syspath_prepend(str(tmp_path))
-    assert main(
-        ["lint", "--deep", "--protocol-max-states", "100000",
-         "--graph-module", "listmod:build_all"]
-    ) == 0
+    assert main(["lint", "--graph-module", "listmod:build_all"]) == 0
     assert "no diagnostics" in capsys.readouterr().out
 
 
