@@ -6,17 +6,14 @@ Exposes :func:`targets`, a zero-arg builder returning one ``(graph,
 placement)`` pair per IsosurfaceApp configuration (R-E-Ra-M, RE-Ra-M,
 R-ERa-M, RERa-M) on a small synthetic dataset profile, plus the
 image-partitioned strip pipeline (two tile-owning raster sinks, no
-Merge).  CI runs the analyser's three passes over all five, the rules
-every engine constructor runs (the pipeline verifier and effect
-inference) plus the filter-code lint of the files named, with::
+Merge).  CI runs the engine gate over all five — the pipeline
+verifier every engine constructor runs — with::
 
-    PYTHONPATH=src:examples python -m repro.cli lint --process \\
-        --graph-module deep_lint_targets:targets \\
-        src/repro/core/fuse.py src/repro/viz
+    PYTHONPATH=src:examples python -m repro.cli lint \\
+        --graph-module deep_lint_targets:targets
 
-The graphs are sim-only (no real dataset on disk is needed): the passes
-read the declared metadata and the *real* filter factories' source,
-neither of which requires running anything.
+The graphs are sim-only (no real dataset on disk is needed): the gate
+reads the declared metadata and runs nothing.
 """
 
 from repro.core.placement import Placement

@@ -1,7 +1,7 @@
-"""Diagnostic objects: the output format of every analysis pass.
+"""Diagnostic objects: the output format of every analysis check.
 
-Both passes — the pipeline verifier (:mod:`repro.analysis.pipeline`) and
-the filter-code lint (:mod:`repro.analysis.filtercode`) — report structured
+The pipeline verifier (:mod:`repro.analysis.pipeline`) and the
+memoisation certifier (:mod:`repro.analysis.effects`) report structured
 :class:`Diagnostic` records instead of raising on the first problem, so a
 single run surfaces every issue with its rule id, severity and fix hint.
 A :class:`DiagnosticReport` aggregates them and provides the severity
@@ -54,18 +54,13 @@ class Diagnostic:
     name:
         The rule's kebab-case slug (e.g. ``"cycle"``).
     severity:
-        :class:`Severity` of this particular finding (a rule may demote or
-        promote its default, e.g. unpicklable state is an ERROR only when
-        the pipeline targets the process engine).
+        :class:`Severity` of the finding (its rule's).
     subject:
-        What the finding is about: a filter, stream or host name for
-        pipeline rules; ``Class.method`` for code rules.
+        What the finding is about: a filter, stream or host name.
     message:
         Human-readable statement of the problem.
     hint:
         Concrete fix suggestion.
-    location:
-        ``file:line`` for code-lint findings; empty for pipeline findings.
     """
 
     rule: str
@@ -74,7 +69,6 @@ class Diagnostic:
     subject: str
     message: str
     hint: str = ""
-    location: str = ""
 
     def to_dict(self) -> dict[str, str]:
         """JSON-ready representation (all values are strings)."""
@@ -85,14 +79,12 @@ class Diagnostic:
             "subject": self.subject,
             "message": self.message,
             "hint": self.hint,
-            "location": self.location,
         }
 
     def __str__(self) -> str:
-        where = f" [{self.location}]" if self.location else ""
         return (
             f"{self.severity.label.upper():7s} {self.rule} "
-            f"({self.name}) {self.subject}: {self.message}{where}"
+            f"({self.name}) {self.subject}: {self.message}"
         )
 
 

@@ -1,4 +1,4 @@
-"""Pass 1: the static pipeline verifier.
+"""The static pipeline verifier.
 
 Checks a ``(FilterGraph, Placement, writer policies, cluster hosts)``
 configuration *before* any engine instantiates a copy, and reports every
@@ -8,9 +8,9 @@ individual passes are exposed for the thin ``validate()`` compatibility
 wrappers on :class:`~repro.core.graph.FilterGraph` and
 :class:`~repro.core.placement.Placement`; engines call
 :func:`verify_pipeline`, which runs every rule that reads the
-configuration off and can refuse it: the G/P/W/Z rules here and effect
-inference.  ``repro lint --graph-module`` calls the same function, so it
-reports exactly what the engine gate reports.
+configuration off and can refuse it: the G/P/W/Z rules here.
+``repro lint --graph-module`` calls the same function, so it reports
+exactly what the engine gate reports.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
-from repro.analysis.effects import verify_effects
 from repro.analysis.rules import RULES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -270,10 +269,8 @@ def verify_pipeline(
     ``graph`` rules always run; placement and flow rules need a
     ``placement`` (and flow rules a ``policy_for`` resolver).  Nothing
     raises — gate on :meth:`DiagnosticReport.raise_errors` /
-    :attr:`DiagnosticReport.errors`.
-
-    Effect/purity inference (``E7xx``) always runs: this is what every
-    engine runs at construction.
+    :attr:`DiagnosticReport.errors`.  Every engine runs this at
+    construction.
     """
     report = DiagnosticReport()
     report.extend(verify_graph(graph))
@@ -283,6 +280,5 @@ def verify_pipeline(
             report.extend(
                 verify_flow(graph, placement, policy_for, queue_capacity)
             )
-    report.extend(verify_effects(graph))
     report.sort()
     return report

@@ -1,14 +1,13 @@
 """Rendering of diagnostic reports: ``text`` for humans, ``json`` for CI.
 
-The JSON shape is stable (``version`` 1)::
+The JSON shape is stable (``version`` 2)::
 
     {
-      "version": 1,
+      "version": 2,
       "summary": {"error": 1, "warning": 2, "info": 0},
       "diagnostics": [
         {"rule": "G102", "name": "cycle", "severity": "error",
-         "subject": "graph", "message": "...", "hint": "...",
-         "location": ""},
+         "subject": "graph", "message": "...", "hint": "..."},
         ...
       ]
     }
@@ -24,7 +23,7 @@ from repro.analysis.rules import rule_catalogue
 
 __all__ = ["format_text", "to_json_dict", "to_json", "format_rule_catalogue"]
 
-_REPORT_VERSION = 1
+_REPORT_VERSION = 2
 
 
 def format_text(report: DiagnosticReport, show_hints: bool = True) -> str:

@@ -6,14 +6,11 @@ Rule ids are stable and grouped by scope:
 ``G1xx``   graph structure (pipeline verifier)
 ``P2xx``   placement (pipeline verifier)
 ``W3xx``   writer policy / flow control (pipeline verifier)
-``Z4xx``   phase synchronisation (pipeline verifier)
-``C6xx``   filter code (AST lint)
-``E7xx``   filter effects / purity (pass 3)
+``Z4xx``   phase synchronisation and tile maps (pipeline verifier)
+``E7xx``   memoisation certificate (result cache)
 =========  ===============================================================
 
-Each :class:`Rule` carries a default severity and a generic fix hint; a
-pass may override either per finding (e.g. ``C604`` unpicklable state is
-promoted to ERROR when the pipeline targets the process engine).
+Each :class:`Rule` carries its severity and a generic fix hint.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ __all__ = ["Rule", "RULES", "rule_catalogue"]
 
 @dataclass(frozen=True)
 class Rule:
-    """One statically checkable property of a pipeline or its filter code."""
+    """One statically checkable property of a pipeline."""
 
     id: str
     name: str
@@ -36,23 +33,16 @@ class Rule:
     summary: str
     hint: str
 
-    def diagnostic(
-        self,
-        subject: str,
-        message: str,
-        hint: str | None = None,
-        severity: Severity | None = None,
-        location: str = "",
-    ) -> Diagnostic:
-        """Build one finding of this rule (defaults from the catalogue)."""
+    def diagnostic(self, subject: str, message: str) -> Diagnostic:
+        """Build one finding of this rule (severity and hint from the
+        catalogue)."""
         return Diagnostic(
             rule=self.id,
             name=self.name,
-            severity=self.severity if severity is None else severity,
+            severity=self.severity,
             subject=subject,
             message=message,
-            hint=self.hint if hint is None else hint,
-            location=location,
+            hint=self.hint,
         )
 
 
@@ -191,87 +181,16 @@ _rule(
     "distinct host labels, in owner order.",
 )
 
-# -- C6xx: filter code (AST lint) --------------------------------------------
-_rule(
-    "C600", "parse-error", Severity.ERROR, "code",
-    "A file handed to the filter-code lint does not parse as Python.",
-    "Fix the syntax error before linting.",
-)
-_rule(
-    "C601", "payload-mutation-after-send", Severity.ERROR, "code",
-    "A callback mutates an object after passing it to ctx.write(); the "
-    "threaded engine shares payloads by reference and the process "
-    "engine may still be serialising them, so the consumer races the "
-    "mutation.",
-    "Treat buffers as frozen once written; build a new buffer instead.",
-)
-_rule(
-    "C602", "missing-eow-propagation", Severity.WARNING, "code",
-    "A filter overrides handle() but never writes downstream and "
-    "exposes no result(); consumers would only ever receive its "
-    "end-of-work marker.",
-    "Call ctx.write(...) from handle()/flush(), or expose result() if "
-    "the filter is a sink.",
-)
-_rule(
-    "C603", "blocking-call-in-callback", Severity.WARNING, "code",
-    "The per-buffer handle() callback makes a blocking call (sleep, "
-    "file or network I/O); it stalls the whole copy and, through "
-    "backpressure, the upstream pipeline.",
-    "Do I/O in a source filter's flush() or move it off the hot path.",
-)
-_rule(
-    "C604", "unpicklable-state", Severity.WARNING, "code",
-    "A filter stores unpicklable state (lambdas, locks, open handles) "
-    "on self; such filters cannot cross the process engine's fork/"
-    "pickle boundary and break run_cycles result collection.",
-    "Keep filter state picklable: named functions, plain data, and "
-    "handles opened inside the callback that uses them.",
-)
-_rule(
-    "C605", "stale-cycle-state", Severity.WARNING, "code",
-    "A filter accumulates into attributes on self from handle()/flush() "
-    "but never resets them in init(); filter instances are reused across "
-    "cycles by run_cycles and across queries by warm pools, so the "
-    "accumulator carries data from the previous unit of work into the "
-    "next.",
-    "Reset every accumulator in init() — it runs once per cycle, before "
-    "the first buffer; __init__ runs only once per copy lifetime.",
-)
-
-# -- E7xx: filter effects / purity (pass 3) ----------------------------------
-_rule(
-    "E701", "declared-effect-mismatch", Severity.WARNING, "effects",
-    "A filter's declared effects class is weaker than what its code "
-    "infers (e.g. declared pure, but the class writes self attributes "
-    "or does I/O); memoisation and replay decisions based on the "
-    "declaration would be unsound.",
-    "Fix the declaration on add_filter(..., effects=...) or make the "
-    "filter match it.",
-)
-_rule(
-    "E702", "nondeterministic-filter", Severity.WARNING, "effects",
-    "A filter draws on nondeterministic inputs (random, time, uuid); "
-    "replaying or rebinding the pipeline cannot reproduce its output "
-    "and cached results are unverifiable.",
-    "Seed the randomness from the unit-of-work descriptor, or declare "
-    "effects='nondeterministic' so caching layers skip the filter.",
-)
+# -- E7xx: the memoisation certifier's refusals ------------------------------
 _rule(
     "E703", "impure-memoisation", Severity.ERROR, "effects",
     "A subgraph submitted for memoisation certification contains a "
-    "filter that is not pure (stateful, I/O-bound or nondeterministic); "
-    "caching its output would replay stale state.",
-    "Memoise only pure subgraphs; split the impure filter out of the "
-    "cached region.",
-)
-_rule(
-    "E704", "unknown-effect", Severity.WARNING, "effects",
-    "A filter in a memoisation candidate has no declared effects and "
-    "its factory cannot be resolved to a class for inference; the "
-    "certifier must assume the worst.",
-    "Declare add_filter(..., effects=...) or use a class (or a lambda "
-    "closing over one) as the factory so the inferencer can see it.",
+    "filter that does not declare effects='pure' (it is undeclared, "
+    "stateful, I/O-bound or nondeterministic); caching its output could "
+    "replay stale state.",
+    "Memoise only pure subgraphs: declare add_filter(..., effects='pure') "
+    "on filters whose equal inputs give equal outputs, and split the "
+    "others out of the cached region.",
 )
 _rule(
     "E705", "non-convex-subgraph", Severity.ERROR, "effects",
@@ -284,8 +203,8 @@ _rule(
 _rule(
     "E706", "cache-over-uncertified-subgraph", Severity.ERROR, "effects",
     "A result cache is configured over a subgraph that "
-    "certify_memoisable() rejects (impure or unknown-effect members, or "
-    "a non-convex member set); serving memoised replies from it could "
+    "certify_memoisable() rejects (members not declared pure, or a "
+    "non-convex member set); serving memoised replies from it could "
     "return results a live run would not produce.",
     "Attach the cache to a certified subgraph (e.g. the standalone "
     "extract stage), or run the pipeline uncached.",

@@ -24,9 +24,10 @@ The certify-before-memoise contract
 -----------------------------------
 A cache may only attach to a subgraph that
 :func:`repro.analysis.effects.certify_memoisable` passes: every member
-provably PURE and the member set convex.  :func:`bind_cache` enforces
-this — a rejected subgraph raises :class:`~repro.errors.AnalysisError`
-carrying the certifier's E703–E705 findings plus the E706
+declared ``effects="pure"`` and the member set convex.  :func:`bind_cache`
+enforces this — a rejected subgraph raises
+:class:`~repro.errors.AnalysisError` carrying the certifier's E703/E705
+findings plus the E706
 (*cache-over-uncertified-subgraph*) diagnostic.  Cache keys start from
 :func:`subgraph_signature`, a digest of the members' **static**
 ``FilterSpec`` metadata (dtype, nbytes, phase discipline, effects
@@ -352,7 +353,7 @@ def verify_cache_attachment(
 
     Runs :func:`certify_memoisable` and, when the certificate is
     refused, appends the E706 *cache-over-uncertified-subgraph* ERROR to
-    the certificate's report (alongside the E703/E704/E705 findings that
+    the certificate's report (alongside the E703/E705 findings that
     justify it).  The caller decides whether to raise — engines refuse,
     linters report.
     """

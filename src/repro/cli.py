@@ -34,12 +34,10 @@ Six subcommands::
         Render the timeline and per-copy utilisation summary of a trace
         exported with ``--trace-out`` (either engine).
 
-    python -m repro.cli lint [PATH ...] [--graph-module MOD[:ATTR]]
-                             [--format text|json] [--process] [--rules]
-        Run the static analysis layer (:mod:`repro.analysis`): AST-lint
-        filter code in the given files (nothing is imported) and/or
-        verify a live graph+placement from an imported module with the
-        rules every engine constructor runs (effect inference included).
+    python -m repro.cli lint --graph-module MOD[:ATTR] [--format text|json]
+                             [--policy P] [--queue-capacity N] [--rules]
+        Verify the live graph+placement pairs of an imported module with
+        the rules every engine constructor runs (:mod:`repro.analysis`).
         Exits 1 when any ERROR-level diagnostic fires.
 
 Both engines emit the same trace schema (:mod:`repro.core.tracing`), so
@@ -210,69 +208,43 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         DiagnosticReport,
         format_rule_catalogue,
         format_text,
-        lint_file,
-        lint_graph_filters,
         to_json,
         verify_pipeline,
     )
+    from repro.core.policies import stream_policies
+    from repro.errors import ConfigurationError
 
     if args.rules:
         print(format_rule_catalogue())
         return 0
-    if not args.paths and not args.graph_module:
+    if not args.graph_module:
+        print("nothing to lint: pass --graph-module MOD[:ATTR]", file=sys.stderr)
+        return 2
+    # The bound every engine refuses below 1: lint must not pass it either.
+    if args.queue_capacity < 1:
+        raise ConfigurationError(
+            f"queue_capacity must be >= 1, got {args.queue_capacity}"
+        )
+    try:
+        loaded = _load_graph_objects(args.graph_module)
+    except Exception as exc:  # noqa: BLE001 - user module errors
         print(
-            "nothing to lint: pass FILE/DIR paths and/or --graph-module",
+            f"cannot load --graph-module {args.graph_module!r}: {exc}",
             file=sys.stderr,
         )
         return 2
 
+    # The engine gate over each live graph/placement of the module.
     report = DiagnosticReport()
-
-    # Pass 2 over files: pure-AST, nothing is imported or executed.
-    files: list = []
-    from pathlib import Path
-
-    for raw in args.paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.exists():
-            files.append(path)
-        else:
-            print(f"no such file: {raw}", file=sys.stderr)
-            return 2
-    for path in files:
-        report.extend(lint_file(path, process_engine=args.process))
-
-    # The engine gate (passes 1 and 3) over a live graph/placement from an
-    # imported module, then pass 2 over its filter classes and file.
-    if args.graph_module:
-        try:
-            loaded = _load_graph_objects(args.graph_module)
-        except Exception as exc:  # noqa: BLE001 - user module errors
-            print(
-                f"cannot load --graph-module {args.graph_module!r}: {exc}",
-                file=sys.stderr,
+    for graph, placement in loaded:
+        report.extend(
+            verify_pipeline(
+                graph,
+                placement,
+                policy_for=stream_policies(graph, args.policy),
+                queue_capacity=args.queue_capacity,
             )
-            return 2
-        from repro.core.policies import stream_policies
-
-        for graph, placement, module_file in loaded:
-            report.extend(
-                verify_pipeline(
-                    graph,
-                    placement,
-                    policy_for=stream_policies(graph, args.policy),
-                    queue_capacity=args.queue_capacity,
-                )
-            )
-            report.extend(
-                lint_graph_filters(graph, process_engine=args.process)
-            )
-            if module_file:
-                report.extend(
-                    lint_file(module_file, process_engine=args.process)
-                )
+        )
 
     if args.format == "json":
         print(to_json(report))
@@ -282,7 +254,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _load_graph_objects(spec: str) -> list:
-    """Resolve ``module[:attr]`` into ``(graph, placement, file)`` triples.
+    """Resolve ``module[:attr]`` into ``(graph, placement)`` pairs.
 
     ``attr`` may be a :class:`~repro.core.graph.FilterGraph`, a zero-arg
     callable returning one, a callable returning a ``(graph, placement)``
@@ -299,7 +271,6 @@ def _load_graph_objects(spec: str) -> list:
 
     module_name, _, attr = spec.partition(":")
     module = importlib.import_module(module_name)
-    module_file = getattr(module, "__file__", None)
 
     def as_pair(obj: object) -> tuple[FilterGraph, "Placement | None"]:
         if isinstance(obj, FilterGraph):
@@ -321,9 +292,8 @@ def _load_graph_objects(spec: str) -> list:
         if callable(obj) and not isinstance(obj, FilterGraph):
             obj = obj()
         if isinstance(obj, list):
-            return [(*as_pair(item), module_file) for item in obj]
-        graph, placement = as_pair(obj)
-        return [(graph, placement, module_file)]
+            return [as_pair(item) for item in obj]
+        return [as_pair(obj)]
 
     graphs = [
         value
@@ -341,7 +311,7 @@ def _load_graph_objects(spec: str) -> list:
             f"name a builder with {module_name}:attr"
         )
     shared = placements[0] if len(placements) == 1 else None
-    return [(graph, shared, module_file) for graph in graphs]
+    return [(graph, shared) for graph in graphs]
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -462,11 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="statically verify pipeline definitions and lint filter code",
-    )
-    p_lint.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="Python files/directories to AST-lint (never imported)",
+        help="statically verify pipeline definitions with the engine gate",
     )
     p_lint.add_argument(
         "--graph-module", default=None, metavar="MOD[:ATTR]",
@@ -475,9 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument("--format", default="text", choices=["text", "json"],
                         help="diagnostic output format")
-    p_lint.add_argument("--process", action="store_true",
-                        help="lint for the process engine (unpicklable "
-                             "filter state becomes an ERROR)")
     p_lint.add_argument("--policy", default="DD", choices=POLICIES,
                         help="writer policy assumed for flow-control rules")
     p_lint.add_argument("--queue-capacity", type=int, default=8,

@@ -46,10 +46,11 @@ class FilterSpec:
         (``Z403``).
     ``effects``
         Declared effects class of the filter code: one of ``"pure"``,
-        ``"stateful"``, ``"io"`` or ``"nondeterministic"``.  The effect
-        inference pass (:mod:`repro.analysis.effects`) checks the
-        declaration against the filter class's code (``E701``) and the
-        memoisation certifier trusts it.
+        ``"stateful"``, ``"io"`` or ``"nondeterministic"``.  The
+        memoisation certifier (:mod:`repro.analysis.effects`) trusts it:
+        only a filter declared ``"pure"`` may have its output cached.
+        The replay witness in ``tests/analysis/test_replay_witness.py``
+        runs every shipped stage to hold the declarations to the code.
     """
 
     name: str

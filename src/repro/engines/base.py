@@ -49,12 +49,11 @@ def validate_run_setup(
     Runs :func:`repro.analysis.verify_pipeline` over the full run
     configuration — graph structure, placement (against ``known_hosts``
     when the engine has a cluster; the real engines treat host names as
-    labels), writer-policy flow control and effect inference — plus the
-    engine-specific requirements (a ``factory``/``sim_factory`` per
-    filter, a sane queue bound).  Every rule here reads the configuration
-    off and can refuse it.  Of the analyser's three passes this runs the
-    pipeline verifier and effect inference; ``repro lint --graph-module``
-    calls the same function, so lint and the gate report one rule set.
+    labels) and writer-policy flow control — plus the engine-specific
+    requirements (a ``factory``/``sim_factory`` per filter, a sane queue
+    bound).  Every rule here reads the configuration off and can refuse
+    it; ``repro lint --graph-module`` calls the same function, so lint
+    and the gate report one rule set.
 
     ERROR-level diagnostics raise immediately (:class:`GraphError` /
     :class:`PlacementError` / :class:`~repro.errors.AnalysisError` by rule
