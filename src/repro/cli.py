@@ -40,7 +40,7 @@ Six subcommands::
         the rules every engine constructor runs (:mod:`repro.analysis`).
         Exits 1 when any ERROR-level diagnostic fires.
 
-Both engines emit the same trace schema (:mod:`repro.core.tracing`), so
+Every engine emits the same trace kinds (:mod:`repro.core.tracing`), so
 ``--trace``/``--trace-out`` work identically on ``render`` (threaded,
 wall clock) and ``simulate`` (simulated clock).
 """

@@ -1,42 +1,44 @@
-"""Engine-agnostic execution tracing: one observability layer for both engines.
+"""Engine-agnostic execution tracing: one observability layer for every engine.
 
-A :class:`Tracer` records one :class:`TraceEvent` per interesting transition
-of every filter copy — buffer received, CPU charged, disk read, buffer sent,
-acknowledgment returned, flush, end-of-work, writer blocked — against the
-*owning engine's clock*: simulated seconds for
+A :class:`Tracer` holds :class:`TraceEvent` records of every filter copy,
+timed by the *owning engine's clock*: simulated seconds for
 :class:`~repro.engines.simulated.SimulatedEngine`, wall-clock seconds since
-run start for :class:`~repro.engines.threaded.ThreadedEngine`.  Both engines
-emit the same event schema, so the timeline view, the per-copy utilisation
-summary and the JSONL export work identically on either backend.
+run start for the threaded and process engines.  A record is a span
+(``time`` .. ``end``); an instant has ``end == time``.  The drivers of the
+work cycle (:func:`repro.engines.runtime.execute_cycle`) write the trace:
+each records one span per effect it performs, named after the effect, so
+every engine emits the same kinds and the timeline view, the per-copy
+utilisation summary and the JSONL export work identically on any of them.
 
-Event kinds (the unified schema):
+Record kinds: the ten effects — ``init``, ``produce`` (a source's next
+unit; the simulator's disk read), ``recv`` (queue wait; detail: stream),
+``ack``, ``work`` (a real engine's decode, ``handle`` and inline sends),
+``send`` (detail: ``stream->dst_host``; a real engine's sends sit inside
+work and flush), ``flush``, ``finish``, ``discard`` and ``announce`` — and five more:
 
-==========  ================================================================
-``recv``    a copy dequeued one buffer (detail: stream name)
-``compute`` CPU charge span (detail: ``start`` / ``end``)
-``io``      disk read span (detail: ``start`` / ``end``)
-``send``    a copy routed one buffer (detail: ``stream->dst_host``)
-``ack``     a DD acknowledgment returned to the producer
-            (detail: round-trip latency in seconds, as text)
-``flush``   end-of-stream flush span (detail: ``start`` / ``end``)
-``done``    a copy finished its unit of work
-``blocked`` writer stalled on full windows/queues (detail: ``start``/``end``)
-``analysis`` a WARNING from the static pipeline verifier, recorded at run
-            start (detail: ``rule-id: message``)
-==========  ================================================================
+==============  ==============================================================
+``blocked``     a writer stalled on full DD windows, inside a send
+``acked``       a producer's send-to-acknowledgment round trip
+``analysis``    a static-verifier WARNING, an instant at run start
+                (detail: ``rule-id: message``)
+``cache_hit``   a serve-layer cache lookup that hit, an instant (copy
+                ``cache``; detail: tier and stored size)
+``cache_miss``  the same, for a miss
+==============  ==============================================================
 
-Beyond raw events the tracer carries *queue-depth samples* (one per
-enqueue/dequeue, keyed by copy-set label) so consumer backlogs are visible,
-and derives blocked/idle-time accounting and DD ack-latency histograms from
-the event stream.  Traces round-trip through JSONL (:meth:`Tracer.to_jsonl`
-/ :meth:`Tracer.from_jsonl`) and render with the ``repro trace`` CLI.
+Beyond records the tracer carries *queue-depth samples* (keyed by copy-set
+label) so consumer backlogs are visible, and derives busy/io/blocked/idle
+accounting and DD ack-latency histograms from the spans.  Traces round-trip
+through JSONL (:meth:`Tracer.to_jsonl` / :meth:`Tracer.from_jsonl`, format
+version 2) and render with the ``repro trace`` CLI.
 
-Dropped events are never silent: past ``limit`` the tracer counts what it
+Dropped records are never silent: past ``limit`` the tracer counts what it
 discarded, and every summary/timeline/report states the truncation.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import threading
 from collections import Counter, defaultdict
@@ -45,28 +47,45 @@ from typing import IO, Any
 
 __all__ = ["EVENT_KINDS", "TraceEvent", "QueueSample", "Tracer"]
 
-#: The unified event schema both engines emit.  ``analysis`` events carry
-#: WARNING-level findings of the static pipeline verifier
-#: (:mod:`repro.analysis`), recorded at run start with the diagnostic's
-#: subject as the copy label and ``"<rule>: <message>"`` as the detail.
-#: ``cache_hit``/``cache_miss`` events are recorded by the serve layer
-#: (copy label ``"cache"``) with the tier and stored size as the detail.
+#: Every record kind: the ten effects of the work cycle, then the records
+#: no driver sees (``blocked`` inside a send, ``acked`` at the producer),
+#: the verifier's ``analysis`` warnings and the serve layer's cache lookups.
 EVENT_KINDS = frozenset(
-    {"recv", "compute", "io", "send", "ack", "flush", "done", "blocked",
-     "analysis", "cache_hit", "cache_miss"}
+    {"init", "produce", "recv", "ack", "work", "send", "flush", "finish",
+     "discard", "announce",
+     "blocked", "acked", "analysis", "cache_hit", "cache_miss"}
 )
 
-#: Event kinds recorded as start/end pairs (spans).
-SPAN_KINDS = frozenset({"compute", "io", "flush", "blocked"})
+_JSONL_VERSION = 2
 
-_JSONL_VERSION = 1
+
+def _check_kind(kind: str) -> str:
+    if kind not in EVENT_KINDS:
+        raise ValueError(
+            f"unknown trace event kind {kind!r}; expected one of "
+            f"{sorted(EVENT_KINDS)}"
+        )
+    return kind
+
+
+def _nested(inner: list[tuple[float, float]], outer: list[tuple[float, float]]) -> float:
+    """Total length of the ``inner`` spans lying inside one of ``outer``'s
+    (sorted by start, and not overlapping one another)."""
+    starts = [start for start, _end in outer]
+    total = 0.0
+    for start, end in inner:
+        i = bisect.bisect_right(starts, start) - 1
+        if i >= 0 and end <= outer[i][1]:
+            total += end - start
+    return total
 
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One recorded transition of one filter copy."""
+    """One recorded span of one filter copy; an instant has ``end == time``."""
 
     time: float
+    end: float
     copy: str  # "filter@host#index"
     kind: str  # one of EVENT_KINDS
     detail: str = ""
@@ -110,18 +129,17 @@ class Tracer:
         self._analysis_seen: set[tuple[str, str]] = set()
 
     # -- recording -------------------------------------------------------------
-    def record(self, time: float, copy: str, kind: str, detail: str = "") -> None:
-        """Append one event; past ``limit`` it is counted in ``dropped``."""
-        if kind not in EVENT_KINDS:
-            raise ValueError(
-                f"unknown trace event kind {kind!r}; expected one of "
-                f"{sorted(EVENT_KINDS)}"
-            )
+    def record(self, time: float, copy: str, kind: str, detail: str = "",
+               end: "float | None" = None) -> None:
+        """Append one span (an instant without ``end``); past ``limit`` it
+        is counted in ``dropped``."""
+        event = TraceEvent(time, time if end is None else end, copy,
+                           _check_kind(kind), detail)
         with self._lock:
             if len(self.events) + len(self.queue_samples) >= self.limit:
                 self.dropped += 1
                 return
-            self.events.append(TraceEvent(time, copy, kind, detail))
+            self.events.append(event)
 
     def note_analysis(self, rule: str, subject: str) -> bool:
         """Claim one ``(rule, subject)`` analysis finding for this tracer.
@@ -148,7 +166,7 @@ class Tracer:
 
     # -- queries ---------------------------------------------------------------
     def for_copy(self, copy: str) -> list[TraceEvent]:
-        """Events of one copy, in time order."""
+        """Records of one copy, in start-time order."""
         return sorted(
             (e for e in self.events if e.copy == copy), key=lambda e: e.time
         )
@@ -158,54 +176,19 @@ class Tracer:
         return sorted({e.copy for e in self.events})
 
     def counts(self) -> dict[str, int]:
-        """Event-kind histogram."""
+        """Record-kind histogram."""
         return dict(Counter(e.kind for e in self.events))
 
-    def spans(self, copy: str, kind: str) -> list[tuple[float, float]]:
-        """(start, end) spans of one paired kind for one copy."""
-        if kind not in SPAN_KINDS:
-            raise ValueError(f"{kind!r} events are not recorded as spans")
-        out = []
-        start = None
-        for event in self.for_copy(copy):
-            if event.kind != kind:
-                continue
-            if event.detail == "start":
-                start = event.time
-            elif event.detail == "end" and start is not None:
-                out.append((start, event.time))
-                start = None
-        return out
-
-    def busy_spans(self, copy: str) -> list[tuple[float, float]]:
-        """(start, end) spans of CPU work for one copy."""
-        return self.spans(copy, "compute")
-
-    def blocked_spans(self, copy: str) -> list[tuple[float, float]]:
-        """(start, end) spans in which one copy's writer was stalled."""
-        return self.spans(copy, "blocked")
-
-    def blocked_time(self, copy: str) -> float:
-        """Total time one copy spent stalled on full windows/queues."""
-        return sum(end - start for start, end in self.blocked_spans(copy))
+    def spans(self, copy: str, *kinds: str) -> list[tuple[float, float]]:
+        """(start, end) of one copy's records of the given kinds, in order."""
+        return [(e.time, e.end) for e in self.for_copy(copy) if e.kind in kinds]
 
     def ack_latencies(self, copy: str | None = None) -> list[float]:
-        """Send-to-acknowledgment round-trip latencies (seconds).
-
-        ``ack`` events carry the latency the engine measured in their
-        detail field; events with a non-numeric detail are skipped.
-        """
-        out = []
-        for event in self.events:
-            if event.kind != "ack":
-                continue
-            if copy is not None and event.copy != copy:
-                continue
-            try:
-                out.append(float(event.detail))
-            except ValueError:
-                continue
-        return out
+        """Send-to-acknowledgment round trips (seconds): the ``acked`` spans."""
+        return [
+            e.end - e.time for e in self.events
+            if e.kind == "acked" and copy in (None, e.copy)
+        ]
 
     def ack_latency_histogram(
         self, bins: int = 8
@@ -241,20 +224,22 @@ class Tracer:
         }
 
     def utilisation(self) -> dict[str, dict[str, float]]:
-        """Per-copy time accounting derived from the event stream.
+        """Per-copy time accounting derived from the spans.
 
-        For every copy: ``span`` (first to last event), ``busy`` (compute +
-        flush), ``io``, ``blocked``, and ``idle`` (span minus the rest,
+        For every copy: ``span`` (first start to last end), ``busy`` (work +
+        flush, less the stalls nested in them: a real engine sends inline),
+        ``io`` (produce), ``blocked``, and ``idle`` (span minus the rest,
         clamped at zero — time waiting on input queues).
         """
         out: dict[str, dict[str, float]] = {}
         for copy in self.copies():
             events = self.for_copy(copy)
-            span = events[-1].time - events[0].time
-            busy = sum(e - s for s, e in self.spans(copy, "compute"))
-            busy += sum(e - s for s, e in self.spans(copy, "flush"))
-            io = sum(e - s for s, e in self.spans(copy, "io"))
-            blocked = self.blocked_time(copy)
+            span = max(e.end for e in events) - events[0].time
+            working = self.spans(copy, "work", "flush")
+            stalls = self.spans(copy, "blocked")
+            busy = sum(e - s for s, e in working) - _nested(stalls, working)
+            io = sum(e - s for s, e in self.spans(copy, "produce"))
+            blocked = sum(e - s for s, e in stalls)
             out[copy] = {
                 "span": span,
                 "busy": busy,
@@ -265,7 +250,7 @@ class Tracer:
         return out
 
     def stage_busy(self) -> dict[str, float]:
-        """Total busy seconds (compute + flush) per *stage*.
+        """Total busy seconds (work + flush spans) per *stage*.
 
         A stage is the filter name — the copy label before the ``@``
         (``"Ra@h0#1"`` belongs to stage ``"Ra"``); all copies of one
@@ -277,8 +262,7 @@ class Tracer:
         out: dict[str, float] = defaultdict(float)
         for copy in self.copies():
             stage = copy.split("@", 1)[0]
-            out[stage] += sum(e - s for s, e in self.spans(copy, "compute"))
-            out[stage] += sum(e - s for s, e in self.spans(copy, "flush"))
+            out[stage] += sum(e - s for s, e in self.spans(copy, "work", "flush"))
         return dict(sorted(out.items()))
 
     def summary(self) -> dict[str, Any]:
@@ -300,9 +284,9 @@ class Tracer:
     def timeline(self, width: int = 64) -> str:
         """A coarse per-copy activity strip.
 
-        ``#`` = computing/flushing, ``~`` = disk I/O, ``.`` = blocked on a
-        full window/queue, space = idle/waiting.  A truncated trace says so
-        in the header.
+        ``#`` = working/flushing, ``~`` = producing (disk I/O), ``.`` =
+        blocked on a full window (painted over the work that sent), space =
+        idle/waiting.  A truncated trace says so in the header.
         """
         if width < 1:
             raise ValueError(f"timeline width must be >= 1, got {width}")
@@ -311,7 +295,7 @@ class Tracer:
                 return f"(no events; {self.dropped} dropped past limit)"
             return "(no events)"
         t0 = min(e.time for e in self.events)
-        t1 = max(e.time for e in self.events)
+        t1 = max(e.end for e in self.events)
         span = max(t1 - t0, 1e-12)
         copies = self.copies()
         name_w = max(len(c) for c in copies)
@@ -328,14 +312,10 @@ class Tracer:
 
         for copy in copies:
             strip = [" "] * width
-            for start, end in self.blocked_spans(copy):
-                paint(strip, start, end, ".")
-            for start, end in self.spans(copy, "io"):
-                paint(strip, start, end, "~")
-            for start, end in self.spans(copy, "compute"):
-                paint(strip, start, end, "#")
-            for start, end in self.spans(copy, "flush"):
-                paint(strip, start, end, "#")
+            for kinds, mark in ((("work", "flush"), "#"), (("produce",), "~"),
+                                (("blocked",), ".")):
+                for start, end in self.spans(copy, *kinds):
+                    paint(strip, start, end, mark)
             lines.append(f"{copy:<{name_w}} |{''.join(strip)}|")
         return "\n".join(lines)
 
@@ -401,18 +381,9 @@ class Tracer:
         }
         fh.write(json.dumps(meta) + "\n")
         for e in self.events:
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "event",
-                        "t": e.time,
-                        "copy": e.copy,
-                        "kind": e.kind,
-                        "detail": e.detail,
-                    }
-                )
-                + "\n"
-            )
+            record = {"type": "event", "t": e.time, "end": e.end, "copy": e.copy,
+                      "kind": e.kind, "detail": e.detail}
+            fh.write(json.dumps(record) + "\n")
         for s in self.queue_samples:
             fh.write(
                 json.dumps(
@@ -428,40 +399,54 @@ class Tracer:
 
     @classmethod
     def load(cls, fh: IO[str]) -> "Tracer":
-        """Read a trace previously written by :meth:`dump`."""
+        """Read a trace previously written by :meth:`dump`.
+
+        The first record must be the meta line of format version 2; any
+        other version is refused, not guessed at.  A malformed line raises
+        :class:`ValueError` naming it; record types this reader does not
+        know are skipped, so newer writers stay readable.
+        """
         tracer = cls()
+        first = True
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                tracer._read(json.loads(line), first)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"trace line {lineno}: invalid JSON") from exc
-            kind = record.get("type")
-            if kind == "meta":
-                tracer.clock = record.get("clock", "")
-                tracer.limit = int(record.get("limit", tracer.limit))
-                tracer.dropped = int(record.get("dropped", 0))
-            elif kind == "event":
-                tracer.events.append(
-                    TraceEvent(
-                        float(record["t"]),
-                        str(record["copy"]),
-                        str(record["kind"]),
-                        str(record.get("detail", "")),
-                    )
-                )
-            elif kind == "queue":
-                tracer.queue_samples.append(
-                    QueueSample(
-                        float(record["t"]),
-                        str(record["queue"]),
-                        int(record["depth"]),
-                    )
-                )
-            # Unknown record types are skipped: newer writers stay readable.
+            except KeyError as exc:
+                raise ValueError(f"trace line {lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"trace line {lineno}: {exc}") from exc
+            first = False
+        if first:
+            raise ValueError("empty trace: no meta line")
         return tracer
+
+    def _read(self, record: Any, first: bool) -> None:
+        """Apply one parsed line; the ``first`` must be the meta line."""
+        if not isinstance(record, dict):
+            raise ValueError(f"expected a JSON object, got {record!r:.40}")
+        kind, version = record.get("type"), record.get("version")
+        if first:
+            if kind != "meta" or version != _JSONL_VERSION:
+                raise ValueError(
+                    f"the first record must be a version-{_JSONL_VERSION} meta "
+                    f"line, not type {kind!r}, version {version!r}"
+                )
+            self.clock = str(record.get("clock", ""))
+            self.limit = int(record.get("limit", self.limit))
+            self.dropped = int(record.get("dropped", 0))
+        elif kind == "event":
+            self.events.append(TraceEvent(
+                float(record["t"]), float(record["end"]), str(record["copy"]),
+                _check_kind(str(record["kind"])), str(record.get("detail", "")),
+            ))
+        elif kind == "queue":
+            self.queue_samples.append(QueueSample(
+                float(record["t"]), str(record["queue"]), int(record["depth"])
+            ))
 
     @classmethod
     def from_jsonl(cls, path: str) -> "Tracer":

@@ -218,10 +218,10 @@ class WarmPool(ProcessEngine):
 class _PoolBuild:
     """Per-key cold-build latch: one builder, any number of waiters."""
 
-    __slots__ = ("done", "error", "pool")
+    __slots__ = ("ready", "error", "pool")
 
     def __init__(self) -> None:
-        self.done = threading.Event()
+        self.ready = threading.Event()
         self.pool: "WarmPool | None" = None
         self.error: "BaseException | None" = None
 
@@ -301,7 +301,7 @@ class PoolManager:
             # A broken pool's close can take LEAVE_BOUND: not on this query.
             self._close_later(to_close)
             if not builder:
-                latch.done.wait()
+                latch.ready.wait()
                 if latch.error is not None:
                     raise latch.error
                 pool = latch.pool
@@ -318,7 +318,7 @@ class PoolManager:
             with self._lock:
                 self._building.pop(key, None)
             latch.error = exc
-            latch.done.set()
+            latch.ready.set()
             raise
         to_close: list[WarmPool] = []
         with self._lock:
@@ -327,7 +327,7 @@ class PoolManager:
             self._building.pop(key, None)
             self._shrink_locked(to_close, protect=key)
         latch.pool = pool
-        latch.done.set()
+        latch.ready.set()
         self._close_now(to_close)
         return pool
 

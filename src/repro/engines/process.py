@@ -30,7 +30,7 @@ its units of work arriving over the control queues (so they must pickle).
   soups and z-buffer slabs never serialise through a pipe;
 - **observability** feeds the same :class:`~repro.core.tracing.Tracer` /
   :class:`~repro.core.instrument.RunMetrics` layer: every worker records
-  events and counters locally and ships them to the parent per cycle,
+  spans and counters locally and ships them to the parent per cycle,
   where they merge into one run-relative wall-clock trace — ``repro trace``
   and ``RunMetrics.validate`` work unchanged.
 

@@ -5,9 +5,10 @@ The paper's filter-stream protocol is written here exactly once:
 - **one cycle** (:func:`execute_cycle`) is a generator of effects — ``init``
   -> receive / acknowledge / work / send -> ``flush`` -> ``finalize`` ->
   announce end-of-work, with a crash drain that keeps the close protocol
-  alive when the filter raises — that keeps the books and the trace but
-  performs nothing: the real engines drive it by blocking, the simulated
-  engine by yielding the DES events each effect costs (DESIGN §3b);
+  alive when the filter raises — that keeps the books but performs
+  nothing: the real engines drive it by blocking, the simulated engine by
+  yielding the DES events each effect costs, and each driver traces one span
+  per effect it performs (DESIGN §3b);
 - **copy-set queues** (:class:`CopySetQueue`) are bounded queues shared by
   all copies of a filter on one "host", closed *in band* — every producer
   enqueues an end-of-work marker behind its own data, and the consumer that
@@ -56,11 +57,12 @@ from repro.core.tracing import QueueSample, TraceEvent, Tracer
 from repro.errors import EngineError
 
 __all__ = [
-    "ACK", "ANNOUNCE", "DEPTH", "DISCARD", "FINISH", "FLUSH", "INIT", "PRODUCE",
+    "ACK", "ANNOUNCE", "DISCARD", "FINISH", "FLUSH", "INIT", "PRODUCE",
     "RECV", "SEND", "WORK", "CopyPlan", "CopySetQueue", "CycleReport",
     "Envelope", "ProcessTransport", "STOP", "ThreadTransport", "Transport",
     "World", "Writer", "copies_failed", "copy_plan", "discard",
     "execute_cycle", "fold_batch", "fold_cycle", "merge_trace", "run_copy",
+    "span_detail",
 ]
 
 #: Queue sentinels; compared by equality because identity does not survive
@@ -391,16 +393,13 @@ class Writer:
                 target = self.policy.route(buffer.tags)
                 if target is None:
                     # All windows full: the writer stalls until an ack returns.
-                    if self.tracer:
-                        self.tracer.record(
-                            self.clock(), self.label, "blocked", "start"
-                        )
+                    t0 = self.clock() if self.tracer else 0.0
                     while target is None:
                         self._cond.wait()
                         target = self.policy.route(buffer.tags)
                     if self.tracer:
                         self.tracer.record(
-                            self.clock(), self.label, "blocked", "end"
+                            t0, self.label, "blocked", end=self.clock()
                         )
                 self.policy.on_sent(target)
             needs_ack = self.policy.needs_ack
@@ -425,9 +424,7 @@ class Writer:
             self.policy.on_ack(self.targets[target_index])
             self._cond.notify_all()
         if self.tracer:
-            # Round-trip latency: producer send to ack delivery.
-            now = self.clock()
-            self.tracer.record(now, self.label, "ack", f"{now - sent_at:.9f}")
+            self.tracer.record(sent_at, self.label, "acked", end=self.clock())
 
 
 # -- the world ----------------------------------------------------------------
@@ -561,7 +558,6 @@ class CycleReport:
 INIT = "init"  # -> None: the copy's writers and context, then init
 PRODUCE = "produce"  # -> a source's next unit of work, or None
 RECV = "recv"  # -> the next input envelope, or None once the input closed
-DEPTH = "depth"  # -> the input queue's depth, -1 if unknown (traced only)
 ACK = "ack"  # envelope asking for one -> whether an acknowledgment went out
 WORK = "work"  # envelope or unit -> the buffers it emitted, still to send
 SEND = "send"  # buffer -> (stream, destination host)
@@ -572,11 +568,18 @@ ANNOUNCE = "announce"  # -> None: end-of-work behind this copy's data
 Effect = tuple[str, Any]
 
 
+def span_detail(effect: str, value: Any) -> str:
+    """The detail of an effect's trace span, given what the effect returned:
+    a receive's stream, a send's ``stream->host``, otherwise nothing."""
+    if effect == SEND:
+        return "{}->{}".format(*value)
+    return value.stream if effect == RECV and value is not None else ""
+
+
 def execute_cycle(
     copy: CopyPlan,
     k: int,
     report: CycleReport,
-    tracer: "Tracer | None",
     clock: Callable[[], float],
 ) -> Generator[Effect, Any, None]:
     """One unit of work through one copy, as the effects it asks for.
@@ -584,12 +587,12 @@ def execute_cycle(
     The whole cycle protocol, for every engine: ``init`` -> receive /
     acknowledge / work / send per input buffer (a source: produce / work /
     send per unit of its own) -> flush and send -> finalize and result ->
-    announce end-of-work; the books, the recv / queue / compute / flush /
-    done trace records and the crash drain.  It performs nothing:
-    :func:`run_copy` drives it by blocking, ``SimulatedEngine`` in
-    simulated time.  A failure is recorded in ``report`` and end-of-work
-    is still announced, exactly once, so downstream copies never block on
-    a producer that died.
+    announce end-of-work; the books and the crash drain.  It performs
+    nothing and traces nothing: :func:`run_copy` drives it by blocking,
+    ``SimulatedEngine`` in simulated time, and each driver records the
+    spans of the effects it performs.  A failure is recorded in ``report``
+    and end-of-work is still announced, exactly once, so downstream copies
+    never block on a producer that died.
     """
     spec, label = copy.spec, copy.label
     input_done = closing = False
@@ -599,27 +602,14 @@ def execute_cycle(
         while (got := (yield receive)) is not None:
             if spec.inputs:
                 report.buffers_in += 1
-                if tracer:
-                    tracer.record(clock(), label, "recv", got.stream)
-                    depth = yield DEPTH, None
-                    if depth >= 0:
-                        tracer.sample_queue(clock(), f"{spec.name}@{copy.host}", depth)
                 if got.needs_ack and (yield ACK, got):
                     report.ack_messages += 1
-            if tracer:
-                tracer.record(clock(), label, "compute", "start")
             outputs = yield WORK, got
-            if tracer:
-                tracer.record(clock(), label, "compute", "end")
             for buffer in outputs:
                 stream, dst = yield SEND, buffer
                 report.sent(stream, copy.host, dst, buffer.nbytes)
         input_done = True
-        if tracer:
-            tracer.record(clock(), label, "flush", "start")
         outputs = yield FLUSH, None
-        if tracer:
-            tracer.record(clock(), label, "flush", "end")
         for buffer in outputs:
             stream, dst = yield SEND, buffer
             report.sent(stream, copy.host, dst, buffer.nbytes)
@@ -647,15 +637,15 @@ def execute_cycle(
                 if report.error is None:
                     report.error = f"{label} cycle {k}: {traceback.format_exc()}"
             report.finished_at = clock()
-            if tracer and report.error is None:
-                tracer.record(report.finished_at, label, "done", f"cycle={k}")
 
 
 def _trampoline(
-    steps: Generator[Effect, Any, None], perform: dict[str, Callable[[Any], Any]]
+    steps: Generator[Effect, Any, None], perform: dict[str, Callable[[Any], Any]],
+    tracer: "Tracer | None", label: str, clock: Callable[[], float],
 ) -> None:
     """Drive a cycle to its end: answer each effect with ``perform``'s call,
-    and throw an effect that raises back into the cycle."""
+    throw an effect that raises back into the cycle, and trace one span per
+    effect performed."""
     value: Any = None
     thrown: "BaseException | None" = None
     while True:
@@ -664,10 +654,14 @@ def _trampoline(
         except StopIteration:
             return
         thrown = None
+        t0 = clock() if tracer else 0.0
         try:
             value = perform[effect](arg)
         except BaseException as exc:  # noqa: BLE001 - the cycle reports it
-            thrown = exc
+            value, thrown = None, exc
+        if tracer:
+            detail = "" if thrown else span_detail(effect, value)
+            tracer.record(t0, label, effect, detail, end=clock())
 
 
 class _Unbuilt(Filter):
@@ -694,8 +688,9 @@ def _blocking(
     """Every effect of one cycle, performed by blocking (threads, forks).
 
     Sends stay inline: ``ctx.write`` is a blocking :meth:`Writer.send`
-    inside ``handle`` / ``flush``, booked as it happens, so work and flush
-    return no buffers and a producer's sends overlap its consumers' work.
+    inside ``handle`` / ``flush``, booked and traced as it happens, so work
+    and flush return no buffers and a producer's sends overlap its
+    consumers' work.  A traced receive samples its queue's depth.
     """
     spec, host, label = copy.spec, copy.host, copy.label
     clock, codec = world.clock, world.transport.codec
@@ -703,10 +698,12 @@ def _blocking(
     writers: dict[str, Writer] = {}
 
     def write(stream: str, buffer: DataBuffer) -> None:
+        t0 = clock() if tracer else 0.0
         target = writers[stream].send(buffer)
         report.sent(stream, host, target.host, buffer.nbytes)
         if tracer:
-            tracer.record(clock(), label, "send", f"{stream}->{target.host}")
+            detail = span_detail(SEND, (stream, target.host))
+            tracer.record(t0, label, SEND, detail, end=clock())
 
     ctx = FilterContext(
         spec.name, host, copy.copy_index, copy.copies_on_host, copy.total,
@@ -750,6 +747,12 @@ def _blocking(
         report.busy_time += time.perf_counter() - t0
         return ()
 
+    def recv(_: None) -> "Envelope | None":
+        wire = my_queue.recv()
+        if tracer and wire is not None and (depth := my_queue.qsize()) >= 0:
+            tracer.sample_queue(clock(), f"{spec.name}@{host}", depth)
+        return wire
+
     def finish(wants_result: bool) -> Any:
         instance.finalize(ctx)
         return getattr(instance, "result", lambda: None)() if wants_result else None
@@ -769,8 +772,7 @@ def _blocking(
     return {
         INIT: init,
         PRODUCE: lambda _: None,  # a real source writes from its flush
-        RECV: lambda _: my_queue.recv(),
-        DEPTH: lambda _: my_queue.qsize(),
+        RECV: recv,
         ACK: lambda wire: _acknowledge(wire, world.acks),
         WORK: work,
         FLUSH: flush,
@@ -815,11 +817,12 @@ def run_copy(
         )
         report = CycleReport(copy.cid, k)
         _trampoline(
-            execute_cycle(copy, k, report, tracer, world.clock),
+            execute_cycle(copy, k, report, world.clock),
             _blocking(
                 world, copy, k, slot, uow, instance, tracer, writers_by_cycle,
                 report,
             ),
+            tracer, copy.label, world.clock,
         )
         # Writers older than the slot ring can no longer receive acks that
         # matter; prune so a long-lived copy stays bounded.
@@ -894,7 +897,8 @@ def merge_trace(
         (e for r in reports for e in r.events), key=lambda e: e.time
     ):
         tracer.record(
-            event.time - time_offset, event.copy, event.kind, event.detail
+            event.time - time_offset, event.copy, event.kind, event.detail,
+            end=event.end - time_offset,
         )
     for sample in sorted(
         (s for r in reports for s in r.queue_samples), key=lambda s: s.time

@@ -135,10 +135,9 @@ class SimulatedEngine(Engine):
     ack_nbytes:
         Wire size of a DD acknowledgment message.
     tracer:
-        Optional :class:`repro.core.tracing.Tracer` recording per-copy
-        events in the unified schema (recv / compute / io / send / ack /
-        flush / done / blocked) plus queue-depth samples, timestamped in
-        simulated seconds.
+        Optional :class:`repro.core.tracing.Tracer` receiving one span per
+        effect each copy performs, the writers' ``blocked`` and ``acked``
+        spans and queue-depth samples, timestamped in simulated seconds.
     """
 
     def __init__(
@@ -265,10 +264,11 @@ class SimulatedEngine(Engine):
         """Perform one copy's cycle in simulated time.
 
         Each effect becomes the events it costs, yielded in the order the
-        cycle asks for them; it adds no process and no event of its own, so
-        equal-time steps keep their order.  Busy seconds exclude disk reads,
-        transfers and DD waits; a source's disk reads are charged to
-        ``io_time`` while producing a unit, outside its compute span.
+        cycle asks for them, and one trace span; it adds no process and no
+        event of its own, so equal-time steps keep their order.  Busy
+        seconds exclude disk reads, transfers and DD waits; a source's disk
+        reads are charged to ``io_time`` while producing a unit, outside its
+        work span.
         """
         env, cluster, tracer = self.env, self.cluster, self.tracer
         spec, label = copy.spec, copy.label
@@ -277,7 +277,7 @@ class SimulatedEngine(Engine):
         writers = writers_of[copy.cid]
         model: Any = None
         items: Any = None
-        steps = runtime.execute_cycle(copy, 0, report, tracer, lambda: env.now)
+        steps = runtime.execute_cycle(copy, 0, report, lambda: env.now)
         value: Any = None
         thrown: "Exception | None" = None
         while True:
@@ -286,6 +286,7 @@ class SimulatedEngine(Engine):
             except StopIteration:
                 return
             value = thrown = None
+            start = env.now
             try:
                 if effect is runtime.RECV:
                     try:
@@ -298,9 +299,8 @@ class SimulatedEngine(Engine):
                 elif effect is runtime.WORK:
                     cost = model.cost(arg.payload) if spec.inputs else arg.cpu
                     if cost:
-                        t0 = env.now
                         yield host.compute(cost)
-                        report.busy_time += env.now - t0
+                        report.busy_time += env.now - start
                     value = model.react(arg.payload) if spec.inputs else arg.outputs
                 elif effect is runtime.SEND:
                     stream = arg.tags.get("stream")
@@ -315,13 +315,11 @@ class SimulatedEngine(Engine):
                     target = writer.policy.route(arg.tags)
                     if target is None:
                         # All windows full: the writer stalls until an ack returns.
-                        if tracer:
-                            tracer.record(env.now, label, "blocked", "start")
                         while target is None:
                             yield writer.ack_event
                             target = writer.policy.route(arg.tags)
                         if tracer:
-                            tracer.record(env.now, label, "blocked", "end")
+                            tracer.record(start, label, "blocked", end=env.now)
                     writer.policy.on_sent(target)
                     sent_at = env.now
                     dst = writer.copysets[target.index]
@@ -331,29 +329,20 @@ class SimulatedEngine(Engine):
                         writer.policy.needs_ack, arg,
                     ))
                     if tracer:
-                        tracer.record(env.now, label, "send", f"{stream}->{dst.host}")
                         tracer.sample_queue(env.now, dst.store.name, len(dst.store))
                     value = stream, dst.host
                 elif effect is runtime.PRODUCE:
                     value = next(items, None)
                     if value is not None and value.read_bytes:
-                        t0 = env.now
-                        if tracer:
-                            tracer.record(t0, label, "io", "start")
                         yield host.read_disk(
                             value.read_bytes, value.disk_index, value.sequential
                         )
-                        report.io_time += env.now - t0
-                        if tracer:
-                            tracer.record(env.now, label, "io", "end")
-                elif effect is runtime.DEPTH:
-                    value = len(my_set.store)
+                        report.io_time += env.now - start
                 elif effect is runtime.FLUSH:
                     cost = model.flush_cost()
                     if cost:
-                        t0 = env.now
                         yield host.compute(cost)
-                        report.busy_time += env.now - t0
+                        report.busy_time += env.now - start
                     value = model.flush_outputs()
                 elif effect is runtime.INIT:
                     ctx = FilterContext(
@@ -376,6 +365,9 @@ class SimulatedEngine(Engine):
                     self._ack(copy.host, arg, writers_of)
             except Exception as exc:  # noqa: BLE001 - the cycle reports it
                 thrown = exc
+            if tracer:
+                detail = "" if thrown else runtime.span_detail(effect, value)
+                tracer.record(start, label, effect, detail, end=env.now)
 
     def _ack(
         self,
@@ -390,9 +382,8 @@ class SimulatedEngine(Engine):
 
         def _deliver(_ev: Event) -> None:
             writer.deliver_ack(writer.policy.targets[wire.target_index])
-            if tracer:  # round-trip latency: producer send to ack delivery
-                latency = env.now - wire.sent_at
-                tracer.record(env.now, writer.label, "ack", f"{latency:.9f}")
+            if tracer:
+                tracer.record(wire.sent_at, writer.label, "acked", end=env.now)
 
         transfer.callbacks.append(_deliver)
 

@@ -49,8 +49,8 @@ class ThreadedEngine(Engine):
     ``ack_nbytes`` is the nominal wire size of one DD acknowledgment
     (``RunMetrics.ack_bytes`` accounting, matching the simulated engine);
     ``tracer`` is an optional :class:`repro.core.tracing.Tracer` that
-    records the unified event schema (recv / compute / send / ack / flush /
-    done / blocked) with wall-clock timestamps relative to run start.
+    receives one span per effect each copy performs (plus ``send``,
+    ``blocked`` and ``acked`` spans) on wall-clock seconds since run start.
 
     ``codec`` optionally routes every stream buffer through a
     :class:`repro.core.buffer.BufferCodec` encode/decode round trip — the

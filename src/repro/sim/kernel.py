@@ -257,7 +257,7 @@ class Environment:
 
         def producer(env):
             yield env.timeout(1.0)
-            return "done"
+            return "finished"
 
         proc = env.process(producer(env))
         env.run()

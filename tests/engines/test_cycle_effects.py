@@ -15,7 +15,6 @@ from repro.core.tracing import Tracer
 from repro.engines.runtime import (
     ACK,
     ANNOUNCE,
-    DEPTH,
     DISCARD,
     FINISH,
     FLUSH,
@@ -26,6 +25,7 @@ from repro.engines.runtime import (
     WORK,
     CycleReport,
     Envelope,
+    _trampoline,
     copy_plan,
     execute_cycle,
 )
@@ -33,7 +33,7 @@ from repro.errors import EngineError
 
 #: What an unscripted effect returns: nothing received, produced or emitted.
 DEFAULT_REPLY = {
-    INIT: None, PRODUCE: None, RECV: None, DEPTH: 0, ACK: False, WORK: (),
+    INIT: None, PRODUCE: None, RECV: None, ACK: False, WORK: (),
     SEND: ("src->mid", "h0"), FLUSH: (), FINISH: None, DISCARD: None,
     ANNOUNCE: None,
 }
@@ -55,13 +55,13 @@ def wire(n, stream="src->mid", needs_ack=True):
     return Envelope(0, stream, 0, 0, 0.0, needs_ack, DataBuffer(8, payload=n))
 
 
-def drive(copy, script, k=7, tracer=None):
+def drive(copy, script, k=7):
     """Run one cycle of ``copy`` against ``script`` (effect -> replies, used
     in order; an exception is raised into the cycle).  Returns the report
     and every ``(effect, argument)`` the cycle asked for."""
     replies = {effect: list(values) for effect, values in script.items()}
     report = CycleReport(copy.cid, k)
-    steps = execute_cycle(copy, k, report, tracer, lambda: 2.5)
+    steps = execute_cycle(copy, k, report, lambda: 2.5)
     asked = []
     value, thrown = None, None
     while True:
@@ -177,28 +177,91 @@ def test_source_effect_sequence_and_books():
     }
 
 
-def test_traced_cycle_records_its_own_events():
+def scripted(script):
+    """Performers for the trampoline: each effect answers from ``script``
+    (effect -> replies, used in order), else its default reply."""
+    replies = {effect: list(values) for effect, values in script.items()}
+
+    def performer(effect):
+        def perform(_arg):
+            reply = replies[effect].pop(0) if replies.get(effect) else DEFAULT_REPLY[effect]
+            if isinstance(reply, BaseException):
+                raise reply
+            return reply
+        return perform
+
+    return {effect: performer(effect) for effect in DEFAULT_REPLY}
+
+
+def ticking():
+    """A clock that advances one second per read, and counts its reads."""
+    ticks = iter(range(10**6))
+    clock = lambda: float(next(ticks))  # noqa: E731
+    return clock, ticks
+
+
+def test_the_trampoline_traces_one_span_per_effect_in_order():
+    copy = copies()["mid"]
+    report = CycleReport(copy.cid, 7)
     tracer = Tracer()
-    w1 = wire(1)
-    _report, asked = drive(
-        copies()["mid"],
-        {RECV: [w1, None], DEPTH: [3], WORK: [[DataBuffer(8)]]},
-        tracer=tracer,
+    clock, _ticks = ticking()
+    _trampoline(
+        execute_cycle(copy, 7, report, clock),
+        scripted({
+            RECV: [wire(1), None], ACK: [True], WORK: [[DataBuffer(8)]],
+            SEND: [("mid->snk", "h1")],
+        }),
+        tracer, copy.label, clock,
     )
-    assert effects(asked)[:5] == [INIT, RECV, DEPTH, ACK, WORK]
-    assert [(e.kind, e.detail) for e in tracer.events] == [
-        ("recv", "src->mid"),
-        ("compute", "start"), ("compute", "end"),
-        ("flush", "start"), ("flush", "end"),
-        ("done", "cycle=7"),
+    assert [(e.time, e.end, e.copy, e.kind, e.detail) for e in tracer.events] == [
+        (0.0, 1.0, "mid@h0#0", INIT, ""),
+        (2.0, 3.0, "mid@h0#0", RECV, "src->mid"),
+        (4.0, 5.0, "mid@h0#0", ACK, ""),
+        (6.0, 7.0, "mid@h0#0", WORK, ""),
+        (8.0, 9.0, "mid@h0#0", SEND, "mid->snk->h1"),
+        (10.0, 11.0, "mid@h0#0", RECV, ""),  # the input closed
+        (12.0, 13.0, "mid@h0#0", FLUSH, ""),
+        (14.0, 15.0, "mid@h0#0", FINISH, ""),
+        (16.0, 17.0, "mid@h0#0", ANNOUNCE, ""),
     ]
-    assert [(s.queue, s.depth) for s in tracer.queue_samples] == [("mid@h0", 3)]
+    assert report.finished_at == 18.0
+    assert report.ack_messages == 1 and report.buffers_out == 1
+
+
+def test_an_effect_that_raises_is_traced_and_thrown_back():
+    copy = copies()["mid"]
+    report = CycleReport(copy.cid, 7)
+    tracer = Tracer()
+    clock, _ticks = ticking()
+    _trampoline(
+        execute_cycle(copy, 7, report, clock),
+        scripted({RECV: [wire(1), wire(2), None], WORK: [RuntimeError("boom")]}),
+        tracer, copy.label, clock,
+    )
+    assert [(e.kind, e.detail) for e in tracer.events] == [
+        (INIT, ""), (RECV, "src->mid"), (ACK, ""), (WORK, ""),
+        (RECV, "src->mid"), (DISCARD, ""), (RECV, ""), (ANNOUNCE, ""),
+    ]
+    assert "RuntimeError: boom" in report.error
+
+
+def test_an_untraced_cycle_reads_no_extra_clock():
+    copy = copies()["mid"]
+    report = CycleReport(copy.cid, 7)
+    clock, ticks = ticking()
+    _trampoline(
+        execute_cycle(copy, 7, report, clock),
+        scripted({RECV: [wire(1), None], WORK: [[DataBuffer(8)]]}),
+        None, copy.label, clock,
+    )
+    assert report.finished_at == 0.0  # the cycle's own read, and no other
+    assert next(ticks) == 1
 
 
 def test_a_closed_cycle_performs_nothing_more():
     copy = copies()["mid"]
     report = CycleReport(copy.cid, 0)
-    steps = execute_cycle(copy, 0, report, None, lambda: 1.0)
+    steps = execute_cycle(copy, 0, report, lambda: 1.0)
     assert next(steps) == (INIT, None)
     steps.close()  # its driver went away: no drain, no announce
     assert report.error is None and report.finished_at == 0.0

@@ -10,6 +10,8 @@ accounted symmetrically with ``ack_messages``, stream totals identical, and
 unified trace schema and the traces must survive a JSONL round trip.
 """
 
+import time
+
 import pytest
 
 from repro.core import (
@@ -23,6 +25,18 @@ from repro.core import (
 )
 from repro.core.tracing import EVENT_KINDS, Tracer
 from repro.engines import ProcessEngine, SimulatedEngine, ThreadedEngine
+from repro.engines.runtime import (
+    ACK,
+    ANNOUNCE,
+    DISCARD,
+    FINISH,
+    FLUSH,
+    INIT,
+    PRODUCE,
+    RECV,
+    SEND,
+    WORK,
+)
 from repro.sim import Environment, homogeneous_cluster
 
 COUNT = 12
@@ -216,14 +230,18 @@ def test_unified_trace_schema(engine):
     graph, metrics = ENGINES[engine]("DD", tracer=tracer)
     kinds = set(tracer.counts())
     assert kinds <= EVENT_KINDS
-    # Core lifecycle kinds appear on both engines.
-    assert {"recv", "compute", "send", "ack", "flush", "done"} <= kinds
+    # Every effect a healthy run performs, and the writers' round trips.
+    assert {
+        INIT, PRODUCE, RECV, ACK, WORK, SEND, FLUSH, FINISH, ANNOUNCE, "acked"
+    } <= kinds
     assert tracer.clock == ("sim" if engine == "simulated" else "wall")
-    # Every copy traced a done event.
-    done = [e for e in tracer.events if e.kind == "done"]
-    assert len(done) == len(metrics.copies)
-    # recv events match consumed buffers.
-    assert tracer.counts()["recv"] == sum(c.buffers_in for c in metrics.copies)
+    assert all(e.end >= e.time for e in tracer.events)
+    # Every copy announced its end-of-work once.
+    announced = [e.copy for e in tracer.events if e.kind == ANNOUNCE]
+    assert len(announced) == len(set(announced)) == len(metrics.copies)
+    # A receive that got a buffer names its stream; one per consumed buffer.
+    received = [e for e in tracer.events if e.kind == RECV and e.detail]
+    assert len(received) == sum(c.buffers_in for c in metrics.copies)
     # Queue depths were sampled.
     assert tracer.queue_samples
     # DD acks carry measurable latencies.
@@ -245,6 +263,113 @@ def test_trace_jsonl_round_trip(engine, tmp_path):
     for copy in {e.copy for e in tracer.events}:
         assert copy in timeline
     assert loaded.utilisation().keys() == tracer.utilisation().keys()
+
+
+def top_level(tracer, copy):
+    """A copy's effect spans that no other effect span contains (a real
+    engine's sends run inside the work or flush that made them)."""
+    effects = {INIT, PRODUCE, RECV, ACK, WORK, SEND, FLUSH, FINISH, DISCARD, ANNOUNCE}
+    spans = sorted(
+        ((e.time, e.end) for e in tracer.for_copy(copy) if e.kind in effects),
+        key=lambda span: (span[0], -span[1]),
+    )
+    out = []
+    for start, end in spans:
+        if out and out[-1][0] <= start and end <= out[-1][1]:
+            continue
+        out.append((start, end))
+    return out
+
+
+def finish_times(metrics):
+    return {
+        f"{c.filter_name}@{c.host}#{c.copy_index}": c.finished_at
+        for c in metrics.copies
+    }
+
+
+def test_effect_spans_tile_every_copy_cycle_on_the_simulator():
+    """The DES driver records a span per effect and no simulated time
+    passes between effects, so each copy's spans cover its whole cycle,
+    from run start to ``finished_at``, with no gap."""
+    tracer = Tracer()
+    _graph, metrics = run_simulated("DD", tracer=tracer)
+    for copy, finished_at in finish_times(metrics).items():
+        spans = top_level(tracer, copy)
+        assert spans[0][0] == pytest.approx(0.0, abs=1e-12), copy
+        for (_s0, e0), (s1, _e1) in zip(spans, spans[1:]):
+            assert s1 == pytest.approx(e0, abs=1e-12), copy
+        assert spans[-1][1] == pytest.approx(finished_at, abs=1e-12), copy
+
+
+def test_process_effect_spans_are_ordered_and_disjoint():
+    """Forked copies trace the effects their trampoline performs: one after
+    another, never overlapping, all inside the copy's cycle.  (How much of
+    the cycle they cover is wall-clock and is not gated here.)"""
+    tracer = Tracer()
+    _graph, metrics = run_process("DD", tracer=tracer)
+    for copy, finished_at in finish_times(metrics).items():
+        spans = top_level(tracer, copy)
+        assert spans, copy
+        for start, end in spans:
+            assert start <= end, copy
+        for (_s0, e0), (s1, _e1) in zip(spans, spans[1:]):
+            assert e0 <= s1, copy
+        assert spans[-1][1] <= finished_at, copy
+
+
+# -- utilisation on a stalled producer ----------------------------------------
+STALL_COUNT = 24
+
+
+class StallSource(Filter):
+    def flush(self, ctx):
+        for i in range(STALL_COUNT):
+            ctx.write(DataBuffer(NBYTES, payload=i))
+
+
+class SlowSink(Filter):
+    def handle(self, ctx, buffer):
+        time.sleep(0.004)
+
+
+class StallSourceModel(SimSource):
+    def items(self, ctx):
+        yield SourceItem(outputs=[DataBuffer(NBYTES) for _ in range(STALL_COUNT)])
+
+
+class SlowSinkModel(SimFilter):
+    def cost(self, buffer):
+        return 0.004
+
+    def react(self, buffer):
+        return ()
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_utilisation_columns_sum_to_the_span(engine):
+    """A source outrunning its sink stalls on full DD windows.  A real
+    engine sends inside the flush, so its ``blocked`` time lies inside a
+    busy span; each copy's busy + io + blocked + idle is still its span."""
+    graph = FilterGraph()
+    graph.add_filter(
+        "src", factory=StallSource, sim_factory=StallSourceModel, is_source=True
+    )
+    graph.add_filter("sink", factory=SlowSink, sim_factory=SlowSinkModel)
+    graph.connect("src", "sink")
+    placement = Placement().place("src", ["node0"]).place("sink", ["node1"])
+    tracer = Tracer()
+    if engine == "simulated":
+        cluster = homogeneous_cluster(Environment(), nodes=2)
+        SimulatedEngine(cluster, graph, placement, policy="DD", tracer=tracer).run()
+    else:
+        engine_cls = ThreadedEngine if engine == "threaded" else ProcessEngine
+        engine_cls(graph, placement, policy="DD", tracer=tracer).run()
+    util = tracer.utilisation()
+    assert util["src@node0#0"]["blocked"] > 0.0  # the producer did stall
+    for copy, row in util.items():
+        total = row["busy"] + row["io"] + row["blocked"] + row["idle"]
+        assert total == pytest.approx(row["span"], abs=1e-9), (copy, row)
 
 
 def test_validate_catches_cooked_books():

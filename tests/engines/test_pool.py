@@ -124,7 +124,7 @@ def test_per_query_tracer_is_query_relative():
     # though the pool has been alive much longer.
     assert min(e.time for e in tracer.events) < 0.15
     kinds = {e.kind for e in tracer.events}
-    assert "done" in kinds
+    assert {"work", "announce"} <= kinds
 
 
 def test_close_while_busy_finishes_inflight_queries():

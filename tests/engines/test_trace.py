@@ -40,12 +40,15 @@ def traced_run():
 
 def test_trace_records_all_kinds():
     tracer = traced_run()
-    counts = tracer.counts()
-    assert counts["io"] == 2 * 5  # start+end per disk read
-    assert counts["recv"] == 5
-    assert counts["send"] == 5
-    assert counts["done"] == 2
-    assert counts["compute"] == 2 * (5 + 5)  # start+end per charge
+    assert tracer.counts() == {
+        "init": 2, "finish": 2, "flush": 2, "announce": 2,
+        "produce": 5 + 1,  # five units, then the end of the source
+        "recv": 5 + 1,  # five buffers, then the closed input
+        "work": 5 + 5,  # one CPU charge per unit and per buffer
+        "send": 5,
+    }
+    assert {e.detail for e in tracer.events if e.kind == "send"} == {"src->snk->node1"}
+    assert {e.detail for e in tracer.events if e.kind == "recv"} == {"src->snk", ""}
 
 
 def test_trace_times_monotone_per_copy():
@@ -57,9 +60,9 @@ def test_trace_times_monotone_per_copy():
         assert times == sorted(times)
 
 
-def test_busy_spans_pair_up():
+def test_work_spans_are_the_cpu_charges():
     tracer = traced_run()
-    spans = tracer.busy_spans("snk@node1#0")
+    spans = tracer.spans("snk@node1#0", "work")
     assert len(spans) == 5
     for start, end in spans:
         assert end - start == pytest.approx(0.02)

@@ -168,9 +168,35 @@ def test_trace_corrupt_file(tmp_path, capsys):
     assert "malformed trace" in capsys.readouterr().err
 
 
+META_V2 = '{"type": "meta", "version": 2, "clock": "sim", "dropped": 0}\n'
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (META_V2 + '{"type": "event", "end": 1.0, "copy": "c", "kind": "recv"}\n', 2),
+        (META_V2 + '{"type": "queue", "t": 0.0, "queue": "q"}\n', 2),
+        (META_V2 + "[1, 2]\n", 2),
+        ('{"type": "meta", "version": 1, "clock": "sim", "dropped": 0}\n'
+         '{"type": "event", "t": 1.0, "copy": "c", "kind": "recv", "detail": ""}\n', 1),
+    ],
+    ids=["event-without-t", "queue-without-depth", "not-an-object",
+         "version-1"],
+)
+def test_trace_malformed_file(tmp_path, capsys, text, line):
+    """Every malformed record is one stderr line naming it, and exit 2."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    assert main(["trace", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"malformed trace {str(path)!r}: trace line {line}: ")
+    assert err.count("\n") == 1
+
+
 def test_trace_rejects_bad_width(tmp_path):
     path = tmp_path / "t.jsonl"
-    path.write_text('{"type": "meta", "version": 1, "clock": "sim", "dropped": 0}\n')
+    path.write_text(META_V2)
     with pytest.raises(SystemExit):
         build_parser().parse_args(["trace", str(path), "--width", "0"])
 
