@@ -97,14 +97,10 @@ def main() -> int:
     )
     cache = response.get("cache")
     if cache and cache.get("mode") != "off":
-        tiers = " ".join(
-            f"{tier}={cache[tier]}"
-            for tier in ("triangles", "tiles")
-            if tier in cache
-        )
+        tiles = f"tiles={cache['tiles']} " if "tiles" in cache else ""
         print(
-            f"cache: mode={cache['mode']} {tiers} "
-            f"saved={cache.get('bytes_saved', 0)}".rstrip()
+            f"cache: mode={cache['mode']} {tiles}"
+            f"saved={cache.get('bytes_saved', 0)}"
         )
     if "trace" in response:
         print(f"trace: {response['trace']}")

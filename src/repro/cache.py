@@ -4,21 +4,12 @@ Isosurface traffic is highly repetitive — the same dataset, a handful of
 popular isovalues, nearby views — yet every warm-pool query would pay
 Read + Extract + Raster in full.  This module supplies the
 content-addressed, capacity-bounded cache ``repro serve`` answers such
-traffic from, in two tiers:
-
-``triangles``
-    Extracted triangle sets keyed by ``(subgraph signature, scene facts,
-    chunk partition, timestep, isovalue)``.  A hit lets the serve layer
-    inject the triangles into the pipeline's unit of work, so the Read
-    and Extract stages skip storage and marching cubes entirely.
-``tiles``
-    Rendered frames keyed by ``(triangle key, view, image size,
-    algorithm, configuration)`` — the request, not the
-    triangle data, so a frame stays answerable after the arrays that
-    produced it have been evicted.  One entry per frame
-    (:class:`CachedFrame`: a frame is its one full-viewport tile), held
-    as the base64 PPM a response carries; a hit answers the query
-    without running the pipeline or encoding the frame again.
+traffic from.  Its one tier in use is ``tiles``: rendered frames keyed by
+the request (``repro.serve.frame_key``), one entry per frame
+(:class:`CachedFrame`: a frame is its one full-viewport tile), held as the
+base64 PPM a response carries; a hit answers the query without running
+the pipeline or encoding the frame again.  A miss runs the whole
+pipeline, Read and Extract in their copies.
 
 The certify-before-memoise contract
 -----------------------------------
@@ -35,9 +26,9 @@ declaration, topology), so a key can never match across pipelines whose
 declared semantics differ.
 
 The cache itself (:class:`ResultCache`) is a thread-safe, byte-budgeted
-LRU shared by both tiers; hits account the bytes they saved, which the
-serve layer surfaces in each response's ``cache`` block and as
-``cache_hit``/``cache_miss`` trace events.
+LRU; hits account the bytes they saved, which the serve layer surfaces in
+each response's ``cache`` block and as ``cache_hit``/``cache_miss`` trace
+events.
 """
 
 from __future__ import annotations
@@ -63,15 +54,15 @@ __all__ = [
     "CacheBinding",
     "CachedFrame",
     "ResultCache",
-    "TriangleSet",
     "bind_cache",
     "content_key",
-    "make_triangle_set",
     "subgraph_signature",
     "verify_cache_attachment",
 ]
 
-#: The two cache tiers (the serve path probes tiles before triangles).
+#: The cache tiers.  Serve fills only ``tiles``; ``triangles`` stays because
+#: ``benchmarks/perf/ladder.py`` prices a put and a get in it and reads
+#: ``by_tier["triangles"]``, until the benchmark drops that pricing.
 TIERS = ("triangles", "tiles")
 
 
@@ -160,27 +151,6 @@ def subgraph_signature(graph: "FilterGraph", members: Iterable[str]) -> str:
 
 
 # -- cached values -----------------------------------------------------------
-@dataclass(frozen=True)
-class TriangleSet:
-    """``triangles`` value: per-chunk world-space triangle arrays.
-
-    ``triangles`` maps chunk id -> ``(N, 3, 3)`` float32, in chunk order
-    (empty chunks included, so a replay knows the coverage is total).
-    Nothing is keyed by the arrays' content: the tile tier trusts the
-    triangle *key*, exactly as this tier does.
-    """
-
-    triangles: "Mapping[int, np.ndarray]"
-    nbytes: int
-
-
-def make_triangle_set(triangles: "Mapping[int, np.ndarray]") -> TriangleSet:
-    """Freeze per-chunk triangles into a sized :class:`TriangleSet`."""
-    items = sorted(triangles.items())
-    nbytes = sum(arr.nbytes for _, arr in items) + 16 * len(items)
-    return TriangleSet(dict(items), nbytes)
-
-
 @dataclass(frozen=True)
 class CachedFrame:
     """``tiles`` value: one rendered frame, encoded, and its merge facts.

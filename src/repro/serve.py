@@ -15,10 +15,9 @@ close`).  Every query's Read copies stream memory-mapped chunks from those
 files, and on one host the codec hands them to Extract by reference — a
 file region descriptor, no copy (:mod:`repro.core.buffer`).  Only the
 chunks the isosurface can cross are read: the store records each chunk's
-value range, and Read and the front-end's own extraction both skip a chunk
-whose range rules out a triangle at the query's isovalue
-(:func:`repro.viz.filters.chunks_needed`); the response's
-``chunks`` is ``[needed, stored]`` for the query's timestep.
+value range, and Read skips a chunk whose range rules out a triangle at
+the query's isovalue (:func:`repro.viz.filters.chunks_needed`); the
+response's ``chunks`` is ``[needed, stored]`` for the query's timestep.
 
 Protocol: newline-delimited JSON, one request per line, one response per
 line (stdlib only — no HTTP).  Requests::
@@ -49,27 +48,21 @@ same warm processes.
 
 Result caching (``cache_mb > 0``)
 ---------------------------------
-Repetitive traffic is served through the two :mod:`repro.cache` tiers: one
-cache for the service, shared by every pool, so popular content is shared
-across configurations and image sizes.  What is certified
-is the stage definition, what is keyed is the request.  The triangle tier
-holds what the Extract stage computes — the front-end runs its kernel
-(:meth:`QueryService._extract_triangles`) and injects the result through
-``uow["triangles"]`` whatever node carries the stage — so the service asks
+Repeat queries are answered from the :mod:`repro.cache` tile tier: one
+cache for the service, shared by every pool.  What is certified is the
+Extract stage definition, what is keyed is the request: the service asks
 :func:`repro.analysis.effects.certify_memoisable` once, before its first
 probe, about that stage where it is a node of its own (``E`` of
 ``R-E-Ra-M``, through :func:`repro.cache.bind_cache`), and all four
-configurations take the same path under that one certificate.  A refusal
-(E703/E706 — reachable only by changing the Extract definition) is
-surfaced in every response's ``cache`` block and the service runs
-uncached.  Both keys are functions of the request alone
-(:func:`cache_keys`) and the probe order is tiles → triangles → pipeline:
-a repeat query is one tile-tier lookup, answered without a pool, and one
-write — the tile holds the encoded frame, which :func:`response_line`
-joins into the reply as it is; on a triangle-tier hit (a new view at a
-cached isovalue) the cached per-chunk triangles ride ``uow["triangles"]``
-and the Read/Extract stages skip storage and marching cubes.  An invalid request raises before any probe
-and never touches the cache.
+configurations cache under that one certificate.  A refusal (E703/E706 —
+reachable only by changing the Extract definition) is surfaced in every
+response's ``cache`` block and the service runs uncached.  The key is a
+function of the request alone (:func:`frame_key`): a repeat query is one
+tile-tier lookup, answered without a pool, and one write — the tile holds
+the encoded frame, which :func:`response_line` joins into the reply as it
+is.  A miss runs the whole pipeline, Read and Extract in their copies, and
+puts its frame.  An invalid request raises before any probe and never
+touches the cache.
 """
 
 from __future__ import annotations
@@ -82,11 +75,8 @@ import tempfile
 import threading
 import time
 import traceback
-from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.cache import (
     CacheBinding,
@@ -94,7 +84,6 @@ from repro.cache import (
     ResultCache,
     bind_cache,
     content_key,
-    make_triangle_set,
 )
 from repro.configurations import CONFIGURATIONS, check_algorithm
 from repro.core.policies import make_policy_factory
@@ -107,7 +96,7 @@ from repro.errors import (
 )
 
 __all__ = [
-    "Query", "QueryService", "SceneSpec", "cache_keys", "ppm_bytes",
+    "Query", "QueryService", "SceneSpec", "frame_key", "ppm_bytes",
     "run_server",
 ]
 
@@ -133,8 +122,11 @@ def _coerce_int(
     ``json.loads`` makes of ``1e999`` and ``Infinity``) raise
     ``ValueError`` / ``TypeError`` / ``OverflowError``; a request field
     that cannot be coerced or is out of range is a bad request, so each is
-    the same configuration error.
+    the same configuration error.  A JSON boolean is not a number here,
+    although Python's ``bool`` is an ``int``.
     """
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -152,6 +144,8 @@ def _coerce_int(
 
 def _coerce_float(value: Any, name: str) -> float:
     """A request field as a finite float, or :class:`ConfigurationError`."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError):
@@ -201,29 +195,16 @@ class Query:
     orbit: "tuple[float, float] | None"  # (azimuth, elevation) in degrees
 
 
-def cache_keys(signature: str, query: Query) -> "tuple[str, str]":
-    """``(triangle key, frame key)`` of a query under a certified subgraph.
+def frame_key(signature: str, query: Query) -> str:
+    """The tile-tier key of a query under a certified subgraph.
 
-    Both are functions of the request alone.  The scene facts fully
-    determine the generated dataset and ``(nchunks, nfiles)`` the
-    declustered chunk partition, so with a certified-pure Extract over a
-    deterministic Read they determine the triangles; the frame key adds
-    what Raster and Merge see of the request.  A frame is therefore found
-    by its request whether or not its triangle arrays are still resident.
+    A function of the request alone, starting from the subgraph's
+    ``signature``: every field of the query, the scene's facts included.
+    Those facts fully determine the generated dataset and ``(nchunks,
+    nfiles)`` its declustered chunk partition, so with a certified-pure
+    Extract over a deterministic Read the key determines the frame.
     """
-    scene = query.scene
-    triangle_key = content_key(
-        "tri", signature,
-        ("scene", scene.name, scene.grid, scene.timesteps, scene.species,
-         scene.seed),
-        ("chunks", scene.nchunks, scene.nfiles),
-        query.timestep, query.isovalue,
-    )
-    frame_key = content_key(
-        "frame", triangle_key, query.orbit or "default-camera",
-        query.width, query.height, query.algorithm, query.config,
-    )
-    return triangle_key, frame_key
+    return content_key("frame", signature, astuple(query))
 
 
 class QueryService:
@@ -293,9 +274,9 @@ class QueryService:
         #: removed by close(), or with the service if it is never closed
         self._store_dirs: "dict[str, tempfile.TemporaryDirectory[str]]" = {}
         self._assets_lock = threading.Lock()
-        #: served queries by how far they had to go: the tile tier, the
-        #: triangle tier + Raster/Merge, or the whole pipeline
-        self._served = {"tile_hit": 0, "triangle_hit": 0, "cold": 0}
+        #: served queries by how far they had to go: the tile tier or the
+        #: whole pipeline
+        self._served = {"tile_hit": 0, "cold": 0}
         #: chunks the served pipeline runs needed, of those their timesteps
         #: store (tile hits run no pipeline and count nothing)
         self._chunks_needed = self._chunks_total = 0
@@ -361,9 +342,8 @@ class QueryService:
     def _certified(self, scene: SceneSpec) -> "CacheBinding | None":
         """The cache bound to the Extract stage, or None (off or refused).
 
-        What the tiers memoise is what the Extract *stage definition*
-        computes, whichever node of a configuration carries it, so the
-        certifier is asked about that definition where it is a node of its
+        A frame is what the Extract *stage definition* feeds Raster,
+        whichever node of a configuration carries it, so the certifier is asked about that definition where it is a node of its
         own — ``E`` of ``R-E-Ra-M`` — once per service, at its first query
         (the stage's static metadata, hence the binding's signature, is
         the same for every scene and pipeline shape).
@@ -392,41 +372,6 @@ class QueryService:
                         f"[{d.rule}] {d.message}" for d in exc.report.errors
                     )
         return self._binding
-
-    def _extract_triangles(
-        self, scene: SceneSpec, timestep: int, isovalue: float,
-        needed: "frozenset[int]",
-    ) -> "dict[int, np.ndarray]":
-        """Per-chunk marching cubes, exactly as the pipeline computes it.
-
-        Same chunk partition (the profile's), same store files, same
-        ``extract_triangles`` kernel and the same world origin per chunk
-        — so injected triangles are bit-identical to what the Read →
-        Extract stages would have produced for this unit of work.  A
-        chunk Read would skip (not in ``needed``, the query's
-        :func:`~repro.viz.filters.chunks_needed`) gets the empty array the
-        kernel would return, unread, and a file with no needed chunk is
-        never opened.  The store is read through a handle of this call's
-        own, let go of after every file: one file mapped at a time, none kept.
-        """
-        from repro.data import DeclusteredStore
-        from repro.viz.filters import _chunk_world_origin
-        from repro.viz.marching_cubes import extract_triangles
-
-        store, profile, _storage = self._scene_assets(scene)
-        out: dict[int, np.ndarray] = {}
-        with closing(DeclusteredStore.open(store.directory)) as handle:
-            for data_file in profile.files:
-                for chunk in data_file.chunks:
-                    if chunk.chunk_id not in needed:
-                        out[chunk.chunk_id] = np.empty((0, 3, 3), np.float32)
-                        continue
-                    out[chunk.chunk_id] = extract_triangles(
-                        handle.chunk_field(chunk, timestep, 0), isovalue,
-                        origin=_chunk_world_origin(chunk),
-                    )
-                handle.close()
-        return out
 
     def _cache_block(self, events: _Events) -> "dict[str, Any]":
         block: dict[str, Any] = {
@@ -509,7 +454,7 @@ class QueryService:
         filter instances and process topology.
 
         Every query field in it also enters the frame key
-        (:func:`cache_keys`); ``policy`` and ``copies`` are the service's.
+        (:func:`frame_key`); ``policy`` and ``copies`` are the service's.
         """
         return (query.scene.name, query.config, query.algorithm, query.width,
                 query.height, self.policy, self.copies)
@@ -519,10 +464,9 @@ class QueryService:
 
         Raises :class:`~repro.errors.ReproError` on invalid requests or
         pipeline failures — the server wraps those into error responses.
-        One path for every configuration: parse → keys → tile probe →
-        camera → pool → triangle probe or front-end extraction → run → put
-        → respond, so a repeat query touches one tile entry and nothing
-        else, and an invalid one nothing at all.
+        One path for every configuration: parse → key → tile probe →
+        pool → camera → run → put → respond, so a repeat query touches one
+        tile entry and nothing else, and an invalid one nothing at all.
         """
         from repro.core.tracing import Tracer
         from repro.viz.camera import Camera
@@ -535,8 +479,8 @@ class QueryService:
 
         binding = self._certified(query.scene)
         if binding is not None:
-            triangle_key, frame_key = cache_keys(binding.signature, query)
-            frame = binding.cache.get("tiles", frame_key)
+            key = frame_key(binding.signature, query)
+            frame = binding.cache.get("tiles", key)
             if frame is not None:
                 # Answered without a pool: also after the pool was evicted.
                 events.append(("tiles", "hit", frame.nbytes))
@@ -551,9 +495,9 @@ class QueryService:
                 )
             events.append(("tiles", "miss", 0))
 
-        # Built before the pool is fetched: a pool forked by a process that
-        # has already made a Camera serves about 5 % faster (EXPERIMENTS,
-        # ISSUE 15; the cause is open — ROADMAP 9a).
+        pool, created = self.pools.get(
+            self._pool_key(query), lambda: self._build_pool(query)
+        )
         uow: dict[str, Any] = {"isovalue": query.isovalue, "timestep": query.timestep}
         if query.orbit is not None:
             uow["camera"] = Camera.orbit(
@@ -563,32 +507,10 @@ class QueryService:
                 width=query.width,
                 height=query.height,
             )
-        pool, created = self.pools.get(
-            self._pool_key(query), lambda: self._build_pool(query)
-        )
 
-        # Read's rule, asked once per run: len(needed) is the R->E buffer
-        # count, unless triangles were injected (Read then touched no storage)
+        # Read's rule, asked once per run: len(needed) is the R->E buffer count
         store, profile, _storage = self._scene_assets(query.scene)
         needed = chunks_needed(store, profile.chunks, query.timestep, query.isovalue)
-        outcome = "cold"
-        if binding is not None:
-            tri = binding.cache.get("triangles", triangle_key)
-            if tri is None:
-                # Triangle-tier miss: extract once, serve-side, and let
-                # every copy of this query (and every later one) inject.
-                events.append(("triangles", "miss", 0))
-                tri = make_triangle_set(
-                    self._extract_triangles(
-                        query.scene, query.timestep, query.isovalue, needed
-                    )
-                )
-                binding.cache.put("triangles", triangle_key, tri, tri.nbytes)
-            else:
-                events.append(("triangles", "hit", tri.nbytes))
-                outcome = "triangle_hit"
-            uow["triangles"] = dict(tri.triangles)
-
         try:
             metrics = pool.submit(uow, tracer=tracer).result()
         except EngineError:
@@ -601,7 +523,7 @@ class QueryService:
             frame = CachedFrame(
                 frame_b64, result.active_pixels, result.buffers_merged
             )
-            binding.cache.put("tiles", frame_key, frame, frame.nbytes)
+            binding.cache.put("tiles", key, frame, frame.nbytes)
         run = {
             "warm": not created,
             "pool_cycle": pool.cycles_completed,
@@ -615,9 +537,7 @@ class QueryService:
             },
             "chunks": [len(needed), len(profile.chunks)],
         }
-        return self._respond(
-            query, outcome, run, frame_b64, events, tracer, t0
-        )
+        return self._respond(query, "cold", run, frame_b64, events, tracer, t0)
 
     def _respond(
         self,
@@ -872,6 +792,13 @@ def run_server(
     bound port once the server is accepting — used by tests and scripted
     clients to avoid races.
     """
+    # Freeing one 30 MiB buffer raises glibc's dynamic mmap threshold to
+    # about 30 MiB (and its trim threshold to twice that), here and in every
+    # pool worker forked later: a query's megabyte temporaries (the frame's
+    # encode and join, the transport buffers) then reuse heap pages instead
+    # of mapping and faulting in fresh ones each time.  The buffer is
+    # calloc'd, so no page of it is touched; other allocators pay nothing.
+    bytes(30 << 20)
     try:
         asyncio.run(_serve(service, host, port, admission_limit, ready))
     finally:

@@ -134,14 +134,6 @@ class ReadFilter(Filter):
     — is read whole.  The isovalue is the constructor's (none known:
     nothing is ruled out) or the unit of work's ``ctx.uow["isovalue"]``,
     as for :class:`ExtractFilter`.
-
-    A result-cache hit may inject pre-extracted triangles for this unit
-    of work via ``ctx.uow["triangles"]`` (chunk id -> ``(N, 3, 3)``
-    float32, the ``repro.cache`` triangle tier).  For every owned chunk
-    present in that mapping the copy emits the cached
-    :class:`TrianglePayload` instead of reading the chunk — storage and
-    marching cubes are both skipped; a chunk missing from the mapping is
-    range-checked like any other and, if kept, read from storage.
     """
 
     def __init__(
@@ -163,25 +155,12 @@ class ReadFilter(Filter):
         timestep = _uow_get(ctx, "timestep", self.timestep)
         species = _uow_get(ctx, "species", self.species)
         isovalue = _uow_get(ctx, "isovalue", self.isovalue)
-        injected = _uow_get(ctx, "triangles", None) or {}
         for data_file, _disk in _copy_files(self.storage, ctx):
             needed = chunks_needed(
-                self.dataset,
-                [c for c in data_file.chunks if c.chunk_id not in injected],
-                timestep, isovalue, species,
+                self.dataset, data_file.chunks, timestep, isovalue, species
             )
             for chunk in data_file.chunks:
-                tris = injected.get(chunk.chunk_id)
-                if tris is not None:
-                    if len(tris):
-                        ctx.write(
-                            DataBuffer(
-                                len(tris) * TRIANGLE_BYTES,
-                                TrianglePayload(tris),
-                                tags={"chunk": chunk.chunk_id},
-                            )
-                        )
-                elif chunk.chunk_id in needed:
+                if chunk.chunk_id in needed:
                     scalars = self.dataset.chunk_field(chunk, timestep, species)
                     ctx.write(
                         DataBuffer(
@@ -205,13 +184,6 @@ class ExtractFilter(Filter):
 
     def handle(self, ctx: FilterContext, buffer: DataBuffer) -> None:
         """Process one input buffer (see Filter.handle)."""
-        if isinstance(buffer.payload, TrianglePayload):
-            # Cache-injected triangles (see ReadFilter): already
-            # extracted, forward unchanged.
-            ctx.write(
-                DataBuffer(buffer.nbytes, buffer.payload, tags=dict(buffer.tags))
-            )
-            return
         payload: ChunkPayload = buffer.payload
         tris = extract_triangles(
             payload.scalars,

@@ -9,7 +9,6 @@ from repro.cache import (
     TIERS,
     bind_cache,
     content_key,
-    make_triangle_set,
     subgraph_signature,
     verify_cache_attachment,
 )
@@ -57,15 +56,6 @@ def test_content_key_rejects_uncanonicalisable_values():
 
 
 # -- triangle sets and tiles -------------------------------------------------
-def test_make_triangle_set_orders_chunks_and_accounts_bytes():
-    tris = {1: np.zeros((0, 3, 3), np.float32), 0: np.zeros((2, 3, 3), np.float32)}
-    frozen = make_triangle_set(tris)
-    assert list(frozen.triangles) == [0, 1]  # chunk order, whatever came in
-    assert frozen.triangles[0] is tris[0]  # the arrays themselves, not copies
-    assert frozen.nbytes >= sum(a.nbytes for a in tris.values())
-    assert not hasattr(frozen, "digest")  # nothing is keyed by the content
-
-
 def test_cached_frame_accounts_encoded_bytes():
     frame_b64 = "UDYgOCA0IDI1NQo=" * 8  # what stays resident is the string
     frame = CachedFrame(frame_b64, 5, 2)

@@ -161,6 +161,24 @@ def test_malformed_request_fields_get_error_responses(server):
     assert good["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "request_fields, needle",
+    [
+        ({"width": True}, "width must be an integer"),
+        ({"timestep": True}, "timestep must be an integer"),
+        ({"isovalue": True}, "isovalue must be a number"),
+        ({"view": {"azimuth": False}}, "view.azimuth must be a number"),
+    ],
+    ids=["width", "timestep", "isovalue", "view.azimuth"],
+)
+def test_json_booleans_are_not_numbers(server, request_fields, needle):
+    """Python's ``bool`` is an ``int``: ``true`` used to pass as 1 (a
+    1-pixel-wide frame, timestep 1, isovalue 1.0) and ``false`` as 0."""
+    response = _request(server, {"cmd": "query", **request_fields})
+    assert response["ok"] is False, response.get("error")
+    assert needle in response["error"]
+
+
 def test_internal_error_in_render_gets_a_response_and_is_counted():
     """A non-ReproError from ``render`` used to escape ``run_in_executor``
     and close the client's connection with no response line."""
@@ -316,7 +334,7 @@ def test_stats_counts_queries(server):
     assert stats["queries_served"] >= 2
     # cache off: every served query ran the whole pipeline
     assert stats["served_by"] == {
-        "tile_hit": 0, "triangle_hit": 0, "cold": stats["queries_served"]
+        "tile_hit": 0, "cold": stats["queries_served"]
     }
     assert len(stats["pools"]) >= 1  # one warm pool per pipeline key
     (pool_stats,) = stats["pools"].values()

@@ -2,12 +2,12 @@
 
 Correctness bar: a cached response must be byte-identical (same PPM
 payload) to what an uncached service renders for the same query — for
-every configuration, algorithm and raster copy count, under eviction
-pressure, and for both tiers.
+every configuration, algorithm and raster copy count, and under eviction
+pressure.  A miss runs the whole pipeline; a repeat is one tile lookup.
 """
 
 import multiprocessing
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.configurations import ALGORITHMS, CONFIGURATIONS
 from repro.errors import ConfigurationError
-from repro.serve import Query, QueryService, SceneSpec, cache_keys
+from repro.serve import Query, QueryService, SceneSpec, frame_key
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -63,9 +63,9 @@ def uncached_frames(uncached):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("config", CONFIGURATIONS)
 def test_cached_responses_are_bit_exact(uncached, config, algorithm, copies):
-    """One probe path whatever node carries Extract: first sight misses both
-    tiers, a repeat is one tile lookup, a new view rides the cached
-    triangles — each frame the uncached (two-copy) service's."""
+    """One probe path whatever node carries Extract: first sight and a new
+    view miss the tile tier and run the pipeline, a repeat is one tile
+    lookup — each frame the uncached (two-copy) service's."""
     base = {"isovalue": 0.4, "timestep": 1, "config": config,
             "algorithm": algorithm}
     moved = {**base, "view": {"azimuth": 60, "elevation": 10}}
@@ -84,8 +84,7 @@ def test_cached_responses_are_bit_exact(uncached, config, algorithm, copies):
         assert second["buffers_merged"] == first["buffers_merged"]
         assert first["cached"] is False
         assert first["cache"] == {
-            "mode": "shared", "tiles": "miss", "triangles": "miss",
-            "bytes_saved": 0,
+            "mode": "shared", "tiles": "miss", "bytes_saved": 0,
         }
         assert second["cached"] is True
         # A full hit is answered by the tile tier alone.
@@ -100,39 +99,42 @@ def test_cached_responses_are_bit_exact(uncached, config, algorithm, copies):
         assert by_tier["tiles"]["misses"] == 2  # (first sight, new view)
         assert third["cached"] is False
         assert third["cache"] == {
-            "mode": "shared", "tiles": "miss", "triangles": "hit",
-            "bytes_saved": third["cache"]["bytes_saved"],
+            "mode": "shared", "tiles": "miss", "bytes_saved": 0,
         }
-        # ... and nothing else: the triangle tier saw the two pipeline runs
-        assert by_tier["triangles"]["hits"] == 1
-        assert by_tier["triangles"]["misses"] == 1
+        # ... and nothing else: no other tier is probed or filled
+        assert by_tier["triangles"] == dict.fromkeys(by_tier["triangles"], 0)
         assert by_tier["tiles"]["entries"] == 2  # one entry per frame
     finally:
         service.close()
 
 
-def test_triangles_extracted_under_one_configuration_serve_another(uncached):
-    """The triangle key never held the configuration (the frame key does):
-    what one grouping of the stages extracted, every other injects."""
+def test_a_tile_miss_runs_read_and_extract_in_their_copies(uncached):
+    """A cached miss is the uncached run: Read streams the chunks the
+    isosurface can cross from the store, Extract extracts them in its
+    copies, and every stream carries what it carries uncached."""
     base = {"isovalue": 0.4, "timestep": 1}
     service = _service(cache_mb=32)
     try:
-        first = service.render({**base, "config": CONFIGURATIONS[0]})
-        assert first["cache"]["triangles"] == "miss"
-        for config in CONFIGURATIONS[1:]:
+        for config in CONFIGURATIONS:
             query = {**base, "config": config}
-            other = service.render(dict(query))
-            assert other["cached"] is False, config
-            assert other["cache"]["tiles"] == "miss", config
-            assert other["cache"]["triangles"] == "hit", config
-            assert other["frame_b64"] == uncached.render(query)["frame_b64"]
+            miss = service.render(dict(query))
+            expected = uncached.render(dict(query))
+            assert miss["cached"] is False, config
+            assert miss["cache"]["tiles"] == "miss", config
+            assert miss["frame_b64"] == expected["frame_b64"], config
+            assert miss["streams"] == expected["streams"], config
+            assert miss["chunks"] == expected["chunks"], config
+            read = [n for n in miss["streams"] if n.startswith("R->")]
+            assert read == {
+                "R-E-Ra-M": ["R->E"], "R-ERa-M": ["R->ERa"],
+            }.get(config, []), config
+            for name in read:
+                assert miss["streams"][name][0] == miss["chunks"][0] > 0
         stats = service.stats()
-        by_tier = stats["cache"]["shared"]["by_tier"]
-        assert by_tier["triangles"]["entries"] == 1
-        assert by_tier["tiles"]["entries"] == len(CONFIGURATIONS)
-        assert stats["served_by"] == {
-            "tile_hit": 0, "triangle_hit": len(CONFIGURATIONS) - 1, "cold": 1
-        }
+        assert stats["cache"]["shared"]["by_tier"]["tiles"]["entries"] == len(
+            CONFIGURATIONS
+        )
+        assert stats["served_by"] == {"tile_hit": 0, "cold": len(CONFIGURATIONS)}
     finally:
         service.close()
 
@@ -145,8 +147,8 @@ def test_cached_view_queries_do_not_collide(uncached_frames):
             {"isovalue": 0.4, "timestep": 1,
              "view": {"azimuth": 60, "elevation": 10}}
         )
-        # Same triangles (tier hit), different camera: its own tile entry.
-        assert view["cache"]["triangles"] == "hit"
+        # Same isovalue, different camera: its own tile entry.
+        assert view["cache"]["tiles"] == "miss"
         assert view["cached"] is False
         assert view["frame_b64"] == uncached_frames["view"]
         again = service.render(
@@ -188,7 +190,7 @@ def test_invalid_requests_leave_the_cache_alone():
     of distinct bad ones — the negative tier stored each, and they evicted
     the frames — changes no cache counter and costs no frame."""
     queries = [{"isovalue": iso, "timestep": 1} for iso in ISOVALUES]
-    service = _service(cache_mb=0.125)  # every frame and set, little to spare
+    service = _service(cache_mb=0.125)  # every frame, little to spare
     try:
         for query in queries:
             assert service.render(dict(query))["cached"] is False
@@ -274,9 +276,10 @@ def test_trace_records_cache_events():
             {"isovalue": 0.4, "timestep": 1, "trace": True,
              "view": {"azimuth": 60, "elevation": 10}}
         )
-        # A new view at a cached isovalue: tile miss, triangle hit, pipeline.
-        assert moved["cache"]["tiles"] == "miss"
-        assert moved["cache"]["triangles"] == "hit"
+        # A new view at a cached isovalue: tile miss, then the pipeline.
+        assert moved["cache"] == {
+            "mode": "shared", "tiles": "miss", "bytes_saved": 0,
+        }
         assert moved["trace"]["events"] > 2
     finally:
         service.close()
@@ -300,7 +303,7 @@ def test_stats_show_one_certificate_per_service():
         assert stats["cache"]["members"] == ["E"]
         assert stats["cache"]["signature"]
         assert "refused" not in stats["cache"]
-        assert stats["cache"]["shared"]["entries"] == 2  # triangles + frame
+        assert stats["cache"]["shared"]["entries"] == 1  # the frame
         for fact in ("members", "signature"):
             assert other.cache_stats()[fact] == stats["cache"][fact]
     finally:
@@ -308,53 +311,8 @@ def test_stats_show_one_certificate_per_service():
         other.close()
 
 
-# -- request-keyed frames (ISSUE 15) ------------------------------------------
+# -- request-keyed frames -----------------------------------------------------
 ISOVALUES = (0.3, 0.35, 0.4, 0.45, 0.5, 0.55)
-
-
-def test_frames_outlive_their_triangle_arrays():
-    """A budget that holds every frame but not every triangle set still
-    answers every repeat from the tile tier: plain LRU retires the
-    triangle arrays, which a full hit no longer touches."""
-    queries = [{"isovalue": iso, "timestep": 1} for iso in ISOVALUES]
-    sizing = _service(cache_mb=32)
-    try:
-        reference = [sizing.render(dict(q))["frame_b64"] for q in queries]
-        by_tier = sizing.cache_stats()["shared"]["by_tier"]
-    finally:
-        sizing.close()
-    frames_bytes = by_tier["tiles"]["size_bytes"]
-    triangles_bytes = by_tier["triangles"]["size_bytes"]
-    budget = frames_bytes + triangles_bytes // 3
-    service = _service(cache_mb=budget / 2**20)
-    try:
-        # Exploration traffic: each new query is followed by another look at
-        # everything seen so far, so every frame is younger than the arrays.
-        for seen, query in enumerate(queries, start=1):
-            cold = service.render(dict(query))
-            assert cold["cached"] is False
-            assert cold["frame_b64"] == reference[seen - 1]
-            for index in range(seen):
-                repeat = service.render(dict(queries[index]))
-                assert repeat["cached"] is True, (seen, index)
-                assert repeat["cache"]["tiles"] == "hit"
-                assert "triangles" not in repeat["cache"]
-                assert repeat["frame_b64"] == reference[index]
-        stats = service.stats()
-        by_tier = stats["cache"]["shared"]["by_tier"]
-        assert by_tier["tiles"]["entries"] == len(queries)
-        assert by_tier["tiles"]["size_bytes"] == frames_bytes
-        assert by_tier["tiles"]["evictions"] == 0
-        assert by_tier["triangles"]["evictions"] > 0
-        assert by_tier["triangles"]["entries"] < len(queries)
-        assert stats["served_by"] == {
-            "tile_hit": len(queries) * (len(queries) + 1) // 2,
-            "triangle_hit": 0,
-            "cold": len(queries),
-        }
-        assert stats["queries_served"] == sum(stats["served_by"].values())
-    finally:
-        service.close()
 
 
 def test_tile_hit_encodes_nothing(monkeypatch):
@@ -379,8 +337,8 @@ def test_tile_hit_encodes_nothing(monkeypatch):
 
 def test_tiles_are_charged_encoded():
     """A tile is charged the base64 it holds, 4/3 of the image: a budget
-    that fits four raw frames beside their triangle set fits only two
-    encoded ones, and a hit saves exactly the encoded entry."""
+    that fits four raw frames fits only two encoded ones, and a hit saves
+    exactly the encoded entry."""
     views = [
         {"isovalue": 0.4, "timestep": 1,
          "view": {"azimuth": azimuth, "elevation": 25}}
@@ -395,12 +353,11 @@ def test_tiles_are_charged_encoded():
     raw = 32 * 32 * 3 + 32  # what an image-holding tile would be charged
     encoded = by_tier["tiles"]["size_bytes"]
     assert encoded == 4148  # base64 of a 3,085-byte P6 is 4,116 characters
-    budget = by_tier["triangles"]["size_bytes"] + len(views) * raw
+    budget = len(views) * raw
     service = _service(cache_mb=budget / 2**20)
     try:
         responses = [service.render(dict(view)) for view in views]
         stats = service.cache_stats()["shared"]
-        # every miss refreshes the shared triangle set before its put, so
         # the oldest frames go: four frames, room for two
         assert stats["evictions"] == stats["by_tier"]["tiles"]["evictions"] == 2
         assert stats["by_tier"]["tiles"]["entries"] == 2
@@ -448,17 +405,20 @@ def test_changing_one_request_field_never_returns_another_frame():
         cached.close()
 
 
+#: every field of a query drawn, the scene's too (a field left at its
+#: default would make the property below vacuous for it)
 _queries = st.builds(
     Query,
     scene=st.builds(
         SceneSpec,
-        name=st.just("s"),
+        name=st.sampled_from(["s", "t"]),
         grid=st.sampled_from([11, 13]),
         timesteps=st.sampled_from([2, 3]),
         species=st.sampled_from([1, 2]),
         nchunks=st.sampled_from([8, 27]),
         nfiles=st.sampled_from([2, 4]),
         seed=st.sampled_from([7, 8]),
+        isovalue=st.sampled_from([0.35, 0.4]),
     ),
     config=st.sampled_from(["R-E-Ra-M", "RE-Ra-M"]),
     algorithm=st.sampled_from(["active", "zbuffer"]),
@@ -470,19 +430,26 @@ _queries = st.builds(
 )
 
 
+def _one_field_moves(one, other):
+    """``one`` with each field, of the query or of its scene, taken alone
+    from ``other``."""
+    for field in fields(Query):
+        if field.name != "scene":
+            yield replace(one, **{field.name: getattr(other, field.name)})
+    for field in fields(SceneSpec):
+        scene = replace(one.scene, **{field.name: getattr(other.scene, field.name)})
+        yield replace(one, scene=scene)
+
+
 @given(one=_queries, other=_queries, signature=st.sampled_from(["a", "b"]))
 @settings(max_examples=300, deadline=None)
 def test_cache_keys_separate_any_two_different_requests(one, other, signature):
-    tri_one, frame_one = cache_keys(signature, one)
-    tri_other, frame_other = cache_keys(signature, other)
-    assert (frame_one == frame_other) == (one == other)
-    same_triangles = (one.scene, one.timestep, one.isovalue) == (
-        other.scene, other.timestep, other.isovalue
-    )
-    assert (tri_one == tri_other) == same_triangles
+    key = frame_key(signature, one)
+    assert (key == frame_key(signature, other)) == (one == other)
+    for moved in _one_field_moves(one, other):
+        assert (frame_key(signature, moved) == key) == (moved == one)
     # the certified subgraph is part of every key
-    tri_rebound, frame_rebound = cache_keys(signature + "'", one)
-    assert tri_rebound != tri_one and frame_rebound != frame_one
+    assert frame_key(signature + "'", one) != key
 
 
 @pytest.fixture(scope="module")
@@ -493,19 +460,14 @@ def keyer():
     service.close()
 
 
-_named = st.tuples(_queries, st.sampled_from(["s", "t"])).map(
-    lambda drawn: replace(drawn[0], scene=replace(drawn[0].scene, name=drawn[1]))
-)
-
-
-@given(one=_named, other=_named)
+@given(one=_queries, other=_queries)
 @settings(max_examples=300, deadline=None)
 def test_two_pool_keys_never_share_a_frame_key(keyer, one, other):
     """Why the first query of a pool key can only miss the tile tier: every
     query field of the pool key is in the frame key — no other key's frame
     can be this query's."""
     if keyer._pool_key(one) != keyer._pool_key(other):
-        assert cache_keys("sig", one)[1] != cache_keys("sig", other)[1]
+        assert frame_key("sig", one) != frame_key("sig", other)
 
 
 def test_first_query_of_a_pool_key_is_one_tile_lookup_a_miss(uncached_frames):
@@ -524,7 +486,6 @@ def test_first_query_of_a_pool_key_is_one_tile_lookup_a_miss(uncached_frames):
         resized = service.render({**base, "width": 24})
         assert resized["cached"] is False
         assert resized["cache"]["tiles"] == "miss"
-        assert resized["cache"]["triangles"] == "hit"
         assert tile_lookups() == (0, 2)
         # repeats: one lookup each, both hits
         assert service.render(dict(base))["cached"] is True
@@ -547,22 +508,16 @@ def test_evicted_pool_does_not_take_its_frames_with_it(uncached_frames):
         repeat = service.render(dict(base))
         assert repeat["cached"] is True
         assert repeat["cache"]["tiles"] == "hit"
-        assert "triangles" not in repeat["cache"]
         assert repeat["frame_b64"] == uncached_frames["base"]
-        # a new view rebuilds it cold, on the cached triangles ...
+        # a new view rebuilds it cold ...
         moved = service.render(dict(view))
         assert moved["warm"] is False
         assert moved["cache"]["tiles"] == "miss"
-        assert moved["cache"]["triangles"] == "hit"
         assert moved["frame_b64"] == uncached_frames["view"]
         # ... and the first query after the rebuild is a tile hit again
         after = service.render(dict(base))
         assert after["cached"] is True
-        assert "triangles" not in after["cache"]
         assert after["frame_b64"] == uncached_frames["base"]
-        # (triangles are image-size independent: the 24-wide query hit them)
-        assert service.stats()["served_by"] == {
-            "tile_hit": 2, "triangle_hit": 2, "cold": 1
-        }
+        assert service.stats()["served_by"] == {"tile_hit": 2, "cold": 3}
     finally:
         service.close()

@@ -12,7 +12,6 @@ import multiprocessing
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.configurations import CONFIGURATIONS
@@ -20,10 +19,9 @@ from repro.data import DeclusteredStore, HostDisks, ParSSimDataset, StorageMap
 from repro.engines import ProcessEngine, ThreadedEngine
 from repro.engines.pool import WarmPool
 from repro.errors import ReproError
-from repro.serve import Query, QueryService, SceneSpec, cache_keys, ppm_bytes
+from repro.serve import Query, QueryService, SceneSpec, frame_key, ppm_bytes
 from repro.viz import IsosurfaceApp
 from repro.viz.camera import Camera
-from repro.viz.filters import chunks_needed
 from repro.viz.marching_cubes import range_excludes
 from repro.viz.profile import DatasetProfile
 from tests.engines.test_crash_drain import shm_ledger  # noqa: F401  (fixture)
@@ -156,21 +154,22 @@ def test_served_frames_are_the_generators(served, generator_frames, config, algo
 
 
 def test_cached_service_serves_the_generators_frames(generator_frames):
-    """Triangle-tier misses extract from the store serve-side and inject,
-    into a Read that stands alone or a fused one; hits inject the cached
-    arrays; a repeat is the cached frame — all the same frame."""
+    """A tile miss reads the store in the Read copies, whether Read stands
+    alone or is fused; a repeat is the cached frame — the same frame."""
     for config in CONFIGURATIONS:
         expected = generator_frames[config, "zbuffer"]
         service = _service(config=config, algorithm="zbuffer", cache_mb=16)
         try:
             miss = service.render(dict(QUERY))
-            assert miss["cache"]["triangles"] == "miss"
-            if config in _READ_STREAM:  # carries the injected triangles
-                assert _READ_STREAM[config] in miss["streams"]
+            assert miss["cache"]["tiles"] == "miss"
+            if config in _READ_STREAM:  # carries the chunks Read kept
+                assert miss["streams"][_READ_STREAM[config]][0] == (
+                    miss["chunks"][0]
+                )
             other_view = service.render(
                 {**QUERY, "view": {"azimuth": 200, "elevation": -20}}
             )
-            assert other_view["cache"]["triangles"] == "hit"
+            assert other_view["cache"]["tiles"] == "miss"
             hit = service.render(dict(QUERY))
             assert hit["cached"] is True
             for response in (miss, hit):
@@ -298,69 +297,25 @@ def test_engines_complete_cycles_that_read_nothing(
 
 
 def test_cached_service_serves_the_blank_frame(blank_frames, outside):
-    """Front-end extraction applies the same rule: every chunk's triangles
-    are the empty array, none is read, and the cached frames are the
+    """A cached miss reads nothing either, and the cached frames are the
     uncached ones."""
     service = _service(config="R-E-Ra-M", algorithm="zbuffer", cache_mb=16)
     try:
         for side, isovalue in outside.items():
             expected = blank_frames["R-E-Ra-M", "zbuffer", side]
             miss = service.render({**QUERY, "isovalue": isovalue})
-            assert miss["cache"]["triangles"] == "miss"
+            assert miss["cache"]["tiles"] == "miss"
             assert miss["chunks"] == [0, SCENE.nchunks]
-            # nothing to inject
             assert miss["streams"].get("R->E", [0, 0]) == [0, 0]
             other_view = service.render(
                 {**QUERY, "isovalue": isovalue,
                  "view": {"azimuth": 200, "elevation": -20}}
             )
-            assert other_view["cache"]["triangles"] == "hit"
+            assert other_view["cache"]["tiles"] == "miss"
             hit = service.render({**QUERY, "isovalue": isovalue})
             assert hit["cached"] is True and hit["chunks"] is None
             for response in (miss, other_view, hit):
                 assert _frame(response) == expected
-    finally:
-        service.close()
-
-
-def test_front_end_extraction_reads_only_the_chunks_it_needs(
-    monkeypatch, outside
-):
-    """A chunk the rule excludes is neither read nor its file opened, and
-    stands in the result as the empty array the kernel would have made."""
-    service = _service()
-    try:
-        store, profile, _storage = service._scene_assets(SCENE)
-        read, opened = [], []
-        chunk_field, memmap = DeclusteredStore.chunk_field, np.memmap
-
-        def spy_field(self, chunk, timestep, species=0):
-            read.append(chunk.chunk_id)
-            return chunk_field(self, chunk, timestep, species)
-
-        def spy_memmap(path, *args, **kwargs):
-            opened.append(Path(path).name)
-            return memmap(path, *args, **kwargs)
-
-        monkeypatch.setattr(DeclusteredStore, "chunk_field", spy_field)
-        monkeypatch.setattr(np, "memmap", spy_memmap)
-        file_of = {
-            chunk.chunk_id: data_file.file_id
-            for data_file in profile.files for chunk in data_file.chunks
-        }
-        for isovalue in (QUERY["isovalue"], outside["above"], outside["below"]):
-            del read[:], opened[:]
-            kept = {chunk.chunk_id for chunk in _kept(store, profile, isovalue)}
-            triangles = service._extract_triangles(
-                SCENE, 1, isovalue, chunks_needed(store, profile.chunks, 1, isovalue)
-            )
-            assert sorted(read) == sorted(kept)
-            assert len(opened) == len({file_of[chunk_id] for chunk_id in kept})
-            assert sorted(triangles) == sorted(file_of)
-            for chunk_id, array in triangles.items():
-                assert array.dtype == np.float32 and array.shape[1:] == (3, 3)
-                assert (len(array) > 0) == (chunk_id in kept)
-        assert len(kept) == 0 and opened == []  # the last isovalue: nothing
     finally:
         service.close()
 
@@ -386,11 +341,12 @@ def test_front_end_and_pipeline_agree_on_the_chunks_read(outside):
         assert stats["chunks_needed"] == sum(needed)
         assert stats["chunks_total"] == SCENE.nchunks * len(responses)
 
-        # with injection Read touches no storage, the count still says what
-        # the query needs; a tile hit runs no pipeline and counts nothing
+        # a cached miss is the same run; a tile hit runs no pipeline and
+        # counts nothing
         miss = service.render(dict(QUERY))
         hit = service.render(dict(QUERY))
         assert miss["chunks"] == responses[1]["chunks"]
+        assert miss["streams"]["R->E"][0] == miss["chunks"][0]
         assert hit["cached"] is True and hit["chunks"] is None
         stats = service.stats()
         assert (stats["chunks_needed"], stats["chunks_total"]) == tuple(
@@ -402,16 +358,12 @@ def test_front_end_and_pipeline_agree_on_the_chunks_read(outside):
 
 
 def test_cache_keys_are_those_of_the_in_memory_scene():
-    """The store materialises the same scene facts, so nothing about it
-    enters a key: these are the digests the generator-backed service made."""
+    """The store materialises the scene facts, so nothing about it enters
+    a key: the digest is the request's, pinned."""
     query = Query(SCENE, "R-E-Ra-M", "zbuffer", 48, 48, 0.4, 1, (60.0, 10.0))
-    assert cache_keys("sig", query) == (
-        "93e775b2379325e8ba1eb871", "aefdbdfe5a0ac27924fe4a33",
-    )
+    assert frame_key("sig", query) == "8be339db229578419dc11191"
     query = Query(SCENE, "R-E-Ra-M", "active", 32, 32, 0.3, 0, None)
-    assert cache_keys("sig", query) == (
-        "f144bf06193913327d363e75", "1c0a2fe65e0def58929213f5",
-    )
+    assert frame_key("sig", query) == "50b20c13ef30fdc95b62b060"
 
 
 def test_read_to_extract_stream_creates_no_segment(tmp_path, monkeypatch):
@@ -465,14 +417,14 @@ def _mapped_under(directory):
 @pytest.mark.skipif(
     not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
 )
-def test_triangle_misses_leave_no_store_file_mapped():
-    """Serve-side extraction reads through a handle scoped to the call; a
-    long-lived one would end up holding the whole store in this process."""
+def test_tile_misses_leave_no_store_file_mapped():
+    """The store is read in the Read copies: the front-end asks it only for
+    chunk ranges, and maps none of its files."""
     service = _service(config="R-E-Ra-M", algorithm="zbuffer", cache_mb=16)
     try:
         for timestep in range(SCENE.timesteps):
             response = service.render({"isovalue": 0.4, "timestep": timestep})
-            assert response["cache"]["triangles"] == "miss"
+            assert response["cache"]["tiles"] == "miss"
         assert _mapped_under(_store_of(service)["path"]) == []
     finally:
         service.close()
@@ -591,32 +543,5 @@ def test_rebuilt_pool_reuses_the_store(monkeypatch):
             p.name: p.stat().st_ino for p in Path(store["path"]).iterdir()
         }
         assert len(generated) == once
-    finally:
-        service.close()
-
-
-def test_scoped_handle_reads_what_the_pipeline_reads():
-    """Serve-side extraction over the store gives the generator's triangles."""
-    from repro.viz.marching_cubes import extract_triangles
-
-    dataset = ParSSimDataset(
-        SCENE.shape, timesteps=SCENE.timesteps, species=SCENE.species,
-        seed=SCENE.seed,
-    )
-    service = _service()
-    try:
-        store, profile, _storage = service._scene_assets(SCENE)
-        triangles = service._extract_triangles(
-            SCENE, 1, 0.4, chunks_needed(store, profile.chunks, 1, 0.4)
-        )
-        assert sorted(triangles) == [c.chunk_id for c in profile.chunks]
-        for chunk in profile.chunks:
-            origin = tuple(float(chunk.start[axis]) for axis in (2, 1, 0))
-            np.testing.assert_array_equal(
-                triangles[chunk.chunk_id],
-                extract_triangles(
-                    dataset.chunk_field(chunk, 1, 0), 0.4, origin=origin
-                ),
-            )
     finally:
         service.close()

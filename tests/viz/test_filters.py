@@ -132,25 +132,6 @@ def test_read_filter_takes_the_isovalue_from_the_unit_of_work(world):
     assert len(_flush_read(source, storage)) == len(profile.chunks)
 
 
-def test_read_filter_range_checks_chunks_missing_from_injected_triangles(world):
-    """An injected chunk is emitted as triangles; one absent from the
-    mapping is read only if its range admits the isovalue."""
-    dataset, profile, storage, iso = world
-    counts = {c.chunk_id: profile.triangles(0, c.chunk_id) for c in profile.chunks}
-    yielding = [cid for cid, n in counts.items() if n]
-    empty = [cid for cid, n in counts.items() if not n]
-    fake = np.zeros((2, 3, 3), dtype=np.float32)
-    injected = {yielding[0]: fake, empty[0]: np.zeros((0, 3, 3), np.float32)}
-    source = Ranged(dataset)
-    written = _flush_read(
-        source, storage, {"isovalue": iso, "triangles": injected}
-    )
-    by_chunk = {buf.tags["chunk"]: buf.payload for _s, buf in written}
-    assert sorted(by_chunk) == yielding  # no empty chunk, injected or not
-    assert by_chunk[yielding[0]].triangles is fake
-    assert sorted(source.read) == yielding[1:]
-
-
 def test_extract_filter_counts_match_profile(world):
     dataset, profile, storage, iso = world
     read_col = Collector()
