@@ -25,10 +25,10 @@ Six subcommands::
                               [--timesteps T] [--image W] [--config C]
                               [--algorithm A] [--copies K] [--policy P]
                               [--max-inflight N] [--admission N]
-                              [--idle-timeout S]
+                              [--cache-mb M]
         Run the isosurface query service: JSON-lines over TCP, queries
-        rendered on warm process pools (see :mod:`repro.serve` and
-        ``examples/serve_client.py``).
+        rendered by one pipeline on a warm process pool per scene (see
+        :mod:`repro.serve` and ``examples/serve_client.py``).
 
     python -m repro.cli trace FILE.jsonl [--width N]
         Render the timeline and per-copy utilisation summary of a trace
@@ -333,7 +333,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         policy=args.policy,
         copies=args.copies,
         max_inflight=args.max_inflight,
-        pool_idle_timeout=args.idle_timeout,
         cache_mb=args.cache_mb,
     )
     try:
@@ -460,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--timesteps", type=int, default=3,
                          help="timesteps generated for the served scene")
     p_serve.add_argument("--image", type=int, default=256,
-                         help="default frame size (pixels)")
+                         help="frame size (pixels)")
     p_serve.add_argument("--config", default="RE-Ra-M",
                          choices=CONFIGURATIONS)
     p_serve.add_argument("--algorithm", default="active", choices=ALGORITHMS)
@@ -477,8 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-mb", type=float, default=0.0,
                          help="result-cache budget in MiB (0 disables "
                               "caching; see repro.cache)")
-    p_serve.add_argument("--idle-timeout", type=float, default=300.0,
-                         help="seconds before an idle pool is reaped")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_trace = sub.add_parser(

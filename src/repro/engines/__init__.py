@@ -17,7 +17,7 @@ differ in who performs the effects:
 """
 
 from repro.engines.base import Engine
-from repro.engines.pool import PendingQuery, PoolManager, WarmPool
+from repro.engines.pool import PendingQuery, WarmPool
 from repro.engines.process import ProcessEngine
 from repro.engines.simulated import SimulatedEngine
 from repro.engines.threaded import ThreadedEngine
@@ -25,7 +25,6 @@ from repro.engines.threaded import ThreadedEngine
 __all__ = [
     "Engine",
     "PendingQuery",
-    "PoolManager",
     "ProcessEngine",
     "SimulatedEngine",
     "ThreadedEngine",

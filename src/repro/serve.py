@@ -4,9 +4,9 @@ The paper's pipelines are meant to serve interactive exploration — "the
 client specifies a region of interest, an isovalue and a viewing screen" —
 but the batch engines cold-spawn every process per run.  This module turns
 the real pipeline into a query service in the paper's client/server
-shape: a thin asyncio frontend accepts JSON queries over TCP, multiplexes
-them onto :class:`~repro.engines.pool.WarmPool` pipelines kept warm
-between queries, and returns rendered frames.
+shape: a thin asyncio frontend accepts JSON queries over TCP, runs them
+on a :class:`~repro.engines.pool.WarmPool` kept warm between queries, and
+returns rendered frames.
 
 Read path: a scene is generated once, at its first use, straight into a
 Hilbert-declustered :class:`~repro.data.diskstore.DeclusteredStore` in a
@@ -26,7 +26,8 @@ line (stdlib only — no HTTP).  Requests::
      "view": {"azimuth": 60, "elevation": 30}, "trace": false}
     {"cmd": "ping"} | {"cmd": "stats"} | {"cmd": "shutdown"}
 
-``cmd`` defaults to ``"query"``.  A query response carries the frame as a
+``cmd`` defaults to ``"query"``, and a query names no other field: any
+other is a bad request that names it.  A query response carries the frame as a
 base64 PPM (``frame_b64``), per-query latency, stream/ack totals and a
 ``warm`` flag (False when this query cold-built its pool).  A frame is
 encoded once, when it is rendered, so a miss's ``latency_s`` includes the
@@ -39,20 +40,22 @@ unexpected exception inside ``render`` (counted in ``queries_failed``,
 traceback on stderr), and so does a line over the 64 KiB stream limit —
 after which that one connection is closed, as it cannot resynchronise.
 
-Query → pipeline binding: the (scene, configuration, algorithm, image
-size, policy, copies) tuple keys the pool — those parameters are baked
-into filter instances at construction.  The per-query knobs (isovalue,
-timestep, camera orbit) ride the unit of work and are honoured by the viz
-filters via their ``ctx.uow`` overrides, so successive queries reuse the
-same warm processes.
+Query → pipeline binding: the service runs one pipeline — configuration,
+algorithm, image size, policy and copies are how it is deployed, baked
+into filter instances at construction — and a scene has one warm pool,
+built at the scene's first query and again once it is no longer usable.
+The per-query knobs (isovalue, timestep, camera orbit) ride the unit of
+work and are honoured by the viz filters via their ``ctx.uow`` overrides,
+so successive queries reuse the same warm processes.  A response echoes
+the pipeline's ``config``, ``algorithm``, ``width`` and ``height``.
 
 Result caching (``cache_mb > 0``)
 ---------------------------------
 Repeat queries are answered from the :mod:`repro.cache` tile tier: one
-cache for the service, shared by every pool.  What is certified is the
-Extract stage definition, what is keyed is the request: the service asks
-:func:`repro.analysis.effects.certify_memoisable` once, before its first
-probe, about that stage where it is a node of its own (``E`` of
+cache for the service, shared by every scene's pool.  What is certified is
+the Extract stage definition, what is keyed is the request: the service
+asks :func:`repro.analysis.effects.certify_memoisable` once, before its
+first probe, about that stage where it is a node of its own (``E`` of
 ``R-E-Ra-M``, through :func:`repro.cache.bind_cache`), and all four
 configurations cache under that one certificate.  A refusal (E703/E706 —
 reachable only by changing the Extract definition) is surfaced in every
@@ -75,6 +78,7 @@ import tempfile
 import threading
 import time
 import traceback
+from concurrent.futures import Future
 from dataclasses import astuple, dataclass
 from typing import Any, Callable
 
@@ -87,7 +91,7 @@ from repro.cache import (
 )
 from repro.configurations import CONFIGURATIONS, check_algorithm
 from repro.core.policies import make_policy_factory
-from repro.engines.pool import PoolManager, WarmPool
+from repro.engines.pool import WarmPool
 from repro.errors import (
     AnalysisError,
     ConfigurationError,
@@ -102,6 +106,9 @@ __all__ = [
 
 #: What a query's cache probes did so far: ``(tier, "hit" | "miss", bytes)``.
 _Events = list[tuple[str, str, int]]
+
+#: The fields a query request may name; the pipeline is the service's.
+_QUERY_FIELDS = ("cmd", "dataset", "isovalue", "timestep", "view", "trace")
 
 
 def ppm_bytes(image) -> bytes:
@@ -208,13 +215,12 @@ def frame_key(signature: str, query: Query) -> str:
 
 
 class QueryService:
-    """Render isosurface queries on pooled pipelines.
+    """Render isosurface queries on one pipeline, one warm pool per scene.
 
     ``render`` is synchronous and thread-safe — the asyncio frontend calls
-    it through an executor.  Pools are cached in a
-    :class:`~repro.engines.pool.PoolManager` keyed by pipeline identity;
-    the first query for a key pays the cold build (fork + filter
-    construction), subsequent ones run warm.  With ``cache_mb > 0``
+    it through an executor.  A scene's first query pays the cold build
+    (store, fork, filter construction); later ones run warm, until the
+    pool breaks and the next query builds it again.  With ``cache_mb > 0``
     results are memoised through :mod:`repro.cache` (see the module
     docstring for tiering and the certification contract).
     """
@@ -228,9 +234,7 @@ class QueryService:
         height: int = 256,
         policy: str = "DD",
         copies: int = 2,
-        max_pools: int = 4,
         max_inflight: int = 2,
-        pool_idle_timeout: "float | None" = 300.0,
         cache_mb: float = 0.0,
     ):
         if cache_mb < 0:
@@ -240,22 +244,28 @@ class QueryService:
         scenes = scenes or [SceneSpec("default")]
         self.scenes = {scene.name: scene for scene in scenes}
         self.default_scene = scenes[0].name
+        # Refused here, not at every query, nor only after a scene's store
+        # was written: the pipeline, and each scene's default query.
+        if config not in CONFIGURATIONS:
+            raise ConfigurationError(
+                f"config must be one of {CONFIGURATIONS}, got {config!r}"
+            )
+        check_algorithm(algorithm)
         self.config = config
         self.algorithm = algorithm
-        self.width = width
-        self.height = height
-        # The service's defaults are request fields nobody sent: a service
-        # whose default query is a bad request would fail every query, and
-        # bad pool settings only after a scene's store was written.
+        self.width = _coerce_int(width, "width", minimum=1, maximum=16384)
+        self.height = _coerce_int(height, "height", minimum=1, maximum=16384)
         for scene in scenes:
             self._parse({"dataset": scene.name})
         make_policy_factory(policy)
         self.policy = policy
         self.copies = _coerce_int(copies, "copies", minimum=1)
         self.max_inflight = _coerce_int(max_inflight, "max_inflight", minimum=1)
-        self.pools = PoolManager(
-            max_pools=max_pools, idle_timeout=pool_idle_timeout
-        )
+        #: scene name -> its warm pool, built at the scene's first query
+        self._pools: "dict[str, WarmPool]" = {}
+        #: scene name -> the build in progress, which its waiters share
+        self._builds: "dict[str, Future[WarmPool]]" = {}
+        self._pools_lock = threading.Lock()
         self.cache_mb = float(cache_mb)
         #: the one result cache, shared by every pool (None: caching off)
         self._cache: "ResultCache | None" = None
@@ -288,11 +298,16 @@ class QueryService:
         """(store, profile, storage) for a scene, made once and reused.
 
         One pass over the generator profiles the scene and writes its
-        declustered store; pools (also rebuilt ones) read the files.
+        declustered store; pools (also rebuilt ones) read the files.  A
+        scene already made is returned without the lock, so no query waits
+        while another scene's store is written.
         """
         from repro.data import HostDisks, ParSSimDataset, StorageMap
         from repro.viz.profile import DatasetProfile
 
+        assets = self._assets.get(scene.name)
+        if assets is not None:
+            return assets
         with self._assets_lock:
             assets = self._assets.get(scene.name)
             if assets is None:
@@ -317,26 +332,62 @@ class QueryService:
                 assets = self._assets[scene.name] = (store, profile, storage)
         return assets
 
-    def _build_pool(self, query: Query) -> WarmPool:
+    def _build_pool(self, scene: SceneSpec) -> WarmPool:
         from repro.viz import IsosurfaceApp
 
-        config = query.config
-        store, profile, storage = self._scene_assets(query.scene)
+        store, profile, storage = self._scene_assets(scene)
         app = IsosurfaceApp(
             profile,
             storage,
-            width=query.width,
-            height=query.height,
-            algorithm=query.algorithm,
+            width=self.width,
+            height=self.height,
+            algorithm=self.algorithm,
             dataset=store,
-            isovalue=query.scene.isovalue,
+            isovalue=scene.isovalue,
         )
         return WarmPool(
-            app.graph(config),
-            app.placement(config, copies_per_host=self.copies),
+            app.graph(self.config),
+            app.placement(self.config, copies_per_host=self.copies),
             policy=self.policy,
             max_inflight=self.max_inflight,
         )
+
+    def _pool(self, scene: SceneSpec) -> "tuple[WarmPool, bool]":
+        """``(pool, built)``: the scene's warm pool, built if it has none.
+
+        A query that finds the pool broken builds a new one; concurrent
+        first queries share one build, and a build that raises fails each
+        of them with its error (the next query tries again).  Builds run
+        outside the lock, so no scene's query waits on another's.
+        """
+        with self._pools_lock:
+            pool = self._pools.get(scene.name)
+            if pool is not None and pool.usable:
+                return pool, False
+            broken = self._pools.pop(scene.name, None)
+            build = self._builds.get(scene.name)
+            builder = build is None
+            if build is None:
+                build = self._builds[scene.name] = Future()
+        if broken is not None:
+            # A broken pool's close can take LEAVE_BOUND: not on this query.
+            threading.Thread(
+                target=broken.close, daemon=True, name="serve-pool-close"
+            ).start()
+        if not builder:
+            return build.result(), False
+        try:
+            pool = self._build_pool(scene)
+        except BaseException as exc:
+            with self._pools_lock:
+                del self._builds[scene.name]
+            build.set_exception(exc)
+            raise
+        with self._pools_lock:
+            del self._builds[scene.name]
+            self._pools[scene.name] = pool
+        build.set_result(pool)
+        return pool, True
 
     # -- cache plumbing ------------------------------------------------------
     def _certified(self, scene: SceneSpec) -> "CacheBinding | None":
@@ -404,24 +455,18 @@ class QueryService:
     # -- queries -------------------------------------------------------------
     def _parse(self, request: "dict[str, Any]") -> Query:
         """Validate one request into a :class:`Query` (service defaults applied)."""
+        unknown = [field for field in request if field not in _QUERY_FIELDS]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown request field {unknown[0]!r}: a query names only "
+                f"{', '.join(_QUERY_FIELDS)}"
+            )
         name = str(request.get("dataset", self.default_scene))
         scene = self.scenes.get(name)
         if scene is None:
             raise ConfigurationError(
                 f"unknown dataset {name!r}; have {sorted(self.scenes)}"
             )
-        config = str(request.get("config", self.config))
-        if config not in CONFIGURATIONS:
-            raise ConfigurationError(
-                f"config must be one of {CONFIGURATIONS}, got {config!r}"
-            )
-        width = _coerce_int(
-            request.get("width", self.width), "width", minimum=1, maximum=16384
-        )
-        height = _coerce_int(
-            request.get("height", self.height), "height",
-            minimum=1, maximum=16384,
-        )
         isovalue = _coerce_float(
             request.get("isovalue", scene.isovalue), "isovalue"
         )
@@ -431,8 +476,6 @@ class QueryService:
                 f"timestep {timestep} out of range for {scene.name!r} "
                 f"(has {scene.timesteps})"
             )
-        algorithm = str(request.get("algorithm", self.algorithm))
-        check_algorithm(algorithm)
         view = request.get("view")
         if view is not None and not isinstance(view, dict):
             raise ConfigurationError(
@@ -446,18 +489,9 @@ class QueryService:
                 _coerce_float(view.get("elevation", 25.0), "view.elevation"),
             )
         return Query(
-            scene, config, algorithm, width, height, isovalue, timestep, orbit,
+            scene, self.config, self.algorithm, self.width, self.height,
+            isovalue, timestep, orbit,
         )
-
-    def _pool_key(self, query: Query) -> "tuple[Any, ...]":
-        """What a warm pool is built for: the query fields baked into its
-        filter instances and process topology.
-
-        Every query field in it also enters the frame key
-        (:func:`frame_key`); ``policy`` and ``copies`` are the service's.
-        """
-        return (query.scene.name, query.config, query.algorithm, query.width,
-                query.height, self.policy, self.copies)
 
     def render(self, request: "dict[str, Any]") -> "dict[str, Any]":
         """Execute one query; returns the JSON-serialisable response dict.
@@ -482,7 +516,7 @@ class QueryService:
             key = frame_key(binding.signature, query)
             frame = binding.cache.get("tiles", key)
             if frame is not None:
-                # Answered without a pool: also after the pool was evicted.
+                # Answered without a pool: also while the scene's is broken.
                 events.append(("tiles", "hit", frame.nbytes))
                 run = {
                     "warm": True, "pool_cycle": None, "makespan_s": 0.0,
@@ -495,9 +529,7 @@ class QueryService:
                 )
             events.append(("tiles", "miss", 0))
 
-        pool, created = self.pools.get(
-            self._pool_key(query), lambda: self._build_pool(query)
-        )
+        pool, created = self._pool(query.scene)
         uow: dict[str, Any] = {"isovalue": query.isovalue, "timestep": query.timestep}
         if query.orbit is not None:
             uow["camera"] = Camera.orbit(
@@ -603,6 +635,8 @@ class QueryService:
         with self._count_lock:
             served, failed = dict(self._served), self.queries_failed
             chunks = self._chunks_needed, self._chunks_total
+        with self._pools_lock:
+            pools = sorted(self._pools.items())
         stores = {}
         with self._assets_lock:  # close() removes the files under it
             for name in sorted(self._assets):
@@ -624,7 +658,7 @@ class QueryService:
             "chunks_needed": chunks[0],
             "chunks_total": chunks[1],
             "cache": self.cache_stats(),
-            "pools": self.pools.stats(),
+            "pools": {name: pool.stats() for name, pool in pools},
         }
 
     def count_failure(self) -> None:
@@ -634,7 +668,11 @@ class QueryService:
 
     def close(self) -> None:
         """Retire the pools, then remove every scene's store."""
-        self.pools.close_all()
+        with self._pools_lock:
+            pools = list(self._pools.values())
+            self._pools.clear()
+        for pool in pools:
+            pool.close()
         with self._assets_lock:
             self._assets.clear()
             while self._store_dirs:
@@ -790,16 +828,19 @@ def run_server(
 
     ``port=0`` binds an ephemeral port; ``ready`` (if given) receives the
     bound port once the server is accepting — used by tests and scripted
-    clients to avoid races.
+    clients to avoid races.  An ``admission_limit`` below 1, which would
+    reject every query, raises :class:`ConfigurationError` before binding.
     """
-    # Freeing one 30 MiB buffer raises glibc's dynamic mmap threshold to
-    # about 30 MiB (and its trim threshold to twice that), here and in every
-    # pool worker forked later: a query's megabyte temporaries (the frame's
-    # encode and join, the transport buffers) then reuse heap pages instead
-    # of mapping and faulting in fresh ones each time.  The buffer is
-    # calloc'd, so no page of it is touched; other allocators pay nothing.
-    bytes(30 << 20)
     try:
+        _coerce_int(admission_limit, "admission_limit", minimum=1)
+        # Freeing one 30 MiB buffer raises glibc's dynamic mmap threshold to
+        # about 30 MiB (and its trim threshold to twice that), here and in
+        # every pool worker forked later: a query's megabyte temporaries (the
+        # frame's encode and join, the transport buffers) then reuse heap
+        # pages instead of mapping and faulting in fresh ones each time.  The
+        # buffer is calloc'd, so no page of it is touched; other allocators
+        # pay nothing.
+        bytes(30 << 20)
         asyncio.run(_serve(service, host, port, admission_limit, ready))
     finally:
         service.close()

@@ -205,7 +205,9 @@ class _RasterBase(Filter):
     """Shared projection and shading for the raster filters.
 
     The active camera may be overridden per unit of work via
-    ``ctx.uow["camera"]`` (latched at ``init``, when the cycle starts).
+    ``ctx.uow["camera"]`` (latched at ``init``, when the cycle starts), by
+    one of the pipeline's image size: the raster's buffers are sized at
+    construction.
     """
 
     def __init__(
@@ -218,7 +220,14 @@ class _RasterBase(Filter):
         self.light_direction = light_direction
 
     def _latch_camera(self, ctx: FilterContext) -> None:
-        self._active_camera = _uow_get(ctx, "camera", self.camera)
+        camera = _uow_get(ctx, "camera", self.camera)
+        if (camera.width, camera.height) != (self.camera.width, self.camera.height):
+            raise EngineError(
+                f"the unit of work's camera is {camera.width}x{camera.height}, "
+                f"but the pipeline renders "
+                f"{self.camera.width}x{self.camera.height}"
+            )
+        self._active_camera = camera
 
     def _screen_and_colors(self, tris: np.ndarray):
         # The rasterisers read colours only at the triangles that win a

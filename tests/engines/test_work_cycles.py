@@ -137,6 +137,25 @@ def test_camera_uows_render_different_views(scenario):
     np.testing.assert_array_equal(img_a, single_run(scenario, 0, camera=cam_a))
 
 
+@pytest.mark.parametrize("algorithm", ["active", "zbuffer"])
+def test_camera_uow_of_another_size_is_refused(scenario, algorithm):
+    """The raster sized its buffer from the constructor's camera and
+    projected with the unit of work's: a 96x96 camera on a 64x64 pipeline
+    used to render a 64x64 frame of the wrong pixels, silently."""
+    dataset, profile, storage, iso = scenario
+    app = IsosurfaceApp(
+        profile, storage, width=64, height=64, algorithm=algorithm,
+        dataset=dataset, isovalue=iso,
+    )
+    engine = ThreadedEngine(app.graph("R-E-Ra-M"), app.placement("R-E-Ra-M"))
+    matching = Camera.orbit(profile.grid_shape, width=64, height=64)
+    assert engine.run_cycles([{"camera": matching}])[0].result.active_pixels > 0
+    for size in (96, 32):
+        camera = Camera.orbit(profile.grid_shape, width=size, height=size)
+        with pytest.raises(EngineError, match=f"{size}x{size}.*64x64"):
+            engine.run_cycles([{"camera": camera}])
+
+
 def test_cycle_stream_stats_are_per_cycle(scenario):
     dataset, profile, storage, iso = scenario
     app = IsosurfaceApp(

@@ -8,12 +8,17 @@ TCP exactly like ``examples/serve_client.py``.
 import base64
 import json
 import multiprocessing
+import os
+import signal
 import socket
 import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.serve import QueryService, SceneSpec, ppm_bytes, run_server
+from tests.engines.test_crash_drain import shm_ledger  # noqa: F401  (fixture)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -131,9 +136,9 @@ def test_malformed_request_fields_get_error_responses(server):
     like any other, not an ``OverflowError`` counted as a server failure."""
     failed_before = _request(server, {"cmd": "stats"})["stats"]["queries_failed"]
     for raw, needle in [
-        (b'{"cmd": "query", "width": 1e999}', "width must be an integer"),
+        (b'{"cmd": "query", "timestep": 1e999}', "timestep must be an integer"),
         (b'{"cmd": "query", "timestep": Infinity}', "timestep must be an integer"),
-        (b'{"cmd": "query", "height": -Infinity}', "height must be an integer"),
+        (b'{"cmd": "query", "isovalue": -Infinity}', "isovalue must be finite"),
     ]:
         response = _request(server, raw)
         assert response["ok"] is False, raw
@@ -141,10 +146,10 @@ def test_malformed_request_fields_get_error_responses(server):
     stats = _request(server, {"cmd": "stats"})["stats"]
     assert stats["queries_failed"] == failed_before
     cases = [
-        ({"width": "banana"}, "width"),
-        ({"width": 0}, "width"),
-        ({"height": -3}, "height"),
-        ({"height": None}, "height"),
+        ({"timestep": "banana"}, "timestep"),
+        ({"timestep": -1}, "timestep"),
+        ({"timestep": None}, "timestep"),
+        ({"view": {"elevation": None}}, "view.elevation"),
         ({"isovalue": "not-a-number"}, "isovalue"),
         ({"isovalue": float("inf")}, "isovalue"),
         ({"timestep": "two"}, "timestep"),
@@ -164,16 +169,15 @@ def test_malformed_request_fields_get_error_responses(server):
 @pytest.mark.parametrize(
     "request_fields, needle",
     [
-        ({"width": True}, "width must be an integer"),
         ({"timestep": True}, "timestep must be an integer"),
         ({"isovalue": True}, "isovalue must be a number"),
         ({"view": {"azimuth": False}}, "view.azimuth must be a number"),
     ],
-    ids=["width", "timestep", "isovalue", "view.azimuth"],
+    ids=["timestep", "isovalue", "view.azimuth"],
 )
 def test_json_booleans_are_not_numbers(server, request_fields, needle):
-    """Python's ``bool`` is an ``int``: ``true`` used to pass as 1 (a
-    1-pixel-wide frame, timestep 1, isovalue 1.0) and ``false`` as 0."""
+    """Python's ``bool`` is an ``int``: ``true`` used to pass as 1
+    (timestep 1, isovalue 1.0) and ``false`` as 0."""
     response = _request(server, {"cmd": "query", **request_fields})
     assert response["ok"] is False, response.get("error")
     assert needle in response["error"]
@@ -291,20 +295,43 @@ def test_response_lines_are_the_json_of_their_responses():
         assert not thread.is_alive()
 
 
-def test_rejected_response_is_one_json_line():
+@contextmanager
+def _one_query_held(admission_limit=1):
+    """A server admitting ``admission_limit`` queries, one of them in flight
+    until the block exits; yields its port."""
     service = QueryService(scenes=[SCENE], width=32, height=32)
-    thread, port = _start_server(service, admission_limit=0)
+    entered, release = threading.Event(), threading.Event()
+
+    def held(_request):
+        entered.set()
+        release.wait(timeout=60.0)
+        return {"ok": True}
+
+    service.render = held
+    thread, port = _start_server(service, admission_limit=admission_limit)
+    holder = threading.Thread(
+        target=_request, args=(port, {"cmd": "query"}), daemon=True
+    )
+    holder.start()
     try:
+        assert entered.wait(timeout=30.0)
+        yield port
+    finally:
+        release.set()
+        holder.join(timeout=30.0)
+        _request(port, {"cmd": "shutdown"})
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+
+def test_rejected_response_is_one_json_line():
+    with _one_query_held() as port:
         line = _raw_request(port, b'{"cmd": "query"}')
         assert json.loads(line) == {
             "ok": False,
             "rejected": True,
-            "error": "server busy: 0 queries in flight (admission limit 0)",
+            "error": "server busy: 1 queries in flight (admission limit 1)",
         }
-    finally:
-        _request(port, {"cmd": "shutdown"})
-        thread.join(timeout=30.0)
-        assert not thread.is_alive()
 
 
 def test_client_reading_to_eof_gets_eof():
@@ -336,22 +363,48 @@ def test_stats_counts_queries(server):
     assert stats["served_by"] == {
         "tile_hit": 0, "cold": stats["queries_served"]
     }
-    assert len(stats["pools"]) >= 1  # one warm pool per pipeline key
-    (pool_stats,) = stats["pools"].values()
-    assert pool_stats["cycles_completed"] >= 2
+    assert list(stats["pools"]) == ["unit"]  # one warm pool per scene
+    assert stats["pools"]["unit"]["cycles_completed"] >= 2
 
 
 def test_admission_control_rejects_at_limit():
-    service = QueryService(scenes=[SCENE], width=32, height=32)
-    thread, port = _start_server(service, admission_limit=0)
-    try:
+    with _one_query_held() as port:
         response = _request(port, {"cmd": "query"})
         assert response["ok"] is False
         assert response["rejected"] is True
         assert "admission limit" in response["error"]
-    finally:
-        _request(port, {"cmd": "shutdown"})
-        thread.join(timeout=30.0)
+        assert _request(port, {"cmd": "ping"})["pong"] is True
+
+
+def test_admission_limit_below_one_is_refused_before_binding(capsys):
+    """A limit of 0 used to start a server that rejected every query."""
+    from repro.cli import main
+    from repro.errors import ConfigurationError
+
+    service = QueryService(scenes=[SCENE], width=32, height=32)
+    bound, refused = [], []
+
+    def serve():
+        try:
+            run_server(service, port=0, admission_limit=0, ready=bound.append)
+        except ConfigurationError as exc:
+            refused.append(str(exc))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 30.0
+    while thread.is_alive() and not bound and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if bound:  # it listened: stop it before failing
+        _request(bound[0], {"cmd": "shutdown"})
+    thread.join(timeout=30.0)
+    assert not bound
+    assert refused == ["admission_limit must be >= 1, got 0"]
+    capsys.readouterr()
+    assert main(["serve", "--port", "0", "--admission", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "cannot serve: admission_limit must be >= 1, got 0\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("bad, needle", [
@@ -380,3 +433,163 @@ def test_ppm_bytes_header():
     data = ppm_bytes(image)
     assert data.startswith(b"P6 6 4 255\n")
     assert len(data) == len(b"P6 6 4 255\n") + 4 * 6 * 3
+
+
+# -- one warm pool per scene: built, broken, built again -----------------------
+def _wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.02)
+
+
+def _in_threads(count, target):
+    """Run ``target`` on ``count`` threads at once; their results, in order."""
+    results = [None] * count
+
+    def run(index):
+        try:
+            results[index] = target()
+        except Exception as exc:
+            results[index] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    return results
+
+
+def test_concurrent_first_queries_build_one_pool():
+    service = QueryService(scenes=[SCENE], width=32, height=32)
+    build, builds = service._build_pool, []
+
+    def counted(scene):
+        builds.append(scene.name)
+        time.sleep(0.3)  # the others arrive while it builds
+        return build(scene)
+
+    service._build_pool = counted
+    try:
+        responses = _in_threads(4, lambda: service.render({}))
+        assert builds == ["unit"]
+        assert all(response["ok"] for response in responses), responses
+        assert [response["warm"] for response in responses].count(False) == 1
+        assert len({response["frame_b64"] for response in responses}) == 1
+        assert list(service.stats()["pools"]) == ["unit"]
+    finally:
+        service.close()
+
+
+def test_a_failed_build_reaches_every_waiter_and_the_next_query_retries():
+    from repro.errors import EngineError
+
+    service = QueryService(scenes=[SCENE], width=32, height=32)
+    build, builds, gate = service._build_pool, [], threading.Event()
+
+    def failing(scene):
+        builds.append(scene.name)
+        assert gate.wait(timeout=30.0)
+        raise EngineError("boom")
+
+    service._build_pool = failing
+    try:
+        release = threading.Timer(0.5, gate.set)  # once all three wait
+        release.start()
+        outcomes = _in_threads(3, lambda: service.render({}))
+        assert [str(outcome) for outcome in outcomes] == ["boom"] * 3
+        assert builds == ["unit"]
+        assert service.stats()["pools"] == {}
+        service._build_pool = build  # the scene is not poisoned
+        response = service.render({})
+        assert response["ok"] and response["warm"] is False
+    finally:
+        service.close()
+
+
+def test_broken_pool_is_rebuilt_and_closed_off_the_query_path(
+    shm_ledger, monkeypatch
+):
+    """A killed worker breaks the scene's pool: the next query builds a new
+    one without waiting out the broken pool's close (up to LEAVE_BOUND),
+    and the close still happens, leaving no segment behind."""
+    from repro.core.buffer import BufferCodec
+    from repro.engines import WarmPool
+
+    service = QueryService(scenes=[SCENE], config="R-E-Ra-M", width=32, height=32)
+    codec = BufferCodec(shm_threshold=256)  # every payload in a segment
+    init = WarmPool.__init__
+
+    def with_segments(self, *args, **kwargs):
+        init(self, *args, codec=codec, **kwargs)
+
+    monkeypatch.setattr(WarmPool, "__init__", with_segments)
+    try:
+        first = service.render({})
+        broken = service._pools["unit"]
+        assert first["streams"]["E->Ra"][0] > 0
+        victim = next(iter(broken._copies.procs.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        _wait_until(lambda: not broken.usable)
+        release, closed = threading.Event(), threading.Event()
+        close = broken.close
+
+        def slow_close():
+            release.wait(timeout=30.0)
+            close()
+            closed.set()
+
+        broken.close = slow_close
+        rebuilt = service.render({})
+        assert not closed.is_set()  # the query did not wait for the close
+        assert rebuilt["warm"] is False
+        assert rebuilt["frame_b64"] == first["frame_b64"]
+        assert service._pools["unit"] is not broken
+        assert service.render({})["warm"] is True
+        release.set()
+        assert closed.wait(timeout=30.0)
+    finally:
+        service.close()
+    assert not shm_ledger()
+
+
+def test_warm_scene_is_not_serialised_behind_another_scenes_cold_build(
+    monkeypatch,
+):
+    """While one scene's store is written and its pool forked, a query on
+    a scene already warm runs."""
+    from repro.viz.profile import DatasetProfile
+
+    other = SceneSpec("other", grid=11, timesteps=2, nchunks=8, nfiles=4)
+    service = QueryService(scenes=[SCENE, other], width=32, height=32)
+    measured_to_store = DatasetProfile.measured_to_store
+    building, release, built = threading.Event(), threading.Event(), threading.Event()
+
+    def gated(name, *args, **kwargs):
+        if name == other.name:
+            building.set()
+            release.wait(timeout=30.0)
+        try:
+            return measured_to_store(name, *args, **kwargs)
+        finally:
+            if name == other.name:
+                built.set()
+
+    monkeypatch.setattr(DatasetProfile, "measured_to_store", gated)
+    try:
+        assert service.render({})["warm"] is False
+        cold = threading.Thread(
+            target=service.render, args=({"dataset": "other"},), daemon=True
+        )
+        cold.start()
+        assert building.wait(timeout=30.0)
+        warm = service.render({"isovalue": 0.4})
+        assert warm["warm"] is True and warm["dataset"] == "unit"
+        assert not built.is_set()  # answered while the cold build waited
+        release.set()
+        cold.join(timeout=60.0)
+        assert sorted(service.stats()["pools"]) == ["other", "unit"]
+    finally:
+        release.set()
+        service.close()

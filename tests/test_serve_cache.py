@@ -1,11 +1,13 @@
 """End-to-end tests for the serve-path result cache.
 
 Correctness bar: a cached response must be byte-identical (same PPM
-payload) to what an uncached service renders for the same query — for
-every configuration, algorithm and raster copy count, and under eviction
-pressure.  A miss runs the whole pipeline; a repeat is one tile lookup.
+payload) to what an uncached service of the same pipeline renders for the
+same query — for every configuration, algorithm and raster copy count, and
+under eviction pressure.  A miss runs the whole pipeline; a repeat is one
+tile lookup.
 """
 
+import json
 import multiprocessing
 from dataclasses import fields, replace
 
@@ -45,6 +47,31 @@ def uncached():
 
 
 @pytest.fixture(scope="module")
+def reference():
+    """``reference(config, algorithm, query)``: the response of an uncached
+    two-copy service running that pipeline (one such service open at a
+    time)."""
+    services, responses = {}, {}
+
+    def render(config, algorithm, query):
+        key = (config, algorithm, json.dumps(query, sort_keys=True))
+        if key not in responses:
+            if (config, algorithm) not in services:
+                for service in services.values():
+                    service.close()
+                services.clear()
+                services[config, algorithm] = _service(
+                    config=config, algorithm=algorithm
+                )
+            responses[key] = services[config, algorithm].render(dict(query))
+        return responses[key]
+
+    yield render
+    for service in services.values():
+        service.close()
+
+
+@pytest.fixture(scope="module")
 def uncached_frames(uncached):
     """Reference frames, one per query shape."""
     queries = {
@@ -62,20 +89,21 @@ def uncached_frames(uncached):
 @pytest.mark.parametrize("copies", [1, 2])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("config", CONFIGURATIONS)
-def test_cached_responses_are_bit_exact(uncached, config, algorithm, copies):
+def test_cached_responses_are_bit_exact(reference, config, algorithm, copies):
     """One probe path whatever node carries Extract: first sight and a new
     view miss the tile tier and run the pipeline, a repeat is one tile
     lookup — each frame the uncached (two-copy) service's."""
-    base = {"isovalue": 0.4, "timestep": 1, "config": config,
-            "algorithm": algorithm}
+    base = {"isovalue": 0.4, "timestep": 1}
     moved = {**base, "view": {"azimuth": 60, "elevation": 10}}
-    service = _service(cache_mb=32, copies=copies)
+    service = _service(
+        cache_mb=32, copies=copies, config=config, algorithm=algorithm
+    )
     try:
         first = service.render(dict(base))
         second = service.render(dict(base))
         third = service.render(dict(moved))
         for query, responses in ((base, (first, second)), (moved, (third,))):
-            expected = uncached.render(dict(query))
+            expected = reference(config, algorithm, query)
             for response in responses:
                 assert response["frame_b64"] == expected["frame_b64"]
                 assert response["active_pixels"] == expected["active_pixels"]
@@ -108,35 +136,32 @@ def test_cached_responses_are_bit_exact(uncached, config, algorithm, copies):
         service.close()
 
 
-def test_a_tile_miss_runs_read_and_extract_in_their_copies(uncached):
+def test_a_tile_miss_runs_read_and_extract_in_their_copies(reference):
     """A cached miss is the uncached run: Read streams the chunks the
     isosurface can cross from the store, Extract extracts them in its
     copies, and every stream carries what it carries uncached."""
-    base = {"isovalue": 0.4, "timestep": 1}
-    service = _service(cache_mb=32)
-    try:
-        for config in CONFIGURATIONS:
-            query = {**base, "config": config}
+    query = {"isovalue": 0.4, "timestep": 1}
+    for config in CONFIGURATIONS:
+        service = _service(cache_mb=32, config=config, algorithm="active")
+        try:
             miss = service.render(dict(query))
-            expected = uncached.render(dict(query))
-            assert miss["cached"] is False, config
-            assert miss["cache"]["tiles"] == "miss", config
-            assert miss["frame_b64"] == expected["frame_b64"], config
-            assert miss["streams"] == expected["streams"], config
-            assert miss["chunks"] == expected["chunks"], config
-            read = [n for n in miss["streams"] if n.startswith("R->")]
-            assert read == {
-                "R-E-Ra-M": ["R->E"], "R-ERa-M": ["R->ERa"],
-            }.get(config, []), config
-            for name in read:
-                assert miss["streams"][name][0] == miss["chunks"][0] > 0
-        stats = service.stats()
-        assert stats["cache"]["shared"]["by_tier"]["tiles"]["entries"] == len(
-            CONFIGURATIONS
-        )
-        assert stats["served_by"] == {"tile_hit": 0, "cold": len(CONFIGURATIONS)}
-    finally:
-        service.close()
+            stats = service.stats()
+        finally:
+            service.close()
+        expected = reference(config, "active", query)
+        assert miss["cached"] is False, config
+        assert miss["cache"]["tiles"] == "miss", config
+        assert miss["frame_b64"] == expected["frame_b64"], config
+        assert miss["streams"] == expected["streams"], config
+        assert miss["chunks"] == expected["chunks"], config
+        read = [n for n in miss["streams"] if n.startswith("R->")]
+        assert read == {
+            "R-E-Ra-M": ["R->E"], "R-ERa-M": ["R->ERa"],
+        }.get(config, []), config
+        for name in read:
+            assert miss["streams"][name][0] == miss["chunks"][0] > 0
+        assert stats["cache"]["shared"]["by_tier"]["tiles"]["entries"] == 1
+        assert stats["served_by"] == {"tile_hit": 0, "cold": 1}
 
 
 def test_cached_view_queries_do_not_collide(uncached_frames):
@@ -204,8 +229,8 @@ def test_invalid_requests_leave_the_cache_alone():
             with pytest.raises(ConfigurationError, match="out of range"):
                 service.render({"timestep": SCENE.timesteps + index})
             # refused by _parse, not by the pool build behind a counted probe
-            with pytest.raises(ConfigurationError, match="algorithm must be"):
-                service.render({"algorithm": f"foo-{index}"})
+            with pytest.raises(ConfigurationError, match="unknown request field"):
+                service.render({"isovalue": 0.4, f"isovalue-{index}": 0.3})
         assert service.cache_stats()["shared"] == before
         assert sorted(service.stats()["pools"]) == pools
         for query in queries:
@@ -219,7 +244,7 @@ def test_invalid_requests_leave_the_cache_alone():
         service.close()
     fresh = _service(cache_mb=0.125)  # nothing served yet: no store, no pool
     try:
-        for bad in ({"algorithm": "foo"}, {"width": 0}, {"height": 16385}):
+        for bad in ({"dataset": "nope"}, {"timestep": -1}, {"view": []}):
             with pytest.raises(ConfigurationError):
                 fresh.render(bad)
         stats = fresh.stats()
@@ -228,6 +253,33 @@ def test_invalid_requests_leave_the_cache_alone():
         assert shared["hits"] == shared["misses"] == 0
     finally:
         fresh.close()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("config", "RERa-M"), ("algorithm", "zbuffer"), ("width", 24),
+     ("height", 24), ("isovalu", 0.4)],
+    ids=["config", "algorithm", "width", "height", "isovalu"],
+)
+def test_a_request_naming_another_field_is_refused(field, value):
+    """The pipeline is the service's: a query asking for another
+    configuration, algorithm or size — or misspelling a field — is a bad
+    request that names the field, not the service's frame under its key.
+    It is refused before a store, a pool or a cache probe is made."""
+    service = _service(cache_mb=8)
+    try:
+        with pytest.raises(
+            ConfigurationError, match=f"unknown request field {field!r}"
+        ):
+            service.render({"isovalue": 0.3, field: value})
+        stats = service.stats()
+        assert stats["stores"] == {} and stats["pools"] == {}
+        assert stats["served_by"] == {"tile_hit": 0, "cold": 0}
+        assert "signature" not in stats["cache"]  # not even certified
+        shared = stats["cache"]["shared"]
+        assert shared["hits"] == shared["misses"] == shared["insertions"] == 0
+    finally:
+        service.close()
 
 
 def test_refused_certificate_still_serves(monkeypatch, uncached_frames):
@@ -240,12 +292,11 @@ def test_refused_certificate_still_serves(monkeypatch, uncached_frames):
         app._STAGES, "E", replace(app._STAGES["E"], effects="stateful")
     )
     service = _service(cache_mb=8, config="RE-Ra-M")
+    separate = _service(cache_mb=8)  # Extract a node of its own, the same
     try:
         first = service.render({"isovalue": 0.4, "timestep": 1})
         second = service.render({"isovalue": 0.4, "timestep": 1})
-        other = service.render(
-            {"isovalue": 0.4, "timestep": 1, "config": "R-E-Ra-M"}
-        )
+        other = separate.render({"isovalue": 0.4, "timestep": 1})
         for response in (first, second, other):
             assert response["cache"]["mode"] == "refused"
             assert "E703" in response["cache"]["error"]
@@ -261,6 +312,7 @@ def test_refused_certificate_still_serves(monkeypatch, uncached_frames):
         assert shared["hits"] == shared["misses"] == 0  # nothing looked up
     finally:
         service.close()
+        separate.close()
 
 
 def test_trace_records_cache_events():
@@ -298,8 +350,8 @@ def test_stats_show_one_certificate_per_service():
         other.render({"isovalue": 0.4, "timestep": 1})
         stats = service.stats()
         # The binding is the service's, and a pool's block knows no cache.
-        ((_pool_key, pool_stats),) = stats["pools"].items()
-        assert "cache" not in pool_stats
+        assert list(stats["pools"]) == ["unit"]
+        assert "cache" not in stats["pools"]["unit"]
         assert stats["cache"]["members"] == ["E"]
         assert stats["cache"]["signature"]
         assert "refused" not in stats["cache"]
@@ -375,9 +427,6 @@ VARIANTS = {
     "timestep": {"timestep": 0},
     "azimuth": {"view": {"azimuth": 60, "elevation": 25}},
     "elevation": {"view": {"azimuth": 30, "elevation": 10}},
-    "width": {"width": 24},
-    "height": {"height": 24},
-    "algorithm": {"algorithm": "zbuffer"},
     "dataset": {"dataset": "reseeded"},
 }
 
@@ -386,8 +435,8 @@ def test_changing_one_request_field_never_returns_another_frame():
     base = {"isovalue": 0.4, "timestep": 1,
             "view": {"azimuth": 30, "elevation": 25}}
     scenes = [SCENE, replace(SCENE, name="reseeded", seed=8)]
-    uncached = _service(scenes=scenes, max_pools=1)
-    cached = _service(scenes=scenes, max_pools=1, cache_mb=32)
+    uncached = _service(scenes=scenes)
+    cached = _service(scenes=scenes, cache_mb=32)
     try:
         assert cached.render(dict(base))["cached"] is False
         for field, change in VARIANTS.items():
@@ -452,29 +501,24 @@ def test_cache_keys_separate_any_two_different_requests(one, other, signature):
     assert frame_key(signature + "'", one) != key
 
 
-@pytest.fixture(scope="module")
-def keyer():
-    """A service to ask for pool keys (it builds nothing until it renders)."""
-    service = QueryService()
-    yield service
-    service.close()
-
-
 @given(one=_queries, other=_queries)
 @settings(max_examples=300, deadline=None)
-def test_two_pool_keys_never_share_a_frame_key(keyer, one, other):
-    """Why the first query of a pool key can only miss the tile tier: every
-    query field of the pool key is in the frame key — no other key's frame
-    can be this query's."""
-    if keyer._pool_key(one) != keyer._pool_key(other):
+def test_two_scenes_never_share_a_frame_key(one, other):
+    """Why the first query of a pool can only miss the tile tier: a pool is
+    the scene's, keyed by its name, and the scene is in the frame key — no
+    other pool's frame can be this query's."""
+    if one.scene.name != other.scene.name:
         assert frame_key("sig", one) != frame_key("sig", other)
 
 
-def test_first_query_of_a_pool_key_is_one_tile_lookup_a_miss(uncached_frames):
-    """Same request at another image size is another pool key: it probes
-    like any query — exactly one tile lookup, which can only miss."""
+def test_first_query_of_a_scene_is_one_tile_lookup_a_miss(uncached_frames):
+    """The same request on another scene is another pool: it probes like
+    any query — exactly one tile lookup, which can only miss."""
     base = {"isovalue": 0.4, "timestep": 1}
-    service = _service(cache_mb=32)
+    other = {**base, "dataset": "reseeded"}
+    service = _service(
+        scenes=[SCENE, replace(SCENE, name="reseeded", seed=8)], cache_mb=32
+    )
 
     def tile_lookups():
         tier = service.cache_stats()["shared"]["by_tier"]["tiles"]
@@ -483,32 +527,32 @@ def test_first_query_of_a_pool_key_is_one_tile_lookup_a_miss(uncached_frames):
     try:
         first = service.render(dict(base))
         assert first["cache"]["tiles"] == "miss" and tile_lookups() == (0, 1)
-        resized = service.render({**base, "width": 24})
-        assert resized["cached"] is False
-        assert resized["cache"]["tiles"] == "miss"
+        reseeded = service.render(dict(other))
+        assert reseeded["cached"] is False and reseeded["warm"] is False
+        assert reseeded["cache"]["tiles"] == "miss"
         assert tile_lookups() == (0, 2)
         # repeats: one lookup each, both hits
         assert service.render(dict(base))["cached"] is True
-        assert service.render({**base, "width": 24})["cached"] is True
+        assert service.render(dict(other))["cached"] is True
         assert tile_lookups() == (2, 2)
         assert first["frame_b64"] == uncached_frames["base"]
     finally:
         service.close()
 
 
-def test_evicted_pool_does_not_take_its_frames_with_it(uncached_frames):
+def test_broken_pool_does_not_take_its_frames_with_it(uncached_frames):
     base = {"isovalue": 0.4, "timestep": 1}
     view = {**base, "view": {"azimuth": 60, "elevation": 10}}
-    service = _service(cache_mb=32, max_pools=1)
+    service = _service(cache_mb=32)
     try:
         service.render(dict(base))
-        service.render({**base, "width": 24})  # evicts the 32x32 pool
-        assert len(service.stats()["pools"]) == 1
+        service._pools["unit"].close()  # as a pool whose worker died
         # answered from the tile tier, without rebuilding the pool
         repeat = service.render(dict(base))
         assert repeat["cached"] is True
         assert repeat["cache"]["tiles"] == "hit"
         assert repeat["frame_b64"] == uncached_frames["base"]
+        assert service.stats()["pools"]["unit"]["closed"] is True
         # a new view rebuilds it cold ...
         moved = service.render(dict(view))
         assert moved["warm"] is False
@@ -518,6 +562,6 @@ def test_evicted_pool_does_not_take_its_frames_with_it(uncached_frames):
         after = service.render(dict(base))
         assert after["cached"] is True
         assert after["frame_b64"] == uncached_frames["base"]
-        assert service.stats()["served_by"] == {"tile_hit": 2, "cold": 3}
+        assert service.stats()["served_by"] == {"tile_hit": 2, "cold": 2}
     finally:
         service.close()

@@ -121,9 +121,23 @@ def _kept(store, profile, isovalue, timestep=QUERY["timestep"]):
 
 @pytest.fixture(scope="module")
 def served():
-    service = _service(max_pools=2)
-    yield service
-    service.close()
+    """``served(config, algorithm)``: a service running that pipeline (one
+    open at a time)."""
+    services = {}
+
+    def service_of(config, algorithm):
+        if (config, algorithm) not in services:
+            for service in services.values():
+                service.close()
+            services.clear()
+            services[config, algorithm] = _service(
+                config=config, algorithm=algorithm
+            )
+        return services[config, algorithm]
+
+    yield service_of
+    for service in services.values():
+        service.close()
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -131,9 +145,8 @@ def served():
 def test_served_frames_are_the_generators(served, generator_frames, config, algorithm):
     """Every grouping of the stages reads the store — through an R->E stream
     or fused with Extract — and renders the generator's frame."""
-    response = served.render(
-        {**QUERY, "config": config, "algorithm": algorithm}
-    )
+    service = served(config, algorithm)
+    response = service.render(dict(QUERY))
     assert _frame(response) == generator_frames[config, algorithm]
     read_streams = [
         name for name in response["streams"] if name.startswith("R->")
@@ -141,7 +154,7 @@ def test_served_frames_are_the_generators(served, generator_frames, config, algo
     assert read_streams == {
         "R-E-Ra-M": ["R->E"], "R-ERa-M": ["R->ERa"],
     }.get(config, [])
-    store, profile, _storage = served._scene_assets(SCENE)
+    store, profile, _storage = service._scene_assets(SCENE)
     kept = _kept(store, profile, QUERY["isovalue"])
     assert 0 < len(kept) < len(profile.chunks)  # the rule has something to do
     assert response["chunks"] == [len(kept), len(profile.chunks)]
@@ -231,18 +244,16 @@ def test_isovalue_outside_the_scene_serves_the_blank_frame(
 ):
     """Every chunk's range rules the isovalue out: Read emits nothing, the
     warm pipeline still completes its cycle, the frame is the generator's."""
+    service = served(config, algorithm)
     for side, isovalue in outside.items():
-        response = served.render(
-            {**QUERY, "isovalue": isovalue, "config": config,
-             "algorithm": algorithm}
-        )
+        response = service.render({**QUERY, "isovalue": isovalue})
         assert _frame(response) == blank_frames[config, algorithm, side]
         assert response["active_pixels"] == 0
         assert response["chunks"] == [0, SCENE.nchunks]
         for name in _UPSTREAM[config]:  # an idle stream may go unlisted
             assert response["streams"].get(name, [0, 0]) == [0, 0]
     # and the pool is none the worse for it
-    again = served.render({**QUERY, "config": config, "algorithm": algorithm})
+    again = service.render(dict(QUERY))
     assert again["warm"] is True and again["active_pixels"] > 0
     assert not shm_ledger()
 
@@ -504,7 +515,7 @@ def test_dropped_service_takes_its_store_with_it():
     service = _service()
     service.render(dict(QUERY))
     path = Path(_store_of(service)["path"])
-    pools = service.pools  # kept, to retire the workers afterwards
+    pools = list(service._pools.values())  # kept, to retire the workers after
     assert path.is_dir()
     with pytest.warns(ResourceWarning, match="Implicitly cleaning up"):
         del service
@@ -512,12 +523,14 @@ def test_dropped_service_takes_its_store_with_it():
     try:
         assert not path.exists()
     finally:
-        pools.close_all()
+        for pool in pools:
+            pool.close()
 
 
 def test_rebuilt_pool_reuses_the_store(monkeypatch):
-    """Evicting and rebuilding a pool reads the files already written: no
-    second generation pass, same directory, same inodes, same frame."""
+    """A pool built again after the scene's broke reads the files already
+    written: no second generation pass, same directory, same inodes, same
+    frame."""
     generated = []
     original = ParSSimDataset.chunk_field
 
@@ -526,17 +539,17 @@ def test_rebuilt_pool_reuses_the_store(monkeypatch):
         return original(self, chunk, timestep, species)
 
     monkeypatch.setattr(ParSSimDataset, "chunk_field", counted)
-    service = _service(max_pools=1)
+    service = _service(config="R-E-Ra-M")
     try:
-        first = service.render({**QUERY, "config": "R-E-Ra-M"})
+        first = service.render(dict(QUERY))
         store = _store_of(service)
         inodes = {p.name: p.stat().st_ino for p in Path(store["path"]).iterdir()}
         once = SCENE.timesteps * SCENE.nchunks
         assert len(generated) == len(set(generated)) == once
 
-        assert service.render({**QUERY, "config": "RE-Ra-M"})["warm"] is False
-        again = service.render({**QUERY, "config": "R-E-Ra-M"})
-        assert again["warm"] is False  # evicted by the other pool, rebuilt
+        service._pools[SCENE.name].close()  # as a pool whose worker died
+        again = service.render(dict(QUERY))
+        assert again["warm"] is False  # built again
         assert again["frame_b64"] == first["frame_b64"]
         assert _store_of(service) == store
         assert inodes == {
