@@ -508,31 +508,41 @@ def test_a_failed_build_reaches_every_waiter_and_the_next_query_retries():
         service.close()
 
 
-def test_broken_pool_is_rebuilt_and_closed_off_the_query_path(
-    shm_ledger, monkeypatch
-):
-    """A killed worker breaks the scene's pool: the next query builds a new
-    one without waiting out the broken pool's close (up to LEAVE_BOUND),
-    and the close still happens, leaving no segment behind."""
-    from repro.core.buffer import BufferCodec
-    from repro.engines import WarmPool
+def _break_the_pool(service):
+    """Serve one query, then kill a worker of the scene's pool; the first
+    response and the broken pool."""
+    first = service.render({})
+    broken = service._pools["unit"]
+    victim = next(iter(broken._copies.procs.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    _wait_until(lambda: not broken.usable)
+    return first, broken
 
-    service = QueryService(scenes=[SCENE], config="R-E-Ra-M", width=32, height=32)
-    codec = BufferCodec(shm_threshold=256)  # every payload in a segment
-    init = WarmPool.__init__
 
-    def with_segments(self, *args, **kwargs):
-        init(self, *args, codec=codec, **kwargs)
-
-    monkeypatch.setattr(WarmPool, "__init__", with_segments)
+def test_broken_pool_is_rebuilt_at_the_next_query():
+    """A killed worker breaks the scene's pool; the next query builds a new
+    one, which serves the same frame and stays warm."""
+    service = QueryService(scenes=[SCENE], width=32, height=32)
     try:
-        first = service.render({})
-        broken = service._pools["unit"]
-        assert first["streams"]["E->Ra"][0] > 0
-        victim = next(iter(broken._copies.procs.values()))
-        os.kill(victim.pid, signal.SIGKILL)
-        _wait_until(lambda: not broken.usable)
-        release, closed = threading.Event(), threading.Event()
+        first, broken = _break_the_pool(service)
+        rebuilt = service.render({})
+        assert rebuilt["ok"] and rebuilt["warm"] is False
+        assert rebuilt["frame_b64"] == first["frame_b64"]
+        assert service._pools["unit"] is not broken
+        assert service.render({})["warm"] is True
+        assert list(service.stats()["pools"]) == ["unit"]
+    finally:
+        service.close()
+
+
+def test_a_query_does_not_wait_for_a_broken_pool_to_close():
+    """The broken pool's close can take up to LEAVE_BOUND: the query that
+    rebuilds the scene's pool does not wait for it, and the close still
+    happens."""
+    service = QueryService(scenes=[SCENE], width=32, height=32)
+    release, closed = threading.Event(), threading.Event()
+    try:
+        first, broken = _break_the_pool(service)
         close = broken.close
 
         def slow_close():
@@ -545,9 +555,39 @@ def test_broken_pool_is_rebuilt_and_closed_off_the_query_path(
         assert not closed.is_set()  # the query did not wait for the close
         assert rebuilt["warm"] is False
         assert rebuilt["frame_b64"] == first["frame_b64"]
-        assert service._pools["unit"] is not broken
-        assert service.render({})["warm"] is True
         release.set()
+        assert closed.wait(timeout=30.0)
+    finally:
+        release.set()
+        service.close()
+
+
+def test_broken_pool_is_closed_and_releases_shm(shm_ledger, monkeypatch):
+    """A pool whose worker was killed mid-service is closed once the scene's
+    pool is rebuilt, and leaves no shared-memory segment behind."""
+    from repro.core.buffer import BufferCodec
+    from repro.engines import WarmPool
+
+    service = QueryService(scenes=[SCENE], config="R-E-Ra-M", width=32, height=32)
+    codec = BufferCodec(shm_threshold=256)  # every payload in a segment
+    init = WarmPool.__init__
+
+    def with_segments(self, *args, **kwargs):
+        init(self, *args, codec=codec, **kwargs)
+
+    monkeypatch.setattr(WarmPool, "__init__", with_segments)
+    try:
+        first, broken = _break_the_pool(service)
+        assert first["streams"]["E->Ra"][0] > 0
+        closed = threading.Event()
+        close = broken.close
+
+        def observed_close():
+            close()
+            closed.set()
+
+        broken.close = observed_close
+        assert service.render({})["frame_b64"] == first["frame_b64"]
         assert closed.wait(timeout=30.0)
     finally:
         service.close()
