@@ -50,8 +50,10 @@ def run_partitioned(profile, weights=None, width=2048):
         profile, storage, timestep=0, width=width, height=width,
         regions=NODES, region_weights=weights,
     )
-    # One strip owner per node, in owner order; Ra's tile map routes RE->Ra.
-    placement = Placement().spread("RE", nodes).place("Ra", nodes)
+    # One strip owner per node: Ra<o> on node o, fed by its own stream.
+    placement = Placement().spread("RE", nodes)
+    for owner, node in enumerate(nodes):
+        placement.place(f"Ra{owner}", [node])
     return SimulatedEngine(cluster, graph, placement, policy="RR").run().makespan
 
 

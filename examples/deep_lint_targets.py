@@ -5,8 +5,8 @@ pipeline, as lint inputs.
 Exposes :func:`targets`, a zero-arg builder returning one ``(graph,
 placement)`` pair per IsosurfaceApp configuration (R-E-Ra-M, RE-Ra-M,
 R-ERa-M, RERa-M) on a small synthetic dataset profile, plus the
-image-partitioned strip pipeline (two tile-owning raster sinks, no
-Merge).  CI runs the engine gate over all five — the pipeline
+image-partitioned strip pipeline (two strip-owning raster sinks, each
+fed by its own stream, no Merge).  CI runs the engine gate over all five — the pipeline
 verifier every engine constructor runs — with::
 
     PYTHONPATH=src:examples python -m repro.cli lint \\
@@ -20,7 +20,7 @@ from repro.core.placement import Placement
 from repro.data import HostDisks, StorageMap
 from repro.viz import CONFIGURATIONS as CONFIGS
 from repro.viz import IsosurfaceApp
-from repro.viz.partitioned import build_partitioned_graph, owner_hosts
+from repro.viz.partitioned import build_partitioned_graph
 from repro.viz.profile import DatasetProfile
 
 HOSTS = ("h0", "h1")
@@ -43,17 +43,15 @@ def make_app() -> IsosurfaceApp:
 
 
 def strip_target():
-    """The strip pipeline: one RE copy tile-routed into a Ra sink per host."""
+    """The strip pipeline: one RE copy feeding a Ra<o> sink per host."""
     app = make_app()
     storage = StorageMap.balanced(app.profile.files, [HostDisks(HOSTS[0])])
     graph = build_partitioned_graph(
         app.profile, storage, 0, app.width, app.height, regions=len(HOSTS)
     )
-    placement = (
-        Placement()
-        .place("RE", [HOSTS[0]])
-        .place("Ra", owner_hosts(len(HOSTS), list(HOSTS), HOSTS[0]))
-    )
+    placement = Placement().place("RE", [HOSTS[0]])
+    for owner, host in enumerate(HOSTS):
+        placement.place(f"Ra{owner}", [host])
     return graph, placement
 
 

@@ -58,8 +58,10 @@ def main() -> None:
     graph = build_partitioned_graph(
         profile, storage, timestep=0, width=2048, height=2048, regions=8
     )
-    # One strip owner per node, in owner order; Ra's tile map routes RE->Ra.
-    placement = Placement().spread("RE", NODES[:4]).place("Ra", NODES)
+    # One strip owner per node: Ra<o> on node o, fed by its own stream.
+    placement = Placement().spread("RE", NODES[:4])
+    for owner, node in enumerate(NODES):
+        placement.place(f"Ra{owner}", [node])
     metrics = SimulatedEngine(
         cluster, graph, placement, policy="RR"
     ).run().validate(graph)

@@ -5,12 +5,11 @@ rule id, a severity and a fix hint (see :mod:`repro.analysis.rules` for
 the catalogue):
 
 **The pipeline verifier** (:func:`verify_pipeline`): rule-based checks
-over ``(FilterGraph, Placement, writer policies, cluster hosts)`` —
+over ``(FilterGraph, Placement, writer policy, cluster hosts)`` —
 dangling/unreachable filters and streams, cycles, source/sink arity,
 copy sets on unknown hosts, degenerate WRR weights, demand-driven windows
 that defeat the bounded queues, phase-synchronised (z-buffer) filters
-behind unsynchronised fan-in, and tile maps that do not match their
-placement.  Every engine runs it before executing: ERROR diagnostics
+behind unsynchronised fan-in.  Every engine runs it before executing: ERROR diagnostics
 abort the run, WARNING diagnostics become ``analysis`` trace events.
 ``repro lint --graph-module`` reports exactly what that gate reports.
 

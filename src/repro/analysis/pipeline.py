@@ -1,6 +1,6 @@
 """The static pipeline verifier.
 
-Checks a ``(FilterGraph, Placement, writer policies, cluster hosts)``
+Checks a ``(FilterGraph, Placement, writer policy, cluster hosts)``
 configuration *before* any engine instantiates a copy, and reports every
 violation as a structured :class:`~repro.analysis.Diagnostic`
 (TPIE-style "compile time" validation of the full pipeline graph).  The
@@ -15,7 +15,7 @@ exactly what the engine gate reports.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
@@ -24,7 +24,7 @@ from repro.analysis.rules import RULES
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.graph import FilterGraph
     from repro.core.placement import Placement
-    from repro.core.policies import WriterPolicy
+    from repro.core.policies import PolicyFactory
 
 __all__ = [
     "verify_graph",
@@ -143,39 +143,8 @@ def verify_placement(
                         f"filter {name!r} placed on unknown host {cs.host!r}",
                     )
                 )
-    # Z403 tile-mapped filters need one single-copy set per owner, in
-    # owner order (the tile->owner mapping indexes copy sets positionally).
-    for spec in graph.filters.values():
-        tile_map = getattr(spec, "tile_map", None)
-        if tile_map is None or spec.name not in placed:
-            continue
-        copysets = placed[spec.name]
-        owners = tile_map.n_owners
-        if len(copysets) != owners:
-            out.append(
-                RULES["Z403"].diagnostic(
-                    spec.name,
-                    f"filter {spec.name!r} tile map names {owners} owners "
-                    f"but the placement has {len(copysets)} copy sets",
-                )
-            )
-        for cs in copysets:
-            if cs.copies != 1:
-                out.append(
-                    RULES["Z403"].diagnostic(
-                        spec.name,
-                        f"filter {spec.name!r} copy set on {cs.host!r} runs "
-                        f"{cs.copies} copies; tile owners must be single "
-                        f"copies (copies on one host share a queue, so the "
-                        f"tile->owner mapping cannot address them)",
-                    )
-                )
-    # P204 spares a tile-mapped sink: one result per owner is its contract
-    # (Z403 fixes the count).
     for spec in graph.filters.values():
         if spec.outputs or spec.name not in placed:
-            continue
-        if getattr(spec, "tile_map", None) is not None:
             continue
         total = sum(cs.copies for cs in placed[spec.name])
         if total > 1:
@@ -192,27 +161,26 @@ def verify_placement(
 def verify_flow(
     graph: "FilterGraph",
     placement: "Placement",
-    policy_for: "Callable[[str], Callable[[], WriterPolicy]]",
+    policy: "PolicyFactory",
     queue_capacity: int,
 ) -> list[Diagnostic]:
     """Run the ``W3xx`` flow-control rules and ``Z401``.
 
-    ``policy_for`` maps a stream name to its policy *factory* (exactly
-    what the engines hold); one probe instance is built per stream to
-    introspect its window, never bound or used for routing.
+    ``policy`` is the session writer-policy *factory* (exactly what the
+    engines hold); one probe instance is built to introspect its window,
+    never bound or used for routing.
     """
     out: list[Diagnostic] = []
     placed = set(placement.placed_filters())
+    try:
+        described = policy().describe()
+    except Exception:  # pragma: no cover - user factory failure
+        described = {}
+    window = described.get("window")
     for stream in graph.streams.values():
         if stream.dst not in placed or stream.dst not in graph.filters:
             continue
         copysets = placement.copysets(stream.dst)
-        try:
-            policy = policy_for(stream.name)()
-        except Exception:  # pragma: no cover - user factory failure
-            continue
-        described = policy.describe()
-        window = described.get("window")
         if (
             described.get("name") == "WeightedRoundRobin"
             and copysets
@@ -261,13 +229,13 @@ def verify_pipeline(
     graph: "FilterGraph",
     placement: "Placement | None" = None,
     known_hosts: Iterable[str] | None = None,
-    policy_for: "Callable[[str], Callable[[], WriterPolicy]] | None" = None,
+    policy: "PolicyFactory | None" = None,
     queue_capacity: int = 8,
 ) -> DiagnosticReport:
     """Run every applicable pipeline rule and return the full report.
 
     ``graph`` rules always run; placement and flow rules need a
-    ``placement`` (and flow rules a ``policy_for`` resolver).  Nothing
+    ``placement`` (and flow rules the session ``policy`` factory).  Nothing
     raises — gate on :meth:`DiagnosticReport.raise_errors` /
     :attr:`DiagnosticReport.errors`.  Every engine runs this at
     construction.
@@ -276,9 +244,7 @@ def verify_pipeline(
     report.extend(verify_graph(graph))
     if placement is not None:
         report.extend(verify_placement(graph, placement, known_hosts))
-        if policy_for is not None:
-            report.extend(
-                verify_flow(graph, placement, policy_for, queue_capacity)
-            )
+        if policy is not None:
+            report.extend(verify_flow(graph, placement, policy, queue_capacity))
     report.sort()
     return report

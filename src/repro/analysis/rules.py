@@ -6,7 +6,7 @@ Rule ids are stable and grouped by scope:
 ``G1xx``   graph structure (pipeline verifier)
 ``P2xx``   placement (pipeline verifier)
 ``W3xx``   writer policy / flow control (pipeline verifier)
-``Z4xx``   phase synchronisation and tile maps (pipeline verifier)
+``Z4xx``   phase synchronisation (pipeline verifier)
 ``E7xx``   memoisation certificate (result cache)
 =========  ===============================================================
 
@@ -127,9 +127,9 @@ _rule(
 )
 _rule(
     "P204", "multi-copy-sink", Severity.WARNING, "placement",
-    "A sink filter without a tile map runs more than one transparent "
-    "copy; each copy produces an independent partial result and engines "
-    "return them as a list, which is rarely what a merge stage intends.",
+    "A sink filter runs more than one transparent copy; each copy "
+    "produces an independent partial result and engines return them "
+    "as a list, which is rarely what a merge stage intends.",
     "Place result-producing sinks as a single copy on one host.",
 )
 
@@ -168,17 +168,6 @@ _rule(
     "the phase boundary indefinitely.",
     "Give phase-synchronised filters exactly one input stream; merge "
     "fan-in in an unsynchronised filter upstream.",
-)
-
-_rule(
-    "Z403", "tile-fanin-mismatch", Severity.ERROR, "tile",
-    "A tile-mapped consumer's placement does not match its tile map's "
-    "owner count: the tile->owner mapping indexes the consumer's copies "
-    "in placement order, so a missing copy silently drops its tiles and a "
-    "multi-copy set makes owner indices ambiguous (copies on one host "
-    "share a single queue).",
-    "Place exactly tile_map.n_owners copy sets of one copy each, on "
-    "distinct host labels, in owner order.",
 )
 
 # -- E7xx: the memoisation certifier's refusals ------------------------------

@@ -211,7 +211,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         to_json,
         verify_pipeline,
     )
-    from repro.core.policies import stream_policies
+    from repro.core.policies import make_policy_factory
     from repro.errors import ConfigurationError
 
     if args.rules:
@@ -236,12 +236,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     # The engine gate over each live graph/placement of the module.
     report = DiagnosticReport()
+    policy = make_policy_factory(args.policy)
     for graph, placement in loaded:
         report.extend(
             verify_pipeline(
                 graph,
                 placement,
-                policy_for=stream_policies(graph, args.policy),
+                policy=policy,
                 queue_capacity=args.queue_capacity,
             )
         )

@@ -22,12 +22,10 @@ from repro.core.policies import (
     PolicyFactory,
     RoundRobin,
     Target,
-    TileRouted,
     WeightedRoundRobin,
     WriterPolicy,
     make_policy_factory,
 )
-from repro.core.tiles import Tile, TileMap
 from repro.core.tracing import EVENT_KINDS, QueueSample, TraceEvent, Tracer
 
 __all__ = [
@@ -52,9 +50,6 @@ __all__ = [
     "StreamSpec",
     "StreamStats",
     "Target",
-    "Tile",
-    "TileMap",
-    "TileRouted",
     "TraceEvent",
     "Tracer",
     "WeightedRoundRobin",

@@ -35,15 +35,6 @@ class FilterSpec:
         The filter accumulates and emits only at the end-of-work phase
         boundary (z-buffer raster/merge style); the verifier flags such
         filters behind unsynchronised fan-in (rule ``Z401``).
-    ``tile_map``
-        For a consumer that owns image tiles (the strip rasters of
-        :mod:`repro.viz.partitioned`): the
-        :class:`~repro.core.tiles.TileMap` partitioning its viewport,
-        valid by construction.  The stream into it is tile-routed by
-        construction (:func:`~repro.core.policies.stream_policies`): each
-        buffer goes to the copy set owning its ``tile_owner`` tag.  The
-        verifier checks the tile-owner -> copy-set correspondence
-        (``Z403``).
     ``effects``
         Declared effects class of the filter code: one of ``"pure"``,
         ``"stateful"``, ``"io"`` or ``"nondeterministic"``.  The
@@ -60,7 +51,6 @@ class FilterSpec:
     inputs: list["StreamSpec"] = field(default_factory=list)
     outputs: list["StreamSpec"] = field(default_factory=list)
     phase_synchronised: bool = False
-    tile_map: Any | None = None
     effects: str | None = None
 
     def __repr__(self) -> str:
@@ -102,7 +92,6 @@ class FilterGraph:
         sim_factory: Callable[[], Any] | None = None,
         is_source: bool = False,
         phase_synchronised: bool = False,
-        tile_map: Any | None = None,
         effects: str | None = None,
     ) -> FilterSpec:
         """Register a logical filter.  Names must be unique.
@@ -128,7 +117,6 @@ class FilterGraph:
             sim_factory=sim_factory,
             is_source=is_source,
             phase_synchronised=phase_synchronised,
-            tile_map=tile_map,
             effects=effects,
         )
         self.filters[name] = spec

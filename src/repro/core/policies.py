@@ -14,21 +14,19 @@ set receives it (paper Section 2, Figure 1).  Three policies are studied:
   until an acknowledgment returns.
 
 A policy instance belongs to exactly one writer (one producer copy, one
-output stream); engines create instances via a factory so copies never share
-state.
+output stream); engines create instances via the session's factory, one per
+writer, so copies never share state.  Every stream runs the session policy:
+a filter that must reach one particular consumer writes to that consumer's
+own stream (the strip rasters of :mod:`repro.viz.partitioned`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Mapping
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable
 
 from repro.configurations import POLICIES
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.core.graph import FilterGraph
 
 __all__ = [
     "Target",
@@ -36,10 +34,8 @@ __all__ = [
     "RoundRobin",
     "WeightedRoundRobin",
     "DemandDriven",
-    "TileRouted",
     "PolicyFactory",
     "make_policy_factory",
-    "stream_policies",
 ]
 
 
@@ -90,8 +86,8 @@ class WriterPolicy(ABC):
         Returns the policy class name, whether it consumes consumer
         acknowledgments, and its sliding-window size (``None`` for
         unwindowed policies).  :func:`repro.analysis.verify_flow` probes
-        one unbound instance per stream through this hook instead of
-        poking at concrete subclasses.
+        one unbound instance through this hook instead of poking at
+        concrete subclasses.
         """
         window = getattr(self, "window", None)
         return {
@@ -107,18 +103,6 @@ class WriterPolicy(ABC):
         Returns ``None`` when the policy cannot send right now (DD with all
         windows full); the engine must wait for an acknowledgment and retry.
         """
-
-    def route(self, tags: Mapping[str, Any] | None = None) -> Target | None:
-        """Pick the destination for the next buffer, given its tags.
-
-        Engines call this (not :meth:`select`) on every send, passing the
-        outgoing buffer's tag dictionary.  The default implementation
-        ignores the tags and defers to :meth:`select`; content-routed
-        policies (:class:`TileRouted`) override it to read the routing key
-        from the tags.  ``None`` means "cannot send right now", exactly as
-        for :meth:`select`.
-        """
-        return self.select()
 
     def on_sent(self, target: Target) -> None:
         """Engine notification: a buffer was sent to ``target``."""
@@ -232,50 +216,6 @@ class DemandDriven(WriterPolicy):
         target.unacked -= 1
 
 
-class TileRouted(WriterPolicy):
-    """Content routing into a tile-mapped consumer (the strip rasters).
-
-    Every outgoing buffer must carry an integer owner index under the
-    ``"tile_owner"`` tag; the buffer is delivered to the consumer copy set
-    at that index, in placement order.  Producers split their output per
-    tile before writing, so each buffer lands on exactly the copy owning
-    its tile — the routing decision is a table lookup, never
-    load-dependent, and needs no acknowledgments.
-
-    The owner index keys the consumer's *copy sets*: a tile-routed
-    consumer must run its copies as one single-copy set per owner
-    (verifier rule ``Z403``), because copies within one set share a queue
-    and any of them could dequeue a buffer meant for a sibling.  Engines
-    never take it as a session policy: :func:`stream_policies` puts it on
-    exactly the streams into tile-mapped consumers.
-    """
-
-    tag = "tile_owner"
-
-    def select(self) -> Target | None:
-        """Unavailable: tile routing needs the buffer's tags (use route)."""
-        raise ConfigurationError(
-            "TileRouted cannot pick a destination without buffer tags; "
-            "engines must call route(tags)"
-        )
-
-    def route(self, tags: Mapping[str, Any] | None = None) -> Target | None:
-        """Deliver to the copy set owning the buffer's tile."""
-        owner = tags.get(self.tag) if tags else None
-        if not isinstance(owner, int) or isinstance(owner, bool):
-            raise ConfigurationError(
-                f"TileRouted buffer lacks an integer {self.tag!r} tag "
-                f"(got {owner!r}); split producer output per tile and tag "
-                f"each buffer with its owner index"
-            )
-        if not 0 <= owner < len(self.targets):
-            raise ConfigurationError(
-                f"tile owner {owner} out of range: the consumer has "
-                f"{len(self.targets)} copy sets"
-            )
-        return self.targets[owner]
-
-
 #: A callable producing a fresh policy per writer.
 PolicyFactory = Callable[[], WriterPolicy]
 
@@ -284,12 +224,17 @@ _REGISTRY: dict[str, Callable[..., WriterPolicy]] = dict(
 )
 
 
-def make_policy_factory(name: str, **kwargs: object) -> PolicyFactory:
+def make_policy_factory(
+    name: "str | PolicyFactory", **kwargs: object
+) -> PolicyFactory:
     """Build a policy factory from a short name (``"RR"``/``"WRR"``/``"DD"``).
 
     Keyword arguments are forwarded to the policy constructor (e.g.
-    ``make_policy_factory("DD", window=8)``).
+    ``make_policy_factory("DD", window=8)``).  A factory passes through
+    unchanged, so an engine's ``policy`` argument may be either.
     """
+    if callable(name):
+        return name
     try:
         cls = _REGISTRY[name.upper()]
     except KeyError:
@@ -298,34 +243,3 @@ def make_policy_factory(name: str, **kwargs: object) -> PolicyFactory:
         ) from None
     return lambda: cls(**kwargs)
 
-
-def stream_policies(
-    graph: "FilterGraph", policy: "str | PolicyFactory"
-) -> Callable[[str], PolicyFactory]:
-    """Resolve the writer-policy factory of every stream of ``graph``.
-
-    A stream into a consumer that declares a ``tile_map`` is tile-routed
-    (:class:`TileRouted`): the consumer's copy sets own the tiles, so the
-    owner of a buffer's tile is the copy that receives it.  Every other
-    stream runs the session ``policy`` (a registry name or a factory).
-    The table is built once, here; the returned lookup is what engines
-    and the analyser call per stream.  A session policy that is itself
-    tile-routed is refused: it would route streams whose consumers own
-    no tiles.
-    """
-    session = policy if callable(policy) else make_policy_factory(policy)
-    if isinstance(session(), TileRouted):
-        raise ConfigurationError(
-            "TileRouted is not a session policy: streams into a consumer "
-            "with a tile_map are tile-routed already; pass RR, WRR or DD"
-        )
-    routed: dict[str, PolicyFactory] = {
-        stream.name: TileRouted
-        for stream in graph.streams.values()
-        if getattr(graph.filters.get(stream.dst), "tile_map", None) is not None
-    }
-
-    def policy_for(stream: str) -> PolicyFactory:
-        return routed.get(stream, session)
-
-    return policy_for

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.core.instrument import RunMetrics
@@ -13,7 +13,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.analysis.diagnostics import DiagnosticReport
     from repro.core.graph import FilterGraph
     from repro.core.placement import Placement
-    from repro.core.policies import WriterPolicy
+    from repro.core.policies import PolicyFactory
     from repro.core.tracing import Tracer
 
 __all__ = ["Engine", "validate_run_setup", "emit_analysis_events", "open_wall_trace"]
@@ -40,7 +40,7 @@ def validate_run_setup(
     placement: "Placement",
     queue_capacity: int,
     engine_name: str,
-    policy_for: "Callable[[str], Callable[[], WriterPolicy]] | None" = None,
+    policy: "PolicyFactory | None" = None,
     known_hosts: "Iterable[str] | None" = None,
     factory_slot: str = "factory",
 ) -> "DiagnosticReport":
@@ -74,7 +74,7 @@ def validate_run_setup(
         graph,
         placement,
         known_hosts=known_hosts,
-        policy_for=policy_for,
+        policy=policy,
         queue_capacity=queue_capacity,
     )
     report.raise_errors()

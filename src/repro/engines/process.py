@@ -53,7 +53,7 @@ from repro.core.buffer import BufferCodec
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, stream_policies
+from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.core.tracing import Tracer
 from repro.engines.base import Engine, open_wall_trace, validate_run_setup
 from repro.engines.runtime import (
@@ -167,7 +167,7 @@ class ForkedCopies:
 
             resource_tracker.ensure_running()
         world = self.world = World(
-            engine.graph, engine.placement, engine._policy_for,
+            engine.graph, engine.placement, engine._policy,
             ProcessTransport(mp_ctx, engine.codec), nslots,
             engine.queue_capacity,
         )
@@ -387,11 +387,11 @@ class ProcessEngine(Engine):
         tracer: "Tracer | None" = None,
         codec: "BufferCodec | None" = None,
     ):
-        self._policy_for = stream_policies(graph, policy)
+        self._policy = make_policy_factory(policy)
         self.codec = codec or BufferCodec()
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "process",
-            policy_for=self._policy_for,
+            policy=self._policy,
         )
         if START_METHOD not in multiprocessing.get_all_start_methods():
             raise EngineError(

@@ -390,13 +390,13 @@ class Writer:
         payload = self.codec.encode(buffer) if self.codec is not None else buffer
         try:
             with self._cond:
-                target = self.policy.route(buffer.tags)
+                target = self.policy.select()
                 if target is None:
                     # All windows full: the writer stalls until an ack returns.
                     t0 = self.clock() if self.tracer else 0.0
                     while target is None:
                         self._cond.wait()
-                        target = self.policy.route(buffer.tags)
+                        target = self.policy.select()
                     if self.tracer:
                         self.tracer.record(
                             t0, self.label, "blocked", end=self.clock()
@@ -476,12 +476,12 @@ class World:
         self,
         graph: FilterGraph,
         placement: Placement,
-        policy_for: Callable[[str], PolicyFactory],
+        policy: PolicyFactory,
         transport: Transport,
         nslots: int,
         queue_capacity: int,
     ) -> None:
-        self.policy_for = policy_for
+        self.policy = policy
         self.transport = transport
         self.nslots = nslots
         self.copysets: dict[str, list[list[CopySetQueue]]] = {}
@@ -495,13 +495,10 @@ class World:
                 for cs in sets
             ]
             self.hosts[name] = [cs.host for cs in sets]
-        acked = {
-            name for name, spec in graph.filters.items()
-            if any(policy_for(st.name)().needs_ack for st in spec.outputs)
-        }
+        needs_ack = policy().needs_ack
         self.plan = copy_plan(graph, placement)
         self.acks: list[Any] = [
-            transport.ack_channel() if copy.spec.name in acked else None
+            transport.ack_channel() if needs_ack and copy.spec.outputs else None
             for copy in self.plan
         ]
         self.t_start = time.perf_counter()
@@ -713,7 +710,7 @@ def _blocking(
     def init(_: None) -> None:
         for st in spec.outputs:
             writers[st.name] = Writer(
-                host, world.policy_for(st.name)(),
+                host, world.policy(),
                 [sets[slot] for sets in world.copysets[st.dst]], world.hosts[st.dst],
                 label, clock, tracer, codec, copy.cid, k, st.name,
             )

@@ -35,7 +35,7 @@ from repro.core.filter import FilterContext
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, Target, stream_policies
+from repro.core.policies import PolicyFactory, Target, make_policy_factory
 from repro.core.tracing import Tracer
 from repro.engines import runtime
 from repro.engines.base import Engine, emit_analysis_events, validate_run_setup
@@ -128,8 +128,7 @@ class SimulatedEngine(Engine):
         Filter-to-host mapping with copy counts.
     policy:
         Session writer policy: a name (``"RR"``/``"WRR"``/``"DD"``) or a
-        :data:`PolicyFactory`.  Streams into a tile-mapped consumer are
-        tile-routed regardless (:func:`~repro.core.policies.stream_policies`).
+        :data:`PolicyFactory`; every stream runs it.
     queue_capacity:
         Bounded copy-set queue size in buffers (backpressure depth).
     ack_nbytes:
@@ -150,10 +149,10 @@ class SimulatedEngine(Engine):
         ack_nbytes: int = DEFAULT_ACK_BYTES,
         tracer: "Tracer | None" = None,
     ):
-        self._policy_for = stream_policies(graph, policy)
+        self._policy = make_policy_factory(policy)
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "simulated",
-            policy_for=self._policy_for, known_hosts=cluster.hosts,
+            policy=self._policy, known_hosts=cluster.hosts,
             factory_slot="sim_factory",
         )
         self.cluster = cluster
@@ -232,7 +231,7 @@ class SimulatedEngine(Engine):
         plan = runtime.copy_plan(self.graph, self.placement)
         writers = [
             {
-                s.name: _Writer(env, copy.host, self._policy_for(s.name)(),
+                s.name: _Writer(env, copy.host, self._policy(),
                                 copysets[s.dst], copy.label)
                 for s in copy.spec.outputs
             }
@@ -312,12 +311,12 @@ class SimulatedEngine(Engine):
                             f"a model output must name one in a 'stream' tag"
                         )
                     writer = writers[stream]
-                    target = writer.policy.route(arg.tags)
+                    target = writer.policy.select()
                     if target is None:
                         # All windows full: the writer stalls until an ack returns.
                         while target is None:
                             yield writer.ack_event
-                            target = writer.policy.route(arg.tags)
+                            target = writer.policy.select()
                         if tracer:
                             tracer.record(start, label, "blocked", end=env.now)
                     writer.policy.on_sent(target)

@@ -22,7 +22,7 @@ from repro.core.buffer import BufferCodec
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, stream_policies
+from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.core.tracing import Tracer
 from repro.engines.base import Engine, open_wall_trace, validate_run_setup
 from repro.engines.runtime import (
@@ -70,10 +70,10 @@ class ThreadedEngine(Engine):
         tracer: "Tracer | None" = None,
         codec: "BufferCodec | None" = None,
     ):
-        self._policy_for = stream_policies(graph, policy)
+        self._policy = make_policy_factory(policy)
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "threaded",
-            policy_for=self._policy_for,
+            policy=self._policy,
         )
         self.graph = graph
         self.placement = placement
@@ -111,7 +111,7 @@ class ThreadedEngine(Engine):
         # seconds relative to the world's start, directly comparable to the
         # simulated engine's run-relative sim clock.
         world = World(
-            self.graph, self.placement, self._policy_for,
+            self.graph, self.placement, self._policy,
             ThreadTransport(self.codec), len(uows), self.queue_capacity,
         )
         trace_limit = open_wall_trace(self.tracer, self._analysis_report)

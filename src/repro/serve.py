@@ -183,6 +183,14 @@ class SceneSpec:
     seed: int = 7
     isovalue: float = 0.35
 
+    def __post_init__(self) -> None:
+        # Checked here, cheaply, rather than by building the generator (a
+        # fraction of a second at a large grid): a scene no query could
+        # render is refused before a service is built around it.
+        _coerce_int(self.grid, "grid", minimum=2)
+        for name in ("species", "nchunks", "nfiles"):
+            _coerce_int(getattr(self, name), name, minimum=1)
+
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.grid, self.grid, self.grid)
@@ -829,10 +837,12 @@ def run_server(
     ``port=0`` binds an ephemeral port; ``ready`` (if given) receives the
     bound port once the server is accepting — used by tests and scripted
     clients to avoid races.  An ``admission_limit`` below 1, which would
-    reject every query, raises :class:`ConfigurationError` before binding.
+    reject every query, or a ``port`` outside ``0..65535`` raises
+    :class:`ConfigurationError` before binding.
     """
     try:
         _coerce_int(admission_limit, "admission_limit", minimum=1)
+        _coerce_int(port, "port", minimum=0, maximum=65535)
         # Freeing one 30 MiB buffer raises glibc's dynamic mmap threshold to
         # about 30 MiB (and its trim threshold to twice that), here and in
         # every pool worker forked later: a query's megabyte temporaries (the

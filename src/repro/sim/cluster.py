@@ -193,7 +193,12 @@ class Cluster:
         return [h for h in self.hosts.values() if h.cluster_name == cluster_name]
 
     def set_background_load(self, jobs: int, hosts: list[str] | None = None) -> None:
-        """Apply ``jobs`` background jobs to ``hosts`` (default: every host)."""
+        """Apply ``jobs`` background jobs to ``hosts`` (default: every host).
+
+        A negative count is refused before any host is touched.
+        """
+        if jobs < 0:
+            raise ConfigurationError(f"background jobs must be >= 0, got {jobs}")
         for name in hosts if hosts is not None else list(self.hosts):
             self.host(name).set_background_load(jobs)
 
@@ -212,7 +217,14 @@ def umd_testbed(
     - **Blue**: ``blue_nodes`` 2-way PIII-550 nodes, 1 GB, 2 SCSI disks, GigE.
     - **Rogue**: ``rogue_nodes`` 1-way PIII-650 nodes, 128 MB, 2 IDE disks,
       switched Fast Ethernet inside the cluster, GigE uplink to the core.
+
+    A negative node count raises :class:`ConfigurationError`.
     """
+    counts = {"red_nodes": red_nodes, "blue_nodes": blue_nodes,
+              "rogue_nodes": rogue_nodes}
+    for name, count in counts.items():
+        if count < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {count}")
     cluster = Cluster(env)
     gige = LinkSpec(GIGABIT, GIGABIT_LATENCY, GIGABIT_MSG_OVERHEAD)
     faste = LinkSpec(FAST_ETHERNET, FAST_ETHERNET_LATENCY, FAST_ETHERNET_MSG_OVERHEAD)

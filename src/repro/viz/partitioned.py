@@ -8,21 +8,20 @@ filters if the amount of data for each subregion is not the same."  This
 module builds that design from the ordinary stage parts so the trade-off
 can be measured (``benchmarks/test_ablation_image_partition.py``):
 
-- the screen is a :class:`~repro.core.tiles.TileMap` of column tiles, one
-  owner each (``TileMap.grid(width, height, regions, 1)``);
+- the screen is cut into column strips, one owner each
+  (:func:`strip_bounds`);
 - the source stage is ``fuse(R, E, route)``: the route part sends each
-  triangle to every tile its projection overlaps (a triangle spanning a
+  triangle to every strip its projection overlaps (a triangle spanning a
   boundary is drawn by both owners; each keeps only its own columns, so
-  the assembled image is exact), tagged with its ``tile_owner``.  It
-  projects with the rasters' camera: the unit of work's ``camera`` when it
-  names one, as for the raster part;
-- ``Ra`` is the ordinary raster part placed as a *sink*, one single-copy
-  set per owner in owner order (:func:`owner_hosts`); it declares the tile
-  map, so every engine routes ``RE->Ra`` by the owner tag.  There is no
-  Merge.
+  the assembled image is exact), writing owner ``o``'s triangles to output
+  stream ``o``.  It projects with the rasters' camera: the unit of work's
+  ``camera`` when it names one, as for the raster part;
+- each owner is its own sink ``Ra<o>``, the ordinary raster part fed by
+  its own stream ``RE->Ra<o>``, so every engine delivers a strip's
+  triangles by stream name under any writer policy.  There is no Merge.
 
 :func:`build_partitioned_graph` carries cost models and — given a dataset
-— real factories; ``assemble_strips`` rebuilds the full image for
+— real factories; :func:`assemble_strips` rebuilds the full image for
 correctness checks against the merge-based pipeline.
 """
 
@@ -34,7 +33,6 @@ from repro.core.buffer import DataBuffer
 from repro.core.filter import Filter, FilterContext
 from repro.core.fuse import StageModel, Unit, fuse, fuse_models
 from repro.core.graph import FilterGraph
-from repro.core.tiles import Tile, TileMap
 from repro.data.storage import StorageMap
 from repro.errors import ConfigurationError
 from repro.viz.camera import Camera
@@ -63,40 +61,37 @@ __all__ = [
     "StripRouteModel",
     "assemble_strips",
     "build_partitioned_graph",
-    "owner_hosts",
+    "strip_bounds",
 ]
 
 
-def owner_hosts(owners: int, compute_hosts: list[str], anchor: str) -> list[str]:
-    """One distinct host label per tile owner, in owner order.
+def strip_bounds(width: int, regions: int) -> list[int]:
+    """Column boundaries of ``regions`` strips over ``width`` pixels.
 
-    A tile-routed consumer runs one single-copy set per owner (copies
-    sharing a host share one queue, breaking owner routing), so a testbed
-    with fewer hosts than owners is padded with virtual ``anchor:mN``
-    labels.
+    Owner ``o`` draws columns ``[bounds[o], bounds[o + 1])``; remainder
+    columns spread over the strips, so every width partitions exactly and
+    no strip is empty.
     """
-    hosts = list(compute_hosts[:owners])
-    index = 0
-    while len(hosts) < owners:
-        label = f"{anchor}:m{index}"
-        if label not in hosts:
-            hosts.append(label)
-        index += 1
-    return hosts
+    if not 1 <= regions <= width:
+        raise ConfigurationError(
+            f"need 1 <= regions <= width, got {regions} regions for width {width}"
+        )
+    return [owner * width // regions for owner in range(regions + 1)]
 
 
 class StripRouteFilter(Filter):
-    """Route triangles to the owners of the tiles their x-extent overlaps.
+    """Write each triangle to the stream of every strip its x-extent overlaps.
 
-    The camera may be overridden per unit of work via ``ctx.uow["camera"]``
+    Output stream ``o`` (in connection order) feeds strip owner ``o``.  The
+    camera may be overridden per unit of work via ``ctx.uow["camera"]``
     (latched at ``init``), exactly as the raster parts do — so a triangle
     goes to the strips it covers in the view it is drawn in.
     """
 
-    def __init__(self, camera: Camera, tile_map: TileMap):
+    def __init__(self, camera: Camera, bounds: list[int]):
         self.camera = camera
         self._active_camera = camera
-        self.tile_map = tile_map
+        self.bounds = bounds
 
     def init(self, ctx: FilterContext) -> None:
         """Per-unit-of-work set-up (see Filter.init)."""
@@ -111,8 +106,9 @@ class StripRouteFilter(Filter):
             return
         xmin = screen[:, :, 0].min(axis=1)
         xmax = screen[:, :, 0].max(axis=1)
-        for tile in self.tile_map.tiles:
-            overlap = (xmax >= tile.x0) & (xmin < tile.x1)
+        strips = zip(ctx.output_streams, self.bounds, self.bounds[1:])
+        for stream, x0, x1 in strips:
+            overlap = (xmax >= x0) & (xmin < x1)
             if not overlap.any():
                 continue
             subset = world[overlap]
@@ -120,54 +116,41 @@ class StripRouteFilter(Filter):
                 DataBuffer(
                     len(subset) * TRIANGLE_BYTES,
                     TrianglePayload(subset),
-                    tags={
-                        **buffer.tags,
-                        "tile": tile.index,
-                        "tile_owner": tile.owner,
-                    },
-                )
+                    tags=dict(buffer.tags),
+                ),
+                stream,
             )
 
 
-def assemble_strips(
-    results: list[RenderResult], tile_map: TileMap
-) -> np.ndarray:
+def assemble_strips(results: list[RenderResult], bounds: list[int]) -> np.ndarray:
     """Stitch the owners' frames back into the full image.
 
     ``results`` holds one frame per owner *in owner order* — what the real
-    engines return for ``Ra`` placed as owner-ordered single-copy sets.
-    Each owner's frame is valid on its own tiles only.
+    engines return for the sinks ``Ra0 .. Ra<n-1>`` in graph order;
+    ``bounds`` is :func:`strip_bounds` of the graph.  Each owner's frame is
+    valid on its own columns only.
     """
-    if len(results) != tile_map.n_owners:
+    owners = len(bounds) - 1
+    if len(results) != owners:
         raise ConfigurationError(
-            f"{len(results)} strip results for {tile_map.n_owners} owners"
+            f"{len(results)} strip results for {owners} owners"
         )
-    image = np.zeros((tile_map.height, tile_map.width, 3), dtype=np.uint8)
-    for tile in tile_map.tiles:
-        image[tile.y0 : tile.y1, tile.x0 : tile.x1] = results[
-            tile.owner
-        ].image[tile.y0 : tile.y1, tile.x0 : tile.x1]
+    image = np.zeros_like(results[0].image)
+    for result, x0, x1 in zip(results, bounds, bounds[1:]):
+        image[:, x0:x1] = result.image[:, x0:x1]
     return image
 
 
-def _tag_tiles(buffers: list[DataBuffer], tile: Tile) -> list[DataBuffer]:
-    """Stamp tile-routing tags onto emitted buffers (in place)."""
-    for buffer in buffers:
-        buffer.tags["tile"] = tile.index
-        buffer.tags["tile_owner"] = tile.owner
-    return buffers
-
-
 class StripRouteModel(StageModel):
-    """Splits each unit's triangles over the tiles by ``weights``.
+    """Splits each unit's triangles over the strips' streams by ``weights``.
 
     The weights are the share of triangles landing in each strip (the
     paper's predicted load-imbalance risk).  Routing itself is not priced.
     """
 
-    def __init__(self, buffers: BufferSizes, tile_map: TileMap, weights: list[float]):
+    def __init__(self, buffers: BufferSizes, streams: list[str], weights: list[float]):
         self.buffers = buffers
-        self.tile_map = tile_map
+        self.streams = streams
         self.weights = weights
 
     def step(self, unit: Unit, cost: float):
@@ -175,20 +158,15 @@ class StripRouteModel(StageModel):
         return cost, unit
 
     def packets(self, unit: Unit) -> list[DataBuffer]:
-        """Per-tile triangle buffers, tagged with their owner."""
+        """Per-strip triangle buffers, each tagged with its owner's stream."""
         out: list[DataBuffer] = []
         shares = _split_counts(unit["triangles"], self.weights)
-        for tile, share in zip(self.tile_map.tiles, shares):
-            out.extend(
-                _tag_tiles(
-                    _emit_stream_buffers(
-                        share * TRIANGLE_BYTES,
-                        self.buffers.triangles,
-                        triangles=share,
-                    ),
-                    tile,
-                )
-            )
+        for stream, share in zip(self.streams, shares):
+            for buffer in _emit_stream_buffers(
+                share * TRIANGLE_BYTES, self.buffers.triangles, triangles=share
+            ):
+                buffer.tags["stream"] = stream
+                out.append(buffer)
         return out
 
 
@@ -205,16 +183,14 @@ def build_partitioned_graph(
     dataset: object | None = None,
     isovalue: float = 0.5,
 ) -> FilterGraph:
-    """``RE`` source -> tile-routed ``Ra`` sinks, one per region, no Merge.
+    """``RE`` source -> one ``Ra<o>`` sink per region, no Merge.
 
-    Place ``Ra`` as ``regions`` single-copy sets in owner order (e.g.
-    :func:`owner_hosts`); any engine runs the graph as it
-    is, ``RE->Ra`` tile-routed because ``Ra`` declares the tile map.  With a
-    ``dataset`` (any ``chunk_field`` provider) the graph also carries real
-    factories (z-buffer rasters; see :func:`assemble_strips`).
+    Strip owner ``o`` is the single-copy sink ``Ra<o>`` fed by stream
+    ``RE->Ra<o>``; place each where it should run.  With a ``dataset``
+    (any ``chunk_field`` provider) the graph also carries real factories
+    (z-buffer rasters; see :func:`assemble_strips`).
     """
-    if regions < 1:
-        raise ConfigurationError(f"regions must be >= 1, got {regions}")
+    bounds = strip_bounds(width, regions)
     weights = region_weights or [1.0] * regions
     if len(weights) != regions or any(w < 0 for w in weights):
         raise ConfigurationError("need one non-negative weight per region")
@@ -222,9 +198,10 @@ def build_partitioned_graph(
         raise ConfigurationError("region weights sum to zero")
     costs = costs or CostParams()
     buffers = buffers or BufferSizes()
-    tile_map = TileMap.grid(width, height, regions, 1)
     camera = Camera.fit_grid(profile.grid_shape, width=width, height=height)
     real = dataset is not None
+    owners = [f"Ra{owner}" for owner in range(regions)]
+    streams = [f"RE->{name}" for name in owners]
     graph = FilterGraph()
     graph.add_filter(
         "RE",
@@ -232,7 +209,7 @@ def build_partitioned_graph(
             lambda: fuse(
                 ReadFilter(dataset, storage, timestep, isovalue=isovalue),
                 ExtractFilter(isovalue),
-                StripRouteFilter(camera, tile_map),
+                StripRouteFilter(camera, bounds),
             )
         )
         if real
@@ -240,18 +217,18 @@ def build_partitioned_graph(
         sim_factory=lambda: fuse_models(
             ReadSourceModel(profile, storage, timestep, costs, buffers),
             ExtractModel(costs, buffers),
-            StripRouteModel(buffers, tile_map, weights),
+            StripRouteModel(buffers, streams, weights),
         ),
         is_source=True,
     )
-    graph.add_filter(
-        "Ra",
-        factory=(lambda: raster_filter("zbuffer", camera)) if real else None,
-        # A strip owner rasterises into its own region; fragments per
-        # triangle are unchanged (the triangle's area is what it is).
-        sim_factory=lambda: raster_model("active", costs, buffers, width, height),
-        phase_synchronised=True,
-        tile_map=tile_map,
-    )
-    graph.connect("RE", "Ra")
+    for name, stream in zip(owners, streams):
+        graph.add_filter(
+            name,
+            factory=(lambda: raster_filter("zbuffer", camera)) if real else None,
+            # A strip owner rasterises into its own region; fragments per
+            # triangle are unchanged (the triangle's area is what it is).
+            sim_factory=lambda: raster_model("active", costs, buffers, width, height),
+            phase_synchronised=True,
+        )
+        graph.connect("RE", name, stream)
     return graph

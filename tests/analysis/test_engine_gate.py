@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement, SimFilter, SimSource, SourceItem
-from repro.core.policies import TileRouted
-from repro.core.tiles import TileMap
 from repro.core.tracing import Tracer
 from repro.engines.pool import WarmPool
 from repro.engines.process import ProcessEngine
 from repro.engines.simulated import SimulatedEngine
 from repro.engines.threaded import ThreadedEngine
-from repro.errors import AnalysisError, ConfigurationError, GraphError, PlacementError
+from repro.errors import AnalysisError, GraphError, PlacementError
 from repro.sim import Environment, homogeneous_cluster
 
 
@@ -294,22 +292,25 @@ def test_every_engine_runs_the_shipped_configurations(kind):
         assert np.array_equal(frame, frames[0])
 
 
-# -- a tile-mapped consumer is tile-routed by construction -------------------
+# -- a named output stream reaches only its own consumer --------------------
+
+#: (payload, stream) in write order: stream names, not the policy, route.
+NAMED_WRITES = ((1, "src->b"), (0, "src->a"), (2, "src->b"))
 
 
-class OwnerSource(Filter):
+class NamedSource(Filter):
     def flush(self, ctx):
-        for owner in (1, 0, 1):
-            ctx.write(DataBuffer(8, payload=owner, tags={"tile_owner": owner}))
+        for payload, stream in NAMED_WRITES:
+            ctx.write(DataBuffer(8, payload=payload), stream)
 
 
-class OwnerSimSource(SimSource):
+class NamedSimSource(SimSource):
     def items(self, ctx):
-        for owner in (1, 0, 1):
-            yield SourceItem(outputs=[DataBuffer(100, tags={"tile_owner": owner})])
+        for _, stream in NAMED_WRITES:
+            yield SourceItem(outputs=[DataBuffer(100, tags={"stream": stream})])
 
 
-class OwnerSink(Filter):
+class SeenSink(Filter):
     def init(self, ctx):
         self.seen = []
 
@@ -320,37 +321,25 @@ class OwnerSink(Filter):
         return tuple(self.seen)
 
 
-def tile_routed_pipeline():
-    """One source writing owner-tagged buffers into two tile owners."""
-    g = FilterGraph()
-    g.add_filter("src", factory=OwnerSource, sim_factory=OwnerSimSource,
-                 is_source=True)
-    g.add_filter("strips", factory=OwnerSink, sim_factory=Counting,
-                 phase_synchronised=True, tile_map=TileMap.grid(4, 4, 2, 1))
-    g.connect("src", "strips")
-    p = Placement().place("src", ["node0"]).place("strips", ["node0", "node1"])
-    return g, p
-
-
 @pytest.mark.parametrize("kind", ENGINES)
-def test_engine_tile_routes_a_tile_mapped_consumer(kind):
-    """No policy argument: under an RR session the stream still follows
-    the owner tags (RR would hand owner 0 the first and third buffers)."""
-    g, p = tile_routed_pipeline()
+def test_engine_routes_each_buffer_by_its_stream_name(kind):
+    """A source writing to named output streams delivers each buffer to
+    that stream's consumer only, under a round-robin session; the sinks'
+    results come back in graph order (``b`` before ``a``), not in host or
+    stream-name order."""
+    g = FilterGraph()
+    g.add_filter("src", factory=NamedSource, sim_factory=NamedSimSource,
+                 is_source=True)
+    for name in ("b", "a"):
+        g.add_filter(name, factory=SeenSink, sim_factory=Counting)
+        g.connect("src", name)
+    p = (Placement().place("src", ["node0"]).place("b", ["node1"])
+         .place("a", ["node0"]))
     engine = build_engine(kind, g, p, policy="RR")
     try:
         metrics = engine.run()
     finally:
         if kind == "pool":
             engine.close()
-    assert metrics.result == ([1, 2] if kind == "simulated" else [(0,), (1, 1)])
+    assert metrics.result == ([2, 1] if kind == "simulated" else [(1, 2), (0,)])
     assert engine._analysis_report.rule_ids() == set()
-
-
-@pytest.mark.parametrize("kind", ENGINES)
-def test_engine_refuses_a_tile_routed_session_policy(kind):
-    g, p = tile_routed_pipeline()
-    before = multiprocessing.active_children()
-    with pytest.raises(ConfigurationError, match="session policy"):
-        build_engine(kind, g, p, policy=TileRouted)
-    assert multiprocessing.active_children() == before

@@ -125,7 +125,7 @@ def _verifies_clean_and_runs(pipeline, engine_cls, timeout=30.0):
         g,
         p,
         known_hosts=HOSTS,
-        policy_for=lambda _stream: policy,
+        policy=policy,
         queue_capacity=queue_capacity,
     )
     assert report.errors == [], [str(d) for d in report.errors]

@@ -19,8 +19,7 @@ from repro.analysis import (
 )
 from repro.core.graph import FilterGraph
 from repro.core.placement import Placement
-from repro.core.policies import make_policy_factory, stream_policies
-from repro.core.tiles import TileMap
+from repro.core.policies import make_policy_factory
 from repro.errors import AnalysisError, GraphError, PlacementError
 
 
@@ -57,7 +56,7 @@ def test_catalogue_rules_have_hints_and_stable_ids():
         "G101", "G102", "G103", "G104", "G105", "G106", "G107",
         "P201", "P202", "P203", "P204",
         "W301", "W302", "W303",
-        "Z401", "Z403",
+        "Z401",
     ]
     for rule in catalogue:
         assert rule.hint, f"{rule.id} missing default fix hint"
@@ -170,16 +169,6 @@ def test_p204_multi_copy_sink_warning():
     assert hits[0].severity is Severity.WARNING
 
 
-def test_p204_silent_for_tile_mapped_sink():
-    # One frame per owner is the strip pipeline's contract (assemble_strips
-    # reads it; Z403 fixes its length), not a stray multi-copy sink.
-    g = linear_graph("a", "sink")
-    g.filters["sink"].tile_map = TileMap.grid(8, 8, 2, 1)
-    g.filters["sink"].phase_synchronised = True
-    p = placed(g, {"a": ["h0"], "sink": [("h0", 1), ("h1", 1)]})
-    assert verify_placement(g, p) == []
-
-
 def test_clean_placement_has_no_diagnostics():
     g = linear_graph("a", "b", "c")
     p = placed(g, {"a": ["h0"], "b": [("h0", 2), ("h1", 2)], "c": ["h1"]})
@@ -191,7 +180,7 @@ def test_clean_placement_has_no_diagnostics():
 
 def flow(g, p, policy="DD", queue_capacity=8, **kw):
     factory = make_policy_factory(policy, **kw)
-    return verify_flow(g, p, lambda _stream: factory, queue_capacity)
+    return verify_flow(g, p, factory, queue_capacity)
 
 
 def test_w301_wrr_degenerates_to_rr():
@@ -247,41 +236,13 @@ def test_z401_silent_for_single_input_phase_filter():
     assert "Z401" not in rules_of(flow(g, p))
 
 
-# -- Z403 tile owners vs copy sets -------------------------------------------
+# -- the strip pipeline: one sink per owner ----------------------------------
 
 
-def tile_graph(tile_map):
-    g = FilterGraph()
-    g.add_filter("src", is_source=True)
-    g.add_filter("strips", phase_synchronised=True, tile_map=tile_map)
-    g.connect("src", "strips")
-    return g
-
-
-def test_z403_owner_count_vs_copy_sets():
-    g = tile_graph(TileMap.grid(8, 8, 2, 1))  # 2 owners
-    p = placed(g, {"src": ["h0"], "strips": ["h1"]})  # but 1 copy set
-    hits = assert_rule(verify_placement(g, p), "Z403")
-    assert "2 owners" in hits[0].message
-
-
-def test_z403_multi_copy_set():
-    g = tile_graph(TileMap.grid(8, 8, 2, 1))
-    p = placed(g, {"src": ["h0"], "strips": [("h1", 2), ("h2", 1)]})
-    hits = assert_rule(verify_placement(g, p), "Z403")
-    assert any("share a queue" in d.message for d in hits)
-
-
-def test_z403_silent_for_one_single_copy_set_per_owner():
-    g = tile_graph(TileMap.grid(8, 8, 2, 1))
-    p = placed(g, {"src": ["h0"], "strips": [("h1", 1), ("h2", 1)]})
-    assert "Z403" not in rules_of(verify_placement(g, p))
-
-
-def test_tiled_app_pipeline_is_clean():
-    # The strip pipeline on owner_hosts is wired the way Z403 demands.
+def strip_pipeline(regions=2):
+    """The image-partitioned pipeline: ``RE`` feeding sinks ``Ra0..``."""
     from repro.data import HostDisks, StorageMap
-    from repro.viz.partitioned import build_partitioned_graph, owner_hosts
+    from repro.viz.partitioned import build_partitioned_graph
     from repro.viz.profile import DatasetProfile
 
     profile = DatasetProfile.synthetic(
@@ -289,14 +250,31 @@ def test_tiled_app_pipeline_is_clean():
         total_triangles=100,
     )
     storage = StorageMap.balanced(profile.files, [HostDisks("h0")])
-    g = build_partitioned_graph(profile, storage, 0, 16, 16, regions=3)
-    p = (
-        Placement()
-        .place("RE", ["h0"])
-        .place("Ra", owner_hosts(3, ["h0", "h1"], "h0"))
-    )
-    report = verify_pipeline(g, p, policy_for=stream_policies(g, "DD"))
-    assert not report.errors
+    return build_partitioned_graph(profile, storage, 0, 16, 16, regions=regions)
+
+
+def test_strip_owner_left_unplaced_is_p201():
+    g = strip_pipeline(regions=2)
+    p = placed(g, {"RE": ["h0"], "Ra0": ["h1"]})  # Ra1 has no placement
+    hits = assert_rule(verify_placement(g, p), "P201")
+    assert [d.subject for d in hits] == ["Ra1"]
+    assert hits[0].severity is Severity.ERROR
+
+
+def test_two_copy_strip_owner_is_p204():
+    g = strip_pipeline(regions=2)
+    p = placed(g, {"RE": ["h0"], "Ra0": [("h1", 2)], "Ra1": ["h2"]})
+    hits = assert_rule(verify_placement(g, p), "P204")
+    assert [d.subject for d in hits] == ["Ra0"]
+    assert hits[0].severity is Severity.WARNING
+
+
+def test_tiled_app_pipeline_is_clean():
+    # Every owner on one host: three single-copy sinks, no rule fires.
+    g = strip_pipeline(regions=3)
+    p = placed(g, {"RE": ["h0"], "Ra0": ["h0"], "Ra1": ["h0"], "Ra2": ["h0"]})
+    report = verify_pipeline(g, p, policy=make_policy_factory("DD"))
+    assert report.diagnostics == []
 
 
 # -- report / wrapper behaviour ---------------------------------------------
@@ -334,9 +312,7 @@ def test_raise_errors_uses_analysis_error_for_mixed_scopes():
     g.connect("ra0", "merge")
     g.connect("ra1", "merge")
     p = placed(g, {"ra0": ["h0"], "ra1": ["h0"], "merge": ["h0"]})
-    report = verify_pipeline(
-        g, p, policy_for=lambda _s: make_policy_factory("DD")
-    )
+    report = verify_pipeline(g, p, policy=make_policy_factory("DD"))
     with pytest.raises(AnalysisError) as err:
         report.raise_errors()
     assert err.value.report is report

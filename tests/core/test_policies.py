@@ -1,18 +1,14 @@
-"""Unit tests for RR / WRR / DD / tile-routed writer policies."""
+"""Unit tests for RR / WRR / DD writer policies."""
 
 import pytest
 
-from repro.core.graph import FilterGraph
 from repro.core.policies import (
     DemandDriven,
     RoundRobin,
     Target,
-    TileRouted,
     WeightedRoundRobin,
     make_policy_factory,
-    stream_policies,
 )
-from repro.core.tiles import TileMap
 from repro.errors import ConfigurationError
 
 
@@ -186,97 +182,10 @@ def test_wrr_rebind_same_targets_restarts_cycle():
     assert policy.select().host == "a"
 
 
-# -- TileRouted (content routing) --------------------------------------------
-
-
-def tile_policy(n=3):
-    policy = TileRouted()
-    policy.bind(targets(*[(f"h{i}", 1) for i in range(n)]))
-    return policy
-
-
-def test_tile_routes_by_owner_tag():
-    policy = tile_policy(3)
-    assert policy.route({"tile_owner": 2}).host == "h2"
-    assert policy.route({"tile_owner": 0}).host == "h0"
-    # A table lookup, not a cycle: the same tag always lands the same host.
-    assert policy.route({"tile_owner": 2}).host == "h2"
-
-
-def test_tile_select_without_tags_raises():
-    with pytest.raises(ConfigurationError, match="route"):
-        tile_policy().select()
-
-
-def test_tile_missing_or_bad_tag_raises():
-    policy = tile_policy()
-    with pytest.raises(ConfigurationError, match="tile_owner"):
-        policy.route(None)
-    with pytest.raises(ConfigurationError, match="tile_owner"):
-        policy.route({"other": 1})
-    with pytest.raises(ConfigurationError, match="tile_owner"):
-        policy.route({"tile_owner": "1"})
-    with pytest.raises(ConfigurationError, match="tile_owner"):
-        policy.route({"tile_owner": True})  # bool is not an owner index
-
-
-def test_tile_out_of_range_owner_raises():
-    with pytest.raises(ConfigurationError, match="out of range"):
-        tile_policy(2).route({"tile_owner": 2})
-    with pytest.raises(ConfigurationError, match="out of range"):
-        tile_policy(2).route({"tile_owner": -1})
-
-
-def test_tile_describe():
-    described = tile_policy().describe()
-    assert described == {"name": "TileRouted", "needs_ack": False, "window": None}
-
-
-def test_tile_not_in_factory_registry():
-    # Tile routing follows from the consumer's tile map, never from a name.
+def test_factory_passes_a_factory_through():
+    # An engine's policy argument may be a name or a factory; a factory
+    # is the session policy as it is, and an unknown name is refused.
+    session = make_policy_factory("DD", window=2)
+    assert make_policy_factory(session) is session
     with pytest.raises(ConfigurationError, match="unknown policy"):
         make_policy_factory("TILE")
-
-
-def test_capacity_policies_route_ignores_tags():
-    # The default route() hook is select(): tags are irrelevant to RR.
-    policy = RoundRobin()
-    policy.bind(targets(("a", 1), ("b", 1)))
-    assert policy.route({"tile_owner": 1}).host == "a"
-    assert policy.route(None).host == "b"
-
-
-# -- stream_policies (the per-stream resolver) --------------------------------
-
-
-def tiled_graph():
-    """src -> relay -> strips, with ``strips`` owning two tiles."""
-    g = FilterGraph()
-    g.add_filter("src", is_source=True)
-    g.add_filter("relay")
-    g.add_filter(
-        "strips", phase_synchronised=True, tile_map=TileMap.grid(8, 8, 2, 1)
-    )
-    g.connect("src", "relay")
-    g.connect("relay", "strips")
-    return g
-
-
-def test_stream_policies_tile_route_into_tile_mapped_consumers():
-    policy_for = stream_policies(tiled_graph(), "DD")
-    assert policy_for("relay->strips") is TileRouted
-    assert isinstance(policy_for("src->relay")(), DemandDriven)
-
-
-def test_stream_policies_session_factory_passes_through():
-    session = make_policy_factory("DD", window=2)
-    policy_for = stream_policies(tiled_graph(), session)
-    assert policy_for("src->relay") is session
-    assert policy_for("relay->strips") is TileRouted
-
-
-def test_stream_policies_refuse_a_tile_routed_session():
-    with pytest.raises(ConfigurationError, match="session policy"):
-        stream_policies(tiled_graph(), TileRouted)
-    with pytest.raises(ConfigurationError, match="unknown policy"):
-        stream_policies(tiled_graph(), "TILE")

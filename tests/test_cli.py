@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -380,15 +381,22 @@ def test_lint_deep_over_the_shipped_configurations(capsys, monkeypatch):
 
 @pytest.mark.parametrize("policy", ["RR", "WRR", "DD"])
 def test_lint_passes_the_shipped_strip_pipeline(policy, capsys, monkeypatch):
-    """``Ra`` declares the tile map, so ``RE->Ra`` is tile-routed under any
-    session policy, and one frame per owner is no multi-copy sink."""
+    """Each strip owner is a single-copy sink fed by its own stream, so no
+    rule refuses the pipeline under any session policy.  Every stream runs
+    the session policy: under WRR each owner's stream is the W301 warning
+    any stream into one single-copy set gets, and lint still exits 0."""
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "examples"))
     code = main(
-        ["lint", "--policy", policy,
+        ["lint", "--format", "json", "--policy", policy,
          "--graph-module", "deep_lint_targets:strip_target"]
     )
-    assert capsys.readouterr().out == "no diagnostics\n"
+    diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+    found = [(d["rule"], d["subject"]) for d in diagnostics]
+    expected = (
+        [("W301", "RE->Ra0"), ("W301", "RE->Ra1")] if policy == "WRR" else []
+    )
+    assert found == expected
     assert code == 0
 
 
@@ -452,6 +460,13 @@ BAD_INPUTS = [
     ),
 ]
 
+NEGATIVE_COUNTS = [
+    (["--rogue", "-1", "--blue", "1"], "rogue_nodes must be >= 0, got -1"),
+    (["--rogue", "1", "--blue", "-1"], "blue_nodes must be >= 0, got -1"),
+    (["--rogue", "1", "--blue", "1", "--bg-jobs", "-1"],
+     "background jobs must be >= 0, got -1"),
+]
+
 
 @pytest.mark.parametrize(
     "argv, complaint", BAD_INPUTS, ids=[" ".join(argv) for argv, _ in BAD_INPUTS]
@@ -477,3 +492,23 @@ def test_bad_input_is_a_message_not_a_traceback(
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "counts, complaint", NEGATIVE_COUNTS,
+    ids=[" ".join(counts) for counts, _ in NEGATIVE_COUNTS],
+)
+def test_simulate_refuses_negative_counts(counts, complaint, capsys, monkeypatch):
+    """A negative node or background-job count exits 2 with one line and
+    builds no engine (``--rogue -1`` used to run on the other nodes and
+    exit 0, ``--bg-jobs -1`` to die with a traceback)."""
+    from repro import engines
+
+    def constructed(*_args, **_kwargs):
+        raise AssertionError("an engine was constructed")
+
+    monkeypatch.setattr(engines.SimulatedEngine, "__init__", constructed)
+    assert main(["simulate", "--scale", "0.01", *counts]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot simulate: {complaint}\n"
+    assert captured.out == ""

@@ -376,35 +376,48 @@ def test_admission_control_rejects_at_limit():
         assert _request(port, {"cmd": "ping"})["pong"] is True
 
 
+#: run_server arguments no server could use, the same as `repro serve`
+#: flags, and the refusal of each.
+UNSERVABLE = [
+    ({"admission_limit": 0}, ["--port", "0", "--admission", "0"],
+     "admission_limit must be >= 1, got 0"),
+    ({"port": 70000}, ["--port", "70000"], "port must be <= 65535, got 70000"),
+    ({"port": -1}, ["--port", "-1"], "port must be >= 0, got -1"),
+]
+
+
 def test_admission_limit_below_one_is_refused_before_binding(capsys):
-    """A limit of 0 used to start a server that rejected every query."""
+    """A limit of 0 used to start a server that rejected every query, and
+    a port above 65535 died with an ``OverflowError`` traceback: each is
+    refused before binding, and ``repro serve`` exits 2 with one line."""
     from repro.cli import main
     from repro.errors import ConfigurationError
 
-    service = QueryService(scenes=[SCENE], width=32, height=32)
-    bound, refused = [], []
+    for bad, argv, message in UNSERVABLE:
+        service = QueryService(scenes=[SCENE], width=32, height=32)
+        bound, refused = [], []
 
-    def serve():
-        try:
-            run_server(service, port=0, admission_limit=0, ready=bound.append)
-        except ConfigurationError as exc:
-            refused.append(str(exc))
+        def serve():
+            try:
+                run_server(service, **{"port": 0, **bad}, ready=bound.append)
+            except ConfigurationError as exc:
+                refused.append(str(exc))
 
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    deadline = time.monotonic() + 30.0
-    while thread.is_alive() and not bound and time.monotonic() < deadline:
-        time.sleep(0.02)
-    if bound:  # it listened: stop it before failing
-        _request(bound[0], {"cmd": "shutdown"})
-    thread.join(timeout=30.0)
-    assert not bound
-    assert refused == ["admission_limit must be >= 1, got 0"]
-    capsys.readouterr()
-    assert main(["serve", "--port", "0", "--admission", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "cannot serve: admission_limit must be >= 1, got 0\n"
-    assert captured.out == ""
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        while thread.is_alive() and not bound and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if bound:  # it listened: stop it before failing
+            _request(bound[0], {"cmd": "shutdown"})
+        thread.join(timeout=30.0)
+        assert not bound
+        assert refused == [message]
+        capsys.readouterr()
+        assert main(["serve", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"cannot serve: {message}\n"
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("bad, needle", [
@@ -415,15 +428,25 @@ def test_admission_limit_below_one_is_refused_before_binding(capsys):
     ({"height": 0}, "height must be >= 1"),
     ({"algorithm": "bogus"}, "algorithm must be"),
     ({"scenes": [SceneSpec("empty", timesteps=0)]}, "out of range"),
+    ({"scene": {"grid": 1}}, "grid must be >= 2, got 1"),
+    ({"scene": {"nchunks": 0}}, "nchunks must be >= 1, got 0"),
+    ({"scene": {"nfiles": 0}}, "nfiles must be >= 1, got 0"),
+    ({"scene": {"species": 0}}, "species must be >= 1, got 0"),
 ])
 def test_service_whose_default_query_must_fail_does_not_construct(bad, needle):
     """Defaults are request fields nobody sent: a service whose every query
     would be refused — or whose pool could not be built, found only after
-    the scene's store was written — is refused at construction."""
+    the scene's store was written — is refused at construction.  A
+    ``scene`` entry changes fields of the scene, which refuses itself."""
+    from dataclasses import replace
+
     from repro.errors import ConfigurationError
 
+    kwargs = {"scenes": [SCENE], "width": 32, "height": 32, **bad}
     with pytest.raises(ConfigurationError, match=needle):
-        QueryService(**{"scenes": [SCENE], "width": 32, "height": 32, **bad})
+        if "scene" in kwargs:
+            kwargs["scenes"] = [replace(SCENE, **kwargs.pop("scene"))]
+        QueryService(**kwargs)
 
 
 def test_ppm_bytes_header():

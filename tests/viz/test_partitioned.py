@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.placement import Placement
-from repro.core.tiles import TileMap
 from repro.data import HostDisks, ParSSimDataset, StorageMap
 from repro.engines import ProcessEngine, SimulatedEngine, ThreadedEngine
 from repro.errors import ConfigurationError
@@ -19,7 +18,7 @@ from repro.viz.partitioned import (
     StripRouteModel,
     assemble_strips,
     build_partitioned_graph,
-    owner_hosts,
+    strip_bounds,
 )
 from repro.viz.profile import DatasetProfile
 
@@ -30,27 +29,25 @@ def small_profile():
     )
 
 
-def strip_tiles(width, regions):
-    profile = small_profile()
-    storage = StorageMap.balanced(profile.files, [HostDisks("h")])
-    graph = build_partitioned_graph(profile, storage, 0, width, 64, regions)
-    return graph.filters["Ra"].tile_map.tiles
-
-
 def test_x_strips_cover_width_exactly():
-    strips = strip_tiles(100, 3)
-    assert strips[0].x0 == 0
-    assert strips[-1].x1 == 100
-    assert all(a.x1 == b.x0 for a, b in zip(strips, strips[1:]))
-    assert [t.owner for t in strips] == [0, 1, 2]
-    assert all((t.y0, t.y1) == (0, 64) for t in strips)
+    bounds = strip_bounds(100, 3)
+    assert bounds == [0, 33, 66, 100]
+    for width in (1, 7, 64, 100):
+        for regions in range(1, width + 1):
+            bounds = strip_bounds(width, regions)
+            assert bounds[0] == 0 and bounds[-1] == width
+            assert all(a < b for a, b in zip(bounds, bounds[1:]))  # none empty
 
 
 def test_x_strips_validation():
-    with pytest.raises(ConfigurationError):
-        strip_tiles(100, 0)
-    with pytest.raises(ConfigurationError):
-        strip_tiles(2, 3)
+    for width, regions in ((100, 0), (2, 3), (0, 1), (10, -1)):
+        with pytest.raises(ConfigurationError, match="regions"):
+            strip_bounds(width, regions)
+    # The graph builder refuses the same counts.
+    profile = small_profile()
+    storage = StorageMap.balanced(profile.files, [HostDisks("h")])
+    with pytest.raises(ConfigurationError, match="regions"):
+        build_partitioned_graph(profile, storage, 0, 2, 64, regions=3)
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +65,20 @@ def _shm_segments():
     return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
 
 
+def owners_on(host, regions):
+    """``RE`` and every strip owner ``Ra<o>`` on one host."""
+    placement = Placement().place("RE", [host])
+    for owner in range(regions):
+        placement.place(f"Ra{owner}", [host])
+    return placement
+
+
 @pytest.mark.parametrize("engine_cls", [ThreadedEngine, ProcessEngine],
                          ids=lambda cls: cls.__name__)
 def test_partitioned_matches_merge_based_image(scenario, engine_cls):
-    """Content routing (``TileRouted`` through ``Writer.send``) delivers
-    every strip its triangles, in threads and across processes — with no
-    policy argument: ``Ra``'s tile map makes ``RE->Ra`` tile-routed.
+    """Each strip owner is its own sink fed by its own stream, so every
+    strip gets its triangles in threads and across processes under any
+    session policy (RR and DD here), with every owner on one host.
 
     A unit of work that turns the camera turns the route part with the
     rasters: a triangle goes to the strips it covers in the view it is
@@ -99,25 +104,25 @@ def test_partitioned_matches_merge_based_image(scenario, engine_cls):
         profile, storage, 0, width, height, regions=3,
         dataset=dataset, isovalue=iso,
     )
-    tile_map = graph.filters["Ra"].tile_map
-    placement = (
-        Placement()
-        .place("RE", ["h0"])
-        .place("Ra", owner_hosts(3, ["h0"], "h0"))
-    )
-    metrics = engine_cls(graph, placement).run()
-    image = assemble_strips(metrics.result, tile_map)
-    np.testing.assert_array_equal(image, merge_based(None))
-    assert sum(r.buffers_merged for r in metrics.result) == (
-        metrics.stream_totals("RE->Ra")[0]
-    )
+    bounds = strip_bounds(width, 3)
+    placement = owners_on("h0", 3)
+    reference, turned_reference = merge_based(None), merge_based(turned)
+    assert not np.array_equal(reference, turned_reference)
+    for policy in ("RR", "DD"):
+        metrics = engine_cls(graph, placement, policy=policy).run()
+        image = assemble_strips(metrics.result, bounds)
+        np.testing.assert_array_equal(image, reference)
+        for owner, result in enumerate(metrics.result):
+            assert result.buffers_merged == (
+                metrics.stream_totals(f"RE->Ra{owner}")[0]
+            )
 
-    (cycle,) = engine_cls(graph, placement).run_cycles([{"camera": turned}])
-    reference = merge_based(turned)
-    assert not np.array_equal(reference, image)
-    np.testing.assert_array_equal(
-        assemble_strips(cycle.result, tile_map), reference
-    )
+        (cycle,) = engine_cls(graph, placement, policy=policy).run_cycles(
+            [{"camera": turned}]
+        )
+        np.testing.assert_array_equal(
+            assemble_strips(cycle.result, bounds), turned_reference
+        )
     assert _shm_segments() <= before
 
 
@@ -130,28 +135,29 @@ def test_strip_raster_result_before_run_raises():
         profile, storage, 0, 16, 16, regions=2, dataset=object()
     )
     with pytest.raises(EngineError, match="run the pipeline first"):
-        graph.filters["Ra"].factory().result()
+        graph.filters["Ra0"].factory().result()
 
 
 def test_assemble_strips_requires_full_cover():
-    tile_map = TileMap.grid(10, 4, 2, 1)
+    # One frame per owner, in owner order: a short or long list is refused.
     frame = RenderResult(np.zeros((4, 10, 3), dtype=np.uint8), 0, 0)
-    with pytest.raises(ConfigurationError):
-        assemble_strips([frame], tile_map)
+    bounds = strip_bounds(10, 2)
+    for results in ([], [frame], [frame] * 3):
+        with pytest.raises(ConfigurationError, match="strip results for 2 owners"):
+            assemble_strips(results, bounds)
 
 
 @pytest.mark.parametrize("triangles", [0, 1, 6, 7, 8, 9, 1000])
 def test_strip_route_model_conserves_triangles(triangles):
     # Fewer triangles than strips: the shares still sum to the total, and
     # a strip whose share is zero gets no buffer.
-    tile_map = TileMap.grid(64, 64, 8, 1)
-    model = StripRouteModel(BufferSizes(), tile_map, [1.0] * 8)
+    streams = [f"RE->Ra{owner}" for owner in range(8)]
+    model = StripRouteModel(BufferSizes(), streams, [1.0] * 8)
     bufs = model.packets({"triangles": triangles})
     assert sum(b.tags["triangles"] for b in bufs) == triangles
     assert sum(b.nbytes for b in bufs) == triangles * TRIANGLE_BYTES
     assert all(b.tags["triangles"] > 0 for b in bufs)
-    for b in bufs:
-        assert b.tags["tile_owner"] == tile_map.tiles[b.tags["tile"]].owner
+    assert {b.tags["stream"] for b in bufs} <= set(streams)
 
 
 def sim_partitioned(regions, weights=None, nodes=4, tris=40_000):
@@ -167,11 +173,9 @@ def sim_partitioned(regions, weights=None, nodes=4, tris=40_000):
         profile, storage, timestep=0, width=512, height=512,
         regions=regions, region_weights=weights,
     )
-    placement = (
-        Placement()
-        .place("RE", [names[0]])
-        .place("Ra", [names[(region + 1) % nodes] for region in range(regions)])
-    )
+    placement = Placement().place("RE", [names[0]])
+    for region in range(regions):
+        placement.place(f"Ra{region}", [names[(region + 1) % nodes]])
     return SimulatedEngine(cluster, graph, placement, policy="RR").run()
 
 
