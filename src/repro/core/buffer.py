@@ -9,16 +9,20 @@ range...).
 
 :class:`BufferCodec` serialises buffers for transport between transparent
 copies that do not share an address space.  Large NumPy arrays anywhere in
-the payload travel through ``multiprocessing.shared_memory`` segments (one
-memcpy in, zero-copy attach out) while the remaining object structure rides
-a small pickle header — the process engine's queues carry only the header
-plus segment names.  One kind of large array is shared memory *already*: a
-C-contiguous read-only view into a ``mode="r"`` file mapping (what the Read
-filter streams from a :class:`~repro.data.diskstore.DeclusteredStore`).
-Such an array travels as a ``(path, byte offset, shape, dtype)`` descriptor
-and the consumer maps the same file — no segment, no copy.  The threaded
-engine accepts the same codec (mostly for testing) so both real engines
-share one wire format.
+the payload are copied once into the sending copy's :class:`Arena` — one
+anonymous shared mapping per producing copy, made before the copies fork,
+so every copy maps every arena — while the remaining object structure
+rides a small pickle header: the process engine's queues carry only the
+header plus an extent descriptor.  The consumer decodes views into the
+owner's arena and gives the extent back once its ``handle`` returns; the
+owner reuses the space first-fit.  No named object is created, so nothing
+can outlive the processes that map an arena.  One kind of large array is
+shared memory *already*: a C-contiguous read-only view into a ``mode="r"``
+file mapping (what the Read filter streams from a
+:class:`~repro.data.diskstore.DeclusteredStore`).  Such an array travels as
+a ``(path, byte offset, shape, dtype)`` descriptor and the consumer maps the
+same file — no arena, no copy.  The threaded engine accepts the same codec
+(mostly for testing) so both real engines share one wire format.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import io
 import mmap
 import os
 import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -35,6 +40,8 @@ import numpy as np
 from repro.errors import EngineError
 
 __all__ = [
+    "ARENA_BYTES",
+    "Arena",
     "DataBuffer",
     "chunk_bytes",
     "BufferCodec",
@@ -72,8 +79,41 @@ class DataBuffer:
         return DataBuffer(self.nbytes, self.payload, merged)
 
 
-#: A copied array: (segment name, shape, dtype string).
-_Segment = tuple[str, tuple[int, ...], str]
+#: Bytes of payload one producing copy can have placed and not yet given back.
+#: The bound behind it: the largest payload a shipped pipeline sends is a
+#: z-buffer slab of a 512² frame (1.75 MiB, taken as 2 MiB), and one copy can
+#: have in flight, per slot of the cycle ring, one payload per place in its
+#: target queues (queue capacity 8 x 1 target copy set in the served
+#: pipelines), one in each consumer's ``handle`` (2 copies) and the one it is
+#: placing — 11 payloads, 22 MiB per slot, 44 MiB for the two slots ``repro
+#: serve`` runs.  Only touched pages cost memory, and first-fit from offset 0
+#: keeps those at the in-flight high-water mark.  Measured on S129 (129³
+#: points, 512² frames, R-E-Ra-M, two copies per stage): one query peaks at
+#: 0.9-1.3 MB in an Extract copy and at one slab, 1.75 MiB, in a Raster
+#: copy; 48 distinct queries from two clients at 2.0-2.6 MiB and 1.75 MiB.
+#: A fuller arena makes the sender wait for give-backs; one payload larger
+#: than the whole arena fails its cycle.
+ARENA_BYTES = 2 * 2**20 * (8 * 1 + 2 + 1) * 2
+
+#: Extents one arena can hold at once (one record each in its table).
+_RECORDS = 128
+#: Header words ahead of the record table: the last extent id handed out,
+#: the high-water mark in bytes, and how many placers wait for a give-back.
+_NEXT, _HIGH, _WAITING = 0, 1, 2
+_HEAD_WORDS = 3
+#: Offset of the first payload byte: header and table, page-aligned.
+_DATA = 8192
+#: Alignment of every extent and of every array inside one.
+_ALIGN = 64
+#: Seconds a give-back waits for the arena lock.  The lock is held for
+#: microseconds; one that cannot be had died with a copy killed inside an
+#: update, and the arena is then lost with that copy anyway.
+_LOCK_BOUND = 1.0
+
+#: One placed buffer's space: (record, extent id, byte offset, byte count).
+Extent = tuple[int, int, int, int]
+#: An array placed in an arena: (byte offset, shape, dtype string).
+_Placed = tuple[int, tuple[int, ...], str]
 #: An array passed by reference: (file path, byte offset, shape, dtype string).
 _Mapped = tuple[str, int, tuple[int, ...], str]
 
@@ -82,26 +122,133 @@ def _array_bytes(shape: tuple[int, ...], dtype: str) -> int:
     return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
 
 
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
+class Arena:
+    """One producing copy's payload space: an anonymous ``MAP_SHARED`` mapping.
+
+    The engines make one per producing copy before the copies fork, so every
+    copy inherits every arena at the same addresses.  The owner places each
+    encoded buffer's arrays in one extent (:meth:`place`); whoever decodes or
+    discards the buffer gives it back (:meth:`give_back`).  Both go through
+    ``lock`` and a record table that lives in the mapping itself, so the lock
+    orders a consumer's reads of an extent before the owner reuses its bytes,
+    and any process — the parent included — can read the ledger
+    (:meth:`live`).  The owner reuses freed space first-fit from offset 0;
+    while no hole fits it waits on ``bell``, which a give-back rings.
+
+    ``lock`` and ``bell`` default to thread primitives (copies that share a
+    process); forked copies get ``multiprocessing`` ones.  An arena does not
+    pickle: its bytes are shared by inheritance only.
+    """
+
+    def __init__(self, owner: int = 0, lock: Any = None, bell: Any = None) -> None:
+        self.owner = owner
+        self.capacity = ARENA_BYTES
+        # Anonymous and MAP_SHARED (mmap's default flags): zero-filled, so
+        # the header starts empty, and shared with every later fork.
+        self.mapping = mmap.mmap(-1, _DATA + self.capacity)
+        words = np.ndarray(
+            (_HEAD_WORDS + 3 * _RECORDS,), np.int64, buffer=self.mapping
+        )
+        self._head = words[:_HEAD_WORDS]
+        #: Per record: (extent id or 0 when free, byte offset, byte count).
+        self._table = words[_HEAD_WORDS:].reshape(_RECORDS, 3)
+        self._lock = lock if lock is not None else threading.Lock()
+        self._bell = bell if bell is not None else threading.Semaphore(0)
+
+    def place(self, nbytes: int) -> Extent:
+        """Take an extent of ``nbytes`` (owner side); waits while none fits."""
+        size = _aligned(nbytes)
+        if size > self.capacity:
+            raise EngineError(
+                f"a payload of {nbytes} bytes exceeds the "
+                f"{self.capacity}-byte arena"
+            )
+        while True:
+            with self._lock:
+                extent = self._fit(size)
+                if extent is None:
+                    self._head[_WAITING] += 1
+            if extent is not None:
+                return extent
+            self._bell.acquire()
+
+    def _fit(self, size: int) -> "Extent | None":
+        """First fit from offset 0 and a free record, or ``None``."""
+        rows = self._table.tolist()
+        start = 0
+        for offset, length in sorted((o, n) for xid, o, n in rows if xid):
+            if offset - start >= size:
+                break
+            start = offset + length
+        record = next((i for i, row in enumerate(rows) if not row[0]), None)
+        if record is None or start + size > self.capacity:
+            return None
+        xid = int(self._head[_NEXT]) + 1
+        self._head[_NEXT] = xid
+        self._table[record] = (xid, start, size)
+        self._head[_HIGH] = max(int(self._head[_HIGH]), start + size)
+        return record, xid, start, size
+
+    def give_back(self, extent: Extent) -> None:
+        """Return an extent to its owner; a second give-back is a no-op."""
+        record, xid = extent[0], extent[1]
+        if not self._lock.acquire(timeout=_LOCK_BOUND):
+            return
+        waiting = 0
+        try:
+            if self._table[record, 0] == xid:
+                self._table[record, 0] = 0
+                waiting = int(self._head[_WAITING])
+                self._head[_WAITING] = 0
+        finally:
+            self._lock.release()
+        for _ in range(waiting):
+            self._bell.release()
+
+    def view(self, offset: int, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+        """The array at byte ``offset`` of the payload space."""
+        return np.ndarray(
+            shape, np.dtype(dtype), buffer=self.mapping, offset=_DATA + offset
+        )
+
+    def live(self) -> int:
+        """Extents placed and not given back: the arena's ledger."""
+        with self._lock:
+            return int(np.count_nonzero(self._table[:, 0]))
+
+    @property
+    def high_water(self) -> int:
+        """Bytes from offset 0 that have ever held a payload."""
+        return int(self._head[_HIGH])
+
+
 @dataclass(frozen=True)
 class EncodedBuffer:
     """The wire form of one :class:`DataBuffer` (cheap to pickle).
 
     ``header`` is a pickle of the buffer with every exported array replaced
-    by a persistent-id reference; ``segments`` describes the shared-memory
-    segment backing each copied array as ``(name, shape, dtype_str)`` and
+    by a persistent-id reference.  ``placed`` describes each array copied
+    into the ``owner`` copy's arena as ``(byte offset, shape, dtype_str)``,
+    all inside one ``extent`` (``None`` when nothing was placed), and
     ``mapped`` the file region behind each array passed by reference as
     ``(path, byte offset, shape, dtype_str)``.
     """
 
     header: bytes
-    segments: tuple[_Segment, ...]
     nbytes: int  # wire size of the original buffer (accounting convenience)
     mapped: tuple[_Mapped, ...] = ()
+    owner: int = 0
+    extent: "Extent | None" = None
+    placed: tuple[_Placed, ...] = ()
 
     @property
     def shared_bytes(self) -> int:
-        """Payload bytes copied into shared-memory segments."""
-        return sum(_array_bytes(shape, dtype) for _name, shape, dtype in self.segments)
+        """Payload bytes placed in an arena."""
+        return sum(_array_bytes(shape, dtype) for _offset, shape, dtype in self.placed)
 
     @property
     def mapped_bytes(self) -> int:
@@ -112,44 +259,27 @@ class EncodedBuffer:
 
 
 class PayloadLease:
-    """Ownership of the shared-memory segments behind one decoded buffer.
+    """The arena extent behind one decoded buffer.
 
-    The decoded payload's arrays are *views into shared memory*; they stay
-    valid until :meth:`release` is called (the engine releases after the
-    consuming filter's ``handle`` returns, mirroring DataCutter's recycling
-    of stream buffers).  A filter that must retain payload data beyond the
-    callback copies it.  ``release`` is idempotent.
+    The decoded payload's arrays are *views into the producer's arena*; they
+    are valid until :meth:`release` gives the extent back (the engine
+    releases after the consuming filter's ``handle`` returns, as DataCutter
+    recycles its stream buffers), after which the owner may overwrite them
+    with its next payload.  A filter that must retain payload data beyond
+    the callback copies it.  ``release`` is idempotent.
     """
 
-    def __init__(self, shms: list[Any]) -> None:
-        self._shms = shms
+    def __init__(
+        self, arena: "Arena | None" = None, extent: "Extent | None" = None
+    ) -> None:
+        self._arena = arena
+        self._extent = extent
 
     def release(self) -> None:
-        """Unlink the backing segments and drop this lease's references.
-
-        The OS frees the memory once the last mapping closes — arrays still
-        referencing a segment keep it mapped until they are garbage
-        collected, so release never invalidates live views mid-use.
-        """
-        shms, self._shms = self._shms, []
-        for shm in shms:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-            # Detach the mapping from the SharedMemory wrapper before the
-            # wrapper is garbage collected: its __del__ runs close(), which
-            # unmaps the region even while NumPy views still point into it
-            # (NumPy keeps the mmap alive via .base but holds no buffer
-            # export that would block the unmap — readers would fault).
-            # With the wrapper's references dropped, plain refcounting
-            # makes the region live exactly as long as the last view.
-            shm._buf = None
-            shm._mmap = None
-            fd = getattr(shm, "_fd", -1)
-            if fd >= 0:
-                os.close(fd)
-                shm._fd = -1
+        """Give the extent back to its owner."""
+        arena, self._arena = self._arena, None
+        if arena is not None and self._extent is not None:
+            arena.give_back(self._extent)
 
 
 def _file_region(arr: np.ndarray) -> "_Mapped | None":
@@ -180,18 +310,18 @@ def _file_region(arr: np.ndarray) -> "_Mapped | None":
     return (str(root.filename), offset, arr.shape, arr.dtype.str)
 
 
-class _SegmentPickler(pickle.Pickler):
+class _ArenaPickler(pickle.Pickler):
     """Pickler that takes large arrays out of band.
 
     A read-only view into a file mapping becomes a descriptor of its file
-    region; any other large array is copied into a shared-memory segment.
+    region; any other large array is set aside, to be placed in an arena
+    once the whole header has pickled.
     """
 
     def __init__(self, fh: io.BytesIO, threshold: int) -> None:
         super().__init__(fh, protocol=pickle.HIGHEST_PROTOCOL)
         self.threshold = threshold
-        self.segments: list[Any] = []  # SharedMemory objects
-        self.descriptors: list[_Segment] = []
+        self.arrays: list[np.ndarray] = []
         self.mapped: list[_Mapped] = []
 
     def persistent_id(self, obj: Any) -> "int | tuple[str, int] | None":
@@ -204,39 +334,31 @@ class _SegmentPickler(pickle.Pickler):
             if region is not None:
                 self.mapped.append(region)
                 return ("mapped", len(self.mapped) - 1)
-
-            from multiprocessing import shared_memory
-
-            arr = np.ascontiguousarray(obj)
-            seg = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-            np.ndarray(arr.shape, arr.dtype, buffer=seg.buf)[...] = arr
-            self.segments.append(seg)
-            self.descriptors.append((seg.name, arr.shape, arr.dtype.str))
-            return len(self.descriptors) - 1
+            self.arrays.append(obj)
+            return len(self.arrays) - 1
         return None
 
 
-class _SegmentUnpickler(pickle.Unpickler):
-    """Unpickler that resolves persistent ids to shared-memory arrays."""
+class _ArenaUnpickler(pickle.Unpickler):
+    """Unpickler that resolves persistent ids to arena and file views."""
 
     def __init__(
-        self, fh: io.BytesIO, encoded: "EncodedBuffer", codec: "BufferCodec"
+        self,
+        fh: io.BytesIO,
+        encoded: "EncodedBuffer",
+        codec: "BufferCodec",
+        arena: "Arena | None",
     ) -> None:
         super().__init__(fh)
         self.encoded = encoded
         self.codec = codec
-        self.shms: list[Any] = []
+        self.arena = arena
 
     def persistent_load(self, pid: Any) -> np.ndarray:
         if isinstance(pid, tuple):
             return self.codec._mapped_view(*self.encoded.mapped[pid[1]])
-
-        from multiprocessing import shared_memory
-
-        name, shape, dtype = self.encoded.segments[pid]
-        shm = shared_memory.SharedMemory(name=name)
-        self.shms.append(shm)
-        return np.ndarray(shape, np.dtype(dtype), buffer=shm.buf)
+        assert self.arena is not None
+        return self.arena.view(*self.encoded.placed[pid])
 
 
 class BufferCodec:
@@ -250,19 +372,20 @@ class BufferCodec:
         default (64 KiB) keeps headers under a pipe write while moving
         every scalar block / triangle array / z-buffer slab out of band.
     use_shared_memory:
-        ``False`` pickles everything inline — useful on platforms without
-        POSIX shared memory or for debugging; the wire format is unchanged
-        (``segments`` and ``mapped`` are simply empty).
+        ``False`` pickles everything inline — useful for debugging; the
+        wire format is unchanged (no extent, ``mapped`` empty).
 
-    The codec is fork-safe and may be shared by every copy of a run; its
-    only state is a per-process cache of the read-only file mappings it
-    decoded from.  ``encode`` copies each large array once (into its
-    segment) unless the array is a read-only view of a mapped file, which
-    is described instead; ``decode`` attaches segments and maps files
-    zero-copy and returns a :class:`PayloadLease` governing the segments'
-    lifetime.  Mapped regions need no lease: the file belongs to whoever
-    wrote it and outlives the payload, and a view keeps its own mapping
-    alive.
+    The codec holds no allocation state and may be shared by every copy of
+    a run: ``encode`` places into the arena it is given — the sending
+    copy's — and ``decode`` reads from the owner's, so its only state is a
+    per-process cache of the read-only file mappings it decoded from, and
+    the arena a standalone codec (no ``arena`` argument) uses for itself.
+    ``encode`` copies each large array once (into one extent of the arena)
+    unless the array is a read-only view of a mapped file, which is
+    described instead; ``decode`` returns views of the arena and of mapped
+    files, zero-copy, and a :class:`PayloadLease` that gives the extent
+    back.  Mapped regions need no lease: the file belongs to whoever wrote
+    it and outlives the payload, and a view keeps its own mapping alive.
     """
 
     def __init__(self, shm_threshold: int = 64 * 1024, use_shared_memory: bool = True):
@@ -272,42 +395,70 @@ class BufferCodec:
         self.use_shared_memory = use_shared_memory
         #: path -> (st_dev, st_ino, whole-file read-only mapping)
         self._maps: dict[str, tuple[int, int, mmap.mmap]] = {}
+        self._arena: "Arena | None" = None
 
-    def encode(self, buffer: DataBuffer) -> EncodedBuffer:
-        """Encode one buffer; creates the backing shared-memory segments."""
+    def arena(self) -> Arena:
+        """The arena of a standalone codec (made on first use)."""
+        if self._arena is None:
+            self._arena = Arena()
+        return self._arena
+
+    def encode(self, buffer: DataBuffer, arena: "Arena | None" = None) -> EncodedBuffer:
+        """Encode one buffer, placing its large arrays in ``arena``.
+
+        Waits while the arena has no room; a payload larger than the whole
+        arena raises :class:`~repro.errors.EngineError`.
+        """
         fh = io.BytesIO()
         if not self.use_shared_memory:
             pickle.dump(buffer, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            return EncodedBuffer(fh.getvalue(), (), buffer.nbytes)
-        pickler = _SegmentPickler(fh, self.shm_threshold)
+            return EncodedBuffer(fh.getvalue(), buffer.nbytes)
+        pickler = _ArenaPickler(fh, self.shm_threshold)
+        # The header pickles whole before anything is placed, so a payload
+        # that cannot pickle has taken no space.
         pickler.dump(buffer)
-        # Close our mapping now; the segments stay alive (named) until
-        # the consumer unlinks them via its PayloadLease.
-        for seg in pickler.segments:
-            seg.close()
+        if not pickler.arrays:
+            return EncodedBuffer(fh.getvalue(), buffer.nbytes, tuple(pickler.mapped))
+        arena = arena if arena is not None else self.arena()
+        starts: list[int] = []
+        total = 0
+        for arr in pickler.arrays:
+            starts.append(total)
+            total += _aligned(arr.nbytes)
+        extent = arena.place(total)
+        placed: list[_Placed] = []
+        for arr, start in zip(pickler.arrays, starts):
+            offset = extent[2] + start
+            arena.view(offset, arr.shape, arr.dtype.str)[...] = arr
+            placed.append((offset, arr.shape, arr.dtype.str))
         return EncodedBuffer(
-            fh.getvalue(), tuple(pickler.descriptors), buffer.nbytes,
-            tuple(pickler.mapped),
+            fh.getvalue(), buffer.nbytes, tuple(pickler.mapped),
+            arena.owner, extent, tuple(placed),
         )
 
-    def decode(self, encoded: EncodedBuffer) -> tuple[DataBuffer, PayloadLease]:
-        """Decode one buffer zero-copy; the lease controls segment lifetime.
+    def decode(
+        self, encoded: EncodedBuffer, arena: "Arena | None" = None
+    ) -> tuple[DataBuffer, PayloadLease]:
+        """Decode one buffer zero-copy from its owner's ``arena``.
 
-        A payload that cannot be decoded (a mapped file gone or too short)
-        raises with every segment of the buffer released.
+        The lease gives the extent back.  A payload that cannot be decoded
+        (a mapped file gone or too short) raises with the extent given back.
         """
-        unpickler = _SegmentUnpickler(io.BytesIO(encoded.header), encoded, self)
+        if encoded.extent is not None and arena is None:
+            arena = self.arena()
+        unpickler = _ArenaUnpickler(io.BytesIO(encoded.header), encoded, self, arena)
         try:
             buffer: DataBuffer = unpickler.load()
         except BaseException:
-            self.release_encoded(encoded)
+            self.release_encoded(encoded, arena)
             raise
-        return buffer, PayloadLease(unpickler.shms)
+        return buffer, PayloadLease(arena, encoded.extent)
 
     def __getstate__(self) -> dict[str, Any]:
-        # A mapping does not cross a pickle (the ``spawn`` start method);
-        # the receiving process maps on first use.
-        return {**self.__dict__, "_maps": {}}
+        # Neither a file mapping nor an arena crosses a pickle: the
+        # receiving process maps files on first use, and its arena (if it
+        # ever needs one) is its own, holding none of the sender's extents.
+        return {**self.__dict__, "_maps": {}, "_arena": None}
 
     def _mapped_view(
         self, path: str, offset: int, shape: tuple[int, ...], dtype: str
@@ -338,23 +489,15 @@ class BufferCodec:
             cached = self._maps[path] = (st.st_dev, st.st_ino, mapping)
         return np.ndarray(shape, np.dtype(dtype), buffer=cached[2], offset=offset)
 
-    @staticmethod
-    def release_encoded(encoded: EncodedBuffer) -> None:
-        """Free an encoded buffer's segments without decoding it.
+    def release_encoded(self, encoded: EncodedBuffer, arena: "Arena | None" = None) -> None:
+        """Give an encoded buffer's extent back without decoding it.
 
-        Error paths (a consumer draining its queue after a failure) call
-        this so discarded buffers never leak shared memory.  Mapped
+        Error paths (a sender abandoned mid-send, a decode that failed)
+        call this so a discarded buffer never keeps its space.  Mapped
         regions are not the codec's to free.
         """
-        from multiprocessing import shared_memory
-
-        for name, _shape, _dtype in encoded.segments:
-            try:
-                shm = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                continue
-            shm.unlink()
-            shm.close()
+        if encoded.extent is not None:
+            (arena if arena is not None else self.arena()).give_back(encoded.extent)
 
 
 def chunk_bytes(total_bytes: int, buffer_size: int) -> list[int]:

@@ -27,18 +27,20 @@ fails at once with the dead copy's label and exit code, and the copies are
 abandoned the one way forked copies are (``ForkedCopies``): the survivors
 leave by themselves while abandoned traffic is acknowledged and released,
 stragglers are terminated after ``LEAVE_BOUND`` and every slot is drained.
-No shared-memory segment of a copy that left by itself outlives the pool; a
-straggler terminated with an encoded buffer in hand leaves that one segment
-to the resource tracker.  A copy that could not decode an input payload (a
+Payloads live in the copies' arenas — anonymous mappings the pool made
+before it forked — so nothing named outlives the pool, whoever was
+terminated holding what.  A copy that could not decode an input payload (a
 mapped file gone or cut short under it) fails its query with the error it
 raised and has the pool abandoned the same way.  The pool's owner replaces
 a pool that is no longer :attr:`~WarmPool.usable` (``repro serve`` keeps one
 per scene).
 
 Payload lifetime contract: unchanged from the process engine — an input
-buffer's arrays are shared-memory views valid only during ``handle``; the
-segments themselves are per-payload and are released by the consuming
-copy, so nothing about pooling extends a lease across queries.
+buffer's arrays are views into the producer's arena valid only during
+``handle``, whose extent the consuming copy gives back when ``handle``
+returns and the producer then reuses; nothing about pooling extends a lease
+across queries.  :meth:`WarmPool.stats` reports each producing copy's arena
+capacity and high-water mark.
 """
 
 from __future__ import annotations
@@ -117,14 +119,20 @@ class WarmPool(ProcessEngine):
     def stats(self) -> dict:
         """A snapshot for service dashboards (``repro serve`` ``stats``)."""
         copies = self._copies
+        world = copies.world
         return {
-            "workers": len(copies.world.plan),
+            "workers": len(world.plan),
             "max_inflight": self.max_inflight,
             "inflight": len(copies.pending),
             "cycles_completed": self.cycles_completed,
             "closed": copies.closed,
             "broken": bool(copies.errors),
             "age_s": time.monotonic() - self.created_at,
+            "arenas": {
+                copy.label: {"capacity": arena.capacity, "high_water": arena.high_water}
+                for copy, arena in zip(world.plan, world.arenas)
+                if arena is not None
+            },
         }
 
     # -- submission ----------------------------------------------------------

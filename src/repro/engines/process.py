@@ -24,10 +24,13 @@ its units of work arriving over the control queues (so they must pickle).
   ack-drain thread inside the producer, which also wakes writers blocked on
   full windows;
 - **payloads** cross process boundaries through the shared
-  :class:`repro.core.buffer.BufferCodec`: large NumPy arrays ride
-  ``multiprocessing.shared_memory`` segments (zero-copy attach on the
-  consumer side) under a small pickle header, so scalar blocks, triangle
-  soups and z-buffer slabs never serialise through a pipe;
+  :class:`repro.core.buffer.BufferCodec`: large NumPy arrays are copied
+  into the producing copy's :class:`~repro.core.buffer.Arena` — one
+  anonymous shared mapping per producing copy, made by the parent before
+  the fork — and read in place by the consumer, which gives the extent
+  back after ``handle``; only a small pickle header and an extent
+  descriptor travel through the pipe, and no named shared-memory object
+  (nor the resource tracker that watches them) exists;
 - **observability** feeds the same :class:`~repro.core.tracing.Tracer` /
   :class:`~repro.core.instrument.RunMetrics` layer: every worker records
   spans and counters locally and ships them to the parent per cycle,
@@ -145,7 +148,7 @@ class ForkedCopies:
     fail every pending query, naming the dead copy; let the survivors leave
     by themselves — end-of-work announced on the dead copy's behalf, traffic
     aimed at copy sets with no live member discarded (acknowledged and its
-    segments released), ``STOP`` on every control queue; wait for them under
+    extents given back), ``STOP`` on every control queue; wait for them under
     :data:`LEAVE_BOUND`; terminate the stragglers and drain every slot.
     :meth:`abandon` asks for the same from outside.
     """
@@ -157,15 +160,6 @@ class ForkedCopies:
         on_cycle: "Callable[[PendingQuery], None]",
     ) -> None:
         mp_ctx = multiprocessing.get_context(START_METHOD)
-        # Start the shared-memory resource tracker *before* forking so every
-        # worker talks to the same tracker process: a segment registered at
-        # creation in one worker is then balanced by the unlink in another,
-        # instead of each side lazily spawning its own tracker and warning
-        # about "leaked" objects at exit.
-        if engine.codec.use_shared_memory:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
         world = self.world = World(
             engine.graph, engine.placement, engine._policy,
             ProcessTransport(mp_ctx, engine.codec), nslots,
@@ -361,9 +355,9 @@ class ForkedCopies:
             control.put(STOP)
 
     def _drain(self, csq: Any) -> None:
-        """Discard abandoned traffic so no shared-memory segment leaks."""
+        """Discard abandoned traffic, giving every extent back."""
         for wire in csq.queued():
-            discard(wire, self.world.acks)
+            discard(wire, self.world)
 
 class ProcessEngine(Engine):
     """Execute a filter graph with real filters and one process per copy.
@@ -374,7 +368,7 @@ class ProcessEngine(Engine):
 
     ``codec``
         The :class:`~repro.core.buffer.BufferCodec` moving payloads between
-        processes (default: shared memory for arrays >= 64 KiB).
+        processes (default: arrays >= 64 KiB through the copies' arenas).
     """
 
     def __init__(

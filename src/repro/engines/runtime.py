@@ -32,9 +32,10 @@ joined, forked copies have one supervisor (``process.ForkedCopies``, batch
 run and warm pool alike).
 
 Payload lifetime contract: with a codec, an input buffer's arrays are
-shared-memory views valid only during ``handle`` (the runtime releases the
-lease when the callback returns, as DataCutter recycles stream buffers).
-Filters that retain payload data must copy it.
+views into the producer's arena valid only during ``handle`` (the runtime
+releases the lease when the callback returns, as DataCutter recycles stream
+buffers, and the producer then reuses the bytes).  Filters that retain
+payload data must copy it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
-from repro.core.buffer import BufferCodec, DataBuffer, EncodedBuffer, PayloadLease
+from repro.core.buffer import Arena, BufferCodec, DataBuffer, EncodedBuffer, PayloadLease
 from repro.core.filter import Filter, FilterContext
 from repro.core.graph import FilterGraph, FilterSpec
 from repro.core.instrument import RunMetrics
@@ -100,6 +101,9 @@ class Transport(Protocol):
 
     def serve_acks(self, channel: Any, writers: WriterTable) -> Callable[[], None]:
         """Deliver ``channel``'s acks to ``writers``; returns the stop call."""
+
+    def arena(self, owner: int) -> Arena:
+        """Copy ``owner``'s payload arena, shared by every copy."""
 
 
 def _deliver_ack(writers: WriterTable, msg: AckMessage) -> None:
@@ -157,12 +161,16 @@ class ThreadTransport:
         channel.writers = writers
         return lambda: None
 
+    def arena(self, owner: int) -> Arena:
+        return Arena(owner)
+
 
 class ProcessTransport:
     """Copies are forked processes: everything shared is a ``multiprocessing``
-    primitive, payloads cross through the codec (large arrays in shared
-    memory under a small pickled header) and acknowledgments travel back
-    over a per-producer ``SimpleQueue`` drained by a thread in the producer.
+    primitive, payloads cross through the codec (large arrays in the
+    producer's arena, mapped before the fork, under a small pickled header)
+    and acknowledgments travel back over a per-producer ``SimpleQueue``
+    drained by a thread in the producer.
     """
 
     def __init__(self, mp_ctx: Any, codec: BufferCodec) -> None:
@@ -199,6 +207,9 @@ class ProcessTransport:
             thread.join()
 
         return stop
+
+    def arena(self, owner: int) -> Arena:
+        return Arena(owner, self.mp_ctx.Lock(), self.mp_ctx.Semaphore(0))
 
 
 # -- the wire -----------------------------------------------------------------
@@ -237,12 +248,6 @@ class Envelope:
             setattr(self, slot, value)
 
 
-def _release_payload(payload: Any) -> None:
-    """Free the shared-memory segments of a payload nobody will decode."""
-    if isinstance(payload, EncodedBuffer):
-        BufferCodec.release_encoded(payload)
-
-
 def _acknowledge(wire: Envelope, acks: list[Any]) -> bool:
     """Send ``wire``'s acknowledgment to its producer; False if none is due
     (filters whose outputs need no acks have no channel)."""
@@ -253,16 +258,18 @@ def _acknowledge(wire: Envelope, acks: list[Any]) -> bool:
     return True
 
 
-def discard(wire: Envelope, acks: list[Any]) -> None:
+def discard(wire: Envelope, world: "World") -> None:
     """Abandon one in-flight envelope: acknowledge it, then free it.
 
     The single helper behind every abandon path — a supervisor draining
-    dead copy sets and a copy's own crash drain — so none can leak the
-    envelope's shared-memory segments.  The ack reopens DD windows so
+    dead copy sets and a copy's own crash drain — so none can keep the
+    envelope's arena extent from its owner.  The ack reopens DD windows so
     producers blocked on the abandoned consumer wake up and finish.
     """
-    _acknowledge(wire, acks)
-    _release_payload(wire.payload)
+    _acknowledge(wire, world.acks)
+    codec = world.transport.codec
+    if codec is not None:
+        codec.release_encoded(wire.payload, world.arena_of(wire.payload))
 
 
 class CopySetQueue:
@@ -368,6 +375,7 @@ class Writer:
         producer_cid: int,
         cycle: int,
         stream: str,
+        arena: "Arena | None" = None,
     ) -> None:
         self.policy = policy
         self.copyset_queues = copyset_queues
@@ -375,6 +383,7 @@ class Writer:
         self.clock = clock
         self.tracer = tracer
         self.codec = codec
+        self.arena = arena  # the producing copy's (None: the codec's own)
         self.producer_cid = producer_cid
         self.cycle = cycle
         self.stream = stream
@@ -386,8 +395,16 @@ class Writer:
         self._cond = threading.Condition()
 
     def send(self, buffer: DataBuffer) -> Target:
-        """Encode and route one buffer; blocks while DD windows are full."""
-        payload = self.codec.encode(buffer) if self.codec is not None else buffer
+        """Encode and route one buffer; blocks while the copy's arena or
+        every DD window is full."""
+        payload: Any = buffer
+        if self.codec is not None:
+            try:
+                payload = self.codec.encode(buffer, self.arena)
+            except EngineError as exc:  # a payload larger than the arena
+                raise EngineError(
+                    f"{self.label} cycle {self.cycle} stream {self.stream!r}: {exc}"
+                ) from None
         try:
             with self._cond:
                 target = self.policy.select()
@@ -411,10 +428,11 @@ class Writer:
             self.copyset_queues[target.index].put(envelope)
         except BaseException:
             # Abandoned mid-send — typically interrupted while blocked on a
-            # full DD window.  The segments already exist (encode runs
+            # full DD window.  The extent is already placed (encode runs
             # first) and no consumer will ever see the envelope, so the
-            # sender must release them or they leak past process exit.
-            _release_payload(payload)
+            # sender gives it back itself.
+            if self.codec is not None:
+                self.codec.release_encoded(payload, self.arena)
             raise
         return target
 
@@ -465,8 +483,10 @@ class World:
     ``copysets[filter][set_idx][slot]`` holds one :class:`CopySetQueue` per
     (filter, host, slot); a batch run uses one slot per cycle so cycles
     pipeline without barriers, the warm pool a ring of ``max_inflight``.
-    ``plan`` numbers the copies (:func:`copy_plan`) and ``acks`` holds
-    one ack channel per producing copy whose writers need them.  ``clock``
+    ``plan`` numbers the copies (:func:`copy_plan`), ``acks`` holds
+    one ack channel per producing copy whose writers need them and
+    ``arenas`` one payload arena per producing copy when a codec places
+    arrays out of band — made here, before any fork.  ``clock``
     is wall seconds since the world was built, on ``perf_counter`` —
     CLOCK_MONOTONIC on Linux, shared by all forked workers, so every copy's
     timestamps are directly comparable.
@@ -501,10 +521,21 @@ class World:
             transport.ack_channel() if needs_ack and copy.spec.outputs else None
             for copy in self.plan
         ]
+        codec = transport.codec
+        self.arenas: list["Arena | None"] = [
+            transport.arena(copy.cid)
+            if codec is not None and codec.use_shared_memory and copy.spec.outputs
+            else None
+            for copy in self.plan
+        ]
         self.t_start = time.perf_counter()
 
     def clock(self) -> float:
         return time.perf_counter() - self.t_start
+
+    def arena_of(self, payload: EncodedBuffer) -> "Arena | None":
+        """The arena holding ``payload``'s extent, if it has one."""
+        return None if payload.extent is None else self.arenas[payload.owner]
 
     def queues(self, slot: "int | None" = None) -> Iterator[CopySetQueue]:
         """Every copy-set queue of one slot (default: of every slot)."""
@@ -713,6 +744,7 @@ def _blocking(
                 host, world.policy(),
                 [sets[slot] for sets in world.copysets[st.dst]], world.hosts[st.dst],
                 label, clock, tracer, codec, copy.cid, k, st.name,
+                world.arenas[copy.cid],
             )
         writers_by_cycle[k] = writers
         instance.init(ctx)
@@ -722,7 +754,7 @@ def _blocking(
         lease: "PayloadLease | None" = None
         if codec is not None:
             try:
-                buffer, lease = codec.decode(wire.payload)
+                buffer, lease = codec.decode(wire.payload, world.arena_of(wire.payload))
             except BaseException:
                 report.transport_fault = True
                 raise
@@ -730,9 +762,8 @@ def _blocking(
         try:
             instance.handle(ctx, buffer)
         finally:
-            # Always, even when handle() raises: the lease holds the decoded
-            # shared-memory segment, and an abandoned one survives process
-            # exit.
+            # Always, even when handle() raises: the lease holds the
+            # extent, and the producer waits for it once its arena is full.
             if lease is not None:
                 lease.release()
         report.busy_time += time.perf_counter() - t0
@@ -774,7 +805,7 @@ def _blocking(
         WORK: work,
         FLUSH: flush,
         FINISH: finish,
-        DISCARD: lambda wire: discard(wire, world.acks),
+        DISCARD: lambda wire: discard(wire, world),
         ANNOUNCE: announce,
     }
 

@@ -6,21 +6,31 @@ every filter placed on known hosts, over any queue bound and DD window
 the constructors accept.  The property: the static verifier reports zero
 ERROR diagnostics, and a real engine runs the pipeline to completion
 within a hard timeout and delivers every buffer — the no-wedge argument
-of DESIGN §3c, checked by running the code on both transports.
+of DESIGN §3c, checked by running the code on both transports.  Every
+payload is an array; on forked copies each one goes through its
+producer's arena, shrunk to three payloads, so senders also block on a
+full arena — §3c's third place.
 """
 
 import threading
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import verify_pipeline
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
+from repro.core import buffer as buffer_module
+from repro.core.buffer import BufferCodec
 from repro.core.policies import make_policy_factory
 from repro.engines.process import ProcessEngine
 from repro.engines.threaded import ThreadedEngine
 
 HOSTS = ["h0", "h1", "h2"]
+#: One buffer's payload: 32 int64 summing to 1 (256 bytes, out of band at
+#: the forked run's threshold).
+PAYLOAD = np.eye(1, 32, dtype=np.int64)[0]
 
 
 class Source(Filter):
@@ -32,7 +42,7 @@ class Source(Filter):
             if i % ctx.total_copies == ctx.copy_index:
                 for stream in ctx.output_streams:
                     ctx.write(
-                        DataBuffer(8, payload=1, tags={"seq": i}),
+                        DataBuffer(PAYLOAD.nbytes, payload=PAYLOAD, tags={"seq": i}),
                         stream=stream,
                     )
 
@@ -49,11 +59,12 @@ class Hold(Filter):
         self.held = []
 
     def handle(self, ctx, buffer):
-        self.held.append(buffer.payload)
+        # A copy: the input's view is valid only during handle.
+        self.held.append(np.array(buffer.payload))
 
     def flush(self, ctx):
         for payload in self.held:
-            ctx.write(DataBuffer(8, payload=payload))
+            ctx.write(DataBuffer(payload.nbytes, payload=payload))
 
 
 class Count(Filter):
@@ -61,7 +72,7 @@ class Count(Filter):
         self.n = 0
 
     def handle(self, ctx, buffer):
-        self.n += buffer.payload
+        self.n += int(buffer.payload.sum())
 
     def result(self):
         return self.n
@@ -119,7 +130,7 @@ def pipelines(draw):
     return g, p, policy, queue_capacity
 
 
-def _verifies_clean_and_runs(pipeline, engine_cls, timeout=30.0):
+def _verifies_clean_and_runs(pipeline, engine_cls, timeout=30.0, **engine_kw):
     g, p, policy, queue_capacity = pipeline
     report = verify_pipeline(
         g,
@@ -130,7 +141,9 @@ def _verifies_clean_and_runs(pipeline, engine_cls, timeout=30.0):
     )
     assert report.errors == [], [str(d) for d in report.errors]
 
-    engine = engine_cls(g, p, policy=policy, queue_capacity=queue_capacity)
+    engine = engine_cls(
+        g, p, policy=policy, queue_capacity=queue_capacity, **engine_kw
+    )
     # The run happens on a helper thread, so a wedge fails the example at
     # the join instead of hanging the suite.
     outcome = []
@@ -164,4 +177,7 @@ def test_valid_pipelines_verify_clean_and_run(pipeline):
 @settings(max_examples=20, deadline=None)
 @given(pipelines())
 def test_valid_pipelines_run_on_forked_copies(pipeline):
-    _verifies_clean_and_runs(pipeline, ProcessEngine)
+    with mock.patch.object(buffer_module, "ARENA_BYTES", 3 * PAYLOAD.nbytes):
+        _verifies_clean_and_runs(
+            pipeline, ProcessEngine, codec=BufferCodec(shm_threshold=64)
+        )

@@ -1,13 +1,16 @@
-"""Unit tests for DataBuffer, buffer chunking, and the shared-memory codec."""
+"""Unit tests for DataBuffer, buffer chunking, the codec and its arenas."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.buffer import BufferCodec, DataBuffer, chunk_bytes
+from repro.core import buffer as buffer_module
+from repro.core.buffer import Arena, BufferCodec, DataBuffer, chunk_bytes
+from repro.errors import EngineError
 
 
 def test_buffer_basic():
@@ -73,20 +76,23 @@ def test_codec_large_arrays_go_to_shared_memory():
     encoded, decoded, lease = round_trip(
         codec, DataBuffer(arr.nbytes, payload=arr, tags={"chunk": 3})
     )
-    assert len(encoded.segments) == 1
+    assert encoded.extent is not None
+    assert len(encoded.placed) == 1
+    assert codec.arena().live() == 1
     assert encoded.shared_bytes == arr.nbytes
     assert len(encoded.header) < 4096  # header stays small
     assert decoded.nbytes == arr.nbytes
     assert decoded.tags == {"chunk": 3}
     np.testing.assert_array_equal(decoded.payload, arr)
     lease.release()
+    assert codec.arena().live() == 0
 
 
 def test_codec_small_arrays_stay_inline():
     arr = np.arange(16, dtype=np.float64)
     codec = BufferCodec(shm_threshold=1024)
     encoded, decoded, lease = round_trip(codec, DataBuffer(128, payload=arr))
-    assert encoded.segments == ()
+    assert (encoded.extent, encoded.placed) == (None, ())
     np.testing.assert_array_equal(decoded.payload, arr)
     lease.release()
 
@@ -105,7 +111,7 @@ def test_codec_nested_payload_objects():
     encoded, decoded, lease = round_trip(
         codec, DataBuffer(tris.nbytes, payload=NestedPayload(tris, "soup"))
     )
-    assert len(encoded.segments) == 1  # array found inside the object graph
+    assert len(encoded.placed) == 1  # array found inside the object graph
     assert decoded.payload.label == "soup"
     np.testing.assert_array_equal(decoded.payload.tris, tris)
     lease.release()
@@ -115,7 +121,7 @@ def test_codec_inline_mode_has_no_segments():
     arr = np.arange(30_000, dtype=np.float64)
     codec = BufferCodec(use_shared_memory=False)
     encoded, decoded, lease = round_trip(codec, DataBuffer(0, payload=arr))
-    assert encoded.segments == ()
+    assert (encoded.extent, encoded.placed) == (None, ())
     np.testing.assert_array_equal(decoded.payload, arr)
     lease.release()  # no-op, still safe
 
@@ -123,26 +129,35 @@ def test_codec_inline_mode_has_no_segments():
 def test_codec_lease_release_is_idempotent():
     arr = np.zeros(20_000)
     codec = BufferCodec(shm_threshold=1024)
-    _encoded, decoded, lease = round_trip(codec, DataBuffer(0, payload=arr))
+    encoded, decoded, lease = round_trip(codec, DataBuffer(0, payload=arr))
     view = decoded.payload
     lease.release()
     lease.release()
-    # The view stays readable until garbage collected (the mapping outlives
-    # the unlink).
+    assert codec.arena().live() == 0
+    # The view is still mapped, but the bytes are the owner's again: its
+    # next payload lands on them (first fit from offset 0).
     assert view.sum() == 0.0
+    again = codec.encode(DataBuffer(0, payload=np.ones(20_000)))
+    assert again.placed[0][0] == encoded.placed[0][0] == 0
+    assert view.sum() == 20_000.0
+    codec.release_encoded(again)
 
 
 def test_codec_release_encoded_frees_segments():
-    from multiprocessing import shared_memory
-
+    """``release_encoded`` gives the extent back without a decode; a second
+    give-back of the same extent is a no-op, even after its space is reused."""
     arr = np.zeros(20_000)
     codec = BufferCodec(shm_threshold=1024)
     encoded = codec.encode(DataBuffer(0, payload=arr))
-    name = encoded.segments[0][0]
-    BufferCodec.release_encoded(encoded)
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name)
-    BufferCodec.release_encoded(encoded)  # idempotent
+    assert codec.arena().live() == 1
+    codec.release_encoded(encoded)
+    assert codec.arena().live() == 0
+    reused = codec.encode(DataBuffer(0, payload=arr))
+    assert reused.extent[2] == encoded.extent[2]
+    codec.release_encoded(encoded)  # stale: the record now holds ``reused``
+    assert codec.arena().live() == 1
+    codec.release_encoded(reused)
+    assert codec.arena().live() == 0
 
 
 def test_codec_threshold_validation():
@@ -212,9 +227,9 @@ def test_codec_mapped_views_travel_by_reference(mapped_path, region, threshold):
     encoded = codec.encode(DataBuffer(nbytes, payload=NestedPayload(view, "v")))
     assert _shm_listing() == before
     if nbytes < threshold:  # small arrays ride the header, as ever
-        assert (encoded.segments, encoded.mapped) == ((), ())
+        assert (encoded.placed, encoded.mapped) == ((), ())
     else:
-        assert encoded.segments == ()
+        assert (encoded.extent, encoded.placed) == (None, ())
         assert encoded.mapped == (
             (str(mapped_path), offset, shape, dtype.str),
         )
@@ -228,7 +243,7 @@ def test_codec_mapped_views_travel_by_reference(mapped_path, region, threshold):
     assert not out.flags.writeable
     np.testing.assert_array_equal(out, expected)
     lease.release()
-    BufferCodec.release_encoded(encoded)
+    codec.release_encoded(encoded)
     np.testing.assert_array_equal(out, expected)
     assert _shm_listing() == before
 
@@ -266,7 +281,7 @@ def test_codec_still_copies_everything_else(mapped_path, case):
     )
     try:
         assert encoded.mapped == (), label
-        assert len(encoded.segments) == 1, label
+        assert len(encoded.placed) == 1, label
         assert (encoded.shared_bytes, encoded.mapped_bytes) == (array.nbytes, 0)
         np.testing.assert_array_equal(decoded.payload, array)
     finally:
@@ -274,9 +289,8 @@ def test_codec_still_copies_everything_else(mapped_path, case):
 
 
 def test_codec_refuses_a_region_its_file_no_longer_holds(tmp_path):
-    """Checked by name before a page is touched; the buffer's segments go."""
-    from repro.errors import EngineError
-
+    """Checked by name before a page is touched; the buffer's extent goes
+    back to the arena."""
     path = tmp_path / "values.bin"
     np.arange(8192, dtype=np.float64).tofile(path)
     view = np.asarray(np.memmap(path, dtype=np.float64, mode="r")[4096:])
@@ -293,11 +307,13 @@ def test_codec_refuses_a_region_its_file_no_longer_holds(tmp_path):
     with pytest.raises(EngineError, match=f"{path}: bytes 32768..65536 .* 65535"):
         codec.decode(short)
     assert _shm_listing() == before
+    assert codec.arena().live() == 0
     os.unlink(path)
     gone = codec.encode(DataBuffer(0, payload=[copied, view, copied]))
     with pytest.raises(EngineError, match=f"{path}: file is gone"):
         codec.decode(gone)
     assert _shm_listing() == before
+    assert codec.arena().live() == 0
 
 
 def test_codec_maps_a_replaced_file_again(tmp_path):
@@ -322,3 +338,71 @@ def test_codec_with_maps_pickles_for_spawned_workers(mapped_path):
     clone = pickle.loads(pickle.dumps(codec))
     decoded, _lease = clone.decode(codec.encode(DataBuffer(0, payload=view)))
     np.testing.assert_array_equal(decoded.payload, view)
+
+
+# -- arenas --------------------------------------------------------------------
+
+
+def test_encode_that_cannot_pickle_takes_nothing():
+    """A payload that fails to pickle part-way, after a large array, leaves
+    nothing placed and nothing under /dev/shm."""
+    codec = BufferCodec()
+    before = _shm_listing()
+    payload = {"a": np.zeros(100_000, dtype=np.float32), "b": threading.Lock()}
+    with pytest.raises(TypeError):
+        codec.encode(DataBuffer(400_000, payload=payload))
+    assert _shm_listing() == before
+    assert codec.arena().live() == 0
+
+
+def test_arena_reuses_freed_space_first_fit():
+    arena = Arena()
+    a, b, c = (arena.place(n) for n in (100, 4096, 64))
+    assert [e[2] for e in (a, b, c)] == [0, 128, 4224]
+    arena.give_back(b)
+    assert arena.place(1000)[2] == 128  # the first hole that fits
+    assert arena.place(4000)[2] == 4288  # too big for what is left of it
+    assert arena.high_water == 4288 + 4032
+    assert arena.live() == 4
+
+
+def test_full_arena_waits_for_a_give_back(monkeypatch):
+    monkeypatch.setattr(buffer_module, "ARENA_BYTES", 3 * 4096)
+    codec = BufferCodec(shm_threshold=64)
+    held = [codec.encode(DataBuffer(0, payload=np.full(512, float(i)))) for i in range(3)]
+    placed = []
+    sender = threading.Thread(
+        target=lambda: placed.append(codec.encode(DataBuffer(0, payload=np.ones(512)))),
+        daemon=True,
+    )
+    sender.start()
+    sender.join(0.2)
+    assert sender.is_alive() and not placed  # the arena is full
+    decoded, lease = codec.decode(held[1])
+    assert decoded.payload[0] == 1.0
+    lease.release()
+    sender.join(10.0)
+    assert not sender.is_alive()
+    assert placed[0].extent[2] == held[1].extent[2]
+    assert codec.arena().high_water == 3 * 4096
+
+
+def test_payload_larger_than_the_arena_is_refused(monkeypatch):
+    monkeypatch.setattr(buffer_module, "ARENA_BYTES", 4096)
+    codec = BufferCodec(shm_threshold=64)
+    with pytest.raises(EngineError, match="payload of 8000 bytes exceeds the 4096-byte arena"):
+        codec.encode(DataBuffer(0, payload=np.ones(1000)))
+    assert codec.arena().live() == 0
+
+
+def test_an_arena_does_not_cross_a_pickle():
+    import pickle
+
+    codec = BufferCodec(shm_threshold=64)
+    encoded = codec.encode(DataBuffer(0, payload=np.ones(512)))
+    clone = pickle.loads(pickle.dumps(codec))
+    assert clone.arena() is not codec.arena()
+    assert clone.arena().live() == 0
+    with pytest.raises(TypeError):
+        pickle.dumps(codec.arena())
+    codec.release_encoded(encoded)

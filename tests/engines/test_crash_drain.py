@@ -1,13 +1,14 @@
-"""Crash-path lifecycle: no shared-memory segment outlives a failed run.
+"""Crash-path lifecycle: no extent or segment outlives a failed run.
 
 Every drain path — a consumer that raises, a consumer that dies without
 cleanup, a producer abandoned mid-send — must acknowledge discarded
-envelopes (so DD windows upstream keep moving) *and* release their
-shared-memory segments.  These tests inject each failure with payloads
-large enough to take the shared-memory path and assert ``/dev/shm`` is
-back to its pre-run state afterwards.  The filter-raises cases run on both
-real engines (one runtime, two transports), each under a hard join timeout:
-a hang is a failure, not a stalled suite.
+envelopes (so DD windows upstream keep moving) *and* give their arena
+extents back.  These tests inject each failure with payloads large enough
+to go out of band and assert two ledgers afterwards: every arena's record
+table is empty, and ``/dev/shm`` is back to its pre-run state.  The
+filter-raises cases run on both real engines (one runtime, two
+transports), each under a hard join timeout: a hang is a failure, not a
+stalled suite.
 """
 
 import multiprocessing
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
-from repro.core.buffer import BufferCodec
+from repro.core.buffer import Arena, BufferCodec
 from repro.core.fuse import fuse
 from repro.core.policies import make_policy_factory
 from repro.engines import ProcessEngine, ThreadedEngine, process
@@ -85,6 +86,29 @@ def shm_ledger():
     return leaked
 
 
+@pytest.fixture
+def arena_ledger(monkeypatch):
+    """Records every arena made in this process from here on (the engines
+    make them before forking); yields a closure returning ``{owner: live
+    extents}`` for those that still hold one (``.arenas`` lists them all).
+    The record table lives in the shared mapping, so forked owners'
+    ledgers read here too."""
+    made = []
+    init = Arena.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Arena, "__init__", recording)
+
+    def leaked():
+        return {a.owner: n for a in made if (n := a.live())}
+
+    leaked.arenas = made
+    return leaked
+
+
 def _crash_graph(sink_factory, count=10):
     g = FilterGraph()
     g.add_filter(
@@ -127,7 +151,7 @@ both_engines = pytest.mark.parametrize(
 
 
 @both_engines
-def test_consumer_exception_releases_segments(engine_cls, shm_ledger):
+def test_consumer_exception_releases_segments(engine_cls, shm_ledger, arena_ledger):
     """A consumer that raises drains its input, acking and releasing — and
     the lease of the buffer it was handling is released too."""
 
@@ -142,11 +166,14 @@ def test_consumer_exception_releases_segments(engine_cls, shm_ledger):
     )
     _run_expecting_failure(engine, "boom")
     assert not shm_ledger()
+    assert not arena_ledger()
 
 
 @both_engines
 @pytest.mark.parametrize("hook", ["flush", "finalize", "result"])
-def test_failure_after_input_closed_does_not_hang(engine_cls, hook, shm_ledger):
+def test_failure_after_input_closed_does_not_hang(
+    engine_cls, hook, shm_ledger, arena_ledger
+):
     """A non-source filter raising once its input is closed ends the run.
 
     Its share of the stream is already closed — the STOP it would drain to
@@ -167,12 +194,13 @@ def test_failure_after_input_closed_does_not_hang(engine_cls, hook, shm_ledger):
     assert metrics.stream_totals("src->sink")[0] == 10
     assert metrics.filter_buffers_in("sink") == 10
     assert not shm_ledger()
+    assert not arena_ledger()
 
 
 @both_engines
 @pytest.mark.parametrize("hook", ["handle", "flush"])
 def test_fused_inner_part_failure_names_the_fused_copy(
-    engine_cls, hook, shm_ledger
+    engine_cls, hook, shm_ledger, arena_ledger
 ):
     """A part raising inside a fused stage fails that stage's copy.
 
@@ -204,10 +232,42 @@ def test_fused_inner_part_failure_names_the_fused_copy(
     exc = _run_expecting_failure(engine, f"inner {hook} exploded")
     assert "mid@h0#0 cycle 0" in str(exc)
     assert not shm_ledger()
+    assert not arena_ledger()
 
 
 @both_engines
-def test_build_failure_releases_segments(engine_cls, shm_ledger):
+def test_write_whose_encode_raises_fails_the_cycle(
+    engine_cls, shm_ledger, arena_ledger
+):
+    """A payload that cannot pickle fails its copy's cycle, by name.
+
+    Its large array comes first, so the pickler meets the lock after it
+    has set the array aside: nothing may have been placed for it, and the
+    buffer sent before it still reaches the sink and is given back.
+    """
+
+    class UnpicklableSource(Filter):
+        def flush(self, ctx):
+            ctx.write(DataBuffer(8, payload=np.ones(4096)))
+            payload = {"a": np.zeros(100_000, np.float32), "b": threading.Lock()}
+            ctx.write(DataBuffer(400_000, payload=payload))
+
+    g = FilterGraph()
+    g.add_filter("src", factory=UnpicklableSource, is_source=True)
+    g.add_filter("sink", factory=ArraySumSink)
+    g.connect("src", "sink")
+    p = Placement().place("src", ["h0"]).place("sink", ["h0"])
+    engine = engine_cls(g, p, policy="DD", codec=BufferCodec(shm_threshold=1024))
+    exc = _run_expecting_failure(engine, "src@h0#0 cycle 0")
+    assert "cannot pickle" in str(exc)
+    (metrics,) = exc.metrics
+    assert metrics.result == 4096.0
+    assert not shm_ledger()
+    assert not arena_ledger()
+
+
+@both_engines
+def test_build_failure_releases_segments(engine_cls, shm_ledger, arena_ledger):
     """A copy whose factory raises still drains (and frees) its input."""
 
     def broken_factory():
@@ -220,10 +280,11 @@ def test_build_failure_releases_segments(engine_cls, shm_ledger):
     )
     _run_expecting_failure(engine, "no such dataset")
     assert not shm_ledger()
+    assert not arena_ledger()
 
 
 @both_engines
-def test_producer_death_with_consumer_blocked_on_dd_window(engine_cls, shm_ledger):
+def test_producer_death_with_consumer_blocked_on_dd_window(engine_cls, shm_ledger, arena_ledger):
     """The source dies while the middle copy sits blocked on a full window.
 
     ``mid`` forwards into a slow sink through DD window 1, so it is blocked
@@ -261,6 +322,7 @@ def test_producer_death_with_consumer_blocked_on_dd_window(engine_cls, shm_ledge
     (metrics,) = exc.metrics
     assert metrics.result == sum(float(i) * 4096 for i in range(8))
     assert not shm_ledger()
+    assert not arena_ledger()
 
 
 class MappedSource(Filter):
@@ -343,7 +405,7 @@ def _mapped_graph(path):
     "fault, complaint", [("gone", "file is gone"), ("short", "file has 180224")]
 )
 def test_damaged_mapped_file_fails_the_cycle(
-    engine_cls, fault, complaint, mapped_file, shm_ledger
+    engine_cls, fault, complaint, mapped_file, shm_ledger, arena_ledger
 ):
     """A file region that cannot be mapped fails the cycle, by exception.
 
@@ -361,6 +423,7 @@ def test_damaged_mapped_file_fails_the_cycle(
     good = engine.run_cycles([None])[0]
     assert good.result == total
     assert not shm_ledger()
+    assert not arena_ledger()
 
     engine = engine_cls(
         g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
@@ -372,10 +435,11 @@ def test_damaged_mapped_file_fails_the_cycle(
     assert complaint in str(exc)
     assert "sink@h0#0 cycle 0" in str(exc)
     assert not shm_ledger()
+    assert not arena_ledger()
 
 
 @pytest.mark.parametrize("fault", ["gone", "short"])
-def test_damaged_mapped_file_breaks_the_warm_pool(fault, mapped_file, shm_ledger):
+def test_damaged_mapped_file_breaks_the_warm_pool(fault, mapped_file, shm_ledger, arena_ledger):
     """On a warm pool the failed query names the file, copy and cycle, the
     pool is retired (its copies may hold mappings of damaged storage), and
     a rebuilt pool answers the next query exactly."""
@@ -400,6 +464,7 @@ def test_damaged_mapped_file_breaks_the_warm_pool(fault, mapped_file, shm_ledger
     with WarmPool(g, p, policy="DD", codec=codec, queue_capacity=2) as rebuilt:
         assert rebuilt.submit(None).result(timeout=60.0).result == total
     assert not shm_ledger()
+    assert not arena_ledger()
 
 
 forked_parents = pytest.mark.parametrize("engine_cls", [ProcessEngine, WarmPool])
@@ -411,7 +476,7 @@ def _close(engine):
 
 
 @forked_parents
-def test_consumer_hard_crash_releases_segments(engine_cls, shm_ledger):
+def test_consumer_hard_crash_releases_segments(engine_cls, shm_ledger, arena_ledger):
     """A consumer dying without cleanup leaves the parent to drain.
 
     The producer keeps sending into the dead copy set — blocked on the
@@ -440,6 +505,7 @@ def test_consumer_hard_crash_releases_segments(engine_cls, shm_ledger):
     finally:
         _close(engine)
     assert not shm_ledger()
+    assert not arena_ledger()
 
 
 @forked_parents
@@ -511,7 +577,7 @@ def test_idle_sibling_killed_does_not_hang(engine_cls, tmp_path, monkeypatch):
         _close(engine)
 
 
-def test_abandoned_send_releases_encoded_payload(shm_ledger):
+def test_abandoned_send_releases_encoded_payload(shm_ledger, arena_ledger):
     """Writer.send releases the already-encoded segment when it raises."""
 
     class ExplodingPolicy:
@@ -543,6 +609,7 @@ def test_abandoned_send_releases_encoded_payload(shm_ledger):
     with pytest.raises(RuntimeError, match="routing failed"):
         writer.send(DataBuffer(arr.nbytes, payload=arr))
     assert not shm_ledger()
+    assert not arena_ledger()
 
 
 def test_resource_tracker_clean_at_exit():

@@ -377,9 +377,13 @@ def test_cache_keys_are_those_of_the_in_memory_scene():
     assert frame_key("sig", query) == "50b20c13ef30fdc95b62b060"
 
 
-def test_read_to_extract_stream_creates_no_segment(tmp_path, monkeypatch):
-    """Chunks over the codec's threshold reach Extract as file regions: the
-    only segments a query creates carry triangles and framebuffer slabs."""
+def test_served_query_creates_no_segment(tmp_path, monkeypatch):
+    """No stream of a served query creates a shared-memory segment.
+
+    Chunks over the codec's threshold reach Extract as file regions, so the
+    Read copies place nothing; triangles and framebuffer slabs go through
+    the Extract and Raster copies' arenas, mapped before the pool forked.
+    """
     from multiprocessing import shared_memory
 
     log = tmp_path / "segments.log"
@@ -399,11 +403,12 @@ def test_read_to_extract_stream_creates_no_segment(tmp_path, monkeypatch):
         seed=7, isovalue=0.35,
     )
     service = _service(
-        scenes=[scene], config="R-E-Ra-M", algorithm="zbuffer", width=64,
-        height=64,
+        scenes=[scene], config="R-E-Ra-M", algorithm="zbuffer", width=128,
+        height=128,
     )
     try:
         response = service.render({"isovalue": 0.3})
+        arenas = service.stats()["pools"][scene.name]["arenas"]
         store, profile, _storage = service._scene_assets(scene)
         chunk_sizes = {c.nbytes for c in profile.chunks}
         kept = _kept(store, profile, 0.3, timestep=0)
@@ -411,12 +416,49 @@ def test_read_to_extract_stream_creates_no_segment(tmp_path, monkeypatch):
         service.close()
     assert min(chunk_sizes) >= 64 * 1024  # the R->E buffers are out-of-band
     assert response["streams"]["R->E"][0] == len(kept) > 1
-    created = [int(line) for line in log.read_text().split()]
-    assert created, "the triangle and slab streams still use segments"
-    assert not chunk_sizes & set(created)
-    assert len(created) <= (
-        response["streams"]["E->Ra"][0] + response["streams"]["Ra->M"][0]
+    assert log.read_text() == ""
+    placed = {label.split("@")[0]: 0 for label in arenas}
+    for label, arena in arenas.items():
+        placed[label.split("@")[0]] += arena["high_water"]
+    assert sorted(placed) == ["E", "R", "Ra"]
+    assert placed["R"] == 0 < placed["E"]
+    assert placed["Ra"] >= 2 * 128 * 128 * 4  # a slab each: its depths
+
+
+def test_served_s129_query_stays_within_the_arena_bound():
+    """The measured scene's queries place what ``ARENA_BYTES`` says they may.
+
+    Its comment bounds one slot at 11 payloads of 2 MiB: a served S129
+    query keeps every copy's high-water mark inside that, each Raster copy
+    places exactly one 512² slab (depths and colours), and Read places
+    nothing — its chunks travel as file regions.
+    """
+    from repro.core.buffer import ARENA_BYTES
+
+    scene = SceneSpec(
+        "S129", grid=129, timesteps=1, species=1, nchunks=64, nfiles=8, seed=7,
+        isovalue=0.35,
     )
+    service = _service(
+        scenes=[scene], config="R-E-Ra-M", algorithm="zbuffer", width=512,
+        height=512, max_inflight=2,
+    )
+    try:
+        for isovalue, azimuth in ((0.3, 30.0), (0.45, 200.0)):
+            view = {"azimuth": azimuth, "elevation": 20.0}
+            service.render({"isovalue": isovalue, "view": view})
+        arenas = service.stats()["pools"][scene.name]["arenas"]
+    finally:
+        service.close()
+    per_slot = 2 * 2**20 * (8 * 1 + 2 + 1)
+    assert ARENA_BYTES == 2 * per_slot
+    by_stage = {}
+    for label, arena in arenas.items():
+        assert arena["capacity"] == ARENA_BYTES
+        by_stage.setdefault(label.split("@")[0], []).append(arena["high_water"])
+    assert set(by_stage["R"]) == {0}
+    assert by_stage["Ra"] == [512 * 512 * 7] * 2
+    assert 0 < max(by_stage["E"]) <= per_slot
 
 
 # -- the front-end keeps none of the store mapped ------------------------------
