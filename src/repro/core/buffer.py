@@ -32,8 +32,9 @@ import mmap
 import os
 import pickle
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -98,18 +99,19 @@ ARENA_BYTES = 2 * 2**20 * (8 * 1 + 2 + 1) * 2
 #: Extents one arena can hold at once (one record each in its table).
 _RECORDS = 128
 #: Header words ahead of the record table: the last extent id handed out,
-#: the high-water mark in bytes, and how many placers wait for a give-back.
+#: the high-water mark in bytes, and how many waiters sleep on the bell.
 _NEXT, _HIGH, _WAITING = 0, 1, 2
 _HEAD_WORDS = 3
-#: Offset of the first payload byte: header and table, page-aligned.
-_DATA = 8192
+#: Header word of the first ack counter: right after the record table.
+_ACKS = _HEAD_WORDS + 3 * _RECORDS
 #: Alignment of every extent and of every array inside one.
 _ALIGN = 64
-#: Seconds a give-back waits for the arena lock.  The lock is held for
-#: microseconds; one that cannot be had died with a copy killed inside an
-#: update, and the arena is then lost with that copy anyway.
+#: Seconds a give-back or an ack waits for the arena lock.  The lock is held
+#: for microseconds; one that cannot be had died with a copy killed inside
+#: an update, and the arena is then lost with that copy anyway.
 _LOCK_BOUND = 1.0
 
+T = TypeVar("T")
 #: One placed buffer's space: (record, extent id, byte offset, byte count).
 Extent = tuple[int, int, int, int]
 #: An array placed in an arena: (byte offset, shape, dtype string).
@@ -127,37 +129,60 @@ def _aligned(nbytes: int) -> int:
 
 
 class Arena:
-    """One producing copy's payload space: an anonymous ``MAP_SHARED`` mapping.
+    """One producing copy's back-channel: an anonymous ``MAP_SHARED`` mapping.
 
     The engines make one per producing copy before the copies fork, so every
-    copy inherits every arena at the same addresses.  The owner places each
-    encoded buffer's arrays in one extent (:meth:`place`); whoever decodes or
-    discards the buffer gives it back (:meth:`give_back`).  Both go through
-    ``lock`` and a record table that lives in the mapping itself, so the lock
-    orders a consumer's reads of an extent before the owner reuses its bytes,
-    and any process — the parent included — can read the ledger
-    (:meth:`live`).  The owner reuses freed space first-fit from offset 0;
-    while no hole fits it waits on ``bell``, which a give-back rings.
+    copy inherits every arena at the same addresses.  It carries everything
+    a consumer answers its producer with.  The owner places each encoded
+    buffer's arrays in one extent (:meth:`place`); whoever decodes or
+    discards the buffer gives it back (:meth:`give_back`).  A consumer
+    acknowledges a buffer by counting up one of ``acks`` — ``counters``
+    words the engines lay out per (slot, output stream, target copy set) —
+    with :meth:`acknowledge`.  Both answers go through ``lock`` and the
+    header that lives in the mapping itself, so the lock orders a
+    consumer's reads of an extent before the owner reuses its bytes, and
+    any process — the parent included — can read the ledger (:meth:`live`).
+    Both ring ``bell``, and the owner waits for either in one loop
+    (:meth:`wait`): for a hole (first fit from offset 0) or for window room.
 
     ``lock`` and ``bell`` default to thread primitives (copies that share a
     process); forked copies get ``multiprocessing`` ones.  An arena does not
     pickle: its bytes are shared by inheritance only.
     """
 
-    def __init__(self, owner: int = 0, lock: Any = None, bell: Any = None) -> None:
+    def __init__(
+        self, owner: int = 0, lock: Any = None, bell: Any = None, counters: int = 0
+    ) -> None:
         self.owner = owner
         self.capacity = ARENA_BYTES
+        words = _ACKS + counters
+        #: Offset of the first payload byte: the header, page-aligned.
+        self._data = -(-8 * words // mmap.PAGESIZE) * mmap.PAGESIZE
         # Anonymous and MAP_SHARED (mmap's default flags): zero-filled, so
         # the header starts empty, and shared with every later fork.
-        self.mapping = mmap.mmap(-1, _DATA + self.capacity)
-        words = np.ndarray(
-            (_HEAD_WORDS + 3 * _RECORDS,), np.int64, buffer=self.mapping
-        )
-        self._head = words[:_HEAD_WORDS]
+        self.mapping = mmap.mmap(-1, self._data + self.capacity)
+        head = np.ndarray((words,), np.int64, buffer=self.mapping)
+        self._head = head[:_HEAD_WORDS]
         #: Per record: (extent id or 0 when free, byte offset, byte count).
-        self._table = words[_HEAD_WORDS:].reshape(_RECORDS, 3)
+        self._table = head[_HEAD_WORDS:_ACKS].reshape(_RECORDS, 3)
+        #: Acknowledgments counted so far, one word per counter; they only grow.
+        self.acks = head[_ACKS:]
         self._lock = lock if lock is not None else threading.Lock()
         self._bell = bell if bell is not None else threading.Semaphore(0)
+
+    def wait(self, attempt: Callable[[], "T | None"]) -> tuple[T, bool]:
+        """Run ``attempt`` under the lock until it returns something (owner
+        side), sleeping on the bell in between; also says whether it slept."""
+        waited = False
+        while True:
+            with self._lock:
+                got = attempt()
+                if got is None:
+                    self._head[_WAITING] += 1
+            if got is not None:
+                return got, waited
+            self._bell.acquire()
+            waited = True
 
     def place(self, nbytes: int) -> Extent:
         """Take an extent of ``nbytes`` (owner side); waits while none fits."""
@@ -167,14 +192,8 @@ class Arena:
                 f"a payload of {nbytes} bytes exceeds the "
                 f"{self.capacity}-byte arena"
             )
-        while True:
-            with self._lock:
-                extent = self._fit(size)
-                if extent is None:
-                    self._head[_WAITING] += 1
-            if extent is not None:
-                return extent
-            self._bell.acquire()
+        extent, _ = self.wait(lambda: self._fit(size))
+        return extent
 
     def _fit(self, size: int) -> "Extent | None":
         """First fit from offset 0 and a free record, or ``None``."""
@@ -196,14 +215,30 @@ class Arena:
     def give_back(self, extent: Extent) -> None:
         """Return an extent to its owner; a second give-back is a no-op."""
         record, xid = extent[0], extent[1]
-        if not self._lock.acquire(timeout=_LOCK_BOUND):
-            return
-        waiting = 0
-        try:
+
+        def free() -> None:
             if self._table[record, 0] == xid:
                 self._table[record, 0] = 0
-                waiting = int(self._head[_WAITING])
-                self._head[_WAITING] = 0
+
+        self._answer(free)
+
+    def acknowledge(self, counter: int) -> None:
+        """Count one acknowledgment on ``counter`` (consumer side)."""
+
+        def count() -> None:
+            self.acks[counter] += 1
+
+        self._answer(count)
+
+    def _answer(self, update: Callable[[], None]) -> None:
+        """Apply a consumer's ``update`` under the lock and ring the bell for
+        every waiter.  The acquire is bounded: see ``_LOCK_BOUND``."""
+        if not self._lock.acquire(timeout=_LOCK_BOUND):
+            return
+        try:
+            update()
+            waiting = int(self._head[_WAITING])
+            self._head[_WAITING] = 0
         finally:
             self._lock.release()
         for _ in range(waiting):
@@ -212,7 +247,7 @@ class Arena:
     def view(self, offset: int, shape: tuple[int, ...], dtype: str) -> np.ndarray:
         """The array at byte ``offset`` of the payload space."""
         return np.ndarray(
-            shape, np.dtype(dtype), buffer=self.mapping, offset=_DATA + offset
+            shape, np.dtype(dtype), buffer=self.mapping, offset=self._data + offset
         )
 
     def live(self) -> int:

@@ -18,7 +18,8 @@ work and flush), ``flush``, ``finish``, ``discard`` and ``announce`` — and fiv
 
 ==============  ==============================================================
 ``blocked``     a writer stalled on full DD windows, inside a send
-``acked``       a producer's send-to-acknowledgment round trip
+``acked``       a send-to-acknowledgment round trip, recorded by the
+                consumer under the producer's label
 ``analysis``    a static-verifier WARNING, an instant at run start
                 (detail: ``rule-id: message``)
 ``cache_hit``   a serve-layer cache lookup that hit, an instant (copy
@@ -48,7 +49,7 @@ from typing import IO, Any
 __all__ = ["EVENT_KINDS", "TraceEvent", "QueueSample", "Tracer"]
 
 #: Every record kind: the ten effects of the work cycle, then the records
-#: no driver sees (``blocked`` inside a send, ``acked`` at the producer),
+#: that are no effect (``blocked`` inside a send, ``acked`` inside an ack),
 #: the verifier's ``analysis`` warnings and the serve layer's cache lookups.
 EVENT_KINDS = frozenset(
     {"init", "produce", "recv", "ack", "work", "send", "flush", "finish",

@@ -68,8 +68,7 @@ class WarmPool(ProcessEngine):
     ``__init__`` returns); ``submit`` enqueues one unit of work and
     ``run``/``run_cycles`` provide the blocking batch API on top.  Use as a
     context manager or call :meth:`close` — the workers are daemonic, but
-    an explicit close delivers queued DD acks and joins the ack threads
-    before the processes exit.
+    an explicit close lets every pending query finish before they exit.
 
     Additional parameter over the process engine:
 

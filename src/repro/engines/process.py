@@ -18,19 +18,16 @@ its units of work arriving over the control queues (so they must pickle).
 - **copy-set queues** are bounded ``multiprocessing.Queue`` objects shared
   by all copies of a filter on one "host"; end-of-work markers are counted
   in a cross-process shared counter;
-- **writer policies** (RR / WRR / DD) run unchanged inside each
-  producer process; DD acknowledgments travel *back* over a per-copy
-  control queue (``multiprocessing.SimpleQueue``) and are applied by an
-  ack-drain thread inside the producer, which also wakes writers blocked on
-  full windows;
-- **payloads** cross process boundaries through the shared
-  :class:`repro.core.buffer.BufferCodec`: large NumPy arrays are copied
-  into the producing copy's :class:`~repro.core.buffer.Arena` — one
-  anonymous shared mapping per producing copy, made by the parent before
-  the fork — and read in place by the consumer, which gives the extent
-  back after ``handle``; only a small pickle header and an extent
-  descriptor travel through the pipe, and no named shared-memory object
-  (nor the resource tracker that watches them) exists;
+- **one back-channel per producer**: each producing copy has an
+  :class:`~repro.core.buffer.Arena`, one anonymous shared mapping made by
+  the parent before the fork.  Large NumPy arrays are copied into it by
+  the shared :class:`repro.core.buffer.BufferCodec` and read in place by
+  the consumer, which gives the extent back after ``handle``; a DD
+  acknowledgment is a counter the consumer counts up in it, read by the
+  producer's writers before they route.  Only a small pickle header and
+  an extent descriptor travel through the pipe, and no named
+  shared-memory object (nor the resource tracker that watches them)
+  exists;
 - **observability** feeds the same :class:`~repro.core.tracing.Tracer` /
   :class:`~repro.core.instrument.RunMetrics` layer: every worker records
   spans and counters locally and ships them to the parent per cycle,
@@ -248,9 +245,8 @@ class ForkedCopies:
         """Queue ``STOP`` behind the last cycle; wait until the world is gone.
 
         Close-while-busy is graceful: new submits are rejected first, every
-        pending query runs to completion, and each worker delivers its
-        queued DD acks (FIFO ``STOP`` through the ack queue) and joins its
-        ack thread before exiting — while the parent is still collecting.
+        pending query runs to completion, and each worker leaves on the
+        ``STOP`` behind its last cycle while the parent is still collecting.
         Idempotent; concurrent callers block until shutdown finishes.
         """
         with self.submit_lock:

@@ -14,17 +14,19 @@ The paper's filter-stream protocol is written here exactly once:
   enqueues an end-of-work marker behind its own data, and the consumer that
   pulls the final marker stops its siblings;
 - **writers** (:class:`Writer`) run the RR / WRR / DD policies on the
-  producer side, block while every window is full and are woken by
-  acknowledgments;
+  producer side and block while every window is full; a consumer
+  acknowledges by counting up a counter in the producer's arena, which
+  wakes them;
 - **one copy** (:func:`run_copy`) builds its filter once and runs a cycle per
   item of whatever iterator the engine feeds it, performing every effect by
   blocking: the threaded engine passes the units of work it was given,
   forked copies read a generator over their control queue;
 - **one plan** (:func:`copy_plan`) numbers the copies of every engine,
   **one world** (:class:`World`) lays out the real engines' copy sets x
-  slots and ack channels, and **one folder** (:func:`fold_cycle`,
-  :func:`merge_trace`, :func:`fold_batch`) turns the copies' reports into
-  :class:`~repro.core.instrument.RunMetrics` and a merged trace.
+  slots and each producing copy's arena, and **one folder**
+  (:func:`fold_cycle`, :func:`merge_trace`, :func:`fold_batch`) turns the
+  copies' reports into :class:`~repro.core.instrument.RunMetrics` and a
+  merged trace.
 
 What differs between the real engines is a :class:`Transport` — the
 primitives a world is built from — and the parent side: threads are just
@@ -74,10 +76,6 @@ _EOW = "__repro_eow_marker__"
 #: One unit of work as a copy sees it: (cycle number, slot of the cycle ring,
 #: unit-of-work descriptor, trace limit or ``None`` for an untraced cycle).
 Cycle = tuple[int, int, Any, "int | None"]
-#: cycle -> stream -> writer, one table per producing copy.
-WriterTable = dict[int, dict[str, "Writer"]]
-#: An acknowledgment on its way back: (cycle, stream, target index, sent_at).
-AckMessage = tuple[int, str, int, float]
 
 
 # -- transports ---------------------------------------------------------------
@@ -96,26 +94,9 @@ class Transport(Protocol):
     def lock(self) -> Any:
         """A mutual-exclusion context manager shared by every copy."""
 
-    def ack_channel(self) -> Any:
-        """Something consumers ``put`` an :data:`AckMessage` on."""
-
-    def serve_acks(self, channel: Any, writers: WriterTable) -> Callable[[], None]:
-        """Deliver ``channel``'s acks to ``writers``; returns the stop call."""
-
-    def arena(self, owner: int) -> Arena:
-        """Copy ``owner``'s payload arena, shared by every copy."""
-
-
-def _deliver_ack(writers: WriterTable, msg: AckMessage) -> None:
-    """Apply one acknowledgment to the writer that sent the buffer.
-
-    Acks for a cycle whose writers are gone (finished batch cycle, recycled
-    pool slot) are dropped harmlessly.
-    """
-    k, stream, target_index, sent_at = msg
-    writer = writers.get(k, {}).get(stream)
-    if writer is not None:
-        writer.deliver_ack(target_index, sent_at)
+    def arena(self, owner: int, counters: int) -> Arena:
+        """Copy ``owner``'s arena with ``counters`` ack counters, shared by
+        every copy."""
 
 
 class _Counter:
@@ -124,22 +105,11 @@ class _Counter:
     value = 0
 
 
-class _DirectAcks:
-    """The thread transport's ack channel: the consumer applies the ack."""
-
-    def __init__(self) -> None:
-        self.writers: WriterTable = {}
-
-    def put(self, msg: AckMessage) -> None:
-        _deliver_ack(self.writers, msg)
-
-
 class ThreadTransport:
     """Copies are threads of this process: nothing needs to be serialised.
 
     Payloads travel by reference unless a codec is given (which proves a
-    pipeline codec-clean before it moves to processes), and a consumer
-    acknowledges by calling the producer's writer directly.
+    pipeline codec-clean before it moves to processes).
     """
 
     def __init__(self, codec: "BufferCodec | None") -> None:
@@ -154,23 +124,14 @@ class ThreadTransport:
     def lock(self) -> Any:
         return threading.Lock()
 
-    def ack_channel(self) -> Any:
-        return _DirectAcks()
-
-    def serve_acks(self, channel: Any, writers: WriterTable) -> Callable[[], None]:
-        channel.writers = writers
-        return lambda: None
-
-    def arena(self, owner: int) -> Arena:
-        return Arena(owner)
+    def arena(self, owner: int, counters: int) -> Arena:
+        return Arena(owner, counters=counters)
 
 
 class ProcessTransport:
     """Copies are forked processes: everything shared is a ``multiprocessing``
-    primitive, payloads cross through the codec (large arrays in the
-    producer's arena, mapped before the fork, under a small pickled header)
-    and acknowledgments travel back over a per-producer ``SimpleQueue``
-    drained by a thread in the producer.
+    primitive and payloads cross through the codec (large arrays in the
+    producer's arena, mapped before the fork, under a small pickled header).
     """
 
     def __init__(self, mp_ctx: Any, codec: BufferCodec) -> None:
@@ -186,30 +147,8 @@ class ProcessTransport:
     def lock(self) -> Any:
         return self.mp_ctx.Lock()
 
-    def ack_channel(self) -> Any:
-        return self.mp_ctx.SimpleQueue()
-
-    def serve_acks(self, channel: Any, writers: WriterTable) -> Callable[[], None]:
-        def loop() -> None:
-            while True:
-                msg = channel.get()
-                if msg == STOP:
-                    break
-                _deliver_ack(writers, msg)
-
-        thread = threading.Thread(target=loop, daemon=True)
-        thread.start()
-
-        def stop() -> None:
-            # FIFO sentinel: acks already queued still get delivered (and
-            # traced) before the drain thread stops.
-            channel.put(STOP)
-            thread.join()
-
-        return stop
-
-    def arena(self, owner: int) -> Arena:
-        return Arena(owner, self.mp_ctx.Lock(), self.mp_ctx.Semaphore(0))
+    def arena(self, owner: int, counters: int) -> Arena:
+        return Arena(owner, self.mp_ctx.Lock(), self.mp_ctx.Semaphore(0), counters)
 
 
 # -- the wire -----------------------------------------------------------------
@@ -248,13 +187,14 @@ class Envelope:
             setattr(self, slot, value)
 
 
-def _acknowledge(wire: Envelope, acks: list[Any]) -> bool:
-    """Send ``wire``'s acknowledgment to its producer; False if none is due
-    (filters whose outputs need no acks have no channel)."""
-    channel = acks[wire.producer]
-    if not wire.needs_ack or channel is None:
+def _acknowledge(wire: Envelope, world: "World") -> bool:
+    """Count ``wire``'s acknowledgment up in its producer's arena; False if
+    none is due."""
+    if not wire.needs_ack:
         return False
-    channel.put((wire.cycle, wire.stream, wire.target_index, wire.sent_at))
+    world.arena(wire.producer).acknowledge(
+        world.ack_counter(wire.producer, wire.cycle, wire.stream) + wire.target_index
+    )
     return True
 
 
@@ -266,7 +206,7 @@ def discard(wire: Envelope, world: "World") -> None:
     envelope's arena extent from its owner.  The ack reopens DD windows so
     producers blocked on the abandoned consumer wake up and finish.
     """
-    _acknowledge(wire, world.acks)
+    _acknowledge(wire, world)
     codec = world.transport.codec
     if codec is not None:
         codec.release_encoded(wire.payload, world.arena_of(wire.payload))
@@ -357,9 +297,11 @@ class CopySetQueue:
 class Writer:
     """Producer-side router for one (copy, cycle, stream) triple.
 
-    Acknowledgments arrive through :meth:`deliver_ack`, called by whatever
-    the transport's ack path is: the consumer itself (threads) or the owning
-    process's ack-drain thread.
+    Its consumers acknowledge by counting up its counters in the producing
+    copy's ``arena``, one per target copy set from index ``acks_at``; before
+    it routes, the writer turns each counter's increase since its last look
+    into as many ``policy.on_ack`` calls.  Without an arena (a writer on its
+    own) it makes one.
     """
 
     def __init__(
@@ -376,6 +318,7 @@ class Writer:
         cycle: int,
         stream: str,
         arena: "Arena | None" = None,
+        acks_at: int = 0,
     ) -> None:
         self.policy = policy
         self.copyset_queues = copyset_queues
@@ -383,7 +326,6 @@ class Writer:
         self.clock = clock
         self.tracer = tracer
         self.codec = codec
-        self.arena = arena  # the producing copy's (None: the codec's own)
         self.producer_cid = producer_cid
         self.cycle = cycle
         self.stream = stream
@@ -392,11 +334,31 @@ class Writer:
             for i, (h, q) in enumerate(zip(hosts, copyset_queues))
         ]
         policy.bind(self.targets)
-        self._cond = threading.Condition()
+        self.arena = (
+            arena if arena is not None
+            else Arena(producer_cid, counters=len(self.targets))
+        )
+        self._acks = self.arena.acks[acks_at:acks_at + len(self.targets)]
+        # Every ack of the slot's earlier cycles landed before this cycle
+        # was handed out, so these counters hold still until it sends.
+        self._seen: list[int] = self._acks.tolist()
+
+    def _route(self) -> "Target | None":
+        """Apply the acks counted since the last look, then route one buffer
+        (under the arena lock); ``None`` while every window is full."""
+        acked: list[int] = self._acks.tolist()
+        for target, now, seen in zip(self.targets, acked, self._seen):
+            for _ in range(now - seen):
+                self.policy.on_ack(target)
+        self._seen = acked
+        target = self.policy.select()
+        if target is not None:
+            self.policy.on_sent(target)
+        return target
 
     def send(self, buffer: DataBuffer) -> Target:
         """Encode and route one buffer; blocks while the copy's arena or
-        every DD window is full."""
+        every DD window is full — one wait, on the arena's bell."""
         payload: Any = buffer
         if self.codec is not None:
             try:
@@ -406,19 +368,10 @@ class Writer:
                     f"{self.label} cycle {self.cycle} stream {self.stream!r}: {exc}"
                 ) from None
         try:
-            with self._cond:
-                target = self.policy.select()
-                if target is None:
-                    # All windows full: the writer stalls until an ack returns.
-                    t0 = self.clock() if self.tracer else 0.0
-                    while target is None:
-                        self._cond.wait()
-                        target = self.policy.select()
-                    if self.tracer:
-                        self.tracer.record(
-                            t0, self.label, "blocked", end=self.clock()
-                        )
-                self.policy.on_sent(target)
+            t0 = self.clock() if self.tracer else 0.0
+            target, stalled = self.arena.wait(self._route)
+            if stalled and self.tracer:
+                self.tracer.record(t0, self.label, "blocked", end=self.clock())
             needs_ack = self.policy.needs_ack
             envelope = Envelope(
                 self.cycle, self.stream, self.producer_cid,
@@ -435,14 +388,6 @@ class Writer:
                 self.codec.release_encoded(payload, self.arena)
             raise
         return target
-
-    def deliver_ack(self, target_index: int, sent_at: float) -> None:
-        """Apply a consumer acknowledgment and wake blocked senders."""
-        with self._cond:
-            self.policy.on_ack(self.targets[target_index])
-            self._cond.notify_all()
-        if self.tracer:
-            self.tracer.record(sent_at, self.label, "acked", end=self.clock())
 
 
 # -- the world ----------------------------------------------------------------
@@ -483,10 +428,10 @@ class World:
     ``copysets[filter][set_idx][slot]`` holds one :class:`CopySetQueue` per
     (filter, host, slot); a batch run uses one slot per cycle so cycles
     pipeline without barriers, the warm pool a ring of ``max_inflight``.
-    ``plan`` numbers the copies (:func:`copy_plan`), ``acks`` holds
-    one ack channel per producing copy whose writers need them and
-    ``arenas`` one payload arena per producing copy when a codec places
-    arrays out of band — made here, before any fork.  ``clock``
+    ``plan`` numbers the copies (:func:`copy_plan`) and ``arenas`` holds one
+    arena per producing copy — made here, before any fork — with its
+    payload space and one ack counter per (slot, output stream, target copy
+    set), the layout :meth:`ack_counter` reads.  ``clock``
     is wall seconds since the world was built, on ``perf_counter`` —
     CLOCK_MONOTONIC on Linux, shared by all forked workers, so every copy's
     timestamps are directly comparable.
@@ -515,27 +460,42 @@ class World:
                 for cs in sets
             ]
             self.hosts[name] = [cs.host for cs in sets]
-        needs_ack = policy().needs_ack
         self.plan = copy_plan(graph, placement)
-        self.acks: list[Any] = [
-            transport.ack_channel() if needs_ack and copy.spec.outputs else None
-            for copy in self.plan
-        ]
-        codec = transport.codec
+        #: Per copy: its output streams' first counters in slot 0, and the
+        #: counters of one slot.
+        self._ack_layout: list[tuple[dict[str, int], int]] = []
+        for copy in self.plan:
+            first: dict[str, int] = {}
+            per_slot = 0
+            for st in copy.spec.outputs:
+                first[st.name] = per_slot
+                per_slot += len(self.hosts[st.dst])
+            self._ack_layout.append((first, per_slot))
         self.arenas: list["Arena | None"] = [
-            transport.arena(copy.cid)
-            if codec is not None and codec.use_shared_memory and copy.spec.outputs
-            else None
-            for copy in self.plan
+            transport.arena(copy.cid, nslots * per_slot) if copy.spec.outputs else None
+            for copy, (_, per_slot) in zip(self.plan, self._ack_layout)
         ]
         self.t_start = time.perf_counter()
 
     def clock(self) -> float:
         return time.perf_counter() - self.t_start
 
+    def arena(self, cid: int) -> Arena:
+        """Producing copy ``cid``'s arena."""
+        arena = self.arenas[cid]
+        assert arena is not None, f"{self.plan[cid].label} sends nothing"
+        return arena
+
     def arena_of(self, payload: EncodedBuffer) -> "Arena | None":
         """The arena holding ``payload``'s extent, if it has one."""
         return None if payload.extent is None else self.arenas[payload.owner]
+
+    def ack_counter(self, cid: int, cycle: int, stream: str) -> int:
+        """Index, in copy ``cid``'s arena, of the ack counter for cycle
+        ``cycle``'s ``stream`` to its first target copy set; the others
+        follow in target order.  Cycle ``k`` runs in slot ``k % nslots``."""
+        first, per_slot = self._ack_layout[cid]
+        return cycle % self.nslots * per_slot + first[stream]
 
     def queues(self, slot: "int | None" = None) -> Iterator[CopySetQueue]:
         """Every copy-set queue of one slot (default: of every slot)."""
@@ -710,7 +670,6 @@ def _blocking(
     uow: Any,
     instance: Filter,
     tracer: "Tracer | None",
-    writers_by_cycle: WriterTable,
     report: CycleReport,
 ) -> dict[str, Callable[[Any], Any]]:
     """Every effect of one cycle, performed by blocking (threads, forks).
@@ -744,10 +703,18 @@ def _blocking(
                 host, world.policy(),
                 [sets[slot] for sets in world.copysets[st.dst]], world.hosts[st.dst],
                 label, clock, tracer, codec, copy.cid, k, st.name,
-                world.arenas[copy.cid],
+                world.arena(copy.cid), world.ack_counter(copy.cid, k, st.name),
             )
-        writers_by_cycle[k] = writers
         instance.init(ctx)
+
+    def ack(wire: Envelope) -> bool:
+        # The consumer closes the round trip, so it traces it, under the
+        # producer's label.
+        sent = _acknowledge(wire, world)
+        if sent and tracer:
+            producer = world.plan[wire.producer].label
+            tracer.record(wire.sent_at, producer, "acked", end=clock())
+        return sent
 
     def work(wire: Envelope) -> tuple[DataBuffer, ...]:
         buffer: DataBuffer = wire.payload
@@ -801,7 +768,7 @@ def _blocking(
         INIT: init,
         PRODUCE: lambda _: None,  # a real source writes from its flush
         RECV: recv,
-        ACK: lambda wire: _acknowledge(wire, world.acks),
+        ACK: ack,
         WORK: work,
         FLUSH: flush,
         FINISH: finish,
@@ -822,13 +789,6 @@ def run_copy(
     engine, a blocking generator over the control queue for forked copies —
     and ``emit`` ships each cycle's report to whoever folds them.
     """
-    writers_by_cycle: WriterTable = {}
-    channel = world.acks[copy.cid]
-    stop_acks = (
-        world.transport.serve_acks(channel, writers_by_cycle)
-        if channel is not None
-        else None
-    )
     instance: Filter = _Unbuilt(f"filter {copy.spec.name!r} failed to build")
     try:
         if copy.spec.factory is not None:  # engines check at construction
@@ -846,23 +806,14 @@ def run_copy(
         report = CycleReport(copy.cid, k)
         _trampoline(
             execute_cycle(copy, k, report, world.clock),
-            _blocking(
-                world, copy, k, slot, uow, instance, tracer, writers_by_cycle,
-                report,
-            ),
+            _blocking(world, copy, k, slot, uow, instance, tracer, report),
             tracer, copy.label, world.clock,
         )
-        # Writers older than the slot ring can no longer receive acks that
-        # matter; prune so a long-lived copy stays bounded.
-        for old in [c for c in writers_by_cycle if c <= k - world.nslots]:
-            del writers_by_cycle[old]
         if tracer is not None:
             report.events = tracer.events
             report.queue_samples = tracer.queue_samples
             report.dropped = tracer.dropped
         emit(report)
-    if stop_acks is not None:
-        stop_acks()
 
 
 # -- folding reports ----------------------------------------------------------

@@ -3,7 +3,7 @@
 Each transparent copy becomes a Python thread running the shared work-cycle
 runtime (:mod:`repro.engines.runtime`) over the thread transport: bounded
 ``queue.Queue`` copy-set queues, payloads by reference, DD acknowledgments
-applied by the consumer directly on the producer's writer.  Placement host
+counted in the producer's arena as on forked copies.  Placement host
 names are treated as labels — all threads run in this process — so the same
 graph/placement objects drive every engine.
 

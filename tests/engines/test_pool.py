@@ -158,21 +158,18 @@ def test_close_while_busy_finishes_inflight_queries():
         pool.submit(None)
 
 
-def test_ack_drain_shutdown_ordering():
-    """DD acks queued at close time are delivered before workers say bye.
-
-    Repeated open/close cycles with in-flight DD traffic would hang (or
-    strand ack threads) if the FIFO close protocol mis-ordered the ack
-    sentinel against the worker's pending acks.
-    """
+def test_close_with_dd_traffic_in_flight_completes_every_query():
+    """A close that finds DD traffic in flight lets every pending query
+    finish, its acks counted, before the workers leave; repeated open/close
+    cycles never hang, and close() is idempotent."""
     for _ in range(3):
         pool = build_pool(policy="DD", max_inflight=2)
         pendings = [pool.submit(None) for _ in range(3)]
-        metrics = [p.result() for p in pendings]
-        assert all(m.ack_messages > 0 for m in metrics)
         pool.close()
         assert not pool.usable
-    # close() is idempotent.
+        metrics = [p.result(timeout=0) for p in pendings]
+        assert all(m.result == EXPECTED for m in metrics)
+        assert all(m.ack_messages > 0 for m in metrics)
     pool.close()
 
 

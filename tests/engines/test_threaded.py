@@ -230,13 +230,13 @@ def test_run_cycles_validate_and_finish_times():
         assert all(c.finished_at > 0.0 for c in metrics.copies)
 
 
-def test_close_protocol_and_direct_acks_under_thread_contention():
+def test_close_protocol_and_dd_acks_under_thread_contention():
     """Many more copies than cores, a tiny switch interval, several cycles.
 
-    The thread transport's end-of-work counter and the consumer-applied DD
-    acks are shared between copy threads: a lost marker count or a lost
-    wake-up shows as a hang (caught by the join timeout), a lost buffer as a
-    wrong sum or a failed conservation check.
+    The thread transport's end-of-work counter and the DD ack counters in
+    the producers' arenas are shared between copy threads: a lost marker
+    count or a lost wake-up shows as a hang (caught by the join timeout), a
+    lost buffer as a wrong sum or a failed conservation check.
     """
     import sys
     import threading
