@@ -89,9 +89,10 @@ class DataBuffer:
 #: placing — 11 payloads, 22 MiB per slot, 44 MiB for the two slots ``repro
 #: serve`` runs.  Only touched pages cost memory, and first-fit from offset 0
 #: keeps those at the in-flight high-water mark.  Measured on S129 (129³
-#: points, 512² frames, R-E-Ra-M, two copies per stage): one query peaks at
-#: 0.9-1.3 MB in an Extract copy and at one slab, 1.75 MiB, in a Raster
-#: copy; 48 distinct queries from two clients at 2.0-2.6 MiB and 1.75 MiB.
+#: points, 512² frames, R-E-Ra-M, two copies per stage) with
+#: ``WarmPool.stats()["arenas"]``: 48 distinct queries from two clients
+#: peak at 1.2-1.6 MiB in an Extract copy (indexed meshes) and at one
+#: slab, 1.75 MiB, in a Raster copy.
 #: A fuller arena makes the sender wait for give-backs; one payload larger
 #: than the whole arena fails its cycle.
 ARENA_BYTES = 2 * 2**20 * (8 * 1 + 2 + 1) * 2

@@ -144,20 +144,31 @@ class Camera:
         return self.project_and_cull(triangles)[0]
 
     def project_and_cull(
-        self, triangles: np.ndarray
+        self, triangles: np.ndarray, faces: "np.ndarray | None" = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Like :meth:`project_triangles`, also returning kept indices.
 
         The indices select the surviving rows of the input, letting callers
-        subset per-triangle attributes (colours) consistently.
+        subset per-triangle attributes (colours) consistently.  Given
+        ``faces`` (N, 3), ``triangles`` is an indexed mesh's (V, 3)
+        vertices: each is projected once and the screen triangles are
+        gathered through ``faces``.  A soup is the mesh whose faces are
+        ``0 .. 3N-1``, so it needs no gather.  A row projects to the same
+        bits wherever it sits among two or more rows, so a mesh gives its
+        soup's bits; one row alone may not (NumPy's one-row product takes
+        another BLAS path), and a mesh from Extract has at least three.
         """
-        tris = np.asarray(triangles, dtype=np.float64)
-        if tris.size == 0:
+        points = np.asarray(triangles, dtype=np.float64).reshape(-1, 3)
+        if (len(points) if faces is None else len(faces)) == 0:
             return (
                 np.empty((0, 3, 3), dtype=np.float64),
                 np.empty(0, dtype=np.int64),
             )
-        screen = self._screen(tris.reshape(-1, 3)).reshape(-1, 3, 3)
+        screen = self._screen(points)
+        if faces is None:
+            screen = screen.reshape(-1, 3, 3)
+        else:
+            screen = np.take(screen, faces, axis=0)
         xs, ys, zs = screen[:, :, 0], screen[:, :, 1], screen[:, :, 2]
         # Vertex extremes as binary folds (a reduction along an axis of
         # length 3 costs ~15x as much).  They propagate NaN, so a NaN

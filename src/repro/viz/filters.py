@@ -25,7 +25,7 @@ from repro.data.storage import StorageMap
 from repro.errors import DataError, EngineError
 from repro.viz.active_pixel import ActivePixelMerger, ActivePixelRaster, WPABuffer
 from repro.viz.camera import Camera
-from repro.viz.marching_cubes import extract_triangles, range_excludes
+from repro.viz.marching_cubes import extract_mesh, range_excludes
 from repro.viz.raster import ZBuffer, ZBufferSlab
 from repro.viz.shading import DeferredShading
 
@@ -45,7 +45,10 @@ __all__ = [
     "chunks_needed",
 ]
 
-#: Wire size of one triangle: 3 vertices x (x, y, z) float32.
+#: Logical wire size of one triangle: 3 vertices x (x, y, z) float32, as the
+#: paper ships them and as the simulator charges them.  E sends an indexed
+#: mesh, whose physical payload is smaller; ``DataBuffer.nbytes`` counts
+#: this size, so every engine accounts a stream's bytes alike.
 TRIANGLE_BYTES = 36
 
 #: Default z-buffer merge-stream buffer: entries per slab (2 MiB buffers at
@@ -63,9 +66,24 @@ class ChunkPayload:
 
 @dataclass
 class TrianglePayload:
-    """World-space triangles: the E -> Ra stream payload."""
+    """World-space triangles as an indexed mesh: the E -> Ra stream payload.
 
-    triangles: np.ndarray  # (N, 3, 3) float32
+    ``TrianglePayload(soup)`` of an (N, 3, 3) array is the mesh whose faces
+    are ``0 .. 3N-1``.
+    """
+
+    vertices: np.ndarray  # (V, 3) float32
+    faces: "np.ndarray | None" = None  # (N, 3) int32 rows of vertices
+
+    def __post_init__(self) -> None:
+        if self.faces is None:
+            self.vertices = self.vertices.reshape(-1, 3)
+            self.faces = np.arange(len(self.vertices), dtype=np.int32).reshape(-1, 3)
+
+    @property
+    def triangles(self) -> np.ndarray:
+        """The (N, 3, 3) triangle soup."""
+        return np.take(self.vertices, self.faces, axis=0)
 
 
 @dataclass
@@ -185,17 +203,17 @@ class ExtractFilter(Filter):
     def handle(self, ctx: FilterContext, buffer: DataBuffer) -> None:
         """Process one input buffer (see Filter.handle)."""
         payload: ChunkPayload = buffer.payload
-        tris = extract_triangles(
+        vertices, faces = extract_mesh(
             payload.scalars,
             _uow_get(ctx, "isovalue", self.isovalue),
             origin=_chunk_world_origin(payload.chunk),
         )
-        if len(tris) == 0:
+        if len(faces) == 0:
             return
         ctx.write(
             DataBuffer(
-                len(tris) * TRIANGLE_BYTES,
-                TrianglePayload(tris),
+                len(faces) * TRIANGLE_BYTES,
+                TrianglePayload(vertices, faces),
                 tags=dict(buffer.tags),
             )
         )
@@ -229,12 +247,14 @@ class _RasterBase(Filter):
             )
         self._active_camera = camera
 
-    def _screen_and_colors(self, tris: np.ndarray):
-        # The rasterisers read colours only at the triangles that win a
-        # pixel; shading is per row, so those are shaded there, with the
-        # bits of shading every kept row.
-        screen, kept = self._active_camera.project_and_cull(tris)
-        return screen, DeferredShading(tris, kept, self.light_direction)
+    def _screen_and_colors(self, mesh: TrianglePayload):
+        # Each vertex is projected once.  The rasterisers read colours only
+        # at the triangles that win a pixel; shading is per row, so those
+        # are shaded there, with the bits of shading every kept row.
+        screen, kept = self._active_camera.project_and_cull(mesh.vertices, mesh.faces)
+        return screen, DeferredShading(
+            mesh.vertices, kept, self.light_direction, faces=mesh.faces
+        )
 
 
 class RasterZFilter(_RasterBase):
@@ -254,7 +274,7 @@ class RasterZFilter(_RasterBase):
     def handle(self, ctx: FilterContext, buffer: DataBuffer) -> None:
         """Process one input buffer (see Filter.handle)."""
         payload: TrianglePayload = buffer.payload
-        screen, colors = self._screen_and_colors(payload.triangles)
+        screen, colors = self._screen_and_colors(payload)
         self._zbuf.rasterize(screen, colors)
         self._buffers += 1
 
@@ -303,7 +323,7 @@ class RasterAPFilter(_RasterBase):
     def handle(self, ctx: FilterContext, buffer: DataBuffer) -> None:
         """Process one input buffer (see Filter.handle)."""
         payload: TrianglePayload = buffer.payload
-        screen, colors = self._screen_and_colors(payload.triangles)
+        screen, colors = self._screen_and_colors(payload)
         for wpa in self._raster.process(screen, colors):
             ctx.write(DataBuffer(wpa.nbytes, wpa))
 

@@ -23,8 +23,8 @@ import numpy as np
 from repro.errors import DataError
 
 __all__ = [
-    "extract_triangles", "triangle_count", "range_excludes", "TRI_TABLE",
-    "CORNER_OFFSETS",
+    "extract_mesh", "extract_triangles", "triangle_count", "range_excludes",
+    "TRI_TABLE", "CORNER_OFFSETS",
 ]
 
 #: (8, 3) integer offsets of cube corners, columns (x, y, z).
@@ -117,7 +117,7 @@ _EDGES_PER_CONFIG = np.array([len(e) for e in _CUT_EDGES], dtype=np.int64)
 _EDGE_START = np.cumsum(_EDGES_PER_CONFIG) - _EDGES_PER_CONFIG
 _CONFIG_START = np.cumsum(_TRIS_PER_CONFIG) - _TRIS_PER_CONFIG
 
-#: Cubes interpolated per pass of :func:`extract_triangles`.  A cube has
+#: Cubes interpolated per pass of :func:`extract_mesh`.  A cube has
 #: 7.3 cut edges and 5.8 triangles on average, and a pass holds about a
 #: dozen temporaries per edge and per triangle vertex (~2.5 KB per cube),
 #: so blocks keep them at ~2 MB whatever the chunk yields — serve
@@ -182,7 +182,7 @@ def extract_triangles(
     origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> np.ndarray:
-    """Extract the isosurface of a scalar grid.
+    """Extract the isosurface of a scalar grid as a triangle soup.
 
     Parameters
     ----------
@@ -197,10 +197,31 @@ def extract_triangles(
     Returns
     -------
     (N, 3, 3) float32 array: N triangles, 3 vertices, (x, y, z) world
-    coordinates.  Every vertex lies on a cube/tetrahedron edge where linear
+    coordinates — the faces of :func:`extract_mesh` gathered from its
+    vertices.
+    """
+    return np.take(*extract_mesh(scalars, isovalue, origin, spacing), axis=0)
+
+
+def extract_mesh(
+    scalars: np.ndarray,
+    isovalue: float,
+    origin: tuple[float, float, float] = (0.0, 0.0, 0.0),
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extract the isosurface of a scalar grid as an indexed mesh.
+
+    Parameters as for :func:`extract_triangles`.
+
+    Returns
+    -------
+    ``(vertices, faces)``: (V, 3) float32 world (x, y, z) positions, one per
+    cut edge of each cube, and (N, 3) int32 rows into them, three per
+    triangle.  Every vertex lies on a cube/tetrahedron edge where linear
     interpolation of the endpoint scalars equals ``isovalue``; each cut
     edge of a cube is interpolated once, and the cube's triangles that
-    share it take the same vertex.
+    share it take the same vertex.  Every vertex belongs to a face, so
+    ``3 <= V <= 3N`` whenever ``N >= 1``.
     """
     scalars = np.asarray(scalars, dtype=np.float32)
     cfg = _cube_configs(scalars, isovalue).reshape(-1)
@@ -216,6 +237,8 @@ def extract_triangles(
     corner0 = np.stack([ax, ay, az], axis=-1)  # (M, 3): cube origins as (x, y, z)
     per_cube = _TRIS_PER_CONFIG[cfg]
     first = np.cumsum(per_cube) - per_cube  # first output triangle per cube
+    edges = _EDGES_PER_CONFIG[cfg]
+    first_edge = np.cumsum(edges) - edges  # first output vertex per cube
 
     # Scalars are gathered through flat grid-point indices.
     flat = scalars.reshape(-1)
@@ -226,7 +249,8 @@ def extract_triangles(
     corner0 = corner0.astype(np.float64)  # exact, like every offset below
     origin = np.asarray(origin, dtype=np.float64)
     spacing = np.asarray(spacing, dtype=np.float64)
-    out = np.empty((int(per_cube.sum()), 3, 3), dtype=np.float32)
+    vertices = np.empty((int(edges.sum()), 3), dtype=np.float32)
+    faces = np.empty((int(per_cube.sum()), 3), dtype=np.int32)
     for lo in range(0, len(cfg), _BLOCK_CUBES):
         cubes = slice(lo, lo + _BLOCK_CUBES)
         # Every cut edge of the block's cubes, once per cube: (E,).
@@ -239,13 +263,15 @@ def extract_triangles(
         t = (isovalue - s_a) / (s_b - s_a)  # in (0, 1]; s_a > iso >= s_b
         # Rows are gathered with np.take, ~3x as fast as fancy indexing.
         pa = np.take(corner0[cubes], edge_cube, axis=0) + np.take(_EDGE_FROM, edge, axis=0)
-        vertex = origin + (pa + t[:, None] * np.take(_EDGE_STEP, edge, axis=0)) * spacing
+        at = first_edge[lo]
+        vertices[at : at + len(edge)] = (
+            origin + (pa + t[:, None] * np.take(_EDGE_STEP, edge, axis=0)) * spacing
+        )
         # Each triangle takes its three vertices from its cube's edges.
         tri_cube, row, _ = _table_rows(cfg[cubes], _TRIS_PER_CONFIG, _CONFIG_START)
         slot = edge_first[tri_cube, None] + np.take(_VERTEX_SLOT, row, axis=0)
-        at = first[lo]
-        out[at : at + len(row)] = np.take(vertex, slot, axis=0)
-    return out
+        faces[first[lo] : first[lo] + len(row)] = slot + at
+    return vertices, faces
 
 
 def _table_rows(

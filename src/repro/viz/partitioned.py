@@ -13,9 +13,10 @@ can be measured (``benchmarks/test_ablation_image_partition.py``):
 - the source stage is ``fuse(R, E, route)``: the route part sends each
   triangle to every strip its projection overlaps (a triangle spanning a
   boundary is drawn by both owners; each keeps only its own columns, so
-  the assembled image is exact), writing owner ``o``'s triangles to output
-  stream ``o``.  It projects with the rasters' camera: the unit of work's
-  ``camera`` when it names one, as for the raster part;
+  the assembled image is exact), writing Extract's vertices and the faces
+  of owner ``o``'s triangles to output stream ``o``.  It projects with the
+  rasters' camera: the unit of work's ``camera`` when it names one, as for
+  the raster part;
 - each owner is its own sink ``Ra<o>``, the ordinary raster part fed by
   its own stream ``RE->Ra<o>``, so every engine delivers a strip's
   triangles by stream name under any writer policy.  There is no Merge.
@@ -35,7 +36,7 @@ from repro.core.fuse import StageModel, Unit, fuse, fuse_models
 from repro.core.graph import FilterGraph
 from repro.data.storage import StorageMap
 from repro.errors import ConfigurationError
-from repro.viz.camera import Camera
+from repro.viz.camera import Camera, fold_vertices
 from repro.viz.filters import (
     TRIANGLE_BYTES,
     ExtractFilter,
@@ -99,23 +100,23 @@ class StripRouteFilter(Filter):
 
     def handle(self, ctx: FilterContext, buffer: DataBuffer) -> None:
         """Process one input buffer (see Filter.handle)."""
-        tris = buffer.payload.triangles
-        screen, kept = self._active_camera.project_and_cull(tris)
-        world = tris[kept]
-        if len(world) == 0:
+        mesh: TrianglePayload = buffer.payload
+        screen, kept = self._active_camera.project_and_cull(mesh.vertices, mesh.faces)
+        if len(kept) == 0:
             return
-        xmin = screen[:, :, 0].min(axis=1)
-        xmax = screen[:, :, 0].max(axis=1)
+        faces = np.take(mesh.faces, kept, axis=0)
+        xmin = fold_vertices(np.minimum, screen[:, :, 0])
+        xmax = fold_vertices(np.maximum, screen[:, :, 0])
         strips = zip(ctx.output_streams, self.bounds, self.bounds[1:])
         for stream, x0, x1 in strips:
             overlap = (xmax >= x0) & (xmin < x1)
             if not overlap.any():
                 continue
-            subset = world[overlap]
+            subset = faces[overlap]
             ctx.write(
                 DataBuffer(
                     len(subset) * TRIANGLE_BYTES,
-                    TrianglePayload(subset),
+                    TrianglePayload(mesh.vertices, subset),
                     tags=dict(buffer.tags),
                 ),
                 stream,

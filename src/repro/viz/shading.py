@@ -75,12 +75,16 @@ class DeferredShading:
     Parameters
     ----------
     triangles:
-        World-space triangles (M, 3, 3).
+        World-space triangles (M, 3, 3), or with ``faces`` the (V, 3)
+        vertices of an indexed mesh.
     rows:
-        The (N,) rows of ``triangles`` that colours ``0 .. N-1`` belong to
-        (the cull's kept indices).
+        The (N,) rows of ``triangles`` (of ``faces``) that colours
+        ``0 .. N-1`` belong to (the cull's kept indices).
     light_direction:
         As for :func:`shade_triangles`.
+    faces:
+        The mesh's (M, 3) vertex rows, one row per triangle: the winners'
+        world triangles are gathered through them.
     """
 
     def __init__(
@@ -88,14 +92,21 @@ class DeferredShading:
         triangles: np.ndarray,
         rows: np.ndarray,
         light_direction: tuple[float, float, float] = (0.4, -0.5, 0.8),
+        faces: "np.ndarray | None" = None,
     ):
         self._triangles = triangles
         self._rows = rows
         self._light = light_direction
+        self._faces = faces
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __getitem__(self, index: np.ndarray) -> np.ndarray:
-        picked = np.take(self._triangles, self._rows[index], axis=0)
+        rows = self._rows[index]
+        if self._faces is None:
+            picked = np.take(self._triangles, rows, axis=0)
+        else:
+            corners = np.take(self._faces, rows, axis=0)
+            picked = np.take(self._triangles, corners, axis=0)
         return shade_triangles(picked, light_direction=self._light)
