@@ -1,13 +1,15 @@
 #!/usr/bin/env python
-"""Deep-lint targets: the four isosurface configurations and the strip
-pipeline, as lint inputs.
+"""Deep-lint targets: the four isosurface configurations, the strip
+pipeline and the ADR baseline, as lint inputs.
 
 Exposes :func:`targets`, a zero-arg builder returning one ``(graph,
 placement)`` pair per IsosurfaceApp configuration (R-E-Ra-M, RE-Ra-M,
 R-ERa-M, RERa-M) on a small synthetic dataset profile, plus the
 image-partitioned strip pipeline (two strip-owning raster sinks, each
-fed by its own stream, no Merge).  CI runs the engine gate over all five — the pipeline
-verifier every engine constructor runs — with::
+fed by its own stream, no Merge) and ADR on 2 Rogue + 2 Blue nodes (a
+partition owner per node, fed by one stream from every node).  CI runs
+the engine gate over all six — the pipeline verifier every engine
+constructor runs — with::
 
     PYTHONPATH=src:examples python -m repro.cli lint \\
         --graph-module deep_lint_targets:targets
@@ -16,8 +18,10 @@ The graphs are sim-only (no real dataset on disk is needed): the gate
 reads the declared metadata and runs nothing.
 """
 
+from repro.adr import ADRRuntime
 from repro.core.placement import Placement
 from repro.data import HostDisks, StorageMap
+from repro.sim import Environment, umd_testbed
 from repro.viz import CONFIGURATIONS as CONFIGS
 from repro.viz import IsosurfaceApp
 from repro.viz.partitioned import build_partitioned_graph
@@ -55,6 +59,16 @@ def strip_target():
     return graph, placement
 
 
+def adr_target():
+    """ADR over 2 Rogue + 2 Blue nodes of the testbed."""
+    cluster = umd_testbed(
+        Environment(), red_nodes=0, blue_nodes=2, rogue_nodes=2, deathstar=False
+    )
+    nodes = ["rogue0", "rogue1", "blue0", "blue1"]
+    adr = ADRRuntime(cluster, nodes, make_app().profile, width=32, height=32)
+    return adr.graph, adr.placement
+
+
 def targets():
     """(graph, placement) per target — the lint CLI's input shape."""
     app = make_app()
@@ -64,11 +78,11 @@ def targets():
             app.placement(config, compute_hosts=list(HOSTS)),
         )
         for config in CONFIGS
-    ] + [strip_target()]
+    ] + [strip_target(), adr_target()]
 
 
 if __name__ == "__main__":
-    for (graph, placement), name in zip(targets(), (*CONFIGS, "strips")):
+    for (graph, placement), name in zip(targets(), (*CONFIGS, "strips", "adr")):
         print(f"{name}: {len(graph.filters)} filters, "
               f"{len(graph.streams)} streams, "
               f"{len(placement.placed_filters())} placed")

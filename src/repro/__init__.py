@@ -13,7 +13,8 @@ The package provides:
   z-buffer and active-pixel rasterisation, merge);
 - :mod:`repro.data` — synthetic ParSSim-like datasets, Hilbert-curve
   declustering, and storage placement;
-- :mod:`repro.adr` — the Active Data Repository baseline;
+- :mod:`repro.adr` — the Active Data Repository baseline, a filter graph
+  and placement the simulated engine runs;
 - :mod:`repro.experiments` — generators for every table and figure in the
   paper's evaluation section, plus extension experiments;
 - :mod:`repro.cli` — the ``repro`` command-line interface.

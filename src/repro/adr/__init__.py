@@ -2,6 +2,6 @@
 rendering with overlapped asynchronous I/O (paper Section 4.2)."""
 
 from repro.adr.partition import static_partition, weighted_static_partition
-from repro.adr.runtime import ADRResult, ADRRuntime
+from repro.adr.graph import ADRResult, ADRRuntime
 
 __all__ = ["ADRResult", "ADRRuntime", "static_partition", "weighted_static_partition"]

@@ -406,10 +406,8 @@ class BufferCodec:
         Arrays of at least this many bytes go out of band; smaller ones
         (and object-dtype arrays) pickle inline in the header.  The
         default (64 KiB) keeps headers under a pipe write while moving
-        every scalar block / triangle array / z-buffer slab out of band.
-    use_shared_memory:
-        ``False`` pickles everything inline — useful for debugging; the
-        wire format is unchanged (no extent, ``mapped`` empty).
+        every scalar block / triangle array / z-buffer slab out of band; a
+        threshold above every array pickles everything inline.
 
     The codec holds no allocation state and may be shared by every copy of
     a run: ``encode`` places into the arena it is given — the sending
@@ -424,11 +422,10 @@ class BufferCodec:
     it and outlives the payload, and a view keeps its own mapping alive.
     """
 
-    def __init__(self, shm_threshold: int = 64 * 1024, use_shared_memory: bool = True):
+    def __init__(self, shm_threshold: int = 64 * 1024):
         if shm_threshold < 1:
             raise ValueError(f"shm_threshold must be >= 1, got {shm_threshold}")
         self.shm_threshold = shm_threshold
-        self.use_shared_memory = use_shared_memory
         #: path -> (st_dev, st_ino, whole-file read-only mapping)
         self._maps: dict[str, tuple[int, int, mmap.mmap]] = {}
         self._arena: "Arena | None" = None
@@ -446,9 +443,6 @@ class BufferCodec:
         arena raises :class:`~repro.errors.EngineError`.
         """
         fh = io.BytesIO()
-        if not self.use_shared_memory:
-            pickle.dump(buffer, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            return EncodedBuffer(fh.getvalue(), buffer.nbytes)
         pickler = _ArenaPickler(fh, self.shm_threshold)
         # The header pickles whole before anything is placed, so a payload
         # that cannot pickle has taken no space.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.adr.runtime import ADRRuntime
+from repro.adr import ADRRuntime
 from repro.data.storage import HostDisks, StorageMap
 from repro.experiments.common import ResultTable, mean, run_datacutter
 from repro.sim.cluster import umd_testbed

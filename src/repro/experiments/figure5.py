@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.adr.runtime import ADRRuntime
+from repro.adr import ADRRuntime
 from repro.core.instrument import RunMetrics
 from repro.data.storage import HostDisks, StorageMap
 from repro.experiments.common import ResultTable, mean, run_datacutter

@@ -52,7 +52,7 @@ def test_every_metadata_field_is_declared_by_a_shipped_graph(monkeypatch):
         if f.name not in STRUCTURAL
     }
     graphs = list(shipped_graphs())
-    assert len(graphs) == 8 + 1 + 5
+    assert len(graphs) == 8 + 1 + 6
     declared = {
         name
         for graph in graphs

@@ -119,7 +119,7 @@ def test_codec_nested_payload_objects():
 
 def test_codec_inline_mode_has_no_segments():
     arr = np.arange(30_000, dtype=np.float64)
-    codec = BufferCodec(use_shared_memory=False)
+    codec = BufferCodec(shm_threshold=1 << 20)  # above the array: all inline
     encoded, decoded, lease = round_trip(codec, DataBuffer(0, payload=arr))
     assert (encoded.extent, encoded.placed) == (None, ())
     np.testing.assert_array_equal(decoded.payload, arr)

@@ -132,7 +132,8 @@ def test_shared_memory_payload_round_trip():
 def test_inline_codec_matches_shared_memory():
     count = 10
     results = []
-    for codec in (BufferCodec(shm_threshold=64), BufferCodec(use_shared_memory=False)):
+    # A threshold above the largest payload pickles every array inline.
+    for codec in (BufferCodec(shm_threshold=64), BufferCodec(shm_threshold=1 << 20)):
         g = FilterGraph()
         g.add_filter("src", factory=lambda: ArraySource(count), is_source=True)
         g.add_filter("sink", factory=ArraySumSink)

@@ -369,8 +369,8 @@ def test_lint_reports_exactly_the_engine_gate(tmp_path, capsys, monkeypatch):
 def test_lint_deep_over_the_shipped_configurations(capsys, monkeypatch):
     """CI's step over ``deep_lint_targets``, output pinned.
 
-    The four configurations and the strip pipeline pass the engine gate
-    clean; the exit code is 0.
+    The four configurations, the strip pipeline and ADR pass the engine
+    gate clean; the exit code is 0.
     """
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "examples"))
