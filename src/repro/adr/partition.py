@@ -16,14 +16,6 @@ from repro.errors import ConfigurationError
 __all__ = ["static_partition", "weighted_static_partition"]
 
 
-def _hilbert_ordered(chunks: list[ChunkSpec]) -> list[ChunkSpec]:
-    max_coord = max(max(c.index) for c in chunks)
-    order = max(1, max_coord.bit_length())
-    if (1 << order) <= max_coord:  # pragma: no cover - defensive
-        order += 1
-    return sorted(chunks, key=lambda c: hilbert_index(c.index, order))
-
-
 def static_partition(
     chunks: list[ChunkSpec], nodes: list[str]
 ) -> dict[str, list[ChunkSpec]]:
@@ -31,15 +23,7 @@ def static_partition(
 
     Returns node -> chunk list; list lengths differ by at most one.
     """
-    if not nodes:
-        raise ConfigurationError("ADR partition needs at least one node")
-    if not chunks:
-        raise ConfigurationError("ADR partition needs at least one chunk")
-    ordered = _hilbert_ordered(chunks)
-    assignment: dict[str, list[ChunkSpec]] = {node: [] for node in nodes}
-    for pos, chunk in enumerate(ordered):
-        assignment[nodes[pos % len(nodes)]].append(chunk)
-    return assignment
+    return weighted_static_partition(chunks, nodes, [1.0] * len(nodes))
 
 
 def weighted_static_partition(
@@ -63,7 +47,8 @@ def weighted_static_partition(
     if any(w <= 0 for w in weights):
         raise ConfigurationError("weights must be > 0")
     total = float(sum(weights))
-    ordered = _hilbert_ordered(chunks)
+    order = max(1, max(max(c.index) for c in chunks).bit_length())
+    ordered = sorted(chunks, key=lambda c: hilbert_index(c.index, order))
     assignment: dict[str, list[ChunkSpec]] = {node: [] for node in nodes}
     # Largest-remainder apportionment over the Hilbert order: walk the
     # chunks once, always assigning to the node furthest behind its quota.

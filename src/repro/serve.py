@@ -26,8 +26,9 @@ line (stdlib only — no HTTP).  Requests::
      "view": {"azimuth": 60, "elevation": 30}, "trace": false}
     {"cmd": "ping"} | {"cmd": "stats"} | {"cmd": "shutdown"}
 
-``cmd`` defaults to ``"query"``, and a query names no other field: any
-other is a bad request that names it.  A query response carries the frame as a
+``cmd`` defaults to ``"query"``, and a query names no other field (a
+``view`` no other than its two, ``trace`` a boolean): any other is a bad
+request that names it.  A query response carries the frame as a
 base64 PPM (``frame_b64``), per-query latency, stream/ack totals and a
 ``warm`` flag (False when this query cold-built its pool).  A frame is
 encoded once, when it is rendered, so a miss's ``latency_s`` includes the
@@ -107,8 +108,10 @@ __all__ = [
 #: What a query's cache probes did so far: ``(tier, "hit" | "miss", bytes)``.
 _Events = list[tuple[str, str, int]]
 
-#: The fields a query request may name; the pipeline is the service's.
+#: The fields a query request and its ``view`` may name; the pipeline is
+#: the service's.
 _QUERY_FIELDS = ("cmd", "dataset", "isovalue", "timestep", "view", "trace")
+_VIEW_FIELDS = ("azimuth", "elevation")
 
 
 def ppm_bytes(image) -> bytes:
@@ -490,6 +493,14 @@ class QueryService:
                 f"view must be an object with azimuth/elevation, "
                 f"got {view!r}"
             )
+        unknown = [key for key in view or () if key not in _VIEW_FIELDS]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown view field {unknown[0]!r}: a view names only "
+                f"{', '.join(_VIEW_FIELDS)}"
+            )
+        if not isinstance(trace := request.get("trace", False), bool):
+            raise ConfigurationError(f"trace must be true or false, got {trace!r}")
         orbit = None
         if view:
             orbit = (

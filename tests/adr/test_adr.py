@@ -4,9 +4,10 @@ import pytest
 
 from repro.adr import ADRRuntime, static_partition
 from repro.data.chunks import partition_grid
+from repro.data.hilbert import hilbert_index
 from repro.errors import ConfigurationError
 from repro.sim import Environment, homogeneous_cluster
-from repro.viz.profile import DatasetProfile
+from repro.viz.profile import DatasetProfile, dataset_1p5gb, dataset_25gb
 
 
 def profile(nchunks=64, tris=20_000):
@@ -40,6 +41,19 @@ def test_static_partition_all_chunks_once():
     assignment = static_partition(chunks, ["a", "b"])
     ids = sorted(c.chunk_id for v in assignment.values() for c in v)
     assert ids == [c.chunk_id for c in chunks]
+
+
+@pytest.mark.parametrize("dataset", [dataset_25gb(0.02), dataset_1p5gb(0.05)])
+def test_static_partition_deals_the_hilbert_order_round_robin(dataset):
+    """Equal weights apportion exactly as dealing the Hilbert order in turn."""
+    order = max(1, max(max(c.index) for c in dataset.chunks).bit_length())
+    ordered = sorted(dataset.chunks, key=lambda c: hilbert_index(c.index, order))
+    for count in range(1, 17):
+        nodes = [f"n{i}" for i in range(count)]
+        assignment = static_partition(dataset.chunks, nodes)
+        assert [assignment[node] for node in nodes] == [
+            ordered[i::count] for i in range(count)
+        ]
 
 
 def test_static_partition_validation():

@@ -9,7 +9,9 @@ names a ``## n[letter].`` heading of DESIGN.md, every rule id or family
 backticked ``repro.<dotted>`` name imports: its longest importable prefix
 is a module and each name after it an attribute.  A retired sub-item is
 written ``(a) → done, ...`` (or ``→ item n``) in ROADMAP.md; that arrow is
-what this test reads.
+what this test reads.  The root documents also keep to a size: DESIGN,
+README and EXPERIMENTS to a byte budget, and each CHANGES entry to a
+short ledger.
 """
 
 import ast
@@ -20,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [
     ROOT / "DESIGN.md",
+    ROOT / "EXPERIMENTS.md",
     ROOT / "README.md",
     ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
     *sorted((ROOT / "src").rglob("*.py")),
@@ -175,3 +178,42 @@ def test_mentioned_repro_names_resolve():
         if not resolves(match.group(1))
     ]
     assert not dangling, "\n".join(dangling)
+
+
+#: Bytes each document may hold: a change that needs more room in one
+#: first says something once instead of twice.
+BUDGETS = {"DESIGN.md": 67740, "EXPERIMENTS.md": 16848, "README.md": 21357}
+#: A CHANGES entry is a ledger: its claim, verdict, numbers, check changes
+#: and open findings, not the design, which DESIGN holds.
+ENTRY_LINES, ENTRY_BYTES = 16, 2500
+ENTRY_HEAD = re.compile(r"^- (?:PR|ISSUE) \d+", re.MULTILINE)
+
+
+def changes_entries(text: str) -> "list[str]":
+    """The entries of CHANGES.md: each ``- PR n`` / ``- ISSUE n`` line and
+    every line after it up to the next such line."""
+    starts = [match.start() for match in ENTRY_HEAD.finditer(text)]
+    return [text[a:b].rstrip("\n") for a, b in zip(starts, [*starts[1:], len(text)])]
+
+
+def test_documents_keep_to_their_budgets():
+    over = [
+        f"{name}: {size} bytes, budget {budget}"
+        for name, budget in BUDGETS.items()
+        if (size := len((ROOT / name).read_bytes())) > budget
+    ]
+    assert not over, "\n".join(over)
+
+
+def test_every_changes_entry_is_a_short_ledger():
+    text = (ROOT / "CHANGES.md").read_text(encoding="utf-8")
+    entries = changes_entries(text)
+    heads = [line for line in text.splitlines() if line.startswith(("- PR ", "- ISSUE "))]
+    assert entries and len(entries) == len(heads), "CHANGES.md entries misparsed"
+    long = [
+        f"{entry.splitlines()[0][:60]}: {entry.count(chr(10)) + 1} lines, "
+        f"{len(entry.encode())} bytes"
+        for entry in entries
+        if entry.count("\n") + 1 > ENTRY_LINES or len(entry.encode()) > ENTRY_BYTES
+    ]
+    assert not long, "\n".join(long)

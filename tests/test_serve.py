@@ -155,6 +155,8 @@ def test_malformed_request_fields_get_error_responses(server):
         ({"timestep": "two"}, "timestep"),
         ({"view": "sideways"}, "view"),
         ({"view": {"azimuth": "east"}}, "view.azimuth"),
+        ({"view": {"azimut": 60}}, "'azimut'"),
+        ({"trace": "false"}, "trace"),
     ]
     for fields, needle in cases:
         response = _request(server, {"cmd": "query", **fields})
