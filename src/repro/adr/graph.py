@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.adr.partition import static_partition, weighted_static_partition
+from repro.adr.partition import weighted_static_partition
 from repro.core.buffer import DataBuffer
-from repro.core.filter import SimFilter
 from repro.core.fuse import StageModel, Unit, fuse_models
 from repro.core.graph import FilterGraph
 from repro.core.placement import Placement
@@ -131,7 +130,7 @@ class NodeZBufferModel(RasterZBModel):
 
 
 @dataclass
-class EndOfWorkModel(SimFilter):
+class EndOfWorkModel(StageModel):
     """``M<j>`` and ``G``: receive for free; at end-of-work price every
     z-buffer entry received at ``per_entry`` and send ``nbytes`` on in
     ``slab``-sized buffers."""
@@ -141,18 +140,24 @@ class EndOfWorkModel(SimFilter):
     slab: int
     received: int = 0
 
-    def cost(self, buffer: DataBuffer) -> float:
+    def unit_of(self, buffer: DataBuffer) -> Unit:
+        """A slab's unit: its bytes (see StageModel.unit_of)."""
+        return {"bytes": buffer.nbytes}
+
+    def step(self, unit: Unit, cost: float):
         """Receiving costs nothing; the merge is at end-of-work."""
-        self.received += buffer.nbytes
-        return 0.0
+        self.received += unit["bytes"]
+        return cost, None
 
-    def flush_cost(self) -> float:
-        """The end-of-work merge (or image extraction)."""
-        return self.received // ZBUFFER_ENTRY_BYTES * self.per_entry
+    def flush_step(self, cost: float):
+        """The end-of-work merge (or image extraction); the merged
+        partition flows on."""
+        cost += self.received // ZBUFFER_ENTRY_BYTES * self.per_entry
+        return cost, {"bytes": self.nbytes}
 
-    def flush_outputs(self) -> list[DataBuffer]:
-        """The merged partition, sent on."""
-        return _emit_stream_buffers(self.nbytes, self.slab)
+    def packets(self, unit: Unit) -> list[DataBuffer]:
+        """The merged partition in slabs (see StageModel.packets)."""
+        return _emit_stream_buffers(unit["bytes"], self.slab)
 
 
 class ADRRuntime:
@@ -189,11 +194,7 @@ class ADRRuntime:
             raise ConfigurationError(
                 f"timestep {timestep} outside [0, {profile.timesteps})"
             )
-        assignment = (
-            static_partition(profile.chunks, nodes)
-            if partition_weights is None
-            else weighted_static_partition(profile.chunks, nodes, partition_weights)
-        )
+        assignment = weighted_static_partition(profile.chunks, nodes, partition_weights)
         self.cluster, self.nodes, self.io_depth = cluster, list(nodes), io_depth
         costs = costs or CostParams()
         buffers = BufferSizes()

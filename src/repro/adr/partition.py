@@ -13,33 +13,29 @@ from repro.data.chunks import ChunkSpec
 from repro.data.hilbert import hilbert_index
 from repro.errors import ConfigurationError
 
-__all__ = ["static_partition", "weighted_static_partition"]
-
-
-def static_partition(
-    chunks: list[ChunkSpec], nodes: list[str]
-) -> dict[str, list[ChunkSpec]]:
-    """Deal chunks uniformly over ``nodes`` in Hilbert order.
-
-    Returns node -> chunk list; list lengths differ by at most one.
-    """
-    return weighted_static_partition(chunks, nodes, [1.0] * len(nodes))
+__all__ = ["weighted_static_partition"]
 
 
 def weighted_static_partition(
-    chunks: list[ChunkSpec], nodes: list[str], weights: list[float]
+    chunks: list[ChunkSpec],
+    nodes: list[str],
+    weights: list[float] | None = None,
 ) -> dict[str, list[ChunkSpec]]:
     """Deal chunks proportionally to per-node ``weights`` in Hilbert order.
 
-    An obvious repair to ADR's homogeneity assumption: if Blue nodes are
-    known to be faster than Rogue nodes, give them proportionally more
-    chunks.  This fixes *static, known* heterogeneity but remains a
+    Returns node -> chunk list.  With the default equal weights the chunks
+    are dealt uniformly (list lengths differ by at most one), as ADR
+    expects.  Other weights are an obvious repair to ADR's homogeneity
+    assumption: if Blue nodes are known to be faster than Rogue nodes,
+    give them proportionally more chunks.  This fixes *static, known* heterogeneity but remains a
     compile-time decision — it cannot react to background load, which is
     what the DataCutter policies exploit (see
     ``benchmarks/test_extension_weighted_adr.py``).
     """
     if not nodes:
         raise ConfigurationError("ADR partition needs at least one node")
+    if weights is None:
+        weights = [1.0] * len(nodes)
     if not chunks:
         raise ConfigurationError("ADR partition needs at least one chunk")
     if len(weights) != len(nodes):

@@ -21,8 +21,8 @@ enforces this — a rejected subgraph raises
 findings plus the E706
 (*cache-over-uncertified-subgraph*) diagnostic.  Cache keys start from
 :func:`subgraph_signature`, a digest of the members' **static**
-``FilterSpec`` metadata (dtype, nbytes, phase discipline, effects
-declaration, topology), so a key can never match across pipelines whose
+``FilterSpec`` metadata (source-ness, phase discipline, declared effects,
+stream topology), so a key can never match across pipelines whose
 declared semantics differ.
 
 The cache itself (:class:`ResultCache`) is a thread-safe, byte-budgeted

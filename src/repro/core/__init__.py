@@ -6,13 +6,7 @@ policies (RR / WRR / DD) routing buffers among copy sets.
 """
 
 from repro.core.buffer import DataBuffer, chunk_bytes
-from repro.core.filter import (
-    Filter,
-    FilterContext,
-    SimFilter,
-    SimSource,
-    SourceItem,
-)
+from repro.core.filter import Filter, FilterContext
 from repro.core.graph import FilterGraph, FilterSpec, StreamSpec
 from repro.core.instrument import CopyStats, RunMetrics, StreamStats
 from repro.core.negotiate import BufferBounds, declare_bounds, negotiate
@@ -44,9 +38,6 @@ __all__ = [
     "QueueSample",
     "RoundRobin",
     "RunMetrics",
-    "SimFilter",
-    "SimSource",
-    "SourceItem",
     "StreamSpec",
     "StreamStats",
     "Target",

@@ -1,33 +1,19 @@
-"""Filter interfaces: real filters and simulated filter models.
+"""Filter interface: a real component and the context it runs in.
 
-Two complementary contracts, mirroring the two execution engines:
-
-:class:`Filter`
-    A real component in the DataCutter callback style: ``init`` /
-    per-buffer processing / ``flush`` at end-of-work / ``finalize``.  Used by
-    the threaded engine, where ``handle`` does actual (NumPy) work and writes
-    real buffers downstream.
-
-:class:`SimFilter` / :class:`SimSource`
-    Cost-and-behaviour models used by the simulated engine.  A
-    :class:`SimFilter` prices each buffer in reference core-seconds and
-    states what buffers it emits; a :class:`SimSource` describes the work a
-    source (Read) copy performs: disk reads plus the buffers produced.
-
-The split keeps engine mechanics out of application code: the isosurface
-application registers a real filter *and* a matching model per stage, built
-from the same parameters.
+:class:`Filter` is a component in the DataCutter callback style: ``init`` /
+per-buffer processing / ``flush`` at end-of-work / ``finalize``.  The real
+engines call it, and ``handle`` does actual (NumPy) work and writes real
+buffers downstream.  The simulated engine runs the matching cost model,
+a :class:`repro.core.fuse.StageModel` built from the same parameters.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.buffer import DataBuffer
 
-__all__ = ["FilterContext", "Filter", "SimFilter", "SimSource", "SourceItem"]
+__all__ = ["FilterContext", "Filter"]
 
 
 class FilterContext:
@@ -106,86 +92,3 @@ class Filter:
 
     def finalize(self, ctx: FilterContext) -> None:
         """Release per-UOW resources (paper: the finalize callback)."""
-
-
-class SimFilter:
-    """Cost/behaviour model of a non-source filter for the simulated engine.
-
-    One instance is created per transparent copy per unit-of-work, so models
-    may keep internal state (accumulators).  All costs are in reference
-    core-seconds (1.0 = one second on a paper Rogue node).
-    """
-
-    def start(self, ctx: FilterContext) -> None:
-        """Per-copy initialisation (e.g. allocate a z-buffer model)."""
-
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer``."""
-        raise NotImplementedError
-
-    def react(self, buffer: DataBuffer) -> Iterable[DataBuffer]:
-        """Buffers emitted in response to ``buffer`` (may be empty)."""
-        return ()
-
-    def flush_cost(self) -> float:
-        """CPU cost of end-of-work processing."""
-        return 0.0
-
-    def flush_outputs(self) -> Iterable[DataBuffer]:
-        """Buffers emitted at end-of-work (e.g. the z-buffer contents)."""
-        return ()
-
-    def result(self) -> Any:
-        """Sink filters may expose a final result (e.g. the merged image)."""
-        return None
-
-    def memory_bytes(self) -> int:
-        """Estimated resident memory of one copy (accumulators, scratch).
-
-        Used by :meth:`repro.engines.simulated.SimulatedEngine.memory_audit`
-        to check placements against host RAM (the paper's Rogue nodes have
-        128 MB — three 2048^2 z-buffers do not fit comfortably).
-        """
-        return 0
-
-
-@dataclass
-class SourceItem:
-    """One unit of source work: a disk read followed by emitted buffers.
-
-    ``sequential`` marks the read as a continuation of the previous one on
-    the same disk (no seek) — consecutive chunks of one declustered file.
-    """
-
-    read_bytes: int = 0
-    disk_index: int = 0
-    cpu: float = 0.0
-    sequential: bool = False
-    outputs: list[DataBuffer] = field(default_factory=list)
-
-
-class SimSource:
-    """Work description of a source (Read) filter for the simulated engine.
-
-    ``items`` yields the :class:`SourceItem` sequence for one transparent
-    copy; the engine interleaves disk reads, CPU charges and downstream
-    sends.  Copies on the same host typically split the host's local files
-    among themselves via ``copy_index`` / ``copies_on_host``.
-    """
-
-    def items(self, ctx: FilterContext) -> Iterator[SourceItem]:
-        """The work items for the copy described by ``ctx``."""
-        raise NotImplementedError
-
-    def flush_cost(self) -> float:
-        """CPU cost of end-of-work processing (combined filters that
-        accumulate, e.g. a z-buffer RERa source, pay it here)."""
-        return 0.0
-
-    def flush_outputs(self) -> Iterable[DataBuffer]:
-        """Buffers emitted at end-of-work, after all items."""
-        return ()
-
-    def memory_bytes(self) -> int:
-        """Estimated resident memory of one copy (see SimFilter)."""
-        return 0

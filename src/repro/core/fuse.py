@@ -38,7 +38,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.core.buffer import DataBuffer
-from repro.core.filter import Filter, FilterContext, SimFilter, SimSource, SourceItem
+from repro.core.filter import Filter, FilterContext
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -129,15 +129,18 @@ class FusedFilter(Filter):
 
 
 # -- simulated side -----------------------------------------------------------
-class StageModel(SimFilter, SimSource):
+class StageModel:
     """A cost model written over logical units, usable alone or fused.
 
-    Subclasses define the *part contract* — :meth:`step`,
-    :meth:`flush_step`, :meth:`packets`, :meth:`accumulator_bytes` and,
-    for a source, :meth:`units` — and get the engine-facing
-    :class:`SimFilter` / :class:`SimSource` methods from it, so a stage
-    run alone and the same stage inside :func:`fuse_models` are priced by
-    the same lines.
+    The one contract the simulated engine drives: a source's
+    :meth:`units`, :meth:`step` once per unit or input buffer,
+    :meth:`flush_step` once at end-of-work, :meth:`packets` to cut what a
+    non-sink copy emits into stream buffers, and :meth:`result` for a
+    sink — so a stage run alone and the same stage inside
+    :func:`fuse_models` are priced by the same lines.  One instance is
+    built per transparent copy per unit of work, so a model may keep
+    state.  Costs are reference core-seconds (1.0 = one second on a paper
+    Rogue node).
     """
 
     #: True for a stage that reads storage (defines :meth:`units`).
@@ -146,13 +149,14 @@ class StageModel(SimFilter, SimSource):
     #: on that side is external to the (fused) stage.
     input_buffer_bytes = 0
     output_buffer_bytes = 0
-    #: Set by :meth:`start`: a stage placed as a sink emits nothing.
-    _sink = False
 
-    # -- the part contract ---------------------------------------------------
     def units(self, ctx: FilterContext) -> Iterator[SourceUnit]:
         """The source work of the copy described by ``ctx`` (sources only)."""
         raise NotImplementedError
+
+    def unit_of(self, buffer: DataBuffer) -> Unit:
+        """The logical unit an input stream buffer carries: its tags."""
+        return buffer.tags
 
     def step(self, unit: Unit, cost: float) -> tuple[float, Unit | None]:
         """Process ``unit``.
@@ -172,47 +176,13 @@ class StageModel(SimFilter, SimSource):
         """Cut one *emitted* unit into this stage's output stream buffers."""
         return []
 
+    def result(self) -> Any:
+        """A sink's final value (e.g. the merge statistics)."""
+        return None
+
     def accumulator_bytes(self) -> int:
         """Resident state of one copy, stream buffers excluded."""
         return 0
-
-    # -- SimFilter / SimSource, derived --------------------------------------
-    def start(self, ctx: FilterContext) -> None:
-        """Per-copy initialisation (see SimFilter.start)."""
-        self._sink = not ctx.output_streams
-
-    def _emit(self, unit: Unit | None) -> list[DataBuffer]:
-        if unit is None or self._sink:
-            return []
-        return self.packets(unit)
-
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer`` (reference core-seconds)."""
-        return self.step(buffer.tags, 0.0)[0]
-
-    def react(self, buffer: DataBuffer) -> list[DataBuffer]:
-        """Buffers emitted in response to ``buffer``."""
-        return self._emit(self.step(buffer.tags, 0.0)[1])
-
-    def flush_cost(self) -> float:
-        """CPU cost of end-of-work processing."""
-        return self.flush_step(0.0)[0]
-
-    def flush_outputs(self) -> list[DataBuffer]:
-        """Buffers emitted at end-of-work."""
-        return self._emit(self.flush_step(0.0)[1])
-
-    def items(self, ctx: FilterContext) -> Iterator[SourceItem]:
-        """Yield this copy's source work items (see SimSource)."""
-        for read_bytes, disk_index, sequential, unit in self.units(ctx):
-            cpu, emitted = self.step(unit, 0.0)
-            yield SourceItem(
-                read_bytes=read_bytes,
-                disk_index=disk_index,
-                cpu=cpu,
-                sequential=sequential,
-                outputs=self._emit(emitted),
-            )
 
     def memory_bytes(self) -> int:
         """Estimated resident memory of one copy.
@@ -249,6 +219,10 @@ class FusedModel(StageModel):
     def units(self, ctx: FilterContext) -> Iterator[SourceUnit]:
         """The first part's source work (see StageModel.units)."""
         return self.parts[0].units(ctx)
+
+    def unit_of(self, buffer: DataBuffer) -> Unit:
+        """The first part's input unit (see StageModel.unit_of)."""
+        return self.parts[0].unit_of(buffer)
 
     def step(self, unit: Unit, cost: float) -> tuple[float, Unit | None]:
         """Every part in turn, each fed its predecessor's emitted unit."""

@@ -7,7 +7,7 @@ slots exist per filter:
 
 - ``factory`` builds a real :class:`repro.core.filter.Filter` (threaded
   engine, trace-driven runs);
-- ``sim_factory`` builds a :class:`repro.core.filter.SimFilter` cost/behaviour
+- ``sim_factory`` builds a :class:`repro.core.fuse.StageModel` cost/behaviour
   model (simulated engine).
 
 An application can register either or both.

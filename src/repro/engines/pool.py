@@ -49,7 +49,7 @@ import time
 from typing import Any
 
 from repro.core.graph import FilterGraph
-from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
+from repro.core.instrument import RunMetrics
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory
 from repro.core.tracing import Tracer
@@ -83,7 +83,6 @@ class WarmPool(ProcessEngine):
         placement: Placement,
         policy: "str | PolicyFactory" = "DD",
         queue_capacity: int = 8,
-        ack_nbytes: int = DEFAULT_ACK_BYTES,
         codec=None,
         max_inflight: int = 2,
     ):
@@ -92,7 +91,6 @@ class WarmPool(ProcessEngine):
             placement,
             policy=policy,
             queue_capacity=queue_capacity,
-            ack_nbytes=ack_nbytes,
             tracer=None,
             codec=codec,
         )
@@ -181,7 +179,7 @@ class WarmPool(ProcessEngine):
         self.cycles_completed += 1
         plan = self._copies.world.plan
         metrics, errors = fold_cycle(
-            pending.reports, plan, self.ack_nbytes, time_offset=pending.t0
+            pending.reports, plan, time_offset=pending.t0
         )
         merge_trace(pending.tracer, pending.reports, time_offset=pending.t0)
         if errors:

@@ -51,7 +51,7 @@ from typing import Any
 
 from repro.core.buffer import BufferCodec
 from repro.core.graph import FilterGraph
-from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
+from repro.core.instrument import RunMetrics
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.core.tracing import Tracer
@@ -373,7 +373,6 @@ class ProcessEngine(Engine):
         placement: Placement,
         policy: str | PolicyFactory = "DD",
         queue_capacity: int = 8,
-        ack_nbytes: int = DEFAULT_ACK_BYTES,
         tracer: "Tracer | None" = None,
         codec: "BufferCodec | None" = None,
     ):
@@ -393,7 +392,6 @@ class ProcessEngine(Engine):
         self.graph = graph
         self.placement = placement
         self.queue_capacity = queue_capacity
-        self.ack_nbytes = ack_nbytes
         self.tracer = tracer
 
     def run(self) -> RunMetrics:
@@ -419,6 +417,6 @@ class ProcessEngine(Engine):
         copies.close()
         return fold_batch(
             [report for pending in pendings for report in pending.reports],
-            copies.world.plan, len(uows), self.ack_nbytes, self.tracer,
+            copies.world.plan, len(uows), self.tracer,
             errors=copies.errors,
         )

@@ -53,7 +53,7 @@ from typing import Any, Protocol
 from repro.core.buffer import Arena, BufferCodec, DataBuffer, EncodedBuffer, PayloadLease
 from repro.core.filter import Filter, FilterContext
 from repro.core.graph import FilterGraph, FilterSpec
-from repro.core.instrument import RunMetrics
+from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory, Target, WriterPolicy
 from repro.core.tracing import QueueSample, TraceEvent, Tracer
@@ -820,7 +820,6 @@ def run_copy(
 def fold_cycle(
     reports: Iterable[CycleReport],
     plan: list[CopyPlan],
-    ack_nbytes: int,
     time_offset: float = 0.0,
 ) -> tuple[RunMetrics, list[str]]:
     """Fold every copy's report of one cycle into a :class:`RunMetrics`.
@@ -830,7 +829,7 @@ def fold_cycle(
     is 0 for a batch run.  Returns the metrics and the cycle's errors.
     """
     metrics = RunMetrics()
-    metrics.ack_nbytes = ack_nbytes
+    metrics.ack_nbytes = DEFAULT_ACK_BYTES
     errors: list[str] = []
     for report in sorted(reports, key=lambda r: r.cid):
         copy = plan[report.cid]
@@ -849,7 +848,7 @@ def fold_cycle(
             ss.by_route[(src, dst)] = ss.by_route.get((src, dst), 0) + count
             ss.by_dst_host[dst] = ss.by_dst_host.get(dst, 0) + count
         metrics.ack_messages += report.ack_messages
-        metrics.ack_bytes += report.ack_messages * ack_nbytes
+        metrics.ack_bytes += report.ack_messages * DEFAULT_ACK_BYTES
         if report.has_result:
             if metrics.result is None:
                 metrics.result = report.result
@@ -890,7 +889,6 @@ def fold_batch(
     reports: list[CycleReport],
     plan: list[CopyPlan],
     ncycles: int,
-    ack_nbytes: int,
     tracer: "Tracer | None",
     errors: Iterable[str] = (),
 ) -> list[RunMetrics]:
@@ -907,7 +905,7 @@ def fold_batch(
         by_cycle[report.cycle].append(report)
     metrics_list = []
     for cycle_reports in by_cycle:
-        metrics, cycle_errors = fold_cycle(cycle_reports, plan, ack_nbytes)
+        metrics, cycle_errors = fold_cycle(cycle_reports, plan)
         metrics_list.append(metrics)
         errors.extend(cycle_errors)
     merge_trace(tracer, reports)

@@ -5,9 +5,10 @@ Runs a placed :class:`repro.core.graph.FilterGraph` over a
 cycle of :func:`repro.engines.runtime.execute_cycle` as a DES process whose
 driver, :meth:`SimulatedEngine._drive`, turns each effect into the simulation
 events it costs: receives pull from the copy set's shared queue, work and
-flush charge CPU on the host's processor-sharing CPU, sends route through a
-writer policy (RR / WRR / DD) to downstream copy sets over the simulated
-network.
+flush charge the CPU the copy's :class:`repro.core.fuse.StageModel` prices
+(one ``step`` per unit or input buffer, one ``flush_step``) on the host's
+processor-sharing CPU, sends route through a writer policy (RR / WRR / DD)
+to downstream copy sets over the simulated network.
 
 Fidelity notes (mapped to the paper):
 
@@ -121,9 +122,9 @@ class SimulatedEngine(Engine):
     cluster:
         A finalized :class:`Cluster`; its environment provides the clock.
     graph:
-        The logical filter graph.  Every non-source filter needs a
-        ``sim_factory`` building a :class:`SimFilter`; every source needs one
-        building a :class:`SimSource`.
+        The logical filter graph.  Every filter needs a ``sim_factory``
+        building a :class:`repro.core.fuse.StageModel`; a source's defines
+        ``units``.
     placement:
         Filter-to-host mapping with copy counts.
     policy:
@@ -131,8 +132,6 @@ class SimulatedEngine(Engine):
         :data:`PolicyFactory`; every stream runs it.
     queue_capacity:
         Bounded copy-set queue size in buffers (backpressure depth).
-    ack_nbytes:
-        Wire size of a DD acknowledgment message.
     tracer:
         Optional :class:`repro.core.tracing.Tracer` receiving one span per
         effect each copy performs, the writers' ``blocked`` and ``acked``
@@ -146,7 +145,6 @@ class SimulatedEngine(Engine):
         placement: Placement,
         policy: str | PolicyFactory = "DD",
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        ack_nbytes: int = DEFAULT_ACK_BYTES,
         tracer: "Tracer | None" = None,
     ):
         self._policy = make_policy_factory(policy)
@@ -160,7 +158,6 @@ class SimulatedEngine(Engine):
         self.graph = graph
         self.placement = placement
         self.queue_capacity = queue_capacity
-        self.ack_nbytes = ack_nbytes
         self.tracer = tracer
 
     # -- planning ----------------------------------------------------------
@@ -168,7 +165,7 @@ class SimulatedEngine(Engine):
         """Estimate per-host resident memory of this placement.
 
         Sums each copy's model-declared footprint
-        (:meth:`repro.core.filter.SimFilter.memory_bytes` — accumulators
+        (:meth:`repro.core.fuse.StageModel.memory_bytes` — accumulators
         such as z-buffers dominate) plus the bounded copy-set queues.
         Compare against ``cluster.host(h).memory``: the paper's Rogue nodes
         have 128 MB, so a few 2048^2 z-buffer copies already oversubscribe
@@ -176,8 +173,7 @@ class SimulatedEngine(Engine):
         """
         audit: dict[str, int] = {name: 0 for name in self.cluster.hosts}
         for name, spec in self.graph.filters.items():
-            probe = spec.sim_factory()
-            per_copy = int(getattr(probe, "memory_bytes", lambda: 0)())
+            per_copy = spec.sim_factory().memory_bytes()
             for cs in self.placement.copysets(name):
                 audit[cs.host] += per_copy * cs.copies
                 if spec.inputs:
@@ -243,7 +239,7 @@ class SimulatedEngine(Engine):
             for copy, report in zip(plan, reports)
         ]
         env.run(until=env.all_of(done))
-        metrics, errors = runtime.fold_cycle(reports, plan, self.ack_nbytes, start)
+        metrics, errors = runtime.fold_cycle(reports, plan, start)
         if errors:
             raise runtime.copies_failed(errors, [metrics])
         return metrics
@@ -275,7 +271,8 @@ class SimulatedEngine(Engine):
         my_set = copysets[spec.name][copy.set_idx]
         writers = writers_of[copy.cid]
         model: Any = None
-        items: Any = None
+        units: Any = None
+        sink = not spec.outputs
         steps = runtime.execute_cycle(copy, 0, report, lambda: env.now)
         value: Any = None
         thrown: "Exception | None" = None
@@ -296,11 +293,13 @@ class SimulatedEngine(Engine):
                     self._ack(copy.host, arg, writers_of)
                     value = True
                 elif effect is runtime.WORK:
-                    cost = model.cost(arg.payload) if spec.inputs else arg.cpu
+                    # A source works on the unit of its SourceUnit.
+                    unit = model.unit_of(arg.payload) if spec.inputs else arg[3]
+                    cost, emitted = model.step(unit, 0.0)
                     if cost:
                         yield host.compute(cost)
                         report.busy_time += env.now - start
-                    value = model.react(arg.payload) if spec.inputs else arg.outputs
+                    value = [] if sink or emitted is None else model.packets(emitted)
                 elif effect is runtime.SEND:
                     stream = arg.tags.get("stream")
                     if stream is None and len(writers) == 1:
@@ -331,28 +330,25 @@ class SimulatedEngine(Engine):
                         tracer.sample_queue(env.now, dst.store.name, len(dst.store))
                     value = stream, dst.host
                 elif effect is runtime.PRODUCE:
-                    value = next(items, None)
-                    if value is not None and value.read_bytes:
-                        yield host.read_disk(
-                            value.read_bytes, value.disk_index, value.sequential
-                        )
+                    value = next(units, None)
+                    if value is not None and value[0]:
+                        # (read_bytes, disk_index, sequential, unit)
+                        yield host.read_disk(*value[:3])
                         report.io_time += env.now - start
                 elif effect is runtime.FLUSH:
-                    cost = model.flush_cost()
+                    cost, emitted = model.flush_step(0.0)
                     if cost:
                         yield host.compute(cost)
                         report.busy_time += env.now - start
-                    value = model.flush_outputs()
+                    value = [] if sink or emitted is None else model.packets(emitted)
                 elif effect is runtime.INIT:
-                    ctx = FilterContext(
-                        spec.name, copy.host, copy.copy_index, copy.copies_on_host,
-                        copy.total, [s.name for s in spec.outputs], _reject_ctx_write,
-                    )
                     model = spec.sim_factory()
-                    if spec.inputs:
-                        model.start(ctx)
-                    else:
-                        items = iter(model.items(ctx))
+                    if not spec.inputs:
+                        units = iter(model.units(FilterContext(
+                            spec.name, copy.host, copy.copy_index,
+                            copy.copies_on_host, copy.total,
+                            [s.name for s in spec.outputs], _reject_ctx_write,
+                        )))
                 elif effect is runtime.FINISH:
                     value = model.result() if arg else None
                 elif effect is runtime.ANNOUNCE:
@@ -377,7 +373,7 @@ class SimulatedEngine(Engine):
         """Fire-and-forget acknowledgment back to the producing copy."""
         env, tracer = self.env, self.tracer
         writer = writers_of[wire.producer][wire.stream]
-        transfer = self.cluster.transfer(consumer_host, writer.host, self.ack_nbytes)
+        transfer = self.cluster.transfer(consumer_host, writer.host, DEFAULT_ACK_BYTES)
 
         def _deliver(_ev: Event) -> None:
             writer.deliver_ack(writer.policy.targets[wire.target_index])
@@ -389,6 +385,6 @@ class SimulatedEngine(Engine):
 
 def _reject_ctx_write(stream: str, buffer: DataBuffer) -> None:
     raise EngineError(
-        "simulated filter models return outputs from react()/flush_outputs() "
+        "simulated stage models emit units from step()/flush_step() "
         "instead of calling ctx.write()"
     )

@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.core.buffer import BufferCodec
 from repro.core.graph import FilterGraph
-from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
+from repro.core.instrument import RunMetrics
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.core.tracing import Tracer
@@ -46,8 +46,6 @@ class ThreadedEngine(Engine):
     receive no ``handle`` calls; they generate all their output from
     ``flush`` via ``ctx.write``.
 
-    ``ack_nbytes`` is the nominal wire size of one DD acknowledgment
-    (``RunMetrics.ack_bytes`` accounting, matching the simulated engine);
     ``tracer`` is an optional :class:`repro.core.tracing.Tracer` that
     receives one span per effect each copy performs (plus ``send``,
     ``blocked`` and ``acked`` spans) on wall-clock seconds since run start.
@@ -66,7 +64,6 @@ class ThreadedEngine(Engine):
         placement: Placement,
         policy: str | PolicyFactory = "DD",
         queue_capacity: int = 8,
-        ack_nbytes: int = DEFAULT_ACK_BYTES,
         tracer: "Tracer | None" = None,
         codec: "BufferCodec | None" = None,
     ):
@@ -78,7 +75,6 @@ class ThreadedEngine(Engine):
         self.graph = graph
         self.placement = placement
         self.queue_capacity = queue_capacity
-        self.ack_nbytes = ack_nbytes
         self.tracer = tracer
         self.codec = codec
 
@@ -130,6 +126,4 @@ class ThreadedEngine(Engine):
             thread.start()
         for thread in threads:
             thread.join()
-        return fold_batch(
-            reports, world.plan, len(uows), self.ack_nbytes, self.tracer
-        )
+        return fold_batch(reports, world.plan, len(uows), self.tracer)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.configurations import check_algorithm
 from repro.core.buffer import DataBuffer, chunk_bytes
-from repro.core.filter import FilterContext, SimFilter
+from repro.core.filter import FilterContext
 from repro.core.fuse import StageModel, Unit
 from repro.data.storage import StorageMap
 from repro.errors import ConfigurationError
@@ -266,11 +266,6 @@ class _RasterModel(StageModel):
         """Winning-pixel entries generated by ``tris`` triangles."""
         return int(math.ceil(tris * self.frag_per_tri * self.costs.ap_entry_ratio))
 
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer`` (reference core-seconds)."""
-        self.triangles += buffer.tags.get("triangles", 0)
-        return super().cost(buffer)
-
     def result(self):
         """Final value exposed by a raster placed as a sink."""
         return {"triangles": self.triangles}
@@ -281,7 +276,9 @@ class RasterZBModel(_RasterModel):
 
     def step(self, unit: Unit, cost: float):
         """Price one triangle unit; nothing is emitted before end-of-work."""
-        return cost + self.triangle_cost(unit.get("triangles", 0)), None
+        tris = unit.get("triangles", 0)
+        self.triangles += tris
+        return cost + self.triangle_cost(tris), None
 
     def flush_step(self, cost: float):
         """Serialise the whole z-buffer (see StageModel.flush_step)."""
@@ -309,6 +306,7 @@ class RasterAPModel(_RasterModel):
     def step(self, unit: Unit, cost: float):
         """Price one triangle unit; emit its winning-pixel entries."""
         tris = unit.get("triangles", 0)
+        self.triangles += tris
         entries = self.ap_entries(tris)
         cost += self.triangle_cost(tris)
         cost += entries * self.costs.ap_per_entry
@@ -341,11 +339,13 @@ def raster_model(
     return cls(costs, buffers, width, height)
 
 
-class MergeModel(SimFilter):
+class MergeModel(StageModel):
     """M: depth-composite incoming pixel buffers; exposes run statistics.
 
-    ``width``/``height`` size the merge-side accumulator for memory
-    accounting (both algorithms keep a full-screen buffer at the merge).
+    A buffer's unit is its byte count: the entries it carries are priced
+    as ``nbytes`` / entry size, a float.  ``width``/``height`` size the
+    merge-side accumulator for memory accounting (both algorithms keep a
+    full-screen buffer at the merge).
     """
 
     def __init__(self, costs: CostParams, algorithm: str, width: int = 0, height: int = 0):
@@ -358,18 +358,22 @@ class MergeModel(SimFilter):
         self.entries_in = 0
         self.bytes_in = 0
 
-    def cost(self, buffer: DataBuffer) -> float:
-        """CPU cost of processing ``buffer`` (reference core-seconds)."""
+    def unit_of(self, buffer: DataBuffer) -> Unit:
+        """A pixel buffer's unit: its bytes (see StageModel.unit_of)."""
+        return {"bytes": buffer.nbytes}
+
+    def step(self, unit: Unit, cost: float):
+        """Composite one pixel buffer; nothing flows on."""
         if self.algorithm == "zbuffer":
-            entries = buffer.nbytes / ZBUFFER_ENTRY_BYTES
-            unit = self.costs.merge_zb_per_entry
+            entries = unit["bytes"] / ZBUFFER_ENTRY_BYTES
+            per_entry = self.costs.merge_zb_per_entry
         else:
-            entries = buffer.nbytes / WPA_ENTRY_BYTES
-            unit = self.costs.merge_ap_per_entry
+            entries = unit["bytes"] / WPA_ENTRY_BYTES
+            per_entry = self.costs.merge_ap_per_entry
         self.buffers_in += 1
         self.entries_in += int(entries)
-        self.bytes_in += buffer.nbytes
-        return entries * unit
+        self.bytes_in += unit["bytes"]
+        return cost + entries * per_entry, None
 
     def result(self):
         """Final value exposed by this sink."""
@@ -380,6 +384,6 @@ class MergeModel(SimFilter):
             "bytes": self.bytes_in,
         }
 
-    def memory_bytes(self) -> int:
-        """Estimated resident memory of one copy."""
+    def accumulator_bytes(self) -> int:
+        """The full-screen merge buffer (see StageModel.accumulator_bytes)."""
         return self.width * self.height * ZBUFFER_ENTRY_BYTES

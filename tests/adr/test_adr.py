@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adr import ADRRuntime, static_partition
+from repro.adr import ADRRuntime, weighted_static_partition
 from repro.data.chunks import partition_grid
 from repro.data.hilbert import hilbert_index
 from repro.errors import ConfigurationError
@@ -30,7 +30,7 @@ def run_adr(nodes=4, width=256, background=None, **kw):
 
 def test_static_partition_uniform():
     chunks = partition_grid((9, 9, 9), (4, 4, 4))
-    assignment = static_partition(chunks, ["a", "b", "c"])
+    assignment = weighted_static_partition(chunks, ["a", "b", "c"])
     sizes = [len(v) for v in assignment.values()]
     assert sum(sizes) == 64
     assert max(sizes) - min(sizes) <= 1
@@ -38,7 +38,7 @@ def test_static_partition_uniform():
 
 def test_static_partition_all_chunks_once():
     chunks = partition_grid((9, 9, 9), (2, 2, 2))
-    assignment = static_partition(chunks, ["a", "b"])
+    assignment = weighted_static_partition(chunks, ["a", "b"])
     ids = sorted(c.chunk_id for v in assignment.values() for c in v)
     assert ids == [c.chunk_id for c in chunks]
 
@@ -50,7 +50,7 @@ def test_static_partition_deals_the_hilbert_order_round_robin(dataset):
     ordered = sorted(dataset.chunks, key=lambda c: hilbert_index(c.index, order))
     for count in range(1, 17):
         nodes = [f"n{i}" for i in range(count)]
-        assignment = static_partition(dataset.chunks, nodes)
+        assignment = weighted_static_partition(dataset.chunks, nodes)
         assert [assignment[node] for node in nodes] == [
             ordered[i::count] for i in range(count)
         ]
@@ -59,9 +59,9 @@ def test_static_partition_deals_the_hilbert_order_round_robin(dataset):
 def test_static_partition_validation():
     chunks = partition_grid((5, 5, 5), (1, 1, 1))
     with pytest.raises(ConfigurationError):
-        static_partition(chunks, [])
+        weighted_static_partition(chunks, [])
     with pytest.raises(ConfigurationError):
-        static_partition([], ["a"])
+        weighted_static_partition([], ["a"])
 
 
 def test_adr_runs_and_scales():

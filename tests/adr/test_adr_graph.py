@@ -3,12 +3,14 @@
 The static partition holds (every chunk stays on its node), each chunk is
 read once, the run's books balance, and the makespans stay within a
 stated tolerance of the hand-written discrete-event simulation the graph
-replaced.
+replaced, and equal to their pinned values.
 """
+
+import functools
 
 import pytest
 
-from repro.adr import ADRRuntime, static_partition
+from repro.adr import ADRRuntime, weighted_static_partition
 from repro.sim import Environment, umd_testbed
 from repro.viz.profile import dataset_25gb
 
@@ -27,10 +29,15 @@ def runtime(rogue, blue, image, jobs=0):
     return ADRRuntime(cluster, nodes, PROFILE, width=image, height=image)
 
 
+@functools.cache
+def makespan(rogue, blue, image, jobs):
+    return runtime(rogue, blue, image, jobs).run().makespan
+
+
 def test_static_partition_holds_on_the_engine():
     rt = runtime(2, 2, 512, jobs=4)
     metrics = rt.engine().run()
-    assignment = static_partition(PROFILE.chunks, rt.nodes)
+    assignment = weighted_static_partition(PROFILE.chunks, rt.nodes)
     for i, node in enumerate(rt.nodes):
         stats = metrics.streams[f"R{i}->ERa{i}"]
         assert stats.by_route == {(node, node): len(assignment[node])}
@@ -62,5 +69,19 @@ def test_books_balance_at_a_figure5_point():
 def test_makespan_within_tolerance_of_the_hand_written_simulation(
     rogue, blue, image, jobs, parent, high
 ):
-    makespan = runtime(rogue, blue, image, jobs).run().makespan
-    assert 0.99 <= makespan / parent <= high
+    assert 0.99 <= makespan(rogue, blue, image, jobs) / parent <= high
+
+
+@pytest.mark.parametrize(
+    "rogue, blue, image, jobs, pinned",
+    [
+        (1, 0, 2048, 0, 8.189658592000034),
+        (8, 0, 512, 0, 1.2551211208405952),
+        (4, 4, 2048, 0, 8.73025197964543),
+        (4, 4, 2048, 16, 42.34006269356517),
+    ],
+)
+def test_makespan_is_pinned(rogue, blue, image, jobs, pinned):
+    """The graph's own makespans, bit for bit: a change to the cost models
+    or the engine must not move Figure 4 or 5 unseen."""
+    assert makespan(rogue, blue, image, jobs) == pinned

@@ -9,7 +9,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.core import DataBuffer, Filter, FilterGraph, Placement, SimFilter, SimSource, SourceItem
+from repro.core import DataBuffer, Filter, FilterGraph, Placement
+from repro.core.fuse import StageModel
 from repro.core.tracing import Tracer
 from repro.engines.pool import WarmPool
 from repro.engines.process import ProcessEngine
@@ -164,23 +165,28 @@ def test_clean_pipeline_records_no_analysis_events():
     assert [e for e in tracer.events if e.kind == "analysis"] == []
 
 
-class ListSource(SimSource):
-    def items(self, ctx):
+class ListSource(StageModel):
+    source = True
+
+    def units(self, ctx):
         for i in range(4):
             if i % ctx.total_copies == ctx.copy_index:
-                yield SourceItem(outputs=[DataBuffer(100, tags={"seq": i})])
+                yield 0, 0, False, {"seq": i}
+
+    def step(self, unit, cost):
+        return cost, unit
+
+    def packets(self, unit):
+        return [DataBuffer(100, tags=dict(unit))]
 
 
-class Counting(SimFilter):
+class Counting(StageModel):
     def __init__(self):
         self.n = 0
 
-    def cost(self, buffer):
-        return 0.0
-
-    def react(self, buffer):
+    def step(self, unit, cost):
         self.n += 1
-        return ()
+        return cost, None
 
     def result(self):
         return self.n
@@ -304,10 +310,10 @@ class NamedSource(Filter):
             ctx.write(DataBuffer(8, payload=payload), stream)
 
 
-class NamedSimSource(SimSource):
-    def items(self, ctx):
+class NamedSourceModel(ListSource):
+    def units(self, ctx):
         for _, stream in NAMED_WRITES:
-            yield SourceItem(outputs=[DataBuffer(100, tags={"stream": stream})])
+            yield 0, 0, False, {"stream": stream}
 
 
 class SeenSink(Filter):
@@ -328,7 +334,7 @@ def test_engine_routes_each_buffer_by_its_stream_name(kind):
     results come back in graph order (``b`` before ``a``), not in host or
     stream-name order."""
     g = FilterGraph()
-    g.add_filter("src", factory=NamedSource, sim_factory=NamedSimSource,
+    g.add_filter("src", factory=NamedSource, sim_factory=NamedSourceModel,
                  is_source=True)
     for name in ("b", "a"):
         g.add_filter(name, factory=SeenSink, sim_factory=Counting)

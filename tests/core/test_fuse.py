@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DataBuffer, Filter, FilterContext
-from repro.core.fuse import FusedFilter, FusedModel, fuse, fuse_models
+from repro.core import DataBuffer, Filter, FilterContext, FilterGraph, Placement
+from repro.core.fuse import FusedFilter, FusedModel, StageModel, fuse, fuse_models
 from repro.data import HostDisks, ParSSimDataset, StorageMap
-from repro.engines import ThreadedEngine
+from repro.engines import SimulatedEngine, ThreadedEngine
 from repro.errors import ConfigurationError
+from repro.sim import Environment, homogeneous_cluster
 from repro.viz import CONFIGURATIONS, IsosurfaceApp
 from repro.viz.active_pixel import WPA_ENTRY_BYTES
 from repro.viz.camera import Camera
-from repro.viz.filters import TRIANGLE_BYTES
 from repro.viz.models import (
     BufferSizes,
     CostParams,
@@ -178,19 +178,22 @@ def test_fused_cost_is_the_sum_of_its_parts(tags, algorithm):
     assert isinstance(fused, FusedModel)
     buffer = DataBuffer(1000, tags=tags)
     # What E hands Ra inside the fused stage: the unit, not its packets.
-    extract_cost, unit = extract.step(tags, 0.0)
-    whole = DataBuffer(unit["triangles"] * TRIANGLE_BYTES, tags=unit)
-    assert extract_cost == extract.cost(buffer)
-    assert fused.cost(buffer) == pytest.approx(
-        extract_cost + raster.cost(whole), rel=1e-12, abs=0
+    extract_cost, unit = extract.step(extract.unit_of(buffer), 0.0)
+    raster_cost, raster_unit = raster.step(unit, 0.0)
+    fused_cost, emitted = fused.step(fused.unit_of(buffer), 0.0)
+    assert fused_cost == pytest.approx(
+        extract_cost + raster_cost, rel=1e-12, abs=0
     )
     # Bit for bit: Ra's terms added one by one onto E's running cost.
-    expected = raster.step(unit, extract_cost)[0]
-    assert fused.cost(buffer) == expected
-    assert [(b.nbytes, b.tags) for b in fused.react(buffer)] == [
-        (b.nbytes, b.tags) for b in raster.react(whole)
-    ]
-    assert fused.flush_cost() == extract.flush_cost() + raster.flush_cost()
+    assert fused_cost == raster.step(unit, extract_cost)[0]
+    assert emitted == raster_unit
+    if emitted is not None:
+        assert [(b.nbytes, b.tags) for b in fused.packets(emitted)] == [
+            (b.nbytes, b.tags) for b in raster.packets(raster_unit)
+        ]
+    assert fused.flush_step(0.0)[0] == (
+        extract.flush_step(0.0)[0] + raster.flush_step(0.0)[0]
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,20 +203,20 @@ def test_fused_active_pixel_conserves_entries_and_bytes(tags):
     fused = fuse_models(
         ExtractModel(COSTS, BUFFERS), RasterAPModel(COSTS, BUFFERS, 512, 512)
     )
-    outs = fused.react(DataBuffer(1000, tags=tags))
+    outs = fused.packets(fused.step(tags, 0.0)[1])
     entries = raster.ap_entries(tags["triangles"])
     assert sum(out.tags["entries"] for out in outs) == entries
     assert sum(out.nbytes for out in outs) == entries * WPA_ENTRY_BYTES
     assert all(out.nbytes <= BUFFERS.wpa for out in outs)
-    assert list(fused.flush_outputs()) == []
+    assert fused.flush_step(0.0)[1] is None
 
 
 def test_fused_zbuffer_emits_only_at_end_of_work():
     fused = fuse_models(
         ExtractModel(COSTS, BUFFERS), RasterZBModel(COSTS, BUFFERS, 64, 64)
     )
-    assert fused.react(DataBuffer(10, tags={"voxels": 9, "triangles": 5})) == []
-    outs = fused.flush_outputs()
+    assert fused.step({"voxels": 9, "triangles": 5}, 0.0)[1] is None
+    outs = fused.packets(fused.flush_step(0.0)[1])
     assert sum(out.nbytes for out in outs) == 64 * 64 * 8
     assert sum(out.tags["entries"] for out in outs) == 64 * 64
 
@@ -230,17 +233,34 @@ def test_fused_memory_counts_external_buffers_only():
     )
 
 
+class TriangleSource(StageModel):
+    """One unit of 50 triangles, in one buffer."""
+
+    source = True
+
+    def units(self, ctx):
+        yield 0, 0, False, {"triangles": 50}
+
+    def step(self, unit, cost):
+        return cost, unit
+
+    def packets(self, unit):
+        return [DataBuffer(10, tags=dict(unit))]
+
+
 def test_a_stage_placed_as_a_sink_emits_nothing():
     raster = RasterAPModel(COSTS, BUFFERS, 64, 64)
-    raster.start(outer_context([]))
-    assert raster.react(DataBuffer(10, tags={"triangles": 50})) != []
-    sink = RasterAPModel(COSTS, BUFFERS, 64, 64)
-    ctx = outer_context([])
-    ctx.output_streams = []
-    sink.start(ctx)
-    sink.cost(DataBuffer(10, tags={"triangles": 50}))
-    assert sink.react(DataBuffer(10, tags={"triangles": 50})) == []
-    assert sink.result() == {"triangles": 50}
+    assert raster.packets(raster.step({"triangles": 50}, 0.0)[1]) != []
+    # Placed as a sink, the engine cuts nothing from the unit Ra emits.
+    graph = FilterGraph()
+    graph.add_filter("src", sim_factory=TriangleSource, is_source=True)
+    graph.add_filter("ra", sim_factory=lambda: RasterAPModel(COSTS, BUFFERS, 64, 64))
+    graph.connect("src", "ra")
+    placement = Placement().place("src", ["node0"]).place("ra", ["node0"])
+    cluster = homogeneous_cluster(Environment(), nodes=1)
+    metrics = SimulatedEngine(cluster, graph, placement, policy="RR").run()
+    assert sorted(metrics.streams) == ["src->ra"]
+    assert metrics.result == {"triangles": 50}
 
 
 # -- fused and unfused pipelines honour the same uow overrides ----------------

@@ -3,54 +3,57 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    DataBuffer,
-    FilterGraph,
-    Placement,
-    SimFilter,
-    SimSource,
-    SourceItem,
-)
+from repro.core import DataBuffer, FilterGraph, Placement
+from repro.core.fuse import StageModel
 from repro.engines.simulated import SimulatedEngine
 from repro.sim import Environment, homogeneous_cluster
 
 
-class Seq(SimSource):
+class Seq(StageModel):
     """Emits buffers with given sizes, split across copies."""
+
+    source = True
 
     def __init__(self, sizes):
         self.sizes = sizes
 
-    def items(self, ctx):
+    def units(self, ctx):
         for i, size in enumerate(self.sizes):
             if i % ctx.total_copies != ctx.copy_index:
                 continue
-            yield SourceItem(
-                cpu=0.001, outputs=[DataBuffer(size, tags={"seq": i})]
-            )
+            yield 0, 0, False, {"seq": i, "size": size}
+
+    def step(self, unit, cost):
+        return cost + 0.001, unit
+
+    def packets(self, unit):
+        return [DataBuffer(unit["size"], tags={"seq": unit["seq"]})]
 
 
-class Relay(SimFilter):
+class Relay(StageModel):
     def __init__(self, cpu):
         self.cpu = cpu
 
-    def cost(self, buffer):
-        return self.cpu
+    def unit_of(self, buffer):
+        return {"seq": buffer.tags["seq"], "size": buffer.nbytes}
 
-    def react(self, buffer):
-        return [buffer]
+    def step(self, unit, cost):
+        return cost + self.cpu, unit
+
+    def packets(self, unit):
+        return [DataBuffer(unit["size"], tags={"seq": unit["seq"]})]
 
 
-class Sink(SimFilter):
+class Sink(StageModel):
     def __init__(self):
         self.seen = []
 
-    def cost(self, buffer):
-        return 0.0
+    def unit_of(self, buffer):
+        return {"seq": buffer.tags["seq"], "size": buffer.nbytes}
 
-    def react(self, buffer):
-        self.seen.append((buffer.tags["seq"], buffer.nbytes))
-        return ()
+    def step(self, unit, cost):
+        self.seen.append((unit["seq"], unit["size"]))
+        return cost, None
 
     def result(self):
         return self.seen

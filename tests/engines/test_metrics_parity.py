@@ -19,10 +19,8 @@ from repro.core import (
     Filter,
     FilterGraph,
     Placement,
-    SimFilter,
-    SimSource,
-    SourceItem,
 )
+from repro.core.fuse import StageModel
 from repro.core.tracing import EVENT_KINDS, Tracer
 from repro.engines import ProcessEngine, SimulatedEngine, ThreadedEngine
 from repro.engines.runtime import (
@@ -66,34 +64,39 @@ class RealSink(Filter):
         return self.total
 
 
-class SimSourceModel(SimSource):
-    def items(self, ctx):
+class SourceModel(StageModel):
+    source = True
+
+    def units(self, ctx):
         for i in range(COUNT):
             if i % ctx.total_copies == ctx.copy_index:
-                yield SourceItem(cpu=0.001, outputs=[DataBuffer(NBYTES)])
+                yield 0, 0, False, {}
+
+    def step(self, unit, cost):
+        return cost + 0.001, unit
+
+    def packets(self, unit):
+        return [DataBuffer(NBYTES)]
 
 
-class SimWorkerModel(SimFilter):
-    def cost(self, buffer):
-        return 0.002
+class SimWorkerModel(StageModel):
+    def step(self, unit, cost):
+        return cost + 0.002, unit
 
-    def react(self, buffer):
-        return (DataBuffer(NBYTES),)
+    def packets(self, unit):
+        return [DataBuffer(NBYTES)]
 
 
-class SimSinkModel(SimFilter):
-    def cost(self, buffer):
-        return 0.001
-
-    def react(self, buffer):
-        return ()
+class SimSinkModel(StageModel):
+    def step(self, unit, cost):
+        return cost + 0.001, None
 
 
 def shared_graph():
     """The same logical graph with both real and simulated factories."""
     g = FilterGraph()
     g.add_filter(
-        "src", factory=RealSource, sim_factory=SimSourceModel, is_source=True
+        "src", factory=RealSource, sim_factory=SourceModel, is_source=True
     )
     g.add_filter("work", factory=RealWorker, sim_factory=SimWorkerModel)
     g.add_filter("sink", factory=RealSink, sim_factory=SimSinkModel)
@@ -207,9 +210,17 @@ def test_io_time_where_applicable():
     # Disk time is modelled only by the simulated engine; the threaded
     # engine reads inside filter code.  Both leave the field >= 0 and the
     # simulated engine populates it when the source declares reads.
-    class ReadingSource(SimSource):
-        def items(self, ctx):
-            yield SourceItem(read_bytes=1_000_000, outputs=[DataBuffer(NBYTES)])
+    class ReadingSource(StageModel):
+        source = True
+
+        def units(self, ctx):
+            yield 1_000_000, 0, False, {}
+
+        def step(self, unit, cost):
+            return cost, unit
+
+        def packets(self, unit):
+            return [DataBuffer(NBYTES)]
 
     g = FilterGraph()
     g.add_filter("src", sim_factory=ReadingSource, is_source=True)
@@ -333,17 +344,22 @@ class SlowSink(Filter):
         time.sleep(0.004)
 
 
-class StallSourceModel(SimSource):
-    def items(self, ctx):
-        yield SourceItem(outputs=[DataBuffer(NBYTES) for _ in range(STALL_COUNT)])
+class StallSourceModel(StageModel):
+    source = True
+
+    def units(self, ctx):
+        yield 0, 0, False, {}
+
+    def step(self, unit, cost):
+        return cost, unit
+
+    def packets(self, unit):
+        return [DataBuffer(NBYTES) for _ in range(STALL_COUNT)]
 
 
-class SlowSinkModel(SimFilter):
-    def cost(self, buffer):
-        return 0.004
-
-    def react(self, buffer):
-        return ()
+class SlowSinkModel(StageModel):
+    def step(self, unit, cost):
+        return cost + 0.004, None
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -2,21 +2,17 @@
 
 import pytest
 
-from repro.core import (
-    DataBuffer,
-    FilterGraph,
-    Placement,
-    SimFilter,
-    SimSource,
-    SourceItem,
-)
+from repro.core import DataBuffer, FilterGraph, Placement
+from repro.core.fuse import StageModel
 from repro.engines.simulated import SimulatedEngine
 from repro.errors import EngineError
 from repro.sim import Environment, homogeneous_cluster
 
 
-class ListSource(SimSource):
+class ListSource(StageModel):
     """Emits `count` buffers of `nbytes`, optionally reading from disk."""
+
+    source = True
 
     def __init__(self, count, nbytes, read_bytes=0, cpu=0.0):
         self.count = count
@@ -24,66 +20,67 @@ class ListSource(SimSource):
         self.read_bytes = read_bytes
         self.cpu = cpu
 
-    def items(self, ctx):
+    def units(self, ctx):
         # Split the work among all copies of the source filter.
         for i in range(self.count):
             if i % ctx.total_copies != ctx.copy_index:
                 continue
-            yield SourceItem(
-                read_bytes=self.read_bytes,
-                cpu=self.cpu,
-                outputs=[DataBuffer(self.nbytes, tags={"seq": i})],
-            )
+            yield self.read_bytes, 0, False, {"seq": i}
+
+    def step(self, unit, cost):
+        return cost + self.cpu, unit
+
+    def packets(self, unit):
+        return [DataBuffer(self.nbytes, tags=dict(unit))]
 
 
-class PassThrough(SimFilter):
+class PassThrough(StageModel):
     """Charges fixed CPU per buffer and forwards it."""
 
     def __init__(self, cpu=0.0):
         self.cpu = cpu
 
-    def cost(self, buffer):
-        return self.cpu
+    def unit_of(self, buffer):
+        return {"nbytes": buffer.nbytes, "tags": buffer.tags}
 
-    def react(self, buffer):
-        return [buffer]
+    def step(self, unit, cost):
+        return cost + self.cpu, unit
+
+    def packets(self, unit):
+        return [DataBuffer(unit["nbytes"], tags=unit["tags"])]
 
 
-class CountingSink(SimFilter):
+class CountingSink(StageModel):
     """Counts buffers and bytes; exposes them via result()."""
 
     def __init__(self):
         self.buffers = 0
         self.bytes = 0
 
-    def cost(self, buffer):
-        return 0.0
+    def unit_of(self, buffer):
+        return {"nbytes": buffer.nbytes}
 
-    def react(self, buffer):
+    def step(self, unit, cost):
         self.buffers += 1
-        self.bytes += buffer.nbytes
-        return ()
+        self.bytes += unit["nbytes"]
+        return cost, None
 
     def result(self):
         return {"buffers": self.buffers, "bytes": self.bytes}
 
 
-class AccumulatingSink(SimFilter):
+class AccumulatingSink(StageModel):
     """Accumulates, then reports at flush (z-buffer-style)."""
 
     def __init__(self):
         self.total = 0
-        self.flushed = False
 
-    def cost(self, buffer):
-        return 0.0
+    def step(self, unit, cost):
+        self.total += unit.get("seq", 0)
+        return cost, None
 
-    def react(self, buffer):
-        self.total += buffer.tags.get("seq", 0)
-        return ()
-
-    def flush_cost(self):
-        return 0.001
+    def flush_step(self, cost):
+        return cost + 0.001, None
 
     def result(self):
         return self.total
@@ -236,6 +233,48 @@ def test_accumulating_sink_flush():
     assert metrics.result == 0 + 1 + 2 + 3 + 4
 
 
+class SteppedOnce(PassThrough):
+    """A relay that counts the part-contract calls the engine makes."""
+
+    def __init__(self, made):
+        super().__init__(cpu=0.001)
+        self.steps = self.flush_steps = 0
+        made.append(self)
+
+    def step(self, unit, cost):
+        self.steps += 1
+        return super().step(unit, cost)
+
+    def flush_step(self, cost):
+        self.flush_steps += 1
+        return cost + 0.001, None
+
+
+def test_each_buffer_and_each_end_of_work_is_stepped_once():
+    """The cost the engine charges for an input buffer and the unit it cuts
+    into packets come from one ``step`` call; end-of-work is one
+    ``flush_step`` per copy per cycle."""
+    made = []
+    env = Environment()
+    cluster = homogeneous_cluster(env, nodes=2)
+    g = FilterGraph()
+    g.add_filter("src", sim_factory=lambda: ListSource(12, 100), is_source=True)
+    g.add_filter("mid", sim_factory=lambda: SteppedOnce(made))
+    g.add_filter("sink", sim_factory=CountingSink)
+    g.connect("src", "mid")
+    g.connect("mid", "sink")
+    p = Placement().place("src", ["node0"]).place("sink", ["node1"])
+    p.place("mid", [("node0", 1), ("node1", 2)])
+    runs = SimulatedEngine(cluster, g, p, policy="DD").run_many(2)
+    assert len(made) == 2 * 3
+    for metrics, models in zip(runs, (made[:3], made[3:])):
+        assert metrics.result == {"buffers": 12, "bytes": 1200}
+        assert [m.flush_steps for m in models] == [1, 1, 1]
+        mid_in = [c.buffers_in for c in metrics.copies if c.filter_name == "mid"]
+        assert sorted(m.steps for m in models) == sorted(mid_in)
+        assert sum(mid_in) == 12
+
+
 def test_three_stage_pipeline_with_fanout_copies():
     env = Environment()
     cluster = homogeneous_cluster(env, nodes=4)
@@ -376,8 +415,8 @@ def test_sim_model_exception_propagates():
     the crashed copy has drained and announced — and the surviving copies'
     metrics ride on the error."""
 
-    class BadModel(SimFilter):
-        def cost(self, buffer):
+    class BadModel(StageModel):
+        def step(self, unit, cost):
             raise RuntimeError("model blew up")
 
     env = Environment()

@@ -2,27 +2,30 @@
 
 import pytest
 
-from repro.core import DataBuffer, FilterGraph, Placement, SimFilter, SimSource, SourceItem
-from repro.engines.simulated import SimulatedEngine
+from repro.core import DataBuffer, FilterGraph, Placement
+from repro.core.fuse import StageModel
 from repro.core.tracing import Tracer
+from repro.engines.simulated import SimulatedEngine
 from repro.sim import Environment, homogeneous_cluster
 
 
-class Src(SimSource):
-    def items(self, ctx):
+class Src(StageModel):
+    source = True
+
+    def units(self, ctx):
         for i in range(5):
-            yield SourceItem(
-                read_bytes=1000, cpu=0.01,
-                outputs=[DataBuffer(100, tags={"i": i})],
-            )
+            yield 1000, 0, False, {"i": i}
+
+    def step(self, unit, cost):
+        return cost + 0.01, unit
+
+    def packets(self, unit):
+        return [DataBuffer(100, tags=dict(unit))]
 
 
-class Snk(SimFilter):
-    def cost(self, buffer):
-        return 0.02
-
-    def react(self, buffer):
-        return ()
+class Snk(StageModel):
+    def step(self, unit, cost):
+        return cost + 0.02, None
 
 
 def traced_run():

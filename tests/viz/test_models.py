@@ -70,36 +70,37 @@ def test_extract_model_costs_and_outputs():
     costs = CostParams(extract_per_voxel=1e-6, extract_per_triangle=1e-5)
     model = ExtractModel(costs, BufferSizes(triangles=1024))
     buf = DataBuffer(5000, tags={"voxels": 1000, "triangles": 50})
-    assert model.cost(buf) == pytest.approx(1000 * 1e-6 + 50 * 1e-5)
-    outs = list(model.react(buf))
+    cost, emitted = model.step(model.unit_of(buf), 0.0)
+    assert cost == pytest.approx(1000 * 1e-6 + 50 * 1e-5)
+    outs = model.packets(emitted)
     assert sum(b.nbytes for b in outs) == 50 * TRIANGLE_BYTES
     assert sum(b.tags["triangles"] for b in outs) == 50
 
 
 def test_raster_zb_model_flush_volume():
     model = RasterZBModel(CostParams(), BufferSizes(zbuffer_slab=1 << 20), 512, 512)
-    assert list(model.react(DataBuffer(10, tags={"triangles": 5}))) == []
-    outs = list(model.flush_outputs())
+    assert model.step({"triangles": 5}, 0.0)[1] is None
+    cost, emitted = model.flush_step(0.0)
+    outs = model.packets(emitted)
     assert sum(b.nbytes for b in outs) == 512 * 512 * ZBUFFER_ENTRY_BYTES
-    assert model.flush_cost() > 0
+    assert cost > 0
 
 
 def test_raster_ap_model_streams_entries():
     costs = CostParams(fragments_per_triangle_2048=8.0, ap_entry_ratio=1.0)
     model = RasterAPModel(costs, BufferSizes(wpa=1 << 16), 2048, 2048)
-    buf = DataBuffer(10, tags={"triangles": 100})
-    outs = list(model.react(buf))
+    outs = model.packets(model.step({"triangles": 100}, 0.0)[1])
     assert sum(b.nbytes for b in outs) == 800 * WPA_ENTRY_BYTES
-    assert list(model.flush_outputs()) == []
-    assert model.flush_cost() == 0.0
+    assert model.flush_step(0.0) == (0.0, None)
+    assert model.result() == {"triangles": 100}
 
 
 def test_merge_model_cost_per_entry():
     costs = CostParams(merge_zb_per_entry=1e-6, merge_ap_per_entry=2e-6)
     zb = MergeModel(costs, "zbuffer")
-    assert zb.cost(DataBuffer(800)) == pytest.approx(100 * 1e-6)
+    assert zb.step(zb.unit_of(DataBuffer(800)), 0.0)[0] == pytest.approx(100 * 1e-6)
     ap = MergeModel(costs, "active")
-    assert ap.cost(DataBuffer(120)) == pytest.approx(10 * 2e-6)
+    assert ap.step(ap.unit_of(DataBuffer(120)), 0.0) == (pytest.approx(10 * 2e-6), None)
     assert ap.result()["buffers"] == 1
     with pytest.raises(ConfigurationError):
         MergeModel(costs, "wrong")
@@ -116,19 +117,21 @@ def test_extract_raster_model_zb_vs_ap():
 
     zb = extract_raster("zbuffer")
     ap = extract_raster("active")
-    buf = DataBuffer(1000, tags={"voxels": 100, "triangles": 40})
+    unit = {"voxels": 100, "triangles": 40}
+    (zb_cost, zb_unit), (ap_cost, ap_unit) = zb.step(unit, 0.0), ap.step(unit, 0.0)
     # AP pays the per-entry cost on top of shared extract+raster work.
-    assert ap.cost(buf) > zb.cost(buf)
+    assert ap_cost > zb_cost
     # ZB emits nothing until flush; AP emits immediately.
-    assert list(zb.react(buf)) == []
-    assert list(ap.react(buf)) != []
-    assert sum(b.nbytes for b in zb.flush_outputs()) == 512 * 512 * 8
-    assert list(ap.flush_outputs()) == []
+    assert zb_unit is None
+    assert ap.packets(ap_unit) != []
+    assert sum(b.nbytes for b in zb.packets(zb.flush_step(0.0)[1])) == 512 * 512 * 8
+    assert ap.flush_step(0.0)[1] is None
     with pytest.raises(ConfigurationError):
         extract_raster("nope")
 
 
 def test_untagged_buffer_costs_nothing():
     model = ExtractModel(CostParams(), BufferSizes())
-    assert model.cost(DataBuffer(100)) == 0.0
-    assert list(model.react(DataBuffer(100))) == []
+    cost, emitted = model.step(model.unit_of(DataBuffer(100)), 0.0)
+    assert cost == 0.0
+    assert model.packets(emitted) == []
