@@ -24,11 +24,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Callable
+from dataclasses import dataclass
 
 from repro.configurations import POLICIES
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "Router",
     "Target",
     "WriterPolicy",
     "RoundRobin",
@@ -39,29 +41,16 @@ __all__ = [
 ]
 
 
+@dataclass(eq=False, slots=True)
 class Target:
-    """A writer's view of one consumer copy set.
+    """A writer's view of one consumer copy set; its policy keeps
+    ``unacked`` (:meth:`WriterPolicy.on_sent`, :meth:`WriterPolicy.on_ack`)."""
 
-    ``unacked`` is maintained by the policy via :meth:`WriterPolicy.on_sent`
-    and :meth:`WriterPolicy.on_ack`; ``sent`` counts all buffers routed to
-    this copy set by the owning writer.
-    """
-
-    __slots__ = ("index", "host", "copies", "local", "unacked", "sent")
-
-    def __init__(self, index: int, host: str, copies: int, local: bool) -> None:
-        self.index = index
-        self.host = host
-        self.copies = copies
-        self.local = local
-        self.unacked = 0
-        self.sent = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"<Target {self.index} host={self.host} copies={self.copies} "
-            f"unacked={self.unacked}>"
-        )
+    index: int
+    host: str
+    copies: int
+    local: bool
+    unacked: int = 0
 
 
 class WriterPolicy(ABC):
@@ -106,7 +95,6 @@ class WriterPolicy(ABC):
 
     def on_sent(self, target: Target) -> None:
         """Engine notification: a buffer was sent to ``target``."""
-        target.sent += 1
 
     def on_ack(self, target: Target) -> None:
         """Engine notification: consumer acknowledged one buffer."""
@@ -204,7 +192,6 @@ class DemandDriven(WriterPolicy):
 
     def on_sent(self, target: Target) -> None:
         """Account one buffer sent to ``target``."""
-        super().on_sent(target)
         target.unacked += 1
 
     def on_ack(self, target: Target) -> None:
@@ -214,6 +201,39 @@ class DemandDriven(WriterPolicy):
                 f"ack for target {target.host!r} with no outstanding buffers"
             )
         target.unacked -= 1
+
+
+class Router:
+    """One writer's routing, without I/O: acknowledgments in, a target out.
+
+    Built from the producer's host, its consumer copy sets ``(host,
+    copies)`` and a fresh policy, it is the one place a :class:`Target` is
+    made; the blocking writer and the simulator drive the same object.
+    """
+
+    __slots__ = ("policy", "targets")
+
+    def __init__(
+        self, host: str, copysets: "list[tuple[str, int]]", policy: WriterPolicy
+    ) -> None:
+        self.policy = policy
+        self.targets = [
+            Target(i, h, copies, local=(h == host))
+            for i, (h, copies) in enumerate(copysets)
+        ]
+        policy.bind(self.targets)
+
+    def ack(self, index: int) -> None:
+        """Copy set ``index`` acknowledged one buffer."""
+        self.policy.on_ack(self.targets[index])
+
+    def route(self) -> Target | None:
+        """The copy set the next buffer goes to, booked as sent; ``None``
+        while the policy cannot send (every DD window full)."""
+        target = self.policy.select()
+        if target is not None:
+            self.policy.on_sent(target)
+        return target
 
 
 #: A callable producing a fresh policy per writer.

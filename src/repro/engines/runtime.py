@@ -9,14 +9,12 @@ The paper's filter-stream protocol is written here exactly once:
   nothing: the real engines drive it by blocking, the simulated engine by
   yielding the DES events each effect costs, and each driver traces one span
   per effect it performs (DESIGN §3b);
-- **copy-set queues** (:class:`CopySetQueue`) are bounded queues shared by
-  all copies of a filter on one "host", closed *in band* — every producer
-  enqueues an end-of-work marker behind its own data, and the consumer that
-  pulls the final marker stops its siblings;
-- **writers** (:class:`Writer`) run the RR / WRR / DD policies on the
-  producer side and block while every window is full; a consumer
-  acknowledges by counting up a counter in the producer's arena, which
-  wakes them;
+- **the close** (:class:`CloseCount`) and **routing**
+  (:class:`~repro.core.policies.Router`) are sans-I/O parts every engine
+  drives: copy-set queues (:class:`CopySetQueue`), shared by all copies of
+  a filter on one "host", close *in band* through the one, and writers
+  (:class:`Writer`) route through the other, blocking while every DD window
+  is full until a consumer counts an ack up in the producer's arena;
 - **one copy** (:func:`run_copy`) builds its filter once and runs a cycle per
   item of whatever iterator the engine feeds it, performing every effect by
   blocking: the threaded engine passes the units of work it was given,
@@ -42,6 +40,7 @@ payload data must copy it.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
@@ -55,15 +54,16 @@ from repro.core.filter import Filter, FilterContext
 from repro.core.graph import FilterGraph, FilterSpec
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, Target, WriterPolicy
+from repro.core.policies import PolicyFactory, Router, Target, WriterPolicy
 from repro.core.tracing import QueueSample, TraceEvent, Tracer
 from repro.errors import EngineError
 
 __all__ = [
-    "ACK", "ANNOUNCE", "DISCARD", "FINISH", "FLUSH", "INIT", "PRODUCE",
-    "RECV", "SEND", "WORK", "CopyPlan", "CopySetQueue", "CycleReport",
-    "Envelope", "ProcessTransport", "STOP", "ThreadTransport", "Transport",
-    "World", "Writer", "copies_failed", "copy_plan", "discard",
+    "ACK", "ANNOUNCE", "COUNTED", "DATA", "DISCARD", "EOW", "FINAL", "FINISH",
+    "FLUSH", "INIT", "PRODUCE", "RECV", "SEND", "STOP", "SURPLUS", "WORK",
+    "CloseCount", "CopyPlan", "CopySetQueue", "CycleReport", "Envelope",
+    "ProcessTransport", "ThreadTransport", "Transport", "World", "Writer",
+    "copies_failed", "copy_plan", "discard",
     "execute_cycle", "fold_batch", "fold_cycle", "merge_trace", "run_copy",
     "span_detail",
 ]
@@ -71,7 +71,9 @@ __all__ = [
 #: Queue sentinels; compared by equality because identity does not survive
 #: pickling across a process boundary.
 STOP = "__repro_eow_stop__"
-_EOW = "__repro_eow_marker__"
+EOW = "__repro_eow_marker__"
+#: Counting an item that is not a marker needs no lock.
+_UNLOCKED = contextlib.nullcontext()
 
 #: One unit of work as a copy sees it: (cycle number, slot of the cycle ring,
 #: unit-of-work descriptor, trace limit or ``None`` for an untraced cycle).
@@ -212,6 +214,44 @@ def discard(wire: Envelope, world: "World") -> None:
         codec.release_encoded(wire.payload, world.arena_of(wire.payload))
 
 
+#: What one queued item means to the copy that pulled it (:class:`CloseCount`).
+DATA = "data"  # an envelope: work on it
+COUNTED = "counted"  # a marker, not the last: keep receiving
+SURPLUS = "surplus"  # a marker past the last one (a supervisor's): ignore it
+FINAL = "final"  # the last marker: stop, and owe each sibling copy a STOP
+
+
+class CloseCount:
+    """The close of one copy set, without I/O: queued items in, what each
+    means out.  Each of ``expected`` producer copies puts one :data:`EOW`
+    behind its data, so the copy that pulls the last has seen all the data
+    pulled; it owes each of its ``copies - 1`` siblings a :data:`STOP`.
+    ``seen`` is the transport's counter (a plain int or a shared ``Value``,
+    behind ``.value``); a caller shared by copies counts under its lock.
+    """
+
+    __slots__ = ("copies", "expected", "seen")
+
+    def __init__(self, copies: int, expected: int, seen: Any = None) -> None:
+        self.copies = copies
+        self.expected = expected
+        self.seen = seen if seen is not None else _Counter()
+
+    def take(self, item: Any) -> tuple[str, int]:
+        """``(meaning, STOPs owed)`` of one queued item: ``(DATA, 0)``,
+        ``(STOP, 0)``, ``(COUNTED, 0)``, ``(SURPLUS, 0)`` or ``(FINAL, n)``."""
+        if item == STOP:
+            return STOP, 0
+        if item != EOW:
+            return DATA, 0
+        if self.seen.value >= self.expected:
+            return SURPLUS, 0
+        self.seen.value += 1
+        if self.seen.value < self.expected:
+            return COUNTED, 0
+        return FINAL, self.copies - 1
+
+
 class CopySetQueue:
     """Bounded queue shared by all copies of a filter on one host.
 
@@ -219,10 +259,8 @@ class CopySetQueue:
     hands the item to a feeder thread asynchronously, so an out-of-band
     announcement could overtake the announcing producer's still-in-flight
     data and lose buffers.  Instead each finishing producer enqueues one
-    marker behind its own data (per-producer FIFO holds), consumers count
-    markers in a shared counter, and the consumer that pulls the final
-    marker — at which point every producer's data has necessarily been
-    pulled — fans one ``STOP`` out to each sibling copy and stops itself.
+    marker behind its own data (per-producer FIFO holds), and the copies
+    read every item through one :class:`CloseCount`.
     """
 
     def __init__(
@@ -230,8 +268,7 @@ class CopySetQueue:
     ) -> None:
         self.queue = transport.queue(capacity)
         self.copies = copies
-        self.expected_eow = expected_eow
-        self._eow_seen = transport.counter()
+        self.close = CloseCount(copies, expected_eow, transport.counter())
         self._lock = transport.lock()
 
     def put(self, item: Envelope) -> None:
@@ -240,7 +277,7 @@ class CopySetQueue:
 
     def producer_finished(self) -> None:
         """Announce this producer's end-of-work, behind all its data."""
-        self.queue.put(_EOW)
+        self.queue.put(EOW)
 
     def recv(self) -> "Envelope | None":
         """Next envelope; ``None`` once this copy's share of the stream closed.
@@ -250,20 +287,14 @@ class CopySetQueue:
         """
         while True:
             item = self.queue.get()
-            if item == STOP:
+            with self._lock if item == EOW else _UNLOCKED:
+                meaning, owed = self.close.take(item)
+            if meaning == DATA:
+                return item
+            for _ in range(owed):
+                self.queue.put(STOP)
+            if meaning in (STOP, FINAL):
                 return None
-            if item == _EOW:
-                with self._lock:
-                    if self._eow_seen.value >= self.expected_eow:
-                        continue
-                    self._eow_seen.value += 1
-                    final = self._eow_seen.value == self.expected_eow
-                if final:
-                    for _ in range(self.copies - 1):
-                        self.queue.put(STOP)
-                    return None
-                continue
-            return item
 
     def queued(self) -> Iterator[Envelope]:
         """The envelopes queued right now, without blocking (supervisors
@@ -273,18 +304,18 @@ class CopySetQueue:
                 item = self.queue.get_nowait()
             except Exception:  # noqa: BLE001 - Empty, or a killed worker's torn pipe
                 return
-            if item != STOP and item != _EOW:
+            if item != STOP and item != EOW:
                 yield item
 
     def reset(self) -> None:
-        """Rearm the end-of-work counter for a new unit of work.
+        """Rearm the end-of-work count for a new unit of work.
 
         Only valid once the previous cycle has fully drained (every copy
         pulled its ``STOP`` or the final marker) — the warm pool recycles
         each slot's queues this way instead of allocating per cycle.
         """
         with self._lock:
-            self._eow_seen.value = 0
+            self.close.seen.value = 0
 
     def qsize(self) -> int:
         """Approximate depth, or -1 where the platform cannot tell."""
@@ -295,13 +326,11 @@ class CopySetQueue:
 
 
 class Writer:
-    """Producer-side router for one (copy, cycle, stream) triple.
+    """Producer-side sender for one (copy, cycle, stream) triple.
 
-    Its consumers acknowledge by counting up its counters in the producing
-    copy's ``arena``, one per target copy set from index ``acks_at``; before
-    it routes, the writer turns each counter's increase since its last look
-    into as many ``policy.on_ack`` calls.  Without an arena (a writer on its
-    own) it makes one.
+    Consumers acknowledge by counting up its counters in the producing
+    copy's ``arena``, one per target copy set from index ``acks_at``; it
+    turns each increase into as many ``Router.ack`` calls before it routes.
     """
 
     def __init__(
@@ -317,10 +346,9 @@ class Writer:
         producer_cid: int,
         cycle: int,
         stream: str,
-        arena: "Arena | None" = None,
+        arena: Arena,
         acks_at: int = 0,
     ) -> None:
-        self.policy = policy
         self.copyset_queues = copyset_queues
         self.label = label
         self.clock = clock
@@ -329,16 +357,11 @@ class Writer:
         self.producer_cid = producer_cid
         self.cycle = cycle
         self.stream = stream
-        self.targets = [
-            Target(i, h, q.copies, local=(h == host))
-            for i, (h, q) in enumerate(zip(hosts, copyset_queues))
-        ]
-        policy.bind(self.targets)
-        self.arena = (
-            arena if arena is not None
-            else Arena(producer_cid, counters=len(self.targets))
+        self.router = Router(
+            host, [(h, q.copies) for h, q in zip(hosts, copyset_queues)], policy
         )
-        self._acks = self.arena.acks[acks_at:acks_at + len(self.targets)]
+        self.arena = arena
+        self._acks = arena.acks[acks_at:acks_at + len(copyset_queues)]
         # Every ack of the slot's earlier cycles landed before this cycle
         # was handed out, so these counters hold still until it sends.
         self._seen: list[int] = self._acks.tolist()
@@ -347,14 +370,11 @@ class Writer:
         """Apply the acks counted since the last look, then route one buffer
         (under the arena lock); ``None`` while every window is full."""
         acked: list[int] = self._acks.tolist()
-        for target, now, seen in zip(self.targets, acked, self._seen):
+        for index, (now, seen) in enumerate(zip(acked, self._seen)):
             for _ in range(now - seen):
-                self.policy.on_ack(target)
+                self.router.ack(index)
         self._seen = acked
-        target = self.policy.select()
-        if target is not None:
-            self.policy.on_sent(target)
-        return target
+        return self.router.route()
 
     def send(self, buffer: DataBuffer) -> Target:
         """Encode and route one buffer; blocks while the copy's arena or
@@ -372,7 +392,7 @@ class Writer:
             target, stalled = self.arena.wait(self._route)
             if stalled and self.tracer:
                 self.tracer.record(t0, self.label, "blocked", end=self.clock())
-            needs_ack = self.policy.needs_ack
+            needs_ack = self.router.policy.needs_ack
             envelope = Envelope(
                 self.cycle, self.stream, self.producer_cid,
                 target.index if needs_ack else -1,
@@ -610,17 +630,22 @@ def execute_cycle(
     except BaseException:  # noqa: BLE001 - surfaced via the report
         report.error = f"{label} cycle {k}: {traceback.format_exc()}"
         # Keep participating in the close protocol so upstream puts never
-        # block on a dead consumer (every producer eventually announces
-        # end-of-work, even when it failed).  Skipped if our share of the
-        # stream already closed — an error in flush/finalize/result — since
-        # no further end-of-work will ever arrive.
+        # block on a dead consumer.  Skipped if our share of the stream
+        # already closed (an error in flush/finalize/result): no further
+        # end-of-work will ever arrive.
         if spec.inputs and not input_done:
-            while (wire := (yield RECV, None)) is not None:
-                yield DISCARD, wire
+            try:
+                while (wire := (yield RECV, None)) is not None:
+                    yield DISCARD, wire
+            except GeneratorExit:
+                closing = True  # closed mid-drain: the same
+                raise
     finally:
         if not closing:
             try:
                 yield ANNOUNCE, None
+            except GeneratorExit:
+                raise  # closed at the announce: nothing to record
             except BaseException:  # noqa: BLE001 - surfaced via the report
                 if report.error is None:
                     report.error = f"{label} cycle {k}: {traceback.format_exc()}"

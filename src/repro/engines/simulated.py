@@ -7,20 +7,23 @@ driver, :meth:`SimulatedEngine._drive`, turns each effect into the simulation
 events it costs: receives pull from the copy set's shared queue, work and
 flush charge the CPU the copy's :class:`repro.core.fuse.StageModel` prices
 (one ``step`` per unit or input buffer, one ``flush_step``) on the host's
-processor-sharing CPU, sends route through a writer policy (RR / WRR / DD)
-to downstream copy sets over the simulated network.
+processor-sharing CPU, sends route through the producer's
+:class:`repro.core.policies.Router` (RR / WRR / DD) to downstream copy sets
+over the simulated network.  Routing and the copy-set close are the real
+engines' objects; only the I/O around them is simulated.
 
 Fidelity notes (mapped to the paper):
 
 - *Copy sets share one queue per host* — demand-based balance within a host
   (Section 2): all copies of a filter on one host pull from one Store.
 - *End-of-work markers* — each producer copy, once done, sends a zero-byte
-  message to every consumer copy set; a copy set closes after one marker per
-  producer copy per input stream.
+  message to every consumer copy set, counted by the set's
+  :class:`repro.engines.runtime.CloseCount`; the final marker closes the
+  Store out of band (no ``STOP`` events), and a surplus one is ignored.
 - *Demand-driven acks* — a consumer sends a small acknowledgment message to
   the producing copy when it dequeues a buffer (i.e. when processing starts),
-  paying network latency and per-message overhead; the producer's DD window
-  blocks it when all copy sets have a full window.
+  paying network latency and per-message overhead; on arrival the writer's
+  router counts it and a writer whose every window is full wakes.
 - *Backpressure* — queues are bounded; a producer's send blocks until the
   destination queue accepts the buffer, so a slow consumer throttles the
   whole pipeline exactly as a TCP stream would.
@@ -36,7 +39,7 @@ from repro.core.filter import FilterContext
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, Target, make_policy_factory
+from repro.core.policies import PolicyFactory, Router, make_policy_factory
 from repro.core.tracing import Tracer
 from repro.engines import runtime
 from repro.engines.base import Engine, emit_analysis_events, validate_run_setup
@@ -53,65 +56,6 @@ DEFAULT_QUEUE_CAPACITY = 8
 #: Conservative per-queued-buffer memory estimate for the audit (the
 #: largest default stream buffer is the 2 MiB z-buffer slab).
 _QUEUE_BUFFER_ESTIMATE = 2 * 1024 * 1024
-
-
-class _Writer:
-    """Producer-side router for one (copy, output stream) pair."""
-
-    __slots__ = ("env", "policy", "copysets", "ack_event", "host", "label")
-
-    def __init__(self, env: Environment, host: str, policy, copysets, label: str):
-        self.env = env
-        self.host = host
-        self.label = label
-        self.policy = policy
-        self.copysets = copysets  # parallel to policy targets
-        policy.bind([
-            Target(i, cs.host, cs.copies, local=(cs.host == host))
-            for i, cs in enumerate(copysets)
-        ])
-        self.ack_event = Event(env)
-
-    def deliver_ack(self, target: Target) -> None:
-        """Called when an ack message arrives back at the producer host."""
-        self.policy.on_ack(target)
-        pending = self.ack_event
-        self.ack_event = Event(self.env)
-        pending.succeed(None)
-
-
-class _CopySetRuntime:
-    """Per-(filter, host) state: the shared queue and EOW accounting.
-
-    The close protocol stays out of band here: the final marker closes the
-    Store, where in-band markers would cost DES events.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        filter_name: str,
-        host: str,
-        copies: int,
-        capacity: int,
-        expected_eow: int,
-    ):
-        self.filter_name = filter_name
-        self.host = host
-        self.copies = copies
-        self.store = Store(env, capacity=capacity, name=f"{filter_name}@{host}")
-        self.expected_eow = expected_eow
-        self.eow_seen = 0
-
-    def producer_finished(self) -> None:
-        """Count one upstream end-of-work marker; close when all arrived."""
-        self.eow_seen += 1
-        if self.eow_seen > self.expected_eow:  # pragma: no cover - protocol bug
-            raise EngineError(
-                f"{self.filter_name}@{self.host}: more EOW markers than producers"
-            )
-        if self.eow_seen == self.expected_eow:
-            self.store.close()
 
 
 class SimulatedEngine(Engine):
@@ -207,35 +151,33 @@ class SimulatedEngine(Engine):
             self.tracer.clock = "sim"
         emit_analysis_events(self.tracer, self._analysis_report, start)
 
-        # Copy-set runtimes, keyed by (filter, host).
-        copysets: dict[str, list[_CopySetRuntime]] = {}
+        # Per filter, per copy set: its host, shared queue and close count.
+        sets: dict[str, list[tuple[str, Store, runtime.CloseCount]]] = {}
         for name, spec in self.graph.filters.items():
             expected = sum(
                 self.placement.total_copies(stream.src) for stream in spec.inputs
             )
-            copysets[name] = [
-                _CopySetRuntime(
-                    env,
-                    name,
-                    cs.host,
-                    cs.copies,
-                    capacity=self.queue_capacity,
-                    expected_eow=expected,
-                )
+            sets[name] = [
+                (cs.host,
+                 Store(env, capacity=self.queue_capacity, name=f"{name}@{cs.host}"),
+                 runtime.CloseCount(cs.copies, expected))
                 for cs in self.placement.copysets(name)
             ]
         plan = runtime.copy_plan(self.graph, self.placement)
-        writers = [
-            {
-                s.name: _Writer(env, copy.host, self._policy(),
-                                copysets[s.dst], copy.label)
-                for s in copy.spec.outputs
-            }
-            for copy in plan
-        ]
+        # Per (copy, output stream): its router and the event an ack fires.
+        routers = {
+            (copy.cid, s.name): Router(
+                copy.host, [(cs.host, cs.copies) for cs in self.placement.copysets(s.dst)],
+                self._policy(),
+            )
+            for copy in plan for s in copy.spec.outputs
+        }
+        bells = {key: Event(env) for key in routers}
         reports = [runtime.CycleReport(copy.cid, 0) for copy in plan]
         done = [
-            env.process(self._drive(copy, report, copysets, writers), copy.label)
+            env.process(
+                self._drive(copy, report, plan, sets, routers, bells), copy.label
+            )
             for copy, report in zip(plan, reports)
         ]
         env.run(until=env.all_of(done))
@@ -253,8 +195,10 @@ class SimulatedEngine(Engine):
         self,
         copy: runtime.CopyPlan,
         report: runtime.CycleReport,
-        copysets: dict[str, list[_CopySetRuntime]],
-        writers_of: list[dict[str, _Writer]],
+        plan: list[runtime.CopyPlan],
+        sets: dict[str, list[tuple[str, Store, runtime.CloseCount]]],
+        routers: dict[tuple[int, str], Router],
+        bells: dict[tuple[int, str], Event],
     ) -> Generator[Event, Any, None]:
         """Perform one copy's cycle in simulated time.
 
@@ -268,8 +212,8 @@ class SimulatedEngine(Engine):
         env, cluster, tracer = self.env, self.cluster, self.tracer
         spec, label = copy.spec, copy.label
         host = cluster.host(copy.host)
-        my_set = copysets[spec.name][copy.set_idx]
-        writers = writers_of[copy.cid]
+        my_store = sets[spec.name][copy.set_idx][1]
+        outputs = {s.name: s.dst for s in spec.outputs}
         model: Any = None
         units: Any = None
         sink = not spec.outputs
@@ -286,11 +230,11 @@ class SimulatedEngine(Engine):
             try:
                 if effect is runtime.RECV:
                     try:
-                        value = yield my_set.store.get()
+                        value = yield my_store.get()
                     except StreamClosedError:
                         pass
                 elif effect is runtime.ACK:
-                    self._ack(copy.host, arg, writers_of)
+                    self._ack(copy.host, arg, plan, routers, bells)
                     value = True
                 elif effect is runtime.WORK:
                     # A source works on the unit of its SourceUnit.
@@ -302,33 +246,32 @@ class SimulatedEngine(Engine):
                     value = [] if sink or emitted is None else model.packets(emitted)
                 elif effect is runtime.SEND:
                     stream = arg.tags.get("stream")
-                    if stream is None and len(writers) == 1:
-                        stream = next(iter(writers))
-                    if stream not in writers:
+                    if stream is None and len(outputs) == 1:
+                        stream = next(iter(outputs))
+                    if stream not in outputs:
                         raise EngineError(
-                            f"filter {spec.name!r} has output streams {sorted(writers)}; "
+                            f"filter {spec.name!r} has output streams {sorted(outputs)}; "
                             f"a model output must name one in a 'stream' tag"
                         )
-                    writer = writers[stream]
-                    target = writer.policy.select()
+                    router = routers[copy.cid, stream]
+                    target = router.route()
                     if target is None:
                         # All windows full: the writer stalls until an ack returns.
                         while target is None:
-                            yield writer.ack_event
-                            target = writer.policy.select()
+                            yield bells[copy.cid, stream]
+                            target = router.route()
                         if tracer:
                             tracer.record(start, label, "blocked", end=env.now)
-                    writer.policy.on_sent(target)
                     sent_at = env.now
-                    dst = writer.copysets[target.index]
-                    yield cluster.transfer(copy.host, dst.host, arg.nbytes)
-                    yield dst.store.put(runtime.Envelope(
+                    store = sets[outputs[stream]][target.index][1]
+                    yield cluster.transfer(copy.host, target.host, arg.nbytes)
+                    yield store.put(runtime.Envelope(
                         0, stream, copy.cid, target.index, sent_at,
-                        writer.policy.needs_ack, arg,
+                        router.policy.needs_ack, arg,
                     ))
                     if tracer:
-                        tracer.sample_queue(env.now, dst.store.name, len(dst.store))
-                    value = stream, dst.host
+                        tracer.sample_queue(env.now, store.name, len(store))
+                    value = stream, target.host
                 elif effect is runtime.PRODUCE:
                     value = next(units, None)
                     if value is not None and value[0]:
@@ -352,12 +295,15 @@ class SimulatedEngine(Engine):
                 elif effect is runtime.FINISH:
                     value = model.result() if arg else None
                 elif effect is runtime.ANNOUNCE:
-                    for writer in writers.values():
-                        for dst in writer.copysets:
-                            yield cluster.transfer(copy.host, dst.host, 0)
-                            dst.producer_finished()
+                    # Out of band: the final marker closes the Store, where
+                    # in-band markers would cost events; a surplus is ignored.
+                    for dst in outputs.values():
+                        for dst_host, store, close in sets[dst]:
+                            yield cluster.transfer(copy.host, dst_host, 0)
+                            if close.take(runtime.EOW)[0] == runtime.FINAL:
+                                store.close()
                 elif effect is runtime.DISCARD and arg.needs_ack:
-                    self._ack(copy.host, arg, writers_of)
+                    self._ack(copy.host, arg, plan, routers, bells)
             except Exception as exc:  # noqa: BLE001 - the cycle reports it
                 thrown = exc
             if tracer:
@@ -368,17 +314,22 @@ class SimulatedEngine(Engine):
         self,
         consumer_host: str,
         wire: runtime.Envelope,
-        writers_of: list[dict[str, _Writer]],
+        plan: list[runtime.CopyPlan],
+        routers: dict[tuple[int, str], Router],
+        bells: dict[tuple[int, str], Event],
     ) -> None:
-        """Fire-and-forget acknowledgment back to the producing copy."""
+        """Fire-and-forget acknowledgment back to the producing copy: its
+        router counts it and its bell rings for a writer that waits."""
         env, tracer = self.env, self.tracer
-        writer = writers_of[wire.producer][wire.stream]
-        transfer = self.cluster.transfer(consumer_host, writer.host, DEFAULT_ACK_BYTES)
+        producer, key = plan[wire.producer], (wire.producer, wire.stream)
+        transfer = self.cluster.transfer(consumer_host, producer.host, DEFAULT_ACK_BYTES)
 
         def _deliver(_ev: Event) -> None:
-            writer.deliver_ack(writer.policy.targets[wire.target_index])
+            routers[key].ack(wire.target_index)
+            pending, bells[key] = bells[key], Event(env)
+            pending.succeed(None)
             if tracer:
-                tracer.record(wire.sent_at, writer.label, "acked", end=env.now)
+                tracer.record(wire.sent_at, producer.label, "acked", end=env.now)
 
         transfer.callbacks.append(_deliver)
 

@@ -132,16 +132,6 @@ def test_bind_empty_rejected():
         RoundRobin().bind([])
 
 
-def test_sent_counter_maintained():
-    policy = RoundRobin()
-    tgts = targets(("a", 1), ("b", 1))
-    policy.bind(tgts)
-    for _ in range(5):
-        policy.on_sent(policy.select())
-    assert tgts[0].sent == 3
-    assert tgts[1].sent == 2
-
-
 def test_factory_registry():
     assert isinstance(make_policy_factory("rr")(), RoundRobin)
     assert isinstance(make_policy_factory("WRR")(), WeightedRoundRobin)

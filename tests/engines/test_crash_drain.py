@@ -589,9 +589,6 @@ def test_abandoned_send_releases_encoded_payload(shm_ledger, arena_ledger):
         def select(self):
             raise RuntimeError("routing failed")
 
-        def route(self, tags):
-            return self.select()
-
     writer = Writer(
         host="h0",
         policy=ExplodingPolicy(),
@@ -604,6 +601,7 @@ def test_abandoned_send_releases_encoded_payload(shm_ledger, arena_ledger):
         producer_cid=0,
         cycle=0,
         stream="src->sink",
+        arena=Arena(0, counters=1),
     )
     arr = np.ones(4096, dtype=np.float64)
     with pytest.raises(RuntimeError, match="routing failed"):

@@ -258,10 +258,21 @@ def test_an_untraced_cycle_reads_no_extra_clock():
     assert next(ticks) == 1
 
 
-def test_a_closed_cycle_performs_nothing_more():
+@pytest.mark.parametrize("replies, suspended_at", [
+    ([], INIT),
+    # work raises: the crash drain's first receive
+    ([None, wire(1), True, RuntimeError("boom")], RECV),
+    ([None, None, (), None], ANNOUNCE),
+], ids=["after-init", "in-the-crash-drain", "at-announce"])
+def test_a_closed_cycle_performs_nothing_more(replies, suspended_at):
     copy = copies()["mid"]
     report = CycleReport(copy.cid, 0)
     steps = execute_cycle(copy, 0, report, lambda: 1.0)
-    assert next(steps) == (INIT, None)
-    steps.close()  # its driver went away: no drain, no announce
-    assert report.error is None and report.finished_at == 0.0
+    request = next(steps)
+    for reply in replies:
+        thrown = isinstance(reply, BaseException)
+        request = steps.throw(reply) if thrown else steps.send(reply)
+    assert request == (suspended_at, None)
+    error = report.error
+    steps.close()  # its driver went away: no drain, no announce, no record
+    assert report.error is error and report.finished_at == 0.0
