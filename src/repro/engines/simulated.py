@@ -326,8 +326,9 @@ class SimulatedEngine(Engine):
 
         def _deliver(_ev: Event) -> None:
             routers[key].ack(wire.target_index)
-            pending, bells[key] = bells[key], Event(env)
-            pending.succeed(None)
+            if bells[key].callbacks:  # a writer waits on it
+                pending, bells[key] = bells[key], Event(env)
+                pending.succeed(None)
             if tracer:
                 tracer.record(wire.sent_at, producer.label, "acked", end=env.now)
 

@@ -48,14 +48,13 @@ class Event:
     current simulation time.  Processes wait on events by yielding them.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_scheduled", "_defused")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env: "Environment"):
         self.env = env
         self.callbacks: list[Callable[[Event], None]] | None = []
         self._value: Any = PENDING
         self._ok: bool | None = None
-        self._scheduled = False
         self._defused = False
 
     # -- state predicates ------------------------------------------------
@@ -123,11 +122,15 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Built already triggered, without the pending state Event starts in.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        heapq.heappush(env._queue, (env._now + delay, env._seq, self))
+        env._seq += 1
 
 
 class Process(Event):
@@ -171,7 +174,7 @@ class Process(Event):
                     target = self._generator.send(event._value)
                 else:
                     # Mark the failure as handled so the env does not crash.
-                    setattr(event, "_defused", True)
+                    event._defused = True
                     exc = event._value
                     target = self._generator.throw(exc)
             except StopIteration as stop:
@@ -240,7 +243,7 @@ class AllOf(_Condition):
         if self.triggered:
             return
         if not event._ok:
-            setattr(event, "_defused", True)
+            event._defused = True
             self.fail(event._value)
             return
         self._count += 1
@@ -266,13 +269,18 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
 
     @property
     def now(self) -> float:
         """Current simulated time (seconds)."""
         return self._now
+
+    @property
+    def scheduled(self) -> int:
+        """Events scheduled so far (the tie-breaking sequence's count)."""
+        return self._seq
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
@@ -294,25 +302,9 @@ class Environment:
         return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
-        if event._scheduled:
-            raise SimulationError(f"{event!r} scheduled twice")
-        event._scheduled = True
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
         self._seq += 1
-
-    def _step(self) -> None:
-        when, _prio, _seq, event = heapq.heappop(self._queue)
-        if when < self._now:  # pragma: no cover - guarded by Timeout ctor
-            raise SimulationError("time went backwards")
-        self._now = when
-        callbacks = event.callbacks
-        event.callbacks = None
-        for cb in callbacks:
-            cb(event)
-        if event._ok is False and not getattr(event, "_defused", False):
-            # An event failed and nothing was listening: surface the error.
-            raise event._value
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
@@ -336,19 +328,26 @@ class Environment:
                     f"run(until={stop_at}) is in the past (now={self._now})"
                 )
 
-        while self._queue:
-            if stop_event is not None and stop_event.processed:
+        queue, pop = self._queue, heapq.heappop
+        while queue:
+            if stop_event is not None and stop_event.callbacks is None:
                 break
-            if stop_at is not None and self.peek() > stop_at:
+            if stop_at is not None and queue[0][0] > stop_at:
                 self._now = stop_at
                 return None
-            self._step()
+            self._now, _seq, event = pop(queue)
+            callbacks, event.callbacks = event.callbacks, None
+            for cb in callbacks:
+                cb(event)
+            if event._ok is False and not event._defused:
+                # An event failed and nothing was listening: surface the error.
+                raise event._value
 
         if stop_event is not None:
             if not stop_event.triggered:
                 raise SimulationError("run() ran out of events before `until` fired")
             if not stop_event._ok:
-                setattr(stop_event, "_defused", True)
+                stop_event._defused = True
                 raise stop_event._value
             return stop_event._value
         if stop_at is not None and stop_at > self._now:

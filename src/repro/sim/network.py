@@ -40,14 +40,17 @@ class Link:
 
 
 class _Flow:
-    __slots__ = ("links", "remaining", "rate", "event", "nbytes")
+    __slots__ = ("links", "remaining", "rate", "event", "nbytes", "fixed")
 
-    def __init__(self, links: tuple[Link, ...], nbytes: float, event: Event):
+    def __init__(
+        self, links: tuple[Link, ...], nbytes: float, event: Event, fixed: float
+    ):
         self.links = links
         self.remaining = nbytes
         self.nbytes = nbytes
         self.rate = 0.0
         self.event = event
+        self.fixed = fixed  # latency + per-message overhead after the drain
 
 
 class Network:
@@ -76,6 +79,8 @@ class Network:
         self._epoch = 0
         # Statistics.
         self.transfers_started = 0
+        #: Transfers (and their bytes) whose arrival is scheduled: a local or
+        #: zero-byte one when it starts, a remote one when its flow drains.
         self.transfers_completed = 0
         self.bytes_delivered = 0.0
 
@@ -99,6 +104,8 @@ class Network:
         """Register the link path and fixed costs for ``src`` -> ``dst``."""
         if latency < 0 or message_overhead < 0:
             raise ConfigurationError("latency/message_overhead must be >= 0")
+        if len(set(links)) != len(links):
+            raise ConfigurationError(f"route {src!r} -> {dst!r} crosses a link twice")
         self._routes[(src, dst)] = (tuple(links), latency, message_overhead)
 
     def route(self, src: str, dst: str) -> tuple[tuple[Link, ...], float, float]:
@@ -112,16 +119,15 @@ class Network:
     def transfer(self, src: str, dst: str, nbytes: float) -> Event:
         """Move ``nbytes`` from host ``src`` to host ``dst``.
 
-        Returns an event firing when the last byte has arrived.
+        Returns an event firing when the last byte has arrived: the
+        transfer's one kernel event, scheduled once its arrival time is known.
         """
         if nbytes < 0:
             raise SimulationError(f"negative transfer size: {nbytes}")
         ev = Event(self.env)
         self.transfers_started += 1
         if src == dst:
-            delay = self.local_latency + nbytes / self.local_bandwidth
-            done = self.env.timeout(delay)
-            done.callbacks.append(lambda _e: self._finish_local(ev, nbytes))
+            self._arrive(ev, self.local_latency + nbytes / self.local_bandwidth, nbytes)
             return ev
 
         links, latency, overhead = self.route(src, dst)
@@ -130,31 +136,19 @@ class Network:
             link.messages += 1
         fixed = latency + overhead
         if nbytes == 0:
-            done = self.env.timeout(fixed)
-            done.callbacks.append(lambda _e: self._finish_local(ev, 0))
+            self._arrive(ev, fixed, 0)
             return ev
-        inner = Event(self.env)
-        flow = _Flow(links, float(nbytes), inner)
         self._settle()
-        self._flows.append(flow)
+        self._flows.append(_Flow(links, float(nbytes), ev, fixed))
         self._update()
-
-        def _then(_e: Event) -> None:
-            tail = self.env.timeout(fixed)
-            tail.callbacks.append(lambda _t: self._finish_remote(ev, nbytes))
-
-        inner.callbacks.append(_then)
         return ev
 
-    def _finish_local(self, ev: Event, nbytes: float) -> None:
+    def _arrive(self, ev: Event, delay: float, nbytes: float) -> None:
+        """Count a delivered transfer; ``ev`` fires ``delay`` from now."""
         self.transfers_completed += 1
         self.bytes_delivered += nbytes
-        ev.succeed(None)
-
-    def _finish_remote(self, ev: Event, nbytes: float) -> None:
-        self.transfers_completed += 1
-        self.bytes_delivered += nbytes
-        ev.succeed(None)
+        ev._ok, ev._value = True, None
+        self.env._schedule(ev, delay)
 
     @property
     def active_flows(self) -> int:
@@ -183,7 +177,7 @@ class Network:
         if finished:
             self._flows = [f for f in self._flows if f.remaining > _EPS_BYTES]
             for flow in finished:
-                flow.event.succeed(None)
+                self._arrive(flow.event, flow.fixed, flow.nbytes)
         self._maxmin()
         self._epoch += 1
         if not self._flows:
@@ -200,36 +194,41 @@ class Network:
         self._update()
 
     def _maxmin(self) -> None:
-        """Water-filling max-min fair allocation over the active flows."""
-        flows = self._flows
-        if not flows:
-            return
-        unfrozen: set[int] = set(range(len(flows)))
-        link_flows: dict[Link, set[int]] = {}
-        for i, flow in enumerate(flows):
-            for link in flow.links:
-                link_flows.setdefault(link, set()).add(i)
-        cap_left: dict[Link, float] = {ln: ln.capacity for ln in link_flows}
+        """Water-filling max-min fair allocation over the active flows.
 
-        while unfrozen:
-            # Find the tightest link among those carrying unfrozen flows.
-            best_link: Link | None = None
-            best_share = float("inf")
-            for link, members in link_flows.items():
-                live = members & unfrozen
-                if not live:
-                    continue
-                share = cap_left[link] / len(live)
-                if share < best_share:
-                    best_share = share
-                    best_link = link
-            if best_link is None:  # pragma: no cover - defensive
+        Each round freezes the flows of the tightest link (least capacity
+        left per live flow; the first in order of appearance on a tie) at
+        that share, taken from every link they cross.  A route crosses a
+        link once (:meth:`set_route`), so live flows are counted, not kept.
+        """
+        flows = self._flows
+        if len(flows) < 2:
+            for flow in flows:  # alone: the capacity of its tightest link
+                flow.rate = min(link.capacity for link in flow.links)
+            return
+        members: dict[Link, list[_Flow]] = {}
+        for flow in flows:
+            for link in flow.links:
+                members.setdefault(link, []).append(flow)
+        cap_left = {link: link.capacity for link in members}
+        live = {link: len(on_link) for link, on_link in members.items()}
+        frozen: set[_Flow] = set()
+        while len(frozen) < len(flows):
+            best, best_share = None, float("inf")
+            for link, count in live.items():
+                if count:
+                    share = cap_left[link] / count
+                    if share < best_share:
+                        best, best_share = link, share
+            if best is None:  # pragma: no cover - a flow crossing no link
                 break
-            for i in list(link_flows[best_link] & unfrozen):
-                flows[i].rate = best_share
-                unfrozen.discard(i)
-                for link in flows[i].links:
-                    cap_left[link] -= best_share
+            for flow in members[best]:
+                if flow in frozen:
+                    continue
+                frozen.add(flow)
+                flow.rate = best_share
+                for link in flow.links:
+                    live[link] -= 1
+                    left = cap_left[link] - best_share
                     # Numerical guard against tiny negatives.
-                    if cap_left[link] < 0:
-                        cap_left[link] = 0.0
+                    cap_left[link] = 0.0 if left < 0 else left

@@ -172,3 +172,16 @@ def test_staggered_arrivals_rate_adjustment():
     # (100 done) -> finishes exactly at t=3 as well.
     assert done["b"] == pytest.approx(3.0)
     assert done["a"] == pytest.approx(3.0)
+
+
+def test_a_route_that_repeats_a_link_is_refused():
+    """A flow counts once among a link's members, so it may cross the
+    link once: a route naming it twice is a configuration error."""
+    env = Environment()
+    net = Network(env)
+    ab = net.add_link("ab", 100.0)
+    bc = net.add_link("bc", 100.0)
+    with pytest.raises(ConfigurationError, match="crosses a link twice"):
+        net.set_route("A", "C", [ab, bc, ab], 0.0)
+    with pytest.raises(ConfigurationError, match="no route"):
+        net.route("A", "C")

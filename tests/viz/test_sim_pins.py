@@ -51,12 +51,15 @@ def point_key(configuration: str, algorithm: str, policy: str) -> str:
     return f"{configuration}/{algorithm}/{policy}"
 
 
-def run_point(profile, configuration: str, algorithm: str, policy: str) -> dict:
-    """One scenario point on a fresh testbed, reduced to what is pinned."""
+def run_point(
+    profile, configuration: str, algorithm: str, policy: str, env=None
+) -> dict:
+    """One scenario point on a fresh testbed (on ``env`` if given),
+    reduced to what is pinned."""
     names = [f"rogue{i}" for i in range(NODES)]
     cluster = umd_testbed(
-        Environment(), red_nodes=0, blue_nodes=0, rogue_nodes=NODES,
-        deathstar=False,
+        Environment() if env is None else env, red_nodes=0, blue_nodes=0,
+        rogue_nodes=NODES, deathstar=False,
     )
     cluster.set_background_load(JOBS, hosts=names[:LOADED])
     storage = StorageMap.balanced(
