@@ -11,12 +11,13 @@ range...).
 copies that do not share an address space.  Large NumPy arrays anywhere in
 the payload are copied once into the sending copy's :class:`Arena` — one
 anonymous shared mapping per producing copy, made before the copies fork,
-so every copy maps every arena — while the remaining object structure
-rides a small pickle header: the process engine's queues carry only the
-header plus an extent descriptor.  The consumer decodes views into the
-owner's arena and gives the extent back once its ``handle`` returns; the
-owner reuses the space first-fit.  No named object is created, so nothing
-can outlive the processes that map an arena.  One kind of large array is
+so every copy maps every arena — and the remaining object structure
+pickles into a small header kept in the same arena: what crosses between
+copies is a fixed-size :class:`Record` on a kernel pipe, naming the extent.
+The consumer decodes views into the owner's arena and gives the extent back
+once its ``handle`` returns; the owner reuses the space first-fit.  No
+named object is created, so nothing can outlive the processes that map an
+arena.  One kind of large array is
 shared memory *already*: a C-contiguous read-only view into a ``mode="r"``
 file mapping (what the Read filter streams from a
 :class:`~repro.data.diskstore.DeclusteredStore`).  Such an array travels as
@@ -27,27 +28,27 @@ same file — no arena, no copy.  The threaded engine accepts the same codec
 
 from __future__ import annotations
 
+import fcntl
 import io
 import mmap
 import os
 import pickle
-import threading
-from collections.abc import Callable
+import struct
+import termios
+import weakref
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from typing import Any, TypeVar
+from enum import IntEnum
+from typing import Any, NamedTuple, TypeVar
 
 import numpy as np
 
 from repro.errors import EngineError
 
 __all__ = [
-    "ARENA_BYTES",
-    "Arena",
-    "DataBuffer",
-    "chunk_bytes",
-    "BufferCodec",
-    "EncodedBuffer",
-    "PayloadLease",
+    "ARENA_BYTES", "RECORD_BYTES", "Arena", "BufferCodec", "DataBuffer",
+    "EncodedBuffer", "Kind", "PayloadLease", "Record", "chunk_bytes",
+    "disposer", "pending", "pipe", "read_exact",
 ]
 
 
@@ -99,18 +100,15 @@ ARENA_BYTES = 2 * 2**20 * (8 * 1 + 2 + 1) * 2
 
 #: Extents one arena can hold at once (one record each in its table).
 _RECORDS = 128
-#: Header words ahead of the record table: the last extent id handed out,
-#: the high-water mark in bytes, and how many waiters sleep on the bell.
-_NEXT, _HIGH, _WAITING = 0, 1, 2
-_HEAD_WORDS = 3
-#: Header word of the first ack counter: right after the record table.
-_ACKS = _HEAD_WORDS + 3 * _RECORDS
+#: Header words ahead of the record table: the last extent id handed out
+#: and the high-water mark in bytes.
+_NEXT, _HIGH = 0, 1
+_HEAD_WORDS = 2
+#: Bytes of header space each record has beside the payload space; a longer
+#: header goes into its extent, behind the arrays.
+_SLOT = 4096
 #: Alignment of every extent and of every array inside one.
 _ALIGN = 64
-#: Seconds a give-back or an ack waits for the arena lock.  The lock is held
-#: for microseconds; one that cannot be had died with a copy killed inside
-#: an update, and the arena is then lost with that copy anyway.
-_LOCK_BOUND = 1.0
 
 T = TypeVar("T")
 #: One placed buffer's space: (record, extent id, byte offset, byte count).
@@ -129,65 +127,152 @@ def _aligned(nbytes: int) -> int:
     return -(-nbytes // _ALIGN) * _ALIGN
 
 
-class Arena:
-    """One producing copy's back-channel: an anonymous ``MAP_SHARED`` mapping.
+# -- the wire -----------------------------------------------------------------
+class Kind(IntEnum):
+    """What a :class:`Record` says."""
 
-    The engines make one per producing copy before the copies fork, so every
-    copy inherits every arena at the same addresses.  It carries everything
-    a consumer answers its producer with.  The owner places each encoded
-    buffer's arrays in one extent (:meth:`place`); whoever decodes or
-    discards the buffer gives it back (:meth:`give_back`).  A consumer
-    acknowledges a buffer by counting up one of ``acks`` — ``counters``
-    words the engines lay out per (slot, output stream, target copy set) —
-    with :meth:`acknowledge`.  Both answers go through ``lock`` and the
-    header that lives in the mapping itself, so the lock orders a
-    consumer's reads of an extent before the owner reuses its bytes, and
-    any process — the parent included — can read the ledger (:meth:`live`).
-    Both ring ``bell``, and the owner waits for either in one loop
-    (:meth:`wait`): for a hole (first fit from offset 0) or for window room.
+    DATA = 0  # a buffer sits in the producer's arena
+    EOW = 1  # a producer's end-of-work, behind its data
+    STOP = 2  # a sibling's share of the stream is closed
+    GIVE_BACK = 3  # an extent is given back to its owner
+    ACK = 4  # a consumer acknowledges a DD buffer
 
-    ``lock`` and ``bell`` default to thread primitives (copies that share a
-    process); forked copies get ``multiprocessing`` ones.  An arena does not
-    pickle: its bytes are shared by inheritance only.
+
+_RECORD = struct.Struct("=BqHii4qid?")
+#: Bytes of one record: every pipe write is one record, atomic under
+#: ``select.PIPE_BUF``, so writers never interleave and readers never split.
+RECORD_BYTES = _RECORD.size
+
+
+class Record(NamedTuple):
+    """Everything copies say to each other, as one fixed-size pipe write.
+
+    A data record names its buffer: ``extent`` in the ``producer``'s arena,
+    holding the arrays and a ``header``-byte pickle (without a codec,
+    ``extent[1]`` keys the buffer in the engine's by-reference table).  A
+    give-back names an ``extent``; an ack, its buffer's ``cycle``,
+    ``stream`` index and ``target`` copy set.  Markers say nothing more.
     """
 
-    def __init__(
-        self, owner: int = 0, lock: Any = None, bell: Any = None, counters: int = 0
-    ) -> None:
+    kind: Kind
+    cycle: int = 0
+    stream: int = 0
+    producer: int = 0
+    target: int = 0
+    extent: Extent = (0, 0, 0, 0)
+    header: int = 0
+    sent_at: float = 0.0
+    needs_ack: bool = False
+
+    def pack(self) -> bytes:
+        return _RECORD.pack(*self[:5], *self.extent, *self[6:])
+
+    @classmethod
+    def unpack(cls, data: bytes) -> Iterator["Record"]:
+        """Every record in ``data``, in order."""
+        for kind, cycle, stream, producer, target, record, xid, offset, nbytes, \
+                header, sent_at, needs_ack in _RECORD.iter_unpack(data):
+            yield cls(
+                Kind(kind), cycle, stream, producer, target,
+                (record, xid, offset, nbytes), header, sent_at, needs_ack,
+            )
+
+
+def pipe(holds: int = 0) -> tuple[int, int]:
+    """A kernel pipe, ``(read end, write end)``, whose buffer holds at least
+    ``holds`` bytes.  Its ends stay blocking: a file description's
+    ``O_NONBLOCK`` is shared by every process that inherits it."""
+    fds = os.pipe()
+    if holds > mmap.PAGESIZE:  # the least a pipe is guaranteed to hold
+        fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, holds)
+    return fds
+
+
+def pending(fd: int) -> int:
+    """Bytes waiting in pipe ``fd``, read without taking them."""
+    return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]
+
+
+def read_exact(fd: int, nbytes: int) -> bytes:
+    """``nbytes`` from pipe ``fd``; blocks until they are all there."""
+    data = b""
+    while len(data) < nbytes:
+        if not (more := os.read(fd, nbytes - len(data))):
+            raise EOFError(f"pipe {fd} closed")
+        data += more
+    return data
+
+
+def disposer(owner: Any, *fds: int) -> Callable[[], object]:
+    """Closes ``fds`` once: when called, or when ``owner`` is collected."""
+    return weakref.finalize(owner, lambda: [os.close(fd) for fd in fds])
+
+
+class Arena:
+    """One producing copy's payload space and answer pipe.
+
+    Both are made before the copies fork — an anonymous ``MAP_SHARED``
+    mapping and a kernel pipe — so every copy inherits every arena.  The
+    owner places each encoded buffer in one extent (:meth:`place`), arrays
+    first, the header in the extent's record slot; whoever decodes or
+    discards the buffer gives it back (:meth:`give_back`), and a consumer
+    acknowledges a DD buffer (:meth:`answer`), each with one :class:`Record`
+    on the pipe.  Only the owner reads the pipe, in :meth:`wait`: it frees
+    each extent given back and hands each ack to the router its cycle and
+    stream registered in ``routers``, then retries what it waits for — a
+    hole (first fit from offset 0) or window room.  No lock is shared.  A
+    give-back also negates the extent id in the record table, which lives
+    in the mapping, so any process reads an exact ledger (:meth:`live`).
+    An arena does not pickle: its bytes are shared by inheritance only.
+    """
+
+    def __init__(self, owner: int = 0) -> None:
         self.owner = owner
         self.capacity = ARENA_BYTES
-        words = _ACKS + counters
-        #: Offset of the first payload byte: the header, page-aligned.
-        self._data = -(-8 * words // mmap.PAGESIZE) * mmap.PAGESIZE
+        words = _HEAD_WORDS + 3 * _RECORDS
+        #: Offset of the first header slot, and of the first payload byte.
+        self._slots = _aligned(8 * words)
+        self._data = -(-(self._slots + _SLOT * _RECORDS) // mmap.PAGESIZE) * mmap.PAGESIZE
         # Anonymous and MAP_SHARED (mmap's default flags): zero-filled, so
         # the header starts empty, and shared with every later fork.
         self.mapping = mmap.mmap(-1, self._data + self.capacity)
         head = np.ndarray((words,), np.int64, buffer=self.mapping)
         self._head = head[:_HEAD_WORDS]
-        #: Per record: (extent id or 0 when free, byte offset, byte count).
-        self._table = head[_HEAD_WORDS:_ACKS].reshape(_RECORDS, 3)
-        #: Acknowledgments counted so far, one word per counter; they only grow.
-        self.acks = head[_ACKS:]
-        self._lock = lock if lock is not None else threading.Lock()
-        self._bell = bell if bell is not None else threading.Semaphore(0)
+        #: Per record: (extent id, negated once given back, or 0 when free;
+        #: byte offset; byte count).
+        self._table = head[_HEAD_WORDS:].reshape(_RECORDS, 3)
+        #: (cycle, stream index) -> the router its acks go to (owner side).
+        self.routers: dict[tuple[int, int], Any] = {}
+        self._answers = os.pipe()
+        self.dispose = disposer(self, *self._answers)
 
     def wait(self, attempt: Callable[[], "T | None"]) -> tuple[T, bool]:
-        """Run ``attempt`` under the lock until it returns something (owner
-        side), sleeping on the bell in between; also says whether it slept."""
+        """Run ``attempt`` until it returns something (owner side), taking
+        the answers that arrived before each try and sleeping on the pipe in
+        between; also says whether it slept."""
         waited = False
         while True:
-            with self._lock:
-                got = attempt()
-                if got is None:
-                    self._head[_WAITING] += 1
+            self._take(pending(self._answers[0]))
+            got = attempt()
             if got is not None:
                 return got, waited
-            self._bell.acquire()
+            self._take(RECORD_BYTES)
             waited = True
 
-    def place(self, nbytes: int) -> Extent:
-        """Take an extent of ``nbytes`` (owner side); waits while none fits."""
-        size = _aligned(nbytes)
+    def _take(self, nbytes: int) -> None:
+        """Read ``nbytes`` of answers off the pipe and apply them."""
+        for record in Record.unpack(read_exact(self._answers[0], nbytes)):
+            if record.kind == Kind.ACK:
+                router = self.routers.get((record.cycle, record.stream))
+                if router is not None:  # else its cycle is over
+                    router.ack(record.target)
+            elif self._table[record.extent[0], 0] == -record.extent[1]:
+                self._table[record.extent[0], 0] = 0
+
+    def place(self, nbytes: int, header: int = 0) -> Extent:
+        """Take an extent for ``nbytes`` of arrays and a ``header``-byte
+        header (owner side); waits while none fits."""
+        size = _aligned(nbytes) + (_aligned(header) if header > _SLOT else 0)
         if size > self.capacity:
             raise EngineError(
                 f"a payload of {nbytes} bytes exceeds the "
@@ -213,37 +298,24 @@ class Arena:
         self._head[_HIGH] = max(int(self._head[_HIGH]), start + size)
         return record, xid, start, size
 
+    def header(self, extent: Extent, nbytes: int) -> slice:
+        """Where in ``mapping`` the ``nbytes`` header of ``extent`` lives."""
+        record, _xid, offset, size = extent
+        at = self._slots + record * _SLOT
+        if nbytes > _SLOT:
+            at = self._data + offset + size - _aligned(nbytes)
+        return slice(at, at + nbytes)
+
     def give_back(self, extent: Extent) -> None:
         """Return an extent to its owner; a second give-back is a no-op."""
         record, xid = extent[0], extent[1]
+        if self._table[record, 0] == xid:
+            self._table[record, 0] = -xid
+            self.answer(Record(Kind.GIVE_BACK, extent=extent))
 
-        def free() -> None:
-            if self._table[record, 0] == xid:
-                self._table[record, 0] = 0
-
-        self._answer(free)
-
-    def acknowledge(self, counter: int) -> None:
-        """Count one acknowledgment on ``counter`` (consumer side)."""
-
-        def count() -> None:
-            self.acks[counter] += 1
-
-        self._answer(count)
-
-    def _answer(self, update: Callable[[], None]) -> None:
-        """Apply a consumer's ``update`` under the lock and ring the bell for
-        every waiter.  The acquire is bounded: see ``_LOCK_BOUND``."""
-        if not self._lock.acquire(timeout=_LOCK_BOUND):
-            return
-        try:
-            update()
-            waiting = int(self._head[_WAITING])
-            self._head[_WAITING] = 0
-        finally:
-            self._lock.release()
-        for _ in range(waiting):
-            self._bell.release()
+    def answer(self, record: Record) -> None:
+        """Send the owner one record (a give-back or an ack)."""
+        os.write(self._answers[1], record.pack())
 
     def view(self, offset: int, shape: tuple[int, ...], dtype: str) -> np.ndarray:
         """The array at byte ``offset`` of the payload space."""
@@ -253,8 +325,7 @@ class Arena:
 
     def live(self) -> int:
         """Extents placed and not given back: the arena's ledger."""
-        with self._lock:
-            return int(np.count_nonzero(self._table[:, 0]))
+        return int(np.count_nonzero(self._table[:, 0] > 0))
 
     @property
     def high_water(self) -> int:
@@ -264,14 +335,14 @@ class Arena:
 
 @dataclass(frozen=True)
 class EncodedBuffer:
-    """The wire form of one :class:`DataBuffer` (cheap to pickle).
+    """The encoded form of one :class:`DataBuffer`.
 
     ``header`` is a pickle of the buffer with every exported array replaced
-    by a persistent-id reference.  ``placed`` describes each array copied
-    into the ``owner`` copy's arena as ``(byte offset, shape, dtype_str)``,
-    all inside one ``extent`` (``None`` when nothing was placed), and
-    ``mapped`` the file region behind each array passed by reference as
-    ``(path, byte offset, shape, dtype_str)``.
+    by a persistent id that describes it: an array copied into the
+    ``owner`` copy's arena by its offset in ``extent`` (``None`` when
+    nothing was placed), shape and dtype string, and an array passed by
+    reference by its file region, ``(path, byte offset, shape, dtype_str)``.
+    ``placed`` and ``mapped`` list the same, ``placed`` at arena offsets.
     """
 
     header: bytes
@@ -351,16 +422,18 @@ class _ArenaPickler(pickle.Pickler):
 
     A read-only view into a file mapping becomes a descriptor of its file
     region; any other large array is set aside, to be placed in an arena
-    once the whole header has pickled.
+    once the whole header has pickled, at the extent-relative offset its
+    persistent id names.
     """
 
     def __init__(self, fh: io.BytesIO, threshold: int) -> None:
         super().__init__(fh, protocol=pickle.HIGHEST_PROTOCOL)
         self.threshold = threshold
-        self.arrays: list[np.ndarray] = []
+        self.arrays: list[tuple[np.ndarray, int]] = []  # (array, offset)
+        self.size = 0  # bytes the arrays take, aligned
         self.mapped: list[_Mapped] = []
 
-    def persistent_id(self, obj: Any) -> "int | tuple[str, int] | None":
+    def persistent_id(self, obj: Any) -> "_Placed | _Mapped | None":
         if (
             isinstance(obj, np.ndarray)
             and obj.nbytes >= self.threshold
@@ -369,9 +442,10 @@ class _ArenaPickler(pickle.Pickler):
             region = _file_region(obj)
             if region is not None:
                 self.mapped.append(region)
-                return ("mapped", len(self.mapped) - 1)
-            self.arrays.append(obj)
-            return len(self.arrays) - 1
+                return region
+            self.arrays.append((obj, self.size))
+            self.size += _aligned(obj.nbytes)
+            return (self.arrays[-1][1], obj.shape, obj.dtype.str)
         return None
 
 
@@ -391,10 +465,11 @@ class _ArenaUnpickler(pickle.Unpickler):
         self.arena = arena
 
     def persistent_load(self, pid: Any) -> np.ndarray:
-        if isinstance(pid, tuple):
-            return self.codec._mapped_view(*self.encoded.mapped[pid[1]])
-        assert self.arena is not None
-        return self.arena.view(*self.encoded.placed[pid])
+        if len(pid) == 4:
+            return self.codec._mapped_view(*pid)
+        assert self.arena is not None and self.encoded.extent is not None
+        offset, shape, dtype = pid
+        return self.arena.view(self.encoded.extent[2] + offset, shape, dtype)
 
 
 class BufferCodec:
@@ -405,7 +480,7 @@ class BufferCodec:
     shm_threshold:
         Arrays of at least this many bytes go out of band; smaller ones
         (and object-dtype arrays) pickle inline in the header.  The
-        default (64 KiB) keeps headers under a pipe write while moving
+        default (64 KiB) keeps most headers in their record's slot while moving
         every scalar block / triangle array / z-buffer slab out of band; a
         threshold above every array pickles everything inline.
 
@@ -437,32 +512,32 @@ class BufferCodec:
         return self._arena
 
     def encode(self, buffer: DataBuffer, arena: "Arena | None" = None) -> EncodedBuffer:
-        """Encode one buffer, placing its large arrays in ``arena``.
+        """Encode one buffer into ``arena``: its large arrays, then its header.
 
-        Waits while the arena has no room; a payload larger than the whole
-        arena raises :class:`~repro.errors.EngineError`.
+        A standalone codec (no ``arena``) keeps a buffer with no large
+        array off its own arena; a copy's arena takes every buffer, as the
+        wire names one extent.  Waits while the arena has no room; a
+        payload larger than the whole arena raises
+        :class:`~repro.errors.EngineError`.
         """
         fh = io.BytesIO()
         pickler = _ArenaPickler(fh, self.shm_threshold)
         # The header pickles whole before anything is placed, so a payload
         # that cannot pickle has taken no space.
         pickler.dump(buffer)
-        if not pickler.arrays:
-            return EncodedBuffer(fh.getvalue(), buffer.nbytes, tuple(pickler.mapped))
+        header = fh.getvalue()
+        if not pickler.arrays and arena is None:
+            return EncodedBuffer(header, buffer.nbytes, tuple(pickler.mapped))
         arena = arena if arena is not None else self.arena()
-        starts: list[int] = []
-        total = 0
-        for arr in pickler.arrays:
-            starts.append(total)
-            total += _aligned(arr.nbytes)
-        extent = arena.place(total)
+        extent = arena.place(pickler.size, len(header))
+        arena.mapping[arena.header(extent, len(header))] = header
         placed: list[_Placed] = []
-        for arr, start in zip(pickler.arrays, starts):
+        for arr, start in pickler.arrays:
             offset = extent[2] + start
             arena.view(offset, arr.shape, arr.dtype.str)[...] = arr
             placed.append((offset, arr.shape, arr.dtype.str))
         return EncodedBuffer(
-            fh.getvalue(), buffer.nbytes, tuple(pickler.mapped),
+            header, buffer.nbytes, tuple(pickler.mapped),
             arena.owner, extent, tuple(placed),
         )
 

@@ -12,7 +12,9 @@ communication — the standard ghost-layer arrangement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -41,18 +43,15 @@ class ChunkSpec:
     start: tuple[int, int, int]
     stop: tuple[int, int, int]
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, int, int]:
         """Grid points per axis, including ghost layers."""
         return tuple(b - a for a, b in zip(self.start, self.stop))
 
-    @property
+    @cached_property
     def points(self) -> int:
         """Total grid points in the chunk."""
-        n = 1
-        for extent in self.shape:
-            n *= extent
-        return n
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:

@@ -5,7 +5,7 @@ rebuilds every filter instance and allocates fresh copy-set queues for
 every run — fatal for serving traffic, where the pipeline is fixed and
 only the unit of work changes per query.  :class:`WarmPool` keeps the
 copies alive: it forks the workers once, then feeds successive units of
-work over per-worker control queues — the batch engine's own mechanism
+work over per-worker control pipes — the batch engine's own mechanism
 (:class:`~repro.engines.process.ForkedCopies`, which a batch run uses once
 and closes), with "N cycles known up front" become "cycles arrive over
 time".

@@ -7,27 +7,25 @@ instead of GIL-serialised (contrast :class:`repro.engines.threaded.
 ThreadedEngine`, which keeps the same protocol but shares one interpreter).
 
 The work-cycle protocol is the shared runtime's
-(:mod:`repro.engines.runtime`); this module supplies the process transport
-and the one parent side of forked copies, :class:`ForkedCopies` — spawn,
+(:mod:`repro.engines.runtime`), over its kernel pipes; this module supplies
+the one parent side of forked copies, :class:`ForkedCopies` — spawn,
 collector, supervisor and the abandon path for a copy that dies.  A batch
 ``run_cycles(uows)`` is that mechanism used once (a world of ``len(uows)``
-slots, every cycle submitted before the fork, ``STOP`` queued behind the
+slots, every cycle submitted before the fork, a stop sent behind the
 last); a :class:`~repro.engines.pool.WarmPool` is the same mechanism kept,
-its units of work arriving over the control queues (so they must pickle).
+its units of work arriving over the control pipes (so they must pickle).
 
-- **copy-set queues** are bounded ``multiprocessing.Queue`` objects shared
-  by all copies of a filter on one "host"; end-of-work markers are counted
-  in a cross-process shared counter;
+- **pipes only**: copies talk through the runtime's kernel pipes of
+  fixed-size records — copy-set queues, each producer's answer pipe, one
+  control and one report pipe per worker — so no copy ever holds a lock
+  another needs, and a copy that dies wedges none of its siblings;
 - **one back-channel per producer**: each producing copy has an
   :class:`~repro.core.buffer.Arena`, one anonymous shared mapping made by
-  the parent before the fork.  Large NumPy arrays are copied into it by
-  the shared :class:`repro.core.buffer.BufferCodec` and read in place by
-  the consumer, which gives the extent back after ``handle``; a DD
-  acknowledgment is a counter the consumer counts up in it, read by the
-  producer's writers before they route.  Only a small pickle header and
-  an extent descriptor travel through the pipe, and no named
-  shared-memory object (nor the resource tracker that watches them)
-  exists;
+  the parent before the fork.  The shared
+  :class:`repro.core.buffer.BufferCodec` copies large NumPy arrays and the
+  small pickled header into it, and the consumer reads them in place and
+  gives the extent back after ``handle``.  No named shared-memory object
+  (nor the resource tracker that watches them) exists;
 - **observability** feeds the same :class:`~repro.core.tracing.Tracer` /
   :class:`~repro.core.instrument.RunMetrics` layer: every worker records
   spans and counters locally and ships them to the parent per cycle,
@@ -57,9 +55,9 @@ from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.core.tracing import Tracer
 from repro.engines.base import Engine, open_wall_trace, validate_run_setup
 from repro.engines.runtime import (
-    STOP,
+    EOW,
+    CopySetQueue,
     CycleReport,
-    ProcessTransport,
     World,
     discard,
     fold_batch,
@@ -76,8 +74,8 @@ __all__ = [
 START_METHOD = "fork"
 
 #: Seconds copies get to leave by themselves — the survivors of an abandoned
-#: world, or workers whose last query resolved with STOP queued — before the
-#: supervisor terminates them.
+#: world, or workers whose last query resolved with their stop sent — before
+#: the supervisor terminates them.
 LEAVE_BOUND = 10.0
 
 
@@ -131,13 +129,13 @@ class ForkedCopies:
     :meth:`submit` feeds them units of work — cycles submitted before the
     fork ride it (no pickling, and the first copy works while its siblings
     are still being forked), later ones arrive over per-worker control
-    queues.  Cycle ``k`` runs in slot ``k % nslots``, and a slot is recycled
-    (end-of-work counters rearmed) only once every copy has reported cycle
-    ``k`` — so its queues are provably drained.  Once started, a collector
-    thread gathers the copies' reports per cycle and
-    hands each complete cycle to ``on_cycle``; a supervisor thread sleeps in
-    one ``multiprocessing.connection.wait`` on the worker sentinels — no
-    timeout, no polling, while every worker is healthy.
+    pipes, ``None`` saying stop.  Cycle ``k`` runs in slot ``k % nslots``,
+    and a slot is recycled only once every copy has reported cycle ``k`` —
+    so its queues are provably drained and its end-of-work tokens refilled.
+    Once started, a collector thread waits on every worker's report pipe
+    and hands each complete cycle to ``on_cycle``; a supervisor thread
+    sleeps in one ``multiprocessing.connection.wait`` on the worker
+    sentinels — no timeout, no polling, while every worker is healthy.
 
     A worker that dies without running its cleanup (segfault, kill) would
     leave consumers waiting for end-of-work and producers blocked on a queue
@@ -145,7 +143,7 @@ class ForkedCopies:
     fail every pending query, naming the dead copy; let the survivors leave
     by themselves — end-of-work announced on the dead copy's behalf, traffic
     aimed at copy sets with no live member discarded (acknowledged and its
-    extents given back), ``STOP`` on every control queue; wait for them under
+    extents given back), a stop on every control pipe; wait for them under
     :data:`LEAVE_BOUND`; terminate the stragglers and drain every slot.
     :meth:`abandon` asks for the same from outside.
     """
@@ -156,15 +154,15 @@ class ForkedCopies:
         nslots: int,
         on_cycle: "Callable[[PendingQuery], None]",
     ) -> None:
-        mp_ctx = multiprocessing.get_context(START_METHOD)
+        self.mp_ctx = multiprocessing.get_context(START_METHOD)
         world = self.world = World(
-            engine.graph, engine.placement, engine._policy,
-            ProcessTransport(mp_ctx, engine.codec), nslots,
-            engine.queue_capacity,
+            engine.graph, engine.placement, engine._policy, engine.codec,
+            nslots, engine.queue_capacity,
         )
         self.on_cycle = on_cycle
-        self.controls = [mp_ctx.SimpleQueue() for _ in world.plan]
-        self.results = mp_ctx.SimpleQueue()
+        #: Per worker: (read end, write end) of its control and report pipes.
+        self.controls = [self.mp_ctx.Pipe(duplex=False) for _ in world.plan]
+        self.reports = [self.mp_ctx.Pipe(duplex=False) for _ in world.plan]
         self.lock = threading.Lock()
         self.submit_lock = threading.Lock()
         self.pending: dict[int, PendingQuery] = {}
@@ -176,23 +174,24 @@ class ForkedCopies:
         #: Why the world was abandoned (empty while it is healthy).
         self.errors: list[str] = []
         self.done = threading.Event()
-        self._wake_recv, self._wake_send = mp_ctx.Pipe(duplex=False)
+        self._wake_recv, self._wake_send = self.mp_ctx.Pipe(duplex=False)
+        self._stop_recv, self._stop_send = self.mp_ctx.Pipe(duplex=False)
         #: Cycles submitted before the fork; ``None`` once started.
         self._first: "list[tuple] | None" = []
 
     def start(self) -> None:
         """Fork the workers; start the collector and the supervisor."""
-        world, mp_ctx = self.world, self.world.transport.mp_ctx
+        world = self.world
         first, self._first = self._first, None
         self.procs = {
-            copy.cid: mp_ctx.Process(
+            copy.cid: self.mp_ctx.Process(
                 target=run_copy,
                 # What was submitted before the fork, then whatever arrives
-                # over the control queue until close() says STOP.
+                # over the control pipe until it says stop.
                 args=(
                     world, copy,
-                    chain(first, iter(self.controls[copy.cid].get, STOP)),
-                    self.results.put,
+                    chain(first, iter(self.controls[copy.cid][0].recv, None)),
+                    self.reports[copy.cid][1].send,
                 ),
                 name=copy.label,
                 daemon=True,
@@ -201,7 +200,7 @@ class ForkedCopies:
         }
         for proc in self.procs.values():
             proc.start()
-        # Reports must drain concurrently: a worker's put can exceed the
+        # Reports must drain concurrently: a worker's send can exceed the
         # pipe buffer and would deadlock a join-first parent.
         self._collector = threading.Thread(
             target=self._collect_loop, daemon=True, name="copies-collector"
@@ -232,8 +231,8 @@ class ForkedCopies:
             if self._first is not None:
                 self._first.append((k, slot, uow, trace_limit))
             else:
-                for control in self.controls:
-                    control.put((k, slot, uow, trace_limit))
+                for _, control in self.controls:
+                    control.send((k, slot, uow, trace_limit))
             return pending
 
     def abandon(self, reason: str) -> None:
@@ -242,47 +241,50 @@ class ForkedCopies:
         self._wake_send.send(b"x")
 
     def close(self) -> None:
-        """Queue ``STOP`` behind the last cycle; wait until the world is gone.
+        """Send a stop behind the last cycle; wait until the world is gone.
 
         Close-while-busy is graceful: new submits are rejected first, every
         pending query runs to completion, and each worker leaves on the
-        ``STOP`` behind its last cycle while the parent is still collecting.
+        stop behind its last cycle while the parent is still collecting.
         Idempotent; concurrent callers block until shutdown finishes.
         """
         with self.submit_lock:
             with self.lock:
                 already, self.closed = self.closed, True
                 pending = list(self.pending.values())
+            if not already:
+                for _, control in self.controls:
+                    control.send(None)
         if not already:
-            for control in self.controls:
-                control.put(STOP)
             for query in pending:
                 query.wait()
             if not self.done.wait(LEAVE_BOUND) and not self.errors:
-                self.abandon("workers ignored STOP")
+                self.abandon("workers ignored their stop")
         self.done.wait()
 
     # -- parent-side threads -------------------------------------------------
     def _collect_loop(self) -> None:
-        """Gather per-cycle worker reports; recycle slots as cycles finish."""
-        while (report := self.results.get()) != STOP:
-            k = report.cycle
-            with self.lock:
-                pending = self.pending.get(k)
-                if pending is None:
-                    continue  # failed by the supervisor while in flight
-                pending.reports.append(report)
-                if len(pending.reports) < len(self.world.plan):
-                    continue
-                del self.pending[k]
-            # Every copy has reported cycle k, so the slot's queues are
-            # drained; rearm the end-of-work counters before the next submit
-            # can route a cycle into them.
-            slot = k % self.world.nslots
-            for csq in self.world.queues(slot):
-                csq.reset()
-            self.slot_free[slot].set()
-            self.on_cycle(pending)
+        """Gather per-cycle worker reports, until stopped with none left;
+        recycle slots as cycles finish."""
+        conns = [recv for recv, _ in self.reports]
+        while ready := [
+            conn for conn in multiprocessing.connection.wait(conns + [self._stop_recv])
+            if conn is not self._stop_recv
+        ]:
+            for report in (conn.recv() for conn in ready):
+                k = report.cycle
+                with self.lock:
+                    pending = self.pending.get(k)
+                    if pending is None:
+                        continue  # failed by the supervisor while in flight
+                    pending.reports.append(report)
+                    if len(pending.reports) < len(self.world.plan):
+                        continue
+                    del self.pending[k]
+                # Every copy has reported cycle k, so the slot's queues are
+                # drained and its end-of-work tokens refilled.
+                self.slot_free[k % self.world.nslots].set()
+                self.on_cycle(pending)
 
     def _supervise_loop(self) -> None:
         """Block on the worker sentinels; abandon the world on a death."""
@@ -305,19 +307,15 @@ class ForkedCopies:
                 proc = live.pop(copy.cid)
                 proc.join()
                 if proc.exitcode == 0 and self.closed:
-                    continue  # left on STOP
+                    continue  # left on its stop
                 self.errors.append(
                     f"worker process {copy.label} died with exit code "
                     f"{proc.exitcode}"
                 )
                 for st in copy.spec.outputs:
-                    for csq in (q for s in world.copysets[st.dst] for q in s):
-                        # Announce on the dead copy's behalf (a surplus
-                        # marker is ignored consumer-side).  The put blocks
-                        # while the queue is full, so run it off-thread.
-                        threading.Thread(
-                            target=csq.producer_finished, daemon=True
-                        ).start()
+                    for sets in world.copysets[st.dst]:
+                        for csq in sets:
+                            csq.put(EOW)  # on its behalf; a marker takes no credit
             if self.errors and deadline is None:
                 deadline = time.monotonic() + LEAVE_BOUND
                 self._fail_pending()
@@ -326,7 +324,7 @@ class ForkedCopies:
                     if not any(cid in live for cid in cids):
                         for csq in world.copysets[name][set_idx]:
                             self._drain(csq)
-        self.results.put(STOP)
+        self._stop_send.send(None)
         self._collector.join()
         if deadline is not None:
             for proc in live.values():  # the stragglers
@@ -334,6 +332,7 @@ class ForkedCopies:
                 proc.join()
             for csq in world.queues():
                 self._drain(csq)
+        world.close()
         self.done.set()
 
     def _fail_pending(self) -> None:
@@ -347,13 +346,15 @@ class ForkedCopies:
             query._resolve(error=error)
         for slot_free in self.slot_free:
             slot_free.set()  # wake blocked submitters into the refusal
-        for control in self.controls:
-            control.put(STOP)
+        with self.submit_lock:  # the control pipes' one writer at a time
+            for _, control in self.controls:
+                control.send(None)
 
-    def _drain(self, csq: Any) -> None:
+    def _drain(self, csq: CopySetQueue) -> None:
         """Discard abandoned traffic, giving every extent back."""
-        for wire in csq.queued():
-            discard(wire, self.world)
+        for record in csq.queued():
+            discard(self.world.envelope(record), self.world)
+
 
 class ProcessEngine(Engine):
     """Execute a filter graph with real filters and one process per copy.
@@ -405,7 +406,7 @@ class ProcessEngine(Engine):
         copy a long-lived worker process: one filter instance per copy, one
         ``init``/``handle``/``flush``/``finalize`` pass per unit of work,
         cycles pipelining freely — a world of ``len(uows)`` slots, every
-        cycle submitted before the fork and ``STOP`` queued behind the last.
+        cycle submitted before the fork and a stop sent behind the last.
         Returns one :class:`RunMetrics` per unit of work.
         """
         if not uows:

@@ -14,11 +14,16 @@ The paper's filter-stream protocol is written here exactly once:
   drives: copy-set queues (:class:`CopySetQueue`), shared by all copies of
   a filter on one "host", close *in band* through the one, and writers
   (:class:`Writer`) route through the other, blocking while every DD window
-  is full until a consumer counts an ack up in the producer's arena;
+  is full until a consumer's ack reaches the producer's arena;
+- **the wire** is kernel pipes of fixed-size
+  :class:`~repro.core.buffer.Record` writes, the same for threads and
+  forked copies: copy-set queues, each producing copy's answer pipe
+  (:class:`~repro.core.buffer.Arena`) and, for forked copies, one control
+  and one report pipe each.  A killed copy holds no lock its siblings need;
 - **one copy** (:func:`run_copy`) builds its filter once and runs a cycle per
   item of whatever iterator the engine feeds it, performing every effect by
   blocking: the threaded engine passes the units of work it was given,
-  forked copies read a generator over their control queue;
+  forked copies read a generator over their control pipe;
 - **one plan** (:func:`copy_plan`) numbers the copies of every engine,
   **one world** (:class:`World`) lays out the real engines' copy sets x
   slots and each producing copy's arena, and **one folder**
@@ -26,10 +31,10 @@ The paper's filter-stream protocol is written here exactly once:
   copies' reports into :class:`~repro.core.instrument.RunMetrics` and a
   merged trace.
 
-What differs between the real engines is a :class:`Transport` — the
-primitives a world is built from — and the parent side: threads are just
+What differs between the real engines is the parent side: threads are just
 joined, forked copies have one supervisor (``process.ForkedCopies``, batch
-run and warm pool alike).
+run and warm pool alike), and payloads without a codec pass by reference,
+which only threads can do.
 
 Payload lifetime contract: with a codec, an input buffer's arrays are
 views into the producer's arena valid only during ``handle`` (the runtime
@@ -40,164 +45,58 @@ payload data must copy it.
 
 from __future__ import annotations
 
-import contextlib
-import queue
-import threading
+import itertools
+import os
 import time
 import traceback
 from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any
 
-from repro.core.buffer import Arena, BufferCodec, DataBuffer, EncodedBuffer, PayloadLease
+from repro.core.buffer import (
+    RECORD_BYTES, Arena, BufferCodec, DataBuffer, EncodedBuffer, Kind,
+    PayloadLease, Record, disposer, pending, pipe, read_exact,
+)
 from repro.core.filter import Filter, FilterContext
-from repro.core.graph import FilterGraph, FilterSpec
+from repro.core.graph import FilterGraph, FilterSpec, StreamSpec
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, Router, Target, WriterPolicy
+from repro.core.policies import PolicyFactory, Router, Target
 from repro.core.tracing import QueueSample, TraceEvent, Tracer
 from repro.errors import EngineError
 
 __all__ = [
     "ACK", "ANNOUNCE", "COUNTED", "DATA", "DISCARD", "EOW", "FINAL", "FINISH",
-    "FLUSH", "INIT", "PRODUCE", "RECV", "SEND", "STOP", "SURPLUS", "WORK",
+    "FLUSH", "INIT", "PRODUCE", "RECV", "SEND", "STOP", "WORK",
     "CloseCount", "CopyPlan", "CopySetQueue", "CycleReport", "Envelope",
-    "ProcessTransport", "ThreadTransport", "Transport", "World", "Writer",
+    "Tokens", "World", "Writer",
     "copies_failed", "copy_plan", "discard",
     "execute_cycle", "fold_batch", "fold_cycle", "merge_trace", "run_copy",
     "span_detail",
 ]
 
-#: Queue sentinels; compared by equality because identity does not survive
-#: pickling across a process boundary.
-STOP = "__repro_eow_stop__"
-EOW = "__repro_eow_marker__"
-#: Counting an item that is not a marker needs no lock.
-_UNLOCKED = contextlib.nullcontext()
+#: The markers a copy-set queue carries besides data.
+STOP = Record(Kind.STOP)
+EOW = Record(Kind.EOW)
 
 #: One unit of work as a copy sees it: (cycle number, slot of the cycle ring,
 #: unit-of-work descriptor, trace limit or ``None`` for an untraced cycle).
 Cycle = tuple[int, int, Any, "int | None"]
 
 
-# -- transports ---------------------------------------------------------------
-class Transport(Protocol):
-    """The primitives one engine's world is built from."""
-
-    #: Payload carrier; ``None`` passes buffers by reference.
-    codec: "BufferCodec | None"
-
-    def queue(self, capacity: int) -> Any:
-        """A bounded FIFO with ``put`` / ``get`` / ``get_nowait`` / ``qsize``."""
-
-    def counter(self) -> Any:
-        """An int behind ``.value``, shared by every copy."""
-
-    def lock(self) -> Any:
-        """A mutual-exclusion context manager shared by every copy."""
-
-    def arena(self, owner: int, counters: int) -> Arena:
-        """Copy ``owner``'s arena with ``counters`` ack counters, shared by
-        every copy."""
-
-
-class _Counter:
-    """The thread transport's shared counter: a plain int behind ``.value``."""
-
-    value = 0
-
-
-class ThreadTransport:
-    """Copies are threads of this process: nothing needs to be serialised.
-
-    Payloads travel by reference unless a codec is given (which proves a
-    pipeline codec-clean before it moves to processes).
-    """
-
-    def __init__(self, codec: "BufferCodec | None") -> None:
-        self.codec = codec
-
-    def queue(self, capacity: int) -> Any:
-        return queue.Queue(maxsize=capacity)
-
-    def counter(self) -> Any:
-        return _Counter()
-
-    def lock(self) -> Any:
-        return threading.Lock()
-
-    def arena(self, owner: int, counters: int) -> Arena:
-        return Arena(owner, counters=counters)
-
-
-class ProcessTransport:
-    """Copies are forked processes: everything shared is a ``multiprocessing``
-    primitive and payloads cross through the codec (large arrays in the
-    producer's arena, mapped before the fork, under a small pickled header).
-    """
-
-    def __init__(self, mp_ctx: Any, codec: BufferCodec) -> None:
-        self.mp_ctx = mp_ctx
-        self.codec: "BufferCodec | None" = codec
-
-    def queue(self, capacity: int) -> Any:
-        return self.mp_ctx.Queue(maxsize=capacity)
-
-    def counter(self) -> Any:
-        return self.mp_ctx.Value("i", 0, lock=False)
-
-    def lock(self) -> Any:
-        return self.mp_ctx.Lock()
-
-    def arena(self, owner: int, counters: int) -> Arena:
-        return Arena(owner, self.mp_ctx.Lock(), self.mp_ctx.Semaphore(0), counters)
-
-
 # -- the wire -----------------------------------------------------------------
+@dataclass(eq=False, slots=True)
 class Envelope:
-    """One stream buffer on the wire between two copies."""
+    """One stream buffer as the copy that pulled it sees it."""
 
-    __slots__ = (
-        "cycle", "stream", "producer", "target_index", "sent_at",
-        "needs_ack", "payload",
-    )
-
-    def __init__(
-        self,
-        cycle: int,
-        stream: str,
-        producer: int,
-        target_index: int,
-        sent_at: float,
-        needs_ack: bool,
-        payload: Any,
-    ) -> None:
-        self.cycle = cycle
-        self.stream = stream
-        self.producer = producer  # global copy id of the sender
-        self.target_index = target_index
-        self.sent_at = sent_at
-        self.needs_ack = needs_ack
-        #: An EncodedBuffer, or the DataBuffer itself when no codec runs.
-        self.payload = payload
-
-    def __getstate__(self) -> tuple[Any, ...]:
-        return tuple(getattr(self, s) for s in self.__slots__)
-
-    def __setstate__(self, state: tuple[Any, ...]) -> None:
-        for slot, value in zip(self.__slots__, state):
-            setattr(self, slot, value)
-
-
-def _acknowledge(wire: Envelope, world: "World") -> bool:
-    """Count ``wire``'s acknowledgment up in its producer's arena; False if
-    none is due."""
-    if not wire.needs_ack:
-        return False
-    world.arena(wire.producer).acknowledge(
-        world.ack_counter(wire.producer, wire.cycle, wire.stream) + wire.target_index
-    )
-    return True
+    cycle: int
+    stream: str
+    producer: int  # global copy id of the sender
+    target_index: int
+    sent_at: float
+    needs_ack: bool
+    #: An EncodedBuffer, or the DataBuffer itself when no codec runs.
+    payload: Any
 
 
 def discard(wire: Envelope, world: "World") -> None:
@@ -208,204 +107,214 @@ def discard(wire: Envelope, world: "World") -> None:
     envelope's arena extent from its owner.  The ack reopens DD windows so
     producers blocked on the abandoned consumer wake up and finish.
     """
-    _acknowledge(wire, world)
-    codec = world.transport.codec
-    if codec is not None:
-        codec.release_encoded(wire.payload, world.arena_of(wire.payload))
+    world.acknowledge(wire)
+    if world.codec is not None:
+        world.codec.release_encoded(wire.payload, world.arena_of(wire.payload))
 
 
 #: What one queued item means to the copy that pulled it (:class:`CloseCount`).
 DATA = "data"  # an envelope: work on it
 COUNTED = "counted"  # a marker, not the last: keep receiving
-SURPLUS = "surplus"  # a marker past the last one (a supervisor's): ignore it
 FINAL = "final"  # the last marker: stop, and owe each sibling copy a STOP
+
+
+class Tokens:
+    """An end-of-work count in memory: ``value`` tokens left."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def take(self) -> bool:
+        """Take one token; False if none was left."""
+        if self.value:
+            self.value -= 1
+            return True
+        return False
+
+    def fill(self, count: int) -> None:
+        self.value += count
+
+
+class _PipeTokens:
+    """An end-of-work count every forked copy shares: bytes in a pipe whose
+    read end, alone of all the wire's pipes, does not block."""
+
+    def __init__(self, count: int) -> None:
+        self.fds = os.pipe()
+        os.set_blocking(self.fds[0], False)
+        self.fill(count)
+
+    def take(self) -> bool:
+        try:
+            return bool(os.read(self.fds[0], 1))
+        except BlockingIOError:
+            return False
+
+    def fill(self, count: int) -> None:
+        if count > 0:
+            os.write(self.fds[1], bytes(count))
 
 
 class CloseCount:
     """The close of one copy set, without I/O: queued items in, what each
     means out.  Each of ``expected`` producer copies puts one :data:`EOW`
-    behind its data, so the copy that pulls the last has seen all the data
-    pulled; it owes each of its ``copies - 1`` siblings a :data:`STOP`.
-    ``seen`` is the transport's counter (a plain int or a shared ``Value``,
-    behind ``.value``); a caller shared by copies counts under its lock.
+    behind its data, and ``tokens`` (:class:`Tokens` by default) starts at
+    ``expected - 1``: the copy that pulls a marker and finds no token left
+    pulled the last, so it has seen all the data pulled; it owes each of
+    its ``copies - 1`` siblings a :data:`STOP`, and refills the tokens for
+    the slot's next cycle.
     """
 
-    __slots__ = ("copies", "expected", "seen")
+    __slots__ = ("copies", "expected", "tokens")
 
-    def __init__(self, copies: int, expected: int, seen: Any = None) -> None:
+    def __init__(self, copies: int, expected: int, tokens: Any = None) -> None:
         self.copies = copies
         self.expected = expected
-        self.seen = seen if seen is not None else _Counter()
+        self.tokens = tokens if tokens is not None else Tokens(max(expected - 1, 0))
 
-    def take(self, item: Any) -> tuple[str, int]:
+    def take(self, item: Any) -> tuple[Any, int]:
         """``(meaning, STOPs owed)`` of one queued item: ``(DATA, 0)``,
-        ``(STOP, 0)``, ``(COUNTED, 0)``, ``(SURPLUS, 0)`` or ``(FINAL, n)``."""
+        ``(STOP, 0)``, ``(COUNTED, 0)`` or ``(FINAL, n)``."""
         if item == STOP:
             return STOP, 0
         if item != EOW:
             return DATA, 0
-        if self.seen.value >= self.expected:
-            return SURPLUS, 0
-        self.seen.value += 1
-        if self.seen.value < self.expected:
+        if self.tokens.take():
             return COUNTED, 0
+        self.tokens.fill(self.expected - 1)
         return FINAL, self.copies - 1
 
 
 class CopySetQueue:
     """Bounded queue shared by all copies of a filter on one host.
 
-    End-of-work travels *through the data path*: ``multiprocessing.Queue.put``
-    hands the item to a feeder thread asynchronously, so an out-of-band
-    announcement could overtake the announcing producer's still-in-flight
-    data and lose buffers.  Instead each finishing producer enqueues one
-    marker behind its own data (per-producer FIFO holds), and the copies
-    read every item through one :class:`CloseCount`.
+    A pipe of :class:`~repro.core.buffer.Record` writes, with a second pipe
+    holding one credit byte per free place: a producer takes a credit
+    before it puts a data record, and the copy that pulls the record puts
+    the credit back.  End-of-work travels *through the data path*: each
+    finishing producer puts one marker behind its own data (per-producer
+    FIFO holds), and the copies read every record through one
+    :class:`CloseCount` whose tokens are a third pipe.  Markers take no
+    credit; the data pipe holds every record that can be in it at once.
     """
 
-    def __init__(
-        self, transport: Transport, copies: int, expected_eow: int, capacity: int
-    ) -> None:
-        self.queue = transport.queue(capacity)
+    def __init__(self, copies: int, expected_eow: int, capacity: int) -> None:
         self.copies = copies
-        self.close = CloseCount(copies, expected_eow, transport.counter())
-        self._lock = transport.lock()
+        self._data = pipe((capacity + 2 * expected_eow + copies) * RECORD_BYTES)
+        self._credits = pipe(capacity)
+        os.write(self._credits[1], bytes(capacity))
+        tokens = _PipeTokens(expected_eow - 1)
+        self.close = CloseCount(copies, expected_eow, tokens)
+        self.dispose = disposer(self, *self._data, *self._credits, *tokens.fds)
 
-    def put(self, item: Envelope) -> None:
-        """Enqueue one envelope (blocks when the queue is full)."""
-        self.queue.put(item)
+    def put(self, record: Record) -> None:
+        """Enqueue one record (a data record waits for a credit)."""
+        if record.kind == Kind.DATA:
+            read_exact(self._credits[0], 1)
+        os.write(self._data[1], record.pack())
 
-    def producer_finished(self) -> None:
-        """Announce this producer's end-of-work, behind all its data."""
-        self.queue.put(EOW)
-
-    def recv(self) -> "Envelope | None":
-        """Next envelope; ``None`` once this copy's share of the stream closed.
-
-        Surplus markers (a supervisor re-announcing on behalf of a crashed
-        producer that had in fact announced) are ignored.
-        """
+    def recv(self) -> "Record | None":
+        """Next data record; ``None`` once this copy's share of the stream
+        closed."""
         while True:
-            item = self.queue.get()
-            with self._lock if item == EOW else _UNLOCKED:
-                meaning, owed = self.close.take(item)
+            (record,) = Record.unpack(read_exact(self._data[0], RECORD_BYTES))
+            meaning, owed = self.close.take(record)
             if meaning == DATA:
-                return item
+                os.write(self._credits[1], b"\0")
+                return record
             for _ in range(owed):
-                self.queue.put(STOP)
-            if meaning in (STOP, FINAL):
+                self.put(STOP)
+            if meaning != COUNTED:
                 return None
 
-    def queued(self) -> Iterator[Envelope]:
-        """The envelopes queued right now, without blocking (supervisors
-        discarding traffic nobody will consume); markers are dropped."""
-        while True:
-            try:
-                item = self.queue.get_nowait()
-            except Exception:  # noqa: BLE001 - Empty, or a killed worker's torn pipe
-                return
-            if item != STOP and item != EOW:
-                yield item
-
-    def reset(self) -> None:
-        """Rearm the end-of-work count for a new unit of work.
-
-        Only valid once the previous cycle has fully drained (every copy
-        pulled its ``STOP`` or the final marker) — the warm pool recycles
-        each slot's queues this way instead of allocating per cycle.
-        """
-        with self._lock:
-            self.close.seen.value = 0
+    def queued(self) -> Iterator[Record]:
+        """The data records queued right now, their credits put back, without
+        blocking — for a supervisor discarding traffic no copy will read, so
+        only while none reads this queue; markers are dropped."""
+        data = read_exact(self._data[0], pending(self._data[0]))
+        for record in Record.unpack(data):
+            if record.kind == Kind.DATA:
+                os.write(self._credits[1], b"\0")
+                yield record
 
     def qsize(self) -> int:
-        """Approximate depth, or -1 where the platform cannot tell."""
-        try:
-            return int(self.queue.qsize())
-        except NotImplementedError:  # pragma: no cover - macOS
-            return -1
+        """Records queued right now."""
+        return pending(self._data[0]) // RECORD_BYTES
 
 
 class Writer:
     """Producer-side sender for one (copy, cycle, stream) triple.
 
-    Consumers acknowledge by counting up its counters in the producing
-    copy's ``arena``, one per target copy set from index ``acks_at``; it
-    turns each increase into as many ``Router.ack`` calls before it routes.
+    It routes through its own :class:`~repro.core.policies.Router`, which
+    it registers with the copy's arena: consumers' acks arrive there as
+    records, and the arena applies them while the writer waits.
     """
 
     def __init__(
         self,
-        host: str,
-        policy: WriterPolicy,
-        copyset_queues: list[CopySetQueue],
-        hosts: list[str],
-        label: str,
-        clock: Callable[[], float],
-        tracer: "Tracer | None",
-        codec: "BufferCodec | None",
-        producer_cid: int,
+        world: "World",
+        copy: "CopyPlan",
         cycle: int,
-        stream: str,
-        arena: Arena,
-        acks_at: int = 0,
+        slot: int,
+        stream: StreamSpec,
+        tracer: "Tracer | None",
     ) -> None:
-        self.copyset_queues = copyset_queues
-        self.label = label
-        self.clock = clock
-        self.tracer = tracer
-        self.codec = codec
-        self.producer_cid = producer_cid
+        self.world = world
+        self.label = copy.label
+        self.producer = copy.cid
         self.cycle = cycle
-        self.stream = stream
+        self.stream = stream.name
+        self.index = world.streams.index(stream.name)
+        self.tracer = tracer
+        self.queues = [sets[slot] for sets in world.copysets[stream.dst]]
         self.router = Router(
-            host, [(h, q.copies) for h, q in zip(hosts, copyset_queues)], policy
+            copy.host,
+            [(h, q.copies) for h, q in zip(world.hosts[stream.dst], self.queues)],
+            world.policy(),
         )
-        self.arena = arena
-        self._acks = arena.acks[acks_at:acks_at + len(copyset_queues)]
-        # Every ack of the slot's earlier cycles landed before this cycle
-        # was handed out, so these counters hold still until it sends.
-        self._seen: list[int] = self._acks.tolist()
-
-    def _route(self) -> "Target | None":
-        """Apply the acks counted since the last look, then route one buffer
-        (under the arena lock); ``None`` while every window is full."""
-        acked: list[int] = self._acks.tolist()
-        for index, (now, seen) in enumerate(zip(acked, self._seen)):
-            for _ in range(now - seen):
-                self.router.ack(index)
-        self._seen = acked
-        return self.router.route()
+        self.arena = world.arena(copy.cid)
+        self.arena.routers[(cycle, self.index)] = self.router
 
     def send(self, buffer: DataBuffer) -> Target:
         """Encode and route one buffer; blocks while the copy's arena or
-        every DD window is full — one wait, on the arena's bell."""
-        payload: Any = buffer
-        if self.codec is not None:
+        every DD window is full — one wait, on the arena's pipe — and while
+        the target queue has no credit."""
+        world, codec = self.world, self.world.codec
+        if codec is not None:
             try:
-                payload = self.codec.encode(buffer, self.arena)
+                encoded = codec.encode(buffer, self.arena)
             except EngineError as exc:  # a payload larger than the arena
                 raise EngineError(
                     f"{self.label} cycle {self.cycle} stream {self.stream!r}: {exc}"
                 ) from None
+            assert encoded.extent is not None
+            extent, header = encoded.extent, len(encoded.header)
+        else:
+            key = next(world.keys)
+            world.refs[key] = buffer
+            extent, header = (0, key, 0, 0), 0
         try:
-            t0 = self.clock() if self.tracer else 0.0
-            target, stalled = self.arena.wait(self._route)
+            t0 = world.clock() if self.tracer else 0.0
+            target, stalled = self.arena.wait(self.router.route)
             if stalled and self.tracer:
-                self.tracer.record(t0, self.label, "blocked", end=self.clock())
+                self.tracer.record(t0, self.label, "blocked", end=world.clock())
             needs_ack = self.router.policy.needs_ack
-            envelope = Envelope(
-                self.cycle, self.stream, self.producer_cid,
-                target.index if needs_ack else -1,
-                self.clock(), needs_ack, payload,
-            )
-            self.copyset_queues[target.index].put(envelope)
+            self.queues[target.index].put(Record(
+                Kind.DATA, self.cycle, self.index, self.producer,
+                target.index if needs_ack else -1, extent, header,
+                world.clock(), needs_ack,
+            ))
         except BaseException:
             # Abandoned mid-send — typically interrupted while blocked on a
-            # full DD window.  The extent is already placed (encode runs
-            # first) and no consumer will ever see the envelope, so the
-            # sender gives it back itself.
-            if self.codec is not None:
-                self.codec.release_encoded(payload, self.arena)
+            # full DD window.  The buffer is already placed (encode runs
+            # first) and no consumer will ever see it, so the sender gives
+            # it back itself.
+            if codec is not None:
+                codec.release_encoded(encoded, self.arena)
+            else:
+                world.refs.pop(key, None)
             raise
         return target
 
@@ -443,16 +352,17 @@ def copy_plan(graph: FilterGraph, placement: Placement) -> list[CopyPlan]:
 
 
 class World:
-    """Everything the copies of one engine share.
+    """Everything the copies of one engine share: pipes and mappings, all
+    made before any fork.
 
     ``copysets[filter][set_idx][slot]`` holds one :class:`CopySetQueue` per
     (filter, host, slot); a batch run uses one slot per cycle so cycles
     pipeline without barriers, the warm pool a ring of ``max_inflight``.
-    ``plan`` numbers the copies (:func:`copy_plan`) and ``arenas`` holds one
-    arena per producing copy — made here, before any fork — with its
-    payload space and one ack counter per (slot, output stream, target copy
-    set), the layout :meth:`ack_counter` reads.  ``clock``
-    is wall seconds since the world was built, on ``perf_counter`` —
+    ``plan`` numbers the copies (:func:`copy_plan`), ``arenas`` holds one
+    arena per producing copy and ``streams`` numbers the streams on the
+    wire.  ``codec`` carries payloads through the arenas; without one they
+    pass by reference through ``refs`` (threads only).  ``clock`` is wall
+    seconds since the world was built, on ``perf_counter`` —
     CLOCK_MONOTONIC on Linux, shared by all forked workers, so every copy's
     timestamps are directly comparable.
     """
@@ -462,12 +372,12 @@ class World:
         graph: FilterGraph,
         placement: Placement,
         policy: PolicyFactory,
-        transport: Transport,
+        codec: "BufferCodec | None",
         nslots: int,
         queue_capacity: int,
     ) -> None:
         self.policy = policy
-        self.transport = transport
+        self.codec = codec
         self.nslots = nslots
         self.copysets: dict[str, list[list[CopySetQueue]]] = {}
         self.hosts: dict[str, list[str]] = {}
@@ -475,26 +385,19 @@ class World:
             expected = sum(placement.total_copies(s.src) for s in spec.inputs)
             sets = placement.copysets(name)
             self.copysets[name] = [
-                [CopySetQueue(transport, cs.copies, expected, queue_capacity)
+                [CopySetQueue(cs.copies, expected, queue_capacity)
                  for _ in range(nslots)]
                 for cs in sets
             ]
             self.hosts[name] = [cs.host for cs in sets]
         self.plan = copy_plan(graph, placement)
-        #: Per copy: its output streams' first counters in slot 0, and the
-        #: counters of one slot.
-        self._ack_layout: list[tuple[dict[str, int], int]] = []
-        for copy in self.plan:
-            first: dict[str, int] = {}
-            per_slot = 0
-            for st in copy.spec.outputs:
-                first[st.name] = per_slot
-                per_slot += len(self.hosts[st.dst])
-            self._ack_layout.append((first, per_slot))
+        self.streams = list(graph.streams)
         self.arenas: list["Arena | None"] = [
-            transport.arena(copy.cid, nslots * per_slot) if copy.spec.outputs else None
-            for copy, (_, per_slot) in zip(self.plan, self._ack_layout)
+            Arena(copy.cid) if copy.spec.outputs else None for copy in self.plan
         ]
+        #: Buffers passed by reference, by the key their record carries.
+        self.refs: dict[int, DataBuffer] = {}
+        self.keys = itertools.count()
         self.t_start = time.perf_counter()
 
     def clock(self) -> float:
@@ -510,18 +413,42 @@ class World:
         """The arena holding ``payload``'s extent, if it has one."""
         return None if payload.extent is None else self.arenas[payload.owner]
 
-    def ack_counter(self, cid: int, cycle: int, stream: str) -> int:
-        """Index, in copy ``cid``'s arena, of the ack counter for cycle
-        ``cycle``'s ``stream`` to its first target copy set; the others
-        follow in target order.  Cycle ``k`` runs in slot ``k % nslots``."""
-        first, per_slot = self._ack_layout[cid]
-        return cycle % self.nslots * per_slot + first[stream]
+    def envelope(self, record: Record) -> Envelope:
+        """The envelope a data record names."""
+        if self.codec is None:
+            payload: Any = self.refs.pop(record.extent[1])
+        else:
+            arena = self.arena(record.producer)
+            header = arena.mapping[arena.header(record.extent, record.header)]
+            payload = EncodedBuffer(header, 0, (), record.producer, record.extent)
+        return Envelope(
+            record.cycle, self.streams[record.stream], record.producer,
+            record.target, record.sent_at, record.needs_ack, payload,
+        )
 
-    def queues(self, slot: "int | None" = None) -> Iterator[CopySetQueue]:
-        """Every copy-set queue of one slot (default: of every slot)."""
+    def acknowledge(self, wire: Envelope) -> bool:
+        """Send ``wire``'s producer its acknowledgment; False if none is due."""
+        if not wire.needs_ack:
+            return False
+        self.arena(wire.producer).answer(Record(
+            Kind.ACK, wire.cycle, self.streams.index(wire.stream),
+            target=wire.target_index,
+        ))
+        return True
+
+    def queues(self) -> Iterator[CopySetQueue]:
+        """Every copy-set queue of every slot."""
         for sets in self.copysets.values():
             for per_set in sets:
-                yield from per_set if slot is None else (per_set[slot],)
+                yield from per_set
+
+    def close(self) -> None:
+        """Close this process's ends of every pipe (every copy is gone)."""
+        for csq in self.queues():
+            csq.dispose()
+        for arena in self.arenas:
+            if arena is not None:
+                arena.dispose()
 
 
 # -- one cycle, one copy ------------------------------------------------------
@@ -705,7 +632,7 @@ def _blocking(
     consumers' work.  A traced receive samples its queue's depth.
     """
     spec, host, label = copy.spec, copy.host, copy.label
-    clock, codec = world.clock, world.transport.codec
+    clock, codec = world.clock, world.codec
     my_queue = world.copysets[spec.name][copy.set_idx][slot]
     writers: dict[str, Writer] = {}
 
@@ -723,19 +650,16 @@ def _blocking(
     )
 
     def init(_: None) -> None:
+        if spec.outputs:
+            world.arena(copy.cid).routers.clear()  # earlier cycles' acks go nowhere
         for st in spec.outputs:
-            writers[st.name] = Writer(
-                host, world.policy(),
-                [sets[slot] for sets in world.copysets[st.dst]], world.hosts[st.dst],
-                label, clock, tracer, codec, copy.cid, k, st.name,
-                world.arena(copy.cid), world.ack_counter(copy.cid, k, st.name),
-            )
+            writers[st.name] = Writer(world, copy, k, slot, st, tracer)
         instance.init(ctx)
 
     def ack(wire: Envelope) -> bool:
         # The consumer closes the round trip, so it traces it, under the
         # producer's label.
-        sent = _acknowledge(wire, world)
+        sent = world.acknowledge(wire)
         if sent and tracer:
             producer = world.plan[wire.producer].label
             tracer.record(wire.sent_at, producer, "acked", end=clock())
@@ -768,10 +692,12 @@ def _blocking(
         return ()
 
     def recv(_: None) -> "Envelope | None":
-        wire = my_queue.recv()
-        if tracer and wire is not None and (depth := my_queue.qsize()) >= 0:
-            tracer.sample_queue(clock(), f"{spec.name}@{host}", depth)
-        return wire
+        record = my_queue.recv()
+        if record is None:
+            return None
+        if tracer:
+            tracer.sample_queue(clock(), f"{spec.name}@{host}", my_queue.qsize())
+        return world.envelope(record)
 
     def finish(wants_result: bool) -> Any:
         instance.finalize(ctx)
@@ -783,7 +709,7 @@ def _blocking(
         for st in spec.outputs:
             for sets in world.copysets[st.dst]:
                 try:
-                    sets[slot].producer_finished()
+                    sets[slot].put(EOW)
                 except BaseException as exc:  # noqa: BLE001 - raised below
                     failed.append(exc)
         if failed:
@@ -811,7 +737,7 @@ def run_copy(
     """One copy's whole life: build the filter, run every cycle, report each.
 
     ``cycles`` yields the units of work in order — a list for the threaded
-    engine, a blocking generator over the control queue for forked copies —
+    engine, a blocking generator over the control pipe for forked copies —
     and ``emit`` ships each cycle's report to whoever folds them.
     """
     instance: Filter = _Unbuilt(f"filter {copy.spec.name!r} failed to build")

@@ -19,7 +19,7 @@ Fidelity notes (mapped to the paper):
 - *End-of-work markers* — each producer copy, once done, sends a zero-byte
   message to every consumer copy set, counted by the set's
   :class:`repro.engines.runtime.CloseCount`; the final marker closes the
-  Store out of band (no ``STOP`` events), and a surplus one is ignored.
+  Store out of band (no ``STOP`` events).
 - *Demand-driven acks* — a consumer sends a small acknowledgment message to
   the producing copy when it dequeues a buffer (i.e. when processing starts),
   paying network latency and per-message overhead; on arrival the writer's
@@ -296,7 +296,7 @@ class SimulatedEngine(Engine):
                     value = model.result() if arg else None
                 elif effect is runtime.ANNOUNCE:
                     # Out of band: the final marker closes the Store, where
-                    # in-band markers would cost events; a surplus is ignored.
+                    # in-band markers would cost events.
                     for dst in outputs.values():
                         for dst_host, store, close in sets[dst]:
                             yield cluster.transfer(copy.host, dst_host, 0)

@@ -1,9 +1,9 @@
 """Threaded execution engine: run real filters locally.
 
 Each transparent copy becomes a Python thread running the shared work-cycle
-runtime (:mod:`repro.engines.runtime`) over the thread transport: bounded
-``queue.Queue`` copy-set queues, payloads by reference, DD acknowledgments
-counted in the producer's arena as on forked copies.  Placement host
+runtime (:mod:`repro.engines.runtime`) over the same pipes as forked copies:
+copy-set queues, and DD acknowledgments sent to the producer's arena;
+payloads pass by reference unless a codec is given.  Placement host
 names are treated as labels — all threads run in this process — so the same
 graph/placement objects drive every engine.
 
@@ -25,13 +25,7 @@ from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.core.tracing import Tracer
 from repro.engines.base import Engine, open_wall_trace, validate_run_setup
-from repro.engines.runtime import (
-    CycleReport,
-    ThreadTransport,
-    World,
-    fold_batch,
-    run_copy,
-)
+from repro.engines.runtime import CycleReport, World, fold_batch, run_copy
 from repro.errors import EngineError
 
 __all__ = ["ThreadedEngine"]
@@ -107,8 +101,8 @@ class ThreadedEngine(Engine):
         # seconds relative to the world's start, directly comparable to the
         # simulated engine's run-relative sim clock.
         world = World(
-            self.graph, self.placement, self._policy,
-            ThreadTransport(self.codec), len(uows), self.queue_capacity,
+            self.graph, self.placement, self._policy, self.codec, len(uows),
+            self.queue_capacity,
         )
         trace_limit = open_wall_trace(self.tracer, self._analysis_report)
         cycles = [(k, k, uow, trace_limit) for k, uow in enumerate(uows)]
@@ -126,4 +120,5 @@ class ThreadedEngine(Engine):
             thread.start()
         for thread in threads:
             thread.join()
+        world.close()
         return fold_batch(reports, world.plan, len(uows), self.tracer)

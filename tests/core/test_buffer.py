@@ -1,6 +1,7 @@
 """Unit tests for DataBuffer, buffer chunking, the codec and its arenas."""
 
 import os
+import select
 import threading
 
 import numpy as np
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import buffer as buffer_module
-from repro.core.buffer import Arena, BufferCodec, DataBuffer, chunk_bytes
+from repro.core.buffer import (
+    RECORD_BYTES, Arena, BufferCodec, DataBuffer, Kind, Record, chunk_bytes,
+    read_exact,
+)
 from repro.errors import EngineError
 
 
@@ -406,3 +410,34 @@ def test_an_arena_does_not_cross_a_pickle():
     with pytest.raises(TypeError):
         pickle.dumps(codec.arena())
     codec.release_encoded(encoded)
+
+
+# -- the wire ------------------------------------------------------------------
+RECORDS = [
+    Record(Kind.DATA, 7, 2, 3, -1, (5, 2**40, 4096, 8192), 300, 1.25, True),
+    Record(Kind.DATA, 2**40, 65535, 2**31 - 1, 4, (0, 11, 0, 0), 0, 0.5, False),
+    Record(Kind.EOW),
+    Record(Kind.STOP),
+    Record(Kind.GIVE_BACK, extent=(127, 99, 64, 128)),
+    Record(Kind.ACK, 3, 1, target=2),
+]
+
+
+def test_a_record_is_one_atomic_pipe_write():
+    assert RECORD_BYTES <= select.PIPE_BUF
+    assert {len(r.pack()) for r in RECORDS} == {RECORD_BYTES}
+
+
+def test_every_record_kind_round_trips_field_for_field():
+    assert {r.kind for r in RECORDS} == set(Kind)
+    read, write = os.pipe()
+    try:
+        for record in RECORDS:
+            os.write(write, record.pack())
+        back = list(Record.unpack(read_exact(read, RECORD_BYTES * len(RECORDS))))
+    finally:
+        os.close(read)
+        os.close(write)
+    for got, sent in zip(back, RECORDS, strict=True):
+        assert got._asdict() == sent._asdict()
+        assert [type(v) for v in got] == [type(v) for v in sent]

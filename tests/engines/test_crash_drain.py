@@ -18,7 +18,6 @@ import subprocess
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from repro.core.fuse import fuse
 from repro.core.policies import make_policy_factory
 from repro.engines import ProcessEngine, ThreadedEngine, process
 from repro.engines.pool import WarmPool
-from repro.engines.runtime import Writer
+from repro.engines.runtime import World, Writer
 from repro.errors import EngineError
 
 pytestmark = pytest.mark.skipif(
@@ -509,19 +508,22 @@ def test_consumer_hard_crash_releases_segments(engine_cls, shm_ledger, arena_led
 
 
 @forked_parents
-def test_idle_sibling_killed_does_not_hang(engine_cls, tmp_path, monkeypatch):
-    """One of two sibling consumers is SIGKILLed while idle in ``get()``.
+@pytest.mark.parametrize("killed", [0, 1])
+def test_idle_sibling_killed_does_not_hang(engine_cls, killed, tmp_path, monkeypatch):
+    """One of two sibling consumers is SIGKILLed while idle in its receive.
 
-    A blocking ``multiprocessing.Queue.get`` holds the queue's reader lock
-    while it waits, so the lock dies with copy 0 and its sibling can never
-    read again: nothing the parent announces or discards gets the survivor
-    out.  The run must still end — the error names the dead copy and its
-    exit code at once, the survivors get the leave bound, the straggler is
-    terminated — and fresh copies answer correctly afterwards.
+    A copy-set queue is a pipe, so the dead copy holds nothing its sibling
+    needs: the survivor reads every buffer, closes the stream and leaves by
+    itself, exit code 0, once its stop arrives.  The error names the dead
+    copy and its exit code, the whole run ends well inside the leave bound,
+    and fresh copies answer correctly afterwards.
     """
-    bound = 0.5
-    monkeypatch.setattr(process, "LEAVE_BOUND", bound)
-    pid_file = tmp_path / "sink0.pid"
+    pid_file = tmp_path / "sink.pid"
+    started = []
+    start = process.ForkedCopies.start
+    monkeypatch.setattr(
+        process.ForkedCopies, "start", lambda self: (started.append(self), start(self))
+    )
 
     class LateSource(Filter):
         def __init__(self, delay):
@@ -535,10 +537,10 @@ def test_idle_sibling_killed_does_not_hang(engine_cls, tmp_path, monkeypatch):
     class PidSink(Filter):
         def init(self, ctx):
             self.total = 0
-            if ctx.copy_index == 0:
+            if ctx.copy_index == killed:
                 pid_file.write_text(str(os.getpid()))
             else:
-                time.sleep(0.3)  # copy 0 takes the reader lock first
+                time.sleep(0.3)  # the copy to be killed receives first
 
         def handle(self, ctx, buffer):
             self.total += buffer.payload
@@ -554,21 +556,27 @@ def test_idle_sibling_killed_does_not_hang(engine_cls, tmp_path, monkeypatch):
         p = Placement().place("src", ["h0"]).place("sink", [("h0", 2)])
         return engine_cls(g, p, policy="RR")
 
-    def kill_sink_copy_0():
+    def kill_the_sink_copy():
         while not pid_file.exists() or not pid_file.read_text():
             time.sleep(0.01)
         time.sleep(0.5)
         os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
-    engine = build(delay=1.2)
-    threading.Thread(target=kill_sink_copy_0, daemon=True).start()
     t0 = time.monotonic()
+    engine = build(delay=1.2)
+    threading.Thread(target=kill_the_sink_copy, daemon=True).start()
     try:
-        exc = _run_expecting_failure(engine, "sink@h0#0", timeout=20.0)
+        exc = _run_expecting_failure(engine, f"sink@h0#{killed}", timeout=20.0)
         assert f"exit code {-signal.SIGKILL}" in str(exc)
     finally:
         _close(engine)
-    assert time.monotonic() - t0 < 0.8 + bound + 5.0
+    assert time.monotonic() - t0 < 3.0
+    (copies,) = started
+    (survivor,) = (
+        c.cid for c in copies.world.plan
+        if c.spec.name == "sink" and c.copy_index != killed
+    )
+    assert copies.procs[survivor].exitcode == 0
 
     engine = build(delay=0.0)
     try:
@@ -589,20 +597,10 @@ def test_abandoned_send_releases_encoded_payload(shm_ledger, arena_ledger):
         def select(self):
             raise RuntimeError("routing failed")
 
-    writer = Writer(
-        host="h0",
-        policy=ExplodingPolicy(),
-        copyset_queues=[SimpleNamespace(copies=1)],
-        hosts=["h0"],
-        label="src#0",
-        clock=time.perf_counter,
-        tracer=None,
-        codec=BufferCodec(shm_threshold=64),
-        producer_cid=0,
-        cycle=0,
-        stream="src->sink",
-        arena=Arena(0, counters=1),
-    )
+    g, p = _crash_graph(ArraySumSink)
+    world = World(g, p, ExplodingPolicy, BufferCodec(shm_threshold=64), 1, 1)
+    src = world.plan[0]
+    writer = Writer(world, src, 0, 0, src.spec.outputs[0], None)
     arr = np.ones(4096, dtype=np.float64)
     with pytest.raises(RuntimeError, match="routing failed"):
         writer.send(DataBuffer(arr.nbytes, payload=arr))

@@ -192,7 +192,7 @@ class World:
         blocked; the move's shared part is undone, so the world stays."""
         c = self.copies[i]
         saved = (
-            [list(q) for q in self.queues], [k.seen.value for k in self.closes],
+            [list(q) for q in self.queues], [k.tokens.value for k in self.closes],
             [(dict(vars(r.policy)), [t.unacked for t in r.targets])
              for r in self.routers.values()],
             len(self.sent), self.asked, self.acks, len(self.discarded),
@@ -207,7 +207,7 @@ class World:
             q.clear()
             q.extend(items)
         for close, value in zip(self.closes, seen):
-            close.seen.value = value
+            close.tokens.value = value
         for r, (policy, unacked) in zip(self.routers.values(), routers):
             vars(r.policy).update(policy)
             for t, n in zip(r.targets, unacked):
@@ -326,7 +326,7 @@ class World:
             tuple((c.history, tuple((s, _item(x)) for s, x in c.puts))
                   for c in self.copies),
             tuple(tuple(map(_item, q)) for q in self.queues),
-            tuple(close.seen.value for close in self.closes),
+            tuple(close.tokens.value for close in self.closes),
             tuple(
                 (getattr(r.policy, "_next", 0), tuple(t.unacked for t in r.targets))
                 for r in self.routers.values()

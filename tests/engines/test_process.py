@@ -306,3 +306,41 @@ def test_rendered_image_bit_exact_vs_threaded():
         np.testing.assert_array_equal(mt.result.image, mp_.result.image)
         assert mp_.result.image.max() > 0
         assert mt.ack_messages == mp_.ack_messages
+
+
+class OneThread(Filter):
+    """Checks, once it has written, that its copy runs one thread only."""
+
+    def finalize(self, ctx):
+        import threading
+
+        assert threading.active_count() == 1, threading.enumerate()
+
+
+class CountingSource(NumberSource, OneThread):
+    pass
+
+
+class CountingDoubler(Doubler, OneThread):
+    pass
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["batch", "warm-pool"])
+def test_a_forked_copy_runs_one_thread(pooled):
+    """Copies talk only through pipes they read and write themselves: no
+    feeder thread, nor any other, runs beside a copy that has sent."""
+    from repro.engines.pool import WarmPool
+
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: CountingSource(12), is_source=True)
+    g.add_filter("mid", factory=CountingDoubler)
+    g.add_filter("sink", factory=SumSink)
+    g.connect("src", "mid")
+    g.connect("mid", "sink")
+    p = Placement().place("src", ["h0"]).place("mid", [("h0", 2)]).place("sink", ["h0"])
+    if pooled:
+        with WarmPool(g, p, policy="DD") as pool:
+            runs = [pool.submit(None).result(timeout=60.0) for _ in range(2)]
+    else:
+        runs = ProcessEngine(g, p, policy="DD").run_cycles([None, None])
+    assert [m.result["total"] for m in runs] == [2 * sum(range(12))] * 2
