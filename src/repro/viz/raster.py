@@ -2,13 +2,13 @@
 
 ``rasterize_triangles`` turns screen-space triangles into covered pixels
 with interpolated depth (barycentric, pixel-centre sampling, clipped to the
-viewport).  It processes whole triangle soups per call by bucketing
-triangles with equal candidate-box shapes into stacked grids, and
-emits exactly the fragments the per-triangle reference kernel
-(``triangle_fragments`` in ``tests/viz/reference_kernels.py``) emits, in
-the same order.  :class:`ZBuffer` is the paper's first hidden-surface-removal
-method: a dense per-pixel (depth, colour) array, filled during the local
-rendering phase and shipped wholesale to the Merge filter at end-of-work.
+viewport).  It processes whole triangle soups per call as one flat walk
+over every triangle's candidate cells, and emits exactly the fragments the
+per-triangle reference kernel (``triangle_fragments`` in
+``tests/viz/reference_kernels.py``) emits, in the same order.
+:class:`ZBuffer` is the paper's first hidden-surface-removal method: a
+dense per-pixel (depth, colour) array, filled during the local rendering
+phase and shipped wholesale to the Merge filter at end-of-work.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ ZBUFFER_ENTRY_BYTES = 8
 
 
 def rasterize_triangles(
-    tris: np.ndarray, width: int, height: int, *, max_cells: int = 1 << 20
+    tris: np.ndarray, width: int, height: int, *, max_cells: int = 1 << 18
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rasterise a batch of screen-space triangles in bucketed grid stacks.
+    """Rasterise a batch of screen-space triangles in one flat cell walk.
 
     Produces bit-identical fragments to calling the reference kernel
     (``tests/viz/reference_kernels.py::triangle_fragments``) per triangle:
@@ -38,10 +38,9 @@ def rasterize_triangles(
     keep the reference's order (triangle by triangle, row-major within each
     triangle's bounding box).  Each triangle is evaluated only on the
     pixel centres it can cover (its candidate box, see :func:`_fragments`),
-    and triangles whose clipped candidate boxes have equal shape are
-    stacked into one (G, bh, bw) barycentric evaluation, so a soup of
-    thousands of small triangles costs a handful of NumPy passes instead
-    of thousands of per-triangle calls.
+    and the candidate cells of all triangles are listed in that order and
+    evaluated together, so a soup of thousands of small triangles costs a
+    few NumPy calls per pass instead of thousands of per-triangle calls.
 
     Parameters
     ----------
@@ -50,8 +49,10 @@ def rasterize_triangles(
     width, height:
         Viewport bounds; fragments outside are clipped.
     max_cells:
-        Cap on grid cells evaluated per stacked pass (memory bound; groups
-        larger than this are chunked).
+        Cap on the candidate cells evaluated per pass, a memory bound: a
+        pass holds about twelve 8-byte arrays of its cells at its peak,
+        24 MiB at the default.  A pass takes whole triangles, so a
+        triangle whose box alone exceeds the cap is a pass of its own.
 
     Returns
     -------
@@ -66,13 +67,20 @@ def rasterize_triangles(
 
 
 def _fragments(
-    tris: np.ndarray, width: int, height: int, max_cells: int = 1 << 20
+    tris: np.ndarray, width: int, height: int, max_cells: int = 1 << 18
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fragments of :func:`rasterize_triangles` with their triangles.
 
     Returns ``(pixels, depth, tri)`` in reference order, ``tri`` being the
     index of the triangle each fragment came from (non-decreasing).  The
     one fragment source of :class:`ZBuffer` and the active-pixel raster.
+
+    *Flat walk.*  The live triangles' candidate cells form one ragged
+    list, triangle by triangle and row-major within each box, evaluated
+    in passes of at most ``max_cells`` cells (see
+    :func:`rasterize_triangles`).  The list is the reference order, so
+    the fragments come out in it with no sort; depth is computed only at
+    the cells inside the triangle.
 
     *Candidate box.*  The reference tests every cell of
     ``[floor(min), ceil(max)]``, and most of a 1-2 px triangle's 3 x 3
@@ -134,58 +142,41 @@ def _fragments(
     live = np.flatnonzero((x0 <= x1) & (y0 <= y1) & ~(np.abs(denom) < 1e-12))
     if not live.size:
         return _NO_FRAGS
-    # Group live triangles by clipped-box shape with one stable sort of a
-    # packed (bh, bw) key: members of a group stay in triangle order, and
-    # the order of the groups is free (see the final sort).
-    key = (y1[live] - y0[live] + 1) * (width + 1) + (x1[live] - x0[live] + 1)
-    by_shape = np.argsort(key, kind="stable")
-    live, key = live[by_shape], key[by_shape]
-    starts = _run_starts(key)
-    # Per-triangle terms in group order, so a group is a slice of each.
-    x0, y0 = x0[live], y0[live]
-    terms = [x0, y0, xs[live, 2], ys[live, 2], a0[live], b0[live], a1[live], b1[live]]
-    terms += [denom[live], zs[live, 0], zs[live, 1], zs[live, 2]]
-    terms = [t.astype(np.float64) for t in terms]
-
-    frag_tri: list[np.ndarray] = []
-    frag_pix: list[np.ndarray] = []
-    frag_dep: list[np.ndarray] = []
-    for start, stop in zip(starts, np.append(starts[1:], len(live))):
-        bh, bw = divmod(int(key[start]), width + 1)
-        step = max(1, max_cells // (bh * bw))
-        offx = (np.arange(bw, dtype=np.float64) + 0.5)[None, None, :]
-        offy = (np.arange(bh, dtype=np.float64) + 0.5)[None, :, None]
-        for lo in range(start, stop, step):
-            x0f, y0f, x2, y2, ca0, cb0, ca1, cb1, den, z0, z1, z2 = (
-                t[lo : min(lo + step, stop), None, None] for t in terms
-            )
-            # Pixel-centre grids: integer x0 plus exact half-integers —
-            # bit-equal to the reference's arange(x0, x1 + 1) + 0.5.
-            dx = (x0f + offx) - x2
-            dy = (y0f + offy) - y2
-            w0 = (ca0 * dx + cb0 * dy) / den
-            w1 = (ca1 * dx + cb1 * dy) / den
-            w2 = 1.0 - w0 - w1
-            inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-            depth = w0 * z0 + w1 * z1 + w2 * z2
-            inside &= depth > 0
-            g, iy, ix = np.nonzero(inside)
-            if not g.size:
-                continue
-            g += lo
-            frag_tri.append(live[g])
-            frag_pix.append((iy + y0[g]) * width + (ix + x0[g]))
-            frag_dep.append(depth[inside])
-    if not frag_tri:
-        return _NO_FRAGS
-    tri = np.concatenate(frag_tri)
-    pixels = np.concatenate(frag_pix)
-    depth = np.concatenate(frag_dep)
-    # Bucket processing visits triangles out of order; a stable sort on the
-    # triangle index restores reference order end to end (within a triangle
-    # each bucket already emitted row-major).
-    order = np.argsort(tri, kind="stable")
-    return pixels[order], depth[order], tri[order]
+    # The cells of each pass: its triangles' boxes back to back, each
+    # row-major, as (triangle, row, column).
+    bw = x1 - x0 + 1
+    cells = (y1[live] - y0[live] + 1) * bw[live]
+    ends = np.cumsum(cells)
+    passes = []
+    lo = 0
+    while lo < len(live):
+        first = ends[lo] - cells[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, first + max_cells, "right")))
+        n = cells[lo:hi]
+        t = np.repeat(live[lo:hi], n)
+        cell = np.arange(ends[hi - 1] - first) - np.repeat(ends[lo:hi] - n - first, n)
+        py, px = np.divmod(cell, bw[t])
+        px += x0[t]
+        py += y0[t]
+        # Pixel centres: an integer plus an exact half, bit-equal to the
+        # reference's arange(x0, x1 + 1) + 0.5.
+        dx = (px + 0.5) - xs[:, 2][t]
+        dy = (py + 0.5) - ys[:, 2][t]
+        den = denom[t]
+        w0 = (a0[t] * dx + b0[t] * dy) / den
+        w1 = (a1[t] * dx + b1[t] * dy) / den
+        w2 = 1.0 - w0 - w1
+        at = np.flatnonzero((w0 >= 0) & (w1 >= 0) & (w2 >= 0))
+        t = t[at]
+        depth = w0[at] * zs[:, 0][t] + w1[at] * zs[:, 1][t] + w2[at] * zs[:, 2][t]
+        front = depth > 0
+        at = at[front]
+        passes.append((py[at] * width + px[at], depth[front], t[front]))
+        lo = hi
+    if len(passes) == 1:
+        return passes[0]
+    pixels, depth, tri = (np.concatenate(f) for f in zip(*passes))
+    return pixels, depth, tri
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -323,22 +314,17 @@ class ZBuffer:
 
         This is what a z-buffer raster copy sends at end-of-work: *every*
         pixel, active or not (the paper notes the resulting communication
-        overhead).
+        overhead).  The slabs are views of the buffer, not copies: a raster
+        copy makes a fresh buffer every unit of work and writes nothing to
+        it after it flushes.
         """
         if entries_per_buffer < 1:
             raise ConfigurationError("entries_per_buffer must be >= 1")
-        out = []
-        total = self.width * self.height
-        for start in range(0, total, entries_per_buffer):
-            stop = min(start + entries_per_buffer, total)
-            out.append(
-                ZBufferSlab(
-                    start,
-                    self.depth[start:stop].copy(),
-                    self.color[start:stop].copy(),
-                )
-            )
-        return out
+        step = entries_per_buffer
+        return [
+            ZBufferSlab(start, self.depth[start : start + step], self.color[start : start + step])
+            for start in range(0, self.width * self.height, step)
+        ]
 
     def active_pixels(self) -> int:
         """Pixels with at least one fragment written."""

@@ -107,6 +107,15 @@ def test_zbuffer_slabs_roundtrip():
     np.testing.assert_array_equal(rebuilt.image(), zb.image())
 
 
+def test_zbuffer_slabs_are_views_of_the_buffer():
+    zb = ZBuffer(10, 10)
+    slabs = zb.slabs(entries_per_buffer=16)
+    for slab in slabs:
+        assert np.shares_memory(slab.depth, zb.depth)
+        assert np.shares_memory(slab.color, zb.color)
+    assert [len(s.depth) for s in slabs] == [16] * 6 + [4]
+
+
 def test_zbuffer_total_bytes_formula():
     zb = ZBuffer(2048, 2048)
     assert zb.total_bytes == 2048 * 2048 * 8  # the paper's 32 MB

@@ -1,9 +1,10 @@
 """The batched raster kernel must emit exactly the reference's fragments.
 
-``rasterize_triangles`` bucket-processes whole triangle soups; the contract
-is bit-identical (pixel, depth) fragments, in the reference's order, for
-arbitrary input — including degenerate (zero-area), fully clipped,
-behind-camera and shared-edge triangles, in both float32 and float64.
+``rasterize_triangles`` walks the candidate cells of whole triangle soups
+in passes; the contract is bit-identical (pixel, depth) fragments, in the
+reference's order, for arbitrary input and any pass size — including
+degenerate (zero-area), fully clipped, behind-camera and shared-edge
+triangles, in both float32 and float64.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.viz.raster import ZBuffer, rasterize_triangles
+from repro.viz.raster import ZBuffer, _fragments, rasterize_triangles
 from tests.viz.reference_kernels import triangle_fragments
 
 WIDTH, HEIGHT = 40, 32
@@ -208,19 +209,36 @@ def test_shared_edge_fragments_identical():
     assert_matches_reference(quad)
 
 
-def test_chunked_groups_match_single_pass():
-    # Many same-shape boxes force the group chunking path when max_cells is
-    # tiny; results must not depend on the chunking.
+@pytest.mark.parametrize("max_cells", [1, 16, 200])
+def test_passes_match_one_pass(max_cells):
+    # Many boxes split over many passes when max_cells is small, down to
+    # one cell; a 25 x 25 box alone exceeds every cap here and is a pass
+    # of its own.  Results must not depend on the split.
     rng = np.random.default_rng(3)
     base = np.array(
         [[2.0, 2.0, 1.0], [10.0, 2.0, 2.0], [2.0, 10.0, 3.0]], dtype=np.float64
     )
     offsets = rng.integers(0, 20, size=(50, 1, 1)).astype(np.float64)
-    tris = base[None, :, :] + offsets
-    a = rasterize_triangles(tris, WIDTH, HEIGHT, max_cells=16)
+    large = np.array([[[3.0, 3.0, 1.0], [27.0, 4.0, 2.0], [5.0, 27.0, 3.0]]])
+    tris = np.concatenate([base[None, :, :] + offsets, large, base[None]])
+    a = rasterize_triangles(tris, WIDTH, HEIGHT, max_cells=max_cells)
     b = rasterize_triangles(tris, WIDTH, HEIGHT, max_cells=1 << 20)
+    assert a[2][-2] > 200
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(triangle, min_size=0, max_size=25),
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([1, 7, 1 << 20]),
+)
+def test_fragments_come_in_triangle_order(tri_list, dtype, max_cells):
+    # The walk's order is the reference's: no sort restores it.
+    tris = np.array(tri_list, dtype=dtype).reshape(-1, 3, 3)
+    _, _, tri = _fragments(tris, WIDTH, HEIGHT, max_cells)
+    assert (np.diff(tri) >= 0).all()
 
 
 def test_zbuffer_image_matches_sequential_loop():
