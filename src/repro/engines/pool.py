@@ -24,12 +24,11 @@ counters its owner reads.
 
 An unexpected worker death marks the pool *broken*: every pending query
 fails at once with the dead copy's label and exit code, and the copies are
-abandoned the one way forked copies are (``ForkedCopies``): the survivors
-leave by themselves while abandoned traffic is acknowledged and released,
-stragglers are terminated after ``LEAVE_BOUND`` and every slot is drained.
-Payloads live in the copies' arenas — anonymous mappings the pool made
-before it forked — so nothing named outlives the pool, whoever was
-terminated holding what.  A copy that could not decode an input payload (a
+abandoned the one way forked copies are (``ForkedCopies``).  Payloads live
+in the copies' arenas — anonymous mappings the pool made before it forked —
+so nothing named outlives the pool, whoever was terminated holding what,
+and the parent thread closes every pipe the pool opened once its copies
+are gone.  A copy that could not decode an input payload (a
 mapped file gone or cut short under it) fails its query with the error it
 raised and has the pool abandoned the same way.  The pool's owner replaces
 a pool that is no longer :attr:`~WarmPool.usable` (``repro serve`` keeps one
@@ -67,8 +66,8 @@ class WarmPool(ProcessEngine):
     Construction validates and forks immediately (the pool is warm once
     ``__init__`` returns); ``submit`` enqueues one unit of work and
     ``run``/``run_cycles`` provide the blocking batch API on top.  Use as a
-    context manager or call :meth:`close` — the workers are daemonic, but
-    an explicit close lets every pending query finish before they exit.
+    context manager or call :meth:`close`, which lets every pending query
+    finish and leaves no pipe open (the workers are daemonic).
 
     Additional parameter over the process engine:
 
@@ -175,7 +174,7 @@ class WarmPool(ProcessEngine):
         return metrics_list
 
     def _finish_cycle(self, pending: PendingQuery) -> None:
-        """Fold one complete cycle (collector thread) and resolve its query."""
+        """Fold one complete cycle (the parent thread) and resolve its query."""
         self.cycles_completed += 1
         plan = self._copies.world.plan
         metrics, errors = fold_cycle(

@@ -8,8 +8,8 @@ ThreadedEngine`, which keeps the same protocol but shares one interpreter).
 
 The work-cycle protocol is the shared runtime's
 (:mod:`repro.engines.runtime`), over its kernel pipes; this module supplies
-the one parent side of forked copies, :class:`ForkedCopies` — spawn,
-collector, supervisor and the abandon path for a copy that dies.  A batch
+the one parent side of forked copies, :class:`ForkedCopies` — spawn, one
+parent thread for reports, deaths, the abandon path and the close.  A batch
 ``run_cycles(uows)`` is that mechanism used once (a world of ``len(uows)``
 slots, every cycle submitted before the fork, a stop sent behind the
 last); a :class:`~repro.engines.pool.WarmPool` is the same mechanism kept,
@@ -39,8 +39,11 @@ method can carry.  On platforms without fork use the threaded engine.
 
 from __future__ import annotations
 
+import faulthandler
 import multiprocessing
 import multiprocessing.connection
+import os
+import signal
 import threading
 import time
 from collections.abc import Callable
@@ -75,7 +78,7 @@ START_METHOD = "fork"
 
 #: Seconds copies get to leave by themselves — the survivors of an abandoned
 #: world, or workers whose last query resolved with their stop sent — before
-#: the supervisor terminates them.
+#: the parent thread terminates them.
 LEAVE_BOUND = 10.0
 
 
@@ -88,12 +91,8 @@ class PendingQuery:
         self.t0 = t0  # world-clock timestamp of the submit (trace origin)
         self.reports: list[CycleReport] = []
         self._done = threading.Event()
-        self._lock = threading.Lock()
         self._metrics: "RunMetrics | None" = None
         self._error: "EngineError | None" = None
-
-    def done(self) -> bool:
-        return self._done.is_set()
 
     def wait(self, timeout: "float | None" = None) -> bool:
         return self._done.wait(timeout)
@@ -110,16 +109,11 @@ class PendingQuery:
         return self._metrics
 
     def _resolve(
-        self,
-        metrics: "RunMetrics | None" = None,
-        error: "EngineError | None" = None,
+        self, metrics: "RunMetrics | None" = None, error: "EngineError | None" = None
     ) -> None:
-        # First outcome wins: the collector resolves, the supervisor fails —
-        # a query racing both must not flip after callers have seen it done.
-        with self._lock:
-            if not self._done.is_set():
-                self._metrics, self._error = metrics, error
-                self._done.set()
+        # Once, by the parent thread, which has taken it out of ``pending``.
+        self._metrics, self._error = metrics, error
+        self._done.set()
 
 
 class ForkedCopies:
@@ -132,19 +126,21 @@ class ForkedCopies:
     pipes, ``None`` saying stop.  Cycle ``k`` runs in slot ``k % nslots``,
     and a slot is recycled only once every copy has reported cycle ``k`` —
     so its queues are provably drained and its end-of-work tokens refilled.
-    Once started, a collector thread waits on every worker's report pipe
-    and hands each complete cycle to ``on_cycle``; a supervisor thread
-    sleeps in one ``multiprocessing.connection.wait`` on the worker
-    sentinels — no timeout, no polling, while every worker is healthy.
+    Once started, one parent thread sleeps in one ``connection.wait`` on
+    every worker's sentinel and report pipe — no timeout, no polling, while
+    every worker is healthy — hands each complete cycle to ``on_cycle`` and,
+    once every worker is gone, closes what the world opened, keeping each
+    worker's exit code in ``exitcodes`` (by copy id).
 
     A worker that dies without running its cleanup (segfault, kill) would
     leave consumers waiting for end-of-work and producers blocked on a queue
-    nobody drains.  The supervisor then *abandons* the world, in this order:
+    nobody drains.  The parent thread then *abandons* the world, in this order:
     fail every pending query, naming the dead copy; let the survivors leave
     by themselves — end-of-work announced on the dead copy's behalf, traffic
     aimed at copy sets with no live member discarded (acknowledged and its
     extents given back), a stop on every control pipe; wait for them under
-    :data:`LEAVE_BOUND`; terminate the stragglers and drain every slot.
+    :data:`LEAVE_BOUND`; have each straggler dump its stack to stderr, terminate
+    it and drain every slot.
     :meth:`abandon` asks for the same from outside.
     """
 
@@ -173,19 +169,17 @@ class ForkedCopies:
         self.closed = False
         #: Why the world was abandoned (empty while it is healthy).
         self.errors: list[str] = []
-        self.done = threading.Event()
         self._wake_recv, self._wake_send = self.mp_ctx.Pipe(duplex=False)
-        self._stop_recv, self._stop_send = self.mp_ctx.Pipe(duplex=False)
         #: Cycles submitted before the fork; ``None`` once started.
         self._first: "list[tuple] | None" = []
 
     def start(self) -> None:
-        """Fork the workers; start the collector and the supervisor."""
+        """Fork the workers; start the parent thread."""
         world = self.world
         first, self._first = self._first, None
         self.procs = {
             copy.cid: self.mp_ctx.Process(
-                target=run_copy,
+                target=_run_forked,
                 # What was submitted before the fork, then whatever arrives
                 # over the control pipe until it says stop.
                 args=(
@@ -202,13 +196,10 @@ class ForkedCopies:
             proc.start()
         # Reports must drain concurrently: a worker's send can exceed the
         # pipe buffer and would deadlock a join-first parent.
-        self._collector = threading.Thread(
-            target=self._collect_loop, daemon=True, name="copies-collector"
+        self._thread = threading.Thread(
+            target=self._supervise, daemon=True, name="copies-supervisor"
         )
-        self._collector.start()
-        threading.Thread(
-            target=self._supervise_loop, daemon=True, name="copies-supervisor"
-        ).start()
+        self._thread.start()
 
     def submit(
         self, uow: Any, trace_limit: "int | None", tracer: "Tracer | None" = None
@@ -236,9 +227,11 @@ class ForkedCopies:
             return pending
 
     def abandon(self, reason: str) -> None:
-        """Have the supervisor abandon the world (see the class docstring)."""
-        self.errors.append(reason)
-        self._wake_send.send(b"x")
+        """Have the parent thread abandon the world (see the class docstring)."""
+        with self.lock:
+            if not self._wake_send.closed:
+                self.errors.append(reason)
+                self._wake_send.send(b"x")
 
     def close(self) -> None:
         """Send a stop behind the last cycle; wait until the world is gone.
@@ -258,63 +251,44 @@ class ForkedCopies:
         if not already:
             for query in pending:
                 query.wait()
-            if not self.done.wait(LEAVE_BOUND) and not self.errors:
+            self._thread.join(LEAVE_BOUND)
+            if self._thread.is_alive() and not self.errors:
                 self.abandon("workers ignored their stop")
-        self.done.wait()
+        self._thread.join()
 
-    # -- parent-side threads -------------------------------------------------
-    def _collect_loop(self) -> None:
-        """Gather per-cycle worker reports, until stopped with none left;
-        recycle slots as cycles finish."""
-        conns = [recv for recv, _ in self.reports]
-        while ready := [
-            conn for conn in multiprocessing.connection.wait(conns + [self._stop_recv])
-            if conn is not self._stop_recv
-        ]:
-            for report in (conn.recv() for conn in ready):
-                k = report.cycle
-                with self.lock:
-                    pending = self.pending.get(k)
-                    if pending is None:
-                        continue  # failed by the supervisor while in flight
-                    pending.reports.append(report)
-                    if len(pending.reports) < len(self.world.plan):
-                        continue
-                    del self.pending[k]
-                # Every copy has reported cycle k, so the slot's queues are
-                # drained and its end-of-work tokens refilled.
-                self.slot_free[k % self.world.nslots].set()
-                self.on_cycle(pending)
-
-    def _supervise_loop(self) -> None:
-        """Block on the worker sentinels; abandon the world on a death."""
+    # -- the parent thread ---------------------------------------------------
+    def _supervise(self) -> None:
+        """Book reports and deaths; abandon the world on a death; once every
+        worker is gone, close what the world opened."""
         world, live = self.world, dict(self.procs)
-        copy_of = {live[copy.cid].sentinel: copy for copy in world.plan}
         members: dict[tuple[str, int], list[int]] = {}
         for copy in world.plan:
             members.setdefault((copy.spec.name, copy.set_idx), []).append(copy.cid)
         deadline = None  # set once the world is abandoned
         while live and (deadline is None or time.monotonic() < deadline):
-            ready = multiprocessing.connection.wait(
-                [proc.sentinel for proc in live.values()] + [self._wake_recv],
+            # Sentinels before report pipes: a worker seen dead here has its
+            # last report readable too, and its death waits for its reports.
+            ready = set(multiprocessing.connection.wait(
+                [proc.sentinel for proc in live.values()]
+                + [self.reports[cid][0] for cid in live] + [self._wake_recv],
                 timeout=None if deadline is None else 0.05,
-            )
-            for sentinel in ready:
-                if sentinel is self._wake_recv:
-                    self._wake_recv.recv()
-                    continue
-                copy = copy_of[sentinel]
-                proc = live.pop(copy.cid)
-                proc.join()
-                if proc.exitcode == 0 and self.closed:
-                    continue  # left on its stop
-                self.errors.append(
-                    f"worker process {copy.label} died with exit code "
-                    f"{proc.exitcode}"
-                )
-                for st in copy.spec.outputs:
-                    for sets in world.copysets[st.dst]:
-                        for csq in sets:
+            ))
+            if self._wake_recv in ready:
+                self._wake_recv.recv()
+            for cid, proc in list(live.items()):
+                if self.reports[cid][0] in ready:
+                    self._book(self.reports[cid][0].recv())
+                elif proc.sentinel in ready:
+                    del live[cid]
+                    proc.join()
+                    if proc.exitcode == 0 and self.closed:
+                        continue  # left on its stop
+                    copy = world.plan[cid]
+                    self.errors.append(
+                        f"worker process {copy.label} died with exit code {proc.exitcode}"
+                    )
+                    for st in copy.spec.outputs:
+                        for csq in chain.from_iterable(world.copysets[st.dst]):
                             csq.put(EOW)  # on its behalf; a marker takes no credit
             if self.errors and deadline is None:
                 deadline = time.monotonic() + LEAVE_BOUND
@@ -324,16 +298,37 @@ class ForkedCopies:
                     if not any(cid in live for cid in cids):
                         for csq in world.copysets[name][set_idx]:
                             self._drain(csq)
-        self._stop_send.send(None)
-        self._collector.join()
         if deadline is not None:
-            for proc in live.values():  # the stragglers
+            for proc in live.values():  # a straggler: its stack to stderr, then the end
+                os.kill(proc.pid, signal.SIGUSR1)
+                proc.join(0.2)
                 proc.terminate()
                 proc.join()
             for csq in world.queues():
                 self._drain(csq)
         world.close()
-        self.done.set()
+        with self.lock:  # against a late abandon's send
+            for conn in chain(*self.controls, *self.reports, [self._wake_recv, self._wake_send]):
+                conn.close()
+        self.exitcodes = {cid: proc.exitcode for cid, proc in self.procs.items()}
+        for proc in self.procs.values():
+            proc.close()
+
+    def _book(self, report: CycleReport) -> None:
+        """Add one worker's report; hand a complete cycle to ``on_cycle``."""
+        k = report.cycle
+        with self.lock:
+            pending = self.pending.get(k)
+            if pending is None:
+                return  # failed with the world while in flight
+            pending.reports.append(report)
+            if len(pending.reports) < len(self.world.plan):
+                return
+            del self.pending[k]
+        # Every copy has reported cycle k, so the slot's queues are drained
+        # and its end-of-work tokens refilled.
+        self.slot_free[k % self.world.nslots].set()
+        self.on_cycle(pending)
 
     def _fail_pending(self) -> None:
         with self.lock:
@@ -354,6 +349,12 @@ class ForkedCopies:
         """Discard abandoned traffic, giving every extent back."""
         for record in csq.queued():
             discard(self.world.envelope(record), self.world)
+
+
+def _run_forked(*args: Any) -> None:
+    """:func:`run_copy` in a worker that dumps its stack on SIGUSR1."""
+    faulthandler.register(signal.SIGUSR1, file=2, all_threads=True)
+    run_copy(*args)
 
 
 class ProcessEngine(Engine):

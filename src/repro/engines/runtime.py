@@ -32,9 +32,9 @@ The paper's filter-stream protocol is written here exactly once:
   merged trace.
 
 What differs between the real engines is the parent side: threads are just
-joined, forked copies have one supervisor (``process.ForkedCopies``, batch
-run and warm pool alike), and payloads without a codec pass by reference,
-which only threads can do.
+joined, forked copies have one parent thread (``process.ForkedCopies``,
+batch run and warm pool alike), and payloads without a codec pass by
+reference, which only threads can do.
 
 Payload lifetime contract: with a codec, an input buffer's arrays are
 views into the producer's arena valid only during ``handle`` (the runtime

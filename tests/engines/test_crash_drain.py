@@ -5,12 +5,15 @@ cleanup, a producer abandoned mid-send — must acknowledge discarded
 envelopes (so DD windows upstream keep moving) *and* give their arena
 extents back.  These tests inject each failure with payloads large enough
 to go out of band and assert two ledgers afterwards: every arena's record
-table is empty, and ``/dev/shm`` is back to its pre-run state.  The
-filter-raises cases run on both real engines (one runtime, two
+table is empty, and ``/dev/shm`` is back to its pre-run state.  A third
+ledger holds the process's descriptors and threads to their count before
+the run, with the cyclic GC off: whatever a run opens, its owner closes.
+The filter-raises cases run on both real engines (one runtime, two
 transports), each under a hard join timeout: a hang is a failure, not a
 stalled suite.
 """
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -106,6 +109,67 @@ def arena_ledger(monkeypatch):
 
     leaked.arenas = made
     return leaked
+
+
+def _fds():
+    """This process's open descriptors: number -> what it refers to."""
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            fds[int(fd)] = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    return fds
+
+
+def _os_threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.fixture
+def fd_ledger():
+    """With the cyclic GC off for the test, snapshot this process's
+    descriptors, Python threads and OS threads; yields a closure returning
+    what differs from the snapshot (``.mark()`` retakes it, say after a
+    warm-up run).  Descriptors and thread names must match exactly.  The
+    OS thread count may not exceed the snapshot's once it has settled for
+    up to 1 s: an OS thread outlives its ``join()`` briefly."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self on this platform")
+    enabled = gc.isenabled()
+    gc.disable()
+    before = {}
+
+    def mark():
+        before.update(
+            fds=_fds(),
+            threads=sorted(t.name for t in threading.enumerate()),
+            tasks=_os_threads(),
+        )
+
+    def leaked():
+        fds, was = _fds(), before["fds"]
+        diff = {}
+        if changed := {
+            fd: (was.get(fd), fds.get(fd))
+            for fd in was.keys() | fds.keys() if was.get(fd) != fds.get(fd)
+        }:
+            diff["fds"] = changed  # number: (before, now)
+        threads = sorted(t.name for t in threading.enumerate())
+        if threads != before["threads"]:
+            diff["threads"] = (before["threads"], threads)
+        deadline = time.monotonic() + 1.0
+        while _os_threads() > before["tasks"] and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if _os_threads() > before["tasks"]:
+            diff["tasks"] = (before["tasks"], _os_threads())
+        return diff
+
+    mark()
+    leaked.mark = mark
+    yield leaked
+    if enabled:
+        gc.enable()
 
 
 def _crash_graph(sink_factory, count=10):
@@ -475,7 +539,9 @@ def _close(engine):
 
 
 @forked_parents
-def test_consumer_hard_crash_releases_segments(engine_cls, shm_ledger, arena_ledger):
+def test_consumer_hard_crash_releases_segments(
+    engine_cls, shm_ledger, arena_ledger, fd_ledger
+):
     """A consumer dying without cleanup leaves the parent to drain.
 
     The producer keeps sending into the dead copy set — blocked on the
@@ -505,11 +571,14 @@ def test_consumer_hard_crash_releases_segments(engine_cls, shm_ledger, arena_led
         _close(engine)
     assert not shm_ledger()
     assert not arena_ledger()
+    assert not fd_ledger()
 
 
 @forked_parents
 @pytest.mark.parametrize("killed", [0, 1])
-def test_idle_sibling_killed_does_not_hang(engine_cls, killed, tmp_path, monkeypatch):
+def test_idle_sibling_killed_does_not_hang(
+    engine_cls, killed, tmp_path, monkeypatch, fd_ledger
+):
     """One of two sibling consumers is SIGKILLed while idle in its receive.
 
     A copy-set queue is a pipe, so the dead copy holds nothing its sibling
@@ -576,13 +645,115 @@ def test_idle_sibling_killed_does_not_hang(engine_cls, killed, tmp_path, monkeyp
         c.cid for c in copies.world.plan
         if c.spec.name == "sink" and c.copy_index != killed
     )
-    assert copies.procs[survivor].exitcode == 0
+    assert copies.exitcodes[survivor] == 0
 
     engine = build(delay=0.0)
     try:
         assert sum(engine.run().result) == sum(range(6))
     finally:
         _close(engine)
+    assert not fd_ledger()
+
+
+class LedgerSink(ArraySumSink):
+    """Sums its input; a unit of work ``{"exit": code}`` ends the copy at
+    its first buffer, ``{"sleep": s}`` delays its ``init``."""
+
+    def init(self, ctx):
+        super().init(ctx)
+        time.sleep((ctx.uow or {}).get("sleep", 0.0))
+
+    def handle(self, ctx, buffer):
+        if "exit" in (ctx.uow or {}):
+            os._exit(ctx.uow["exit"])
+        super().handle(ctx, buffer)
+
+
+LEDGER_TOTAL = 4096.0 * sum(range(4))  # what _crash_graph(LedgerSink, 4) sums
+
+
+def _pool_query(uow, close_at_once=False):
+    g, p = _crash_graph(LedgerSink, count=4)
+    pool = WarmPool(g, p, policy="DD", codec=BufferCodec(shm_threshold=1024))
+    try:
+        query = pool.submit(uow)
+        if close_at_once:
+            pool.close()  # graceful: the query in flight still finishes
+        return query.result(timeout=60.0).result
+    finally:
+        pool.close()
+
+
+def _pool_clean():
+    assert _pool_query(None) == LEDGER_TOTAL
+
+
+def _pool_worker_exits():
+    with pytest.raises(EngineError, match="exit code 11"):
+        _pool_query({"exit": 11})
+
+
+def _pool_closed_busy():
+    assert _pool_query({"sleep": 0.3}, close_at_once=True) == LEDGER_TOTAL
+
+
+def _batch():
+    g, p = _crash_graph(LedgerSink, count=4)
+    assert ProcessEngine(g, p, policy="DD").run().result == LEDGER_TOTAL
+
+
+def _threads():
+    g, p = _crash_graph(LedgerSink, count=4)
+    assert ThreadedEngine(g, p, policy="DD").run().result == LEDGER_TOTAL
+
+
+@pytest.mark.parametrize(
+    "run", [_pool_clean, _pool_worker_exits, _pool_closed_busy, _batch, _threads],
+    ids=["pool-clean", "pool-worker-exits", "pool-closed-busy", "batch", "threads"],
+)
+def test_a_run_returns_every_descriptor_and_thread(run, fd_ledger):
+    """After a warm-up run, a second run leaves the process holding the
+    descriptors and threads it held before, without the garbage collector:
+    the parent side closes every pipe and ``Process`` the world opened, on
+    a clean close, a worker's death and a close with a query in flight."""
+    run()
+    fd_ledger.mark()
+    run()
+    assert not fd_ledger()
+
+
+@forked_parents
+def test_a_straggler_dumps_its_stack_before_it_is_terminated(
+    engine_cls, capfd, monkeypatch
+):
+    """A copy stuck in ``handle`` past the leave bound of an abandoned world
+    writes its stack to stderr (SIGUSR1, ``faulthandler``) before it is
+    terminated, so whatever stalled a run is named, not lost."""
+    monkeypatch.setattr(process, "LEAVE_BOUND", 0.5)
+
+    class StuckOrDead(Filter):
+        def handle(self, ctx, buffer):
+            if ctx.copy_index == 0:
+                time.sleep(30.0)
+            os._exit(11)
+
+    g = FilterGraph()
+    g.add_filter("src", factory=lambda: ArraySource(4, length=8), is_source=True)
+    g.add_filter("sink", factory=StuckOrDead)
+    g.connect("src", "sink")
+    p = Placement().place("src", ["h0"]).place("sink", [("h0", 2)])
+    t0 = time.monotonic()
+    engine = engine_cls(g, p, policy="RR")
+    try:
+        _run_expecting_failure(engine, "sink@h0#1", timeout=20.0)
+    finally:
+        _close(engine)
+    assert time.monotonic() - t0 < 5.0
+    frames = capfd.readouterr().err.splitlines()
+    assert any(
+        "test_crash_drain.py" in line and line.endswith(" in handle")
+        for line in frames
+    ), frames
 
 
 def test_abandoned_send_releases_encoded_payload(shm_ledger, arena_ledger):
