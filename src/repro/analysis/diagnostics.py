@@ -89,8 +89,7 @@ class Diagnostic:
 
 
 #: Rule-id prefix -> exception type raised for ERROR diagnostics of that
-#: scope, preserving the pre-analysis API (``FilterGraph.validate`` raised
-#: GraphError, ``Placement.validate`` raised PlacementError).
+#: scope: graph rules raise GraphError, placement rules PlacementError.
 _SCOPE_EXCEPTIONS: dict[str, type[ReproError]] = {
     "G": GraphError,
     "P": PlacementError,

@@ -4,9 +4,8 @@ Checks a ``(FilterGraph, Placement, writer policy, cluster hosts)``
 configuration *before* any engine instantiates a copy, and reports every
 violation as a structured :class:`~repro.analysis.Diagnostic`
 (TPIE-style "compile time" validation of the full pipeline graph).  The
-individual passes are exposed for the thin ``validate()`` compatibility
-wrappers on :class:`~repro.core.graph.FilterGraph` and
-:class:`~repro.core.placement.Placement`; engines call
+individual passes (:func:`verify_graph`, :func:`verify_placement`) are
+exposed for callers that check one part; engines call
 :func:`verify_pipeline`, which runs every rule that reads the
 configuration off and can refuse it: the G/P/W/Z rules here.
 ``repro lint --graph-module`` calls the same function, so it reports

@@ -22,8 +22,8 @@ shared memory *already*: a C-contiguous read-only view into a ``mode="r"``
 file mapping (what the Read filter streams from a
 :class:`~repro.data.diskstore.DeclusteredStore`).  Such an array travels as
 a ``(path, byte offset, shape, dtype)`` descriptor and the consumer maps the
-same file — no arena, no copy.  The threaded engine accepts the same codec
-(mostly for testing) so both real engines share one wire format.
+same file — no arena, no copy.  Threads share one address space and pass
+buffers by reference instead: the codec is forked copies' only.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ import numpy as np
 from repro.errors import EngineError
 
 __all__ = [
-    "ARENA_BYTES", "RECORD_BYTES", "Arena", "BufferCodec", "DataBuffer",
-    "EncodedBuffer", "Kind", "PayloadLease", "Record", "chunk_bytes",
-    "disposer", "pending", "pipe", "read_exact",
+    "ARENA_BYTES", "OUT_OF_BAND_BYTES", "RECORD_BYTES", "Arena", "BufferCodec",
+    "DataBuffer", "EncodedBuffer", "Kind", "PayloadLease", "Record",
+    "chunk_bytes", "disposer", "pending", "pipe", "read_exact",
 ]
 
 
@@ -97,6 +97,13 @@ class DataBuffer:
 #: A fuller arena makes the sender wait for give-backs; one payload larger
 #: than the whole arena fails its cycle.
 ARENA_BYTES = 2 * 2**20 * (8 * 1 + 2 + 1) * 2
+
+#: Arrays of at least this many bytes go out of band (into an arena, or as a
+#: file region); smaller ones, and arrays whose dtype string does not name
+#: their dtype (objects, records), pickle inline in the header.  64 KiB keeps
+#: most headers in their record's slot while every scalar block, triangle
+#: array and z-buffer slab of a served S129 query goes out of band.
+OUT_OF_BAND_BYTES = 64 * 1024
 
 #: Extents one arena can hold at once (one record each in its table).
 _RECORDS = 128
@@ -148,8 +155,8 @@ class Record(NamedTuple):
     """Everything copies say to each other, as one fixed-size pipe write.
 
     A data record names its buffer: ``extent`` in the ``producer``'s arena,
-    holding the arrays and a ``header``-byte pickle (without a codec,
-    ``extent[1]`` keys the buffer in the engine's by-reference table).  A
+    holding the arrays and a ``header``-byte pickle (between threads,
+    ``extent[1]`` keys the buffer in the world's by-reference table).  A
     give-back names an ``extent``; an ack, its buffer's ``cycle``,
     ``stream`` index and ``target`` copy set.  Markers say nothing more.
     """
@@ -426,9 +433,8 @@ class _ArenaPickler(pickle.Pickler):
     persistent id names.
     """
 
-    def __init__(self, fh: io.BytesIO, threshold: int) -> None:
+    def __init__(self, fh: io.BytesIO) -> None:
         super().__init__(fh, protocol=pickle.HIGHEST_PROTOCOL)
-        self.threshold = threshold
         self.arrays: list[tuple[np.ndarray, int]] = []  # (array, offset)
         self.size = 0  # bytes the arrays take, aligned
         self.mapped: list[_Mapped] = []
@@ -436,8 +442,9 @@ class _ArenaPickler(pickle.Pickler):
     def persistent_id(self, obj: Any) -> "_Placed | _Mapped | None":
         if (
             isinstance(obj, np.ndarray)
-            and obj.nbytes >= self.threshold
+            and obj.nbytes >= OUT_OF_BAND_BYTES
             and obj.dtype != object
+            and np.dtype(obj.dtype.str) == obj.dtype  # decodes from its string
         ):
             region = _file_region(obj)
             if region is not None:
@@ -475,20 +482,13 @@ class _ArenaUnpickler(pickle.Unpickler):
 class BufferCodec:
     """Serialise :class:`DataBuffer` objects for cross-process streams.
 
-    Parameters
-    ----------
-    shm_threshold:
-        Arrays of at least this many bytes go out of band; smaller ones
-        (and object-dtype arrays) pickle inline in the header.  The
-        default (64 KiB) keeps most headers in their record's slot while moving
-        every scalar block / triangle array / z-buffer slab out of band; a
-        threshold above every array pickles everything inline.
-
-    The codec holds no allocation state and may be shared by every copy of
-    a run: ``encode`` places into the arena it is given — the sending
-    copy's — and ``decode`` reads from the owner's, so its only state is a
-    per-process cache of the read-only file mappings it decoded from, and
-    the arena a standalone codec (no ``arena`` argument) uses for itself.
+    Arrays of :data:`OUT_OF_BAND_BYTES` and more go out of band; the rest
+    of the buffer pickles into the header.  The codec holds no allocation
+    state and may be shared by every copy of a run: ``encode`` places into
+    the arena it is given — the sending copy's — and ``decode`` reads from
+    the owner's, so its only state is a per-process cache of the read-only
+    file mappings it decoded from, and the arena a standalone codec (no
+    ``arena`` argument) uses for itself.
     ``encode`` copies each large array once (into one extent of the arena)
     unless the array is a read-only view of a mapped file, which is
     described instead; ``decode`` returns views of the arena and of mapped
@@ -497,10 +497,7 @@ class BufferCodec:
     it and outlives the payload, and a view keeps its own mapping alive.
     """
 
-    def __init__(self, shm_threshold: int = 64 * 1024):
-        if shm_threshold < 1:
-            raise ValueError(f"shm_threshold must be >= 1, got {shm_threshold}")
-        self.shm_threshold = shm_threshold
+    def __init__(self) -> None:
         #: path -> (st_dev, st_ino, whole-file read-only mapping)
         self._maps: dict[str, tuple[int, int, mmap.mmap]] = {}
         self._arena: "Arena | None" = None
@@ -518,10 +515,11 @@ class BufferCodec:
         array off its own arena; a copy's arena takes every buffer, as the
         wire names one extent.  Waits while the arena has no room; a
         payload larger than the whole arena raises
-        :class:`~repro.errors.EngineError`.
+        :class:`~repro.errors.EngineError`.  An extent whose copy fails is
+        given back.
         """
         fh = io.BytesIO()
-        pickler = _ArenaPickler(fh, self.shm_threshold)
+        pickler = _ArenaPickler(fh)
         # The header pickles whole before anything is placed, so a payload
         # that cannot pickle has taken no space.
         pickler.dump(buffer)
@@ -530,12 +528,16 @@ class BufferCodec:
             return EncodedBuffer(header, buffer.nbytes, tuple(pickler.mapped))
         arena = arena if arena is not None else self.arena()
         extent = arena.place(pickler.size, len(header))
-        arena.mapping[arena.header(extent, len(header))] = header
         placed: list[_Placed] = []
-        for arr, start in pickler.arrays:
-            offset = extent[2] + start
-            arena.view(offset, arr.shape, arr.dtype.str)[...] = arr
-            placed.append((offset, arr.shape, arr.dtype.str))
+        try:
+            arena.mapping[arena.header(extent, len(header))] = header
+            for arr, start in pickler.arrays:
+                offset = extent[2] + start
+                arena.view(offset, arr.shape, arr.dtype.str)[...] = arr
+                placed.append((offset, arr.shape, arr.dtype.str))
+        except BaseException:
+            arena.give_back(extent)
+            raise
         return EncodedBuffer(
             header, buffer.nbytes, tuple(pickler.mapped),
             arena.owner, extent, tuple(placed),

@@ -164,7 +164,7 @@ class FilterGraph:
         """Filter names in a producer-before-consumer order.
 
         Kahn's algorithm seeded in filter-insertion order.  Raises
-        :class:`GraphError` on a cyclic graph; use :meth:`validate` or
+        :class:`GraphError` on a cyclic graph; use
         :func:`repro.analysis.verify_graph` for the structural rule set.
         """
         consumers = self.adjacency()
@@ -217,21 +217,6 @@ class FilterGraph:
                     seen.add(other)
                     stack.append(other)
         return seen - {name}
-
-    # -- validation ---------------------------------------------------------
-    def validate(self) -> None:
-        """Check structural invariants; raise :class:`GraphError` if broken.
-
-        Thin compatibility wrapper over the analysis layer's graph rules
-        (:func:`repro.analysis.verify_graph`): it raises on the first
-        ERROR-level diagnostic with the historical message wording.  Use
-        the analysis API directly to see *all* findings with rule ids,
-        severities and fix hints.
-        """
-        from repro.analysis.diagnostics import DiagnosticReport
-        from repro.analysis.pipeline import verify_graph
-
-        DiagnosticReport(verify_graph(self)).raise_errors()
 
     def __repr__(self) -> str:
         return (

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.core.graph import FilterGraph
 from repro.errors import PlacementError
 
 __all__ = ["CopySetSpec", "Placement"]
@@ -100,23 +99,6 @@ class Placement:
     def placed_filters(self) -> list[str]:
         """Names of all placed filters."""
         return list(self._map)
-
-    # -- validation ---------------------------------------------------------
-    def validate(self, graph: FilterGraph, known_hosts: Iterable[str]) -> None:
-        """Check the placement covers the graph and references real hosts.
-
-        Thin compatibility wrapper over the analysis layer's placement
-        rules (:func:`repro.analysis.verify_placement`): it raises
-        :class:`PlacementError` on the first ERROR-level diagnostic with
-        the historical message wording.  Use the analysis API directly to
-        see *all* findings with rule ids, severities and fix hints.
-        """
-        from repro.analysis.diagnostics import DiagnosticReport
-        from repro.analysis.pipeline import verify_placement
-
-        DiagnosticReport(
-            verify_placement(graph, self, known_hosts)
-        ).raise_errors()
 
     def __repr__(self) -> str:
         parts = ", ".join(

@@ -17,10 +17,10 @@ The pool's world has ``max_inflight`` *slots*; each slot owns one
 exactly as a batch ``run_cycles(uows)`` call owns one queue per (filter,
 host, cycle).  Cycle ``k`` runs in slot ``k % max_inflight``: up to
 ``max_inflight`` queries pipeline through the filters concurrently, and a
-slot is recycled only after every copy has reported cycle ``k``.  What the
-pool adds is per query: each complete cycle is folded and its trace merged
-on the query's own clock (origin = the submit), and the pool keeps the
-counters its owner reads.
+slot is recycled only after every copy has reported cycle ``k``.  Each
+complete cycle is folded as a batch cycle is
+(:func:`~repro.engines.runtime.fold_query`), but on the query's own clock:
+its origin is the submit.  The pool adds the counters its owner reads.
 
 An unexpected worker death marks the pool *broken*: every pending query
 fails at once with the dead copy's label and exit code, and the copies are
@@ -28,11 +28,11 @@ abandoned the one way forked copies are (``ForkedCopies``).  Payloads live
 in the copies' arenas — anonymous mappings the pool made before it forked —
 so nothing named outlives the pool, whoever was terminated holding what,
 and the parent thread closes every pipe the pool opened once its copies
-are gone.  A copy that could not decode an input payload (a
-mapped file gone or cut short under it) fails its query with the error it
-raised and has the pool abandoned the same way.  The pool's owner replaces
-a pool that is no longer :attr:`~WarmPool.usable` (``repro serve`` keeps one
-per scene).
+are gone.  A copy that could not decode an input payload (a mapped file
+gone or cut short under it) fails its query with the error it raised and
+has the copies abandoned the same way, batch run or pool.  The pool's owner
+replaces a pool that is no longer :attr:`~WarmPool.usable` (``repro serve``
+keeps one per scene).
 
 Payload lifetime contract: unchanged from the process engine — an input
 buffer's arrays are views into the producer's arena valid only during
@@ -53,11 +53,11 @@ from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory
 from repro.core.tracing import Tracer
 from repro.engines.base import open_wall_trace
-from repro.engines.process import ForkedCopies, PendingQuery, ProcessEngine
-from repro.engines.runtime import copies_failed, fold_cycle, merge_trace
+from repro.engines.process import ForkedCopies, ProcessEngine
+from repro.engines.runtime import PendingQuery, results
 from repro.errors import EngineError
 
-__all__ = ["PendingQuery", "WarmPool"]
+__all__ = ["WarmPool"]
 
 
 class WarmPool(ProcessEngine):
@@ -82,23 +82,16 @@ class WarmPool(ProcessEngine):
         placement: Placement,
         policy: "str | PolicyFactory" = "DD",
         queue_capacity: int = 8,
-        codec=None,
         max_inflight: int = 2,
     ):
         super().__init__(
-            graph,
-            placement,
-            policy=policy,
-            queue_capacity=queue_capacity,
-            tracer=None,
-            codec=codec,
+            graph, placement, policy=policy, queue_capacity=queue_capacity
         )
         if max_inflight < 1:
             raise EngineError(f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
-        self.cycles_completed = 0
         self.created_at = time.monotonic()
-        self._copies = ForkedCopies(self, max_inflight, self._finish_cycle)
+        self._copies = ForkedCopies(self, max_inflight)
         self._copies.start()
 
     def __enter__(self) -> "WarmPool":
@@ -112,6 +105,11 @@ class WarmPool(ProcessEngine):
         """True while the pool accepts new work."""
         return not self._copies.closed
 
+    @property
+    def cycles_completed(self) -> int:
+        """Queries whose every copy has reported."""
+        return self._copies.cycles_completed
+
     def stats(self) -> dict:
         """A snapshot for service dashboards (``repro serve`` ``stats``)."""
         copies = self._copies
@@ -120,7 +118,7 @@ class WarmPool(ProcessEngine):
             "workers": len(world.plan),
             "max_inflight": self.max_inflight,
             "inflight": len(copies.pending),
-            "cycles_completed": self.cycles_completed,
+            "cycles_completed": copies.cycles_completed,
             "closed": copies.closed,
             "broken": bool(copies.errors),
             "age_s": time.monotonic() - self.created_at,
@@ -147,55 +145,12 @@ class WarmPool(ProcessEngine):
             uow, open_wall_trace(tracer, self._analysis_report), tracer
         )
 
-    def run(self) -> RunMetrics:
-        """Submit one unit of work and block for it (``Engine`` API)."""
-        return self.submit(None).result()
-
     def run_cycles(self, uows: "list[Any]") -> list[RunMetrics]:
-        """Batch counterpart of ``ProcessEngine.run_cycles`` on warm copies.
-
-        Failed cycles contribute their partial metrics and errors to one
-        ``EngineError`` (same contract as the batch engines); the metrics
-        list then holds ``None`` at positions whose merge never happened.
-        """
+        """Batch counterpart of ``ProcessEngine.run_cycles`` on warm copies,
+        one error carrying every failed query's errors and metrics."""
         if not uows:
             raise EngineError("run_cycles() needs at least one unit of work")
-        pendings = [self.submit(uow) for uow in uows]
-        metrics_list: list = []
-        errors: list[str] = []
-        for pending in pendings:
-            try:
-                metrics_list.append(pending.result())
-            except EngineError as exc:
-                metrics_list.append(exc.metrics[0] if exc.metrics else None)
-                errors.extend(exc.errors or [str(exc)])
-        if errors:
-            raise copies_failed(errors, metrics_list)
-        return metrics_list
-
-    def _finish_cycle(self, pending: PendingQuery) -> None:
-        """Fold one complete cycle (the parent thread) and resolve its query."""
-        self.cycles_completed += 1
-        plan = self._copies.world.plan
-        metrics, errors = fold_cycle(
-            pending.reports, plan, time_offset=pending.t0
-        )
-        merge_trace(pending.tracer, pending.reports, time_offset=pending.t0)
-        if errors:
-            pending._resolve(error=copies_failed(errors, [metrics]))
-        else:
-            pending._resolve(metrics)
-        fault = next((r for r in pending.reports if r.transport_fault), None)
-        if fault is not None:
-            # A payload that could not be decoded — a mapped file gone or
-            # cut short — means the copies may hold mappings of damaged
-            # storage, where the next touch is a SIGBUS: retire them all.
-            # Every copy has reported the faulty cycle, so each is between
-            # cycles or finishing another query and can leave by itself.
-            self._copies.abandon(
-                f"{plan[fault.cid].label} could not decode its input in "
-                f"cycle {pending.cycle}"
-            )
+        return results([self.submit(uow) for uow in uows])
 
     def close(self) -> None:
         """Drain in-flight queries and retire the workers (idempotent)."""

@@ -46,7 +46,6 @@ import os
 import signal
 import threading
 import time
-from collections.abc import Callable
 from itertools import chain
 from typing import Any
 
@@ -61,17 +60,16 @@ from repro.engines.runtime import (
     EOW,
     CopySetQueue,
     CycleReport,
+    PendingQuery,
     World,
     discard,
-    fold_batch,
+    fold_query,
+    results,
     run_copy,
 )
 from repro.errors import EngineError
 
-__all__ = [
-    "ForkedCopies", "LEAVE_BOUND", "PendingQuery", "ProcessEngine",
-    "START_METHOD",
-]
+__all__ = ["ForkedCopies", "LEAVE_BOUND", "ProcessEngine", "START_METHOD"]
 
 #: The ``multiprocessing`` start method of every worker (see above).
 START_METHOD = "fork"
@@ -80,40 +78,6 @@ START_METHOD = "fork"
 #: world, or workers whose last query resolved with their stop sent — before
 #: the parent thread terminates them.
 LEAVE_BOUND = 10.0
-
-
-class PendingQuery:
-    """Future-like handle for one unit of work submitted to forked copies."""
-
-    def __init__(self, cycle: int, tracer: "Tracer | None", t0: float):
-        self.cycle = cycle
-        self.tracer = tracer
-        self.t0 = t0  # world-clock timestamp of the submit (trace origin)
-        self.reports: list[CycleReport] = []
-        self._done = threading.Event()
-        self._metrics: "RunMetrics | None" = None
-        self._error: "EngineError | None" = None
-
-    def wait(self, timeout: "float | None" = None) -> bool:
-        return self._done.wait(timeout)
-
-    def result(self, timeout: "float | None" = None) -> RunMetrics:
-        """Block until the query finishes; its metrics, or raise its error."""
-        if not self._done.wait(timeout):
-            raise EngineError(
-                f"query (cycle {self.cycle}) still running after {timeout}s"
-            )
-        if self._error is not None:
-            raise self._error
-        assert self._metrics is not None
-        return self._metrics
-
-    def _resolve(
-        self, metrics: "RunMetrics | None" = None, error: "EngineError | None" = None
-    ) -> None:
-        # Once, by the parent thread, which has taken it out of ``pending``.
-        self._metrics, self._error = metrics, error
-        self._done.set()
 
 
 class ForkedCopies:
@@ -128,9 +92,12 @@ class ForkedCopies:
     so its queues are provably drained and its end-of-work tokens refilled.
     Once started, one parent thread sleeps in one ``connection.wait`` on
     every worker's sentinel and report pipe — no timeout, no polling, while
-    every worker is healthy — hands each complete cycle to ``on_cycle`` and,
-    once every worker is gone, closes what the world opened, keeping each
-    worker's exit code in ``exitcodes`` (by copy id).
+    every worker is healthy — folds each complete cycle
+    (:func:`~repro.engines.runtime.fold_query`), counting it in
+    ``cycles_completed``, and, once every worker is gone, closes what the
+    world opened, keeping each worker's exit code in ``exitcodes`` (by copy
+    id).  Cycles submitted before the fork take the world's start as their
+    origin (a batch run), later ones their submit.
 
     A worker that dies without running its cleanup (segfault, kill) would
     leave consumers waiting for end-of-work and producers blocked on a queue
@@ -141,21 +108,17 @@ class ForkedCopies:
     extents given back), a stop on every control pipe; wait for them under
     :data:`LEAVE_BOUND`; have each straggler dump its stack to stderr, terminate
     it and drain every slot.
-    :meth:`abandon` asks for the same from outside.
+    A cycle that could not decode an input payload (a mapped file gone or
+    cut short) abandons the world the same way, and so does :meth:`abandon`
+    from outside.
     """
 
-    def __init__(
-        self,
-        engine: "ProcessEngine",
-        nslots: int,
-        on_cycle: "Callable[[PendingQuery], None]",
-    ) -> None:
+    def __init__(self, engine: "ProcessEngine", nslots: int) -> None:
         self.mp_ctx = multiprocessing.get_context(START_METHOD)
         world = self.world = World(
-            engine.graph, engine.placement, engine._policy, engine.codec,
+            engine.graph, engine.placement, engine._policy, BufferCodec(),
             nslots, engine.queue_capacity,
         )
-        self.on_cycle = on_cycle
         #: Per worker: (read end, write end) of its control and report pipes.
         self.controls = [self.mp_ctx.Pipe(duplex=False) for _ in world.plan]
         self.reports = [self.mp_ctx.Pipe(duplex=False) for _ in world.plan]
@@ -163,6 +126,7 @@ class ForkedCopies:
         self.submit_lock = threading.Lock()
         self.pending: dict[int, PendingQuery] = {}
         self.next_cycle = 0
+        self.cycles_completed = 0
         self.slot_free = [threading.Event() for _ in range(nslots)]
         for slot_free in self.slot_free:
             slot_free.set()
@@ -209,7 +173,8 @@ class ForkedCopies:
             k = self.next_cycle
             slot = k % self.world.nslots
             self.slot_free[slot].wait()  # an abandoned world frees them all
-            pending = PendingQuery(k, tracer, t0=self.world.clock())
+            t0 = 0.0 if self._first is not None else self.world.clock()
+            pending = PendingQuery(k, tracer, t0)
             with self.lock:
                 if self.closed:
                     raise EngineError(
@@ -281,8 +246,11 @@ class ForkedCopies:
                 elif proc.sentinel in ready:
                     del live[cid]
                     proc.join()
-                    if proc.exitcode == 0 and self.closed:
-                        continue  # left on its stop
+                    if proc.exitcode == 0 and self.closed and all(
+                        any(r.cid == cid for r in query.reports)
+                        for query in self.pending.values()
+                    ):
+                        continue  # left on its stop, every cycle reported
                     copy = world.plan[cid]
                     self.errors.append(
                         f"worker process {copy.label} died with exit code {proc.exitcode}"
@@ -315,7 +283,7 @@ class ForkedCopies:
             proc.close()
 
     def _book(self, report: CycleReport) -> None:
-        """Add one worker's report; hand a complete cycle to ``on_cycle``."""
+        """Add one worker's report; fold a complete cycle."""
         k = report.cycle
         with self.lock:
             pending = self.pending.get(k)
@@ -328,17 +296,27 @@ class ForkedCopies:
         # Every copy has reported cycle k, so the slot's queues are drained
         # and its end-of-work tokens refilled.
         self.slot_free[k % self.world.nslots].set()
-        self.on_cycle(pending)
+        self.cycles_completed += 1
+        plan = self.world.plan
+        fold_query(pending, plan)
+        fault = next((r for r in pending.reports if r.transport_fault), None)
+        if fault is not None:
+            # A payload that could not be decoded — a mapped file gone or
+            # cut short — means the copies may hold mappings of damaged
+            # storage, where the next touch is a SIGBUS: retire them all.
+            # Every copy has reported the faulty cycle, so each is between
+            # cycles or finishing another one and can leave by itself.
+            self.abandon(
+                f"{plan[fault.cid].label} could not decode its input in cycle {k}"
+            )
 
     def _fail_pending(self) -> None:
         with self.lock:
             self.closed = True
             pending = list(self.pending.values())
             self.pending.clear()
-        reason = self.errors[0]
-        error = EngineError(f"worker copies are broken: {reason}", errors=[reason])
         for query in pending:
-            query._resolve(error=error)
+            fold_query(query, self.world.plan, self.errors[:1])
         for slot_free in self.slot_free:
             slot_free.set()  # wake blocked submitters into the refusal
         with self.submit_lock:  # the control pipes' one writer at a time
@@ -362,11 +340,8 @@ class ProcessEngine(Engine):
 
     Parameters mirror :class:`repro.engines.threaded.ThreadedEngine`
     (graph, placement, writer policy, queue capacity, ack accounting,
-    tracer); additionally:
-
-    ``codec``
-        The :class:`~repro.core.buffer.BufferCodec` moving payloads between
-        processes (default: arrays >= 64 KiB through the copies' arenas).
+    tracer).  Payloads cross between processes through one
+    :class:`~repro.core.buffer.BufferCodec` and the copies' arenas.
     """
 
     def __init__(
@@ -376,10 +351,8 @@ class ProcessEngine(Engine):
         policy: str | PolicyFactory = "DD",
         queue_capacity: int = 8,
         tracer: "Tracer | None" = None,
-        codec: "BufferCodec | None" = None,
     ):
         self._policy = make_policy_factory(policy)
-        self.codec = codec or BufferCodec()
         self._analysis_report = validate_run_setup(
             graph, placement, queue_capacity, "process",
             policy=self._policy,
@@ -412,13 +385,9 @@ class ProcessEngine(Engine):
         """
         if not uows:
             raise EngineError("run_cycles() needs at least one unit of work")
-        copies = ForkedCopies(self, len(uows), PendingQuery._resolve)
+        copies = ForkedCopies(self, len(uows))
         trace_limit = open_wall_trace(self.tracer, self._analysis_report)
-        pendings = [copies.submit(uow, trace_limit) for uow in uows]
+        pendings = [copies.submit(uow, trace_limit, self.tracer) for uow in uows]
         copies.start()
         copies.close()
-        return fold_batch(
-            [report for pending in pendings for report in pending.reports],
-            copies.world.plan, len(uows), self.tracer,
-            errors=copies.errors,
-        )
+        return results(pendings)

@@ -26,18 +26,19 @@ The paper's filter-stream protocol is written here exactly once:
   forked copies read a generator over their control pipe;
 - **one plan** (:func:`copy_plan`) numbers the copies of every engine,
   **one world** (:class:`World`) lays out the real engines' copy sets x
-  slots and each producing copy's arena, and **one folder**
-  (:func:`fold_cycle`, :func:`merge_trace`, :func:`fold_batch`) turns the
-  copies' reports into :class:`~repro.core.instrument.RunMetrics` and a
-  merged trace.
+  slots and each producing copy's arena, and **one fold**
+  (:func:`fold_query`) turns the copies' reports of one cycle into the
+  :class:`~repro.core.instrument.RunMetrics` and merged trace that resolve
+  its :class:`PendingQuery`; :func:`results` gathers a run's queries.
 
 What differs between the real engines is the parent side: threads are just
-joined, forked copies have one parent thread (``process.ForkedCopies``,
-batch run and warm pool alike), and payloads without a codec pass by
-reference, which only threads can do.
+joined, and then fold each cycle; forked copies have one parent thread
+(``process.ForkedCopies``, batch run and warm pool alike), which folds each
+cycle as it completes.  Threads pass payloads by reference; forked copies
+pass them through the :class:`~repro.core.buffer.BufferCodec`.
 
-Payload lifetime contract: with a codec, an input buffer's arrays are
-views into the producer's arena valid only during ``handle`` (the runtime
+Payload lifetime contract: between forked copies, an input buffer's arrays
+are views into the producer's arena valid only during ``handle`` (the runtime
 releases the lease when the callback returns, as DataCutter recycles stream
 buffers, and the producer then reuses the bytes).  Filters that retain
 payload data must copy it.
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 import time
 import traceback
 from collections.abc import Callable, Generator, Iterable, Iterator
@@ -69,10 +71,10 @@ __all__ = [
     "ACK", "ANNOUNCE", "COUNTED", "DATA", "DISCARD", "EOW", "FINAL", "FINISH",
     "FLUSH", "INIT", "PRODUCE", "RECV", "SEND", "STOP", "WORK",
     "CloseCount", "CopyPlan", "CopySetQueue", "CycleReport", "Envelope",
-    "Tokens", "World", "Writer",
+    "PendingQuery", "Tokens", "World", "Writer",
     "copies_failed", "copy_plan", "discard",
-    "execute_cycle", "fold_batch", "fold_cycle", "merge_trace", "run_copy",
-    "span_detail",
+    "execute_cycle", "fold_cycle", "fold_query", "merge_trace", "results",
+    "run_copy", "span_detail",
 ]
 
 #: The markers a copy-set queue carries besides data.
@@ -95,7 +97,7 @@ class Envelope:
     target_index: int
     sent_at: float
     needs_ack: bool
-    #: An EncodedBuffer, or the DataBuffer itself when no codec runs.
+    #: An EncodedBuffer between forked copies, the DataBuffer between threads.
     payload: Any
 
 
@@ -360,11 +362,11 @@ class World:
     pipeline without barriers, the warm pool a ring of ``max_inflight``.
     ``plan`` numbers the copies (:func:`copy_plan`), ``arenas`` holds one
     arena per producing copy and ``streams`` numbers the streams on the
-    wire.  ``codec`` carries payloads through the arenas; without one they
-    pass by reference through ``refs`` (threads only).  ``clock`` is wall
-    seconds since the world was built, on ``perf_counter`` —
-    CLOCK_MONOTONIC on Linux, shared by all forked workers, so every copy's
-    timestamps are directly comparable.
+    wire.  ``codec`` carries forked copies' payloads through the arenas;
+    ``None`` means threads, whose payloads pass by reference through
+    ``refs``.  ``clock`` is wall seconds since the world was built, on
+    ``perf_counter`` — CLOCK_MONOTONIC on Linux, shared by all forked
+    workers, so every copy's timestamps are directly comparable.
     """
 
     def __init__(
@@ -836,30 +838,66 @@ def merge_trace(
     tracer.dropped += sum(r.dropped for r in reports)
 
 
-def fold_batch(
-    reports: list[CycleReport],
-    plan: list[CopyPlan],
-    ncycles: int,
-    tracer: "Tracer | None",
-    errors: Iterable[str] = (),
-) -> list[RunMetrics]:
-    """One :class:`RunMetrics` per cycle of a finished batch run.
+class PendingQuery:
+    """Future-like handle for one cycle: its copies' reports gather in
+    ``reports``, and :func:`fold_query` resolves it."""
 
-    ``errors`` are the supervisor's own findings (dead workers), reported
-    ahead of the copies'.  Healthy cycles fold fine even when others failed;
-    their metrics ride the :class:`EngineError` alongside every error
-    instead of being discarded.
+    def __init__(self, cycle: int, tracer: "Tracer | None", t0: float = 0.0):
+        self.cycle = cycle
+        self.tracer = tracer
+        self.t0 = t0  # world-clock origin of its metrics and trace
+        self.reports: list[CycleReport] = []
+        self._done = threading.Event()
+        self._metrics: "RunMetrics | None" = None
+        self._error: "EngineError | None" = None
+
+    def wait(self, timeout: "float | None" = None) -> bool:
+        return self._done.wait(timeout)
+
+    def result(self, timeout: "float | None" = None) -> RunMetrics:
+        """Block until the query finishes; its metrics, or raise its error."""
+        if not self._done.wait(timeout):
+            raise EngineError(
+                f"query (cycle {self.cycle}) still running after {timeout}s"
+            )
+        if self._error is not None:
+            raise self._error
+        assert self._metrics is not None
+        return self._metrics
+
+
+def fold_query(
+    pending: PendingQuery, plan: list[CopyPlan], errors: Iterable[str] = ()
+) -> None:
+    """Fold one query's reports on its origin, merge its trace, resolve it.
+
+    A query whose copies failed — or that comes with ``errors``, the
+    parent's own findings (a dead worker), put first — resolves to an
+    :class:`EngineError` carrying its metrics.  Called once per query.
     """
-    errors = list(errors)
-    by_cycle: list[list[CycleReport]] = [[] for _ in range(ncycles)]
-    for report in reports:
-        by_cycle[report.cycle].append(report)
-    metrics_list = []
-    for cycle_reports in by_cycle:
-        metrics, cycle_errors = fold_cycle(cycle_reports, plan)
-        metrics_list.append(metrics)
-        errors.extend(cycle_errors)
-    merge_trace(tracer, reports)
+    metrics, cycle_errors = fold_cycle(pending.reports, plan, pending.t0)
+    merge_trace(pending.tracer, pending.reports, pending.t0)
+    errors = [*errors, *cycle_errors]
+    pending._metrics = metrics
+    pending._error = copies_failed(errors, [metrics]) if errors else None
+    pending._done.set()
+
+
+def results(pendings: Iterable[PendingQuery]) -> list[RunMetrics]:
+    """Each query's metrics, in order, once all have resolved.
+
+    Healthy queries fold fine even when others failed: if any failed, one
+    :class:`EngineError` carries every error and every query's metrics
+    (the failed ones' as far as they got).
+    """
+    metrics_list: list[Any] = []
+    errors: list[str] = []
+    for pending in pendings:
+        try:
+            metrics_list.append(pending.result())
+        except EngineError as exc:
+            metrics_list.extend(exc.metrics)
+            errors.extend(exc.errors)
     if errors:
         raise copies_failed(errors, metrics_list)
     return metrics_list

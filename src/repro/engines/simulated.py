@@ -186,10 +186,6 @@ class SimulatedEngine(Engine):
             raise runtime.copies_failed(errors, [metrics])
         return metrics
 
-    def run_many(self, count: int) -> list[RunMetrics]:
-        """Run ``count`` consecutive units of work (e.g. timesteps)."""
-        return [self.run() for _ in range(count)]
-
     # -- the DES driver ------------------------------------------------------
     def _drive(
         self,

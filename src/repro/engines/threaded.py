@@ -3,7 +3,8 @@
 Each transparent copy becomes a Python thread running the shared work-cycle
 runtime (:mod:`repro.engines.runtime`) over the same pipes as forked copies:
 copy-set queues, and DD acknowledgments sent to the producer's arena;
-payloads pass by reference unless a codec is given.  Placement host
+payloads pass by reference, so threads are the reference forked copies'
+frames are held to.  Placement host
 names are treated as labels — all threads run in this process — so the same
 graph/placement objects drive every engine.
 
@@ -18,14 +19,13 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.core.buffer import BufferCodec
 from repro.core.graph import FilterGraph
 from repro.core.instrument import RunMetrics
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory, make_policy_factory
 from repro.core.tracing import Tracer
 from repro.engines.base import Engine, open_wall_trace, validate_run_setup
-from repro.engines.runtime import CycleReport, World, fold_batch, run_copy
+from repro.engines.runtime import CycleReport, PendingQuery, World, fold_query, results, run_copy
 from repro.errors import EngineError
 
 __all__ = ["ThreadedEngine"]
@@ -43,13 +43,6 @@ class ThreadedEngine(Engine):
     ``tracer`` is an optional :class:`repro.core.tracing.Tracer` that
     receives one span per effect each copy performs (plus ``send``,
     ``blocked`` and ``acked`` spans) on wall-clock seconds since run start.
-
-    ``codec`` optionally routes every stream buffer through a
-    :class:`repro.core.buffer.BufferCodec` encode/decode round trip — the
-    same wire format the process engine uses.  Threads share an address
-    space so this is pure overhead in production, but it proves a pipeline
-    is codec-clean (all payloads serialisable) before moving it to
-    :class:`repro.engines.process.ProcessEngine`.
     """
 
     def __init__(
@@ -59,7 +52,6 @@ class ThreadedEngine(Engine):
         policy: str | PolicyFactory = "DD",
         queue_capacity: int = 8,
         tracer: "Tracer | None" = None,
-        codec: "BufferCodec | None" = None,
     ):
         self._policy = make_policy_factory(policy)
         self._analysis_report = validate_run_setup(
@@ -70,7 +62,6 @@ class ThreadedEngine(Engine):
         self.placement = placement
         self.queue_capacity = queue_capacity
         self.tracer = tracer
-        self.codec = codec
 
     def run(self) -> RunMetrics:
         """Execute one unit of work; blocks until all copies finish.
@@ -101,16 +92,20 @@ class ThreadedEngine(Engine):
         # seconds relative to the world's start, directly comparable to the
         # simulated engine's run-relative sim clock.
         world = World(
-            self.graph, self.placement, self._policy, self.codec, len(uows),
+            self.graph, self.placement, self._policy, None, len(uows),
             self.queue_capacity,
         )
         trace_limit = open_wall_trace(self.tracer, self._analysis_report)
         cycles = [(k, k, uow, trace_limit) for k, uow in enumerate(uows)]
-        reports: list[CycleReport] = []
+        pendings = [PendingQuery(k, self.tracer) for k in range(len(uows))]
+
+        def emit(report: CycleReport) -> None:
+            pendings[report.cycle].reports.append(report)
+
         threads = [
             threading.Thread(
                 target=run_copy,
-                args=(world, copy, cycles, reports.append),
+                args=(world, copy, cycles, emit),
                 name=f"{copy.label}*",
                 daemon=True,
             )
@@ -121,4 +116,6 @@ class ThreadedEngine(Engine):
         for thread in threads:
             thread.join()
         world.close()
-        return fold_batch(reports, world.plan, len(uows), self.tracer)
+        for pending in pendings:
+            fold_query(pending, world.plan)
+        return results(pendings)

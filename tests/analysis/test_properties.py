@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.analysis import verify_pipeline
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
 from repro.core import buffer as buffer_module
-from repro.core.buffer import BufferCodec
 from repro.core.policies import make_policy_factory
 from repro.engines.process import ProcessEngine
 from repro.engines.threaded import ThreadedEngine
@@ -177,7 +176,8 @@ def test_valid_pipelines_verify_clean_and_run(pipeline):
 @settings(max_examples=20, deadline=None)
 @given(pipelines())
 def test_valid_pipelines_run_on_forked_copies(pipeline):
-    with mock.patch.object(buffer_module, "ARENA_BYTES", 3 * PAYLOAD.nbytes):
-        _verifies_clean_and_runs(
-            pipeline, ProcessEngine, codec=BufferCodec(shm_threshold=64)
-        )
+    with (
+        mock.patch.object(buffer_module, "ARENA_BYTES", 3 * PAYLOAD.nbytes),
+        mock.patch.object(buffer_module, "OUT_OF_BAND_BYTES", 64),
+    ):
+        _verifies_clean_and_runs(pipeline, ProcessEngine)

@@ -3,6 +3,7 @@
 import os
 import select
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -74,9 +75,15 @@ def round_trip(codec, buffer):
     return encoded, decoded, lease
 
 
+@pytest.fixture
+def out_of_band(monkeypatch):
+    """Arrays of 1 KiB and more go out of band for the test."""
+    monkeypatch.setattr(buffer_module, "OUT_OF_BAND_BYTES", 1024)
+
+
 def test_codec_large_arrays_go_to_shared_memory():
     arr = np.arange(30_000, dtype=np.float64)
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     encoded, decoded, lease = round_trip(
         codec, DataBuffer(arr.nbytes, payload=arr, tags={"chunk": 3})
     )
@@ -94,7 +101,7 @@ def test_codec_large_arrays_go_to_shared_memory():
 
 def test_codec_small_arrays_stay_inline():
     arr = np.arange(16, dtype=np.float64)
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     encoded, decoded, lease = round_trip(codec, DataBuffer(128, payload=arr))
     assert (encoded.extent, encoded.placed) == (None, ())
     np.testing.assert_array_equal(decoded.payload, arr)
@@ -109,9 +116,9 @@ class NestedPayload:
         self.label = label
 
 
-def test_codec_nested_payload_objects():
+def test_codec_nested_payload_objects(out_of_band):
     tris = np.random.default_rng(1).random((500, 3, 3)).astype(np.float32)
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     encoded, decoded, lease = round_trip(
         codec, DataBuffer(tris.nbytes, payload=NestedPayload(tris, "soup"))
     )
@@ -121,9 +128,10 @@ def test_codec_nested_payload_objects():
     lease.release()
 
 
-def test_codec_inline_mode_has_no_segments():
+def test_codec_inline_mode_has_no_segments(monkeypatch):
     arr = np.arange(30_000, dtype=np.float64)
-    codec = BufferCodec(shm_threshold=1 << 20)  # above the array: all inline
+    monkeypatch.setattr(buffer_module, "OUT_OF_BAND_BYTES", 1 << 20)  # above the array
+    codec = BufferCodec()
     encoded, decoded, lease = round_trip(codec, DataBuffer(0, payload=arr))
     assert (encoded.extent, encoded.placed) == (None, ())
     np.testing.assert_array_equal(decoded.payload, arr)
@@ -132,7 +140,7 @@ def test_codec_inline_mode_has_no_segments():
 
 def test_codec_lease_release_is_idempotent():
     arr = np.zeros(20_000)
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     encoded, decoded, lease = round_trip(codec, DataBuffer(0, payload=arr))
     view = decoded.payload
     lease.release()
@@ -151,7 +159,7 @@ def test_codec_release_encoded_frees_segments():
     """``release_encoded`` gives the extent back without a decode; a second
     give-back of the same extent is a no-op, even after its space is reused."""
     arr = np.zeros(20_000)
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     encoded = codec.encode(DataBuffer(0, payload=arr))
     assert codec.arena().live() == 1
     codec.release_encoded(encoded)
@@ -164,15 +172,10 @@ def test_codec_release_encoded_frees_segments():
     assert codec.arena().live() == 0
 
 
-def test_codec_threshold_validation():
-    with pytest.raises(ValueError):
-        BufferCodec(shm_threshold=0)
-
-
 def test_codec_preserves_non_contiguous_and_object_payloads():
     base = np.arange(40_000, dtype=np.float64).reshape(200, 200)
     strided = base[::2, ::2]  # non-contiguous view
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     _encoded, decoded, lease = round_trip(
         codec, DataBuffer(0, payload={"view": strided, "meta": [1, "two"]})
     )
@@ -226,9 +229,10 @@ def test_codec_mapped_views_travel_by_reference(mapped_path, region, threshold):
         mapped_path.read_bytes()[offset : offset + nbytes], dtype
     ).reshape(shape)
 
-    codec = BufferCodec(shm_threshold=threshold)
+    codec = BufferCodec()
     before = _shm_listing()
-    encoded = codec.encode(DataBuffer(nbytes, payload=NestedPayload(view, "v")))
+    with mock.patch.object(buffer_module, "OUT_OF_BAND_BYTES", threshold):
+        encoded = codec.encode(DataBuffer(nbytes, payload=NestedPayload(view, "v")))
     assert _shm_listing() == before
     if nbytes < threshold:  # small arrays ride the header, as ever
         assert (encoded.placed, encoded.mapped) == ((), ())
@@ -277,9 +281,9 @@ def _views_that_must_be_copied(path):
 
 
 @pytest.mark.parametrize("case", range(5))
-def test_codec_still_copies_everything_else(mapped_path, case):
+def test_codec_still_copies_everything_else(mapped_path, case, out_of_band):
     label, array = _views_that_must_be_copied(mapped_path)[case]
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     encoded, decoded, lease = round_trip(
         codec, DataBuffer(array.nbytes, payload=array)
     )
@@ -292,14 +296,14 @@ def test_codec_still_copies_everything_else(mapped_path, case):
         lease.release()
 
 
-def test_codec_refuses_a_region_its_file_no_longer_holds(tmp_path):
+def test_codec_refuses_a_region_its_file_no_longer_holds(tmp_path, out_of_band):
     """Checked by name before a page is touched; the buffer's extent goes
     back to the arena."""
     path = tmp_path / "values.bin"
     np.arange(8192, dtype=np.float64).tofile(path)
     view = np.asarray(np.memmap(path, dtype=np.float64, mode="r")[4096:])
     copied = np.ones(4096)
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     good = codec.encode(DataBuffer(0, payload=[copied, view]))
     decoded, lease = codec.decode(good)
     np.testing.assert_array_equal(decoded.payload[1], np.arange(4096, 8192))
@@ -320,10 +324,10 @@ def test_codec_refuses_a_region_its_file_no_longer_holds(tmp_path):
     assert codec.arena().live() == 0
 
 
-def test_codec_maps_a_replaced_file_again(tmp_path):
+def test_codec_maps_a_replaced_file_again(tmp_path, out_of_band):
     """The map cache is keyed by what the path names now, not what it did."""
     path = tmp_path / "values.bin"
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     for fill in (1.0, 2.0):
         fresh = tmp_path / "fresh.bin"
         np.full(4096, fill).tofile(fresh)
@@ -333,10 +337,10 @@ def test_codec_maps_a_replaced_file_again(tmp_path):
         assert decoded.payload[0] == decoded.payload[-1] == fill
 
 
-def test_codec_with_maps_pickles_for_spawned_workers(mapped_path):
+def test_codec_with_maps_pickles_for_spawned_workers(mapped_path, out_of_band):
     import pickle
 
-    codec = BufferCodec(shm_threshold=1024)
+    codec = BufferCodec()
     view = np.asarray(np.memmap(mapped_path, dtype=np.uint8, mode="r")[:4096])
     codec.decode(codec.encode(DataBuffer(0, payload=view)))
     clone = pickle.loads(pickle.dumps(codec))
@@ -359,6 +363,34 @@ def test_encode_that_cannot_pickle_takes_nothing():
     assert codec.arena().live() == 0
 
 
+def test_a_record_array_pickles_inline_and_holds_no_extent():
+    """A record dtype's string names only its size (``|V12``), so no view
+    could rebuild it from an arena: such an array rides the header, decodes
+    equal, and leaves the arena's ledger empty."""
+    rows = np.zeros(10_000, [("x", "<f8"), ("y", "<i4")])
+    rows["x"], rows["y"] = np.arange(10_000) / 3, np.arange(10_000)
+    codec = BufferCodec()
+    encoded, decoded, lease = round_trip(codec, DataBuffer(rows.nbytes, payload=rows))
+    assert (encoded.extent, encoded.placed) == (None, ())
+    assert decoded.payload.dtype == rows.dtype
+    np.testing.assert_array_equal(decoded.payload, rows)
+    lease.release()
+    assert codec.arena().live() == 0
+
+
+def test_an_encode_that_fails_after_placing_gives_its_extent_back(monkeypatch):
+    codec = BufferCodec()
+    codec.arena()  # made before the copy into it breaks
+
+    def broken(self, *args):
+        raise MemoryError("copy failed")
+
+    monkeypatch.setattr(Arena, "view", broken)
+    with pytest.raises(MemoryError, match="copy failed"):
+        codec.encode(DataBuffer(0, payload=np.ones(20_000)))
+    assert codec.arena().live() == 0
+
+
 def test_arena_reuses_freed_space_first_fit():
     arena = Arena()
     a, b, c = (arena.place(n) for n in (100, 4096, 64))
@@ -370,9 +402,9 @@ def test_arena_reuses_freed_space_first_fit():
     assert arena.live() == 4
 
 
-def test_full_arena_waits_for_a_give_back(monkeypatch):
+def test_full_arena_waits_for_a_give_back(monkeypatch, out_of_band):
     monkeypatch.setattr(buffer_module, "ARENA_BYTES", 3 * 4096)
-    codec = BufferCodec(shm_threshold=64)
+    codec = BufferCodec()
     held = [codec.encode(DataBuffer(0, payload=np.full(512, float(i)))) for i in range(3)]
     placed = []
     sender = threading.Thread(
@@ -391,18 +423,18 @@ def test_full_arena_waits_for_a_give_back(monkeypatch):
     assert codec.arena().high_water == 3 * 4096
 
 
-def test_payload_larger_than_the_arena_is_refused(monkeypatch):
+def test_payload_larger_than_the_arena_is_refused(monkeypatch, out_of_band):
     monkeypatch.setattr(buffer_module, "ARENA_BYTES", 4096)
-    codec = BufferCodec(shm_threshold=64)
+    codec = BufferCodec()
     with pytest.raises(EngineError, match="payload of 8000 bytes exceeds the 4096-byte arena"):
         codec.encode(DataBuffer(0, payload=np.ones(1000)))
     assert codec.arena().live() == 0
 
 
-def test_an_arena_does_not_cross_a_pickle():
+def test_an_arena_does_not_cross_a_pickle(out_of_band):
     import pickle
 
-    codec = BufferCodec(shm_threshold=64)
+    codec = BufferCodec()
     encoded = codec.encode(DataBuffer(0, payload=np.ones(512)))
     clone = pickle.loads(pickle.dumps(codec))
     assert clone.arena() is not codec.arena()

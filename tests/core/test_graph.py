@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import verify_graph
+from repro.analysis import DiagnosticReport, verify_graph
 from repro.core.graph import FilterGraph, StreamSpec
 from repro.errors import GraphError
+
+
+def validate(g):
+    """Raise the first ERROR the graph rules find, as engines do."""
+    DiagnosticReport(verify_graph(g)).raise_errors()
 
 
 def pipeline_graph():
@@ -23,7 +28,7 @@ def pipeline_graph():
 
 def test_pipeline_builds_and_validates():
     g = pipeline_graph()
-    g.validate()
+    validate(g)
     assert [f.name for f in g.sources()] == ["read"]
     assert [f.name for f in g.sinks()] == ["merge"]
     assert g.topological_order() == ["read", "extract", "raster", "merge"]
@@ -84,14 +89,14 @@ def cyclic_graph():
 
 def test_cycle_detected():
     with pytest.raises(GraphError, match="cycle"):
-        cyclic_graph().validate()
+        validate(cyclic_graph())
 
 
 def test_orphan_non_source_rejected():
     g = FilterGraph()
     g.add_filter("lonely")  # no inputs, not marked source
     with pytest.raises(GraphError, match="is_source"):
-        g.validate()
+        validate(g)
 
 
 def test_source_with_inputs_rejected():
@@ -100,12 +105,12 @@ def test_source_with_inputs_rejected():
     g.add_filter("b", is_source=True)
     g.connect("a", "b")
     with pytest.raises(GraphError, match="must not have inputs"):
-        g.validate()
+        validate(g)
 
 
 def test_empty_graph_rejected():
     with pytest.raises(GraphError, match="no filters"):
-        FilterGraph().validate()
+        validate(FilterGraph())
 
 
 def test_upstream_of():
@@ -211,6 +216,6 @@ def test_fan_out_and_fan_in():
     g.connect("src", "b")
     g.connect("a", "sink")
     g.connect("b", "sink")
-    g.validate()
+    validate(g)
     assert len(g.filters["src"].outputs) == 2
     assert len(g.filters["sink"].inputs) == 2

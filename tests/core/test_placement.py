@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.analysis import DiagnosticReport, verify_placement
 from repro.core.graph import FilterGraph
 from repro.core.placement import CopySetSpec, Placement
 from repro.errors import PlacementError
+
+
+def validate(p, g, known_hosts):
+    """Raise the first ERROR the placement rules find, as engines do."""
+    DiagnosticReport(verify_placement(g, p, known_hosts)).raise_errors()
 
 
 def graph2():
@@ -52,21 +58,21 @@ def test_unplaced_filter_query_raises():
 def test_validate_happy_path():
     g = graph2()
     p = Placement().place("src", ["h0"]).place("sink", ["h1"])
-    p.validate(g, ["h0", "h1"])
+    validate(p, g, ["h0", "h1"])
 
 
 def test_validate_missing_filter():
     g = graph2()
     p = Placement().place("src", ["h0"])
     with pytest.raises(PlacementError, match="no placement"):
-        p.validate(g, ["h0"])
+        validate(p, g, ["h0"])
 
 
 def test_validate_unknown_host():
     g = graph2()
     p = Placement().place("src", ["h0"]).place("sink", ["ghost"])
     with pytest.raises(PlacementError, match="unknown host"):
-        p.validate(g, ["h0"])
+        validate(p, g, ["h0"])
 
 
 def test_validate_extra_filter():
@@ -78,7 +84,7 @@ def test_validate_extra_filter():
         .place("phantom", ["h0"])
     )
     with pytest.raises(PlacementError, match="not in the graph"):
-        p.validate(g, ["h0"])
+        validate(p, g, ["h0"])
 
 
 def test_chaining_returns_self():

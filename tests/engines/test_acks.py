@@ -1,12 +1,11 @@
 """DD acknowledgments on the real transports.
 
-A consumer acknowledges a buffer by counting up a counter in its
-producer's arena, under the arena lock, and ringing the arena's bell; the
-producer's writer waits for window room in the same loop, on the same
-bell, as a placement waits for space.  These tests hold threads, forked
-batches and warm pools to that: every ack is traced, a producer that runs
-into its window and its arena in turn finishes with exact results, and DD
-keeps most buffers away from a copy that is slow.
+A consumer acknowledges a buffer with one record on its producer's arena
+pipe; the producer's writer waits for window room in the same loop, on the
+same pipe, as a placement waits for space.  These tests hold threads,
+forked batches and warm pools to that: every ack is traced, a forked
+producer that runs into its window and its arena in turn finishes with
+exact results, and DD keeps most buffers away from a copy that is slow.
 """
 
 import multiprocessing
@@ -17,13 +16,15 @@ import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
 from repro.core import buffer as buffer_module
-from repro.core.buffer import BufferCodec
 from repro.core.policies import make_policy_factory
 from repro.core.tracing import Tracer
 from repro.engines import ProcessEngine, ThreadedEngine
 from repro.engines.pool import WarmPool
 from tests.engines.test_arenas import LENGTH, _Pool, _run
-from tests.engines.test_crash_drain import arena_ledger  # noqa: F401  (fixture)
+from tests.engines.test_crash_drain import (  # noqa: F401  (fixtures)
+    arena_ledger,
+    out_of_band,
+)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -107,17 +108,16 @@ class AlternatingSource(Filter):
 
 
 @pytest.mark.parametrize(
-    "engine_cls", [ThreadedEngine, ProcessEngine, _Pool],
-    ids=["threads", "forked-batch", "warm-pool"],
+    "engine_cls", [ProcessEngine, _Pool], ids=["forked-batch", "warm-pool"]
 )
 def test_producer_waits_on_window_and_arena_in_turn(
-    engine_cls, monkeypatch, arena_ledger  # noqa: F811
+    engine_cls, monkeypatch, arena_ledger, out_of_band  # noqa: F811
 ):
     """A window of 1 and an arena of one payload, in front of a consumer
     that sleeps in ``handle``.  A small buffer waits for the window (the
     previous one is still queued), a large one for the arena (the large one
     before it is still in ``handle``): the source alternates between its
-    two waits on one bell and finishes with exact results."""
+    two waits on one pipe and finishes with exact results."""
     capacity = LENGTH * 8
     monkeypatch.setattr(buffer_module, "ARENA_BYTES", capacity)
     count = 24
@@ -128,10 +128,7 @@ def test_producer_waits_on_window_and_arena_in_turn(
     p = Placement().place("src", ["h0"]).place("sink", ["h0"])
     tracer = None if engine_cls is _Pool else Tracer()
     kw = {} if tracer is None else {"tracer": tracer}
-    engine = engine_cls(
-        g, p, policy=make_policy_factory("DD", window=1),
-        codec=BufferCodec(shm_threshold=1024), **kw,
-    )
+    engine = engine_cls(g, p, policy=make_policy_factory("DD", window=1), **kw)
     metrics = _run(engine, [None, None], timeout=60.0)
     assert not isinstance(metrics, BaseException), metrics
     expected = sum(i * (LENGTH if i % 2 == 0 else 1) for i in range(count))

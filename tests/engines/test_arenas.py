@@ -1,13 +1,14 @@
 """Payload arenas: the ledger, the lifetime contract, back-pressure, oversize.
 
-Every producing copy places its out-of-band arrays in one arena, mapped
-before the copies fork, and every consumer gives each extent back when
-``handle`` returns.  These tests hold the three real transports — threads
-with a codec, a forked batch, a warm pool — to that: no extent outlives
-its cycle; a view kept past ``handle`` is the filter's bug, and a wrapper
-that scribbles over every extent as it is given back keeps every frame
-bit-exact; a producer with more in flight than its arena holds waits and
-finishes; a payload larger than the arena fails its cycle by name.
+Every forked producing copy places its out-of-band arrays in one arena,
+mapped before the copies fork, and every consumer gives each extent back
+when ``handle`` returns.  These tests hold both forked transports — a
+batch and a warm pool — to that: no extent outlives its cycle; a view kept
+past ``handle`` is the filter's bug, and a wrapper that scribbles over
+every extent as it is given back keeps every frame bit-exact with threads,
+which pass payloads by reference; a producer with more in flight than its
+arena holds waits and finishes; a payload larger than the arena fails its
+cycle by name.
 """
 
 import multiprocessing
@@ -23,21 +24,25 @@ import pytest
 from repro.configurations import CONFIGURATIONS
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
 from repro.core import buffer as buffer_module
-from repro.core.buffer import Arena, BufferCodec
+from repro.core.buffer import Arena
 from repro.engines import ProcessEngine, ThreadedEngine
 from repro.engines.pool import WarmPool
 from repro.errors import EngineError
 from tests.engines.test_crash_drain import (  # noqa: F401  (fixtures)
     arena_ledger,
+    out_of_band,
     shm_ledger,
 )
 
-pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="forked copies need the fork start method",
-)
+pytestmark = [
+    pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="forked copies need the fork start method",
+    ),
+    pytest.mark.usefixtures("out_of_band"),
+]
 
-LENGTH = 4096  # float64 values per payload: 32 KiB, over the threshold
+LENGTH = 4096  # float64 values per payload: 32 KiB, out of band here
 
 
 class ArraySource(Filter):
@@ -103,8 +108,7 @@ class _Pool:
 
 
 transports = pytest.mark.parametrize(
-    "engine_cls", [ThreadedEngine, ProcessEngine, _Pool],
-    ids=["threads", "forked-batch", "warm-pool"],
+    "engine_cls", [ProcessEngine, _Pool], ids=["forked-batch", "warm-pool"]
 )
 
 
@@ -130,7 +134,7 @@ def _run(engine, uows, timeout=60.0):
 def test_no_extent_outlives_a_batch_run(engine_cls, arena_ledger, shm_ledger):
     g, p = _graph(12)
     for _ in range(2):
-        engine = engine_cls(g, p, policy="DD", codec=BufferCodec(shm_threshold=1024))
+        engine = engine_cls(g, p, policy="DD")
         metrics = engine.run_cycles([None, None, None])
         assert [m.result for m in metrics] == [_expected(12)] * 3
         assert not arena_ledger()
@@ -142,7 +146,7 @@ def test_no_extent_outlives_a_pooled_query(arena_ledger, shm_ledger):
     gives each extent back before it reports: the ledger is clean after
     every query, with the copies still alive."""
     g, p = _graph(12)
-    with WarmPool(g, p, policy="DD", codec=BufferCodec(shm_threshold=1024)) as pool:
+    with WarmPool(g, p, policy="DD") as pool:
         for _ in range(4):
             assert pool.submit(None).result(timeout=60.0).result == _expected(12)
             assert not arena_ledger()
@@ -152,6 +156,33 @@ def test_no_extent_outlives_a_pooled_query(arena_ledger, shm_ledger):
         assert arena["capacity"] == buffer_module.ARENA_BYTES
         assert 0 < arena["high_water"] <= arena["capacity"]
     assert not shm_ledger()
+
+
+class RecordSource(Filter):
+    def flush(self, ctx):
+        for i in range(3):
+            rows = np.zeros(10_000, [("x", "<f8"), ("y", "<i4")])
+            rows["x"] = i
+            ctx.write(DataBuffer(rows.nbytes, payload=rows))
+
+
+class RecordSink(SumSink):
+    def handle(self, ctx, buffer):
+        self.total += float(buffer.payload["x"].sum())
+
+
+def test_a_record_array_crosses_the_fork_inline(arena_ledger):
+    """A record dtype's string names only its size, so a record array
+    rides its header: it arrives whole and leaves no extent placed."""
+    g = FilterGraph()
+    g.add_filter("src", factory=RecordSource, is_source=True)
+    g.add_filter("sink", factory=RecordSink)
+    g.connect("src", "sink")
+    p = Placement().place("src", ["h0"]).place("sink", ["h0"])
+    (metrics,) = _run(ProcessEngine(g, p, policy="DD"), [None])
+    assert not isinstance(metrics, BaseException), metrics
+    assert metrics.result == 10_000.0 * (0 + 1 + 2)
+    assert not arena_ledger()
 
 
 def test_give_backs_from_many_threads_never_free_a_live_extent(monkeypatch):
@@ -207,9 +238,7 @@ def test_producer_with_more_in_flight_than_its_arena_waits(
     capacity = 4 * LENGTH * 8
     monkeypatch.setattr(buffer_module, "ARENA_BYTES", capacity)
     g, p = _graph(40, mid_copies=1, mid=SlowForward)
-    engine = engine_cls(
-        g, p, policy="RR", codec=BufferCodec(shm_threshold=1024), queue_capacity=8
-    )
+    engine = engine_cls(g, p, policy="RR", queue_capacity=8)
     metrics = _run(engine, [None, None])
     assert not isinstance(metrics, BaseException), metrics
     assert [m.result for m in metrics] == [_expected(40)] * 2
@@ -223,7 +252,7 @@ def test_payload_larger_than_the_arena_fails_its_cycle(
 ):
     monkeypatch.setattr(buffer_module, "ARENA_BYTES", 16384)
     g, p = _graph(3, length=LENGTH)
-    engine = engine_cls(g, p, policy="DD", codec=BufferCodec(shm_threshold=1024))
+    engine = engine_cls(g, p, policy="DD")
     exc = _run(engine, [None])
     assert isinstance(exc, EngineError), exc
     assert "src@h0#0 cycle 0 stream 'src->mid'" in str(exc)
@@ -263,14 +292,15 @@ class HoldingSink(Filter):
 
 
 def test_a_view_kept_past_handle_is_overwritten(scribble_on_give_back):
-    """The scribbler bites: a sink that keeps views reads garbage."""
+    """The scribbler bites: a forked sink that keeps views reads garbage,
+    where threads, passing by reference, read the payloads."""
     g = FilterGraph()
     g.add_filter("src", factory=lambda: ArraySource(4), is_source=True)
     g.add_filter("sink", factory=HoldingSink)
     g.connect("src", "sink")
     p = Placement().place("src", ["h0"]).place("sink", ["h0"])
     clean = ThreadedEngine(g, p).run().result
-    scribbled = ThreadedEngine(g, p, codec=BufferCodec(shm_threshold=1024)).run().result
+    scribbled = ProcessEngine(g, p).run().result
     assert clean == LENGTH * sum(range(4))
     assert scribbled != clean
 
@@ -287,7 +317,7 @@ def tiny_scene():
     return dataset, profile
 
 
-def _frame(tiny_scene, config, algorithm, engine_cls, codec):
+def _frame(tiny_scene, config, algorithm, engine_cls):
     from repro.data import HostDisks, StorageMap
     from repro.viz import IsosurfaceApp
 
@@ -299,26 +329,25 @@ def _frame(tiny_scene, config, algorithm, engine_cls, codec):
     )
     graph = app.graph(config)
     placement = app.placement(config, compute_hosts=["h0", "h1"], copies_per_host=2)
-    kw = {} if codec is None else {"codec": codec}
-    (metrics,) = _run(engine_cls(graph, placement, policy="DD", **kw), [None])
+    (metrics,) = _run(engine_cls(graph, placement, policy="DD"), [None])
     return metrics.result.image
 
 
 @pytest.mark.parametrize("algorithm", ["active", "zbuffer"])
 @pytest.mark.parametrize("config", CONFIGURATIONS)
 def test_frames_survive_scribbled_give_backs(
-    tiny_scene, config, algorithm, scribble_on_give_back, arena_ledger
+    tiny_scene, config, algorithm, scribble_on_give_back, arena_ledger, monkeypatch
 ):
     """Every shipped filter is done with its input when ``handle`` returns:
     with every extent overwritten as it is given back, the frame on each
-    transport is byte-identical to the codec-less threaded engine's."""
-    reference = _frame(tiny_scene, config, algorithm, ThreadedEngine, None)
+    forked transport is byte-identical to the threaded engine's, whose
+    payloads pass by reference."""
+    reference = _frame(tiny_scene, config, algorithm, ThreadedEngine)
     assert reference.max() > 0
-    for engine_cls in (ThreadedEngine, ProcessEngine, _Pool):
-        # A threshold this low puts chunks, triangles, WPA buffers and
-        # slabs alike through the arenas.
-        image = _frame(
-            tiny_scene, config, algorithm, engine_cls, BufferCodec(shm_threshold=256)
-        )
+    # A threshold this low puts chunks, triangles, WPA buffers and slabs
+    # alike through the arenas.
+    monkeypatch.setattr(buffer_module, "OUT_OF_BAND_BYTES", 256)
+    for engine_cls in (ProcessEngine, _Pool):
+        image = _frame(tiny_scene, config, algorithm, engine_cls)
         assert image.tobytes() == reference.tobytes(), engine_cls.__name__
     assert not arena_ledger()

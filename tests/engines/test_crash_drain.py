@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
+from repro.core import buffer as buffer_module
 from repro.core.buffer import Arena, BufferCodec
 from repro.core.fuse import fuse
 from repro.core.policies import make_policy_factory
@@ -34,14 +35,24 @@ from repro.engines.pool import WarmPool
 from repro.engines.runtime import World, Writer
 from repro.errors import EngineError
 
-pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process engine needs the fork start method",
-)
+pytestmark = [
+    pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="process engine needs the fork start method",
+    ),
+    pytest.mark.usefixtures("out_of_band"),
+]
+
+
+@pytest.fixture
+def out_of_band(monkeypatch):
+    """Arrays of 1 KiB and more go out of band (patched before any fork), so
+    the 32 KiB payloads of these tests travel through the arenas."""
+    monkeypatch.setattr(buffer_module, "OUT_OF_BAND_BYTES", 1024)
 
 
 class ArraySource(Filter):
-    """Emits float64 arrays big enough for the shared-memory payload path."""
+    """Emits float64 arrays big enough for the arena payload path."""
 
     def __init__(self, count, length=4096):
         self.count = count
@@ -223,10 +234,7 @@ def test_consumer_exception_releases_segments(engine_cls, shm_ledger, arena_ledg
             raise RuntimeError("boom")
 
     g, p = _crash_graph(ExplodingSink)
-    engine = engine_cls(
-        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
-        queue_capacity=2,
-    )
+    engine = engine_cls(g, p, policy="DD", queue_capacity=2)
     _run_expecting_failure(engine, "boom")
     assert not shm_ledger()
     assert not arena_ledger()
@@ -249,9 +257,7 @@ def test_failure_after_input_closed_does_not_hang(
 
     sink_cls = type("LateFailingSink", (ArraySumSink,), {hook: explode})
     g, p = _crash_graph(sink_cls)
-    engine = engine_cls(
-        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
-    )
+    engine = engine_cls(g, p, policy="DD")
     exc = _run_expecting_failure(engine, f"{hook} exploded")
     (metrics,) = exc.metrics
     assert metrics.stream_totals("src->sink")[0] == 10
@@ -288,17 +294,14 @@ def test_fused_inner_part_failure_names_the_fused_copy(
     g.connect("mid", "sink")
     p = Placement()
     p.place("src", ["h0"]).place("mid", ["h0"]).place("sink", ["h0"])
-    engine = engine_cls(
-        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
-        queue_capacity=2,
-    )
+    engine = engine_cls(g, p, policy="DD", queue_capacity=2)
     exc = _run_expecting_failure(engine, f"inner {hook} exploded")
     assert "mid@h0#0 cycle 0" in str(exc)
     assert not shm_ledger()
     assert not arena_ledger()
 
 
-@both_engines
+@pytest.mark.parametrize("engine_cls", [ProcessEngine])
 def test_write_whose_encode_raises_fails_the_cycle(
     engine_cls, shm_ledger, arena_ledger
 ):
@@ -320,7 +323,7 @@ def test_write_whose_encode_raises_fails_the_cycle(
     g.add_filter("sink", factory=ArraySumSink)
     g.connect("src", "sink")
     p = Placement().place("src", ["h0"]).place("sink", ["h0"])
-    engine = engine_cls(g, p, policy="DD", codec=BufferCodec(shm_threshold=1024))
+    engine = engine_cls(g, p, policy="DD")
     exc = _run_expecting_failure(engine, "src@h0#0 cycle 0")
     assert "cannot pickle" in str(exc)
     (metrics,) = exc.metrics
@@ -337,10 +340,7 @@ def test_build_failure_releases_segments(engine_cls, shm_ledger, arena_ledger):
         raise RuntimeError("no such dataset")
 
     g, p = _crash_graph(broken_factory)
-    engine = engine_cls(
-        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
-        queue_capacity=2,
-    )
+    engine = engine_cls(g, p, policy="DD", queue_capacity=2)
     _run_expecting_failure(engine, "no such dataset")
     assert not shm_ledger()
     assert not arena_ledger()
@@ -378,8 +378,7 @@ def test_producer_death_with_consumer_blocked_on_dd_window(engine_cls, shm_ledge
     p = Placement()
     p.place("src", ["h0"]).place("mid", ["h0"]).place("sink", ["h0"])
     engine = engine_cls(
-        g, p, policy=make_policy_factory("DD", window=1),
-        codec=BufferCodec(shm_threshold=1024), queue_capacity=1,
+        g, p, policy=make_policy_factory("DD", window=1), queue_capacity=1
     )
     exc = _run_expecting_failure(engine, "source died")
     (metrics,) = exc.metrics
@@ -463,42 +462,46 @@ def _mapped_graph(path):
     return g, p
 
 
-@both_engines
+@pytest.mark.parametrize("engine_cls", [ProcessEngine])
 @pytest.mark.parametrize(
     "fault, complaint", [("gone", "file is gone"), ("short", "file has 180224")]
 )
 def test_damaged_mapped_file_fails_the_cycle(
-    engine_cls, fault, complaint, mapped_file, shm_ledger, arena_ledger
+    engine_cls, fault, complaint, mapped_file, shm_ledger, arena_ledger, fd_ledger
 ):
     """A file region that cannot be mapped fails the cycle, by exception.
 
     The consumer checks the file by name before it touches a page, so a
     file unlinked or cut short under the descriptor is an error naming the
     file, the copy and the cycle — not a SIGBUS — and the segments that
-    travelled in the same buffers are released.
+    travelled in the same buffers are released.  The copies may hold
+    mappings of damaged storage, so a batch is retired as a pool is: the
+    clean cycle behind the damaged one fails too, and cycle 0 keeps its
+    books.
     """
     path, total = mapped_file
     g, p = _mapped_graph(path)
-    engine = engine_cls(
-        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
-        queue_capacity=2,
-    )
+    engine = engine_cls(g, p, policy="DD", queue_capacity=2)
     good = engine.run_cycles([None])[0]
     assert good.result == total
     assert not shm_ledger()
     assert not arena_ledger()
+    fd_ledger.mark()  # the clean run was the warm-up
 
-    engine = engine_cls(
-        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
-        queue_capacity=2,
-    )
+    engine = engine_cls(g, p, policy="DD", queue_capacity=2)
     exc = _run_expecting_failure(
-        engine, f"{path}.{fault}", uows=[{"fault": fault}]
+        engine, f"{path}.{fault}", uows=[{"fault": fault}, None]
     )
     assert complaint in str(exc)
     assert "sink@h0#0 cycle 0" in str(exc)
+    assert len(exc.metrics) == 2
+    books = exc.metrics[0]
+    assert books.stream_totals("src->sink")[0] == MappedSource.COUNT
+    assert books.filter_buffers_in("sink") > 0
+    assert "sink@h0#0 could not decode its input in cycle 0" in exc.errors[-1]
     assert not shm_ledger()
     assert not arena_ledger()
+    assert not fd_ledger()
 
 
 @pytest.mark.parametrize("fault", ["gone", "short"])
@@ -508,8 +511,7 @@ def test_damaged_mapped_file_breaks_the_warm_pool(fault, mapped_file, shm_ledger
     a rebuilt pool answers the next query exactly."""
     path, total = mapped_file
     g, p = _mapped_graph(path)
-    codec = BufferCodec(shm_threshold=1024)
-    pool = WarmPool(g, p, policy="DD", codec=codec, queue_capacity=2)
+    pool = WarmPool(g, p, policy="DD", queue_capacity=2)
     try:
         assert pool.submit(None).result(timeout=60.0).result == total
         with pytest.raises(EngineError) as failure:
@@ -524,7 +526,7 @@ def test_damaged_mapped_file_breaks_the_warm_pool(fault, mapped_file, shm_ledger
             pool.submit(None)
     finally:
         pool.close()
-    with WarmPool(g, p, policy="DD", codec=codec, queue_capacity=2) as rebuilt:
+    with WarmPool(g, p, policy="DD", queue_capacity=2) as rebuilt:
         assert rebuilt.submit(None).result(timeout=60.0).result == total
     assert not shm_ledger()
     assert not arena_ledger()
@@ -560,10 +562,7 @@ def test_consumer_hard_crash_releases_segments(
             os._exit(3)
 
     g, p = _crash_graph(DyingSink, count=12)
-    engine = engine_cls(
-        g, p, policy="DD", codec=BufferCodec(shm_threshold=1024),
-        queue_capacity=1,
-    )
+    engine = engine_cls(g, p, policy="DD", queue_capacity=1)
     try:
         exc = _run_expecting_failure(engine, "exit code 3")
         assert "sink@h0#0" in str(exc)
@@ -655,6 +654,30 @@ def test_idle_sibling_killed_does_not_hang(
     assert not fd_ledger()
 
 
+def test_a_copy_that_exits_0_mid_cycle_fails_the_batch(
+    shm_ledger, arena_ledger, fd_ledger
+):
+    """Exit code 0 is a clean leave only for a copy that has reported every
+    cycle it was given.  One that leaves mid-cycle is a death like any other,
+    so the run fails by name and its producer, stuck on a full window, gets
+    out instead of waiting for acknowledgments that never come."""
+
+    class Quitter(Filter):
+        def init(self, ctx):
+            time.sleep(0.3)  # the producer is surely blocked by now
+            os._exit(0)
+
+    g, p = _crash_graph(Quitter, count=40)
+    exc = _run_expecting_failure(
+        ProcessEngine(g, p, policy="DD"), "sink@h0#0 died with exit code 0",
+        timeout=20.0, uows=[None, None],
+    )
+    assert len(exc.metrics) == 2
+    assert not shm_ledger()
+    assert not arena_ledger()
+    assert not fd_ledger()
+
+
 class LedgerSink(ArraySumSink):
     """Sums its input; a unit of work ``{"exit": code}`` ends the copy at
     its first buffer, ``{"sleep": s}`` delays its ``init``."""
@@ -674,7 +697,7 @@ LEDGER_TOTAL = 4096.0 * sum(range(4))  # what _crash_graph(LedgerSink, 4) sums
 
 def _pool_query(uow, close_at_once=False):
     g, p = _crash_graph(LedgerSink, count=4)
-    pool = WarmPool(g, p, policy="DD", codec=BufferCodec(shm_threshold=1024))
+    pool = WarmPool(g, p, policy="DD")
     try:
         query = pool.submit(uow)
         if close_at_once:
@@ -769,7 +792,7 @@ def test_abandoned_send_releases_encoded_payload(shm_ledger, arena_ledger):
             raise RuntimeError("routing failed")
 
     g, p = _crash_graph(ArraySumSink)
-    world = World(g, p, ExplodingPolicy, BufferCodec(shm_threshold=64), 1, 1)
+    world = World(g, p, ExplodingPolicy, BufferCodec(), 1, 1)
     src = world.plan[0]
     writer = Writer(world, src, 0, 0, src.spec.outputs[0], None)
     arr = np.ones(4096, dtype=np.float64)
@@ -786,7 +809,7 @@ def test_resource_tracker_clean_at_exit():
     script = """
 import numpy as np
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
-from repro.core.buffer import BufferCodec
+from repro.core import buffer
 from repro.engines.process import ProcessEngine
 from repro.errors import EngineError
 
@@ -805,9 +828,9 @@ g.add_filter("src", factory=Source, is_source=True)
 g.add_filter("sink", factory=Bad)
 g.connect("src", "sink")
 p = Placement().place("src", ["h0"]).place("sink", ["h0"])
+buffer.OUT_OF_BAND_BYTES = 1024  # the 32 KiB arrays go through the arena
 try:
-    ProcessEngine(g, p, policy="DD",
-                  codec=BufferCodec(shm_threshold=1024)).run()
+    ProcessEngine(g, p, policy="DD").run()
 except EngineError:
     print("CRASHED-AS-EXPECTED")
 """

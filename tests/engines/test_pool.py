@@ -226,10 +226,10 @@ def test_pool_matches_cold_engine_bit_exact():
     assert cold.result.image.max() > 0
 
 
-def test_no_shared_memory_leaked_across_pool_lifetime():
+def test_no_shared_memory_leaked_across_pool_lifetime(monkeypatch):
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no /dev/shm on this platform")
-    from repro.core.buffer import BufferCodec
+    from repro.core import buffer
 
     class ArraySource(Filter):
         def flush(self, ctx):
@@ -253,7 +253,8 @@ def test_no_shared_memory_leaked_across_pool_lifetime():
     g.add_filter("sink", factory=ArraySink)
     g.connect("src", "sink")
     p = Placement().place("src", ["h0"]).place("sink", ["h0"])
-    with WarmPool(g, p, codec=BufferCodec(shm_threshold=1024)) as pool:
+    monkeypatch.setattr(buffer, "OUT_OF_BAND_BYTES", 1024)  # 32 KiB arrays too
+    with WarmPool(g, p) as pool:
         for _ in range(3):
             assert pool.run().result == 6 * 4096.0 * 2.5
     for _ in range(50):

@@ -1,11 +1,11 @@
 """Integration tests for the process engine: real filters, one OS process
-per copy, payloads through the shared-memory buffer codec."""
+per copy, payloads through the buffer codec and the copies' arenas."""
 
 import numpy as np
 import pytest
 
 from repro.core import DataBuffer, Filter, FilterGraph, Placement
-from repro.core.buffer import BufferCodec
+from repro.core import buffer as buffer_module
 from repro.engines.process import ProcessEngine
 from repro.engines.threaded import ThreadedEngine
 from repro.errors import EngineError
@@ -52,7 +52,7 @@ class SumSink(Filter):
 
 
 class ArraySource(Filter):
-    """Emits large float64 arrays, forcing the shared-memory payload path."""
+    """Emits large float64 arrays, forcing the arena payload path."""
 
     def __init__(self, count, length=20_000):
         self.count = count
@@ -123,23 +123,23 @@ def test_shared_memory_payload_round_trip():
     g.add_filter("sink", factory=ArraySumSink)
     g.connect("src", "sink")
     p = Placement().place("src", ["h0"]).place("sink", ["h0"])
-    codec = BufferCodec(shm_threshold=1024)
-    metrics = ProcessEngine(g, p, codec=codec).run()
+    metrics = ProcessEngine(g, p).run()
     assert metrics.result == sum(float(i) * length for i in range(count))
     assert metrics.stream_totals("src->sink") == (count, count * length * 8)
 
 
-def test_inline_codec_matches_shared_memory():
+def test_inline_codec_matches_shared_memory(monkeypatch):
     count = 10
     results = []
     # A threshold above the largest payload pickles every array inline.
-    for codec in (BufferCodec(shm_threshold=64), BufferCodec(shm_threshold=1 << 20)):
+    for threshold in (64, 1 << 20):
+        monkeypatch.setattr(buffer_module, "OUT_OF_BAND_BYTES", threshold)
         g = FilterGraph()
         g.add_filter("src", factory=lambda: ArraySource(count), is_source=True)
         g.add_filter("sink", factory=ArraySumSink)
         g.connect("src", "sink")
         p = Placement().place("src", ["h0"]).place("sink", ["h0"])
-        results.append(ProcessEngine(g, p, codec=codec).run().result)
+        results.append(ProcessEngine(g, p).run().result)
     assert results[0] == results[1]
 
 
@@ -267,7 +267,7 @@ def test_no_shared_memory_leaked(tmp_path):
     g.add_filter("sink", factory=ArraySumSink)
     g.connect("src", "sink")
     p = Placement().place("src", ["h0"]).place("sink", ["h0"])
-    ProcessEngine(g, p, codec=BufferCodec(shm_threshold=1024)).run()
+    ProcessEngine(g, p).run()
     after = set(os.listdir("/dev/shm"))
     leaked = {f for f in after - before if f.startswith("psm_")}
     assert not leaked

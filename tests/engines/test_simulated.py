@@ -271,7 +271,8 @@ def test_each_buffer_and_each_end_of_work_is_stepped_once():
     g.connect("mid", "sink")
     p = Placement().place("src", ["node0"]).place("sink", ["node1"])
     p.place("mid", [("node0", 1), ("node1", 2)])
-    runs = SimulatedEngine(cluster, g, p, policy="DD").run_many(2)
+    engine = SimulatedEngine(cluster, g, p, policy="DD")
+    runs = [engine.run() for _ in range(2)]
     assert len(made) == 2 * 3
     for metrics, models in zip(runs, (made[:3], made[3:])):
         assert metrics.result == {"buffers": 12, "bytes": 1200}
@@ -318,7 +319,7 @@ def test_run_many_consecutive_uows():
     env = Environment()
     cluster = homogeneous_cluster(env, nodes=1)
     engine = two_stage(cluster, count=10)
-    runs = engine.run_many(3)
+    runs = [engine.run() for _ in range(3)]
     assert len(runs) == 3
     assert all(m.result["buffers"] == 10 for m in runs)
     # Deterministic identical UOWs -> identical makespans.

@@ -590,17 +590,10 @@ def test_a_query_does_not_wait_for_a_broken_pool_to_close():
 def test_broken_pool_is_closed_and_releases_shm(shm_ledger, monkeypatch):
     """A pool whose worker was killed mid-service is closed once the scene's
     pool is rebuilt, and leaves no shared-memory segment behind."""
-    from repro.core.buffer import BufferCodec
-    from repro.engines import WarmPool
+    from repro.core import buffer
 
     service = QueryService(scenes=[SCENE], config="R-E-Ra-M", width=32, height=32)
-    codec = BufferCodec(shm_threshold=256)  # every payload in a segment
-    init = WarmPool.__init__
-
-    def with_segments(self, *args, **kwargs):
-        init(self, *args, codec=codec, **kwargs)
-
-    monkeypatch.setattr(WarmPool, "__init__", with_segments)
+    monkeypatch.setattr(buffer, "OUT_OF_BAND_BYTES", 256)  # every payload in an arena
     try:
         first, broken = _break_the_pool(service)
         assert first["streams"]["E->Ra"][0] > 0
