@@ -92,8 +92,8 @@ class DataBuffer:
 #: keeps those at the in-flight high-water mark.  Measured on S129 (129³
 #: points, 512² frames, R-E-Ra-M, two copies per stage) with
 #: ``WarmPool.stats()["arenas"]``: 48 distinct queries from two clients
-#: peak at 1.2-1.6 MiB in an Extract copy (indexed meshes) and at one
-#: slab, 1.75 MiB, in a Raster copy.
+#: peak at 0.9-1.2 MiB in an Extract copy (welded indexed meshes) and at
+#: one slab, 1.75 MiB, in a Raster copy.
 #: A fuller arena makes the sender wait for give-backs; one payload larger
 #: than the whole arena fails its cycle.
 ARENA_BYTES = 2 * 2**20 * (8 * 1 + 2 + 1) * 2

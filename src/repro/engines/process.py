@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import faulthandler
 import multiprocessing
-import multiprocessing.connection
 import os
+import selectors
 import signal
 import threading
 import time
@@ -90,9 +90,9 @@ class ForkedCopies:
     pipes, ``None`` saying stop.  Cycle ``k`` runs in slot ``k % nslots``,
     and a slot is recycled only once every copy has reported cycle ``k`` —
     so its queues are provably drained and its end-of-work tokens refilled.
-    Once started, one parent thread sleeps in one ``connection.wait`` on
-    every worker's sentinel and report pipe — no timeout, no polling, while
-    every worker is healthy — folds each complete cycle
+    Once started, one parent thread sleeps in one selector, kept for the
+    world's life, on every worker's sentinel and report pipe — no timeout,
+    no polling, while every worker is healthy — folds each complete cycle
     (:func:`~repro.engines.runtime.fold_query`), counting it in
     ``cycles_completed``, and, once every worker is gone, closes what the
     world opened, keeping each worker's exit code in ``exitcodes`` (by copy
@@ -230,14 +230,19 @@ class ForkedCopies:
         for copy in world.plan:
             members.setdefault((copy.spec.name, copy.set_idx), []).append(copy.cid)
         deadline = None  # set once the world is abandoned
+        # One poll set for the world's life.  Sentinels before report pipes:
+        # a worker seen dead in a poll has its last report readable too, and
+        # its death waits for its reports.
+        selector = selectors.PollSelector()
+        for obj in chain(
+            (proc.sentinel for proc in live.values()),
+            (self.reports[cid][0] for cid in live), [self._wake_recv],
+        ):
+            selector.register(obj, selectors.EVENT_READ)
         while live and (deadline is None or time.monotonic() < deadline):
-            # Sentinels before report pipes: a worker seen dead here has its
-            # last report readable too, and its death waits for its reports.
-            ready = set(multiprocessing.connection.wait(
-                [proc.sentinel for proc in live.values()]
-                + [self.reports[cid][0] for cid in live] + [self._wake_recv],
-                timeout=None if deadline is None else 0.05,
-            ))
+            ready = {key.fileobj for key, _ in selector.select(
+                None if deadline is None else 0.05
+            )}
             if self._wake_recv in ready:
                 self._wake_recv.recv()
             for cid, proc in list(live.items()):
@@ -245,6 +250,8 @@ class ForkedCopies:
                     self._book(self.reports[cid][0].recv())
                 elif proc.sentinel in ready:
                     del live[cid]
+                    selector.unregister(proc.sentinel)
+                    selector.unregister(self.reports[cid][0])
                     proc.join()
                     if proc.exitcode == 0 and self.closed and all(
                         any(r.cid == cid for r in query.reports)
@@ -274,6 +281,7 @@ class ForkedCopies:
                 proc.join()
             for csq in world.queues():
                 self._drain(csq)
+        selector.close()
         world.close()
         with self.lock:  # against a late abandon's send
             for conn in chain(*self.controls, *self.reports, [self._wake_recv, self._wake_send]):

@@ -114,15 +114,18 @@ _EDGE_FROM = CORNER_OFFSETS[_EDGE_INSIDE].astype(np.float64)
 _EDGE_STEP = (CORNER_OFFSETS[_EDGE_OUTSIDE] - CORNER_OFFSETS[_EDGE_INSIDE]).astype(np.float64)
 _VERTEX_SLOT = np.concatenate(_VERTEX_SLOTS)
 _EDGES_PER_CONFIG = np.array([len(e) for e in _CUT_EDGES], dtype=np.int64)
+# Every Kuhn edge joins a corner to one whose offset adds a positive step,
+# so a grid edge is its lower corner's point and that step's bit mask.
+_EDGE_LOW, _EDGE_DIRECTION = _EDGE_INSIDE & _EDGE_OUTSIDE, _EDGE_INSIDE ^ _EDGE_OUTSIDE
 _EDGE_START = np.cumsum(_EDGES_PER_CONFIG) - _EDGES_PER_CONFIG
 _CONFIG_START = np.cumsum(_TRIS_PER_CONFIG) - _TRIS_PER_CONFIG
 
-#: Cubes interpolated per pass of :func:`extract_mesh`.  A cube has
-#: 7.3 cut edges and 5.8 triangles on average, and a pass holds about a
-#: dozen temporaries per edge and per triangle vertex (~2.5 KB per cube),
-#: so blocks keep them at ~2 MB whatever the chunk yields — serve
-#: front-end threads extract concurrently — at no cost in speed.
-_BLOCK_CUBES = 768
+#: Cubes interpolated per pass of :func:`extract_mesh`.  A cube makes
+#: about 3 vertices and 5.8 triangles, and a pass holds about a dozen
+#: temporaries per vertex and per triangle corner (~1.3 KB per cube), so
+#: blocks keep them near 1.3 MB whatever the chunk yields — serve
+#: front-end threads extract concurrently — and time like whole chunks.
+_BLOCK_CUBES = 1024
 
 
 def _inside(scalars: np.ndarray, isovalue: float) -> np.ndarray:
@@ -216,12 +219,12 @@ def extract_mesh(
     Returns
     -------
     ``(vertices, faces)``: (V, 3) float32 world (x, y, z) positions, one per
-    cut edge of each cube, and (N, 3) int32 rows into them, three per
-    triangle.  Every vertex lies on a cube/tetrahedron edge where linear
-    interpolation of the endpoint scalars equals ``isovalue``; each cut
-    edge of a cube is interpolated once, and the cube's triangles that
-    share it take the same vertex.  Every vertex belongs to a face, so
-    ``3 <= V <= 3N`` whenever ``N >= 1``.
+    cut grid edge, and (N, 3) int32 rows into them, three per triangle.
+    Every vertex lies on a cube/tetrahedron edge where linear interpolation
+    of the endpoint scalars equals ``isovalue``; each cut grid edge is
+    interpolated once, in order of first use, and every triangle that has
+    it, from any cube, takes the same vertex.  Every vertex belongs to a
+    face, so ``3 <= V <= 3N`` whenever ``N >= 1``.
     """
     scalars = np.asarray(scalars, dtype=np.float32)
     cfg = _cube_configs(scalars, isovalue).reshape(-1)
@@ -234,55 +237,70 @@ def extract_mesh(
     nz, ny, nx = scalars.shape
     az, rest = np.divmod(active, (ny - 1) * (nx - 1))
     ay, ax = np.divmod(rest, nx - 1)
-    corner0 = np.stack([ax, ay, az], axis=-1)  # (M, 3): cube origins as (x, y, z)
     per_cube = _TRIS_PER_CONFIG[cfg]
     first = np.cumsum(per_cube) - per_cube  # first output triangle per cube
-    edges = _EDGES_PER_CONFIG[cfg]
-    first_edge = np.cumsum(edges) - edges  # first output vertex per cube
 
     # Scalars are gathered through flat grid-point indices.
     flat = scalars.reshape(-1)
-    point_stride = np.array([1, nx, nx * ny])
-    corner0_flat = corner0 @ point_stride
-    inside_flat = (CORNER_OFFSETS @ point_stride)[_EDGE_INSIDE]
-    outside_flat = (CORNER_OFFSETS @ point_stride)[_EDGE_OUTSIDE]
-    corner0 = corner0.astype(np.float64)  # exact, like every offset below
-    origin = np.asarray(origin, dtype=np.float64)
-    spacing = np.asarray(spacing, dtype=np.float64)
-    vertices = np.empty((int(edges.sum()), 3), dtype=np.float32)
+    corner_flat = CORNER_OFFSETS @ np.array([1, nx, nx * ny])
+    corner0_flat = ax + nx * (ay + ny * az)  # cube origins as grid points
+    # Every cut edge of every cube, cube after cube: (E,) rows, each with
+    # its cube, its row of the edge table and, as key, its grid edge, so
+    # the rows of one grid edge share one vertex.
+    edges = _EDGES_PER_CONFIG[cfg]
+    edge_first = np.cumsum(edges) - edges  # first row per cube
+    edge_cube = np.repeat(np.arange(len(cfg)), edges)
+    edge = np.arange(len(edge_cube)) - np.repeat(edge_first - _EDGE_START[cfg], edges)
+    edge_key = corner_flat[_EDGE_LOW] * 8 + _EDGE_DIRECTION
+    made, row_vertex = _weld(
+        np.repeat(corner0_flat * 8, edges) + np.take(edge_key, edge), 8 * flat.size
+    )
+    # Each block interpolates the vertices its cubes' rows are first to use.
+    block_vertex = [*np.searchsorted(made, edge_first[::_BLOCK_CUBES]).tolist(), len(made)]
+    # Coordinates and face slots are rows, (3, V) and (3, N), so that
+    # broadcasting runs along vertices; exact in float64, like the offsets.
+    corner0 = np.stack([ax, ay, az]).astype(np.float64)
+    inside_flat, outside_flat = corner_flat[_EDGE_INSIDE], corner_flat[_EDGE_OUTSIDE]
+    origin = np.asarray(origin, dtype=np.float64)[:, None]
+    spacing = np.asarray(spacing, dtype=np.float64)[:, None]
+    vertices = np.empty((len(made), 3), dtype=np.float32)
     faces = np.empty((int(per_cube.sum()), 3), dtype=np.int32)
-    for lo in range(0, len(cfg), _BLOCK_CUBES):
+    for block, lo in enumerate(range(0, len(cfg), _BLOCK_CUBES)):
         cubes = slice(lo, lo + _BLOCK_CUBES)
-        # Every cut edge of the block's cubes, once per cube: (E,).
-        edge_cube, edge, edge_first = _table_rows(
-            cfg[cubes], _EDGES_PER_CONFIG, _EDGE_START
-        )
-        points = corner0_flat[cubes][edge_cube]
-        s_a = flat[points + inside_flat[edge]]
-        s_b = flat[points + outside_flat[edge]]
+        made_here = slice(block_vertex[block], block_vertex[block + 1])
+        cube, e = np.take(edge_cube, made[made_here]), np.take(edge, made[made_here])
+        points = np.take(corner0_flat, cube)
+        s_a = np.take(flat, points + np.take(inside_flat, e))
+        s_b = np.take(flat, points + np.take(outside_flat, e))
         t = (isovalue - s_a) / (s_b - s_a)  # in (0, 1]; s_a > iso >= s_b
         # Rows are gathered with np.take, ~3x as fast as fancy indexing.
-        pa = np.take(corner0[cubes], edge_cube, axis=0) + np.take(_EDGE_FROM, edge, axis=0)
-        at = first_edge[lo]
-        vertices[at : at + len(edge)] = (
-            origin + (pa + t[:, None] * np.take(_EDGE_STEP, edge, axis=0)) * spacing
+        pa = np.take(corner0, cube, axis=1) + np.take(_EDGE_FROM.T, e, axis=1)
+        vertices[made_here].T[...] = (
+            origin + (pa + t * np.take(_EDGE_STEP.T, e, axis=1)) * spacing
         )
-        # Each triangle takes its three vertices from its cube's edges.
-        tri_cube, row, _ = _table_rows(cfg[cubes], _TRIS_PER_CONFIG, _CONFIG_START)
-        slot = edge_first[tri_cube, None] + np.take(_VERTEX_SLOT, row, axis=0)
-        faces[first[lo] : first[lo] + len(row)] = slot + at
+        # Each triangle takes its three vertices through its cube's rows,
+        # at its row of the triangle table.
+        tris = per_cube[cubes]
+        tri = np.arange(first[lo], first[lo] + tris.sum()) - np.repeat(
+            first[cubes] - _CONFIG_START[cfg[cubes]], tris
+        )
+        slot = np.take(_VERTEX_SLOT.T, tri, axis=1) + np.repeat(edge_first[cubes], tris)
+        faces[first[lo] : first[lo] + len(tri)].T[...] = np.take(row_vertex, slot)
     return vertices, faces
 
 
-def _table_rows(
-    configs: np.ndarray, per_config: np.ndarray, config_start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand cubes into the rows a flattened per-configuration table holds.
+def _weld(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys, each in ``[0, bound)``, in order of first use.
 
-    Returns, per row, its cube (an index into ``configs``) and its table
-    row, cube after cube, and per cube the position of its first row.
+    Returns the first row of each key, in that order, and per row the
+    number of its key.  The table is left uninitialised (a memset of the
+    whole key space would cost more than the weld): every slot read is at
+    a key, and so was written.
     """
-    counts = per_config[configs]
-    cube = np.repeat(np.arange(len(configs)), counts)
-    first = np.cumsum(counts) - counts
-    return cube, np.arange(len(cube)) + (config_start[configs] - first)[cube], first
+    rows = np.arange(len(keys), dtype=np.int32)
+    table = np.empty(bound, dtype=np.int32)
+    table[keys[::-1]] = rows[::-1]  # the last write, a key's first row, stays
+    made = np.flatnonzero(np.take(table, keys) == rows)
+    table[np.take(keys, made)] = np.arange(len(made), dtype=np.int32)
+    return made, np.take(table, keys)
+

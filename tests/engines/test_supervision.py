@@ -4,14 +4,14 @@ The parent of forked copies used to loop ``is_alive()`` with a 10 ms sleep
 per lap for the whole run.  The one supervisor thread of
 :class:`~repro.engines.process.ForkedCopies` — under a batch
 ``ProcessEngine`` run and under a ``WarmPool`` query alike — blocks in
-``multiprocessing.connection.wait`` on the worker sentinels: no timeout
-while every worker is healthy, a short sweep interval only after a death,
-while the survivors of the abandoned world are leaving.
+one poll selector, kept for the world's life, on the worker sentinels: no
+timeout while every worker is healthy, a short sweep interval only after
+a death, while the survivors of the abandoned world are leaving.
 """
 
 import multiprocessing
-import multiprocessing.connection
 import os
+import selectors
 import threading
 import time
 
@@ -74,17 +74,17 @@ def source_to_sink(count):
 
 @pytest.fixture
 def wait_calls(monkeypatch):
-    """Record every multiprocessing.connection.wait call (and pass through)."""
+    """Record every poll selector's select call (and pass through)."""
     calls = []
-    real_wait = multiprocessing.connection.wait
+    real_select = selectors.PollSelector.select
 
-    def recording_wait(object_list, timeout=None):
+    def recording_select(selector, timeout=None):
         calls.append(
             {"timeout": timeout, "thread": threading.current_thread().name}
         )
-        return real_wait(object_list, timeout=timeout)
+        return real_select(selector, timeout=timeout)
 
-    monkeypatch.setattr(multiprocessing.connection, "wait", recording_wait)
+    monkeypatch.setattr(selectors.PollSelector, "select", recording_select)
     return calls
 
 
@@ -111,7 +111,7 @@ def test_healthy_supervision_blocks_without_polling(run, wait_calls, sleep_calls
     assert metrics.result == sum(range(20))
 
     supervisor_waits = [c for c in wait_calls if c["thread"] == SUPERVISOR]
-    assert supervisor_waits, "supervisor never used connection.wait"
+    assert supervisor_waits, "supervisor never waited in its selector"
     assert all(c["timeout"] is None for c in supervisor_waits), (
         "healthy supervision must block indefinitely on the sentinels, "
         f"got timeouts {[c['timeout'] for c in supervisor_waits]}"

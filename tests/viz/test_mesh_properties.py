@@ -7,7 +7,8 @@ soup the sequential reference extracts, and (b) a vertex projects to the
 same bits in the vertex array as in the soup.  (b) is a property of the
 BLAS build behind ``@``, not of the code, so it is held here by property
 on whatever NumPy runs the suite; CI also runs this file on the NumPy that
-recorded the kernel digests, where a skip fails.
+recorded the kernel digests, where a skip fails.  The mesh is welded: one
+vertex per cut grid edge, counted here from the grid alone.
 """
 
 import dataclasses
@@ -76,6 +77,62 @@ def test_blocks_that_split_inside_a_configuration_run(monkeypatch, block):
     scalars = -np.sqrt(X**2 + Y**2 + Z**2)
     monkeypatch.setattr(marching_cubes, "_BLOCK_CUBES", block)
     assert_mesh_gathers_the_reference(scalars, -0.7)
+
+
+# -- one vertex per cut grid edge ---------------------------------------------
+def cut_grid_edges(scalars, isovalue):
+    """The grid edges the surface cuts, counted on the grid alone.
+
+    The Kuhn edges of a grid step from a point p to p + d, d one of the 7
+    positive (dz, dy, dx) steps; one is cut when exactly one of p and p + d
+    is inside (its sample exceeds the isovalue; a NaN never does).
+    """
+    inside = np.asarray(scalars, dtype=np.float32) > isovalue
+    nz, ny, nx = inside.shape
+    return sum(
+        np.count_nonzero(inside[: nz - dz, : ny - dy, : nx - dx] != inside[dz:, dy:, dx:])
+        for dz in (0, 1)
+        for dy in (0, 1)
+        for dx in (0, 1)
+        if dz or dy or dx
+    )
+
+
+def assert_one_vertex_per_cut_grid_edge(scalars, isovalue, **placement):
+    vertices, faces = extract_mesh(scalars, isovalue, **placement)
+    assert len(vertices) == cut_grid_edges(scalars, isovalue)
+    # Each vertex is in use: none stands for an edge no triangle has.
+    assert np.array_equal(np.unique(faces), np.arange(len(vertices)))
+
+
+def test_one_vertex_per_cut_grid_edge_of_every_single_cube_configuration():
+    for config in range(256):
+        rng = np.random.default_rng(config)
+        inside = np.array([(config >> c) & 1 for c in range(8)], dtype=bool)
+        values = np.where(inside, rng.uniform(0.6, 1.0, 8), rng.uniform(0.0, 0.4, 8))
+        cube = values.astype(np.float32).reshape(2, 2, 2)
+        assert_one_vertex_per_cut_grid_edge(cube, 0.5, spacing=(1, 2, 0.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fields, st.lists(isovalues, min_size=1, max_size=3), placements)
+def test_one_vertex_per_cut_grid_edge_of_random_fields(scalars, levels, placement):
+    origin, spacing = placement
+    for isovalue in levels:
+        assert_one_vertex_per_cut_grid_edge(scalars, isovalue, origin=origin, spacing=spacing)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_vertex_per_cut_grid_edge_where_samples_equal_the_isovalue(seed):
+    # A sample equal to the isovalue is outside, and each cut edge ending
+    # there has t = 1: distinct edges meet at that grid point, with equal
+    # bits, and each keeps its own vertex.
+    rng = np.random.default_rng(seed)
+    scalars = rng.choice(np.float32([0.25, 0.5, 0.75]), size=(7, 8, 9))
+    vertices, _ = extract_mesh(scalars, 0.5)
+    assert len(np.unique(vertices, axis=0)) < len(vertices)
+    assert_one_vertex_per_cut_grid_edge(scalars, 0.5)
+    assert_mesh_gathers_the_reference(scalars, 0.5)
 
 
 # -- projecting through faces is projecting the soup --------------------------
