@@ -78,7 +78,8 @@ class DeclusteredStore:
         synthetic generators or another store), read once per (chunk,
         timestep, species); ``profile`` supplies the chunk grid and file
         assignment.  ``timesteps``/``species`` default to everything the
-        dataset stores.
+        dataset stores.  Each chunk's float32 buffer is written as is, with
+        no copy.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -114,7 +115,7 @@ class DeclusteredStore:
                                     f"chunk {chunk.chunk_id}: dataset produced "
                                     f"{scalars.shape}, expected {chunk.shape}"
                                 )
-                            fh.write(scalars.tobytes())
+                            fh.write(scalars)
                             # min/max hand a NaN sample on: a range with
                             # one excludes no isovalue
                             ranges[local_t][local_sp].append(

@@ -50,6 +50,13 @@ class ParSSimDataset:
         Gaussian packets per species.
     seed:
         Reproducibility seed; identical seeds give identical datasets.
+
+    A field is evaluated in place: each plume's term
+    ``amp * exp(-((dz² + dy²) + dx²) / (2σ²))`` is computed step by step, in
+    that order, into one preallocated float64 array and added into the
+    total, so a chunk costs two float64 arrays and the float32 it returns.
+    The bits are those of the one expression per plume
+    (``tests/data/test_parssim.py`` keeps it as the reference).
     """
 
     def __init__(
@@ -83,6 +90,10 @@ class ParSSimDataset:
                     )
                 )
             self._plumes.append(plumes)
+        # each axis's coordinates, made once; every chunk slices them
+        self._axes = tuple(
+            np.linspace(0.0, 1.0, n, dtype=np.float64) for n in self.shape
+        )
 
     # -- sizes -------------------------------------------------------------
     @property
@@ -108,11 +119,7 @@ class ParSSimDataset:
         Values are normalised concentrations in ``[0, ~1]``.
         """
         self._check(timestep, species)
-        nz, ny, nx = self.shape
-        z = np.linspace(0.0, 1.0, nz, dtype=np.float64)[:, None, None]
-        y = np.linspace(0.0, 1.0, ny, dtype=np.float64)[None, :, None]
-        x = np.linspace(0.0, 1.0, nx, dtype=np.float64)[None, None, :]
-        return self._evaluate(timestep, species, z, y, x)
+        return self._evaluate(timestep, species, *self._axes)
 
     def chunk_field(
         self, chunk: ChunkSpec, timestep: int, species: int = 0
@@ -122,18 +129,15 @@ class ParSSimDataset:
         Bit-identical to slicing :meth:`field` with ``chunk.slices()``.
         """
         self._check(timestep, species)
-        nz, ny, nx = self.shape
-        axes = []
-        for extent, (a, b) in zip((nz, ny, nx), zip(chunk.start, chunk.stop)):
-            full = np.linspace(0.0, 1.0, extent, dtype=np.float64)
-            axes.append(full[a:b])
-        z = axes[0][:, None, None]
-        y = axes[1][None, :, None]
-        x = axes[2][None, None, :]
+        z, y, x = (
+            axis[a:b] for axis, a, b in zip(self._axes, chunk.start, chunk.stop)
+        )
         return self._evaluate(timestep, species, z, y, x)
 
     def _evaluate(self, timestep, species, z, y, x) -> np.ndarray:
-        total = np.zeros(np.broadcast_shapes(z.shape, y.shape, x.shape))
+        z, y, x = z[:, None, None], y[None, :, None], x[None, None, :]
+        total = np.zeros((z.size, y.size, x.size))
+        term = np.empty_like(total)
         for plume in self._plumes[species]:
             cz, cy, cx = (
                 plume.center[i] + plume.velocity[i] * timestep for i in range(3)
@@ -141,8 +145,12 @@ class ParSSimDataset:
             sigma = plume.sigma * plume.growth**timestep
             # Mass conservation: amplitude shrinks as the plume disperses.
             amp = plume.amplitude * (plume.sigma / sigma) ** 3
-            r2 = (z - cz) ** 2 + (y - cy) ** 2 + (x - cx) ** 2
-            total += amp * np.exp(-r2 / (2.0 * sigma**2))
+            np.add((z - cz) ** 2 + (y - cy) ** 2, (x - cx) ** 2, out=term)
+            np.negative(term, out=term)
+            np.divide(term, 2.0 * sigma**2, out=term)
+            np.exp(term, out=term)
+            np.multiply(amp, term, out=term)
+            total += term
         return total.astype(np.float32)
 
     def _check(self, timestep: int, species: int) -> None:
