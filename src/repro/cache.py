@@ -57,7 +57,6 @@ __all__ = [
     "bind_cache",
     "content_key",
     "subgraph_signature",
-    "verify_cache_attachment",
 ]
 
 #: The cache tiers.  Serve fills only ``tiles``; ``triangles`` stays because
@@ -316,16 +315,15 @@ class CacheBinding:
     certificate: MemoCertificate
 
 
-def verify_cache_attachment(
-    graph: "FilterGraph", members: Iterable[str]
-) -> MemoCertificate:
-    """Certify ``members`` for caching; flag E706 on a rejection.
+def bind_cache(
+    graph: "FilterGraph", members: Iterable[str], cache: ResultCache
+) -> CacheBinding:
+    """Attach ``cache`` to a subgraph, or refuse with E703–E706.
 
-    Runs :func:`certify_memoisable` and, when the certificate is
-    refused, appends the E706 *cache-over-uncertified-subgraph* ERROR to
-    the certificate's report (alongside the E703/E705 findings that
-    justify it).  The caller decides whether to raise — engines refuse,
-    linters report.
+    Raises :class:`~repro.errors.AnalysisError` when the subgraph is not
+    certifiably memoisable: its report holds the certifier's E703/E705
+    findings and the E706 *cache-over-uncertified-subgraph* ERROR they
+    justify.
     """
     certificate = certify_memoisable(graph, members)
     if not certificate.ok:
@@ -339,19 +337,6 @@ def verify_cache_attachment(
                 f"differ from live ones",
             )
         )
-    return certificate
-
-
-def bind_cache(
-    graph: "FilterGraph", members: Iterable[str], cache: ResultCache
-) -> CacheBinding:
-    """Attach ``cache`` to a subgraph, or refuse with E703–E706.
-
-    Raises :class:`~repro.errors.AnalysisError` (report attached) when
-    the subgraph is not certifiably memoisable.
-    """
-    certificate = verify_cache_attachment(graph, members)
-    if not certificate.ok:
         certificate.report.raise_errors()
     return CacheBinding(
         cache=cache,

@@ -82,6 +82,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     from repro.data import HostDisks, ParSSimDataset, StorageMap
     from repro.engines import ProcessEngine, ThreadedEngine
+    from repro.serve import ppm_bytes
     from repro.viz import IsosurfaceApp
     from repro.viz.profile import DatasetProfile
 
@@ -118,8 +119,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     metrics.validate(graph)
     result = metrics.result
     with open(args.out, "wb") as fh:
-        fh.write(f"P6 {args.image} {args.image} 255\n".encode())
-        fh.write(result.image.tobytes())
+        fh.write(ppm_bytes(result.image))
     print(
         f"rendered {profile.total_triangles(args.timestep)} triangles, "
         f"{result.active_pixels} active pixels -> {args.out}"

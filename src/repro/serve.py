@@ -8,10 +8,14 @@ shape: a thin asyncio frontend accepts JSON queries over TCP, runs them
 on a :class:`~repro.engines.pool.WarmPool` kept warm between queries, and
 returns rendered frames.
 
-Read path: a scene is generated once, at its first use, straight into a
-Hilbert-declustered :class:`~repro.data.diskstore.DeclusteredStore` in a
-temporary directory the service owns (removed by :meth:`QueryService.
-close`).  Every query's Read copies stream memory-mapped chunks from those
+Read path: a served scene is its layout
+(:meth:`~repro.viz.profile.DatasetProfile.layout`: chunk grid and files,
+no triangle census) and its store.  It is generated once, at its first
+use, straight into a Hilbert-declustered
+:class:`~repro.data.diskstore.DeclusteredStore` in a temporary directory
+the service owns (removed by :meth:`QueryService.close`), and one
+:class:`~repro.viz.IsosurfaceApp` over that store builds its pools.
+Every query's Read copies stream memory-mapped chunks from those
 files, and on one host the codec hands them to Extract by reference — a
 file region descriptor, no copy (:mod:`repro.core.buffer`).  Only the
 chunks the isosurface can cross are read: the store records each chunk's
@@ -55,9 +59,10 @@ Result caching (``cache_mb > 0``)
 Repeat queries are answered from the :mod:`repro.cache` tile tier: one
 cache for the service, shared by every scene's pool.  What is certified is
 the Extract stage definition, what is keyed is the request: the service
-asks :func:`repro.analysis.effects.certify_memoisable` once, before its
-first probe, about that stage where it is a node of its own (``E`` of
-``R-E-Ra-M``, through :func:`repro.cache.bind_cache`), and all four
+asks :func:`repro.analysis.effects.certify_memoisable` once, when it is
+constructed, about that stage where it is a node of its own (``E`` of
+``R-E-Ra-M``, through :func:`repro.cache.bind_cache`, on the first
+scene's layout: no data is generated for it), and all four
 configurations cache under that one certificate.  A refusal (E703/E706 —
 reachable only by changing the Extract definition) is surfaced in every
 response's ``cache`` block and the service runs uncached.  The key is a
@@ -81,7 +86,7 @@ import time
 import traceback
 from concurrent.futures import Future
 from dataclasses import astuple, dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cache import (
     CacheBinding,
@@ -99,6 +104,11 @@ from repro.errors import (
     EngineError,
     ReproError,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.data import StorageMap
+    from repro.viz import IsosurfaceApp
+    from repro.viz.profile import DatasetProfile
 
 __all__ = [
     "Query", "QueryService", "SceneSpec", "frame_key", "ppm_bytes",
@@ -199,6 +209,17 @@ class SceneSpec:
         return (self.grid, self.grid, self.grid)
 
 
+def _layout(scene: SceneSpec) -> "tuple[DatasetProfile, StorageMap]":
+    """A scene's chunk layout, and its files placed on the one host."""
+    from repro.data import HostDisks, StorageMap
+    from repro.viz.profile import DatasetProfile
+
+    layout = DatasetProfile.layout(
+        scene.name, scene.shape, scene.timesteps, scene.nchunks, scene.nfiles
+    )
+    return layout, StorageMap.balanced(layout.files, [HostDisks("host0")])
+
+
 @dataclass(frozen=True)
 class Query:
     """One validated query: everything a request says about its frame."""
@@ -280,21 +301,41 @@ class QueryService:
         self.cache_mb = float(cache_mb)
         #: the one result cache, shared by every pool (None: caching off)
         self._cache: "ResultCache | None" = None
-        if self.cache_mb > 0:
-            self._cache = ResultCache(
-                int(self.cache_mb * 2**20), name="serve-shared"
-            )
-        #: the cache bound to the Extract stage definition, certified once,
-        #: before the first probe (None: caching off, not asked yet, refused)
+        #: the cache bound to the Extract stage definition (None: caching
+        #: off, or refused)
         self._binding: "CacheBinding | None" = None
         #: the certifier's E703/E706 text when it refused: served uncached
         self._cache_refusal: "str | None" = None
-        #: scene name -> (store, profile, storage), made at first use
-        self._assets: "dict[str, tuple[Any, Any, Any]]" = {}
+        if self.cache_mb > 0:
+            from repro.viz import IsosurfaceApp
+
+            self._cache = ResultCache(
+                int(self.cache_mb * 2**20), name="serve-shared"
+            )
+            # A frame is what the Extract *stage definition* feeds Raster,
+            # whichever node of a configuration carries it: the certifier is
+            # asked once about that definition where it is a node of its own
+            # (``E`` of ``R-E-Ra-M``).  Its static metadata, hence the
+            # binding's signature, is the same for every scene and pipeline
+            # shape, so the first scene's layout stands for them all.
+            try:
+                self._binding = bind_cache(
+                    IsosurfaceApp(*_layout(scenes[0])).graph("R-E-Ra-M"),
+                    ("E",), self._cache,
+                )
+            except AnalysisError as exc:
+                # Certify-before-memoise: Extract is not provably pure, so
+                # the service runs uncached (the E703/E706 findings are
+                # surfaced in responses and stats).
+                self._cache_refusal = "; ".join(
+                    f"[{d.rule}] {d.message}" for d in exc.report.errors
+                )
+        #: scene name -> its app over its store, made at first use
+        self._apps: "dict[str, IsosurfaceApp]" = {}
         #: scene name -> the directory its store lives in; a directory is
         #: removed by close(), or with the service if it is never closed
         self._store_dirs: "dict[str, tempfile.TemporaryDirectory[str]]" = {}
-        self._assets_lock = threading.Lock()
+        self._apps_lock = threading.Lock()
         #: served queries by how far they had to go: the tile tier or the
         #: whole pipeline
         self._served = {"tile_hit": 0, "cold": 0}
@@ -305,57 +346,47 @@ class QueryService:
         self._count_lock = threading.Lock()
 
     # -- pipeline construction ----------------------------------------------
-    def _scene_assets(self, scene: SceneSpec) -> "tuple[Any, Any, Any]":
-        """(store, profile, storage) for a scene, made once and reused.
+    def _scene_app(self, scene: SceneSpec) -> "IsosurfaceApp":
+        """The scene's app: its layout, its store and the service's pipeline.
 
-        One pass over the generator profiles the scene and writes its
-        declustered store; pools (also rebuilt ones) read the files.  A
-        scene already made is returned without the lock, so no query waits
-        while another scene's store is written.
+        Made once, at the scene's first use, which generates the scene
+        straight into its declustered store; pools (also rebuilt ones) are
+        built from it and read the files.  A scene already made is returned
+        without the lock, so no query waits while another scene's store is
+        written.
         """
-        from repro.data import HostDisks, ParSSimDataset, StorageMap
-        from repro.viz.profile import DatasetProfile
+        from repro.data import DeclusteredStore, ParSSimDataset
+        from repro.viz import IsosurfaceApp
 
-        assets = self._assets.get(scene.name)
-        if assets is not None:
-            return assets
-        with self._assets_lock:
-            assets = self._assets.get(scene.name)
-            if assets is None:
+        app = self._apps.get(scene.name)
+        if app is not None:
+            return app
+        with self._apps_lock:
+            app = self._apps.get(scene.name)
+            if app is None:
+                layout, storage = _layout(scene)
                 dataset = ParSSimDataset(
                     scene.shape, timesteps=scene.timesteps,
                     species=scene.species, seed=scene.seed,
                 )
                 directory = tempfile.TemporaryDirectory(prefix="repro-serve-")
                 try:
-                    profile, store = DatasetProfile.measured_to_store(
-                        scene.name, dataset, nchunks=scene.nchunks,
-                        nfiles=scene.nfiles, isovalue=scene.isovalue,
-                        directory=directory.name,
+                    store = DeclusteredStore.write(
+                        dataset, layout, directory.name, species=[0]
                     )
                 except BaseException:
                     directory.cleanup()
                     raise
-                storage = StorageMap.balanced(
-                    profile.files, [HostDisks("host0")]
-                )
                 self._store_dirs[scene.name] = directory
-                assets = self._assets[scene.name] = (store, profile, storage)
-        return assets
+                app = self._apps[scene.name] = IsosurfaceApp(
+                    layout, storage, width=self.width, height=self.height,
+                    algorithm=self.algorithm, dataset=store,
+                    isovalue=scene.isovalue,
+                )
+        return app
 
     def _build_pool(self, scene: SceneSpec) -> WarmPool:
-        from repro.viz import IsosurfaceApp
-
-        store, profile, storage = self._scene_assets(scene)
-        app = IsosurfaceApp(
-            profile,
-            storage,
-            width=self.width,
-            height=self.height,
-            algorithm=self.algorithm,
-            dataset=store,
-            isovalue=scene.isovalue,
-        )
+        app = self._scene_app(scene)
         return WarmPool(
             app.graph(self.config),
             app.placement(self.config, copies_per_host=self.copies),
@@ -401,40 +432,6 @@ class QueryService:
         return pool, True
 
     # -- cache plumbing ------------------------------------------------------
-    def _certified(self, scene: SceneSpec) -> "CacheBinding | None":
-        """The cache bound to the Extract stage, or None (off or refused).
-
-        A frame is what the Extract *stage definition* feeds Raster,
-        whichever node of a configuration carries it, so the certifier is asked about that definition where it is a node of its
-        own — ``E`` of ``R-E-Ra-M`` — once per service, at its first query
-        (the stage's static metadata, hence the binding's signature, is
-        the same for every scene and pipeline shape).
-        """
-        if (
-            self._cache is None
-            or self._binding is not None
-            or self._cache_refusal is not None
-        ):
-            return self._binding
-        from repro.viz import IsosurfaceApp
-
-        store, profile, storage = self._scene_assets(scene)
-        with self._assets_lock:
-            if self._binding is None and self._cache_refusal is None:
-                app = IsosurfaceApp(profile, storage, dataset=store)
-                try:
-                    self._binding = bind_cache(
-                        app.graph("R-E-Ra-M"), ("E",), self._cache
-                    )
-                except AnalysisError as exc:
-                    # Certify-before-memoise: Extract is not provably pure,
-                    # so the service runs uncached (the E703/E706 findings
-                    # are surfaced in responses and stats).
-                    self._cache_refusal = "; ".join(
-                        f"[{d.rule}] {d.message}" for d in exc.report.errors
-                    )
-        return self._binding
-
     def _cache_block(self, events: _Events) -> "dict[str, Any]":
         block: dict[str, Any] = {
             "mode": "shared" if self._cache is not None else "off"
@@ -530,7 +527,7 @@ class QueryService:
         tracer = Tracer() if request.get("trace") else None
         events: _Events = []
 
-        binding = self._certified(query.scene)
+        binding = self._binding
         if binding is not None:
             key = frame_key(binding.signature, query)
             frame = binding.cache.get("tiles", key)
@@ -560,8 +557,9 @@ class QueryService:
             )
 
         # Read's rule, asked once per run: len(needed) is the R->E buffer count
-        store, profile, _storage = self._scene_assets(query.scene)
-        needed = chunks_needed(store, profile.chunks, query.timestep, query.isovalue)
+        app = self._scene_app(query.scene)
+        chunks = app.profile.chunks
+        needed = chunks_needed(app.dataset, chunks, query.timestep, query.isovalue)
         try:
             metrics = pool.submit(uow, tracer=tracer).result()
         except EngineError:
@@ -586,7 +584,7 @@ class QueryService:
                 name: [stats.buffers, stats.bytes]
                 for name, stats in sorted(metrics.streams.items())
             },
-            "chunks": [len(needed), len(profile.chunks)],
+            "chunks": [len(needed), len(chunks)],
         }
         return self._respond(query, "cold", run, frame_b64, events, tracer, t0)
 
@@ -657,9 +655,9 @@ class QueryService:
         with self._pools_lock:
             pools = sorted(self._pools.items())
         stores = {}
-        with self._assets_lock:  # close() removes the files under it
-            for name in sorted(self._assets):
-                directory = self._assets[name][0].directory
+        with self._apps_lock:  # close() removes the files under it
+            for name in sorted(self._apps):
+                directory = self._apps[name].dataset.directory
                 files = list(directory.glob("*.bin"))
                 stores[name] = {
                     "path": str(directory),
@@ -692,8 +690,8 @@ class QueryService:
             self._pools.clear()
         for pool in pools:
             pool.close()
-        with self._assets_lock:
-            self._assets.clear()
+        with self._apps_lock:
+            self._apps.clear()
             while self._store_dirs:
                 self._store_dirs.popitem()[1].cleanup()
 

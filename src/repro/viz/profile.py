@@ -2,17 +2,23 @@
 
 A :class:`DatasetProfile` describes a (possibly paper-scale) dataset without
 materialising it: the chunk layout, the declustered files, and per-chunk
-isosurface triangle counts per timestep.  Two constructors:
+isosurface triangle counts per timestep.  Three constructors:
 
+- :meth:`DatasetProfile.layout` — the chunk grid and the Hilbert file
+  assignment alone, no triangle counts: all a
+  :class:`~repro.data.diskstore.DeclusteredStore` write and the real
+  filters need (what ``repro serve`` builds a scene from);
 - :meth:`DatasetProfile.synthetic` — seeds a drifting spherical-shell
   activity model (an advected plume front) and distributes a target triangle
   total over chunks accordingly; used for paper-scale runs where the 1.5 GB
   and 25 GB ParSSim outputs cannot be materialised;
-- :meth:`DatasetProfile.measured` — runs the real marching-cubes counter
-  over a (small) :class:`~repro.data.parssim.ParSSimDataset`, making
-  simulation and real execution agree exactly;
-  :meth:`DatasetProfile.measured_to_store` writes the dataset out as a
-  :class:`~repro.data.diskstore.DeclusteredStore` in the same pass.
+- :meth:`DatasetProfile.measured` — a layout plus a census: runs the real
+  marching-cubes counter over a (small)
+  :class:`~repro.data.parssim.ParSSimDataset`, making simulation and real
+  execution agree exactly.
+
+The simulated engine prices triangles, so it needs one of the last two: a
+layout's :meth:`~DatasetProfile.triangles` raises rather than count zero.
 
 ``dataset_1p5gb`` / ``dataset_25gb`` reproduce the paper's two datasets
 (Section 4), with a ``scale`` knob to shrink them proportionally so benches
@@ -21,8 +27,7 @@ finish quickly; scaling preserves the compute/IO/network balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +38,6 @@ from repro.data.chunks import (
     partition_grid,
 )
 from repro.data.decluster import DataFile, decluster
-from repro.data.diskstore import DeclusteredStore
 from repro.errors import DataError
 from repro.viz.marching_cubes import triangle_count
 
@@ -49,11 +53,11 @@ class DatasetProfile:
     chunks: list[ChunkSpec]
     files: list[DataFile]
     timesteps: int
-    #: timestep -> (nchunks,) int64 triangles per chunk
-    tri_counts: dict[int, np.ndarray]
+    #: timestep -> (nchunks,) int64 triangles per chunk; None on a layout
+    tri_counts: "dict[int, np.ndarray] | None"
 
     def __post_init__(self) -> None:
-        for t, counts in self.tri_counts.items():
+        for t, counts in (self.tri_counts or {}).items():
             if len(counts) != len(self.chunks):
                 raise DataError(
                     f"timestep {t}: {len(counts)} triangle counts for "
@@ -61,13 +65,21 @@ class DatasetProfile:
                 )
 
     # -- queries ---------------------------------------------------------------
+    def _counts(self, timestep: int) -> np.ndarray:
+        if self.tri_counts is None:
+            raise DataError(
+                f"profile {self.name!r} is a layout: it counts no triangles "
+                f"(DatasetProfile.measured or .synthetic does)"
+            )
+        return self.tri_counts[timestep]
+
     def triangles(self, timestep: int, chunk_id: int) -> int:
         """Triangles chunk ``chunk_id`` contributes at ``timestep``."""
-        return int(self.tri_counts[timestep][chunk_id])
+        return int(self._counts(timestep)[chunk_id])
 
     def total_triangles(self, timestep: int) -> int:
         """Total isosurface triangles at ``timestep``."""
-        return int(self.tri_counts[timestep].sum())
+        return int(self._counts(timestep).sum())
 
     @property
     def bytes_per_timestep(self) -> int:
@@ -135,19 +147,25 @@ class DatasetProfile:
         return cls(name, tuple(grid_shape), chunks, files, timesteps, tri_counts)
 
     @classmethod
-    def _layout(
-        cls, name: str, dataset: ChunkSource, nchunks: int, nfiles: int
+    def layout(
+        cls,
+        name: str,
+        shape: tuple[int, int, int],
+        timesteps: int,
+        nchunks: int,
+        nfiles: int,
     ) -> "DatasetProfile":
-        """``dataset``'s chunk grid and file assignment, no triangles yet."""
-        counts3 = partition_counts(dataset.shape, nchunks, exact=False)
-        chunks = partition_grid(dataset.shape, counts3)
-        tri_counts = {
-            t: np.zeros(len(chunks), dtype=np.int64)
-            for t in range(dataset.timesteps)
-        }
+        """The chunk grid of ``shape`` and its Hilbert file assignment.
+
+        No triangle counts (``tri_counts`` is None): enough to write a
+        declustered store and build the real filters, not to simulate.
+        """
+        shape = tuple(int(s) for s in shape)
+        chunks = partition_grid(
+            shape, partition_counts(shape, nchunks, exact=False)
+        )
         return cls(
-            name, dataset.shape, chunks, decluster(chunks, nfiles),
-            dataset.timesteps, tri_counts,
+            name, shape, chunks, decluster(chunks, nfiles), timesteps, None
         )
 
     @classmethod
@@ -161,63 +179,18 @@ class DatasetProfile:
         species: int = 0,
     ) -> "DatasetProfile":
         """Profile a real (small) dataset by counting actual triangles."""
-        profile = cls._layout(name, dataset, nchunks, nfiles)
-        for t, counts in profile.tri_counts.items():
+        profile = cls.layout(
+            name, dataset.shape, dataset.timesteps, nchunks, nfiles
+        )
+        tri_counts = {}
+        for t in range(dataset.timesteps):
+            counts = tri_counts[t] = np.zeros(
+                len(profile.chunks), dtype=np.int64
+            )
             for c in profile.chunks:
                 scalars = dataset.chunk_field(c, t, species)
                 counts[c.chunk_id] = triangle_count(scalars, isovalue)
-        return profile
-
-    @classmethod
-    def measured_to_store(
-        cls,
-        name: str,
-        dataset: ChunkSource,
-        nchunks: int,
-        nfiles: int,
-        isovalue: float,
-        directory: "str | Path",
-        species: int = 0,
-    ) -> "tuple[DatasetProfile, DeclusteredStore]":
-        """:meth:`measured` and ``DeclusteredStore.write`` in one pass.
-
-        Each (chunk, timestep) of ``species`` is produced once and feeds
-        both the triangle count and its declustered file — generating a
-        chunk costs several times what counting or writing it does.  The
-        profile and the files are the ones the two separate calls give.
-        """
-        profile = cls._layout(name, dataset, nchunks, nfiles)
-        counted = _CountedSource(dataset, isovalue, profile.tri_counts)
-        store = DeclusteredStore.write(
-            counted, profile, directory, species=[species]
-        )
-        return profile, store
-
-
-class _CountedSource:
-    """A chunk source that counts each chunk's triangles as it is read."""
-
-    def __init__(
-        self,
-        dataset: ChunkSource,
-        isovalue: float,
-        tri_counts: "dict[int, np.ndarray]",
-    ):
-        self.dataset = dataset
-        self.shape = dataset.shape
-        self.timesteps = dataset.timesteps
-        self.species = dataset.species
-        self.isovalue = isovalue
-        self.tri_counts = tri_counts
-
-    def chunk_field(
-        self, chunk: ChunkSpec, timestep: int, species: int = 0
-    ) -> np.ndarray:
-        scalars = self.dataset.chunk_field(chunk, timestep, species)
-        self.tri_counts[timestep][chunk.chunk_id] = triangle_count(
-            scalars, self.isovalue
-        )
-        return scalars
+        return replace(profile, tri_counts=tri_counts)
 
 
 def _scaled(extent: int, scale: float) -> int:

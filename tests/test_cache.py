@@ -10,7 +10,6 @@ from repro.cache import (
     bind_cache,
     content_key,
     subgraph_signature,
-    verify_cache_attachment,
 )
 from repro.data import HostDisks, ParSSimDataset, StorageMap
 from repro.errors import AnalysisError, ConfigurationError
@@ -214,10 +213,11 @@ def test_bind_cache_refuses_non_convex_subgraph():
     assert "E706" in rules
 
 
-def test_verify_cache_attachment_appends_e706_without_raising():
+def test_bind_cache_refusal_reports_e706_naming_the_certifier():
     graph = _app().graph("RERa-M")
-    cert = verify_cache_attachment(graph, ["RERa"])
-    assert not cert.ok
-    assert "E706" in cert.report.rule_ids()
-    diagnostic = cert.report.by_rule("E706")[0]
+    with pytest.raises(AnalysisError) as excinfo:
+        bind_cache(graph, ["RERa"], ResultCache(1024))
+    report = excinfo.value.report
+    assert "E706" in report.rule_ids()
+    diagnostic = report.by_rule("E706")[0]
     assert "certify_memoisable" in diagnostic.message

@@ -617,24 +617,24 @@ def test_warm_scene_is_not_serialised_behind_another_scenes_cold_build(
 ):
     """While one scene's store is written and its pool forked, a query on
     a scene already warm runs."""
-    from repro.viz.profile import DatasetProfile
+    from repro.data import DeclusteredStore
 
     other = SceneSpec("other", grid=11, timesteps=2, nchunks=8, nfiles=4)
     service = QueryService(scenes=[SCENE, other], width=32, height=32)
-    measured_to_store = DatasetProfile.measured_to_store
+    write = DeclusteredStore.write
     building, release, built = threading.Event(), threading.Event(), threading.Event()
 
-    def gated(name, *args, **kwargs):
-        if name == other.name:
+    def gated(dataset, profile, *args, **kwargs):
+        if profile.name == other.name:
             building.set()
             release.wait(timeout=30.0)
         try:
-            return measured_to_store(name, *args, **kwargs)
+            return write(dataset, profile, *args, **kwargs)
         finally:
-            if name == other.name:
+            if profile.name == other.name:
                 built.set()
 
-    monkeypatch.setattr(DatasetProfile, "measured_to_store", gated)
+    monkeypatch.setattr(DeclusteredStore, "write", gated)
     try:
         assert service.render({})["warm"] is False
         cold = threading.Thread(

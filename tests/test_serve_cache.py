@@ -265,7 +265,8 @@ def test_a_request_naming_another_field_is_refused(field, value):
     """The pipeline is the service's: a query asking for another
     configuration, algorithm or size — or misspelling a field — is a bad
     request that names the field, not the service's frame under its key.
-    It is refused before a store, a pool or a cache probe is made."""
+    It is refused before a store, a pool or a cache probe is made; the
+    certificate was made with the service."""
     service = _service(cache_mb=8)
     try:
         with pytest.raises(
@@ -275,7 +276,7 @@ def test_a_request_naming_another_field_is_refused(field, value):
         stats = service.stats()
         assert stats["stores"] == {} and stats["pools"] == {}
         assert stats["served_by"] == {"tile_hit": 0, "cold": 0}
-        assert "signature" not in stats["cache"]  # not even certified
+        assert stats["cache"]["members"] == ["E"]  # certified at construction
         shared = stats["cache"]["shared"]
         assert shared["hits"] == shared["misses"] == shared["insertions"] == 0
     finally:
@@ -345,7 +346,8 @@ def test_stats_show_one_certificate_per_service():
         cache_mb=8, config="RERa-M", algorithm="zbuffer", width=24, height=40
     )
     try:
-        assert "signature" not in service.cache_stats()  # asked at first use
+        # certified at construction, before any query
+        assert service.cache_stats()["members"] == ["E"]
         service.render({"isovalue": 0.4, "timestep": 1})
         other.render({"isovalue": 0.4, "timestep": 1})
         stats = service.stats()

@@ -154,7 +154,8 @@ def test_served_frames_are_the_generators(served, generator_frames, config, algo
     assert read_streams == {
         "R-E-Ra-M": ["R->E"], "R-ERa-M": ["R->ERa"],
     }.get(config, [])
-    store, profile, _storage = service._scene_assets(SCENE)
+    app = service._scene_app(SCENE)
+    store, profile = app.dataset, app.profile
     kept = _kept(store, profile, QUERY["isovalue"])
     assert 0 < len(kept) < len(profile.chunks)  # the rule has something to do
     assert response["chunks"] == [len(kept), len(profile.chunks)]
@@ -190,6 +191,27 @@ def test_cached_service_serves_the_generators_frames(generator_frames):
             assert _frame(other_view) != expected
         finally:
             service.close()
+
+
+def test_a_served_scene_runs_no_triangle_census(generator_frames, monkeypatch):
+    """A served scene is its layout and its store: nothing on the served
+    path reads a triangle count, so none is made — a miss and its repeat
+    render the generator's frame with the census unable to run."""
+    import repro.viz.profile
+
+    def census(*args, **kwargs):
+        raise AssertionError("a served scene counted triangles")
+
+    monkeypatch.setattr(repro.viz.profile, "triangle_count", census)
+    service = _service(algorithm="zbuffer", cache_mb=16)
+    try:
+        miss = service.render(dict(QUERY))
+        hit = service.render(dict(QUERY))
+    finally:
+        service.close()
+    assert (miss["cached"], hit["cached"]) == (False, True)
+    for response in (miss, hit):
+        assert _frame(response) == generator_frames[service.config, "zbuffer"]
 
 
 # -- isovalues no chunk can cross: Read streams nothing --------------------------
@@ -409,7 +431,8 @@ def test_served_query_creates_no_segment(tmp_path, monkeypatch):
     try:
         response = service.render({"isovalue": 0.3})
         arenas = service.stats()["pools"][scene.name]["arenas"]
-        store, profile, _storage = service._scene_assets(scene)
+        app = service._scene_app(scene)
+        store, profile = app.dataset, app.profile
         chunk_sizes = {c.nbytes for c in profile.chunks}
         kept = _kept(store, profile, 0.3, timestep=0)
     finally:
@@ -491,7 +514,7 @@ def test_store_is_made_at_first_use_and_removed_by_close():
         service.render(dict(QUERY))
         store = _store_of(service)
         path = Path(store["path"])
-        profile = service._scene_assets(SCENE)[1]
+        profile = service._scene_app(SCENE).profile
         assert path.is_dir()
         assert path.name.startswith("repro-serve-")
         assert store["files"] == SCENE.timesteps * SCENE.nfiles

@@ -111,9 +111,10 @@ def test_bytes_per_timestep_includes_ghosts():
     assert profile.bytes_per_timestep < raw * 1.6
 
 
-def test_measured_to_store_is_measured_then_write_in_one_pass(tmp_path):
-    """Same counts, same manifest, byte-identical files — and every
-    (chunk, timestep) of the generator is produced exactly once."""
+def test_layout_is_measured_without_the_census(tmp_path):
+    """Same chunks, same files, byte-identical stores — a store write on a
+    layout produces every (chunk, timestep) once — and no triangle counts:
+    a simulator handed a layout fails instead of pricing zero triangles."""
     import filecmp
 
     from repro.data import DeclusteredStore
@@ -128,26 +129,29 @@ def test_measured_to_store_is_measured_then_write_in_one_pass(tmp_path):
             reads.append((chunk.chunk_id, timestep, species))
             return dataset.chunk_field(chunk, timestep, species)
 
-    two_pass = DatasetProfile.measured("m", dataset, 8, 4, isovalue=0.35)
-    DeclusteredStore.write(dataset, two_pass, tmp_path / "two", species=[0])
-    one_pass, store = DatasetProfile.measured_to_store(
-        "m", Counting(), 8, 4, isovalue=0.35, directory=tmp_path / "one"
+    measured = DatasetProfile.measured("m", dataset, 8, 4, isovalue=0.35)
+    DeclusteredStore.write(dataset, measured, tmp_path / "measured", species=[0])
+    layout = DatasetProfile.layout("m", dataset.shape, 3, 8, 4)
+    store = DeclusteredStore.write(
+        Counting(), layout, tmp_path / "layout", species=[0]
     )
 
     assert sorted(reads) == sorted(
-        (chunk.chunk_id, t, 0) for t in range(3) for chunk in one_pass.chunks
+        (chunk.chunk_id, t, 0) for t in range(3) for chunk in layout.chunks
     )
-    assert one_pass.chunks == two_pass.chunks
-    assert one_pass.files == two_pass.files
-    assert one_pass.tri_counts.keys() == two_pass.tri_counts.keys()
-    for t, counts in two_pass.tri_counts.items():
-        np.testing.assert_array_equal(one_pass.tri_counts[t], counts)
-        assert counts.sum() > 0
-    names = sorted(p.name for p in (tmp_path / "two").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert layout.chunks == measured.chunks
+    assert layout.files == measured.files
+    assert (layout.grid_shape, layout.timesteps) == (dataset.shape, 3)
+    names = sorted(p.name for p in (tmp_path / "measured").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "layout").iterdir())
     assert len(names) == 3 * 4 + 1  # timesteps x files, and the manifest
     match, mismatch, errors = filecmp.cmpfiles(
-        tmp_path / "two", tmp_path / "one", names, shallow=False
+        tmp_path / "measured", tmp_path / "layout", names, shallow=False
     )
     assert (sorted(match), mismatch, errors) == (names, [], [])
     assert (store.timesteps, store.species) == (3, 1)
+    assert layout.tri_counts is None
+    with pytest.raises(DataError, match="is a layout"):
+        layout.triangles(0, 0)
+    with pytest.raises(DataError, match="is a layout"):
+        layout.total_triangles(0)
