@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.data import HostDisks, ParSSimDataset, StorageMap
 from repro.engines import ThreadedEngine
+from repro.serve import ppm_bytes
 from repro.viz import Camera, IsosurfaceApp
 from repro.viz.profile import DatasetProfile
 
@@ -59,9 +60,7 @@ def main() -> None:
     for frame, metrics in enumerate(runs):
         image = metrics.result.image
         path = out_dir / f"frame_{frame:02d}.ppm"
-        with open(path, "wb") as fh:
-            fh.write(f"P6 {SIZE} {SIZE} 255\n".encode())
-            fh.write(image.tobytes())
+        path.write_bytes(ppm_bytes(image))
         occupancy = np.count_nonzero(image.any(axis=2)) / (SIZE * SIZE)
         print(f"  frame {frame}: {metrics.result.active_pixels} active "
               f"pixels ({occupancy:.1%} of frame) -> {path.name}")

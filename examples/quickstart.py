@@ -20,16 +20,9 @@ from pathlib import Path
 from repro.core.tracing import Tracer
 from repro.data import DeclusteredStore, HostDisks, ParSSimDataset, StorageMap
 from repro.engines import ProcessEngine, ThreadedEngine
+from repro.serve import ppm_bytes
 from repro.viz import IsosurfaceApp
 from repro.viz.profile import DatasetProfile
-
-
-def write_ppm(path: Path, image) -> None:
-    """Save an (h, w, 3) uint8 image as a binary PPM."""
-    height, width, _ = image.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6 {width} {height} 255\n".encode())
-        fh.write(image.tobytes())
 
 
 def main() -> None:
@@ -94,7 +87,7 @@ def main() -> None:
     print()
     print(tracer.timeline(width=48))
     out = Path(__file__).resolve().parent / "quickstart.ppm"
-    write_ppm(out, result.image)
+    out.write_bytes(ppm_bytes(result.image))
     print(f"image written to {out}")
 
 

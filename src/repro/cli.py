@@ -2,8 +2,12 @@
 
 Six subcommands::
 
-    python -m repro.cli experiments [NAME ...] [--scale S]
-        Regenerate the paper's tables/figures (default: all).
+    python -m repro.cli experiments [NAME ...] [--scale S] [--charts]
+                                    [--extensions]
+        Regenerate the paper's tables/figures (default: all), each followed
+        by a ``[<title> regenerated in <s>s]`` line; the one runner of
+        :data:`repro.experiments.EXPERIMENTS` (``python -m
+        repro.experiments`` calls it).
 
     python -m repro.cli render [--engine threaded|process] [--grid N]
                                [--image W] [--config C] [--algorithm A]
@@ -56,25 +60,34 @@ from repro.configurations import ALGORITHMS, CONFIGURATIONS, POLICIES
 __all__ = ["main"]
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    import inspect
+    import time
 
     from repro.experiments import EXPERIMENTS
+    from repro.experiments.charts import bar_chart
 
     by_name = {experiment.name: experiment for experiment in EXPERIMENTS}
-    names = args.names or [e.name for e in EXPERIMENTS if not e.extension]
-    for name in names:
-        if name not in by_name:
-            print(
-                f"unknown experiment {name!r}; choose from "
-                f"{', '.join(by_name)}",
-                file=sys.stderr,
-            )
-            return 2
-        run = by_name[name].load().run
-        kwargs = {}
-        if args.scale is not None and "scale" in inspect.signature(run).parameters:
-            kwargs["scale"] = args.scale
-        print(run(**kwargs).format())
+    unknown = [name for name in args.names if name not in by_name]
+    if unknown:
+        print(
+            f"unknown experiment {unknown[0]!r}; choose from "
+            f"{', '.join(by_name)}",
+            file=sys.stderr,
+        )
+        return 2
+    chosen = [by_name[name] for name in args.names] or [
+        e for e in EXPERIMENTS if args.extensions or not e.extension
+    ]
+    kwargs = {} if args.scale is None else {"scale": args.scale}
+    for experiment in chosen:
+        start = time.perf_counter()
+        table = experiment.load().run(**kwargs)
+        elapsed = time.perf_counter() - start
+        print(table.format())
+        if args.charts and experiment.chart is not None:
+            value, labels, series = experiment.chart
+            print()
+            print(bar_chart(table, value, labels, series))
+        print(f"[{experiment.title} regenerated in {elapsed:.1f}s]")
         print()
     return 0
 
@@ -265,7 +278,6 @@ def _load_graph_objects(spec: str) -> list:
     is paired with every discovered graph).
     """
     import importlib
-    import inspect
 
     from repro.core.graph import FilterGraph
     from repro.core.placement import Placement
@@ -296,16 +308,9 @@ def _load_graph_objects(spec: str) -> list:
             return [as_pair(item) for item in obj]
         return [as_pair(obj)]
 
-    graphs = [
-        value
-        for _name, value in inspect.getmembers(module)
-        if isinstance(value, FilterGraph)
-    ]
-    placements = [
-        value
-        for _name, value in inspect.getmembers(module)
-        if isinstance(value, Placement)
-    ]
+    members = [value for _name, value in sorted(vars(module).items())]
+    graphs = [value for value in members if isinstance(value, FilterGraph)]
+    placements = [value for value in members if isinstance(value, Placement)]
     if not graphs:
         raise TypeError(
             f"module {module_name!r} defines no module-level FilterGraph; "
@@ -384,7 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("names", nargs="*",
                        help="modules of repro.experiments (default: the paper's "
                             "tables and figures; an unknown name lists them all)")
-    p_exp.add_argument("--scale", type=float, default=None, help="dataset scale")
+    p_exp.add_argument("--scale", type=float, default=None,
+                       help="dataset scale, a fraction of the voxels "
+                            "(default: each experiment's own)")
+    p_exp.add_argument("--charts", action="store_true",
+                       help="render the figures as ASCII bar charts too")
+    p_exp.add_argument("--extensions", action="store_true",
+                       help="with no NAME, also run the beyond-the-paper "
+                            "extension experiments")
     p_exp.set_defaults(func=_cmd_experiments)
 
     p_render = sub.add_parser("render", help="render a real isosurface")

@@ -34,13 +34,15 @@ class StreamStats:
     #: dst_host -> buffer count
     by_dst_host: dict[str, int] = field(default_factory=dict)
 
-    def record(self, src_host: str, dst_host: str, nbytes: int) -> None:
-        """Account one buffer moving ``src_host`` -> ``dst_host``."""
-        self.buffers += 1
+    def record(
+        self, src_host: str, dst_host: str, nbytes: int, buffers: int = 1
+    ) -> None:
+        """Account ``buffers`` buffers (``nbytes`` in all) on one route."""
+        self.buffers += buffers
         self.bytes += nbytes
         route = (src_host, dst_host)
-        self.by_route[route] = self.by_route.get(route, 0) + 1
-        self.by_dst_host[dst_host] = self.by_dst_host.get(dst_host, 0) + 1
+        self.by_route[route] = self.by_route.get(route, 0) + buffers
+        self.by_dst_host[dst_host] = self.by_dst_host.get(dst_host, 0) + buffers
 
 
 @dataclass

@@ -795,11 +795,7 @@ def fold_cycle(
         for (stream, src, dst), (count, nbytes) in sorted(
             report.stream_records.items()
         ):
-            ss = metrics.streams[stream]
-            ss.buffers += count
-            ss.bytes += nbytes
-            ss.by_route[(src, dst)] = ss.by_route.get((src, dst), 0) + count
-            ss.by_dst_host[dst] = ss.by_dst_host.get(dst, 0) + count
+            metrics.streams[stream].record(src, dst, nbytes, buffers=count)
         metrics.ack_messages += report.ack_messages
         metrics.ack_bytes += report.ack_messages * DEFAULT_ACK_BYTES
         if report.has_result:

@@ -1,10 +1,9 @@
 """Experiment generators: one module per table/figure in the paper.
 
-Each module exposes ``run(scale=..., ...) -> ResultTable`` and a ``main()``
-that prints it; :data:`EXPERIMENTS` is the one list of them, read by
-``repro experiments`` and by ``python -m repro.experiments`` (which runs the
-whole evaluation section).  See DESIGN.md for the per-experiment index and
-EXPERIMENTS.md for paper-vs-measured results.
+Each module exposes ``run(scale=..., ...) -> ResultTable``; :data:`EXPERIMENTS`
+is the one list of them, run by ``repro experiments`` (``python -m
+repro.experiments`` is the same command).  See DESIGN.md for the
+per-experiment index and EXPERIMENTS.md for paper-vs-measured results.
 """
 
 import importlib

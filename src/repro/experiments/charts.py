@@ -5,7 +5,7 @@ The paper's Figures 4, 5 and 7 are bar charts; this module renders a
 bars so the shape (who wins, by how much, where the crossover falls) is
 visible straight from a terminal::
 
-    python -m repro.experiments --charts
+    repro experiments --charts
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ from pathlib import Path
 from repro.data.parssim import ParSSimDataset
 from repro.data.storage import HostDisks, StorageMap
 from repro.engines.threaded import ThreadedEngine
+from repro.errors import DataError
 from repro.experiments.common import ResultTable
+from repro.serve import ppm_bytes
 from repro.viz.app import IsosurfaceApp
 from repro.viz.profile import DatasetProfile
 
@@ -23,16 +25,20 @@ __all__ = ["run"]
 
 
 def run(
-    grid: int = 41,
+    scale: float = 1.0,
     image: int = 256,
     isovalue: float = 0.25,
     output: str | Path | None = None,
 ) -> ResultTable:
     """Render the figure; returns pipeline statistics.
 
-    ``output`` (default ``figure2a.ppm`` in the working directory) receives
-    the image.
+    ``scale`` is a fraction of the 41^3 grid's voxels, as it is for the
+    simulated datasets.  ``output`` (default ``figure2a.ppm`` in the working
+    directory) receives the image.
     """
+    if not 0 < scale <= 1.0:
+        raise DataError(f"scale must be in (0, 1], got {scale}")
+    grid = round(41 * scale ** (1 / 3))
     dataset = ParSSimDataset((grid, grid, grid), timesteps=1, species=4, seed=2)
     profile = DatasetProfile.measured(
         "figure2a", dataset, nchunks=27, nfiles=8, isovalue=isovalue
@@ -49,9 +55,7 @@ def run(
     ).run()
     result = metrics.result
     path = Path(output) if output is not None else Path("figure2a.ppm")
-    with open(path, "wb") as fh:
-        fh.write(f"P6 {image} {image} 255\n".encode())
-        fh.write(result.image.tobytes())
+    path.write_bytes(ppm_bytes(result.image))
 
     table = ResultTable(
         f"Figure 2(a): reactive-transport isosurface, {grid}^3 grid, "
@@ -65,12 +69,3 @@ def run(
     table.add(quantity="RE->Ra buffers", value=buffers)
     table.add(quantity="RE->Ra kB", value=nbytes / 1e3)
     return table
-
-
-def main() -> None:
-    """Print this experiment's table (and write figure2a.ppm)."""
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -94,12 +94,3 @@ def run(
         "similar to or faster than ADR from 2 nodes; DC Z-buffer slowest"
     )
     return table
-
-
-def main() -> None:
-    """Print this experiment's table."""
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

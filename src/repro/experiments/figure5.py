@@ -137,12 +137,3 @@ def run(
         "grows; ADR wins only at low load with many nodes"
     )
     return table
-
-
-def main() -> None:
-    """Print this experiment's table."""
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -96,12 +96,3 @@ def run(
         "retrieval from compute; RE-Ra-M is best; DD helps under skew"
     )
     return table
-
-
-def main() -> None:
-    """Print this experiment's table."""
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -72,12 +72,3 @@ def run(scale: float = 0.1, width: int = 2048, height: int = 2048) -> ResultTabl
         "Ra->M 16 buf/32.0 MB (zbuffer) vs 469 buf/28.5 MB (active)"
     )
     return table
-
-
-def main() -> None:
-    """Print this experiment's table."""
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

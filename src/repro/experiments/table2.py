@@ -50,12 +50,3 @@ def run(scale: float = 0.1, width: int = 2048, height: int = 2048) -> ResultTabl
         "Ra 9.43s/74.5%  M 0.90s/7.1%  (sum 12.66s)"
     )
     return table
-
-
-def main() -> None:
-    """Print this experiment's table."""
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -73,12 +73,3 @@ def run(
         "monotonically with background jobs; the fall is steeper at 2048^2"
     )
     return table
-
-
-def main() -> None:
-    """Print this experiment's table."""
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -96,12 +96,3 @@ def run(
         "z-buffer at 2048^2 is far slower than active pixel"
     )
     return table
-
-
-def main() -> None:
-    """Print this experiment's table."""
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

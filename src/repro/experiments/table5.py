@@ -99,12 +99,3 @@ def run(
         "helps most with few data nodes"
     )
     return table
-
-
-def main() -> None:
-    """Print this experiment's table."""
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

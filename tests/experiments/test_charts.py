@@ -1,5 +1,11 @@
 """Tests for the ASCII bar-chart renderer and the experiments entry point."""
 
+import inspect
+import runpy
+
+import pytest
+
+from repro.experiments import EXPERIMENTS
 from repro.experiments.charts import bar_chart
 from repro.experiments.common import ResultTable
 
@@ -47,23 +53,33 @@ def test_zero_values_do_not_crash():
     assert "0.000" in chart
 
 
-def test_main_single_experiment_via_cli(capsys):
-    # The experiments CLI path is exercised in tests/test_cli.py; here we
-    # check the package __main__ plumbing imports cleanly.
-    import repro.experiments.__main__ as entry
+def test_main_single_experiment_via_cli(capsys, monkeypatch):
+    # ``python -m repro.experiments`` is ``repro experiments``: the CLI's
+    # options (``--scale`` among them) reach the package's __main__.
+    monkeypatch.setattr("sys.argv", ["repro.experiments", "--scale", "0.05", "table1"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("repro.experiments", run_name="__main__")
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert "Table 1" in out
+    assert "[Table 1 regenerated in" in out
 
-    assert callable(entry.main)
-    paper = [e for e in entry.EXPERIMENTS if not e.extension]
-    assert len(paper) == 8 and len(entry.EXPERIMENTS) == 9
-    for experiment in entry.EXPERIMENTS:
-        assert callable(experiment.load().run), experiment.name
+
+def test_every_run_takes_scale():
+    paper = [e for e in EXPERIMENTS if not e.extension]
+    assert len(paper) == 8 and len(EXPERIMENTS) == 9
+    for experiment in EXPERIMENTS:
+        run = experiment.load().run
+        assert "scale" in inspect.signature(run).parameters, experiment.name
 
 
 def test_figure2a_renders(tmp_path):
     from repro.experiments import figure2a
 
     out = tmp_path / "fig.ppm"
-    table = figure2a.run(grid=17, image=48, output=out)
-    assert out.exists()
+    # scale is a fraction of the 41^3 grid's voxels: 0.07 is a 17^3 grid.
+    table = figure2a.run(scale=0.07, image=48, output=out)
+    assert "17^3 grid" in table.title
+    assert out.read_bytes().startswith(b"P6 48 48 255\n")
     assert table.value("value", quantity="triangles") > 0
     assert table.value("value", quantity="active pixels") > 20

@@ -20,6 +20,26 @@ def test_experiments_unknown_name(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_experiments_checks_every_name_before_running_any(capsys):
+    assert main(["experiments", "table1", "bogus", "--scale", "0.05"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown experiment 'bogus'" in captured.err
+
+
+def test_experiments_scale_out_of_range_is_a_message(capsys):
+    assert main(["experiments", "figure2a", "--scale", "-1"]) == 2
+    assert "scale must be in (0, 1]" in capsys.readouterr().err
+
+
+def test_experiments_charts(capsys):
+    assert main(["experiments", "--charts", "figure4", "--scale", "0.01"]) == 0
+    out = capsys.readouterr().out
+    assert "nodes=1  image=512" in out
+    assert "#" in out
+    assert "[Figure 4 regenerated in" in out
+
+
 def test_render_writes_ppm(tmp_path, capsys):
     out = tmp_path / "img.ppm"
     code = main(
