@@ -39,6 +39,7 @@ method can carry.  On platforms without fork use the threaded engine.
 
 from __future__ import annotations
 
+import ctypes
 import faulthandler
 import multiprocessing
 import os
@@ -69,7 +70,7 @@ from repro.engines.runtime import (
 )
 from repro.errors import EngineError
 
-__all__ = ["ForkedCopies", "LEAVE_BOUND", "ProcessEngine", "START_METHOD"]
+__all__ = ["ForkedCopies", "LEAVE_BOUND", "ProcessEngine", "START_METHOD", "pin_allocator"]
 
 #: The ``multiprocessing`` start method of every worker (see above).
 START_METHOD = "fork"
@@ -337,8 +338,27 @@ class ForkedCopies:
             discard(self.world.envelope(record), self.world)
 
 
+def pin_allocator() -> None:
+    """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
+
+    These are the ceilings glibc's dynamic rule reaches only after freeing a
+    large mapping, so without the pin a process's page faults per query
+    depend on its heap's history — for a forked copy, its parent's.  With
+    it, a megabyte temporary (a z-buffer, a frame's encode) reuses heap
+    pages, and a warm copy keeps up to 64 MiB free between queries.  Where
+    libc has no ``mallopt`` this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _run_forked(*args: Any) -> None:
-    """:func:`run_copy` in a worker that dumps its stack on SIGUSR1."""
+    """:func:`run_copy` in a worker that pins its allocator and dumps its
+    stack on SIGUSR1."""
+    pin_allocator()
     faulthandler.register(signal.SIGUSR1, file=2, all_threads=True)
     run_copy(*args)
 

@@ -98,6 +98,7 @@ from repro.cache import (
 from repro.configurations import CONFIGURATIONS, check_algorithm
 from repro.core.policies import make_policy_factory
 from repro.engines.pool import WarmPool
+from repro.engines.process import pin_allocator
 from repro.errors import (
     AnalysisError,
     ConfigurationError,
@@ -852,14 +853,7 @@ def run_server(
     try:
         _coerce_int(admission_limit, "admission_limit", minimum=1)
         _coerce_int(port, "port", minimum=0, maximum=65535)
-        # Freeing one 30 MiB buffer raises glibc's dynamic mmap threshold to
-        # about 30 MiB (and its trim threshold to twice that), here and in
-        # every pool worker forked later: a query's megabyte temporaries (the
-        # frame's encode and join, the transport buffers) then reuse heap
-        # pages instead of mapping and faulting in fresh ones each time.  The
-        # buffer is calloc'd, so no page of it is touched; other allocators
-        # pay nothing.
-        bytes(30 << 20)
+        pin_allocator()  # a frame's encode and join reuse heap pages
         asyncio.run(_serve(service, host, port, admission_limit, ready))
     finally:
         service.close()
