@@ -17,6 +17,11 @@ differ in who performs the effects:
 - :class:`~repro.engines.pool.WarmPool` keeps process-engine copies alive
   between runs, serving units of work as they arrive (``repro serve``).
 
+Every engine is built one way, by :class:`~repro.engines.base.Engine`'s
+constructor: the writer policy resolved, the engine gate
+(:func:`repro.analysis.verify_pipeline`) passed before anything starts, its
+WARNINGs opening each run's trace; ``run()`` is ``run_cycles([None])[0]``.
+
 The real engines resolve one :class:`~repro.engines.runtime.PendingQuery`
 per unit of work, each folded once by
 :func:`~repro.engines.runtime.fold_query`.

@@ -52,7 +52,6 @@ from repro.core.instrument import RunMetrics
 from repro.core.placement import Placement
 from repro.core.policies import PolicyFactory
 from repro.core.tracing import Tracer
-from repro.engines.base import open_wall_trace
 from repro.engines.process import ForkedCopies, ProcessEngine
 from repro.engines.runtime import PendingQuery, results
 from repro.errors import EngineError
@@ -141,15 +140,11 @@ class WarmPool(ProcessEngine):
         timestamps rebased to the submit, so its timeline and the returned
         metrics' makespan read as end-to-end query latency.
         """
-        return self._copies.submit(
-            uow, open_wall_trace(tracer, self._analysis_report), tracer
-        )
+        return self._copies.submit(uow, self._open_trace(tracer, "wall"), tracer)
 
-    def run_cycles(self, uows: "list[Any]") -> list[RunMetrics]:
-        """Batch counterpart of ``ProcessEngine.run_cycles`` on warm copies,
-        one error carrying every failed query's errors and metrics."""
-        if not uows:
-            raise EngineError("run_cycles() needs at least one unit of work")
+    def _cycles(self, uows: "list[Any]") -> list[RunMetrics]:
+        """Every cycle submitted to the warm copies, one error carrying
+        every failed query's errors and metrics."""
         return results([self.submit(uow) for uow in uows])
 
     def close(self) -> None:

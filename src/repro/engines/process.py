@@ -54,9 +54,9 @@ from repro.core.buffer import BufferCodec
 from repro.core.graph import FilterGraph
 from repro.core.instrument import RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, make_policy_factory
+from repro.core.policies import PolicyFactory
 from repro.core.tracing import Tracer
-from repro.engines.base import Engine, open_wall_trace, validate_run_setup
+from repro.engines.base import Engine
 from repro.engines.runtime import (
     EOW,
     CopySetQueue,
@@ -366,10 +366,10 @@ def _run_forked(*args: Any) -> None:
 class ProcessEngine(Engine):
     """Execute a filter graph with real filters and one process per copy.
 
-    Parameters mirror :class:`repro.engines.threaded.ThreadedEngine`
-    (graph, placement, writer policy, queue capacity, ack accounting,
-    tracer).  Payloads cross between processes through one
-    :class:`~repro.core.buffer.BufferCodec` and the copies' arenas.
+    Built as every :class:`~repro.engines.base.Engine` is, on a platform
+    with the ``fork`` start method.  Payloads cross between processes
+    through one :class:`~repro.core.buffer.BufferCodec` and the copies'
+    arenas.
     """
 
     def __init__(
@@ -380,11 +380,7 @@ class ProcessEngine(Engine):
         queue_capacity: int = 8,
         tracer: "Tracer | None" = None,
     ):
-        self._policy = make_policy_factory(policy)
-        self._analysis_report = validate_run_setup(
-            graph, placement, queue_capacity, "process",
-            policy=self._policy,
-        )
+        super().__init__(graph, placement, policy, queue_capacity, tracer)
         if START_METHOD not in multiprocessing.get_all_start_methods():
             raise EngineError(
                 f"start method {START_METHOD!r} unavailable on this platform "
@@ -392,29 +388,14 @@ class ProcessEngine(Engine):
                 f"process engine needs fork for closure factories — use the "
                 f"threaded engine instead"
             )
-        self.graph = graph
-        self.placement = placement
-        self.queue_capacity = queue_capacity
-        self.tracer = tracer
 
-    def run(self) -> RunMetrics:
-        """Execute one unit of work; blocks until all copies finish."""
-        return self.run_cycles([None])[0]
-
-    def run_cycles(self, uows: "list[Any]") -> list[RunMetrics]:
-        """Run consecutive units of work through persistent filter copies.
-
-        The work-cycle protocol of ``ThreadedEngine.run_cycles``, with each
-        copy a long-lived worker process: one filter instance per copy, one
-        ``init``/``handle``/``flush``/``finalize`` pass per unit of work,
-        cycles pipelining freely — a world of ``len(uows)`` slots, every
-        cycle submitted before the fork and a stop sent behind the last.
-        Returns one :class:`RunMetrics` per unit of work.
-        """
-        if not uows:
-            raise EngineError("run_cycles() needs at least one unit of work")
+    def _cycles(self, uows: "list[Any]") -> list[RunMetrics]:
+        """Run every cycle through persistent copies, each a worker process
+        (one filter instance per copy, cycles pipelining freely): a world
+        of ``len(uows)`` slots, every cycle submitted before the fork and a
+        stop sent behind the last."""
         copies = ForkedCopies(self, len(uows))
-        trace_limit = open_wall_trace(self.tracer, self._analysis_report)
+        trace_limit = self._open_trace(self.tracer, "wall")
         pendings = [copies.submit(uow, trace_limit, self.tracer) for uow in uows]
         copies.start()
         copies.close()

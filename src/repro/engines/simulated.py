@@ -31,7 +31,7 @@ Fidelity notes (mapped to the paper):
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Generator, Iterable
 from typing import Any
 
 from repro.core.buffer import DataBuffer
@@ -39,10 +39,10 @@ from repro.core.filter import FilterContext
 from repro.core.graph import FilterGraph
 from repro.core.instrument import DEFAULT_ACK_BYTES, RunMetrics
 from repro.core.placement import Placement
-from repro.core.policies import PolicyFactory, Router, make_policy_factory
+from repro.core.policies import PolicyFactory, Router
 from repro.core.tracing import Tracer
 from repro.engines import runtime
-from repro.engines.base import Engine, emit_analysis_events, validate_run_setup
+from repro.engines.base import Engine
 from repro.errors import EngineError, StreamClosedError
 from repro.sim.cluster import Cluster
 from repro.sim.kernel import Environment, Event
@@ -60,6 +60,9 @@ _QUEUE_BUFFER_ESTIMATE = 2 * 1024 * 1024
 
 class SimulatedEngine(Engine):
     """Execute a filter graph on the simulated cluster.
+
+    Built as every :class:`~repro.engines.base.Engine` is, after its
+    cluster, whose hosts are the ones a placement may name.
 
     Parameters
     ----------
@@ -82,6 +85,8 @@ class SimulatedEngine(Engine):
         spans and queue-depth samples, timestamped in simulated seconds.
     """
 
+    _factory_slot = "sim_factory"
+
     def __init__(
         self,
         cluster: Cluster,
@@ -91,18 +96,12 @@ class SimulatedEngine(Engine):
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
         tracer: "Tracer | None" = None,
     ):
-        self._policy = make_policy_factory(policy)
-        self._analysis_report = validate_run_setup(
-            graph, placement, queue_capacity, "simulated",
-            policy=self._policy, known_hosts=cluster.hosts,
-            factory_slot="sim_factory",
-        )
         self.cluster = cluster
         self.env: Environment = cluster.env
-        self.graph = graph
-        self.placement = placement
-        self.queue_capacity = queue_capacity
-        self.tracer = tracer
+        super().__init__(graph, placement, policy, queue_capacity, tracer)
+
+    def _known_hosts(self, placement: Placement) -> Iterable[str]:
+        return self.cluster.hosts
 
     # -- planning ----------------------------------------------------------
     def memory_audit(self) -> dict[str, int]:
@@ -136,20 +135,17 @@ class SimulatedEngine(Engine):
         ]
 
     # -- execution ---------------------------------------------------------
-    def run(self) -> RunMetrics:
-        """Execute one unit of work; returns the run's metrics.
+    def _cycles(self, uows: "list[Any]") -> list[RunMetrics]:
+        """One simulated cycle per unit of work, one after another on the
+        same cluster: simulated time accumulates, and makespan and finish
+        times are per cycle.  Stage models read no descriptor.  A copy that
+        fails raises :class:`EngineError` once every copy has finished."""
+        return [self._cycle() for _ in uows]
 
-        The engine may be run repeatedly on the same cluster (consecutive
-        timesteps); simulated time accumulates, and makespan and finish
-        times are per-run.  A copy that fails raises :class:`EngineError`
-        once every copy has finished, naming the copy and carrying the
-        run's metrics, as the real engines do.
-        """
+    def _cycle(self) -> RunMetrics:
         env = self.env
         start = env.now
-        if self.tracer is not None and not self.tracer.clock:
-            self.tracer.clock = "sim"
-        emit_analysis_events(self.tracer, self._analysis_report, start)
+        self._open_trace(self.tracer, "sim", at=start)
 
         # Per filter, per copy set: its host, shared queue and close count.
         sets: dict[str, list[tuple[str, Store, runtime.CloseCount]]] = {}

@@ -116,8 +116,9 @@ __all__ = [
     "run_server",
 ]
 
-#: What a query's cache probes did so far: ``(tier, "hit" | "miss", bytes)``.
-_Events = list[tuple[str, str, int]]
+#: A query's one cache probe, of the ``tiles`` tier: ``("hit", nbytes)`` or
+#: ``("miss", 0)``, or ``None`` when the service has no cache.
+_Probe = tuple[str, int] | None
 
 #: The fields a query request and its ``view`` may name; the pipeline is
 #: the service's.
@@ -433,32 +434,27 @@ class QueryService:
         return pool, True
 
     # -- cache plumbing ------------------------------------------------------
-    def _cache_block(self, events: _Events) -> "dict[str, Any]":
+    def _cache_block(self, probe: _Probe) -> "dict[str, Any]":
         block: dict[str, Any] = {
             "mode": "shared" if self._cache is not None else "off"
         }
-        for tier, outcome, _nbytes in events:
-            block[tier] = outcome
-        block["bytes_saved"] = sum(
-            nbytes for _tier, outcome, nbytes in events if outcome == "hit"
-        )
+        if probe is not None:
+            block["tiles"] = probe[0]
+        block["bytes_saved"] = probe[1] if probe is not None else 0
         if self._cache_refusal is not None:
             block["mode"] = "refused"
             block["error"] = self._cache_refusal
         return block
 
     @staticmethod
-    def _record_cache_events(
-        tracer: Any, events: _Events, elapsed: float
-    ) -> None:
+    def _record_cache_events(tracer: Any, probe: _Probe, elapsed: float) -> None:
         if tracer is None:
             return
         if not tracer.clock:
             tracer.clock = "wall"
-        for tier, outcome, nbytes in events:
+        if probe is not None:
             tracer.record(
-                elapsed, "cache", f"cache_{outcome}",
-                f"tier={tier} nbytes={nbytes}",
+                elapsed, "cache", f"cache_{probe[0]}", f"tier=tiles nbytes={probe[1]}"
             )
 
     # -- queries -------------------------------------------------------------
@@ -526,7 +522,7 @@ class QueryService:
         t0 = time.perf_counter()
         query = self._parse(request)
         tracer = Tracer() if request.get("trace") else None
-        events: _Events = []
+        probe: _Probe = None
 
         binding = self._binding
         if binding is not None:
@@ -534,7 +530,7 @@ class QueryService:
             frame = binding.cache.get("tiles", key)
             if frame is not None:
                 # Answered without a pool: also while the scene's is broken.
-                events.append(("tiles", "hit", frame.nbytes))
+                probe = "hit", frame.nbytes
                 run = {
                     "warm": True, "pool_cycle": None, "makespan_s": 0.0,
                     "active_pixels": frame.active_pixels,
@@ -542,9 +538,9 @@ class QueryService:
                     "acks": 0, "streams": {}, "chunks": None,
                 }
                 return self._respond(
-                    query, "tile_hit", run, frame.frame_b64, events, tracer, t0
+                    query, "tile_hit", run, frame.frame_b64, probe, tracer, t0
                 )
-            events.append(("tiles", "miss", 0))
+            probe = "miss", 0
 
         pool, created = self._pool(query.scene)
         uow: dict[str, Any] = {"isovalue": query.isovalue, "timestep": query.timestep}
@@ -587,7 +583,7 @@ class QueryService:
             },
             "chunks": [len(needed), len(chunks)],
         }
-        return self._respond(query, "cold", run, frame_b64, events, tracer, t0)
+        return self._respond(query, "cold", run, frame_b64, probe, tracer, t0)
 
     def _respond(
         self,
@@ -595,13 +591,13 @@ class QueryService:
         outcome: str,
         run: "dict[str, Any]",
         frame_b64: str,
-        events: _Events,
+        probe: _Probe,
         tracer: Any,
         t0: float,
     ) -> "dict[str, Any]":
         """Count one served query and shape its response (frame last)."""
         latency = time.perf_counter() - t0
-        self._record_cache_events(tracer, events, latency)
+        self._record_cache_events(tracer, probe, latency)
         with self._count_lock:
             self._served[outcome] += 1
             if run["chunks"] is not None:
@@ -619,7 +615,7 @@ class QueryService:
             **run,
             "cached": outcome == "tile_hit",
             "latency_s": round(latency, 6),
-            "cache": self._cache_block(events),
+            "cache": self._cache_block(probe),
         }
         if query.orbit is not None:
             response["view"] = {
@@ -851,8 +847,8 @@ def run_server(
     :class:`ConfigurationError` before binding.
     """
     try:
-        _coerce_int(admission_limit, "admission_limit", minimum=1)
-        _coerce_int(port, "port", minimum=0, maximum=65535)
+        admission_limit = _coerce_int(admission_limit, "admission_limit", minimum=1)
+        port = _coerce_int(port, "port", minimum=0, maximum=65535)
         pin_allocator()  # a frame's encode and join reuse heap pages
         asyncio.run(_serve(service, host, port, admission_limit, ready))
     finally:

@@ -5,6 +5,7 @@ WARNING diagnostics surface as ``analysis`` trace events at run start.
 """
 
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.engines.pool import WarmPool
 from repro.engines.process import ProcessEngine
 from repro.engines.simulated import SimulatedEngine
 from repro.engines.threaded import ThreadedEngine
-from repro.errors import AnalysisError, GraphError, PlacementError
+from repro.errors import AnalysisError, EngineError, GraphError, PlacementError
 from repro.sim import Environment, homogeneous_cluster
 
 
@@ -125,6 +126,62 @@ def test_engine_refuses_cycle(kind):
     with pytest.raises(GraphError, match="cycle"):
         build_engine(kind, g, p)
     assert multiprocessing.active_children() == before
+
+
+def gate_graph(missing=None):
+    """``src -> mid -> sink`` with both factory slots, ``mid`` lacking
+    ``missing``; every filter on ``node0``."""
+    g = FilterGraph()
+    g.add_filter("src", factory=OneShotSource, sim_factory=ListSource,
+                 is_source=True)
+    mid = {"factory": Forward, "sim_factory": Counting}
+    mid.pop(missing, None)
+    g.add_filter("mid", **mid)
+    g.add_filter("sink", factory=CountSink, sim_factory=Counting)
+    g.connect("src", "mid")
+    g.connect("mid", "sink")
+    p = Placement()
+    for name in g.filters:
+        p.place(name, ["node0"])
+    return g, p
+
+
+def assert_refused_before_start(kind, error, match, **kwargs):
+    """Building ``kind`` raises ``error`` and starts no thread or process."""
+    graph, placement = kwargs.pop("pipeline")
+    children, threads = multiprocessing.active_children(), threading.active_count()
+    with pytest.raises(error, match=match):
+        build_engine(kind, graph, placement, **kwargs)
+    assert multiprocessing.active_children() == children
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_engine_refuses_queue_capacity_below_one(kind):
+    assert_refused_before_start(
+        kind, EngineError, "queue_capacity must be >= 1, got 0",
+        pipeline=gate_graph(), queue_capacity=0,
+    )
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_engine_refuses_a_filter_without_its_factory_slot(kind):
+    slot = "sim_factory" if kind == "simulated" else "factory"
+    assert_refused_before_start(
+        kind, EngineError, f"filter 'mid' has no {slot};",
+        pipeline=gate_graph(missing=slot),
+    )
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_run_cycles_refuses_no_unit_of_work(kind):
+    engine = build_engine(kind, *gate_graph())
+    try:
+        with pytest.raises(EngineError, match="at least one unit of work"):
+            engine.run_cycles([])
+    finally:
+        if kind == "pool":
+            engine.close()
 
 
 def test_simulated_engine_refuses_unknown_host():
@@ -245,9 +302,7 @@ def test_analysis_events_deduplicate_across_reruns():
     assert len(keyed) == len(set(keyed)), keyed
 
 
-def test_emit_analysis_events_dedup_is_per_tracer():
-    from repro.engines.base import emit_analysis_events
-
+def test_open_trace_dedup_is_per_tracer():
     g = thread_graph()
     p = Placement()
     p.place("src", ["h0"])
@@ -256,11 +311,33 @@ def test_emit_analysis_events_dedup_is_per_tracer():
     engine = ThreadedEngine(g, p, policy="WRR")
     report = engine._analysis_report
     first, second = Tracer(), Tracer()
-    emit_analysis_events(first, report, 0.0)
-    emit_analysis_events(first, report, 1.0)  # same tracer: deduped
-    emit_analysis_events(second, report, 0.0)  # fresh tracer: records
+    engine._open_trace(first, "wall")
+    engine._open_trace(first, "wall", at=1.0)  # same tracer: deduped
+    engine._open_trace(second, "wall")  # fresh tracer: records
     count = lambda t: len([e for e in t.events if e.kind == "analysis"])  # noqa: E731
     assert count(first) == count(second) == len(report.warnings) > 0
+
+
+def test_pooled_query_tracer_records_each_warning_once():
+    """A pool opens every query's trace; a tracer that follows two queries
+    records each WARNING once, and a fresh one records it again."""
+    g = thread_graph()
+    p = Placement()
+    p.place("src", ["h0"])
+    p.place("mid", [("h0", 1), ("h1", 1)])  # WRR with all-1 copies: W301
+    p.place("sink", ["h0"])
+    with WarmPool(g, p, policy="WRR") as pool:
+        warnings = pool._analysis_report.warnings
+        assert "W301" in pool._analysis_report.rule_ids()
+        shared, fresh = Tracer(), Tracer()
+        for tracer in (shared, shared, fresh):
+            pool.submit(tracer=tracer).result()
+
+    def analysis(tracer):
+        return sorted(e.detail for e in tracer.events if e.kind == "analysis")
+
+    expected = sorted(f"{d.rule}: {d.message}" for d in warnings)
+    assert analysis(shared) == analysis(fresh) == expected
 
 
 @pytest.mark.parametrize("kind", ENGINES)
